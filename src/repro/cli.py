@@ -37,6 +37,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     if args.quorum is not None:
         config.edge.round_quorum = args.quorum
+    try:
+        # The same check every aggregation_loop runs, made before the
+        # cloud phases are paid for.
+        config.edge.checked_rounds()
+    except ValueError as err:
+        print(f"repro-cli run: error: {err}", file=sys.stderr)
+        return 2
     if args.transport == "tcp":
         from repro.distributed.system import run_multiprocess
 

@@ -72,94 +72,31 @@ def aggregation_weights(
     )
 
 
-def _accumulate_weighted(
-    weight_rows: np.ndarray, sets: Sequence[np.ndarray]
-) -> np.ndarray:
-    """The one accumulation kernel behind every aggregation path.
-
-    Computes ``out[i] = Σ_j weight_rows[i, j] · sets[j]`` as a running
-    sum over ``j`` — one elementwise multiply-add per incoming set.
-    Because the per-cell arithmetic is an independent scalar chain
-    ``acc += w · q`` in a fixed ``j`` order, the result is bit-for-bit
-    identical whether the rows are accumulated all at once (the batch
-    functions below), one output row at a time, or one *input* set at a
-    time (:class:`StreamingAggregator`, which never materializes the
-    ``(n, R)`` stack).  A BLAS ``w @ stacked`` product would not give
-    that guarantee — dgemv's blocked accumulation order differs from the
-    running sum — which is why every caller funnels through here.
-    """
-    num_rows = weight_rows.shape[0]
-    length = sets[0].size if sets else 0
-    out = np.zeros((num_rows, length), dtype=np.float64)
-    for j, q in enumerate(sets):
-        out += weight_rows[:, j : j + 1] * q[np.newaxis, :]
-    return out
-
-
 def aggregate_importance_sets(
     importance_sets: Sequence[np.ndarray], weights: np.ndarray
 ) -> List[np.ndarray]:
-    """Eq. (21): personalized sets ``Q'_n = Σ_i ŵ_{n,i} Q_i``."""
-    sets = [np.asarray(q, dtype=np.float64) for q in importance_sets]
+    """Eq. (21): personalized sets ``Q'_n = Σ_i ŵ_{n,i} Q_i``.
+
+    The validated whole-cluster form of :class:`StreamingAggregator`:
+    every member present, one output row per member.
+    """
+    sets = list(importance_sets)
     n = len(sets)
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (n, n):
         raise ValueError(f"weights shape {weights.shape} != ({n}, {n})")
-    if not np.allclose(weights.sum(axis=1), 1.0, atol=1e-6):
-        raise ValueError("weight rows must sum to 1 (convex combination)")
-    length = sets[0].size
-    if any(q.size != length for q in sets):
-        raise ValueError("importance sets must share a length to aggregate")
-    out = _accumulate_weighted(weights, sets)
-    return [out[i] for i in range(n)]
-
-
-def aggregate_importance_subset(
-    importance_sets: Sequence[np.ndarray],
-    weights: np.ndarray,
-    rows: Sequence[int],
-    cols: Sequence[int],
-) -> List[np.ndarray]:
-    """Eq. (21) restricted to the cluster members present this round.
-
-    Degraded-mode aggregation: ``cols`` are the full-cluster indices
-    whose sets are available (``importance_sets``, in the same order)
-    and ``rows`` the indices to produce personalized sets for.  Each
-    row of the full ``(n, n)`` weight matrix is masked to the present
-    columns and renormalized, so every ``Q'_n`` stays a convex
-    combination — of whoever showed up.  A row with no weight on any
-    present member falls back to uniform weights over them.
-
-    With every member present this reduces to
-    :func:`aggregate_importance_sets` exactly (the mask keeps all
-    columns and the renormalization divides by 1); callers on the
-    fault-free path still use the full function so its validation —
-    and its bit-for-bit arithmetic — is untouched.
-    """
-    if len(cols) != len(importance_sets):
-        raise ValueError(
-            f"{len(importance_sets)} importance sets for {len(cols)} present members"
-        )
-    if not importance_sets:
-        raise ValueError("cannot aggregate an empty round: no member present")
-    sets = [np.asarray(q, dtype=np.float64) for q in importance_sets]
-    weights = np.asarray(weights, dtype=np.float64)
-    n = weights.shape[0]
-    if weights.shape != (n, n):
-        raise ValueError(f"weights must be square, got {weights.shape}")
-    if not np.allclose(weights.sum(axis=1), 1.0, atol=1e-6):
-        raise ValueError("weight rows must sum to 1 (convex combination)")
-    col_index = np.asarray(cols, dtype=int)
-    masked = np.stack([_masked_row(weights[i], col_index) for i in rows])
-    out = _accumulate_weighted(masked, sets)
-    return [out[k] for k in range(len(rows))]
+    aggregator = StreamingAggregator(weights)
+    for i, q in enumerate(sets):
+        aggregator.consume(i, q)
+    return aggregator.finalize()
 
 
 def _masked_row(row: np.ndarray, col_index: np.ndarray) -> np.ndarray:
     """One weight row masked to the present columns and renormalized.
 
-    Shared by :func:`aggregate_importance_subset` and
-    :class:`StreamingAggregator` so both compute bit-identical weights.
+    Every ``Q'_n`` stays a convex combination — of whoever showed up.  A
+    row with no weight on any present member falls back to uniform
+    weights over them.
     """
     w = row[col_index]
     total = w.sum()
@@ -169,30 +106,30 @@ def _masked_row(row: np.ndarray, col_index: np.ndarray) -> np.ndarray:
 
 
 class StreamingAggregator:
-    """O(1)-memory streaming form of Eq. (21) for fleet-scale rounds.
+    """Eq. (21) as a running sum — the one aggregation kernel.
 
-    The batch functions above stack every member's importance set into an
-    ``(n, R)`` matrix before aggregating — at 10⁴–10⁶ devices that stack
-    *is* the memory bill.  This class consumes importance messages one at
-    a time into a running-sum accumulator of shape ``(rows, R)``, so the
-    edge holds one personalized-set accumulator (plus one weight row per
-    requested output) regardless of how many members report.
+    Consumes importance sets one at a time into an accumulator of shape
+    ``(rows, R)``, so the edge holds one personalized-set accumulator
+    (plus one weight row per requested output) regardless of how many
+    members report; the ``(n, R)`` stack never exists.
 
-    Parity contract: with ``cols=None`` the finalized rows are bit-for-bit
-    equal (float64) to :func:`aggregate_importance_sets`; with an explicit
-    ``cols`` subset they are bit-for-bit equal to
-    :func:`aggregate_importance_subset` — both by construction, since all
-    three paths share :func:`_accumulate_weighted` and the subset paths
-    share :func:`_masked_row` (asserted in
-    ``tests/core/test_aggregation_streaming.py``).
+    Each :meth:`consume` is one elementwise ``acc += w[:, j] · q``.  The
+    per-cell arithmetic is an independent scalar chain in a fixed ``j``
+    order, so the result's bits depend only on the arrival order — not
+    on how many rows are produced at once.  A BLAS ``w @ stacked``
+    product would not give that guarantee (dgemv's blocked accumulation
+    order differs from the running sum), which is why every aggregation
+    in the repo goes through here.  ``tests/core/
+    test_aggregation_streaming.py`` holds it to an independent float64
+    oracle written straight from the equation.
 
     Parameters
     ----------
     weights:
-        Either the full square ``(n, n)`` row-stochastic matrix (validated
-        like the batch path) or a pre-sliced ``(len(rows), n)`` block of
-        its rows — the O(rows · n) form a million-device edge passes so
-        the square matrix never exists.
+        Either the full square ``(n, n)`` row-stochastic matrix or a
+        pre-sliced ``(len(rows), n)`` block of its rows — the O(rows · n)
+        form a million-device edge passes so the square matrix never
+        exists.  Row sums are validated either way.
     rows:
         Full-matrix row indices to produce personalized sets for, in
         output order.  Required when ``weights`` is square and a subset is
@@ -200,10 +137,10 @@ class StreamingAggregator:
     cols:
         The full-cluster indices whose sets will arrive — **in arrival
         order** — or ``None`` for "all ``n`` members, in index order"
-        (the fault-free path, no renormalization, matching
-        :func:`aggregate_importance_sets` exactly).  With an explicit
-        subset each weight row is masked and renormalized up front, so
-        the stream can be consumed without waiting for the round to end.
+        (the fault-free path: the weight rows are used as given, no
+        renormalization).  With an explicit subset each weight row is
+        masked and renormalized up front, so the stream can be consumed
+        without waiting for the round to end.
     """
 
     def __init__(
@@ -216,7 +153,8 @@ class StreamingAggregator:
         if weights.ndim != 2:
             raise ValueError(f"weights must be 2-D, got shape {weights.shape}")
         self.num_members = int(weights.shape[1])
-        square = weights.shape[0] == self.num_members and rows is None
+        if not np.allclose(weights.sum(axis=1), 1.0, atol=1e-6):
+            raise ValueError("weight rows must sum to 1 (convex combination)")
         if rows is not None:
             if weights.shape[0] != self.num_members:
                 raise ValueError(
@@ -226,9 +164,6 @@ class StreamingAggregator:
             weight_rows = weights[np.asarray(rows, dtype=int)]
         else:
             weight_rows = weights
-        if square or rows is not None:
-            if not np.allclose(weights.sum(axis=1), 1.0, atol=1e-6):
-                raise ValueError("weight rows must sum to 1 (convex combination)")
         if cols is None:
             self._cols = np.arange(self.num_members)
             self._weight_rows = weight_rows
@@ -243,15 +178,6 @@ class StreamingAggregator:
             )
         self._acc: Optional[np.ndarray] = None
         self._consumed = 0
-
-    @property
-    def expected(self) -> int:
-        """How many sets this round will consume."""
-        return len(self._cols)
-
-    @property
-    def consumed(self) -> int:
-        return self._consumed
 
     def consume(self, col: int, importance: np.ndarray) -> None:
         """Fold one member's importance set into the running sums.

@@ -26,6 +26,7 @@ from repro.distributed.messages import Message, MessageKind
 from repro.distributed.network import Network
 from repro.distributed.state_store import (
     DeviceStateLRU,
+    backbone_from_payload,
     restore_header,
     snapshot_header,
 )
@@ -134,15 +135,7 @@ class DeviceNode:
         payload = self._model_payload
         assert payload is not None and self.state_store is not None
         self.backbone = self.state_store.shared_backbone(payload)
-        config: ViTConfig = payload["vit_config"]
-        spec: HeaderSpec = payload["header_spec"]
-        self.header = DAGHeader(
-            config.embed_dim,
-            config.num_patches,
-            config.num_classes,
-            spec,
-            rng=np.random.default_rng(self.seed),
-        )
+        self.header = self._new_header(payload)
         if self._cold_state is None:
             self.header.load_state_dict(payload["header_state"])
             return
@@ -152,6 +145,18 @@ class DeviceNode:
             self._feature_sample = sample
         restore_header(self.header, state)
         self._cold_state = None
+
+    def _new_header(self, payload: dict) -> DAGHeader:
+        """The payload's header architecture, freshly seeded (no weights)."""
+        config: ViTConfig = payload["vit_config"]
+        spec: HeaderSpec = payload["header_spec"]
+        return DAGHeader(
+            config.embed_dim,
+            config.num_patches,
+            config.num_classes,
+            spec,
+            rng=np.random.default_rng(self.seed),
+        )
 
     def _evict(self) -> None:
         """Store callback: snapshot mutable state, drop live references."""
@@ -183,32 +188,17 @@ class DeviceNode:
         payload-free either way, so the wire traffic does not change.
         """
         self._feature_sample = None
+        self.keep_fraction = float(message.payload.get("keep_fraction", 0.7))
         if self.state_store is not None:
             self.state_store.drop(self)
             self._model_payload = message.payload
             self._cold_state = None
             self.backbone = None
             self.header = None
-            self.keep_fraction = float(message.payload.get("keep_fraction", 0.7))
-            return Message(self.name, message.sender, MessageKind.ACK)
-        config: ViTConfig = message.payload["vit_config"]
-        self.backbone = VisionTransformer(config, seed=0)
-        self.backbone.load_state_dict(message.payload["backbone_state"])
-        self.backbone.set_importance_orders(
-            head_orders=message.payload["head_orders"],
-            neuron_orders=message.payload["neuron_orders"],
-        )
-        self.backbone.scale(message.payload["width"], message.payload["depth"])
-        spec: HeaderSpec = message.payload["header_spec"]
-        self.header = DAGHeader(
-            config.embed_dim,
-            config.num_patches,
-            config.num_classes,
-            spec,
-            rng=np.random.default_rng(self.seed),
-        )
-        self.header.load_state_dict(message.payload["header_state"])
-        self.keep_fraction = float(message.payload.get("keep_fraction", 0.7))
+        else:
+            self.backbone = backbone_from_payload(message.payload)
+            self.header = self._new_header(message.payload)
+            self.header.load_state_dict(message.payload["header_state"])
         return Message(self.name, message.sender, MessageKind.ACK)
 
     def _receive_personalized_set(self, message: Message) -> Message:
@@ -220,11 +210,15 @@ class DeviceNode:
         return Message(self.name, message.sender, MessageKind.ACK)
 
     # ------------------------------------------------------------------
-    def importance_round(self, include_feature_sample: bool = False) -> Message:
+    def importance_round(
+        self, include_feature_sample: bool = False, round_index: int = 0
+    ) -> Message:
         """Run a local importance round and build the upload message.
 
         The caller (edge server) transmits the returned message through the
-        network so the bytes are accounted on the uplink.
+        network so the bytes are accounted on the uplink.  ``round_index``
+        is the edge's round counter; the local data decide the set here,
+        so only synthetic devices (the scale harness) read it.
         """
         self._ensure_live()
         q = compute_importance_set(

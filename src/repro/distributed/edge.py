@@ -13,17 +13,15 @@ An edge server ``s`` manages a device cluster N_s and a shared dataset
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.aggregation import (
-    aggregate_importance_sets,
-    aggregate_importance_subset,
-)
+from repro.core.aggregation import StreamingAggregator
 from repro.core.nas import HeaderSearch, NASConfig
 from repro.core.similarity import (
     distance_matrix,
@@ -33,13 +31,14 @@ from repro.core.similarity import (
 from repro.data.dataset import ArrayDataset
 from repro.distributed.device import DeviceNode
 from repro.distributed.executor import WorkerSpec, parallel_map
-from repro.distributed.faults import DeliveryError, FaultPolicy, ProtocolError
-from repro.distributed.messages import Message, MessageKind
+from repro.distributed.faults import DeliveryError, ProtocolError
+from repro.distributed.messages import Message, MessageKind, payload_nbytes
 from repro.distributed.network import Network
+from repro.distributed.state_store import backbone_from_payload
 from repro.hw.energy import latency
 from repro.hw.profiles import cluster_statistics
 from repro.models.blocks import HeaderSpec
-from repro.models.vit import VisionTransformer, ViTConfig
+from repro.models.vit import VisionTransformer
 from repro.train import serving
 
 
@@ -124,6 +123,28 @@ class EdgeConfig:
         if self.nas is None:
             self.nas = NASConfig(seed=self.seed)
 
+    def checked_rounds(self, num_rounds: Optional[int] = None) -> int:
+        """The round count to run, after range-checking the round settings.
+
+        Checked where the round engine reads them, not in
+        ``__post_init__``: callers such as ``repro-cli run --quorum``
+        assign fields after construction.
+        """
+        rounds = self.aggregation_rounds if num_rounds is None else num_rounds
+        if rounds < 1:
+            raise ValueError(f"aggregation_rounds must be >= 1, got {rounds}")
+        if not 0.0 < self.round_quorum <= 1.0:
+            raise ValueError(
+                f"round_quorum must be in (0, 1], got {self.round_quorum}"
+            )
+        if self.round_retries < 0:
+            raise ValueError(f"round_retries must be >= 0, got {self.round_retries}")
+        if self.round_deadline is not None and self.round_deadline <= 0:
+            raise ValueError(
+                f"round_deadline must be > 0 (or None), got {self.round_deadline}"
+            )
+        return rounds
+
 
 class EdgeServer:
     """One edge server ``s_s`` and its device cluster."""
@@ -165,6 +186,13 @@ class EdgeServer:
         #: protocol-level (round/exchange) retry count.
         self.round_participation: List[float] = []
         self.round_retry_total = 0
+        #: Devices the straggler deadline cut from a round, sets carried
+        #: forward into an aggregate for an absent device, and downlinks
+        #: (model or personalized set) that exhausted their retries —
+        #: each summed over the rounds run so far.
+        self.stragglers = 0
+        self.carried = 0
+        self.failed_deliveries = 0
         network.register(self.name, self.handle)
 
     # ------------------------------------------------------------------
@@ -176,16 +204,9 @@ class EdgeServer:
         raise ValueError(f"{self.name} cannot handle {message.kind}")
 
     def _receive_backbone(self, message: Message) -> None:
-        config: ViTConfig = message.payload["vit_config"]
-        self.backbone = VisionTransformer(config, seed=0)
-        self.backbone.load_state_dict(message.payload["backbone_state"])
-        self.backbone.set_importance_orders(
-            head_orders=message.payload["head_orders"],
-            neuron_orders=message.payload["neuron_orders"],
-        )
+        self.backbone = backbone_from_payload(message.payload)
         self.assigned_width = float(message.payload["width"])
         self.assigned_depth = int(message.payload["depth"])
-        self.backbone.scale(self.assigned_width, self.assigned_depth)
         return None
 
     def _receive_importance(self, message: Message) -> None:
@@ -248,42 +269,38 @@ class EdgeServer:
         assert self.backbone is not None and self.header_spec is not None
         assert self.search is not None
         header = self.search.materialize_header(self.header_spec, seed=self.config.seed)
-        payload_template = {
-            "vit_config": self.backbone.config,
-            "backbone_state": self.backbone.state_dict(),
-            "head_orders": [o.copy() for o in self.backbone._head_orders],
-            "neuron_orders": [o.copy() for o in self.backbone._neuron_orders],
-            "width": self.assigned_width,
-            "depth": self.assigned_depth,
-            "header_spec": self.header_spec,
-            "header_state": header.state_dict(),
-            "keep_fraction": self.config.keep_fraction,
-        }
-        provisioned = 0
-        for device in self.devices:
-            if not device.active:
-                continue  # dead / churned-off devices cannot receive
-            try:
-                self.network.send_reliable(
-                    Message(
-                        self.name,
-                        device.name,
-                        MessageKind.MODEL_DISTRIBUTION,
-                        dict(payload_template),
-                    )
-                )
-            except DeliveryError:
-                # The device never got a model; it sits out the
-                # aggregation rounds and the finale (checked via its
-                # missing backbone/header) rather than crashing them.
-                continue
-            provisioned += 1
+        provisioned = self._distribute(
+            {
+                "vit_config": self.backbone.config,
+                "backbone_state": self.backbone.state_dict(),
+                "head_orders": [o.copy() for o in self.backbone._head_orders],
+                "neuron_orders": [o.copy() for o in self.backbone._neuron_orders],
+                "width": self.assigned_width,
+                "depth": self.assigned_depth,
+                "header_spec": self.header_spec,
+                "header_state": header.state_dict(),
+                "keep_fraction": self.config.keep_fraction,
+            }
+        )
         if provisioned == 0:
             raise ProtocolError(
                 f"{self.name}: no device received the model distribution "
                 f"({len(self.devices)} in cluster, "
                 f"{sum(d.active for d in self.devices)} active)"
             )
+
+    def _distribute(self, payload: dict) -> int:
+        """One model payload to every device on the fabric; returns how
+        many got it.  Dead / churned-off devices cannot receive, and one
+        whose delivery fails sits out the rounds and the finale (checked
+        via ``has_model``) rather than crashing them.
+        """
+        return self._send_each(
+            MessageKind.MODEL_DISTRIBUTION,
+            [d for d in self.devices if d.active],
+            itertools.repeat(payload),
+            nbytes=payload_nbytes(payload),
+        )
 
     # ------------------------------------------------------------------
     # Phase 2-2: the single loop (Algorithm 2)
@@ -300,26 +317,21 @@ class EdgeServer:
         """
         ids = [d.profile.device_id for d in self.devices]
         have = [i for i, did in enumerate(ids) if did in self._feature_samples]
-        if len(have) == len(ids):
-            self._similarity_partial = False
-            samples = [self._feature_samples[did] for did in ids]
-            distances = distance_matrix(
-                samples, metric=self.config.similarity_metric, seed=self.config.seed
-            )
-            return regularize_similarity(
-                similarity_from_distances(distances), temperature=0.05
-            )
-        self._similarity_partial = True
+        self._similarity_partial = len(have) < len(ids)
+        if self._similarity_partial and len(have) < 2:
+            return np.eye(len(ids))
+        distances = distance_matrix(
+            [self._feature_samples[ids[i]] for i in have],
+            metric=self.config.similarity_metric,
+            seed=self.config.seed,
+        )
+        similarity = regularize_similarity(
+            similarity_from_distances(distances), temperature=0.05
+        )
+        if not self._similarity_partial:
+            return similarity
         full = np.eye(len(ids))
-        if len(have) > 1:
-            samples = [self._feature_samples[ids[i]] for i in have]
-            distances = distance_matrix(
-                samples, metric=self.config.similarity_metric, seed=self.config.seed
-            )
-            sub = regularize_similarity(
-                similarity_from_distances(distances), temperature=0.05
-            )
-            full[np.ix_(have, have)] = sub
+        full[np.ix_(have, have)] = similarity
         return full
 
     def _fleet_ready(
@@ -340,15 +352,14 @@ class EdgeServer:
         """
         from repro.train import fleet
 
-        devices = self.devices if devices is None else list(devices)
+        devices = self.devices if devices is None else devices
         # Lazy clusters never fleet-batch: the fleet round holds every
         # member's header across the whole stacked graph, which the LRU
         # could evict (snapshotting stale values) mid-round.
-        if any(d.state_store is not None for d in devices):
-            return False
         if not (
             self.config.fleet_training
             and len(devices) > 1
+            and all(d.state_store is None for d in devices)
             and all(d.backbone is not None and d.header is not None for d in devices)
         ):
             return False
@@ -360,277 +371,244 @@ class EdgeServer:
             devices[0].backbone, [d.header for d in devices]
         )
 
-    def _apply_churn(self, round_index: int, policy: FaultPolicy) -> None:
-        """Re-assert every device's seeded churn state for this round.
+    def _round_participants(self, round_index: int) -> List[DeviceNode]:
+        """Who takes part in this round: churn, then the straggler cut.
 
-        Departing devices unregister from the fabric; returning ones
-        lazily re-register under the same name, keeping whatever model
-        state they had when they left (the carry-forward store bridges
-        the rounds they missed).
-        """
-        for device in self.devices:
-            if policy.device_active(device.profile.device_id, round_index):
-                device.reactivate()
-            else:
-                device.deactivate()
-
-    def _lazy_cluster(self) -> bool:
-        """Whether any device keeps its state in a :class:`DeviceStateLRU`.
-
-        Lazy clusters run their device fan-outs serially: a concurrent
-        hydration could evict a peer whose header another worker is
-        mid-way through training.
-        """
-        return any(d.state_store is not None for d in self.devices)
-
-    def _on_time(self, participants: Sequence[DeviceNode]) -> List[DeviceNode]:
-        """The participants that make the round's straggler deadline.
-
+        Every device's seeded churn state is re-asserted first —
+        departing devices unregister from the fabric, returning ones
+        re-register under the same name with whatever model state they
+        had when they left (the carry-forward store bridges the rounds
+        they missed).  Of the devices then on the fabric with a model,
         Eq. (2)'s per-epoch latency at the assigned scale decides —
         deterministically, from the device profile — who uploads before
-        the edge aggregates.  Without a deadline everyone is on time.
+        the edge aggregates: a straggler past ``round_deadline`` neither
+        trains nor uploads, exactly like a device whose upload was lost.
         """
+        policy = self.network.fault_policy
+        if policy is not None:
+            for device in self.devices:
+                if policy.device_active(device.profile.device_id, round_index):
+                    device.reactivate()
+                else:
+                    device.deactivate()
+        participants = [d for d in self.devices if d.active and d.has_model]
         deadline = self.config.round_deadline
         if deadline is None:
-            return list(participants)
+            return participants
         width = self.assigned_width if self.assigned_width is not None else 1.0
         depth = self.assigned_depth if self.assigned_depth is not None else 1
-        return [
-            d
-            for d in participants
-            if latency(d.profile, width, depth) <= deadline
+        on_time = [
+            d for d in participants if latency(d.profile, width, depth) <= deadline
         ]
+        self.stragglers += len(participants) - len(on_time)
+        return on_time
+
+    def _weight_rows(self, rows: Sequence[int]) -> np.ndarray:
+        """Eq. (21)'s weights for the targets at cluster indices ``rows``.
+
+        The pre-sliced ``(len(rows), n)`` block
+        :class:`~repro.core.aggregation.StreamingAggregator` accepts; a
+        block of one row serves every target.
+        """
+        return self.similarity[list(rows)]
+
+    def _send_each(
+        self,
+        kind: MessageKind,
+        devices: Iterable[DeviceNode],
+        payloads: Iterable[dict],
+        nbytes: int = 0,
+    ) -> int:
+        """Reliable per-device downlink; returns how many were delivered.
+
+        A send that exhausts its retry budget is counted and skipped —
+        the device catches up on its next active round (or, for a lost
+        model distribution, sits the campaign out).  ``nbytes`` sizes a
+        payload shared by every device once instead of once per message.
+        """
+        delivered = 0
+        for device, payload in zip(devices, payloads):
+            message = Message(self.name, device.name, kind, payload, nbytes=nbytes)
+            try:
+                self.network.send_reliable(message)
+            except DeliveryError:
+                self.failed_deliveries += 1
+                continue
+            delivered += 1
+        return delivered
 
     def aggregation_loop(self, num_rounds: Optional[int] = None) -> np.ndarray:
-        """Run T single-loop rounds; returns the similarity matrix used.
+        """Run T single-loop rounds; returns the similarity matrix used."""
+        rounds = self.config.checked_rounds(num_rounds)
+        self.round_participation = []
+        for t in range(rounds):
+            self.run_round(t)
+        return self.similarity
 
-        Degraded mode (fault policy installed or ``round_quorum < 1.0``):
-        each round runs with whichever devices the churn schedule keeps
-        active and actually reply.  Uploads travel via
-        :meth:`Network.send_reliable`; when fresh replies are short of
-        ``ceil(round_quorum × participants)`` the edge re-polls (cached
-        uploads, no retraining) up to ``round_retries`` times, then
-        aggregates whoever answered — masked, renormalized similarity
-        rows — carrying forward each absent device's last known set only
-        when even the quorum cannot be met.  A round with no set at all,
-        fresh or carried, is a hard :class:`ProtocolError` rather than a
-        hang.  On a fault-free fabric with the default quorum this path
-        is never taken and the loop is bit-identical to the pre-quorum
-        code; the only behavioral change there is that a missing reply
-        now raises a descriptive :class:`ProtocolError` instead of a
-        bare ``KeyError``.
+    def run_round(self, t: int) -> int:
+        """One round of Algorithm 2; returns how many fresh sets arrived."""
+        return self._exchange(t, self._round_participants(t))
+
+    def _exchange(self, t: int, participants: List[DeviceNode]) -> int:
+        """Local update → upload → re-poll → aggregate → downlink.
+
+        Uploads travel via :meth:`Network.send_reliable`; when fresh
+        replies are short of ``ceil(round_quorum × participants)`` the
+        edge re-polls (cached uploads, no retraining) up to
+        ``round_retries`` times, then aggregates whoever answered —
+        masked, renormalized similarity rows — carrying forward each
+        absent device's last known set only when even the quorum cannot
+        be met.  A round with no set at all, fresh or carried, is a hard
+        :class:`ProtocolError` rather than a hang; so is a missing reply
+        when nothing licenses a partial round (no fault policy, quorum
+        1.0, no deadline).  With every device present the weight rows
+        are used as given, so a fault-free run under a benign policy,
+        quorum or deadline is bit-identical to one without them (a
+        subset's row renormalization divides by a float row-sum that
+        need not be exactly 1.0).
         """
         from repro.train import fleet
 
-        rounds = num_rounds if num_rounds is not None else self.config.aggregation_rounds
-        policy = self.network.fault_policy
-        deadline = self.config.round_deadline
-        strict = (
-            policy is None
-            and self.config.round_quorum >= 1.0
-            and deadline is None
-        )
-        # Eligibility is loop-invariant on the fault-free path: backbones
-        # are frozen during the aggregation rounds (only header
-        # masks/weights change), so run the parameter-equivalence sweep
-        # once, not once per round.  Under churn the participant set
-        # moves per round, so eligibility must be re-checked; same for
-        # deadline rounds, whose on-time subset is what trains.
-        use_fleet_all = (
-            self._fleet_ready() if policy is None and deadline is None else None
-        )
-        lazy = self._lazy_cluster()
-        workers = None if lazy else self.config.parallel_devices
-        self.round_participation = []
-        for t in range(rounds):
-            self._pending_importance.clear()
-            if policy is not None:
-                self._apply_churn(t, policy)
-            # Stragglers past the deadline sit the round out entirely:
-            # they neither train nor upload, exactly like a device whose
-            # upload was lost — but deterministically, from the profile.
-            participants = self._on_time(
-                d for d in self.devices if d.active and d.has_model
+        config = self.config
+        pending = self._pending_importance
+        pending.clear()
+        include_features = self.similarity is None or self._similarity_partial
+        if self._fleet_ready(devices=participants):
+            # Fleet-batched local updates: every participant's header
+            # trains in one graph per round with a single fused
+            # fleet-optimizer step; importance sets come back
+            # bit-identical to the per-device rounds, and the wire
+            # messages are built per device in device order so the
+            # traffic ledger matches exactly.
+            sets = fleet.fleet_importance_rounds(
+                participants[0].backbone,
+                [d.header for d in participants],
+                [d.dataset for d in participants],
+                [d.importance_config for d in participants],
             )
-            include_features = self.similarity is None or self._similarity_partial
-            use_fleet = (
-                use_fleet_all
-                if use_fleet_all is not None
-                else self._fleet_ready(devices=participants)
+            messages = [
+                device.build_importance_message(
+                    q, include_feature_sample=include_features
+                )
+                for device, q in zip(participants, sets)
+            ]
+        else:
+            # The local importance rounds (header training + Taylor
+            # accumulation) are independent per device — fan out.  The
+            # network sends stay serial and in device order so the
+            # traffic ledger and message sequence match the serial run.
+            # Lazy devices (state in a DeviceStateLRU) run serially: a
+            # concurrent hydration could evict a peer whose header
+            # another worker is mid-way through training.
+            lazy = any(d.state_store is not None for d in participants)
+            messages = parallel_map(
+                lambda device: device.importance_round(
+                    include_feature_sample=include_features, round_index=t
+                ),
+                participants,
+                max_workers=None if lazy else config.parallel_devices,
+                backend=config.backend,
+                shared_params=self._shared_header_params(participants),
             )
-            if use_fleet:
-                # Fleet-batched local updates: every participant's header
-                # trains in one graph per round with a single fused
-                # fleet-optimizer step; importance sets come back
-                # bit-identical to the per-device rounds, and the wire
-                # messages are built per device in device order so the
-                # traffic ledger matches exactly.
-                sets = fleet.fleet_importance_rounds(
-                    participants[0].backbone,
-                    [d.header for d in participants],
-                    [d.dataset for d in participants],
-                    [d.importance_config for d in participants],
-                )
-                messages = [
-                    device.build_importance_message(
-                        q, include_feature_sample=include_features
-                    )
-                    for device, q in zip(participants, sets)
-                ]
-            elif participants:
-                # The local importance rounds (header training + Taylor
-                # accumulation) are independent per device — fan out.  The
-                # network sends stay serial and in device order so the
-                # traffic ledger and message sequence match the serial run.
-                messages = parallel_map(
-                    lambda device: device.importance_round(
-                        include_feature_sample=include_features
-                    ),
-                    participants,
-                    max_workers=workers,
-                    backend=self.config.backend,
-                    shared_params=self._shared_header_params(participants),
-                )
-                self._harvest_feature_samples(participants, messages)
-            else:
-                messages = []
-            for message in messages:
-                message.receiver = self.name
+            self._harvest_feature_samples(participants, messages)
+        for message in messages:
+            message.receiver = self.name
+            try:
+                self.network.send_reliable(message)
+            except DeliveryError:
+                continue
+
+        # Round-level quorum: re-poll the devices whose sets are
+        # missing (their cached uploads are re-sent verbatim — no
+        # retraining) until enough fresh sets arrived or the retry
+        # budget is spent.  A no-op on the fault-free path.
+        quorum = math.ceil(config.round_quorum * len(participants))
+        for retry in range(config.round_retries):
+            if sum(d.profile.device_id in pending for d in participants) >= quorum:
+                break
+            self.round_retry_total += 1
+            if config.retry_backoff > 0.0:
+                time.sleep(config.retry_backoff * (retry + 1))
+            for device, message in zip(participants, messages):
+                if device.profile.device_id in pending:
+                    continue
                 try:
                     self.network.send_reliable(message)
                 except DeliveryError:
                     continue
 
-            # Round-level quorum: re-poll the devices whose sets are
-            # missing (their cached uploads are re-sent verbatim — no
-            # retraining) until enough fresh sets arrived or the retry
-            # budget is spent.  A no-op on the fault-free path.
-            quorum = (
-                math.ceil(self.config.round_quorum * len(participants))
-                if participants
-                else 0
-            )
-            for retry in range(self.config.round_retries):
-                if self._fresh_count(participants) >= quorum:
-                    break
-                self.round_retry_total += 1
-                if self.config.retry_backoff > 0.0:
-                    time.sleep(self.config.retry_backoff * (retry + 1))
-                for device, message in zip(participants, messages):
-                    if device.profile.device_id in self._pending_importance:
-                        continue
-                    try:
-                        self.network.send_reliable(message)
-                    except DeliveryError:
-                        continue
-
-            fresh = [
-                d
-                for d in participants
-                if d.profile.device_id in self._pending_importance
-            ]
-            # Every fresh set refreshes the carry-forward store, so a
-            # device that later goes dark is represented by its most
-            # recent contribution.
-            for d in fresh:
-                did = d.profile.device_id
-                self._carried[did] = self._pending_importance[did]
-            self.round_participation.append(
-                len(fresh) / len(self.devices) if self.devices else 0.0
-            )
-
-            if self.similarity is None or self._similarity_partial:
-                self.similarity = self._compute_similarity()
-
-            if strict:
-                ordered = []
-                for d in self.devices:
-                    did = d.profile.device_id
-                    q = self._pending_importance.get(did)
-                    if q is None:
-                        raise ProtocolError(
-                            f"{self.name}: no importance set from device "
-                            f"{did} ({d.name}) in aggregation round {t}; "
-                            f"received sets from "
-                            f"{sorted(self._pending_importance)} — install "
-                            f"a fault policy or set round_quorum < 1.0 to "
-                            f"degrade instead of failing"
-                        )
-                    ordered.append(q)
-                personalized = aggregate_importance_sets(ordered, self.similarity)
-                targets = list(self.devices)
-            else:
-                index_of = {
-                    d.profile.device_id: i for i, d in enumerate(self.devices)
-                }
-                if fresh and len(fresh) >= max(1, quorum):
-                    contributors = [
-                        (index_of[d.profile.device_id],
-                         self._pending_importance[d.profile.device_id])
-                        for d in fresh
-                    ]
-                else:
-                    # Below quorum even after retries: degrade to fresh
-                    # sets plus each absent device's carried-forward one.
-                    contributors = []
-                    for i, d in enumerate(self.devices):
-                        did = d.profile.device_id
-                        if did in self._pending_importance:
-                            contributors.append((i, self._pending_importance[did]))
-                        elif did in self._carried:
-                            contributors.append((i, self._carried[did]))
-                if not contributors:
-                    raise ProtocolError(
-                        f"{self.name}: aggregation round {t} has no "
-                        f"importance set to aggregate — no device replied "
-                        f"({len(participants)} participating of "
-                        f"{len(self.devices)}) and none has a prior set to "
-                        f"carry forward"
-                    )
-                # Only devices that replied receive (and prune by) a
-                # personalized set this round; absent ones catch up on
-                # their next active round.
-                targets = fresh
-                if len(fresh) == len(self.devices):
-                    # Everybody made the round: aggregate through the
-                    # full-matrix path so a fault-free run under a
-                    # benign policy, quorum, or deadline stays
-                    # bit-identical to the strict loop (the subset
-                    # path's row renormalization divides by a float
-                    # row-sum that need not be exactly 1.0).
-                    personalized = aggregate_importance_sets(
-                        [q for _, q in contributors], self.similarity
-                    )
-                elif targets:
-                    personalized = aggregate_importance_subset(
-                        [q for _, q in contributors],
-                        self.similarity,
-                        rows=[index_of[d.profile.device_id] for d in targets],
-                        cols=[i for i, _ in contributors],
-                    )
-                else:
-                    personalized = []
-            for device, q_prime in zip(targets, personalized):
-                try:
-                    self.network.send_reliable(
-                        Message(
-                            self.name,
-                            device.name,
-                            MessageKind.PERSONALIZED_SET,
-                            {"importance": q_prime.astype(np.float32)},
-                        )
-                    )
-                except DeliveryError:
-                    continue
-        assert self.similarity is not None
-        return self.similarity
-
-    def _fresh_count(self, participants: Sequence[DeviceNode]) -> int:
-        return sum(
-            1
-            for d in participants
-            if d.profile.device_id in self._pending_importance
+        # Only devices that replied receive (and prune by) a
+        # personalized set this round; absent ones catch up on their
+        # next active round.  Every fresh set refreshes the
+        # carry-forward store, so a device that later goes dark is
+        # represented by its most recent contribution.
+        fresh = [d for d in participants if d.profile.device_id in pending]
+        for d in fresh:
+            self._carried[d.profile.device_id] = pending[d.profile.device_id]
+        self.round_participation.append(
+            len(fresh) / len(self.devices) if self.devices else 0.0
         )
+        if self.similarity is None or self._similarity_partial:
+            self.similarity = self._compute_similarity()
+
+        index_of = {d.profile.device_id: i for i, d in enumerate(self.devices)}
+        may_degrade = (
+            self.network.fault_policy is not None
+            or config.round_quorum < 1.0
+            or config.round_deadline is not None
+        )
+        if fresh and len(fresh) >= (quorum if may_degrade else len(self.devices)):
+            contributors = [
+                (index_of[d.profile.device_id], pending[d.profile.device_id])
+                for d in fresh
+            ]
+        elif may_degrade:
+            # Below quorum even after retries: degrade to fresh sets
+            # plus each absent device's carried-forward one.
+            known = {**self._carried, **pending}
+            contributors = [
+                (i, known[did]) for did, i in index_of.items() if did in known
+            ]
+        else:
+            absent = next(
+                d for d in self.devices if d.profile.device_id not in pending
+            )
+            raise ProtocolError(
+                f"{self.name}: no importance set from device "
+                f"{absent.profile.device_id} ({absent.name}) in aggregation "
+                f"round {t}; received sets from {sorted(pending)} — install "
+                f"a fault policy or set round_quorum < 1.0 to degrade "
+                f"instead of failing"
+            )
+        if not contributors:
+            raise ProtocolError(
+                f"{self.name}: aggregation round {t} has no importance set "
+                f"to aggregate — no device replied ({len(participants)} "
+                f"participating of {len(self.devices)}) and none has a "
+                f"prior set to carry forward"
+            )
+        if not fresh:
+            return 0
+        self.carried += len(contributors) - len(fresh)
+        aggregator = StreamingAggregator(
+            self._weight_rows([index_of[d.profile.device_id] for d in fresh]),
+            cols=(
+                None
+                if len(fresh) == len(self.devices)
+                else [i for i, _ in contributors]
+            ),
+        )
+        for i, q in contributors:
+            aggregator.consume(i, q)
+        personalized = [q.astype(np.float32) for q in aggregator.finalize()]
+        if len(personalized) == 1:  # one weight row serves every target
+            personalized *= len(fresh)
+        self._send_each(
+            MessageKind.PERSONALIZED_SET,
+            fresh,
+            ({"importance": q} for q in personalized),
+        )
+        return len(fresh)
 
     # ------------------------------------------------------------------
     def _shared_header_params(self, devices: Sequence[DeviceNode]):
@@ -700,16 +678,37 @@ class EdgeServer:
         devices = [d for d in self.devices if d.active and d.has_model]
         if not devices:
             return []
-        if self._lazy_cluster():
-            return self._finalize_lazy(devices)
-        cluster_ready = len(devices) > 1 and all(
-            d.backbone is not None and d.header is not None for d in devices
-        )
+        # A lazy cluster runs serially (see ``_exchange``) in LRU-capacity
+        # chunks, so each chunk is simultaneously live and its evaluation
+        # can still ride one batched backbone forward; an all-live
+        # cluster is one chunk.  Per-device results are row-independent
+        # in ``batched_evaluate_headers``, so any chunking is
+        # bit-identical to the unchunked finale.
+        chunk_size = len(devices)
+        stores = [d.state_store for d in devices if d.state_store is not None]
+        if stores:
+            max_workers = None
+            chunk_size = min(store.capacity for store in stores)
+        results: List[dict] = []
+        for start in range(0, len(devices), chunk_size):
+            results.extend(
+                self._finalize_chunk(devices[start : start + chunk_size], max_workers)
+            )
+        return results
+
+    def _finalize_chunk(
+        self, devices: List[DeviceNode], max_workers: WorkerSpec
+    ) -> List[dict]:
+        """Fine-tune then evaluate devices that fit in memory together."""
+        for device in devices:
+            device._ensure_live()
         # One equivalence sweep feeds both the batched-serving and the
         # fleet eligibility checks.
-        backbones_equal = cluster_ready and (
-            self.config.batched_serving or self.config.fleet_training
-        ) and serving.backbones_equivalent([d.backbone for d in devices])
+        backbones_equal = (
+            len(devices) > 1
+            and (self.config.batched_serving or self.config.fleet_training)
+            and serving.backbones_equivalent([d.backbone for d in devices])
+        )
         fleet_ready = self._fleet_ready(
             backbones_equal=backbones_equal, devices=devices
         )
@@ -717,7 +716,7 @@ class EdgeServer:
         if fleet_ready:
             # Fleet-batched fine-tuning: one graph + one fused step per
             # round for the whole cluster, replacing the per-device
-            # thread fan-out (bit-identical traces).  Independent of
+            # fan-out (bit-identical traces).  Independent of
             # ``batched_serving``, which only governs evaluation.
             from repro.train import fleet
 
@@ -727,63 +726,24 @@ class EdgeServer:
                 [d.dataset for d in devices],
                 [d.finetune_config() for d in devices],
             )
+        else:
+            parallel_map(
+                lambda device: device.finetune(),
+                devices,
+                max_workers=max_workers,
+                backend=self.config.backend,
+                shared_params=self._shared_header_params(devices),
+            )
         if self.config.batched_serving and backbones_equal:
-            if not fleet_ready:
-                parallel_map(
-                    lambda device: device.finetune(),
-                    devices,
-                    max_workers=max_workers,
-                    backend=self.config.backend,
-                    shared_params=self._shared_header_params(devices),
-                )
             return serving.batched_evaluate_headers(
                 devices[0].backbone,
                 [d.header for d in devices],
                 [d.eval_dataset() for d in devices],
             )
-        if fleet_ready:
-            # Evaluation is read-only — no write-through state to share.
-            return parallel_map(
-                lambda device: device.evaluate(),
-                devices,
-                max_workers=max_workers,
-                backend=self.config.backend,
-            )
+        # Evaluation is read-only — no write-through state to share.
         return parallel_map(
-            lambda device: device.finalize_round(),
+            lambda device: device.evaluate(),
             devices,
             max_workers=max_workers,
             backend=self.config.backend,
-            shared_params=self._shared_header_params(devices),
         )
-
-    def _finalize_lazy(self, devices: List[DeviceNode]) -> List[dict]:
-        """Finale for a lazy cluster: serial, in LRU-capacity chunks.
-
-        Fine-tuning hydrates each device in turn; chunking by the
-        store's capacity guarantees a whole chunk is simultaneously live
-        afterwards, so its evaluation can still ride one batched
-        backbone forward.  Per-device results are row-independent in
-        :func:`~repro.train.serving.batched_evaluate_headers`, so any
-        chunking is bit-identical to the unchunked always-live finale.
-        """
-        store = next(d.state_store for d in devices if d.state_store is not None)
-        shared_backbone = all(d.state_store is not None for d in devices) and (
-            len({id(d._model_payload["backbone_state"]) for d in devices}) == 1
-        )
-        results: List[dict] = []
-        for start in range(0, len(devices), store.capacity):
-            chunk = devices[start : start + store.capacity]
-            if self.config.batched_serving and shared_backbone and len(chunk) > 1:
-                for device in chunk:
-                    device.finetune()
-                results.extend(
-                    serving.batched_evaluate_headers(
-                        chunk[0].backbone,
-                        [d.header for d in chunk],
-                        [d.eval_dataset() for d in chunk],
-                    )
-                )
-            else:
-                results.extend(device.finalize_round() for device in chunk)
-        return results

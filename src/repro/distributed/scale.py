@@ -15,13 +15,14 @@ importance sets, so the harness measures what actually limits scale:
   so only ``lru_capacity`` headers are live at any instant and the rest
   sit as compressed cold blobs (``always_live=True`` flips to the
   eager path the LRU replaces, for the memory comparison);
-* **aggregation** — each edge folds uploads through a
-  :class:`~repro.core.aggregation.StreamingAggregator`: one uniform
-  weight row and one running-sum accumulator per cluster, never an
-  ``(n, R)`` stack;
-* **stragglers** — a per-cluster deadline at the
-  ``deadline_quantile`` of the Eq. (2) latency distribution excludes
-  slow devices from rounds deterministically;
+* **the round** — each cluster is an
+  :class:`~repro.distributed.edge.EdgeServer` and runs its round
+  unchanged (quorum re-poll and carry-forward included), aggregating
+  through one uniform weight row into one running-sum accumulator,
+  never an ``(n, R)`` stack or an ``n × n`` matrix;
+* **stragglers** — the edge's ``round_deadline`` is set at the
+  ``deadline_quantile`` of the cluster's Eq. (2) latency distribution,
+  excluding slow devices from rounds deterministically;
 * **serving** — eval requests queue into a
   :class:`~repro.train.serving.ServingFront` and ride micro-batched
   backbone forwards.
@@ -40,11 +41,11 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.aggregation import StreamingAggregator
 from repro.data.synthetic import make_cifar100_like
 from repro.distributed.device import DeviceNode
-from repro.distributed.faults import DeliveryError, FaultConfig, FaultPolicy
-from repro.distributed.messages import Message, MessageKind, payload_nbytes
+from repro.distributed.edge import EdgeConfig, EdgeServer
+from repro.distributed.faults import FaultConfig, FaultPolicy
+from repro.distributed.messages import Message, MessageKind
 from repro.distributed.network import Network
 from repro.distributed.state_store import DeviceStateLRU
 from repro.hw.energy import latency
@@ -126,16 +127,14 @@ class ScaleDevice(DeviceNode):
     * :meth:`importance_round` touches the LRU (hydration is the real,
       measured per-device work at scale) and uploads a seeded random
       set — a pure function of ``(seed, device_id, round_index)``;
-    * :meth:`_receive_personalized_set` records the downlink instead of
-      pruning, because synthetic sets are not aligned to header
+    * :meth:`_receive_personalized_set` acknowledges the downlink
+      without pruning, because synthetic sets are not aligned to header
       parameters.  The wire exchange (payload + ACK) is unchanged.
     """
 
     def __init__(self, *args, set_size: int = 64, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.set_size = int(set_size)
-        self.personalized_rounds = 0
-        self.last_personalized: Optional[np.ndarray] = None
 
     def importance_round(
         self, include_feature_sample: bool = False, round_index: int = 0
@@ -149,13 +148,21 @@ class ScaleDevice(DeviceNode):
 
     def _receive_personalized_set(self, message: Message) -> Message:
         assert self.has_model, "model must be distributed first"
-        self.last_personalized = message.payload["importance"]
-        self.personalized_rounds += 1
         return Message(self.name, message.sender, MessageKind.ACK)
 
 
-class ScaleCluster:
-    """One edge plus its device population, driven round by round."""
+class ScaleCluster(EdgeServer):
+    """An :class:`EdgeServer` over a synthetic device population.
+
+    The round is the edge's own (:meth:`EdgeServer.run_round`: churn →
+    straggler cut → local update → reliable upload → quorum re-poll →
+    carry-forward → aggregate → downlink); the harness only supplies
+    what a campaign without learning lacks — :class:`ScaleDevice`
+    members, the straggler deadline as a quantile of the cluster's
+    Eq. (2) latencies, and one uniform weight row in place of a
+    similarity matrix, so even a 40k-device cluster aggregates into a
+    single accumulator row and never builds an ``n × n`` matrix.
+    """
 
     def __init__(
         self,
@@ -165,11 +172,7 @@ class ScaleCluster:
         network: Network,
         config: ScaleConfig,
     ) -> None:
-        self.index = index
-        self.config = config
-        self.network = network
-        self.name = f"edge{index}"
-        network.register(self.name, self._handle)
+        self.scale_config = config
         self.store = (
             None if config.always_live else DeviceStateLRU(config.lru_capacity)
         )
@@ -186,13 +189,12 @@ class ScaleCluster:
             mlp_ratio=2.0,
             num_classes=4,
         )
-        self.vit_config = vit
         generator = make_cifar100_like(
             num_classes=vit.num_classes, image_size=vit.image_size,
             seed=config.seed + index,
         )
-        self.dataset = generator.generate(
-            config.samples_per_class, seed=config.seed + 1, name=self.name
+        dataset = generator.generate(
+            config.samples_per_class, seed=config.seed + 1, name=f"edge{index}"
         )
         backbone = VisionTransformer(vit, seed=0)
         head_orders = [np.arange(vit.num_heads) for _ in range(vit.depth)]
@@ -201,7 +203,6 @@ class ScaleCluster:
             head_orders=head_orders, neuron_orders=neuron_orders
         )
         backbone.scale(1.0, vit.depth)
-        self.backbone = backbone
         spec = HeaderSpec(blocks=(BlockSpec(0, 1, 1, 3),))
         template_header = DAGHeader(
             vit.embed_dim,
@@ -221,155 +222,83 @@ class ScaleCluster:
             "header_state": template_header.state_dict(),
             "keep_fraction": 0.7,
         }
-        #: Computed once — 10⁵ per-message payload walks would dominate
-        #: distribution time without changing a single recorded byte.
-        self.payload_nbytes = payload_nbytes(self.payload)
 
         profile_rng = np.random.default_rng([max(config.seed, 0), 13, index])
-        self.devices: List[ScaleDevice] = []
-        for slot in range(size):
-            device_id = first_device_id + slot
-            profile = DeviceProfile.synthesize(
-                device_id,
-                vcpus=3 + (index + slot) % 5,
-                storage_limit=300_000,
-                rng=profile_rng,
-                num_patches=vit.num_patches,
+        devices = [
+            ScaleDevice(
+                DeviceProfile.synthesize(
+                    first_device_id + slot,
+                    vcpus=3 + (index + slot) % 5,
+                    storage_limit=300_000,
+                    rng=profile_rng,
+                    num_patches=vit.num_patches,
+                ),
+                dataset,
+                network,
+                seed=config.seed + first_device_id + slot,
+                state_store=self.store,
+                set_size=config.set_size,
             )
-            self.devices.append(
-                ScaleDevice(
-                    profile,
-                    self.dataset,
-                    network,
-                    seed=config.seed + device_id,
-                    state_store=self.store,
-                    set_size=config.set_size,
-                )
-            )
-        self._index = {
-            d.profile.device_id: i for i, d in enumerate(self.devices)
-        }
-        self._lat = {
-            d.profile.device_id: latency(d.profile, 1.0, vit.depth)
-            for d in self.devices
-        }
-        self.deadline: Optional[float] = None
+            for slot in range(size)
+        ]
+        deadline: Optional[float] = None
         if config.deadline_quantile < 1.0:
-            self.deadline = float(
+            deadline = float(
                 np.quantile(
-                    np.array(list(self._lat.values())), config.deadline_quantile
+                    [latency(d.profile, 1.0, vit.depth) for d in devices],
+                    config.deadline_quantile,
                 )
             )
+        super().__init__(
+            index,
+            devices,
+            dataset,
+            network,
+            EdgeConfig(round_deadline=deadline, seed=config.seed),
+        )
+        self.backbone = backbone
+        self.assigned_width, self.assigned_depth = 1.0, vit.depth
+        #: The whole of Eq. (21)'s weights: one uniform row shared by
+        #: every target; a round's absentees are masked out of it and
+        #: the rest renormalized, like any similarity row.
+        self.similarity = np.full((1, size), 1.0 / size)
         self.front = ServingFront(backbone, micro_batch=config.micro_batch)
-        self._agg: Optional[StreamingAggregator] = None
-        self.participation: List[float] = []
-        self.stragglers = 0
-        self.carried = 0
-        self.failed_deliveries = 0
 
-    # ------------------------------------------------------------------
-    def _handle(self, message: Message) -> Optional[Message]:
-        if message.kind is MessageKind.IMPORTANCE_SET:
-            assert self._agg is not None, "upload outside an open round"
-            col = self._index[int(message.payload["device_id"])]
-            self._agg.consume(col, message.payload["importance"])
-            return None
-        raise ValueError(f"{self.name} cannot handle {message.kind}")
+    def _weight_rows(self, rows) -> np.ndarray:
+        """The one uniform row, whoever the targets are."""
+        return self.similarity
 
     def distribute(self) -> int:
         """Phase-2 model distribution; returns devices provisioned."""
-        provisioned = 0
-        for device in self.devices:
-            message = Message(
-                self.name,
-                device.name,
-                MessageKind.MODEL_DISTRIBUTION,
-                self.payload,
-                nbytes=self.payload_nbytes,
-            )
-            try:
-                self.network.send_reliable(message)
-                provisioned += 1
-            except DeliveryError:
-                self.failed_deliveries += 1
-        return provisioned
+        return self._distribute(self.payload)
 
     def run_round(self, round_index: int, policy: Optional[FaultPolicy]) -> int:
-        """One aggregation round; returns device contributions folded in."""
-        if policy is not None:
-            for device in self.devices:
-                if policy.device_active(device.profile.device_id, round_index):
-                    device.reactivate()
-                else:
-                    device.deactivate()
-        participants = [
-            d for d in self.devices if d.active and d.has_model
-        ]
-        if self.deadline is not None:
-            on_time = [
-                d
-                for d in participants
-                if self._lat[d.profile.device_id] <= self.deadline
-            ]
-        else:
-            on_time = participants
-        self.stragglers += len(participants) - len(on_time)
-        n = len(self.devices)
-        if not on_time:
-            self.participation.append(0.0)
-            return 0
+        """One aggregation round; returns the fresh sets that arrived.
 
-        # O(1)-memory aggregation: one uniform weight row over the full
-        # membership; the cols subset masks + renormalizes it to the
-        # devices that made the deadline.  Sets are folded into the
-        # running sum straight from the delivery handler and never
-        # stacked.
-        cols = [self._index[d.profile.device_id] for d in on_time]
-        self._agg = StreamingAggregator(
-            np.full((1, n), 1.0 / n), rows=None, cols=cols
-        )
-        for device in on_time:
-            message = device.importance_round(round_index=round_index)
-            message.receiver = self.name
-            try:
-                self.network.send_reliable(message)
-            except DeliveryError:
-                # Retry budget exhausted: model the edge's degraded-mode
-                # re-poll (the device's cached upload eventually lands)
-                # by folding the set in out of band.  The dropped
-                # attempts stay on the fault ledger.
-                self._agg.consume(
-                    self._index[device.profile.device_id],
-                    message.payload["importance"],
-                )
-                self.carried += 1
-        personalized = self._agg.finalize()[0]
-        self._agg = None
-
-        down_payload = {"importance": personalized.astype(np.float32)}
-        down_nbytes = payload_nbytes(down_payload)
-        for device in on_time:
-            message = Message(
-                self.name,
-                device.name,
-                MessageKind.PERSONALIZED_SET,
-                down_payload,
-                nbytes=down_nbytes,
+        ``policy`` must be the fabric's own (the round reads it from
+        there).  A round in which no device is on time is a recorded
+        0.0-participation no-op rather than the edge's
+        :class:`~repro.distributed.faults.ProtocolError`: at fleet scale
+        a small cluster can be churned off whole.
+        """
+        if policy is not self.network.fault_policy:
+            raise ValueError(
+                f"{self.name}: run_round was handed a fault policy that is "
+                f"not the one installed on the fabric"
             )
-            try:
-                self.network.send_reliable(message)
-            except DeliveryError:
-                self.failed_deliveries += 1
-        self.participation.append(len(on_time) / n)
-        return len(on_time)
+        participants = self._round_participants(round_index)
+        if not participants:
+            self.round_participation.append(0.0)
+            return 0
+        return self._exchange(round_index, participants)
 
     def serve(self, round_index: int) -> int:
         """Queue + flush one round's eval requests; returns served count."""
-        count = min(self.config.eval_requests, len(self.devices))
+        count = min(self.scale_config.eval_requests, len(self.devices))
         if count == 0:
             return 0
         rng = np.random.default_rng(
-            [max(self.config.seed, 0), 97, self.index, round_index]
+            [max(self.scale_config.seed, 0), 97, self.index, round_index]
         )
         picks = sorted(
             int(p) for p in rng.choice(len(self.devices), count, replace=False)
@@ -404,9 +333,13 @@ class ScaleReport:
     eval_requests_served: int
     serving_seconds: float
     requests_per_second: float
+    #: Mean over clusters and rounds of fresh sets ÷ cluster size.
     participation: float
     stragglers: int
+    #: Sets carried forward into a below-quorum round's aggregate on
+    #: behalf of devices whose upload never arrived.
     carried: int
+    #: Model / personalized-set downlinks that exhausted their retries.
     failed_deliveries: int
     hydrations: int
     evictions: int
@@ -482,7 +415,7 @@ def run_scale_campaign(
         if measure_memory:
             tracemalloc.stop()
 
-    rates = [p for c in clusters for p in c.participation]
+    rates = [p for c in clusters for p in c.round_participation]
     stores = [c.store for c in clusters if c.store is not None]
     return ScaleReport(
         num_devices=cfg.num_devices,

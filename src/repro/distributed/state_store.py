@@ -45,6 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "DeviceStateLRU",
+    "backbone_from_payload",
     "snapshot_header",
     "restore_header",
     "export_adam_state",
@@ -54,6 +55,23 @@ __all__ = [
 _PARAM = "param."
 _MASK = "mask."
 _PRISTINE = "pristine."
+
+
+def backbone_from_payload(payload: Dict) -> VisionTransformer:
+    """Build the backbone a distribution/assignment payload describes.
+
+    The one materializer behind the edge's assignment, a live device's
+    model install and the store's shared instance: same construction
+    seed, state dict, importance orders and (width, depth) scaling, so
+    forwards through any of them are bit-identical.
+    """
+    backbone = VisionTransformer(payload["vit_config"], seed=0)
+    backbone.load_state_dict(payload["backbone_state"])
+    backbone.set_importance_orders(
+        head_orders=payload["head_orders"],
+        neuron_orders=payload["neuron_orders"],
+    )
+    return backbone.scale(float(payload["width"]), int(payload["depth"]))
 
 
 def snapshot_header(header: "DAGHeader") -> Dict[str, np.ndarray]:
@@ -222,24 +240,12 @@ class DeviceStateLRU:
 
     # ------------------------------------------------------------------
     def shared_backbone(self, payload: Dict) -> VisionTransformer:
-        """The single backbone instance for a distribution payload.
-
-        Built exactly like :meth:`DeviceNode._receive_model` builds its
-        per-device instance — same seed, state dict, importance orders
-        and scaling — so forwards through the shared instance are
-        bit-identical to the always-live path's.
-        """
+        """The single backbone instance for a distribution payload."""
         backbone_state = payload["backbone_state"]
         key = id(backbone_state)
         cached = self._backbones.get(key)
         if cached is not None:
             return cached[0]
-        backbone = VisionTransformer(payload["vit_config"], seed=0)
-        backbone.load_state_dict(backbone_state)
-        backbone.set_importance_orders(
-            head_orders=payload["head_orders"],
-            neuron_orders=payload["neuron_orders"],
-        )
-        backbone.scale(payload["width"], payload["depth"])
+        backbone = backbone_from_payload(payload)
         self._backbones[key] = (backbone, backbone_state)
         return backbone

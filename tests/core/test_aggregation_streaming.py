@@ -1,13 +1,13 @@
-"""Streaming aggregation parity: one-at-a-time == batch, bit for bit.
+"""Streaming aggregation against an independent Eq. 21 oracle, bit for bit.
 
-:class:`repro.core.aggregation.StreamingAggregator` consumes importance
-messages into a running-sum accumulator instead of stacking an ``(n, R)``
-matrix.  Its contract is *bit-for-bit* float64 equality with the batch
-paths — ``aggregate_importance_sets`` for full rounds and
-``aggregate_importance_subset`` for quorum/carry-forward rounds — because
-all of them funnel the arithmetic through the same sequential kernel.
-A seeded fuzz sweep hammers the contract across random member counts,
-weight matrices, subsets and arrival orders.
+:class:`repro.core.aggregation.StreamingAggregator` is the repo's one
+aggregation kernel: it consumes importance messages into a running-sum
+accumulator instead of stacking an ``(n, R)`` matrix, and
+``aggregate_importance_sets`` is a validated wrapper over it.  Comparing
+the two would be a tautology, so the reference here is :func:`eq21` — a
+float64 running sum written in this file straight from the equation,
+sharing no code with ``src/``.  A seeded fuzz sweep hammers the contract
+across random member counts, weight matrices, subsets and arrival orders.
 """
 
 import numpy as np
@@ -16,9 +16,46 @@ import pytest
 from repro.core.aggregation import (
     StreamingAggregator,
     aggregate_importance_sets,
-    aggregate_importance_subset,
     aggregation_weights,
 )
+
+
+def eq21(sets, weights, rows=None, cols=None):
+    """``Q'_n = Σ_i ŵ_{n,i} Q_i`` for each ``n`` in ``rows``, by hand.
+
+    ``sets`` is indexed by cluster member.  ``cols`` lists the members
+    present, in arrival order: each weight row is masked to them and
+    renormalised (uniform when it has no mass there), and the sum runs
+    in that order.  ``cols=None`` is the full round — every member, in
+    index order, weights as given.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    rows = range(weights.shape[0]) if rows is None else rows
+    order = list(range(weights.shape[1])) if cols is None else [int(c) for c in cols]
+    out = []
+    for n in rows:
+        w = np.array([weights[n, c] for c in order])
+        if cols is not None:
+            mass = w.sum()
+            w = w / mass if mass > 0.0 else np.full(len(order), 1.0 / len(order))
+        acc = np.zeros(np.size(sets[order[0]]), dtype=np.float64)
+        for weight, c in zip(w, order):
+            acc = acc + weight * np.asarray(sets[c], dtype=np.float64)
+        out.append(acc)
+    return out
+
+
+def _stream(sets, weights, rows=None, cols=None):
+    agg = StreamingAggregator(weights, rows=rows, cols=cols)
+    for c in range(len(sets)) if cols is None else cols:
+        agg.consume(c, sets[c])
+    return agg.finalize()
+
+
+def _assert_bitwise(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
 
 
 def _random_instance(rng, n=None, length=None):
@@ -32,26 +69,19 @@ def _random_instance(rng, n=None, length=None):
 
 class TestFullRound:
     def test_matches_batch_bitwise(self):
+        """The stream and its batch wrapper both equal the oracle."""
         rng = np.random.default_rng(0)
         sets, weights = _random_instance(rng, n=6, length=24)
-        expected = aggregate_importance_sets(sets, weights)
-        agg = StreamingAggregator(weights)
-        for i, q in enumerate(sets):
-            agg.consume(i, q)
-        for got, want in zip(agg.finalize(), expected):
-            np.testing.assert_array_equal(got, want)
+        expected = eq21(sets, weights)
+        _assert_bitwise(_stream(sets, weights), expected)
+        _assert_bitwise(aggregate_importance_sets(sets, weights), expected)
 
     def test_average_weights_path(self):
         """The edge's uniform weight construction, not just random rows."""
         rng = np.random.default_rng(1)
         sets, _ = _random_instance(rng, n=5, length=16)
         weights = aggregation_weights("average", 5)
-        expected = aggregate_importance_sets(sets, weights)
-        agg = StreamingAggregator(weights)
-        for i, q in enumerate(sets):
-            agg.consume(i, q)
-        for got, want in zip(agg.finalize(), expected):
-            np.testing.assert_array_equal(got, want)
+        _assert_bitwise(_stream(sets, weights), eq21(sets, weights))
 
     def test_singleton_stream(self):
         agg = StreamingAggregator(np.array([[1.0]]))
@@ -59,34 +89,27 @@ class TestFullRound:
         np.testing.assert_array_equal(agg.finalize()[0], [3.0, 1.0, 4.0])
 
     def test_float32_uploads_are_widened(self):
-        """Wire-format float32 sets aggregate exactly like the batch path."""
+        """Wire-format float32 sets are accumulated in float64."""
         rng = np.random.default_rng(2)
         sets32 = [
             rng.standard_normal(8).astype(np.float32) for _ in range(4)
         ]
         weights = np.full((4, 4), 0.25)
-        expected = aggregate_importance_sets(sets32, weights)
-        agg = StreamingAggregator(weights)
-        for i, q in enumerate(sets32):
-            agg.consume(i, q)
-        for got, want in zip(agg.finalize(), expected):
-            np.testing.assert_array_equal(got, want)
+        got = _stream(sets32, weights)
+        assert all(g.dtype == np.float64 for g in got)
+        _assert_bitwise(got, eq21(sets32, weights))
 
 
 class TestSubsetRound:
-    def test_matches_batch_subset_bitwise(self):
+    def test_matches_oracle_bitwise(self):
         rng = np.random.default_rng(3)
         sets, weights = _random_instance(rng, n=7, length=12)
         cols = [5, 0, 3]  # arrival order, deliberately not sorted
         rows = [1, 4, 6]
-        expected = aggregate_importance_subset(
-            [sets[c] for c in cols], weights, rows=rows, cols=cols
+        _assert_bitwise(
+            _stream(sets, weights, rows=rows, cols=cols),
+            eq21(sets, weights, rows=rows, cols=cols),
         )
-        agg = StreamingAggregator(weights, rows=rows, cols=cols)
-        for c in cols:
-            agg.consume(c, sets[c])
-        for got, want in zip(agg.finalize(), expected):
-            np.testing.assert_array_equal(got, want)
 
     def test_presliced_rows_equal_square_plus_rows(self):
         """The O(rows·n) form a million-device edge passes."""
@@ -94,29 +117,21 @@ class TestSubsetRound:
         sets, weights = _random_instance(rng, n=6, length=10)
         cols = [2, 4, 1]
         rows = [0, 3]
-        via_square = StreamingAggregator(weights, rows=rows, cols=cols)
-        via_block = StreamingAggregator(weights[np.asarray(rows)], cols=cols)
-        for c in cols:
-            via_square.consume(c, sets[c])
-            via_block.consume(c, sets[c])
-        for got, want in zip(via_block.finalize(), via_square.finalize()):
-            np.testing.assert_array_equal(got, want)
+        via_block = _stream(sets, weights[np.asarray(rows)], cols=cols)
+        _assert_bitwise(via_block, _stream(sets, weights, rows=rows, cols=cols))
+        _assert_bitwise(via_block, eq21(sets, weights, rows=rows, cols=cols))
 
     def test_zero_weight_row_falls_back_to_uniform(self):
-        """A row with no mass on present members matches the batch rule."""
+        """A row with no mass on present members averages them."""
         weights = np.array(
             [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]]
         )
         sets = [np.array([1.0]), np.array([2.0]), np.array([4.0])]
         cols = [1, 2]
-        expected = aggregate_importance_subset(
-            [sets[c] for c in cols], weights, rows=[0, 1, 2], cols=cols
-        )
-        agg = StreamingAggregator(weights, rows=[0, 1, 2], cols=cols)
-        for c in cols:
-            agg.consume(c, sets[c])
-        for got, want in zip(agg.finalize(), expected):
-            np.testing.assert_array_equal(got, want)
+        got = _stream(sets, weights, rows=[0, 1, 2], cols=cols)
+        _assert_bitwise(got, eq21(sets, weights, rows=[0, 1, 2], cols=cols))
+        np.testing.assert_array_equal(got[0], [3.0])  # (2 + 4) / 2
+        np.testing.assert_array_equal(got[2], [4.0])
 
 
 class TestContract:
@@ -163,14 +178,7 @@ class TestSeededFuzz:
         rng = np.random.default_rng(1234)
         for _ in range(25):
             sets, weights = _random_instance(rng)
-            expected = aggregate_importance_sets(sets, weights)
-            agg = StreamingAggregator(weights)
-            for i, q in enumerate(sets):
-                agg.consume(i, q)
-            got = agg.finalize()
-            assert len(got) == len(expected)
-            for g, w in zip(got, expected):
-                np.testing.assert_array_equal(g, w)
+            _assert_bitwise(_stream(sets, weights), eq21(sets, weights))
 
     def test_subset_round_fuzz(self):
         rng = np.random.default_rng(5678)
@@ -181,16 +189,8 @@ class TestSeededFuzz:
             cols = list(rng.permutation(n)[:k])  # random arrival order
             r = int(rng.integers(1, n + 1))
             rows = sorted(int(x) for x in rng.permutation(n)[:r])
-            expected = aggregate_importance_subset(
-                [sets[c] for c in cols], weights, rows=rows, cols=cols
-            )
-            agg = StreamingAggregator(weights, rows=rows, cols=cols)
-            for c in cols:
-                agg.consume(c, sets[c])
-            got = agg.finalize()
-            assert len(got) == len(rows)
-            for g, w in zip(got, expected):
-                np.testing.assert_array_equal(g, w)
+            got = _stream(sets, weights, rows=rows, cols=cols)
+            _assert_bitwise(got, eq21(sets, weights, rows=rows, cols=cols))
             # Every output stays a convex combination of what arrived:
             # within the envelope of the present members' values.
             present = np.stack([np.asarray(sets[c], dtype=np.float64) for c in cols])

@@ -167,3 +167,32 @@ class TestEdgeServer:
         edge = EdgeServer(7, [], data, network, EdgeConfig())
         with pytest.raises(ValueError):
             edge.handle(Message("x", edge.name, MessageKind.ACK, nbytes=1))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("aggregation_rounds", 0),
+            ("round_quorum", 1.5),
+            ("round_quorum", 0.0),
+            ("round_retries", -1),
+            ("round_deadline", 0.0),
+            ("round_deadline", -2.0),
+        ],
+    )
+    def test_out_of_range_round_settings_are_rejected(self, env, field, value):
+        """Assigned after ``__post_init__`` (as ``--quorum`` does), so the
+        check sits where the round engine reads them: the loop refuses
+        to start, naming the field, instead of running phantom retries
+        (quorum > 1) or dying on a bare assert (zero rounds)."""
+        network, _cloud, data, _config = env
+        edge = EdgeServer(8, [], data, network, EdgeConfig())
+        setattr(edge.config, field, value)
+        with pytest.raises(ValueError, match=field):
+            edge.aggregation_loop()
+        assert edge.round_retry_total == 0 and edge.round_participation == []
+
+    def test_explicit_round_count_is_checked_too(self, env):
+        network, _cloud, data, _config = env
+        edge = EdgeServer(9, [], data, network, EdgeConfig())
+        with pytest.raises(ValueError, match="aggregation_rounds"):
+            edge.aggregation_loop(num_rounds=0)

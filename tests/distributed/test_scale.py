@@ -11,7 +11,10 @@ the memory bill), and a campaign replays byte-identically from its seed.
 import numpy as np
 import pytest
 
+from repro.distributed.faults import FaultConfig, FaultPolicy, ProtocolError
+from repro.distributed.network import Network
 from repro.distributed.scale import (
+    ScaleCluster,
     ScaleConfig,
     heavy_tailed_sizes,
     run_scale_campaign,
@@ -98,3 +101,62 @@ class TestCampaignProperties:
         assert report["eval_requests_served"] > 0
         assert report["kind_counts"].get("importance_set", 0) > 0
         assert report["total_megabytes"] > 0.0
+
+
+class TestDegradedRounds:
+    """The harness runs the edge's real round, so heavy loss exercises
+    the real re-poll + carry-forward path rather than a stand-in."""
+
+    @staticmethod
+    def _heavy_loss(seed):
+        config = ScaleConfig(
+            num_devices=48,
+            num_clusters=3,
+            rounds=3,
+            lru_capacity=4,
+            eval_requests=0,
+            drop=0.5,
+            retries=0,
+            seed=seed,
+        )
+        try:
+            return _stable(run_scale_campaign(config).to_dict())
+        except ProtocolError as err:  # the one sanctioned way to not finish
+            return str(err)
+
+    def test_heavy_loss_repolls_and_carries_forward(self):
+        report = self._heavy_loss(seed=0)
+        assert isinstance(report, dict), report
+        assert report["carried"] > 0
+        assert 0.0 < report["participation"] < 1.0
+        # Every fresh set is one delivered upload; re-polled uploads and
+        # dropped attempts are on the ledger on top of those.
+        assert report["kind_counts"]["importance_set"] > report["contributions"]
+        assert report["kind_counts"]["personalized_set"] >= report["contributions"]
+        assert report["fault_counts"]["drop"] > 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_heavy_loss_replays_identically(self, seed):
+        assert self._heavy_loss(seed) == self._heavy_loss(seed)
+
+    def test_round_with_nobody_on_time_is_a_recorded_noop(self):
+        """Whole clusters churned off: 0.0 participation, not an error."""
+        report = run_scale_campaign(
+            ScaleConfig(
+                num_devices=12, num_clusters=2, rounds=2, lru_capacity=4,
+                eval_requests=0, churn=1.0, seed=0,
+            )
+        ).to_dict()
+        assert report["contributions"] == 0
+        assert report["participation"] == 0.0
+        assert report["kind_counts"] == {"model_distribution": 12}
+
+    def test_run_round_refuses_a_foreign_policy(self):
+        network = Network(ledger="summary")
+        cluster = ScaleCluster(
+            0, 3, 0, network, ScaleConfig(num_devices=3, num_clusters=1)
+        )
+        cluster.distribute()
+        with pytest.raises(ValueError, match="fault policy"):
+            cluster.run_round(0, FaultPolicy(FaultConfig(seed=0, drop=0.1)))
+        assert cluster.run_round(0, None) == 3

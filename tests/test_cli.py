@@ -52,6 +52,17 @@ class TestCommands:
         assert payload["upload_mb"] > 0
         assert len(payload["clusters"]) == 1
 
+    def test_run_rejects_out_of_range_quorum(self, capsys):
+        """``--quorum 1.5`` used to run and report phantom retries."""
+        code = main([
+            "run", "--clusters", "1", "--devices", "2",
+            "--classes", "6", "--samples", "18", "--quorum", "1.5",
+        ])
+        assert code != 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "round_quorum must be in (0, 1], got 1.5" in captured.err
+
     def test_scale_small_campaign(self, capsys):
         code = main([
             "scale", "--devices", "60", "--clusters", "2", "--rounds", "1",
