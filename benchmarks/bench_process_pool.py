@@ -194,7 +194,7 @@ def bench_blocked_fused_step(smoke: bool):
                 rng = np.random.default_rng(0)
                 params = [Tensor(rng.normal(size=size), requires_grad=True)]
                 params[0].grad = rng.normal(size=size)
-                optimizer = Adam(params, lr=1e-3, fused=True)
+                optimizer = Adam(params, lr=1e-3)
                 return timed(optimizer.step, repeats=repeats, warmup=3)
         finally:
             set_fused_block_elems(previous)

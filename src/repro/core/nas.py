@@ -99,13 +99,6 @@ class NASConfig:
     #: needs no shared-memory arena here; it simply moves the tape-bound
     #: child forwards past the GIL.  Deterministic either way.
     backend: str = "thread"
-    #: Serve the scoring batches' backbone features from one stacked
-    #: tape-free forward shared by every child (repro.train.serving)
-    #: instead of recomputing them per child — numerically identical
-    #: rewards, and the main amortization lever when ``train_backbone``
-    #: keeps the per-child feature cache disabled.  Skipped when the
-    #: backbone has active stochastic modules (training-mode dropout).
-    batched_scoring: bool = True
     seed: int = 0
 
 
@@ -267,15 +260,12 @@ class HeaderSearch:
         ``_feature_cache`` is consulted first and fed afterwards, so
         repeated ``_score_specs`` calls (one per controller update plus
         derivation) run the stacked forward at most once per dataset.
-        Returns ``None`` (fall back to per-child computation) when
-        batching is disabled or the backbone would consume module-local
-        RNG.
+        Returns ``None`` (fall back to per-child computation) when the
+        backbone would consume module-local RNG.
         """
         from repro.nn.layers import has_active_stochastic_modules
 
-        if not self.config.batched_scoring or has_active_stochastic_modules(
-            self.backbone
-        ):
+        if has_active_stochastic_modules(self.backbone):
             return None
         loader = DataLoader(
             dataset,

@@ -17,10 +17,9 @@ Performance: both metrics run fully vectorized.  Sliced Wasserstein
 batches all projections into a single ``(n, dims) @ (dims, P)`` matmul and
 sorts each feature set's projections **once**, reusing them across all
 O(n²) pairs in :func:`distance_matrix`; JS bins every dimension in one
-``bincount``.  The original per-projection / per-dimension loops are kept
-as ``_sliced_wasserstein_loop`` / ``_js_divergence_loop`` reference
-implementations (used by equivalence tests and the perf benches) and can
-be re-activated globally with :func:`set_vectorized` for A/B timing.
+``bincount``.  The textbook per-projection (scipy) / per-dimension
+(``np.histogram``) formulas live in ``tests/reference/similarity.py`` as
+the oracles the equivalence tests compare against.
 """
 
 from __future__ import annotations
@@ -28,21 +27,11 @@ from __future__ import annotations
 from typing import Dict, Final, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.stats import wasserstein_distance
 
 from repro.analysis.registry import register_lock
 from repro.data.dataset import ArrayDataset
 from repro.models.vit import VisionTransformer
 from repro.nn.tensor import Tensor, no_grad
-
-_VECTORIZED = True
-
-
-def set_vectorized(enabled: bool) -> None:
-    """Toggle the vectorized kernels (benchmarks flip this for baselines)."""
-    global _VECTORIZED
-    _VECTORIZED = bool(enabled)
-
 
 # Projection directions depend only on (dims, num_projections, seed) and
 # are deterministic, so repeated aggregation rounds / edge clusters reuse
@@ -94,8 +83,8 @@ def extract_features(
 def _sample_projections(
     dims: int, num_projections: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """``(dims, P)`` unit directions, drawn exactly like the per-pair loop
-    did (one ``rng.normal(size=dims)`` per projection, in order)."""
+    """``(dims, P)`` unit directions, drawn like one
+    ``rng.normal(size=dims)`` per projection, in order."""
     directions = rng.normal(size=(num_projections, dims))
     norms = np.linalg.norm(directions, axis=1, keepdims=True)
     return (directions / (norms + 1e-12)).T
@@ -158,8 +147,6 @@ def sliced_wasserstein(
     pairs instead of re-sampling them from ``seed``.
     """
     a, b = _validate_pair(a, b, p)
-    if not _VECTORIZED and projections is None:
-        return _sliced_wasserstein_loop(a, b, num_projections=num_projections, p=p, seed=seed)
     if projections is None:
         projections = _cached_projections(a.shape[1], num_projections, seed)
     pa = a @ projections  # (na, P)
@@ -178,33 +165,6 @@ def sliced_wasserstein(
     return float(dists.mean())
 
 
-def _sliced_wasserstein_loop(
-    a: np.ndarray,
-    b: np.ndarray,
-    num_projections: int = 32,
-    p: int = 1,
-    seed: int = 0,
-) -> float:
-    """Reference implementation: one projection at a time (pre-perf-PR)."""
-    a, b = _validate_pair(a, b, p)
-    rng = np.random.default_rng(seed)
-    dims = a.shape[1]
-    total = 0.0
-    for _ in range(num_projections):
-        direction = rng.normal(size=dims)
-        direction /= np.linalg.norm(direction) + 1e-12
-        pa = a @ direction
-        pb = b @ direction
-        if p == 1:
-            total += wasserstein_distance(pa, pb)
-        else:
-            qs = np.linspace(0.0, 1.0, 101)
-            qa = np.quantile(pa, qs)
-            qb = np.quantile(pb, qs)
-            total += float(np.mean(np.abs(qa - qb) ** p) ** (1.0 / p))
-    return total / num_projections
-
-
 # ----------------------------------------------------------------------
 # Jensen-Shannon
 # ----------------------------------------------------------------------
@@ -214,8 +174,6 @@ def js_divergence(a: np.ndarray, b: np.ndarray, bins: int = 16) -> float:
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"feature dims differ: {a.shape[1]} vs {b.shape[1]}")
-    if not _VECTORIZED:
-        return _js_divergence_loop(a, b, bins=bins)
     n_dims = a.shape[1]
     lo = np.minimum(a.min(axis=0), b.min(axis=0))
     hi = np.maximum(a.max(axis=0), b.max(axis=0))
@@ -240,24 +198,6 @@ def js_divergence(a: np.ndarray, b: np.ndarray, bins: int = 16) -> float:
         (pa * np.log(pa / m)).sum(axis=1) + (pb * np.log(pb / m)).sum(axis=1)
     )
     return float(per_dim[valid].sum() / n_dims)
-
-
-def _js_divergence_loop(a: np.ndarray, b: np.ndarray, bins: int = 16) -> float:
-    """Reference implementation: one dimension at a time (pre-perf-PR)."""
-    total = 0.0
-    for dim in range(a.shape[1]):
-        lo = min(a[:, dim].min(), b[:, dim].min())
-        hi = max(a[:, dim].max(), b[:, dim].max())
-        if hi <= lo:
-            continue
-        edges = np.linspace(lo, hi, bins + 1)
-        pa, _ = np.histogram(a[:, dim], bins=edges)
-        pb, _ = np.histogram(b[:, dim], bins=edges)
-        pa = pa / max(1, pa.sum()) + 1e-12
-        pb = pb / max(1, pb.sum()) + 1e-12
-        m = 0.5 * (pa + pb)
-        total += 0.5 * float((pa * np.log(pa / m)).sum() + (pb * np.log(pb / m)).sum())
-    return total / a.shape[1]
 
 
 # ----------------------------------------------------------------------
@@ -287,14 +227,6 @@ def distance_matrix(
         for f in arrays[1:]:
             if f.shape[1] != dims:
                 raise ValueError(f"feature dims differ: {dims} vs {f.shape[1]}")
-        if not _VECTORIZED:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    d = _sliced_wasserstein_loop(
-                        arrays[i], arrays[j], num_projections=num_projections, seed=seed
-                    )
-                    out[i, j] = out[j, i] = d
-            return out
         projections = _cached_projections(dims, num_projections, seed)
         projected = [np.sort(f @ projections, axis=0) for f in arrays]
         for i in range(n):

@@ -23,30 +23,14 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy.ndimage import gaussian_filter
 
 from repro.data.dataset import ArrayDataset
-
-try:  # scipy is a declared dependency; guard only for minimal installs
-    from scipy.ndimage import gaussian_filter
-
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover
-    _HAVE_SCIPY = False
 
 
 def _smooth(field: np.ndarray, sigma: float) -> np.ndarray:
     """Low-pass filter a random field to create image-like structure."""
-    if _HAVE_SCIPY:
-        return gaussian_filter(field, sigma=sigma, mode="wrap")
-    # Fallback: separable box blur, repeated for approximate Gaussian.
-    out = field
-    width = max(1, int(sigma))
-    kernel = np.ones(2 * width + 1) / (2 * width + 1)
-    for axis in range(out.ndim):
-        out = np.apply_along_axis(
-            lambda row: np.convolve(row, kernel, mode="same"), axis, out
-        )
-    return out
+    return gaussian_filter(field, sigma=sigma, mode="wrap")
 
 
 @dataclass(frozen=True)

@@ -164,8 +164,7 @@ class DeviceNode:
         state = snapshot_header(self.header)
         if self._feature_sample is not None:
             state[_FEATURE_KEY] = self._feature_sample
-        assert self.state_store is not None
-        self._cold_state = state_to_bytes(state, compress=self.state_store.compress)
+        self._cold_state = state_to_bytes(state, compress=False)
         self.header = None
         self.backbone = None
         self._feature_sample = None

@@ -67,13 +67,6 @@ class EdgeConfig:
     #: run their rounds serially, so the backend only applies to live
     #: clusters whose headers exist in the parent.
     backend: str = "thread"
-    #: Serve the cluster's final evaluation through one batched backbone
-    #: forward per round (repro.train.serving) when every device holds
-    #: the same frozen backbone — numerically identical to per-device
-    #: evaluation, but amortizes the Python/tape overhead the GIL keeps
-    #: threads from overlapping.  Composes with ``parallel_devices``
-    #: (fine-tuning still fans out across workers).
-    batched_serving: bool = True
     #: Fleet-batched local **training**: run the cluster's per-device
     #: header updates (the aggregation loop's importance rounds and the
     #: finalize fine-tune) as one computation graph per round with a
@@ -662,12 +655,11 @@ class EdgeServer:
         ``None``/0/1 for serial — follows the
         :mod:`repro.distributed.executor` contract verbatim.
 
-        With ``batched_serving`` (the default) and a cluster whose
-        devices all hold the same frozen backbone — the invariant
-        :meth:`distribute_models` establishes — the evaluation half is
-        served through one batched backbone forward per round
-        (:func:`repro.train.serving.batched_evaluate_headers`) instead of
-        one forward per device; fine-tuning still fans out per device.
+        For a cluster whose devices all hold the same frozen backbone —
+        the invariant :meth:`distribute_models` establishes — the
+        evaluation half is served through one batched backbone forward
+        per round (:func:`repro.train.serving.batched_evaluate_headers`)
+        instead of one forward per device; fine-tuning still fans out.
         Both halves are numerically identical to the per-device loop.
         """
         if max_workers is EdgeServer._USE_CONFIG_WORKERS:
@@ -704,10 +696,8 @@ class EdgeServer:
             device._ensure_live()
         # One equivalence sweep feeds both the batched-serving and the
         # fleet eligibility checks.
-        backbones_equal = (
-            len(devices) > 1
-            and (self.config.batched_serving or self.config.fleet_training)
-            and serving.backbones_equivalent([d.backbone for d in devices])
+        backbones_equal = len(devices) > 1 and serving.backbones_equivalent(
+            [d.backbone for d in devices]
         )
         fleet_ready = self._fleet_ready(
             backbones_equal=backbones_equal, devices=devices
@@ -716,8 +706,7 @@ class EdgeServer:
         if fleet_ready:
             # Fleet-batched fine-tuning: one graph + one fused step per
             # round for the whole cluster, replacing the per-device
-            # fan-out (bit-identical traces).  Independent of
-            # ``batched_serving``, which only governs evaluation.
+            # fan-out (bit-identical traces).
             from repro.train import fleet
 
             fleet.train_headers_fleet(
@@ -734,7 +723,7 @@ class EdgeServer:
                 backend=self.config.backend,
                 shared_params=self._shared_header_params(devices),
             )
-        if self.config.batched_serving and backbones_equal:
+        if backbones_equal:
             return serving.batched_evaluate_headers(
                 devices[0].backbone,
                 [d.header for d in devices],

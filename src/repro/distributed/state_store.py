@@ -24,7 +24,7 @@ bounded working set instead:
 Snapshot contents cover everything mutable on a device: header
 parameters (masked values), the prune mask and its pristine copies, the
 cached frozen-feature sample, and — for training loops that persist an
-optimizer across the eviction point — fused/reference Adam moments via
+optimizer across the eviction point — Adam moments via
 :func:`export_adam_state` / :func:`import_adam_state`.  Parity is
 asserted bit-for-bit in ``tests/distributed/test_state_store.py``.
 """
@@ -119,11 +119,9 @@ def restore_header(header: "DAGHeader", state: Dict[str, np.ndarray]) -> None:
 def export_adam_state(optimizer: Adam) -> Dict[str, np.ndarray]:
     """Adam moments + step count as arrays, in ``optimizer.params`` order.
 
-    Reads whichever storage is authoritative — the fused flat-group
-    state views when groups exist, else the reference ``_m``/``_v``
-    dicts — so a snapshot taken mid-training captures exactly what the
-    next ``step()`` would have used.  Never-stepped parameters export
-    their zero-initialized moments.
+    Reads the flat-group state views, so a snapshot taken mid-training
+    captures exactly what the next ``step()`` would have used.
+    Never-stepped parameters export zero moments.
     """
     if not isinstance(optimizer, Adam):
         raise TypeError(
@@ -135,15 +133,8 @@ def export_adam_state(optimizer: Adam) -> Dict[str, np.ndarray]:
             views.update(group.carried_state())
     state: Dict[str, np.ndarray] = {"t": np.asarray(optimizer._t, dtype=np.int64)}
     for i, p in enumerate(optimizer.params):
-        carried = views.get(id(p))
-        if carried is not None:
-            m, v = carried[0], carried[1]
-        else:
-            m = optimizer._m.get(id(p))
-            v = optimizer._v.get(id(p))
-            if m is None or v is None:
-                m = np.zeros_like(p.data)
-                v = np.zeros_like(p.data)
+        zeros = np.zeros_like(p.data)
+        m, v = views.get(id(p), (zeros, zeros))
         state[f"m.{i}"] = np.array(m, copy=True)
         state[f"v.{i}"] = np.array(v, copy=True)
     return state
@@ -153,30 +144,24 @@ def import_adam_state(optimizer: Adam, state: Dict[str, np.ndarray]) -> None:
     """Restore :func:`export_adam_state` into a freshly built Adam.
 
     The optimizer must already be bound to the restored module's
-    parameters, in the same order as at export.  For a fused optimizer
-    the flat groups are force-built and the moments copied into their
-    state views — from where a later ``Module.astype`` rebuild carries
-    (and casts) them exactly like never-evicted state (the PR 5 rebind
-    path); for a reference optimizer the ``_m``/``_v`` dicts are filled.
+    parameters, in the same order as at export.  The flat groups are
+    force-built and the moments copied into their state views — from
+    where a later ``Module.astype`` rebuild carries (and casts) them
+    exactly like never-evicted state (the PR 5 rebind path).
     """
     if not isinstance(optimizer, Adam):
         raise TypeError(
             f"optimizer state capsule supports Adam, got {type(optimizer).__name__}"
         )
     optimizer._t = int(state["t"])
-    if optimizer.fused:
-        if optimizer._flat_groups is None:
-            optimizer._flat_groups = optimizer._build_groups()
-        index_of = {id(p): i for i, p in enumerate(optimizer.params)}
-        for group in optimizer._flat_groups:
-            for j, p in enumerate(group.params):
-                i = index_of[id(p)]
-                np.copyto(group.state_views[0][j], state[f"m.{i}"], casting="unsafe")
-                np.copyto(group.state_views[1][j], state[f"v.{i}"], casting="unsafe")
-    else:
-        for i, p in enumerate(optimizer.params):
-            optimizer._m[id(p)] = np.array(state[f"m.{i}"], copy=True)
-            optimizer._v[id(p)] = np.array(state[f"v.{i}"], copy=True)
+    if optimizer._flat_groups is None:
+        optimizer._flat_groups = optimizer._build_groups()
+    index_of = {id(p): i for i, p in enumerate(optimizer.params)}
+    for group in optimizer._flat_groups:
+        for j, p in enumerate(group.params):
+            i = index_of[id(p)]
+            np.copyto(group.state_views[0][j], state[f"m.{i}"], casting="unsafe")
+            np.copyto(group.state_views[1][j], state[f"v.{i}"], casting="unsafe")
 
 
 class DeviceStateLRU:
@@ -190,16 +175,10 @@ class DeviceStateLRU:
     because a concurrent hydration could evict a peer mid-use.
     """
 
-    def __init__(self, capacity: int, compress: bool = False) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
-        #: Whether cold blobs are zlib-compressed.  Header parameters are
-        #: high-entropy float64, so compression recovers only a few
-        #: percent while costing ~5× the serialization time — off by
-        #: default; flip it for low-entropy state (e.g. heavily masked
-        #: headers, integer-quantized params).
-        self.compress = bool(compress)
         self._live: "OrderedDict[str, object]" = OrderedDict()
         #: One shared backbone per distribution payload, keyed by the
         #: identity of the payload's ``backbone_state`` dict (kept

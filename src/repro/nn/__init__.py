@@ -26,7 +26,6 @@ from repro.nn.conv import (
     MaxPool2d,
     clear_im2col_cache,
     im2col_cache_info,
-    set_im2col_cache_enabled,
 )
 from repro.nn.init import default_generator, set_seed
 from repro.nn.layers import (
@@ -111,7 +110,6 @@ __all__ = [
     "save_state",
     "set_default_dtype",
     "set_grad_enabled",
-    "set_im2col_cache_enabled",
     "set_seed",
     "stack",
     "state_dict_nbytes",

@@ -24,8 +24,6 @@ from repro.nn import init
 from repro.nn.layers import Module, Parameter
 from repro.nn.tensor import Tensor, is_grad_enabled
 
-_CACHE_ENABLED = True
-
 
 def _pair(value) -> Tuple[int, int]:
     if isinstance(value, (tuple, list)):
@@ -75,12 +73,6 @@ _cached_indices = functools.lru_cache(maxsize=128)(_build_indices)
 # across threads is safe.
 
 
-def set_im2col_cache_enabled(enabled: bool) -> None:
-    """Toggle the index cache (benchmarks disable it to measure cold cost)."""
-    global _CACHE_ENABLED
-    _CACHE_ENABLED = bool(enabled)
-
-
 def clear_im2col_cache() -> None:
     _cached_indices.cache_clear()
 
@@ -98,8 +90,7 @@ def _im2col_indices(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Index arrays mapping padded input pixels to column-matrix entries."""
     _n, c, h, w = x_shape
-    builder = _cached_indices if _CACHE_ENABLED else _build_indices
-    return builder(c, h, w, *kernel, *stride, *padding)
+    return _cached_indices(c, h, w, *kernel, *stride, *padding)
 
 
 def _zero_pad(data: np.ndarray, ph: int, pw: int) -> np.ndarray:

@@ -5,7 +5,7 @@ Plain SGD (with momentum and weight decay) and Adam, operating on lists of
 identity, so parameters can be shared between child models (the ENAS
 weight-sharing scheme) and still receive a single, consistent update.
 
-Both optimizers run **fused in-place** by default.  On the first step the
+Both optimizers run **fused in-place**.  On the first step the
 parameters are flattened into one contiguous buffer per dtype (a
 :class:`_FlatGroup`): each parameter's ``data`` becomes a view into the
 flat buffer, its grad buffer a view into a flat grad buffer, and the
@@ -18,14 +18,13 @@ implementation (~6 fresh temporaries per parameter per step, ~15 numpy
 calls per parameter) spent most of its time on realistic models.
 
 Every fused update keeps the exact per-element operation sequence of the
-original implementations (only swapping operands of commutative
+textbook allocating formulas (only swapping operands of commutative
 ``+``/``*``, which is bitwise-neutral under IEEE-754), so fused float64
-training traces are **bit-for-bit identical** to the reference path.
-The reference implementations are retained behind ``fused=False`` for
-parity tests and seed-equivalent benchmarking.  Steps where some
-parameters have no gradient (e.g. partially-used ENAS shared pools) fall
-back to an equivalent per-parameter in-place update over the same flat
-state, preserving the reference semantics of skipping those parameters.
+training traces are **bit-for-bit identical** to them — the formulas
+live in ``tests/reference/optim.py`` as the parity suites' oracle.
+Steps where some parameters have no gradient (e.g. partially-used ENAS
+shared pools) fall back to an equivalent per-parameter in-place update
+over the same flat state, skipping those parameters.
 
 ``Optimizer.zero_grad`` defaults to the buffer-reuse mode: cleared
 parameter grads keep their arrays (see
@@ -101,9 +100,9 @@ def notify_params_rebound(params: Sequence[Tensor], dtype) -> None:
     Called by ``Module.astype`` after converting parameter dtypes: every
     optimizer holding any of these parameters rebuilds its flat groups
     around the new arrays and casts its per-parameter state (moments /
-    velocity) to ``dtype`` — on both the fused and the reference path —
-    so subsequent steps update the live arrays instead of the detached
-    flat buffers, and never silently upcast the model back.
+    velocity) to ``dtype``, so subsequent steps update the live arrays
+    instead of the detached flat buffers, and never silently upcast the
+    model back.
     """
     ids = {id(p) for p in params}
     with _REGISTRY_LOCK:
@@ -239,7 +238,6 @@ class Optimizer:
         self,
         params: Iterable[Tensor],
         lr: float,
-        fused: bool = True,
         reuse_grad_buffers: bool = True,
     ) -> None:
         # Deduplicate by identity so shared modules are stepped once.
@@ -254,7 +252,6 @@ class Optimizer:
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.lr = lr
-        self.fused = bool(fused)
         self.reuse_grad_buffers = bool(reuse_grad_buffers)
         self._flat_groups: Optional[List[_FlatGroup]] = None
         with _REGISTRY_LOCK:
@@ -268,7 +265,7 @@ class Optimizer:
     def step(self) -> None:
         raise NotImplementedError
 
-    # -- flat-group plumbing (fused path) ------------------------------
+    # -- flat-group plumbing -------------------------------------------
     def _build_groups(self) -> List[_FlatGroup]:
         carry: Dict[int, List[np.ndarray]] = {}
         if self._flat_groups is not None:
@@ -284,16 +281,10 @@ class Optimizer:
 
     def _on_params_rebound(self, ids: Set[int], dtype: np.dtype) -> None:
         """React to ``Module.astype`` rebinding some of our parameters."""
-        if not any(id(p) in ids for p in self.params):
-            return
-        self._cast_reference_state(ids, dtype)
-        if self._flat_groups is not None:
+        if self._flat_groups is not None and any(id(p) in ids for p in self.params):
             # Rebuild around the new arrays; per-parameter state is
             # carried (and cast) by ``_FlatGroup``'s carry path.
             self._flat_groups = self._build_groups()
-
-    def _cast_reference_state(self, ids: Set[int], dtype: np.dtype) -> None:
-        """Cast the non-fused per-parameter state dicts (overridden)."""
 
     def _prepare_groups(self) -> List:
         """Lazily build, sync, and (at most once) rebuild the flat groups."""
@@ -319,24 +310,14 @@ class SGD(Optimizer):
         lr: float = 0.01,
         momentum: float = 0.0,
         weight_decay: float = 0.0,
-        fused: bool = True,
         reuse_grad_buffers: bool = True,
     ) -> None:
-        super().__init__(params, lr, fused=fused, reuse_grad_buffers=reuse_grad_buffers)
+        super().__init__(params, lr, reuse_grad_buffers=reuse_grad_buffers)
         self.momentum = momentum
         self.weight_decay = weight_decay
         self._NUM_STATE = 1 if momentum else 0
-        self._velocity: Dict[int, np.ndarray] = {}
-
-    def _cast_reference_state(self, ids: Set[int], dtype: np.dtype) -> None:
-        for key, buf in list(self._velocity.items()):
-            if key in ids and buf.dtype != dtype:
-                self._velocity[key] = buf.astype(dtype)
 
     def step(self) -> None:
-        if not self.fused:
-            self._step_reference()
-            return
         for group, status in self._prepare_groups():
             if status == "flat":
                 self._update(
@@ -386,23 +367,6 @@ class SGD(Optimizer):
             grad = velocity
         np.multiply(grad, self.lr, out=scratch)
         data -= scratch
-
-    def _step_reference(self) -> None:
-        """The original allocating update (kept for bit-for-bit parity)."""
-        for p in self.params:
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                buf = self._velocity.get(id(p))
-                if buf is None:
-                    buf = np.zeros_like(p.data)
-                buf = self.momentum * buf + grad
-                self._velocity[id(p)] = buf
-                grad = buf
-            p.data = p.data - self.lr * grad
 
 
 @hotpath
@@ -478,27 +442,15 @@ class Adam(Optimizer):
         betas=(0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 0.0,
-        fused: bool = True,
         reuse_grad_buffers: bool = True,
     ) -> None:
-        super().__init__(params, lr, fused=fused, reuse_grad_buffers=reuse_grad_buffers)
+        super().__init__(params, lr, reuse_grad_buffers=reuse_grad_buffers)
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
-        self._m: Dict[int, np.ndarray] = {}
-        self._v: Dict[int, np.ndarray] = {}
         self._t: int = 0
 
-    def _cast_reference_state(self, ids: Set[int], dtype: np.dtype) -> None:
-        for state in (self._m, self._v):
-            for key, buf in list(state.items()):
-                if key in ids and buf.dtype != dtype:
-                    state[key] = buf.astype(dtype)
-
     def step(self) -> None:
-        if not self.fused:
-            self._step_reference()
-            return
         self._t += 1
         bias1 = 1.0 - self.beta1**self._t
         bias2 = 1.0 - self.beta2**self._t
@@ -536,29 +488,6 @@ class Adam(Optimizer):
             self.lr, self.beta1, self.beta2, self.eps, self.weight_decay,
             bias1, bias2,
         )
-
-    def _step_reference(self) -> None:
-        """The original allocating update (kept for bit-for-bit parity)."""
-        self._t += 1
-        b1, b2 = self.beta1, self.beta2
-        bias1 = 1.0 - b1**self._t
-        bias2 = 1.0 - b2**self._t
-        for p in self.params:
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            m = self._m.get(id(p))
-            v = self._v.get(id(p))
-            if m is None:
-                m = np.zeros_like(p.data)
-                v = np.zeros_like(p.data)
-            m = b1 * m + (1 - b1) * grad
-            v = b2 * v + (1 - b2) * (grad * grad)
-            self._m[id(p)] = m
-            self._v[id(p)] = v
-            p.data = p.data - self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
 
 
 class _FleetSegment:
@@ -828,25 +757,14 @@ class FleetOptimizer:
                 )
 
 
-def clip_grad_norm(
-    params: Iterable[Tensor], max_norm: float, fused: bool = True
-) -> float:
+def clip_grad_norm(params: Iterable[Tensor], max_norm: float) -> float:
     """Scale gradients so their global L2 norm is at most ``max_norm``.
 
-    Returns the pre-clipping norm (useful for logging).  The fused path
-    computes each parameter's squared norm with a single BLAS
-    ``np.dot`` over a raveled view (no ``grad * grad`` temporary) and
-    scales in place with ``*=``; ``fused=False`` restores the original
-    allocating implementation.
+    Returns the pre-clipping norm (useful for logging).  Each
+    parameter's squared norm is a single BLAS ``np.dot`` over a raveled
+    view (no ``grad * grad`` temporary) and the scaling is in place.
     """
     params = [p for p in params if p.grad is not None]
-    if not fused:
-        total = float(np.sqrt(sum(float((p.grad * p.grad).sum()) for p in params)))
-        if total > max_norm and total > 0:
-            scale = max_norm / total
-            for p in params:
-                p.grad = p.grad * scale
-        return total
     total_sq = 0.0
     for p in params:
         flat = p.grad.ravel()

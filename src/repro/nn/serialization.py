@@ -79,8 +79,7 @@ def state_to_bytes(state: Dict[str, np.ndarray], compress: bool = True) -> bytes
     (dtype, shape and payload), so rehydration reproduces the live
     state to the bit.  ``compress=True`` uses the deflated container;
     high-entropy float parameters deflate by only a few percent at ~5×
-    the serialization time, so the LRU store defaults to the raw form
-    (its ``compress`` flag flips this per cluster).
+    the serialization time, so the LRU store evicts in the raw form.
     """
     buffer = io.BytesIO()
     if compress:

@@ -63,62 +63,33 @@ _DEFAULT_DTYPE_VAR: contextvars.ContextVar = contextvars.ContextVar(
     "repro_default_dtype", default=np.float32
 )
 
-# Tape recording state.  ``_GRAD_ENABLED_VAR`` is toggled by ``no_grad``
-# / ``set_grad_enabled``; ``_GRAD_OVERRIDE_VAR`` (benchmark-only) pins
-# the mode regardless of ``no_grad`` regions so the pre-fast-path engine
-# behavior can be reproduced for timing comparisons.
+# Tape recording state, toggled by ``no_grad`` / ``set_grad_enabled``.
 _GRAD_ENABLED_VAR: contextvars.ContextVar = contextvars.ContextVar(
     "repro_grad_enabled", default=True
 )
-_GRAD_OVERRIDE_VAR: contextvars.ContextVar = contextvars.ContextVar(
-    "repro_grad_override", default=None
-)
-
-# ``numpy.power`` with a small integer exponent routes through libm pow
-# and is ~100x slower than repeated multiplication on large arrays; the
-# engine expands those exponents by hand.  ``_set_fast_pow(False)`` is a
-# benchmark-only switch restoring the libm behavior of the seed engine.
-_FAST_POW_VAR: contextvars.ContextVar = contextvars.ContextVar(
-    "repro_fast_pow", default=True
-)
-
-# Gradient accumulation strategy.  With in-place accumulation (the
-# default) every tensor owns its ``grad`` array outright: the first
-# contribution is copied into an owned buffer and later contributions are
-# added with ``+=`` instead of allocating a fresh sum each time.
-# ``_set_inplace_accumulation(False)`` is a benchmark-only switch
-# restoring the allocate-per-accumulation behavior of the seed engine.
-_INPLACE_ACCUM_VAR: contextvars.ContextVar = contextvars.ContextVar(
-    "repro_inplace_accum", default=True
-)
-
-
-def _set_inplace_accumulation(enabled: bool) -> None:
-    _INPLACE_ACCUM_VAR.set(bool(enabled))
-
-
-def _set_fast_pow(enabled: bool) -> None:
-    _FAST_POW_VAR.set(bool(enabled))
 
 
 def _pow(base: np.ndarray, exponent) -> np.ndarray:
-    """``base ** exponent`` with small integer/half exponents expanded."""
-    if _FAST_POW_VAR.get():
-        if exponent == 2:
-            return base * base
-        if exponent == 3:
-            return base * base * base
-        if exponent == 4:
-            sq = base * base
-            return sq * sq
-        if exponent == 1:
-            return base
-        if exponent == 0.5:
-            return np.sqrt(base)
-        if exponent == -0.5:
-            return 1.0 / np.sqrt(base)
-        if exponent == -1:
-            return 1.0 / base
+    """``base ** exponent`` with small integer/half exponents expanded.
+
+    ``numpy.power`` with a small integer exponent routes through libm
+    pow and is ~100x slower than repeated multiplication on large arrays.
+    """
+    if exponent == 2:
+        return base * base
+    if exponent == 3:
+        return base * base * base
+    if exponent == 4:
+        sq = base * base
+        return sq * sq
+    if exponent == 1:
+        return base
+    if exponent == 0.5:
+        return np.sqrt(base)
+    if exponent == -0.5:
+        return 1.0 / np.sqrt(base)
+    if exponent == -1:
+        return 1.0 / base
     return base**exponent
 
 
@@ -174,9 +145,6 @@ class using_dtype:
 
 def is_grad_enabled() -> bool:
     """Whether operations currently record the autograd tape."""
-    override = _GRAD_OVERRIDE_VAR.get()
-    if override is not None:
-        return override
     return _GRAD_ENABLED_VAR.get()
 
 
@@ -189,15 +157,6 @@ def set_grad_enabled(mode: bool) -> bool:
     previous = _GRAD_ENABLED_VAR.get()
     _GRAD_ENABLED_VAR.set(bool(mode))
     return previous
-
-
-def _set_grad_override(mode: Optional[bool]) -> None:
-    """Benchmark hook: pin grad mode regardless of ``no_grad`` regions.
-
-    Pass ``True`` to force recording (emulating the engine before the
-    inference fast path existed), ``None`` to restore normal behavior.
-    """
-    _GRAD_OVERRIDE_VAR.set(mode)
 
 
 class _GradMode:
@@ -401,29 +360,20 @@ class Tensor:
         grad = _unbroadcast(np.asarray(grad), self.data.shape)
         current = self.grad
         if current is not None:
-            if _INPLACE_ACCUM_VAR.get() and grad.dtype == current.dtype:
+            if grad.dtype == current.dtype:
                 current += grad
-            else:
+            else:  # mixed precision: the grad takes numpy's promoted dtype
                 self.grad = current + grad
                 if self._grad_buffer is current:
                     self._grad_buffer = self.grad
             return
-        if _INPLACE_ACCUM_VAR.get():
-            buf = self._grad_buffer
-            if (
-                buf is not None
-                and buf.shape == grad.shape
-                and buf.dtype == grad.dtype
-            ):
-                # Reuse last step's array instead of allocating a fresh one.
-                np.copyto(buf, grad)
-                self.grad = buf
-                return
-            buf = grad.copy()
-            self._grad_buffer = buf
-            self.grad = buf
+        buf = self._grad_buffer
+        if buf is not None and buf.shape == grad.shape and buf.dtype == grad.dtype:
+            # Reuse last step's array instead of allocating a fresh one.
+            np.copyto(buf, grad)
         else:
-            self.grad = grad.copy()
+            buf = self._grad_buffer = grad.copy()
+        self.grad = buf
 
     def detach(self) -> "Tensor":
         """Return a tensor sharing data but severed from the graph."""

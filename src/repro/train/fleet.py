@@ -349,8 +349,7 @@ def train_headers_fleet(
         backbone,
         datasets,
         [
-            c.cached_frozen_features
-            and _cache_worthwhile(d, c.batch_size, c.max_batches_per_epoch)
+            _cache_worthwhile(d, c.batch_size, c.max_batches_per_epoch)
             for d, c in zip(datasets, configs)
         ],
     )

@@ -26,19 +26,6 @@ class TrainConfig:
     lr: float = 1e-3
     grad_clip: float = 5.0
     max_batches_per_epoch: Optional[int] = None
-    #: Allocation-lean training-core path: fused in-place optimizer
-    #: steps, grad-buffer reuse across steps, and the fused
-    #: ``clip_grad_norm``.  ``False`` restores the seed-equivalent
-    #: allocating implementations (the benchmark baseline).
-    fused_optimizer: bool = True
-    #: Frozen-backbone serving: in ``train_header(freeze_backbone=True)``
-    #: compute per-sample backbone features **once** through the batched
-    #: serving runner and gather cached rows per mini-batch, instead of
-    #: re-running the backbone every batch of every epoch.  Bit-for-bit
-    #: identical (row-independent kernels); automatically skipped for
-    #: stochastic backbones (training-mode dropout).  ``False`` restores
-    #: the per-batch forwards of the seed path.
-    cached_frozen_features: bool = True
     #: Per-member opt-out for fleet batching: callers that train many
     #: headers over one shared frozen backbone (``EdgeServer`` with
     #: ``fleet_training``, :func:`repro.train.fleet.train_headers_fleet`)
@@ -82,12 +69,7 @@ def train_model(
     """Train an end-to-end model (``forward(images) -> logits``)."""
     config = config or TrainConfig()
     rng = np.random.default_rng(config.seed)
-    optimizer = Adam(
-        model.parameters(),
-        lr=config.lr,
-        fused=config.fused_optimizer,
-        reuse_grad_buffers=config.fused_optimizer,
-    )
+    optimizer = Adam(model.parameters(), lr=config.lr)
     report = TrainReport()
     loader = DataLoader(dataset, batch_size=config.batch_size, shuffle=True, rng=rng)
 
@@ -104,7 +86,7 @@ def train_model(
             loss = F.cross_entropy(logits, labels)
             optimizer.zero_grad()
             loss.backward()
-            clip_grad_norm(optimizer.params, config.grad_clip, fused=config.fused_optimizer)
+            clip_grad_norm(optimizer.params, config.grad_clip)
             optimizer.step()
             losses.append(float(loss.data))
             correct += int((logits.data.argmax(axis=-1) == labels).sum())
@@ -178,12 +160,7 @@ def train_header(
     params = header.parameters()
     if not freeze_backbone:
         params = params + backbone.parameters()
-    optimizer = Adam(
-        params,
-        lr=config.lr,
-        fused=config.fused_optimizer,
-        reuse_grad_buffers=config.fused_optimizer,
-    )
+    optimizer = Adam(params, lr=config.lr)
     report = TrainReport()
     from repro.train import serving  # lazy: trainer is imported by the package init
 
@@ -195,7 +172,6 @@ def train_header(
     # would cost more than the forwards it saves.
     use_cached_features = (
         freeze_backbone
-        and config.cached_frozen_features
         and config.max_batches_per_epoch is None
         and len(dataset) > 0  # nothing to precompute (or train on)
         and not has_active_stochastic_modules(backbone)
@@ -241,7 +217,7 @@ def train_header(
             loss = F.cross_entropy(logits, labels)
             optimizer.zero_grad()
             loss.backward()
-            clip_grad_norm(optimizer.params, config.grad_clip, fused=config.fused_optimizer)
+            clip_grad_norm(optimizer.params, config.grad_clip)
             optimizer.step()
             if isinstance(header, DAGHeader):
                 header.reapply_mask()

@@ -1,25 +1,23 @@
-"""Equivalence tests: vectorized similarity kernels vs the loop references."""
+"""Equivalence tests: vectorized similarity kernels vs the loop oracles
+(``tests/reference/similarity.py``: scipy per projection, ``np.histogram``
+per dimension)."""
 
 import numpy as np
 import pytest
 
-from repro.core import similarity
 from repro.core.similarity import (
-    _js_divergence_loop,
     _sample_projections,
-    _sliced_wasserstein_loop,
     distance_matrix,
     js_divergence,
     sliced_wasserstein,
 )
+from tests.reference.similarity import (
+    distance_matrix_loop,
+    js_divergence_loop,
+    sliced_wasserstein_loop,
+)
 
 RNG = np.random.default_rng(42)
-
-
-@pytest.fixture(autouse=True)
-def _vectorized_on():
-    yield
-    similarity.set_vectorized(True)
 
 
 class TestSlicedWassersteinEquivalence:
@@ -28,14 +26,14 @@ class TestSlicedWassersteinEquivalence:
         a = RNG.normal(size=(60, 5))
         b = RNG.normal(size=shape_b) + 0.8
         fast = sliced_wasserstein(a, b, seed=3)
-        loop = _sliced_wasserstein_loop(a, b, seed=3)
+        loop = sliced_wasserstein_loop(a, b, seed=3)
         assert fast == pytest.approx(loop, rel=1e-9)
 
     def test_matches_loop_p2(self):
         a = RNG.normal(size=(30, 4))
         b = RNG.normal(size=(30, 4)) * 2.0
         fast = sliced_wasserstein(a, b, p=2, seed=5)
-        loop = _sliced_wasserstein_loop(a, b, p=2, seed=5)
+        loop = sliced_wasserstein_loop(a, b, p=2, seed=5)
         assert fast == pytest.approx(loop, rel=1e-9)
 
     def test_shared_projections_equal_seeded_sampling(self):
@@ -46,21 +44,12 @@ class TestSlicedWassersteinEquivalence:
         via_projections = sliced_wasserstein(a, b, projections=projections)
         assert via_seed == pytest.approx(via_projections, rel=1e-12)
 
-    def test_set_vectorized_false_uses_loop(self):
-        a = RNG.normal(size=(20, 3))
-        b = RNG.normal(size=(20, 3)) + 0.5
-        similarity.set_vectorized(False)
-        slow = sliced_wasserstein(a, b, seed=1)
-        similarity.set_vectorized(True)
-        fast = sliced_wasserstein(a, b, seed=1)
-        assert slow == pytest.approx(fast, rel=1e-9)
-
 
 class TestJSDivergenceEquivalence:
     def test_matches_loop(self):
         a = RNG.normal(size=(50, 7))
         b = RNG.normal(size=(50, 7)) + 0.4
-        assert js_divergence(a, b) == pytest.approx(_js_divergence_loop(a, b), rel=1e-9)
+        assert js_divergence(a, b) == pytest.approx(js_divergence_loop(a, b), rel=1e-9)
 
     def test_matches_loop_constant_dim(self):
         """A zero-spread dimension is skipped by both implementations."""
@@ -68,13 +57,13 @@ class TestJSDivergenceEquivalence:
         b = RNG.normal(size=(30, 3))
         a[:, 1] = 2.0
         b[:, 1] = 2.0
-        assert js_divergence(a, b) == pytest.approx(_js_divergence_loop(a, b), rel=1e-9)
+        assert js_divergence(a, b) == pytest.approx(js_divergence_loop(a, b), rel=1e-9)
 
     def test_matches_loop_other_bins(self):
         a = RNG.normal(size=(40, 4))
         b = RNG.normal(size=(40, 4)) * 1.5
         assert js_divergence(a, b, bins=8) == pytest.approx(
-            _js_divergence_loop(a, b, bins=8), rel=1e-9
+            js_divergence_loop(a, b, bins=8), rel=1e-9
         )
 
 
@@ -84,8 +73,7 @@ class TestDistanceMatrixEquivalence:
         (every pair re-seeding the same generator)."""
         feats = [RNG.normal(size=(24, 5)) + 0.5 * i for i in range(5)]
         fast = distance_matrix(feats, metric="wasserstein", seed=9)
-        similarity.set_vectorized(False)
-        loop = distance_matrix(feats, metric="wasserstein", seed=9)
+        loop = distance_matrix_loop(feats, metric="wasserstein", seed=9)
         np.testing.assert_allclose(fast, loop, rtol=1e-9, atol=1e-12)
 
     def test_mixed_sample_counts(self):
@@ -95,15 +83,13 @@ class TestDistanceMatrixEquivalence:
             RNG.normal(size=(27, 4)) - 0.5,
         ]
         fast = distance_matrix(feats, seed=2)
-        similarity.set_vectorized(False)
-        loop = distance_matrix(feats, seed=2)
+        loop = distance_matrix_loop(feats, seed=2)
         np.testing.assert_allclose(fast, loop, rtol=1e-9, atol=1e-12)
 
     def test_js_metric_matches(self):
         feats = [RNG.normal(size=(30, 3)) + i for i in range(4)]
         fast = distance_matrix(feats, metric="js")
-        similarity.set_vectorized(False)
-        loop = distance_matrix(feats, metric="js")
+        loop = distance_matrix_loop(feats, metric="js")
         np.testing.assert_allclose(fast, loop, rtol=1e-9, atol=1e-12)
 
     def test_dim_mismatch_raises(self):

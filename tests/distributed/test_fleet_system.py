@@ -121,21 +121,6 @@ class TestFleetWiring:
         param.data[...] = param.data + 1.0
         assert not edge._fleet_ready()
 
-    def test_fleet_without_batched_serving(self, serial_and_fleet_runs):
-        """fleet_training governs the fine-tune independently of
-        batched_serving (which only governs evaluation): the combination
-        still reproduces the serial run bit for bit."""
-        serial, _fleet = serial_and_fleet_runs
-        config = _config(fleet_training=True)
-        config.edge.batched_serving = False
-        combined = ACMESystem(config).run()
-        assert [c.device_accuracies for c in serial.clusters] == [
-            c.device_accuracies for c in combined.clusters
-        ]
-        assert [c.device_losses for c in serial.clusters] == [
-            c.device_losses for c in combined.clusters
-        ]
-
     def test_cli_flag_parses(self):
         from repro.cli import build_parser
 

@@ -74,7 +74,7 @@ def _train_task(bundle):
     grad round-trip is exercised too.
     """
     params, steps, seed = bundle
-    optimizer = Adam(params, lr=1e-2, fused=True)
+    optimizer = Adam(params, lr=1e-2)
     rng = np.random.default_rng(seed)
     losses = []
     for _ in range(steps):

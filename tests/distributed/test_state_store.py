@@ -33,6 +33,7 @@ from repro.models.header_dag import DAGHeader
 from repro.nn.optim import Adam
 from repro.nn.serialization import state_from_bytes, state_to_bytes
 from repro.nn.tensor import Tensor, using_dtype
+from tests.reference.optim import ReferenceAdam
 
 
 def _distribution_payload(seed: int = 0) -> dict:
@@ -203,7 +204,7 @@ class TestAdamStateCapsule:
         # data and grads; under the float32 engine default the data
         # would downcast while the raw ``p.grad`` assignment stayed
         # float64, and the mixed-precision steps would diverge between
-        # the fused and reference paths.
+        # the fused path and the oracle.
         with using_dtype("float64"):
             yield
 
@@ -213,8 +214,7 @@ class TestAdamStateCapsule:
                 p.grad = g.copy()
             optimizer.step()
 
-    @pytest.mark.parametrize("fused", [True, False])
-    def test_mid_training_roundtrip_bit_exact(self, fused):
+    def test_mid_training_roundtrip_bit_exact(self):
         """Evict at step k, restore into a FRESH optimizer, keep training."""
         rng = np.random.default_rng(11)
         shapes = [(12, 8), (8,), (5, 3)]
@@ -222,17 +222,17 @@ class TestAdamStateCapsule:
         grads = [[rng.normal(size=s) for s in shapes] for _ in range(12)]
 
         straight = [Tensor(d.copy(), requires_grad=True) for d in datas]
-        opt_straight = Adam(straight, lr=1e-2, fused=fused)
+        opt_straight = Adam(straight, lr=1e-2)
         self._train(straight, opt_straight, grads)
 
         interrupted = [Tensor(d.copy(), requires_grad=True) for d in datas]
-        opt_a = Adam(interrupted, lr=1e-2, fused=fused)
+        opt_a = Adam(interrupted, lr=1e-2)
         self._train(interrupted, opt_a, grads[:5])
         blob = state_to_bytes(export_adam_state(opt_a))
         # Fresh params at the evicted values + a fresh optimizer — the
         # rehydration scenario (old objects are gone).
         resumed = [Tensor(p.data.copy(), requires_grad=True) for p in interrupted]
-        opt_b = Adam(resumed, lr=1e-2, fused=fused)
+        opt_b = Adam(resumed, lr=1e-2)
         import_adam_state(opt_b, state_from_bytes(blob))
         self._train(resumed, opt_b, grads[5:])
 
@@ -240,22 +240,23 @@ class TestAdamStateCapsule:
             np.testing.assert_array_equal(a.data, b.data)
 
     def test_cross_mode_roundtrip(self):
-        """Fused-exported state resumes bit-exact on a reference Adam."""
+        """Fused-exported ``m``/``v``/``t`` resume bit-exact on the textbook
+        oracle (``tests/reference/optim.py``)."""
         rng = np.random.default_rng(13)
         shapes = [(6, 4), (4,)]
         datas = [rng.normal(size=s) for s in shapes]
         grads = [[rng.normal(size=s) for s in shapes] for _ in range(10)]
 
         straight = [Tensor(d.copy(), requires_grad=True) for d in datas]
-        self._train(straight, Adam(straight, lr=3e-3, fused=False), grads)
+        self._train(straight, ReferenceAdam(straight, lr=3e-3), grads)
 
         fused_params = [Tensor(d.copy(), requires_grad=True) for d in datas]
-        opt_fused = Adam(fused_params, lr=3e-3, fused=True)
+        opt_fused = Adam(fused_params, lr=3e-3)
         self._train(fused_params, opt_fused, grads[:4])
         state = export_adam_state(opt_fused)
         resumed = [Tensor(p.data.copy(), requires_grad=True) for p in fused_params]
-        opt_ref = Adam(resumed, lr=3e-3, fused=False)
-        import_adam_state(opt_ref, state)
+        opt_ref = ReferenceAdam(resumed, lr=3e-3)
+        opt_ref.load_capsule(state)
         self._train(resumed, opt_ref, grads[4:])
 
         for a, b in zip(straight, resumed):
@@ -263,7 +264,7 @@ class TestAdamStateCapsule:
 
     def test_never_stepped_exports_zeros(self):
         params = [Tensor(np.ones((3, 2)), requires_grad=True)]
-        state = export_adam_state(Adam(params, fused=True))
+        state = export_adam_state(Adam(params))
         assert int(state["t"]) == 0
         np.testing.assert_array_equal(state["m.0"], np.zeros((3, 2)))
 

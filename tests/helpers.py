@@ -33,16 +33,11 @@ def reset_engine_state() -> None:
     """Restore every piece of shared engine state to import-time defaults."""
     from repro import nn
     from repro.core import similarity
-    from repro.nn.tensor import _set_fast_pow, _set_grad_override
 
     nn.set_seed(0)
     nn.set_default_dtype("float32")
     nn.set_grad_enabled(True)
-    _set_grad_override(None)
-    _set_fast_pow(True)
-    nn.set_im2col_cache_enabled(True)
     nn.clear_im2col_cache()
-    similarity.set_vectorized(True)
     similarity.clear_projection_cache()
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.models import ViTConfig, VisionTransformer
 from repro.nn import conv as nn_conv
-from repro.nn import tensor as nn_tensor
 from repro.nn.conv import AvgPool2d, Conv2d, MaxPool2d, im2col
 from repro.nn.layers import Linear, MLP, Sequential, Activation
 from repro.nn.tensor import (
@@ -28,8 +27,6 @@ def _restore_engine_state():
     yield
     set_default_dtype(np.float64)
     set_grad_enabled(True)
-    nn_tensor._set_grad_override(None)
-    nn_conv.set_im2col_cache_enabled(True)
 
 
 class TestGradMode:
@@ -176,13 +173,22 @@ class TestDefaultDtype:
 
 class TestIm2colCache:
     def test_cached_equals_uncached(self):
-        x = Tensor(RNG.normal(size=(2, 3, 9, 9)))
+        """A cache hit hands back exactly what ``_build_indices`` builds,
+        and a warm forward equals the cold one."""
+        shape, kernel, stride, padding = (2, 3, 9, 9), (3, 3), (2, 2), (1, 1)
+        nn_conv.clear_im2col_cache()
+        nn_conv._im2col_indices(shape, kernel, stride, padding)  # miss
+        cached = nn_conv._im2col_indices(shape, kernel, stride, padding)
+        assert nn_conv.im2col_cache_info().hits == 1
+        built = nn_conv._build_indices(*shape[1:], *kernel, *stride, *padding)
+        for from_cache, fresh in zip(cached, built):
+            np.testing.assert_array_equal(from_cache, fresh)
+        x = Tensor(RNG.normal(size=shape))
         conv = Conv2d(3, 5, kernel_size=3, stride=2, padding=1, rng=np.random.default_rng(0))
         nn_conv.clear_im2col_cache()
-        cached = conv(x).data
-        nn_conv.set_im2col_cache_enabled(False)
-        uncached = conv(x).data
-        np.testing.assert_array_equal(cached, uncached)
+        cold = conv(x).data
+        warm = conv(x).data
+        np.testing.assert_array_equal(cold, warm)
 
     def test_cache_hits_accumulate(self):
         nn_conv.clear_im2col_cache()
@@ -211,10 +217,14 @@ class TestIm2colCache:
     def test_im2col_values_unchanged_by_cache_state(self):
         x = Tensor(RNG.normal(size=(2, 2, 6, 6)))
         nn_conv.clear_im2col_cache()
-        a, _, _ = im2col(x, kernel=3, stride=1, padding=1)
-        nn_conv.set_im2col_cache_enabled(False)
-        b, _, _ = im2col(x, kernel=3, stride=1, padding=1)
-        np.testing.assert_array_equal(a.data, b.data)
+        cold, _, _ = im2col(x, kernel=3, stride=1, padding=1)
+        warm, _, _ = im2col(x, kernel=3, stride=1, padding=1)
+        np.testing.assert_array_equal(cold.data, warm.data)
+        # ...and both are the gather through freshly built indices.
+        k, i, j, _, _ = nn_conv._build_indices(2, 8, 8, 3, 3, 1, 1, 0, 0)
+        padded = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        gathered = padded[:, k, i, j].transpose(1, 2, 0).reshape(k.shape[0], -1)
+        np.testing.assert_array_equal(warm.data, gathered)
 
 
 class TestInferenceKernels:

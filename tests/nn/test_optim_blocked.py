@@ -40,12 +40,12 @@ def _run_steps(opt_cls, kwargs, dtype, block_elems, steps=5):
             # that leave a ragged tail block + small unblocked tensors.
             shapes = [(5000,), (3001,), (64, 33), (7,)]
             params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
-            optimizer = opt_cls(params, fused=True, **kwargs)
+            optimizer = opt_cls(params, **kwargs)
             grad_rng = np.random.default_rng(23)
             for _ in range(steps):
                 for p in params:
                     p.grad = grad_rng.normal(size=p.data.shape).astype(p.data.dtype)
-                clip_grad_norm(params, 5.0, fused=True)
+                clip_grad_norm(params, 5.0)
                 optimizer.step()
             return [p.data.copy() for p in params]
     finally:

@@ -1,12 +1,13 @@
 """Fused in-place optimizer parity and allocation regression tests.
 
-The fused Adam/SGD paths must reproduce the reference (seed) updates
-**bit-for-bit** under float64 — including weight decay, momentum, and
-shared-parameter dedup — while allocating O(1) arrays per parameter in
-steady state (the reference allocates ~6 fresh temporaries per parameter
-per step).  In-place gradient accumulation must keep every grad an
-exclusively owned buffer, and ``zero_grad``'s buffer-reuse mode must
-recycle step N's arrays for step N+1.
+The fused Adam/SGD steps must reproduce the textbook allocating updates
+(the oracles in ``tests/reference/optim.py``) **bit-for-bit** under
+float64 — including weight decay, momentum, and shared-parameter dedup —
+while allocating O(1) arrays per parameter in steady state (the oracle
+allocates ~6 fresh temporaries per parameter per step).  In-place
+gradient accumulation must keep every grad an exclusively owned buffer,
+and ``zero_grad``'s buffer-reuse mode must recycle step N's arrays for
+step N+1.
 """
 
 import tracemalloc
@@ -15,7 +16,9 @@ import numpy as np
 import pytest
 
 from repro.nn.optim import SGD, Adam, clip_grad_norm
-from repro.nn.tensor import Tensor, _set_inplace_accumulation, using_dtype
+from repro.nn.tensor import Tensor, using_dtype
+from tests.reference.autograd import allocating_accumulate
+from tests.reference.optim import ORACLE, ReferenceAdam, reference_clip_grad_norm
 
 
 @pytest.fixture(autouse=True)
@@ -58,8 +61,8 @@ class TestFusedParity:
         grads = _grad_stream(rng, 30)
         fused_params = [Tensor(d.copy(), requires_grad=True) for d in datas]
         ref_params = [Tensor(d.copy(), requires_grad=True) for d in datas]
-        fused_opt = opt_cls(fused_params, fused=True, **kwargs)
-        ref_opt = opt_cls(ref_params, fused=False, **kwargs)
+        fused_opt = opt_cls(fused_params, **kwargs)
+        ref_opt = ORACLE[opt_cls](ref_params, **kwargs)
         for step_grads in grads:
             for p, g in zip(fused_params, step_grads):
                 p.grad = g.copy()
@@ -73,11 +76,11 @@ class TestFusedParity:
     def test_bit_for_bit_through_training_graph(self):
         """Parity through real backward passes with grad-buffer reuse."""
 
-        def run(fused):
+        def run(opt_cls):
             rng = np.random.default_rng(5)
             w = Tensor(rng.normal(size=(8, 4)), requires_grad=True)
             b = Tensor(rng.normal(size=(4,)), requires_grad=True)
-            opt = Adam([w, b], lr=1e-2, fused=fused, reuse_grad_buffers=fused)
+            opt = opt_cls([w, b], lr=1e-2)
             xs = [rng.normal(size=(16, 8)) for _ in range(20)]
             for x in xs:
                 opt.zero_grad()
@@ -86,8 +89,8 @@ class TestFusedParity:
                 opt.step()
             return w.data.copy(), b.data.copy()
 
-        wf, bf = run(True)
-        wr, br = run(False)
+        wf, bf = run(Adam)
+        wr, br = run(ReferenceAdam)
         np.testing.assert_array_equal(wf, wr)
         np.testing.assert_array_equal(bf, br)
 
@@ -98,8 +101,8 @@ class TestFusedParity:
         p_fused = Tensor(data.copy(), requires_grad=True)
         p_ref = Tensor(data.copy(), requires_grad=True)
         # The same tensor passed several times must be deduplicated.
-        fused_opt = Adam([p_fused, p_fused, p_fused], lr=1e-2, fused=True)
-        ref_opt = Adam([p_ref, p_ref, p_ref], lr=1e-2, fused=False)
+        fused_opt = Adam([p_fused, p_fused, p_fused], lr=1e-2)
+        ref_opt = ReferenceAdam([p_ref, p_ref, p_ref], lr=1e-2)
         for g in grads:
             p_fused.grad = g.copy()
             p_ref.grad = g.copy()
@@ -110,7 +113,7 @@ class TestFusedParity:
     def test_state_reallocated_after_astype(self):
         """dtype changes (Module.astype) must invalidate fused state."""
         p = Tensor(np.ones((4, 4)), requires_grad=True)
-        opt = Adam([p], lr=1e-2, fused=True)
+        opt = Adam([p], lr=1e-2)
         p.grad = np.ones((4, 4))
         opt.step()
         p.data = p.data.astype(np.float32)
@@ -120,10 +123,10 @@ class TestFusedParity:
 
 
 class TestAllocationRegression:
-    def _measure_step_peak(self, fused: bool) -> int:
+    def _measure_step_peak(self, opt_cls) -> int:
         rng = np.random.default_rng(0)
         p = Tensor(rng.normal(size=(512, 512)), requires_grad=True)
-        opt = Adam([p], lr=1e-3, fused=fused)
+        opt = opt_cls([p], lr=1e-3)
         p.grad = rng.normal(size=(512, 512))
         opt.step()  # warm-up: state/scratch allocation happens here
         tracemalloc.start()
@@ -135,9 +138,9 @@ class TestAllocationRegression:
     def test_fused_step_allocates_o1(self):
         """A steady-state fused step allocates no per-element arrays."""
         param_bytes = 512 * 512 * 8
-        fused_peak = self._measure_step_peak(fused=True)
-        reference_peak = self._measure_step_peak(fused=False)
-        # The reference path materializes several full-size temporaries...
+        fused_peak = self._measure_step_peak(Adam)
+        reference_peak = self._measure_step_peak(ReferenceAdam)
+        # The textbook update materializes several full-size temporaries...
         assert reference_peak > 2 * param_bytes
         # ...the fused path none (allow small bookkeeping noise).
         assert fused_peak < param_bytes // 8
@@ -145,7 +148,7 @@ class TestAllocationRegression:
     def test_grad_accumulation_reuses_buffer_across_steps(self):
         rng = np.random.default_rng(1)
         p = Tensor(rng.normal(size=(64, 64)), requires_grad=True)
-        opt = SGD([p], lr=1e-3, fused=True, reuse_grad_buffers=True)
+        opt = SGD([p], lr=1e-3, reuse_grad_buffers=True)
         x = Tensor(rng.normal(size=(8, 64)))
         (x @ p).sum().backward()
         opt.step()  # flattens: p.grad becomes a view of the flat buffer
@@ -164,7 +167,7 @@ class TestAllocationRegression:
     def test_zero_grad_without_reuse_drops_buffer(self):
         rng = np.random.default_rng(1)
         p = Tensor(rng.normal(size=(8, 8)), requires_grad=True)
-        opt = SGD([p], lr=1e-3, fused=True, reuse_grad_buffers=False)
+        opt = SGD([p], lr=1e-3, reuse_grad_buffers=False)
         x = Tensor(rng.normal(size=(4, 8)))
         (x @ p).sum().backward()
         first_buffer = p.grad
@@ -190,8 +193,9 @@ class TestInPlaceAccumulation:
         assert p.grad is owned  # accumulated with +=, no reallocation
         np.testing.assert_array_equal(p.grad, 3 * np.ones(4))
 
-    def test_matches_legacy_accumulation(self):
-        """The in-place engine and the seed engine agree bit-for-bit."""
+    def test_matches_legacy_accumulation(self, monkeypatch):
+        """In-place accumulation and allocate-per-contribution agree
+        bit-for-bit."""
 
         def run():
             rng = np.random.default_rng(9)
@@ -201,11 +205,8 @@ class TestInPlaceAccumulation:
             return x.grad.copy()
 
         inplace = run()
-        _set_inplace_accumulation(False)
-        try:
-            legacy = run()
-        finally:
-            _set_inplace_accumulation(True)
+        monkeypatch.setattr(Tensor, "_accumulate", allocating_accumulate)
+        legacy = run()
         np.testing.assert_array_equal(inplace, legacy)
 
 
@@ -216,11 +217,11 @@ class TestFusedClipGradNorm:
         for p in params:
             p.grad = rng.normal(size=p.data.shape)
         grads_before = [p.grad.copy() for p in params]
-        fused_norm = clip_grad_norm(params, max_norm=1.0, fused=True)
+        fused_norm = clip_grad_norm(params, max_norm=1.0)
         fused_grads = [p.grad.copy() for p in params]
         for p, g in zip(params, grads_before):
             p.grad = g.copy()
-        ref_norm = clip_grad_norm(params, max_norm=1.0, fused=False)
+        ref_norm = reference_clip_grad_norm(params, max_norm=1.0)
         assert fused_norm == pytest.approx(ref_norm, rel=1e-12)
         for fg, p in zip(fused_grads, params):
             np.testing.assert_allclose(fg, p.grad, rtol=1e-12)
@@ -229,12 +230,12 @@ class TestFusedClipGradNorm:
         p = Tensor(np.zeros(4), requires_grad=True)
         p.grad = np.full(4, 10.0)
         buffer = p.grad
-        clip_grad_norm([p], max_norm=1.0, fused=True)
+        clip_grad_norm([p], max_norm=1.0)
         assert p.grad is buffer  # scaled with *=, not reallocated
         assert np.linalg.norm(p.grad) == pytest.approx(1.0)
 
     def test_no_scaling_below_threshold(self):
         p = Tensor(np.zeros(2), requires_grad=True)
         p.grad = np.array([0.1, 0.1])
-        clip_grad_norm([p], max_norm=5.0, fused=True)
+        clip_grad_norm([p], max_norm=5.0)
         np.testing.assert_allclose(p.grad, [0.1, 0.1])

@@ -5,8 +5,7 @@ load_state_dict`` used to rebind every parameter to a fresh array,
 silently detaching it from the fused optimizer's flat-buffer views (and
 from every other holder of the live array) until the next step's sync
 noticed; ``Module.astype`` rebound storage without telling the owning
-optimizer at all, zeroing its fused moments on rebuild while the
-reference path kept stale old-dtype state that upcast the model back.
+optimizer at all, zeroing its fused moments on rebuild.
 
 The fixed contract:
 
@@ -15,10 +14,10 @@ The fixed contract:
   array) see the loaded values immediately;
 * ``astype`` notifies every live optimizer holding the parameters: flat
   groups are rebuilt around the new arrays and the optimizer state
-  (moments/velocity) follows the parameters into the new dtype on both
-  the fused and the reference path;
-* fused float64 training traces stay bit-for-bit identical to
-  ``fused=False`` across a save → load → resume cycle.
+  (moments/velocity) follows the parameters into the new dtype;
+* fused float64 training traces stay bit-for-bit identical to the
+  textbook oracle (``tests/reference/optim.py``) across a save → load →
+  resume cycle.
 """
 
 import numpy as np
@@ -29,6 +28,7 @@ from repro.nn.layers import Activation, Linear, Sequential
 from repro.nn.optim import SGD, Adam
 from repro.nn.serialization import load_state, save_state
 from repro.nn.tensor import Tensor
+from tests.reference.optim import ORACLE, ReferenceAdam
 
 
 def _make_model():
@@ -118,16 +118,13 @@ class TestFusedResumeParity:
     ])
     def test_save_load_resume_bit_for_bit(self, tmp_path, opt_cls, kwargs):
         """Mid-training checkpoint load: fused float64 traces must equal
-        fused=False exactly, before and after the resume."""
+        the oracle's exactly, before and after the resume."""
 
-        def run(fused: bool):
+        def run(cls):
             model = _make_model()
-            optimizer = opt_cls(
-                model.parameters(), lr=1e-2, fused=fused,
-                reuse_grad_buffers=fused, **kwargs,
-            )
+            optimizer = cls(model.parameters(), lr=1e-2, **kwargs)
             X, y = _make_batch()
-            path = tmp_path / f"ckpt-{fused}"  # extensionless on purpose
+            path = tmp_path / f"ckpt-{cls.__name__}"  # extensionless on purpose
             losses = []
             for step in range(10):
                 losses.append(_train_step(model, optimizer, X, y))
@@ -137,8 +134,8 @@ class TestFusedResumeParity:
                     load_state(model, path)
             return losses, {n: p.data.copy() for n, p in model.named_parameters()}
 
-        fused_losses, fused_params = run(True)
-        ref_losses, ref_params = run(False)
+        fused_losses, fused_params = run(opt_cls)
+        ref_losses, ref_params = run(ORACLE[opt_cls])
         assert fused_losses == ref_losses
         for name in fused_params:
             np.testing.assert_array_equal(fused_params[name], ref_params[name], err_msg=name)
@@ -162,13 +159,13 @@ class TestAstypeInvalidation:
             group.flat_state[0], moments_before.astype(np.float32)
         )
 
-    @pytest.mark.parametrize("fused", [True, False])
-    def test_model_stays_converted_after_steps(self, fused):
-        """Reference Adam used to keep float64 moments after astype and
-        silently upcast the model back on the next step."""
+    @pytest.mark.parametrize("reuse_grad_buffers", [True, False])
+    def test_model_stays_converted_after_steps(self, reuse_grad_buffers):
+        """Moments (or a kept grad buffer) left in float64 after astype
+        would silently upcast the model back on the next step."""
         model = _make_model()
         optimizer = Adam(
-            model.parameters(), lr=1e-2, fused=fused, reuse_grad_buffers=fused
+            model.parameters(), lr=1e-2, reuse_grad_buffers=reuse_grad_buffers
         )
         X, y = _make_batch()
         for _ in range(3):
@@ -179,11 +176,9 @@ class TestAstypeInvalidation:
         assert all(p.data.dtype == np.float32 for p in model.parameters())
 
     def test_fused_matches_reference_across_astype(self):
-        def run(fused: bool):
+        def run(cls):
             model = _make_model()
-            optimizer = Adam(
-                model.parameters(), lr=1e-2, fused=fused, reuse_grad_buffers=fused
-            )
+            optimizer = cls(model.parameters(), lr=1e-2)
             X, y = _make_batch()
             for _ in range(4):
                 _train_step(model, optimizer, X, y)
@@ -192,8 +187,8 @@ class TestAstypeInvalidation:
                 _train_step(model, optimizer, X, y, dtype=np.float32)
             return {n: p.data.copy() for n, p in model.named_parameters()}
 
-        fused_params = run(True)
-        ref_params = run(False)
+        fused_params = run(Adam)
+        ref_params = run(ReferenceAdam)
         for name in fused_params:
             assert fused_params[name].dtype == np.float32
             np.testing.assert_array_equal(fused_params[name], ref_params[name], err_msg=name)

@@ -29,9 +29,9 @@ class TestPerfFloors:
         data = module.load_trajectory()
         labels = [r.get("label") for r in data["results"]]
         assert len(labels) == len(set(labels)), f"duplicate perf labels: {labels}"
-        # The trajectory must keep covering both the PR 1 hot paths and
-        # the PR 2 parallel cluster phase.
-        assert "conv_forward_warm_cache" in labels
+        # The trajectory must keep covering the PR 2 parallel cluster
+        # phase and the fleet trainer.
+        assert "fleet_train_headers" in labels
         assert "cluster_finalize_makespan_4workers" in labels
 
     def test_recorded_floors_hold(self):

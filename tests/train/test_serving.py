@@ -15,7 +15,7 @@ from repro.core.similarity import build_similarity_matrix, extract_features
 from repro.data.synthetic import make_cifar100_like
 from repro.models.vit import ViTConfig, VisionTransformer
 from repro.models.headers import build_fixed_header
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor, no_grad, using_dtype
 from repro.train.evaluate import evaluate_header
 from repro.train.serving import (
     backbones_equivalent,
@@ -162,47 +162,127 @@ class TestPrecomputedFeatures:
         np.testing.assert_array_equal(gathered.tokens.data, tokens.data)
         np.testing.assert_array_equal(gathered.penultimate.data, penult.data)
 
-    def test_train_header_cached_path_matches_per_batch(self, backbone, datasets):
+    @staticmethod
+    def _float64_fixture():
+        """A float64 backbone + two 24-sample datasets (3 batches of 8)."""
+        with using_dtype("float64"):
+            backbone = VisionTransformer(VIT, seed=0)
+        generator = make_cifar100_like(num_classes=6, image_size=16, seed=0)
+        return backbone, [
+            generator.generate(samples_per_class=4, seed=60 + i, name=f"c{i}")
+            for i in range(2)
+        ]
+
+    @staticmethod
+    def _header(seed):
+        return build_fixed_header(
+            "mlp", VIT.embed_dim, VIT.num_patches, VIT.num_classes,
+            rng=np.random.default_rng(seed),
+        )
+
+    @staticmethod
+    def _trace(reports, headers):
+        return (
+            [(r.epoch_losses, r.epoch_accuracies) for r in reports],
+            [[p.data.copy() for p in h.parameters()] for h in headers],
+        )
+
+    @staticmethod
+    def _assert_traces_equal(left, right):
+        assert left[0] == right[0]  # losses/accuracies bit-for-bit
+        for weights_a, weights_b in zip(left[1], right[1]):
+            for a, b in zip(weights_a, weights_b):
+                assert a.dtype == np.float64
+                np.testing.assert_array_equal(a, b)
+
+    def test_train_header_cached_path_matches_per_batch(self, monkeypatch):
+        """A cap that never binds (3 batches per epoch) truncates nothing
+        but disables the precompute: the per-batch forwards it falls back
+        to must reproduce the cached-row trace bit for bit."""
+        from repro.train import serving
         from repro.train.trainer import TrainConfig, train_header
 
-        def run(cached):
-            header = build_fixed_header(
-                "mlp", VIT.embed_dim, VIT.num_patches, VIT.num_classes,
-                rng=np.random.default_rng(0),
-            )
-            config = TrainConfig(
-                epochs=2, batch_size=8, seed=0, cached_frozen_features=cached
-            )
-            report = train_header(backbone, header, datasets[0], config)
-            return report.epoch_losses, report.epoch_accuracies
+        precomputes = []
+        real = serving.precompute_backbone_features
+        monkeypatch.setattr(
+            serving,
+            "precompute_backbone_features",
+            lambda *a, **k: precomputes.append(1) or real(*a, **k),
+        )
+        backbone, (dataset, _other) = self._float64_fixture()
 
-        assert run(True) == run(False)  # traces bit-for-bit identical
+        def run(max_batches):
+            with using_dtype("float64"):
+                header = self._header(0)
+                config = TrainConfig(
+                    epochs=2, batch_size=8, seed=0, max_batches_per_epoch=max_batches
+                )
+                report = train_header(backbone, header, dataset, config)
+            return self._trace([report], [header])
 
-    def test_capped_epochs_skip_precompute(self, backbone, datasets):
+        cached = run(None)
+        assert len(precomputes) == 1
+        for cap in (3, 10):
+            per_batch = run(cap)
+            assert len(precomputes) == 1  # the capped run never precomputed
+            self._assert_traces_equal(cached, per_batch)
+
+    def test_fleet_nonbinding_cap_is_a_noop(self):
+        """One capped (never binding) and one uncapped fleet member train
+        exactly like two uncapped members, and like per-member
+        ``train_header`` on the per-batch path."""
+        from repro.train.fleet import train_headers_fleet
+        from repro.train.trainer import TrainConfig, train_header
+
+        backbone, datasets = self._float64_fixture()
+
+        def configs(cap):
+            return [
+                TrainConfig(epochs=2, batch_size=8, seed=3, max_batches_per_epoch=cap),
+                TrainConfig(epochs=2, batch_size=8, seed=4),
+            ]
+
+        def run_fleet(cap):
+            with using_dtype("float64"):
+                headers = [self._header(1), self._header(2)]
+                reports = train_headers_fleet(backbone, headers, datasets, configs(cap))
+            return self._trace(reports, headers)
+
+        def run_serial(cap):
+            with using_dtype("float64"):
+                headers = [self._header(1), self._header(2)]
+                reports = [
+                    train_header(backbone, h, d, c)
+                    for h, d, c in zip(headers, datasets, configs(cap))
+                ]
+            return self._trace(reports, headers)
+
+        uncapped = run_fleet(None)
+        self._assert_traces_equal(uncapped, run_fleet(3))
+        self._assert_traces_equal(uncapped, run_serial(3))
+
+    def test_capped_epochs_skip_precompute(self, backbone, datasets, monkeypatch):
         """max_batches_per_epoch caps the loop; precomputing the whole
         dataset would cost more than it saves, so the per-batch path
-        must be used (observable: identical results either way)."""
+        must be used."""
+        from repro.train import serving
         from repro.train.trainer import TrainConfig, train_header
 
-        def run(cached):
-            header = build_fixed_header(
-                "linear", VIT.embed_dim, VIT.num_patches, VIT.num_classes,
-                rng=np.random.default_rng(0),
-            )
-            config = TrainConfig(
-                epochs=1,
-                batch_size=8,
-                max_batches_per_epoch=1,
-                seed=0,
-                cached_frozen_features=cached,
-            )
-            return train_header(backbone, header, datasets[0], config).epoch_losses
+        def refuse(*args, **kwargs):
+            raise AssertionError("a batch-capped epoch must not precompute")
 
-        assert run(True) == run(False)
+        monkeypatch.setattr(serving, "precompute_backbone_features", refuse)
+        header = build_fixed_header(
+            "linear", VIT.embed_dim, VIT.num_patches, VIT.num_classes,
+            rng=np.random.default_rng(0),
+        )
+        config = TrainConfig(epochs=1, batch_size=8, max_batches_per_epoch=1, seed=0)
+        report = train_header(backbone, header, datasets[0], config)
+        assert len(report.epoch_losses) == 1 and np.isfinite(report.epoch_losses[0])
 
 
 class TestNASBatchedScoring:
-    def _search(self, batched, train_backbone):
+    def _search(self, train_backbone):
         backbone = VisionTransformer(VIT, seed=0)
         config = NASConfig(
             num_blocks=2,
@@ -212,7 +292,6 @@ class TestNASBatchedScoring:
             controller_updates_per_epoch=2,
             derive_samples=3,
             train_backbone=train_backbone,
-            batched_scoring=batched,
             seed=0,
         )
         generator = make_cifar100_like(num_classes=6, image_size=16, seed=0)
@@ -221,16 +300,31 @@ class TestNASBatchedScoring:
         return search.search(dataset)
 
     @pytest.mark.parametrize("train_backbone", [False, True])
-    def test_batched_scoring_matches_per_child(self, train_backbone):
-        batched = self._search(batched=True, train_backbone=train_backbone)
-        per_child = self._search(batched=False, train_backbone=train_backbone)
+    def test_batched_scoring_matches_per_child(self, train_backbone, monkeypatch):
+        """A whole search scored from the one stacked forward equals one
+        scored child by child, each computing its own backbone features."""
+        batched = self._search(train_backbone=train_backbone)
+
+        def score_per_child(search, specs, dataset, max_batches=4):
+            children = [search.build_child(spec) for spec in specs]
+            return [
+                search._evaluate_child(
+                    child, dataset, max_batches, features_by_batch=None
+                )
+                for child in children
+            ]
+
+        monkeypatch.setattr(HeaderSearch, "_score_specs", score_per_child)
+        per_child = self._search(train_backbone=train_backbone)
         assert batched.spec.to_sequence() == per_child.spec.to_sequence()
         assert batched.best_reward == per_child.best_reward
         assert batched.reward_history == per_child.reward_history
 
 
 class TestEdgeFinalizeBatched:
-    def _finalized_system(self, batched_serving):
+    def test_batched_finalize_matches_per_device(self):
+        """The finale's one batched evaluation equals ``DeviceNode.
+        evaluate()`` called per device on the same fine-tuned state."""
         from repro.distributed import ACMEConfig, ACMESystem
 
         config = ACMEConfig(
@@ -242,18 +336,13 @@ class TestEdgeFinalizeBatched:
             finalize=False,
             seed=0,
         )
-        config.edge.batched_serving = batched_serving
         system = ACMESystem(config)
         system.run()
-        return system.edges[0].finalize()
-
-    def test_batched_finalize_matches_per_device(self):
-        from tests.helpers import reset_engine_state
-
-        reset_engine_state()
-        batched = self._finalized_system(batched_serving=True)
-        reset_engine_state()
-        per_device = self._finalized_system(batched_serving=False)
+        edge = system.edges[0]
+        with using_dtype("float64"):
+            batched = edge.finalize()
+            per_device = [device.evaluate() for device in edge.devices]
+        assert len(batched) == 3
         assert batched == per_device  # accuracies/losses bit-for-bit
 
 
