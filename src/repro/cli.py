@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         help="live headers kept per cluster before cold devices are "
-        "evicted to compact serialized state",
+        "evicted to their state snapshots",
     )
     scale.add_argument(
         "--always-live",

@@ -28,7 +28,7 @@ from repro.distributed.metrics import (
     schedule_length,
     size_efficiency_ratio,
 )
-from repro.distributed.network import Network, NetworkShard, TrafficStats
+from repro.distributed.network import Ledger, Network, NetworkShard, TrafficStats
 from repro.distributed.system import (
     ACMEConfig,
     ACMERunResult,
@@ -37,9 +37,7 @@ from repro.distributed.system import (
     run_multiprocess,
 )
 from repro.distributed.transport import (
-    LoopbackTransport,
     TcpTransport,
-    Transport,
     TransportConfig,
 )
 from repro.distributed.wire import WireError
@@ -59,7 +57,7 @@ __all__ = [
     "FaultDecision",
     "FaultPolicy",
     "FaultRecord",
-    "LoopbackTransport",
+    "Ledger",
     "Message",
     "MessageKind",
     "Network",
@@ -68,7 +66,6 @@ __all__ = [
     "ProtocolError",
     "TcpTransport",
     "TrafficStats",
-    "Transport",
     "TransportConfig",
     "TransportFailure",
     "WireError",

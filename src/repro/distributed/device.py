@@ -11,7 +11,7 @@ estimation.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from repro.hw.profiles import DeviceProfile
 from repro.models.blocks import HeaderSpec
 from repro.models.header_dag import DAGHeader
 from repro.models.vit import VisionTransformer, ViTConfig
-from repro.nn.serialization import state_from_bytes, state_to_bytes
 from repro.train.serving import batched_evaluate_headers
 from repro.train.trainer import TrainConfig, train_header
 
@@ -70,12 +69,13 @@ class DeviceNode:
         #: the device does not materialize its backbone/header at model
         #: distribution.  It keeps the payload, hydrates on first touch
         #: (building the header exactly as :meth:`_receive_model` would
-        #: have, borrowing the store's shared backbone), and serializes
-        #: its mutable state to a compact blob when the store evicts it.
+        #: have, borrowing the store's shared backbone), and keeps only
+        #: the snapshot of its mutable state (:func:`snapshot_header`'s
+        #: arrays plus the feature sample) when the store evicts it.
         #: Every path is bit-for-bit identical to the always-live mode.
         self.state_store = state_store
         self._model_payload: Optional[dict] = None
-        self._cold_state: Optional[bytes] = None
+        self._cold_state: Optional[Dict[str, np.ndarray]] = None
         #: Deterministic cache of the similarity feature sample: frozen
         #: backbone + fixed seed make :func:`extract_features` a pure
         #: function of installed state, so computing it once per model
@@ -139,12 +139,11 @@ class DeviceNode:
         if self._cold_state is None:
             self.header.load_state_dict(payload["header_state"])
             return
-        state = state_from_bytes(self._cold_state)
+        state, self._cold_state = self._cold_state, None
         sample = state.pop(_FEATURE_KEY, None)
         if sample is not None:
             self._feature_sample = sample
         restore_header(self.header, state)
-        self._cold_state = None
 
     def _new_header(self, payload: dict) -> DAGHeader:
         """The payload's header architecture, freshly seeded (no weights)."""
@@ -159,12 +158,18 @@ class DeviceNode:
         )
 
     def _evict(self) -> None:
-        """Store callback: snapshot mutable state, drop live references."""
+        """Store callback: snapshot mutable state, drop live references.
+
+        The snapshot owns its arrays: parameter values are copies
+        (``Module.state_dict`` copies) and the mask / pristine / feature
+        arrays change hands, because the header that held them is
+        dropped here.
+        """
         assert self.header is not None
         state = snapshot_header(self.header)
         if self._feature_sample is not None:
             state[_FEATURE_KEY] = self._feature_sample
-        self._cold_state = state_to_bytes(state, compress=False)
+        self._cold_state = state
         self.header = None
         self.backbone = None
         self._feature_sample = None

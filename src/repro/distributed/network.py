@@ -5,15 +5,27 @@ is a protocol/cost simulation, not a latency simulation) and records every
 transfer: per message kind, per direction, and per (sender, receiver) pair.
 Table I's "Upload Data" column is read directly from these counters.
 
+One ledger.  :class:`Ledger` is the single representation of what a
+conversation cost: traffic counters (``stats``), the message ``log`` and
+exact per-kind ``kind_counts``, the ``fault_log`` with its running
+counter, the attempt / retry / failed-delivery counters and the queue of
+still-delayed messages.  ``record`` / ``record_fault`` / the three
+``count_*`` write it, ``clear`` empties it, and ``absorb(other)`` folds
+another ledger in (its still-delayed messages become ``"expired"``
+faults) and clears it.  The root :class:`Network` and every
+:class:`NetworkShard` *are* ledgers; an edge process ships a detached
+one home over its pipe and the supervisor folds it with the same
+``absorb``.
+
 Concurrency model.  The fabric is a two-level ledger:
 
 * the root :class:`Network` owns the handler table and the *global*
-  ledger (``stats`` + ``log``);
+  ledger, every mutation of which takes the ``network.ledger`` lock;
 * a :class:`NetworkShard` (one per edge cluster, created with
   :meth:`Network.shard`) records traffic into its own *local* ledger
   while delivering through the root's handler table.  Shards touch no
   root ledger state, so any number of edges can send concurrently;
-  :meth:`Network.merge_shards` then folds the local ledgers into the
+  :meth:`Network.merge_shards` then absorbs the local ledgers into the
   global one **in the deterministic order the caller passes** (edge
   index order in :class:`~repro.distributed.system.ACMESystem`), which
   makes the merged log — and therefore ``kind_sequence()`` and the
@@ -53,6 +65,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import itertools
 import re
 import time
@@ -146,6 +159,109 @@ class TrafficStats:
         return self.total_bytes / 1e6
 
 
+class Ledger:
+    """What one conversation cost: traffic, faults, attempts, stragglers.
+
+    ``ledger`` is the mode.  ``"full"`` (default): every delivered
+    message object is kept on :attr:`log` — O(messages) memory, the mode
+    Table-I counters and the conformance/parity tests rely on.
+    ``"summary"``: :attr:`log`/:attr:`fault_log` keep only a bounded tail
+    (:data:`_SUMMARY_TAIL`) and per-pair byte counters collapse to roles,
+    bounding ledger memory for fleet-scale runs; exact per-kind message
+    counts stay available as :attr:`kind_counts`.
+
+    Not thread-safe by itself: a :class:`NetworkShard` is written by its
+    owner only, and the root :class:`Network` wraps every mutation in
+    its ``network.ledger`` lock.
+    """
+
+    def __init__(self, ledger: str = "full") -> None:
+        if ledger not in ("full", "summary"):
+            raise ValueError(
+                f"ledger must be 'full' or 'summary', got {ledger!r}"
+            )
+        self.ledger = ledger
+        #: Re-entrancy guard of the delayed queue (:func:`_drain_delayed`).
+        self._draining = False
+        self.clear()
+
+    def clear(self) -> None:
+        """Reset every ledger field to its freshly built value."""
+        summary = self.ledger == "summary"
+        self.stats = TrafficStats(collapse_pairs=summary)
+        self.log = deque(maxlen=_SUMMARY_TAIL) if summary else []
+        #: Exact count of delivered (recorded) messages per kind, in both
+        #: ledger modes — the summary-mode replacement for deriving
+        #: counts from the full log.
+        self.kind_counts: Counter = Counter()
+        self.fault_log = deque(maxlen=_SUMMARY_TAIL) if summary else []
+        self._fault_counter: Counter = Counter()
+        self.delivery_attempts = 0
+        self.retry_count = 0
+        self.failed_deliveries = 0
+        #: ``[message, countdown]`` entries still in flight.
+        self._delayed: List[List] = []
+
+    def record(self, message: Message) -> None:
+        self.stats.record(message)
+        self.log.append(message)
+        self.kind_counts[message.kind.value] += 1
+
+    def record_fault(self, record: FaultRecord) -> None:
+        self.fault_log.append(record)
+        self._fault_counter[record.fault] += 1
+
+    def count_attempt(self) -> None:
+        self.delivery_attempts += 1
+
+    def count_retry(self) -> None:
+        self.retry_count += 1
+
+    def count_failure(self) -> None:
+        self.failed_deliveries += 1
+
+    def fault_counts(self) -> Dict[str, int]:
+        """Injected faults by class (``drop``/``corrupt``/... → count).
+
+        Maintained as a running counter, so it is exact in both ledger
+        modes — including summary mode, whose ``fault_log`` keeps only a
+        bounded tail.
+        """
+        return dict(self._fault_counter)
+
+    def kind_sequence(self) -> List[str]:
+        """The ordered kinds of all delivered messages (for conformance tests)."""
+        if self.ledger == "summary":
+            raise RuntimeError(
+                f"kind_sequence() is unavailable on a summary-mode ledger: "
+                f"the bounded log keeps only the last {_SUMMARY_TAIL} "
+                f"messages — use kind_counts for exact per-kind totals, or "
+                f"build the Network with ledger='full'"
+            )
+        return [m.kind.value for m in self.log]
+
+    def absorb(self, other: "Ledger") -> None:
+        """Fold ``other`` into this ledger, then clear it.
+
+        Clearing is what makes double-counting impossible.  ``other``'s
+        still-delayed messages will never be handled once its
+        conversation is over; they are recorded as ``"expired"`` faults
+        rather than silently vanishing.
+        """
+        self.stats.merge_from(other.stats)
+        self.log.extend(other.log)
+        self.kind_counts.update(other.kind_counts)
+        self.fault_log.extend(other.fault_log)
+        self._fault_counter.update(other._fault_counter)
+        for message, _ in other._delayed:
+            # Unlocked form: the root's ``absorb`` already holds its lock.
+            Ledger.record_fault(self, _fault(message, "expired"))
+        self.delivery_attempts += other.delivery_attempts
+        self.retry_count += other.retry_count
+        self.failed_deliveries += other.failed_deliveries
+        other.clear()
+
+
 def _attempt(route: "_Route", message: Message) -> Tuple[Optional[Message], Optional[str]]:
     """One delivery attempt on a route (root network or shard).
 
@@ -166,8 +282,8 @@ def _attempt(route: "_Route", message: Message) -> Tuple[Optional[Message], Opti
     if message.attempts == 0:
         message.sequence = root._next_sequence()
     message.attempts += 1
-    route._count_attempt()
-    route._record(message)
+    route.count_attempt()
+    route.record(message)
     policy = root.fault_policy
     decision = (
         policy.decide(message.kind.value, message.sender, message.receiver)
@@ -175,18 +291,18 @@ def _attempt(route: "_Route", message: Message) -> Tuple[Optional[Message], Opti
         else None
     )
     if decision is not None and decision.drop:
-        route._record_fault(_fault(message, "drop"))
-        route._drain_delayed()
+        route.record_fault(_fault(message, "drop"))
+        _drain_delayed(route)
         return None, "drop"
     wire_checksum = message.checksum
     if decision is not None and decision.corrupt:
         wire_checksum ^= _CORRUPT_MASK
     if policy is not None and wire_checksum != message.compute_checksum():
-        route._record_fault(_fault(message, "corrupt"))
-        route._drain_delayed()
+        route.record_fault(_fault(message, "corrupt"))
+        _drain_delayed(route)
         return None, "corrupt"
     if decision is not None and decision.delay_deliveries > 0:
-        route._record_fault(
+        route.record_fault(
             _fault(message, "delay", detail=decision.delay_deliveries)
         )
         route._delayed.append([message, decision.delay_deliveries])
@@ -199,17 +315,17 @@ def _attempt(route: "_Route", message: Message) -> Tuple[Optional[Message], Opti
         # sender and were recorded above, the fault lands on the ledger,
         # and the caller sees a retryable loss.  Loopback handlers never
         # raise this.
-        route._record_fault(_fault(message, exc.fault))
-        route._drain_delayed()
+        route.record_fault(_fault(message, exc.fault))
+        _drain_delayed(route)
         return None, exc.fault
     if decision is not None and decision.duplicate:
-        route._record_fault(_fault(message, "duplicate"))
-        route._record(message)  # the duplicate transfer costs bytes too
+        route.record_fault(_fault(message, "duplicate"))
+        route.record(message)  # the duplicate transfer costs bytes too
         try:
             route._invoke(handler, message)
         except TransportFailure as exc:
-            route._record_fault(_fault(message, exc.fault))
-    route._drain_delayed()
+            route.record_fault(_fault(message, exc.fault))
+    _drain_delayed(route)
     return reply, None
 
 
@@ -250,12 +366,12 @@ def _drain_delayed(route: "_Route") -> None:
             try:
                 handler = route.root._resolve(message.receiver)
             except KeyError:
-                route._record_fault(_fault(message, "lost"))
+                route.record_fault(_fault(message, "lost"))
                 continue
             try:
                 route._invoke(handler, message)
             except TransportFailure as exc:
-                route._record_fault(_fault(message, exc.fault))
+                route.record_fault(_fault(message, exc.fault))
     finally:
         route._draining = False
 
@@ -283,20 +399,31 @@ def _send_reliable(
     failure: Optional[str] = None
     for attempt in range(retries + 1):
         if attempt:
-            route._count_retry()
+            route.count_retry()
             if backoff > 0.0:
                 time.sleep(backoff * attempt)
         reply, failure = _attempt(route, message)
         if failure is None:
             return reply
-    route._count_failure()
+    route.count_failure()
     raise DeliveryError(
         f"{message.kind.value} {message.sender}->{message.receiver} "
         f"not delivered after {retries + 1} attempt(s); last failure: {failure}"
     )
 
 
-class Network:
+def _locked(method):
+    """``method`` run under the root fabric's ``network.ledger`` lock."""
+
+    @functools.wraps(method)
+    def locked(self, *args):
+        with self._ledger_lock:
+            return method(self, *args)
+
+    return locked
+
+
+class Network(Ledger):
     """In-process message fabric connecting cloud, edges and devices.
 
     The root fabric: owns the (lock-protected) handler table, the global
@@ -306,43 +433,23 @@ class Network:
     """
 
     def __init__(self, ledger: str = "full") -> None:
-        if ledger not in ("full", "summary"):
-            raise ValueError(
-                f"ledger must be 'full' or 'summary', got {ledger!r}"
-            )
-        #: ``"full"`` (default): every delivered message object is kept
-        #: on :attr:`log` — O(messages) memory, the mode Table-I counters
-        #: and the conformance/parity tests rely on.  ``"summary"``:
-        #: :attr:`log`/:attr:`fault_log` keep only a bounded tail
-        #: (:data:`_SUMMARY_TAIL`) and per-pair byte counters collapse to
-        #: roles, bounding ledger memory for fleet-scale runs; exact
-        #: per-kind message counts stay available as :attr:`kind_counts`.
-        self.ledger = ledger
         self._handlers: Dict[str, Callable[[Message], Optional[Message]]] = {}
         self._registry_lock = register_lock("network.handler-registry")
         self._ledger_lock = register_lock("network.ledger")
-        self.stats = TrafficStats(collapse_pairs=ledger == "summary")
-        self.log = self._new_log()
-        #: Exact count of delivered (recorded) messages per kind, in both
-        #: ledger modes — the summary-mode replacement for deriving
-        #: counts from the full log.
-        self.kind_counts: Counter = Counter()
+        super().__init__(ledger)
         self.fault_policy: Optional[FaultPolicy] = None
-        self.fault_log = self._new_log()
-        self._fault_counter: Counter = Counter()
-        self.delivery_attempts = 0
-        self.retry_count = 0
-        self.failed_deliveries = 0
-        self._delayed: List[List] = []
-        self._draining = False
         self._sequence = itertools.count()
         self._sequence_lock = register_lock("network.sequence")
 
-    def _new_log(self):
-        """A mode-appropriate log container (list or bounded deque)."""
-        if self.ledger == "summary":
-            return deque(maxlen=_SUMMARY_TAIL)
-        return []
+    # The global ledger is shared by every thread that sends on the root.
+    record = _locked(Ledger.record)
+    record_fault = _locked(Ledger.record_fault)
+    count_attempt = _locked(Ledger.count_attempt)
+    count_retry = _locked(Ledger.count_retry)
+    count_failure = _locked(Ledger.count_failure)
+    fault_counts = _locked(Ledger.fault_counts)
+    absorb = _locked(Ledger.absorb)
+    clear = reset_stats = _locked(Ledger.clear)
 
     @property
     def root(self) -> "Network":
@@ -362,16 +469,6 @@ class Network:
         subsequent draw and break seed replayability.
         """
         self.fault_policy = policy
-
-    def fault_counts(self) -> Dict[str, int]:
-        """Injected faults by class (``drop``/``corrupt``/... → count).
-
-        Maintained as a running counter, so it is exact in both ledger
-        modes — including summary mode, whose ``fault_log`` keeps only a
-        bounded tail.
-        """
-        with self._ledger_lock:
-            return dict(self._fault_counter)
 
     # -- registry -------------------------------------------------------
     def register(
@@ -441,35 +538,8 @@ class Network:
             )
         return handler
 
-    # -- route interface (ledger side of a delivery attempt) ------------
-    def _record(self, message: Message) -> None:
-        with self._ledger_lock:
-            self.stats.record(message)
-            self.log.append(message)
-            self.kind_counts[message.kind.value] += 1
-
-    def _record_fault(self, record: FaultRecord) -> None:
-        with self._ledger_lock:
-            self.fault_log.append(record)
-            self._fault_counter[record.fault] += 1
-
-    def _count_attempt(self) -> None:
-        with self._ledger_lock:
-            self.delivery_attempts += 1
-
-    def _count_retry(self) -> None:
-        with self._ledger_lock:
-            self.retry_count += 1
-
-    def _count_failure(self) -> None:
-        with self._ledger_lock:
-            self.failed_deliveries += 1
-
     def _invoke(self, handler, message: Message) -> Optional[Message]:
         return handler(message)
-
-    def _drain_delayed(self) -> None:
-        _drain_delayed(self)
 
     # -- delivery -------------------------------------------------------
     def send(self, message: Message) -> Optional[Message]:
@@ -519,117 +589,40 @@ class Network:
         return NetworkShard(self, owner)
 
     def merge_shards(self, shards: Sequence["NetworkShard"]) -> None:
-        """Fold shard ledgers into the global one, in the given order.
+        """Absorb shard ledgers into the global one, in the given order.
 
         The order is the determinism contract: merging in edge index
         order reproduces the serial edge-by-edge log exactly — for the
         traffic ledger *and* the fault log, which merges the same way.
-        Each shard is drained (its local ledgers reset) so a shard can
-        never be double-counted.  A shard's still-pending delayed
-        messages will never be handled once their pipeline is over; they
-        are recorded as ``"expired"`` faults rather than silently
-        vanishing.
         """
-        with self._ledger_lock:
-            for shard in shards:
-                if shard.root is not self:
-                    raise ValueError(
-                        f"shard {shard.owner!r} belongs to a different fabric"
-                    )
-                self.stats.merge_from(shard.stats)
-                self.log.extend(shard.log)
-                self.kind_counts.update(shard.kind_counts)
-                self.fault_log.extend(shard.fault_log)
-                self._fault_counter.update(shard._fault_counter)
-                for message, _ in shard._delayed:
-                    self.fault_log.append(_fault(message, "expired"))
-                    self._fault_counter["expired"] += 1
-                self.delivery_attempts += shard.delivery_attempts
-                self.retry_count += shard.retry_count
-                self.failed_deliveries += shard.failed_deliveries
-                shard.stats = TrafficStats(collapse_pairs=self.stats.collapse_pairs)
-                shard.log = self._new_log()
-                shard.kind_counts = Counter()
-                shard.fault_log = self._new_log()
-                shard._fault_counter = Counter()
-                shard._delayed = []
-                shard.delivery_attempts = 0
-                shard.retry_count = 0
-                shard.failed_deliveries = 0
-
-    # -- inspection -----------------------------------------------------
-    def kind_sequence(self) -> List[str]:
-        """The ordered kinds of all delivered messages (for conformance tests)."""
-        if self.ledger == "summary":
-            raise RuntimeError(
-                f"kind_sequence() is unavailable on a summary-ledger fabric: "
-                f"the bounded log keeps only the last {_SUMMARY_TAIL} "
-                f"messages — use kind_counts for exact per-kind totals, or "
-                f"build the Network with ledger='full'"
-            )
-        return [m.kind.value for m in self.log]
-
-    def reset_stats(self) -> None:
-        with self._ledger_lock:
-            self.stats = TrafficStats(collapse_pairs=self.ledger == "summary")
-            self.log = self._new_log()
-            self.kind_counts = Counter()
-            self.fault_log = self._new_log()
-            self._fault_counter = Counter()
-            self._delayed = []
-            self.delivery_attempts = 0
-            self.retry_count = 0
-            self.failed_deliveries = 0
+        for shard in shards:
+            if shard.root is not self:
+                raise ValueError(
+                    f"shard {shard.owner!r} belongs to a different fabric"
+                )
+            self.absorb(shard)
 
 
-class NetworkShard:
+class NetworkShard(Ledger):
     """One edge's ledger view of the fabric.
 
     Shares the root's handler table and fault policy (delivery semantics
     are identical) but records traffic, faults, stragglers and
-    retry/attempt counters into local ledgers that only this shard's
+    retry/attempt counters into its own ledger that only this shard's
     owner writes — the thread-safety unit of the fabric.  Fold into the
     global ledger with :meth:`Network.merge_shards`.
     """
 
     def __init__(self, root: Network, owner: str) -> None:
-        self.root = root
-        self.owner = owner
         # Shard ledgers inherit the root's mode, so a summary-mode
         # fabric stays bounded during the (pre-merge) edge pipelines too.
-        self.stats = TrafficStats(collapse_pairs=root.stats.collapse_pairs)
-        self.log = root._new_log()
-        self.kind_counts: Counter = Counter()
-        self.fault_log = root._new_log()
-        self._fault_counter: Counter = Counter()
-        self.delivery_attempts = 0
-        self.retry_count = 0
-        self.failed_deliveries = 0
-        self._delayed: List[List] = []
-        self._draining = False
+        super().__init__(root.ledger)
+        self.root = root
+        self.owner = owner
 
     def register(self, name: str, handler: Callable[[Message], Optional[Message]]) -> None:
         """Register on the *root* registry (names are fabric-global)."""
         self.root.register(name, handler, shard=self)
-
-    # -- route interface ------------------------------------------------
-    def _record(self, message: Message) -> None:
-        self.stats.record(message)
-        self.log.append(message)
-        self.kind_counts[message.kind.value] += 1
-
-    def _record_fault(self, record: FaultRecord) -> None:
-        self.fault_log.append(record)
-        self._fault_counter[record.fault] += 1
-
-    def _count_attempt(self) -> None:
-        self.delivery_attempts += 1
-
-    def _count_retry(self) -> None:
-        self.retry_count += 1
-
-    def _count_failure(self) -> None:
-        self.failed_deliveries += 1
 
     def _invoke(self, handler, message: Message) -> Optional[Message]:
         token = _ACTIVE_SHARD.set(self)
@@ -637,9 +630,6 @@ class NetworkShard:
             return handler(message)
         finally:
             _ACTIVE_SHARD.reset(token)
-
-    def _drain_delayed(self) -> None:
-        _drain_delayed(self)
 
     # -- delivery -------------------------------------------------------
     def send(self, message: Message) -> Optional[Message]:
@@ -670,15 +660,6 @@ class NetworkShard:
             yield self
         finally:
             _ACTIVE_SHARD.reset(token)
-
-    def kind_sequence(self) -> List[str]:
-        """Ordered kinds of this shard's (unmerged) local log."""
-        if self.root.ledger == "summary":
-            raise RuntimeError(
-                "kind_sequence() is unavailable on a summary-ledger "
-                "fabric's shard — use kind_counts"
-            )
-        return [m.kind.value for m in self.log]
 
 
 #: A delivery route: the root network or one of its shards.

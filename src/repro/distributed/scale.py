@@ -13,7 +13,7 @@ importance sets, so the harness measures what actually limits scale:
 * **memory** — devices run in lazy mode behind one
   :class:`~repro.distributed.state_store.DeviceStateLRU` per cluster,
   so only ``lru_capacity`` headers are live at any instant and the rest
-  sit as serialized cold blobs (``always_live=True`` flips to the
+  sit as cold snapshots (``always_live=True`` flips to the
   eager path the LRU replaces, for the memory comparison);
 * **the round** — each cluster is an
   :class:`~repro.distributed.edge.EdgeServer` and runs its round

@@ -10,9 +10,10 @@ bounded working set instead:
 * :class:`DeviceStateLRU` — a capacity-bounded LRU of *live* devices.
   Touching a cold device hydrates it (building its header on first
   touch, or restoring an evicted snapshot); exceeding the capacity
-  evicts the least-recently-used device to a compact serialized blob
-  (:func:`repro.nn.serialization.state_to_bytes`, the in-memory ``npz``
-  path — bit-exact array round-trip).
+  evicts the least-recently-used device down to its snapshot — the
+  :func:`snapshot_header` arrays themselves, no byte format
+  (:mod:`repro.nn.serialization` has the explicit spill-to-disk /
+  checkpoint form of the same dict).
 * One **shared backbone per model payload**: every device in an ACME
   cluster receives the same frozen ``backbone_state``, so the store
   materializes a single :class:`VisionTransformer` per distribution
@@ -38,7 +39,6 @@ import numpy as np
 
 from repro.models.vit import VisionTransformer
 from repro.nn.optim import Adam
-from repro.nn.serialization import state_from_bytes, state_to_bytes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.models.header_dag import DAGHeader
@@ -168,8 +168,8 @@ class DeviceStateLRU:
     """Capacity-bounded working set of live devices for one cluster.
 
     Owners implement the hydration protocol — ``_hydrate()`` (build or
-    restore live state) and ``_evict()`` (serialize to a cold blob and
-    drop live references) — and call :meth:`touch` before using their
+    restore live state) and ``_evict()`` (keep a cold snapshot and drop
+    live references) — and call :meth:`touch` before using their
     model state.  The store is deliberately single-threaded: lazy
     clusters run their device fan-outs serially (the edge enforces it),
     because a concurrent hydration could evict a peer mid-use.

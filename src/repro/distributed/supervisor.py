@@ -40,13 +40,11 @@ import os
 import signal
 import time
 import traceback
-from collections import Counter
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.distributed.faults import DeliveryError, FaultRecord
+from repro.distributed.faults import DeliveryError
 from repro.distributed.metrics import centralized_upload_bytes
-from repro.distributed.network import TrafficStats, _fault
+from repro.distributed.network import Ledger
 from repro.distributed.system import (
     ACMEConfig,
     ACMERunResult,
@@ -54,82 +52,17 @@ from repro.distributed.system import (
     arm_fault_policy,
     build_cluster,
     build_fleet_data,
+    dtype_scope,
     run_edge_phases,
 )
 from repro.distributed.transport import TcpTransport, TransportConfig
 
-__all__ = ["run_multiprocess", "EdgeLedger", "KILL_POINTS"]
+__all__ = ["run_multiprocess", "KILL_POINTS"]
 
 #: Deterministic self-SIGKILL points for the kill-an-edge hook.
 #: ``mid_rounds`` = after one aggregation round, the canonical
 #: "mid-campaign" crash; the rest map to ``run_edge_phases`` checkpoints.
 KILL_POINTS = ("backbone", "search", "distribute", "mid_rounds", "aggregate")
-
-
-@dataclass
-class EdgeLedger:
-    """A picklable capture of one edge process's fabric ledger."""
-
-    kinds: List[str]
-    kind_counts: Dict[str, int]
-    stats: Dict[str, object]
-    fault_records: List[FaultRecord]
-    fault_counts: Dict[str, int]
-    delivery_attempts: int = 0
-    retry_count: int = 0
-    failed_deliveries: int = 0
-
-
-def _dtype_scope(config: ACMEConfig):
-    if config.compute_dtype is not None:
-        from repro.nn.tensor import using_dtype
-
-        return using_dtype(config.compute_dtype)
-    return contextlib.nullcontext()
-
-
-def _capture_stats(stats: TrafficStats) -> Dict[str, object]:
-    """Plain-dict form of a ledger's counters (defaultdicts don't pickle)."""
-    return {
-        "total_bytes": stats.total_bytes,
-        "upload_bytes": stats.upload_bytes,
-        "download_bytes": stats.download_bytes,
-        "message_count": stats.message_count,
-        "by_kind": dict(stats.by_kind),
-        "by_pair": dict(stats.by_pair),
-    }
-
-
-def _merge_stats(target: TrafficStats, captured: Dict[str, object]) -> None:
-    target.total_bytes += captured["total_bytes"]
-    target.upload_bytes += captured["upload_bytes"]
-    target.download_bytes += captured["download_bytes"]
-    target.message_count += captured["message_count"]
-    for kind, nbytes in captured["by_kind"].items():
-        target.by_kind[kind] += nbytes
-    for pair, nbytes in captured["by_pair"].items():
-        target.by_pair[pair] += nbytes
-
-
-def _capture_ledger(fabric) -> EdgeLedger:
-    """Snapshot an edge fabric's ledger for the trip home.
-
-    Mirrors ``Network.merge_shards``: still-pending delayed messages are
-    recorded as ``"expired"`` faults at the end of this edge's slot.
-    """
-    for message, _countdown in list(fabric._delayed):
-        fabric._record_fault(_fault(message, "expired"))
-    fabric._delayed = []
-    return EdgeLedger(
-        kinds=fabric.kind_sequence(),
-        kind_counts=dict(fabric.kind_counts),
-        stats=_capture_stats(fabric.stats),
-        fault_records=list(fabric.fault_log),
-        fault_counts=fabric.fault_counts(),
-        delivery_attempts=fabric.delivery_attempts,
-        retry_count=fabric.retry_count,
-        failed_deliveries=fabric.failed_deliveries,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +72,7 @@ def _cloud_worker(config: ACMEConfig, tcfg: TransportConfig, conn) -> None:
     """Cloud tier: pretrain/candidates, then serve edges until told to stop."""
     transport = None
     try:
-        with _dtype_scope(config):
+        with dtype_scope(config):
             from repro.distributed.cloud import CloudServer
             from repro.models.vit import VisionTransformer
 
@@ -180,7 +113,7 @@ def _edge_worker(
 ) -> None:
     """Edge tier: build the cluster locally, dial the hub, run the phases."""
     try:
-        with _dtype_scope(config):
+        with dtype_scope(config):
             data = build_fleet_data(config)
             port = conn.recv()  # the supervisor sends it once the hub is up
             if not isinstance(port, int):
@@ -208,7 +141,13 @@ def _edge_worker(
                             os.kill(os.getpid(), signal.SIGKILL)
 
                 result = run_edge_phases(config, edge, checkpoint=checkpoint)
-                conn.send(("result", (result, _capture_ledger(transport.network))))
+                # Only counters, fault records and kinds travel home:
+                # the log's messages (payloads) never cross the pipe.
+                ledger = Ledger()
+                ledger.absorb(transport.network)
+                kinds = ledger.kind_sequence()
+                ledger.log.clear()
+                conn.send(("result", (result, ledger, kinds)))
             finally:
                 transport.close()
     # reprolint: broad-except -- worker-process boundary: any edge-tier failure
@@ -371,7 +310,7 @@ def run_multiprocess(
                 parent_conn.send(port)
 
         clusters: List[ClusterResult] = []
-        ledgers: List[Optional[EdgeLedger]] = []
+        ledgers: List[Optional[Tuple[Ledger, List[str]]]] = []
         crashes: List[Tuple[int, DeliveryError]] = []
         for cluster_idx, (parent_conn, process) in enumerate(
             zip(edge_conns, edge_procs)
@@ -389,9 +328,9 @@ def run_multiprocess(
                 continue
             if status == "error":
                 raise RuntimeError(f"edge{cluster_idx} process failed:\n{payload}")
-            result, ledger = payload
+            result, ledger, kinds = payload
             clusters.append(result)
-            ledgers.append(ledger)
+            ledgers.append((ledger, kinds))
 
         with contextlib.suppress(Exception):
             cloud_conn.send("stop")
@@ -407,39 +346,34 @@ def run_multiprocess(
 def _merge_results(
     cfg: ACMEConfig,
     clusters: List[ClusterResult],
-    ledgers: List[Optional[EdgeLedger]],
+    ledgers: List[Optional[Tuple[Ledger, List[str]]]],
     crashes: List[Tuple[int, DeliveryError]],
 ) -> ACMERunResult:
     """Fold per-edge ledgers (edge index order — the parity contract)."""
-    traffic = TrafficStats()
+    total = Ledger()
     kinds: List[str] = []
     edge_kinds: Dict[str, List[str]] = {}
-    fault_counter: Counter = Counter()
-    retries = attempts = failed = 0
-    for cluster_idx, ledger in enumerate(ledgers):
-        if ledger is None:
+    for cluster_idx, report in enumerate(ledgers):
+        if report is None:
             continue
-        _merge_stats(traffic, ledger.stats)
-        kinds.extend(ledger.kinds)
-        edge_kinds[f"edge{cluster_idx}"] = list(ledger.kinds)
-        fault_counter.update(ledger.fault_counts)
-        retries += ledger.retry_count
-        attempts += ledger.delivery_attempts
-        failed += ledger.failed_deliveries
-    for _cluster_idx, _error in crashes:
+        ledger, sequence = report
+        total.absorb(ledger)
+        kinds.extend(sequence)
+        edge_kinds[f"edge{cluster_idx}"] = sequence
+    fault_counts = total.fault_counts()
+    if crashes:
         # DeliveryError-derived: the supervisor's liveness check raised
-        # it; the counters speak the fault ledger's language.
-        fault_counter["crash"] += 1
-        failed += 1
+        # them; the counters speak the fault ledger's language.
+        fault_counts["crash"] = len(crashes)
     data = build_fleet_data(cfg)
     return ACMERunResult(
         clusters=clusters,
-        traffic=traffic,
+        traffic=total.stats,
         centralized_upload_bytes=centralized_upload_bytes(data.device_datasets),
         message_kinds=kinds,
         edge_message_kinds=edge_kinds,
-        fault_counts=dict(fault_counter),
-        total_retries=retries,
-        delivery_attempts=attempts,
-        failed_deliveries=failed,
+        fault_counts=fault_counts,
+        total_retries=total.retry_count,
+        delivery_attempts=total.delivery_attempts,
+        failed_deliveries=total.failed_deliveries + len(crashes),
     )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from repro.distributed.network import Network, NetworkShard, TrafficStats
 from repro.distributed.state_store import DeviceStateLRU
 from repro.hw.profiles import DeviceProfile, make_fleet
 from repro.models.vit import ViTConfig, VisionTransformer
+from repro.nn.tensor import using_dtype
 
 
 @dataclass
@@ -133,7 +134,7 @@ class ACMEConfig:
     #: capacity and its devices materialize headers on first touch,
     #: sharing one backbone instance per distribution payload and
     #: evicting cold per-device state (header params, prune-mask state,
-    #: cached feature samples) to compact serialized blobs.  Memory per
+    #: cached feature samples) down to its snapshot arrays.  Memory per
     #: cluster is bounded by the capacity instead of the cluster size;
     #: every path is bit-for-bit identical to the always-live default
     #: (``None``) — tested in tests/distributed/test_state_store.py.
@@ -413,10 +414,24 @@ class ACMERunResult:
         return self.traffic.upload_bytes / self.centralized_upload_bytes
 
 
+def dtype_scope(config: ACMEConfig):
+    """Context applying ``config.compute_dtype`` to everything inside it.
+
+    Wraps system construction, ``run()`` and each worker process of a
+    multiprocess run.  The engine default is restored on exit, so a
+    float32 system never leaks its dtype into the rest of the process.
+    Callers driving protocol phases manually (outside ``run()``) should
+    wrap them in ``repro.nn.using_dtype`` themselves.
+    """
+    if config.compute_dtype is not None:
+        return using_dtype(config.compute_dtype)
+    return contextlib.nullcontext()
+
+
 def run_edge_phases(
     config: ACMEConfig,
     edge: EdgeServer,
-    checkpoint: Optional[callable] = None,
+    checkpoint: Optional[Callable[[str], None]] = None,
 ) -> ClusterResult:
     """One edge's complete phase-2/3/4 protocol sequence + finalize.
 
@@ -486,24 +501,8 @@ class ACMESystem:
         generator: Optional[SyntheticImageGenerator] = None,
     ) -> None:
         self.config = config or ACMEConfig()
-        with self._dtype_scope():
+        with dtype_scope(self.config):
             self._build(generator)
-
-    def _dtype_scope(self):
-        """Context applying ``compute_dtype`` to construction and ``run()``.
-
-        The engine default is restored on exit, so a float32 system never
-        leaks its dtype into the rest of the process.  Callers driving
-        protocol phases manually (outside ``run()``) should wrap them in
-        ``repro.nn.using_dtype`` themselves.
-        """
-        if self.config.compute_dtype is not None:
-            from repro.nn.tensor import using_dtype
-
-            return using_dtype(self.config.compute_dtype)
-        import contextlib
-
-        return contextlib.nullcontext()
 
     def _build(self, generator: Optional[SyntheticImageGenerator]) -> None:
         cfg = self.config
@@ -534,7 +533,7 @@ class ACMESystem:
     # ------------------------------------------------------------------
     def run(self) -> ACMERunResult:
         """Execute the full pipeline and gather results."""
-        with self._dtype_scope():
+        with dtype_scope(self.config):
             return self._run()
 
     def _run(self) -> ACMERunResult:
@@ -560,7 +559,7 @@ class ACMESystem:
         the cloud's request path reads is immutable, the precondition
         for serving concurrent edges.
         """
-        with self._dtype_scope():
+        with dtype_scope(self.config):
             self.cloud.pretrain_reference()
             self.cloud.generate_dynamic_backbone()
             self.cloud.prepare_candidates()
@@ -582,7 +581,7 @@ class ACMESystem:
         the float32 engine default.
         """
         scope = shard.activate() if shard is not None else contextlib.nullcontext()
-        with self._dtype_scope(), scope:
+        with dtype_scope(self.config), scope:
             return run_edge_phases(self.config, edge)
 
     def run_cluster_loop(self) -> List[ClusterResult]:
@@ -595,7 +594,7 @@ class ACMESystem:
         Cluster results come back in edge order (``parallel_map``'s
         input-order contract).
         """
-        with self._dtype_scope():
+        with dtype_scope(self.config):
             shards = [self.network.shard(edge.name) for edge in self.edges]
             try:
                 clusters = parallel_map(

@@ -1,16 +1,12 @@
-"""Pluggable transports: the in-process loopback fabric and real TCP.
+"""The TCP transport: the same protocol between real processes.
 
-Two ways to carry the same protocol:
-
-* :class:`LoopbackTransport` — the existing in-process
-  :class:`~repro.distributed.network.Network`, bit-for-bit unchanged.
-  Every parity test and Table-I byte counter keeps working because this
-  module adds nothing to that path.
-* :class:`TcpTransport` — asyncio TCP streams between real processes.
-  A :class:`WireFabric` (a ``Network`` subclass) resolves non-local
-  receivers to a remote stub, so the fabric's delivery machinery —
-  ledger recording, sequence stamping, fault draws, retry/backoff —
-  runs unchanged over the wire.
+The protocol classes take a :class:`~repro.distributed.network.Network`;
+in one process that is the plain fabric, and this module adds nothing
+to that path.  :class:`TcpTransport` carries it over asyncio TCP
+streams: a :class:`WireFabric` (a ``Network`` subclass) resolves
+non-local receivers to a remote stub, so the fabric's delivery
+machinery — ledger recording, sequence stamping, fault draws,
+retry/backoff — runs unchanged over the wire.
 
 Wire endpoints.  The cloud process runs a :class:`WireHub` (server);
 each edge process runs a :class:`WireLink` (client).  Frames are the
@@ -55,7 +51,6 @@ bit-for-bit (asserted in ``tests/distributed/test_transport.py``).
 
 from __future__ import annotations
 
-import abc
 import asyncio
 import concurrent.futures
 import contextlib
@@ -74,8 +69,6 @@ from repro.distributed.network import Network, _attempt
 
 __all__ = [
     "TransportConfig",
-    "Transport",
-    "LoopbackTransport",
     "TcpTransport",
     "WireFabric",
     "WireHub",
@@ -712,44 +705,14 @@ class _RemoteStub:
 
 
 # ---------------------------------------------------------------------------
-# Transport interface
+# Transport
 # ---------------------------------------------------------------------------
-class Transport(abc.ABC):
-    """A message fabric the protocol can run over.
+class TcpTransport:
+    """One process's end of the TCP fabric (a hub or a link).
 
-    The protocol classes (:class:`~repro.distributed.cloud.CloudServer`,
-    :class:`~repro.distributed.edge.EdgeServer`,
-    :class:`~repro.distributed.device.DeviceNode`) take a ``Network``;
-    a transport owns one and manages its lifecycle.  ``network`` is the
-    full fabric surface (register/send/ledger); the transport adds only
-    start/close.
+    Owns a :class:`WireFabric` — ``network``, the full fabric surface
+    protocol nodes register on and send through — and its lifecycle.
     """
-
-    @property
-    @abc.abstractmethod
-    def network(self) -> Network:
-        """The fabric protocol nodes register on and send through."""
-
-    def start(self) -> None:
-        """Bring up connectivity (no-op for loopback)."""
-
-    def close(self) -> None:
-        """Tear down sockets/threads (no-op for loopback)."""
-
-
-class LoopbackTransport(Transport):
-    """The in-process fabric as a transport — the bit-for-bit default."""
-
-    def __init__(self, network: Optional[Network] = None, ledger: str = "full"):
-        self._network = network if network is not None else Network(ledger)
-
-    @property
-    def network(self) -> Network:
-        return self._network
-
-
-class TcpTransport(Transport):
-    """One process's end of the TCP fabric (a hub or a link)."""
 
     def __init__(self, fabric: WireFabric, endpoint: _Endpoint) -> None:
         self._fabric = fabric

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
@@ -33,15 +33,6 @@ class TrainConfig:
     #: True.  Bit-for-bit identical either way; ``False`` forces the
     #: serial per-device loop (e.g. for A/B benchmarking).
     fleet_training: bool = True
-    #: Executor backend when this config drives a fan-out of independent
-    #: training tasks (:func:`train_headers`): ``"thread"`` (default) or
-    #: ``"process"``.  The process backend forks workers and maps each
-    #: header's parameters write-through over shared memory
-    #: (:mod:`repro.distributed.procpool`); results and final weights
-    #: are bit-for-bit identical across backends.  A single
-    #: :func:`train_header` call never fans out — the knob only matters
-    #: to multi-header callers.
-    backend: str = "thread"
     seed: int = 0
 
 
@@ -95,52 +86,6 @@ def train_model(
         report.epoch_accuracies.append(correct / max(1, total))
     model.eval()
     return report
-
-
-def train_headers(
-    backbone: VisionTransformer,
-    headers: List[Header],
-    datasets: List[ArrayDataset],
-    config: Union[TrainConfig, List[TrainConfig], None] = None,
-    max_workers: Union[int, str, None] = None,
-    freeze_backbone: bool = True,
-) -> List[TrainReport]:
-    """Train many independent headers over one shared (frozen) backbone.
-
-    Each header/dataset pair runs a full :func:`train_header` loop;
-    tasks are state-disjoint (their own header params, optimizer, seeded
-    loader RNG), so the fan-out reproduces the serial loop bit-for-bit
-    in list order for any worker count.  ``config`` is one shared
-    :class:`TrainConfig` or one per header; its ``backend`` field picks
-    the executor backend — with ``"process"``, each header's parameters
-    are mapped write-through into the forked workers so the trained
-    weights land back in the caller's tensors.
-    """
-    if len(headers) != len(datasets):
-        raise ValueError("need exactly one dataset per header")
-    if isinstance(config, (list, tuple)):
-        if len(config) != len(headers):
-            raise ValueError("need exactly one TrainConfig per header")
-        configs = list(config)
-    else:
-        configs = [config or TrainConfig()] * len(headers)
-    backend = configs[0].backend if configs else "thread"
-    from repro.distributed.executor import parallel_map  # lazy: avoids import cycle
-
-    shared = (
-        [list(h.parameters()) for h in headers] if backend == "process" else None
-    )
-    return parallel_map(
-        lambda triple: train_header(
-            backbone, triple[0], triple[1], config=triple[2],
-            freeze_backbone=freeze_backbone,
-        ),
-        list(zip(headers, datasets, configs)),
-        max_workers=max_workers,
-        serial_if_stochastic=(backbone, *headers),
-        backend=backend,
-        shared_params=shared,
-    )
 
 
 def train_header(

@@ -1,5 +1,8 @@
 """Tests for protocol messages and the accounting network."""
 
+import pickle
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,8 @@ from repro.distributed import (
     FaultConfig,
     FaultDecision,
     FaultPolicy,
+    FaultRecord,
+    Ledger,
     Message,
     MessageKind,
     Network,
@@ -318,3 +323,84 @@ class TestFaultShardMerge:
         shard.send(Message("a", "sink", MessageKind.ACK, nbytes=1))
         net.merge_shards([shard])
         assert [f.fault for f in net.fault_log] == ["delay", "expired"]
+
+
+class TestLedger:
+    """One ``Ledger`` from shard to supervisor: fold, expire, clear."""
+
+    @staticmethod
+    def _fields(ledger):
+        """The ledger's state, keyed by ``Ledger``'s own field list."""
+        return {name: getattr(ledger, name) for name in vars(Ledger(ledger.ledger))}
+
+    @staticmethod
+    def _fabric(mode, armed):
+        net = Network(ledger=mode)
+        net.register("sink", lambda m: None)
+        if armed:
+            net.install_fault_policy(
+                ScriptedPolicy(
+                    [
+                        FaultDecision(drop=True),
+                        None,
+                        FaultDecision(duplicate=True),
+                        FaultDecision(delay_deliveries=50),  # never ripens
+                    ],
+                    FaultConfig(retries=1),
+                )
+            )
+        return net
+
+    @staticmethod
+    def _traffic(route):
+        route.send_reliable(Message("a", "sink", MessageKind.CLUSTER_STATS, nbytes=7))
+        route.send(Message("device3", "sink", MessageKind.IMPORTANCE_SET, nbytes=5))
+        route.send(Message("b", "sink", MessageKind.ACK, nbytes=3))
+        route.send(Message("a", "sink", MessageKind.ACK, nbytes=2))
+
+    @pytest.mark.parametrize("armed", [False, True])
+    @pytest.mark.parametrize("mode", ["full", "summary"])
+    def test_absorb_folds_expires_and_clears(self, mode, armed):
+        serial = self._fabric(mode, armed)
+        self._traffic(serial)
+        expected = self._fields(serial)
+        if armed:
+            # What the serial root still holds in flight, the fold expires.
+            ((straggler, _countdown),) = expected["_delayed"]
+            expected["_delayed"] = []
+            expected["fault_log"] = type(serial.fault_log)(
+                [*serial.fault_log, FaultRecord("expired", "ack", "b", "sink", 1)]
+            )
+            expected["_fault_counter"] = serial._fault_counter + Counter(expired=1)
+            assert straggler.sender == "b"
+
+        root = self._fabric(mode, armed)
+        shard = root.shard("edge0")
+        self._traffic(shard)
+        assert self._fields(root) == self._fields(Ledger(mode))  # untouched
+        root.absorb(shard)
+        assert self._fields(shard) == self._fields(Ledger(mode))
+        assert self._fields(root) == expected
+        assert root.fault_counts().get("expired", 0) == int(armed)
+        root.absorb(shard)  # a cleared ledger adds nothing
+        assert self._fields(root) == expected
+
+        root.reset_stats()
+        assert self._fields(root) == self._fields(Ledger(mode))
+
+    def test_detached_ledger_survives_pickling(self):
+        """What an edge process ships home: every field but the log."""
+        fabric = self._fabric("full", armed=True)
+        self._traffic(fabric)
+        detached = Ledger()
+        detached.absorb(fabric)
+        kinds = detached.kind_sequence()
+        detached.log.clear()
+        shipped = pickle.loads(pickle.dumps(detached))
+        assert self._fields(shipped) == self._fields(detached)
+        assert shipped.stats.message_count == len(kinds) == 6
+        total = Ledger()
+        total.absorb(shipped)
+        assert total.fault_counts() == {
+            "drop": 1, "duplicate": 1, "delay": 1, "expired": 1,
+        }

@@ -2,8 +2,8 @@
 
 The acceptance contract of the pluggable transport (ISSUE PR 8):
 
-* ``LoopbackTransport`` is the existing in-process fabric, bit-for-bit —
-  it adds nothing to the loopback path.
+* Loopback is the existing in-process fabric (a bare ``Network``),
+  bit-for-bit — the transport layer adds nothing to that path.
 * A seeded 2-edge campaign over real TCP processes reproduces the
   loopback run's ``kind_sequence()``, traffic ledger and final
   accuracies exactly.
@@ -23,11 +23,7 @@ from repro.distributed.faults import DeliveryError
 from repro.distributed.messages import Message, MessageKind
 from repro.distributed.network import Network
 from repro.distributed.system import ACMEConfig, ACMESystem, run_multiprocess
-from repro.distributed.transport import (
-    LoopbackTransport,
-    TcpTransport,
-    TransportConfig,
-)
+from repro.distributed.transport import TcpTransport, TransportConfig
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -72,15 +68,7 @@ class _Echo:
 
 
 class TestLoopbackTransport:
-    def test_wraps_plain_network(self):
-        transport = LoopbackTransport()
-        assert type(transport.network) is Network
-        transport.start()
-        transport.close()  # both no-ops
-
-    def test_accepts_existing_network(self):
-        network = Network()
-        assert LoopbackTransport(network).network is network
+    """The loopback transport is a bare ``Network``."""
 
     def test_system_runs_unchanged_over_loopback_transport(self):
         from repro.distributed.cloud import CloudServer
@@ -93,24 +81,25 @@ class TestLoopbackTransport:
         from repro.nn.tensor import using_dtype
 
         cfg = _config(num_clusters=1, devices_per_cluster=2)
-        transport = LoopbackTransport()
+        network = Network()
         with using_dtype(cfg.compute_dtype):
             data = build_fleet_data(cfg)
             cloud = CloudServer(
                 VisionTransformer(cfg.vit, seed=cfg.seed),
                 data.public_dataset,
-                transport.network,
+                network,
                 cfg.cloud,
             )
             cloud.pretrain_reference()
             cloud.generate_dynamic_backbone()
             cloud.prepare_candidates()
-            edge = build_cluster(cfg, data, 0, transport.network)
-            transport.start()
+            edge = build_cluster(cfg, data, 0, network)
             result = run_edge_phases(cfg, edge)
-        transport.close()
         assert result.device_accuracies
         assert all(p == 1.0 for p in result.round_participation)
+        system = ACMESystem(cfg)
+        assert result.device_accuracies == system.run().clusters[0].device_accuracies
+        assert network.kind_sequence() == system.network.kind_sequence()
 
 
 class TestRegisterIdempotency:
