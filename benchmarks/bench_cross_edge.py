@@ -2,7 +2,7 @@
 
 PR 4 routes the per-edge phase-2/3/4 pipeline (backbone request, header
 NAS, aggregation loop, finalize) through ``repro.distributed.executor``
-with ``ACMEConfig.parallel_edges`` workers, each edge sending through
+with ``ExecutionPlan.edge_workers`` workers, each edge sending through
 its own :class:`~repro.distributed.network.NetworkShard`.  This bench
 measures that cluster loop on an 8-edge fleet and records two
 comparisons into the ``BENCH_perf.json`` trajectory (merged with the
@@ -17,7 +17,7 @@ existing records, their floors untouched):
   reflects the real workload balance, and it is the record the ≥1.5×
   floor is asserted on because it is hardware-independent.
 * ``cross_edge_wallclock_4workers`` — the actual wall-clock of the
-  ``parallel_edges=4`` cluster loop vs the serial sum **on this host**.
+  ``edge_workers=4`` cluster loop vs the serial sum **on this host**.
   On a host with ≥4 cores this approaches the makespan bound, so the
   record asserts a conservative real speedup floor (≥1.3×); on a
   smaller box it degrades to roughly serial and the floor relaxes to
@@ -48,6 +48,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from _common import emit_perf, perf_record
 
+from repro.distributed.executor import ExecutionPlan
 from repro.distributed.metrics import schedule_length
 from repro.distributed.system import ACMEConfig, ACMESystem
 
@@ -140,7 +141,7 @@ def bench_cross_edge(smoke: bool = False):
     serial_system.network.merge_shards(shards)
     serial_total = sum(durations)
 
-    parallel_system = ACMESystem(_fleet_config(smoke, parallel_edges=WORKERS))
+    parallel_system = ACMESystem(_fleet_config(smoke, execution=ExecutionPlan(edge_workers=WORKERS)))
     parallel_system.run_cloud_phases()
     start = time.perf_counter()
     parallel_clusters = parallel_system.run_cluster_loop()

@@ -2,7 +2,7 @@
 
 The finalize/eval phase (per-device fine-tune + evaluation) is
 embarrassingly parallel across a cluster — PR 2 routes it through
-``repro.distributed.executor`` with ``ACMEConfig.parallel_devices``
+``repro.distributed.executor`` with ``ExecutionPlan.device_workers``
 workers.  This bench measures that cluster phase on an 8-device cluster
 and records two comparisons into the ``BENCH_perf.json`` trajectory
 (merged with the existing hot-path records, their floors untouched):
@@ -17,7 +17,7 @@ and records two comparisons into the ``BENCH_perf.json`` trajectory
   it is the record the ≥1.5× floor is asserted on because it is
   hardware-independent.
 * ``cluster_finalize_wallclock_4workers`` — the actual wall-clock of
-  ``edge.finalize(max_workers=4)`` vs the serial loop **on this host**.
+  ``edge.finalize()`` under a 4-wide plan vs the serial loop **on this host**.
   On a host with ≥4 cores this approaches the makespan bound (the heavy
   kernels release the GIL), so the record asserts a conservative real
   speedup floor (≥1.3×); on a smaller box it degrades to roughly
@@ -45,7 +45,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from _common import emit_perf, perf_record
 
-from repro.distributed.executor import parallel_map
+from repro.distributed.executor import ExecutionPlan, parallel_map
 from repro.distributed.metrics import schedule_length
 from repro.distributed.system import ACMEConfig, ACMESystem
 
@@ -75,9 +75,10 @@ def _wallclock_floor() -> float:
     )
 
 
-def _cluster_config() -> ACMEConfig:
+def _cluster_config(device_workers=None) -> ACMEConfig:
     """One cluster x 8 devices, float64 (the parity-auditable mode)."""
     return ACMEConfig(
+        execution=ExecutionPlan(device_workers=device_workers),
         num_clusters=1,
         devices_per_cluster=DEVICES,
         num_classes=6,
@@ -105,10 +106,10 @@ def _assert_executor_fans_out() -> None:
 def bench_cluster_finalize():
     _assert_executor_fans_out()
     # Two bit-identical systems: one runs the cluster phase serially
-    # (timed per device), the other through the 4-worker executor.
+    # (timed per device), the other through the 4-worker plan.
     serial_system = ACMESystem(_cluster_config())
     serial_system.run()
-    parallel_system = ACMESystem(_cluster_config())
+    parallel_system = ACMESystem(_cluster_config(device_workers=WORKERS))
     parallel_system.run()
 
     serial_edge = serial_system.edges[0]
@@ -121,7 +122,7 @@ def bench_cluster_finalize():
     serial_total = sum(durations)
 
     start = time.perf_counter()
-    parallel_results = parallel_system.edges[0].finalize(max_workers=WORKERS)
+    parallel_results = parallel_system.edges[0].finalize()
     parallel_wall = time.perf_counter() - start
 
     # Parity: float64 serial and parallel cluster phases must agree

@@ -6,7 +6,7 @@ Two comparisons, recorded into the ``BENCH_perf.json`` trajectory
 * ``process_pool_importance_rounds`` — an 8-device importance-round
   fan-out (Algorithm 2's per-device phase: a taped DAG-header forward /
   backward per batch, the GIL-bound workload the process backend
-  exists for) through ``parallel_map(backend="process")`` with 4
+  exists for) through an ``ExecutionPlan(backend="process")`` with 4
   workers.  On a host with ≥4 cores this is measured **wall-clock
   against the thread backend** — the honest past-the-GIL claim — with
   a ≥1.5× floor.  On a smaller host (single-core CI) no real
@@ -51,7 +51,7 @@ from _common import emit_perf, perf_record, timed
 
 from repro.core.header_importance import ImportanceConfig, compute_importance_set
 from repro.data.synthetic import make_cifar100_like
-from repro.distributed.executor import parallel_map
+from repro.distributed.executor import ExecutionPlan
 from repro.distributed.metrics import schedule_length
 from repro.distributed.procpool import fork_available
 from repro.models.blocks import HeaderSpec
@@ -128,10 +128,11 @@ def bench_process_pool_importance(smoke: bool):
         # The process backend must reproduce the serial sets exactly —
         # results travel back over the wire codec, header parameters
         # over shared memory.
+        threads = ExecutionPlan(device_workers=WORKERS)
+        processes = ExecutionPlan(device_workers=WORKERS, backend="process")
         process_items, process_shared = make_items()
-        process_sets = parallel_map(
-            task, process_items, max_workers=WORKERS, backend="process",
-            shared_params=process_shared,
+        process_sets = processes.map_devices(
+            task, process_items, shared_params=process_shared
         )
         for a, b in zip(serial_sets, process_sets):
             np.testing.assert_array_equal(a, b)
@@ -142,13 +143,11 @@ def bench_process_pool_importance(smoke: bool):
 
             def run_threads():
                 fresh, _ = make_items()
-                return parallel_map(task, fresh, max_workers=WORKERS,
-                                    backend="thread")
+                return threads.map_devices(task, fresh)
 
             def run_processes():
                 fresh, shared = make_items()
-                return parallel_map(task, fresh, max_workers=WORKERS,
-                                    backend="process", shared_params=shared)
+                return processes.map_devices(task, fresh, shared_params=shared)
 
             thread_run = timed(run_threads, repeats=repeats, warmup=1)
             process_run = timed(run_processes, repeats=repeats, warmup=1)

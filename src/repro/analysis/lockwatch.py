@@ -1,9 +1,9 @@
 """Runtime lock-order / deadlock detector for registered engine locks.
 
 The engine's concurrency contract is that locks nest in one global
-order — ``parallel_edges × parallel_devices`` fan-outs mean any two
-locks acquired nested in opposite orders by two threads will
-eventually deadlock a real run.  This module makes that contract
+order — cross-edge × per-device fan-outs (an ``ExecutionPlan``'s two
+tiers) mean any two locks acquired nested in opposite orders by two
+threads will eventually deadlock a real run.  This module makes that contract
 checkable: while **armed**, every lock created through
 :func:`repro.analysis.registry.register_lock` is wrapped in a
 :class:`_WatchedLock` proxy that

@@ -20,26 +20,29 @@ from typing import List, Optional
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.distributed import ACMEConfig, ACMESystem, FaultConfig
+    from repro.distributed import ACMEConfig, ACMESystem, ExecutionPlan, FaultConfig
 
     fault_config = FaultConfig.parse(args.faults) if args.faults else None
-    config = ACMEConfig(
-        num_clusters=args.clusters,
-        devices_per_cluster=args.devices,
-        num_classes=args.classes,
-        samples_per_class=args.samples,
-        parallel_devices=args.workers,
-        parallel_edges=args.edge_workers,
-        backend=args.backend,
-        fleet_training=args.fleet,
-        fault_config=fault_config,
-        seed=args.seed,
-    )
-    if args.quorum is not None:
-        config.edge.round_quorum = args.quorum
     try:
-        # The same check every aggregation_loop runs, made before the
-        # cloud phases are paid for.
+        # Bad specs are named here, before the cloud phases are paid
+        # for: the plan range-checks itself, and checked_rounds() is the
+        # check every aggregation_loop runs.
+        config = ACMEConfig(
+            num_clusters=args.clusters,
+            devices_per_cluster=args.devices,
+            num_classes=args.classes,
+            samples_per_class=args.samples,
+            execution=ExecutionPlan(
+                edge_workers=args.edge_workers,
+                device_workers=args.workers,
+                backend=args.backend,
+                fleet_batched=args.fleet,
+            ),
+            fault_config=fault_config,
+            seed=args.seed,
+        )
+        if args.quorum is not None:
+            config.edge.round_quorum = args.quorum
         config.edge.checked_rounds()
     except ValueError as err:
         print(f"repro-cli run: error: {err}", file=sys.stderr)
@@ -149,26 +152,27 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker threads for the per-device cluster phases "
-        "(1 = serial, -1 = all CPU cores); any value reproduces the "
-        "serial results exactly",
+        help="ExecutionPlan.device_workers: width of the fan-outs inside "
+        "an edge — per-device importance rounds and finalize/eval, NAS "
+        "child scoring (1 = serial, -1 = all CPU cores); any value "
+        "reproduces the serial results exactly",
     )
     run.add_argument(
         "--edge-workers",
         type=int,
         default=1,
-        help="worker threads for the cluster dimension (each runs one "
-        "edge's whole pipeline; 1 = serial, -1 = all CPU cores); "
-        "composes with --workers under a shared thread budget, and any "
-        "value reproduces the serial results — traffic ledger included — "
-        "exactly",
+        help="ExecutionPlan.edge_workers: worker threads for the cluster "
+        "dimension (each runs one edge's whole pipeline; 1 = serial, "
+        "-1 = all CPU cores); composes with --workers under a shared "
+        "host budget, and any value reproduces the serial results — "
+        "traffic ledger included — exactly",
     )
     run.add_argument(
         "--backend",
-        choices=["thread", "process"],
         default="thread",
-        help="executor backend for the per-device fan-outs: 'thread' "
-        "overlaps the GIL-releasing numpy kernels; 'process' forks a "
+        help="ExecutionPlan.backend: executor backend of the --workers "
+        "tier, 'thread' or 'process'.  'thread' overlaps the "
+        "GIL-releasing numpy kernels; 'process' forks a "
         "worker pool with device headers mapped over shared memory, so "
         "the tape-bound phases (importance rounds, NAS child scoring) "
         "scale past the GIL.  Either backend reproduces the serial "
@@ -177,7 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--fleet",
         action="store_true",
-        help="fleet-batch each cluster's local training: one computation "
+        help="ExecutionPlan.fleet_batched: fleet-batch each cluster's "
+        "local training — one computation "
         "graph and one fused optimizer step per round for all of an "
         "edge's headers; reproduces the per-device results exactly",
     )

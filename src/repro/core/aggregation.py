@@ -19,7 +19,7 @@ reproduce the Fig. 11 comparison:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +33,9 @@ from repro.data.dataset import ArrayDataset
 from repro.models.header_dag import DAGHeader
 from repro.models.vit import VisionTransformer
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.distributed.executor import ExecutionPlan
+
 AGGREGATION_METHODS = ("alone", "average", "js", "ours")
 
 
@@ -42,17 +45,8 @@ def aggregation_weights(
     backbone: Optional[VisionTransformer] = None,
     datasets: Optional[Sequence[ArrayDataset]] = None,
     seed: int = 0,
-    max_workers: Union[int, str, None] = None,
-    backend: str = "thread",
 ) -> np.ndarray:
-    """Row-stochastic weight matrix Ŵ for one aggregation method.
-
-    ``max_workers`` fans the per-device feature extraction of the
-    similarity-based methods out across executor workers — ``backend``
-    selects threads or forked processes (same contract as
-    :func:`repro.core.similarity.build_similarity_matrix`: any worker
-    count and either backend yields the same matrix).
-    """
+    """Row-stochastic weight matrix Ŵ for one aggregation method."""
     if method not in AGGREGATION_METHODS:
         raise ValueError(f"unknown method {method!r}; options: {AGGREGATION_METHODS}")
     if method == "alone":
@@ -62,14 +56,7 @@ def aggregation_weights(
     if backbone is None or datasets is None:
         raise ValueError(f"method {method!r} needs a backbone and device datasets")
     metric = "wasserstein" if method == "ours" else "js"
-    return build_similarity_matrix(
-        backbone,
-        list(datasets),
-        metric=metric,
-        seed=seed,
-        max_workers=max_workers,
-        backend=backend,
-    )
+    return build_similarity_matrix(backbone, list(datasets), metric=metric, seed=seed)
 
 
 def aggregate_importance_sets(
@@ -253,8 +240,7 @@ def personalized_architecture_aggregation(
     method: str = "ours",
     importance_config: Optional[ImportanceConfig] = None,
     seed: int = 0,
-    max_workers: Union[int, str, None] = None,
-    backend: str = "thread",
+    plan: Optional[ExecutionPlan] = None,
 ) -> AggregationResult:
     """Algorithm 2: generate fine headers for one device cluster.
 
@@ -274,16 +260,14 @@ def personalized_architecture_aggregation(
         the mask can both shrink and recover as importance estimates evolve.
     method:
         One of :data:`AGGREGATION_METHODS`.
-    max_workers:
-        Worker threads for the per-device fan-outs (feature extraction
-        for the similarity matrix, and each round's importance sets).
-        Per-device work is state-disjoint and results stay in device
-        order, so any worker count reproduces the serial result.
-        ``backend="process"`` runs the same fan-outs on forked workers,
-        with each round's header mutations written through shared
-        memory — still bit-identical to the serial loop.
+    plan:
+        Where each round's per-device importance sets are computed
+        (``None`` = serial).  Per-device work is state-disjoint and
+        results stay in device order, so any width reproduces the serial
+        result; under the process backend each round's header mutations
+        are written through shared memory — still bit-identical.
     """
-    from repro.distributed.executor import parallel_map  # lazy: avoids import cycle
+    from repro.distributed.executor import ExecutionPlan  # lazy: avoids import cycle
 
     if len(headers) != len(datasets):
         raise ValueError("need exactly one dataset per header")
@@ -292,22 +276,18 @@ def personalized_architecture_aggregation(
 
     n = len(headers)
     # Algorithm 2 line 2: the similarity matrix is computed once, up front.
-    weights = aggregation_weights(
-        method, n, backbone, datasets, seed=seed, max_workers=max_workers,
-        backend=backend,
-    )
+    weights = aggregation_weights(method, n, backbone, datasets, seed=seed)
+    plan = plan or ExecutionPlan()
     result = AggregationResult(headers=list(headers), weights=weights)
 
     for t in range(num_rounds):
         config = importance_config or ImportanceConfig(seed=seed + t)
-        importance_sets = parallel_map(
+        importance_sets = plan.map_devices(
             lambda pair: compute_importance_set(
                 backbone, pair[0], pair[1], config=config
             ),
             list(zip(headers, datasets)),
-            max_workers=max_workers,
             serial_if_stochastic=(backbone,),
-            backend=backend,
             shared_params=[list(h.parameters()) for h in headers],
         )
         upload = sum(q.nbytes for q in importance_sets)  # devices upload Q_n (line 6)

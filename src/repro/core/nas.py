@@ -18,7 +18,7 @@ available as a fast path (features are then cached across steps).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -36,6 +36,9 @@ from repro.nn import functional as F
 from repro.nn.layers import Activation, Linear, Module, Sequential
 from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.tensor import Tensor, no_grad
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.distributed.executor import ExecutionPlan
 
 
 class SharedOpPool:
@@ -86,19 +89,6 @@ class NASConfig:
     val_fraction: float = 0.3
     train_backbone: bool = True  # paper: backbone NOT frozen in stage 2-1
     grad_clip: float = 5.0
-    #: Worker threads for child scoring (controller updates + derivation).
-    #: Children are sampled and built serially — so the controller RNG
-    #: stream and lazy shared-pool builds happen in the serial order —
-    #: then scored concurrently (pure inference, deterministic results in
-    #: sample order).  ``None``/0/1 = serial; -1/"auto" = CPU count.
-    parallel_workers: Union[int, str, None] = None
-    #: Executor backend for the child-scoring fan-out: ``"thread"``
-    #: (default) or ``"process"``.  Scoring reads shared state (the
-    #: backbone, the op pool) and writes none that outlives the task —
-    #: rewards come back over the result pipe — so the process backend
-    #: needs no shared-memory arena here; it simply moves the tape-bound
-    #: child forwards past the GIL.  Deterministic either way.
-    backend: str = "thread"
     seed: int = 0
 
 
@@ -122,10 +112,13 @@ class HeaderSearch:
         backbone: VisionTransformer,
         num_classes: int,
         config: Optional[NASConfig] = None,
+        plan: Optional[ExecutionPlan] = None,
     ) -> None:
         self.backbone = backbone
         self.num_classes = num_classes
         self.config = config or NASConfig()
+        #: Where child scoring fans out (``None`` = serial).
+        self.plan = plan
         cfg = self.config
         self.rng = np.random.default_rng(cfg.seed)
         embed_dim = backbone.config.embed_dim
@@ -307,29 +300,29 @@ class HeaderSearch:
     def _score_specs(
         self, specs: List[HeaderSpec], dataset: ArrayDataset, max_batches: int = 4
     ) -> List[float]:
-        """Validation rewards for many specs, fanned out over workers.
+        """Validation rewards for many specs, fanned out over the plan.
 
         Children are built serially first (lazy shared-pool operations
         must be created in the deterministic sample order), then scored
-        through the executor with rewards returned in spec order — so
-        any worker count reproduces the serial loop exactly.  Scoring
+        on the plan's inner tier with rewards returned in spec order — so
+        any width and either backend reproduces the serial loop exactly
+        (scoring reads shared state and writes none that outlives the
+        task, so forked workers need no shared-memory arena).  Scoring
         drops to serial if a forward through the shared backbone or pool
         would consume module-local RNG (training-mode dropout), since
         concurrent draws from one generator are neither deterministic
         nor safe.
         """
-        from repro.distributed.executor import parallel_map  # lazy: avoids import cycle
+        from repro.distributed.executor import ExecutionPlan  # lazy: avoids import cycle
 
         children = [self.build_child(spec) for spec in specs]
         features_by_batch = self._prefetch_scoring_features(dataset, max_batches)
-        return parallel_map(
+        return (self.plan or ExecutionPlan()).map_devices(
             lambda child: self._evaluate_child(
                 child, dataset, max_batches, features_by_batch=features_by_batch
             ),
             children,
-            max_workers=self.config.parallel_workers,
             serial_if_stochastic=(self.backbone, *children),
-            backend=self.config.backend,
         )
 
     def _update_controller(self, val_set: ArrayDataset) -> float:

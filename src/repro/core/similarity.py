@@ -24,7 +24,7 @@ the oracles the equivalence tests compare against.
 
 from __future__ import annotations
 
-from typing import Dict, Final, Optional, Sequence, Tuple, Union
+from typing import Dict, Final, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -282,48 +282,34 @@ def build_similarity_matrix(
     max_samples: int = 64,
     seed: int = 0,
     temperature: float = 0.05,
-    max_workers: Union[int, str, None] = None,
-    batched: bool = True,
-    backend: str = "thread",
 ) -> np.ndarray:
     """End-to-end Eq. (19)+(20): Ŵ_s from device datasets.
 
     Returns the row-stochastic matrix used as aggregation weights in
     Eq. (21).  See :func:`regularize_similarity` for the temperature.
 
-    With ``batched`` (the default) all datasets' feature samples are
-    served through **one** stacked tape-free forward of the shared model
+    All datasets' feature samples are served through **one** stacked
+    tape-free forward of the shared model
     (:func:`repro.train.serving.batched_extract_features`) — per-sample
-    results, and hence the matrix, are identical to per-dataset forwards.
-    Otherwise extraction is an independent forward per dataset, fanned
-    out across ``max_workers`` executor workers (``backend`` selects
-    threads or forked processes; extraction is read-only, so the
-    process backend needs no shared state) with features kept in
-    dataset order, so any worker count yields the same matrix.  If the shared
-    model would consume module-local RNG during forwards (a
-    training-mode ``Dropout`` with ``p > 0``), batching is skipped and
-    the fan-out drops to serial so a single deterministic stream is
-    preserved.
+    results, and hence the matrix, are identical to per-dataset
+    forwards.  If the shared model would consume module-local RNG during
+    forwards (a training-mode ``Dropout`` with ``p > 0``), extraction is
+    instead a serial loop of one forward per dataset, so a single
+    deterministic stream is preserved.
     """
-    from repro.distributed.executor import parallel_map  # lazy: avoids import cycle
     from repro.nn.layers import has_active_stochastic_modules
 
-    if batched and not has_active_stochastic_modules(model):
+    if not has_active_stochastic_modules(model):
         from repro.train.serving import batched_extract_features
 
         features = batched_extract_features(
             model, list(datasets), max_samples=max_samples, seed=seed
         )
     else:
-        features = parallel_map(
-            lambda pair: extract_features(
-                model, pair[1], max_samples=max_samples, seed=seed + pair[0]
-            ),
-            list(enumerate(datasets)),
-            max_workers=max_workers,
-            serial_if_stochastic=(model,),
-            backend=backend,
-        )
+        features = [
+            extract_features(model, dataset, max_samples=max_samples, seed=seed + i)
+            for i, dataset in enumerate(datasets)
+        ]
     distances = distance_matrix(features, metric=metric, seed=seed)
     return regularize_similarity(
         similarity_from_distances(distances), temperature=temperature

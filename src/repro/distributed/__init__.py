@@ -4,11 +4,10 @@ from repro.distributed.cloud import CloudConfig, CloudServer
 from repro.distributed.device import DeviceNode
 from repro.distributed.edge import EdgeConfig, EdgeServer
 from repro.distributed.executor import (
+    ExecutionPlan,
     WorkerSpec,
     parallel_map,
-    parallel_starmap,
     resolve_workers,
-    split_worker_budget,
 )
 from repro.distributed.faults import (
     DeliveryError,
@@ -53,6 +52,7 @@ __all__ = [
     "DeviceNode",
     "EdgeConfig",
     "EdgeServer",
+    "ExecutionPlan",
     "FaultConfig",
     "FaultDecision",
     "FaultPolicy",
@@ -73,12 +73,10 @@ __all__ = [
     "centralized_upload_bytes",
     "energy_efficiency_ratio",
     "parallel_map",
-    "parallel_starmap",
     "payload_nbytes",
     "relative_upload",
     "resolve_workers",
     "run_multiprocess",
     "schedule_length",
     "size_efficiency_ratio",
-    "split_worker_budget",
 ]

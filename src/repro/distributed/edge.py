@@ -30,7 +30,7 @@ from repro.core.similarity import (
 )
 from repro.data.dataset import ArrayDataset
 from repro.distributed.device import DeviceNode
-from repro.distributed.executor import WorkerSpec, parallel_map
+from repro.distributed.executor import ExecutionPlan
 from repro.distributed.faults import DeliveryError, ProtocolError
 from repro.distributed.messages import Message, MessageKind, payload_nbytes
 from repro.distributed.network import Network
@@ -40,6 +40,10 @@ from repro.hw.profiles import cluster_statistics
 from repro.models.blocks import HeaderSpec
 from repro.models.vit import VisionTransformer
 from repro.train import serving
+
+
+#: The plan of every fan-out that must not fan out.
+_SERIAL = ExecutionPlan()
 
 
 @dataclass
@@ -53,31 +57,6 @@ class EdgeConfig:
     aggregation_rounds: int = 2  # T in Algorithm 2
     keep_fraction: float = 0.7
     similarity_metric: str = "wasserstein"  # "wasserstein" (ours) or "js"
-    #: Worker threads for the per-device fan-outs (importance rounds and
-    #: finalize/eval).  ``None``/0/1 = serial; -1/"auto" = CPU count.
-    #: Results are ordered by device, so any worker count reproduces the
-    #: serial run exactly (see repro.distributed.executor).
-    parallel_devices: WorkerSpec = None
-    #: Executor backend for those fan-outs: ``"thread"`` (default) or
-    #: ``"process"``.  The process backend forks workers that mutate
-    #: each device's header through a shared-memory mapping
-    #: (:mod:`repro.distributed.procpool`) — bit-for-bit identical to
-    #: the thread and serial paths, but scaling the tape-bound phases
-    #: past the GIL.  Lazy-state clusters (``DeviceStateLRU``) already
-    #: run their rounds serially, so the backend only applies to live
-    #: clusters whose headers exist in the parent.
-    backend: str = "thread"
-    #: Fleet-batched local **training**: run the cluster's per-device
-    #: header updates (the aggregation loop's importance rounds and the
-    #: finalize fine-tune) as one computation graph per round with a
-    #: single fused fleet-optimizer step (:mod:`repro.train.fleet`).
-    #: Bit-for-bit identical to the per-device loops under float64 —
-    #: losses, weights, importance sets, and the traffic ledger.  When
-    #: enabled it **replaces** the ``parallel_devices`` fan-out for
-    #: those phases (the stacked graph already amortizes what the
-    #: threads would); eligibility falls back to the per-device path for
-    #: stochastic models or heterogeneous backbones.
-    fleet_training: bool = False
     #: Degraded-mode quorum: the fraction of a round's *participating*
     #: devices whose fresh importance sets must arrive before the round
     #: aggregates.  1.0 (the default) is today's all-replies behavior —
@@ -150,12 +129,15 @@ class EdgeServer:
         network: Network,
         config: Optional[EdgeConfig] = None,
         cloud_name: str = "cloud",
+        plan: ExecutionPlan = _SERIAL,
     ) -> None:
         self.index = index
         self.devices = list(devices)
         self.shared_dataset = shared_dataset
         self.network = network
         self.config = config or EdgeConfig()
+        #: Where this cluster's fan-outs run (already budget-split).
+        self.plan = plan
         self.cloud_name = cloud_name
         self.name = f"edge{index}"
         self.backbone: Optional[VisionTransformer] = None
@@ -252,7 +234,9 @@ class EdgeServer:
         """ENAS search for the coarse header on the shared dataset."""
         assert self.backbone is not None, "request_backbone() first"
         num_classes = self.shared_dataset.num_classes
-        self.search = HeaderSearch(self.backbone, num_classes, self.config.nas)
+        self.search = HeaderSearch(
+            self.backbone, num_classes, self.config.nas, plan=self.plan
+        )
         result = self.search.search(self.shared_dataset)
         self.header_spec = result.spec
         return result.spec
@@ -350,7 +334,7 @@ class EdgeServer:
         # member's header across the whole stacked graph, which the LRU
         # could evict (snapshotting stale values) mid-round.
         if not (
-            self.config.fleet_training
+            self.plan.fleet_batched
             and len(devices) > 1
             and all(d.state_store is None for d in devices)
             and all(d.backbone is not None and d.header is not None for d in devices)
@@ -490,17 +474,11 @@ class EdgeServer:
             # accumulation) are independent per device — fan out.  The
             # network sends stay serial and in device order so the
             # traffic ledger and message sequence match the serial run.
-            # Lazy devices (state in a DeviceStateLRU) run serially: a
-            # concurrent hydration could evict a peer whose header
-            # another worker is mid-way through training.
-            lazy = any(d.state_store is not None for d in participants)
-            messages = parallel_map(
+            messages = self._fan_out_plan(participants).map_devices(
                 lambda device: device.importance_round(
                     include_feature_sample=include_features, round_index=t
                 ),
                 participants,
-                max_workers=None if lazy else config.parallel_devices,
-                backend=config.backend,
                 shared_params=self._shared_header_params(participants),
             )
             self._harvest_feature_samples(participants, messages)
@@ -604,17 +582,27 @@ class EdgeServer:
         return len(fresh)
 
     # ------------------------------------------------------------------
+    def _fan_out_plan(self, devices: Sequence[DeviceNode]) -> ExecutionPlan:
+        """The plan a per-device fan-out over ``devices`` runs under.
+
+        Lazy devices (state in a DeviceStateLRU) run serially: a
+        concurrent hydration could evict a peer whose header another
+        worker is mid-way through training.
+        """
+        lazy = any(d.state_store is not None for d in devices)
+        return _SERIAL if lazy else self.plan
+
     def _shared_header_params(self, devices: Sequence[DeviceNode]):
-        """Write-through state for a process-backend fan-out.
+        """Write-through state for a fan-out whose workers are forked.
 
         A device's round task (importance round / finetune / finalize)
         mutates exactly its own header parameters, so those are what the
         process backend maps into shared memory; every other mutation
-        (prune masks, the network ledger) happens in the parent.  Thread
-        and serial backends share memory natively — return ``None`` so
-        the executor skips the arena entirely.
+        (prune masks, the network ledger) happens in the parent.  Workers
+        that share the parent heap need nothing — return ``None`` so the
+        executor skips the arena entirely.
         """
-        if self.config.backend != "process":
+        if self.plan.workers_share_heap:
             return None
         return [
             list(d.header.parameters()) if d.header is not None else []
@@ -624,7 +612,7 @@ class EdgeServer:
     def _harvest_feature_samples(
         self, devices: Sequence[DeviceNode], messages: Sequence[Message]
     ) -> None:
-        """Re-seat the per-device feature-sample cache after a process round.
+        """Re-seat the per-device feature-sample cache after a forked round.
 
         A forked worker's assignment to ``device._feature_sample`` is
         private to the worker; the sample itself still travels back in
@@ -633,7 +621,7 @@ class EdgeServer:
         deterministic pure function of the frozen backbone and seed, so
         this is a wall-clock concern, never a value one).
         """
-        if self.config.backend != "process":
+        if self.plan.workers_share_heap:
             return
         for device, message in zip(devices, messages):
             sample = message.payload.get("feature_sample")
@@ -641,19 +629,12 @@ class EdgeServer:
                 device._feature_sample = sample
 
     # ------------------------------------------------------------------
-    #: Sentinel distinguishing "caller did not pass max_workers" (use the
-    #: config) from an explicit ``None`` (serial, per the executor contract).
-    _USE_CONFIG_WORKERS = object()
-
-    def finalize(self, max_workers: WorkerSpec = _USE_CONFIG_WORKERS) -> List[dict]:
+    def finalize(self) -> List[dict]:
         """Final device-side fine-tuning and evaluation.
 
         Each device's finetune+eval touches only that device's state, so
-        the loop fans out across ``max_workers`` threads; results stay in
-        device order.  When the argument is omitted the config's
-        ``parallel_devices`` applies; an explicit value — including
-        ``None``/0/1 for serial — follows the
-        :mod:`repro.distributed.executor` contract verbatim.
+        the loop fans out across the plan's inner tier; results stay in
+        device order.
 
         For a cluster whose devices all hold the same frozen backbone —
         the invariant :meth:`distribute_models` establishes — the
@@ -662,15 +643,13 @@ class EdgeServer:
         instead of one forward per device; fine-tuning still fans out.
         Both halves are numerically identical to the per-device loop.
         """
-        if max_workers is EdgeServer._USE_CONFIG_WORKERS:
-            max_workers = self.config.parallel_devices
         # Only devices that are on the fabric and actually hold a model
         # reach the finale; a dead or never-provisioned device yields no
         # result row (the cluster's participation metric reports it).
         devices = [d for d in self.devices if d.active and d.has_model]
         if not devices:
             return []
-        # A lazy cluster runs serially (see ``_exchange``) in LRU-capacity
+        # A lazy cluster runs serially (``_fan_out_plan``) in LRU-capacity
         # chunks, so each chunk is simultaneously live and its evaluation
         # can still ride one batched backbone forward; an all-live
         # cluster is one chunk.  Per-device results are row-independent
@@ -679,21 +658,17 @@ class EdgeServer:
         chunk_size = len(devices)
         stores = [d.state_store for d in devices if d.state_store is not None]
         if stores:
-            max_workers = None
             chunk_size = min(store.capacity for store in stores)
         results: List[dict] = []
         for start in range(0, len(devices), chunk_size):
-            results.extend(
-                self._finalize_chunk(devices[start : start + chunk_size], max_workers)
-            )
+            results.extend(self._finalize_chunk(devices[start : start + chunk_size]))
         return results
 
-    def _finalize_chunk(
-        self, devices: List[DeviceNode], max_workers: WorkerSpec
-    ) -> List[dict]:
+    def _finalize_chunk(self, devices: List[DeviceNode]) -> List[dict]:
         """Fine-tune then evaluate devices that fit in memory together."""
         for device in devices:
             device._ensure_live()
+        plan = self._fan_out_plan(devices)
         # One equivalence sweep feeds both the batched-serving and the
         # fleet eligibility checks.
         backbones_equal = len(devices) > 1 and serving.backbones_equivalent(
@@ -716,11 +691,9 @@ class EdgeServer:
                 [d.finetune_config() for d in devices],
             )
         else:
-            parallel_map(
+            plan.map_devices(
                 lambda device: device.finetune(),
                 devices,
-                max_workers=max_workers,
-                backend=self.config.backend,
                 shared_params=self._shared_header_params(devices),
             )
         if backbones_equal:
@@ -730,9 +703,4 @@ class EdgeServer:
                 [d.eval_dataset() for d in devices],
             )
         # Evaluation is read-only — no write-through state to share.
-        return parallel_map(
-            lambda device: device.evaluate(),
-            devices,
-            max_workers=max_workers,
-            backend=self.config.backend,
-        )
+        return plan.map_devices(lambda device: device.evaluate(), devices)

@@ -34,6 +34,14 @@ single-core host they degrade gracefully to roughly serial wall-clock
 with identical results.  ``backend="process"`` silently downgrades to
 threads inside a pool worker (no nested forking) and on platforms
 without the ``fork`` start method.
+
+:func:`parallel_map` is the single primitive.  *Which* widths and
+backend a system run uses is declared once, on an
+:class:`ExecutionPlan` (cross-edge width, inner per-device / NAS-child
+width, the inner tier's backend, fleet-batching): the config holds one,
+its worker budget is split once where clusters are built, and every
+layer that fans out is handed the plan and calls ``plan.map_edges`` /
+``plan.map_devices`` instead of re-declaring the knobs.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ from __future__ import annotations
 import contextvars
 import os
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, List, Optional, Sequence, TypeVar, Union
 
 from repro.distributed.procpool import ExecutorError  # noqa: F401  (re-export)
@@ -50,18 +59,14 @@ R = TypeVar("R")
 
 WorkerSpec = Union[int, str, None]
 
-#: Executor backends accepted everywhere a ``backend`` knob exists
-#: (``parallel_map``, ``ACMEConfig``, ``repro-cli run --backend``).
+#: Executor backends: what :func:`parallel_map` accepts and what an
+#: :class:`ExecutionPlan` (hence ``repro-cli run --backend``) may name.
 BACKENDS = ("thread", "process")
 
 
-def resolve_backend(backend: Optional[str]) -> str:
-    """Validate a backend spec (``None`` means the thread default)."""
-    if backend is None:
-        return "thread"
+def _check_backend(backend: str) -> None:
     if backend not in BACKENDS:
         raise ValueError(f"unknown executor backend {backend!r}; use one of {BACKENDS}")
-    return backend
 
 
 def resolve_workers(max_workers: WorkerSpec, num_tasks: Optional[int] = None) -> int:
@@ -92,54 +97,6 @@ def resolve_workers(max_workers: WorkerSpec, num_tasks: Optional[int] = None) ->
     if num_tasks is not None:
         workers = min(workers, max(1, num_tasks))
     return max(1, workers)
-
-
-def split_worker_budget(
-    outer: WorkerSpec,
-    inner: WorkerSpec,
-    num_outer_tasks: Optional[int] = None,
-    budget: Optional[int] = None,
-    inner_backend: str = "thread",
-) -> "tuple[int, WorkerSpec]":
-    """Split a thread budget between an outer fan-out and its nested one.
-
-    The cross-edge cluster loop composes with the per-device fan-outs:
-    ``parallel_edges`` workers each run an edge pipeline that itself
-    fans out across ``parallel_devices`` workers.  Naively resolving
-    both to the CPU count squares the thread count; this helper keeps
-    the product within ``budget`` (default: host CPU count) by capping
-    the *nested* width at ``budget // outer_workers`` — the outer tier
-    wins because edge pipelines are the longer, coarser-grained tasks.
-
-    Returns ``(outer_workers, inner_spec)``.  The inner spec passes
-    through untouched whenever no capping is needed: when the outer
-    fan-out is serial, when the inner one is serial/unset, or when the
-    requested product already fits the budget.  ``resolve_workers``
-    semantics apply to both specs (``None``/0/1 serial, ``-1``/"auto"
-    = CPU count).
-
-    ``inner_backend`` makes the split backend-aware: thread workers may
-    exceed the core budget when the outer fan-out is serial (harmless —
-    the GIL-releasing kernels just time-slice), but **process** workers
-    each occupy a full core and cost a fork plus a private heap, so an
-    inner ``backend="process"`` width is clamped to the budget even
-    with no outer fan-out around it.
-    """
-    inner_backend = resolve_backend(inner_backend)
-    if budget is None:
-        budget = os.cpu_count() or 1
-    outer_workers = resolve_workers(outer, num_tasks=num_outer_tasks)
-    if outer_workers <= 1:
-        if inner_backend == "process":
-            inner_workers = resolve_workers(inner)
-            if inner_workers > 1:
-                return outer_workers, min(inner_workers, max(1, budget))
-        return outer_workers, inner
-    inner_workers = resolve_workers(inner)
-    if inner_workers <= 1:
-        return outer_workers, inner
-    capped = max(1, budget // outer_workers)
-    return outer_workers, min(inner_workers, capped)
 
 
 def parallel_map(
@@ -178,7 +135,7 @@ def parallel_map(
     A worker crash raises :class:`ExecutorError`; task exceptions
     re-raise as themselves, like the thread backend.
     """
-    backend = resolve_backend(backend)
+    _check_backend(backend)
     if serial_if_stochastic:
         from repro.nn.layers import has_active_stochastic_modules
 
@@ -207,25 +164,112 @@ def parallel_map(
         return [future.result() for future in futures]
 
 
-def parallel_starmap(
-    fn: Callable[..., R],
-    argument_tuples: Sequence[tuple],
-    max_workers: WorkerSpec = None,
-    serial_if_stochastic: Sequence[object] = (),
-    backend: str = "thread",
-    shared_params: Optional[Sequence[Sequence[object]]] = None,
-) -> List[R]:
-    """:func:`parallel_map` for callables taking multiple arguments.
+@dataclass(frozen=True)
+class ExecutionPlan:
+    """Where a run's work executes — the one declaration of placement.
 
-    Forwards ``serial_if_stochastic`` (historically dropped here, so
-    starmap call sites silently lost the dropout-safety fallback),
-    ``backend`` and ``shared_params`` unchanged.
+    Placement is invisible to the protocol: one ``(config, seed)`` gives
+    one ledger and one set of weights under every plan
+    (``TestPlanProduct`` in tests/distributed/test_cross_edge_parallel.py
+    checks the cells as a product).  ``ACMEConfig.execution`` holds the plan; the layers that
+    fan out (:class:`~repro.distributed.system.ACMESystem`,
+    :class:`~repro.distributed.edge.EdgeServer`,
+    :class:`~repro.core.nas.HeaderSearch`,
+    :func:`~repro.core.aggregation.personalized_architecture_aggregation`)
+    receive it and ask it for their fan-out.  Frozen and range-checked
+    at construction, so a bad spec is named before any work is paid for.
     """
-    return parallel_map(
-        lambda args: fn(*args),
-        list(argument_tuples),
-        max_workers,
-        serial_if_stochastic=serial_if_stochastic,
-        backend=backend,
-        shared_params=shared_params,
-    )
+
+    #: Width of the cluster dimension: each worker runs one edge's whole
+    #: phase-2/3/4 pipeline against its own network shard.  Always
+    #: thread-backed — edge pipelines mutate the fabric, which lives in
+    #: the parent.  ``None``/0/1 = serial; -1/"auto" = host CPU count.
+    edge_workers: WorkerSpec = None
+    #: Width of the fan-outs inside an edge: per-device importance
+    #: rounds and finalize/eval, and NAS child scoring.  Same spec rules.
+    device_workers: WorkerSpec = None
+    #: Backend of that inner tier: ``"thread"`` overlaps the
+    #: GIL-releasing numpy kernels; ``"process"`` forks workers that
+    #: mutate device headers through shared-memory mappings
+    #: (:mod:`repro.distributed.procpool`) so the tape-bound phases
+    #: scale past the GIL.
+    backend: str = "thread"
+    #: Fleet-batch each cluster's local training (importance rounds and
+    #: the finalize fine-tune) as one graph and one fused optimizer step
+    #: per round (:mod:`repro.train.fleet`) in place of the per-device
+    #: fan-out.  Ineligible clusters (stochastic models, non-equivalent
+    #: backbones, lazy state) fall back per device.
+    fleet_batched: bool = False
+
+    def __post_init__(self) -> None:
+        for name, check in (
+            ("edge_workers", resolve_workers),
+            ("device_workers", resolve_workers),
+            ("backend", _check_backend),
+        ):
+            try:
+                check(getattr(self, name))
+            except (TypeError, ValueError) as err:
+                raise ValueError(f"ExecutionPlan.{name}: {err}") from None
+
+    @property
+    def workers_share_heap(self) -> bool:
+        """Whether inner-tier workers mutate the parent's arrays directly.
+
+        False for forked workers: what a task writes must be mapped
+        write-through (``shared_params``) or travel back in its result.
+        """
+        return self.backend != "process"
+
+    def split(self, num_edges: int, budget: Optional[int] = None) -> "ExecutionPlan":
+        """This plan resolved for ``num_edges`` clusters on this host.
+
+        Applied once where clusters are built.  Resolving both tiers to
+        the CPU count would square the worker count, so when the edge
+        tier fans out the inner width is capped at ``budget //
+        edge_workers`` (default budget: host CPU count) — the outer
+        tier wins because edge pipelines are the longer, coarser tasks.
+        Under a serial edge tier thread workers may exceed the budget
+        (the GIL-releasing kernels just time-slice), but process workers
+        each occupy a core and cost a fork plus a private heap, so their
+        width is clamped to the budget even then.  A serial or unset
+        inner spec, and any spec that already fits, passes through
+        untouched.
+
+        A process inner tier under a fanned-out edge tier downgrades to
+        threads, like the nested-fork downgrade inside a pool worker:
+        ``fork()`` from one edge thread while a sibling is inside a BLAS
+        call deadlocks in the BLAS library's own atfork handler.
+        """
+        if budget is None:
+            budget = os.cpu_count() or 1
+        plan = self
+        outer = resolve_workers(self.edge_workers, num_tasks=num_edges)
+        if outer > 1 and not self.workers_share_heap:
+            plan = replace(self, backend="thread")
+        inner = resolve_workers(self.device_workers)
+        if inner <= 1 or (outer <= 1 and self.workers_share_heap):
+            return plan
+        capped = min(inner, max(1, budget // outer))
+        return plan if capped == inner else replace(plan, device_workers=capped)
+
+    def map_edges(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
+        """:func:`parallel_map` across the cluster dimension."""
+        return parallel_map(fn, items, max_workers=self.edge_workers)
+
+    def map_devices(
+        self,
+        fn: Callable[[T], R],
+        items: Iterable[T],
+        serial_if_stochastic: Sequence[object] = (),
+        shared_params: Optional[Sequence[Sequence[object]]] = None,
+    ) -> List[R]:
+        """:func:`parallel_map` across the inner tier, on its backend."""
+        return parallel_map(
+            fn,
+            items,
+            max_workers=self.device_workers,
+            serial_if_stochastic=serial_if_stochastic,
+            backend=self.backend,
+            shared_params=shared_params,
+        )

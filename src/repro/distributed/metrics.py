@@ -70,8 +70,8 @@ def schedule_length(durations: Sequence[float], workers: int) -> float:
 
     Each task goes to the least-loaded worker in submission order —
     exactly the assignment a thread pool produces.  This is the
-    hardware-independent speedup metric of the parallel benches
-    (``bench_parallel_devices``, ``bench_cross_edge``): measured serial
+    hardware-independent speedup metric of the parallel benches (the
+    per-device and cross-edge ones under ``benchmarks/``): measured serial
     per-task durations scheduled onto N workers give the makespan N
     physical cores (or, in the deployment the paper simulates, N
     physically distinct edge servers) would achieve.

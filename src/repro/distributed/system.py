@@ -31,12 +31,7 @@ from repro.data.synthetic import SyntheticImageGenerator, make_cifar100_like
 from repro.distributed.cloud import CloudConfig, CloudServer
 from repro.distributed.device import DeviceNode
 from repro.distributed.edge import EdgeConfig, EdgeServer
-from repro.distributed.executor import (
-    WorkerSpec,
-    parallel_map,
-    resolve_backend,
-    split_worker_budget,
-)
+from repro.distributed.executor import ExecutionPlan
 from repro.distributed.faults import FaultConfig, FaultPolicy
 from repro.distributed.metrics import centralized_upload_bytes
 from repro.distributed.network import Network, NetworkShard, TrafficStats
@@ -86,40 +81,13 @@ class ACMEConfig:
     #: ``"float32"`` for the fast serving mode, or ``None`` to inherit
     #: the ambient engine default.
     compute_dtype: Optional[str] = "float64"
-    #: Worker threads for the embarrassingly parallel cluster phases
-    #: (per-device importance rounds, finalize/eval, NAS child scoring).
-    #: ``None``/0/1 = serial; -1/"auto" = host CPU count.  The engine's
-    #: grad-mode and dtype switches are context-local, and per-device
-    #: work is state-disjoint with results in device order, so any value
-    #: reproduces the serial run bit-for-bit (tested under float64 in
-    #: tests/distributed/test_parallel_system.py).
-    parallel_devices: WorkerSpec = None
-    #: Worker threads for the cluster dimension: each worker runs one
-    #: edge's whole phase-2/3/4 pipeline (backbone request, header NAS,
-    #: aggregation loop, finalize) end to end.  ``None``/0/1 = serial;
-    #: -1/"auto" = host CPU count.  Every edge sends through its own
-    #: :class:`~repro.distributed.network.NetworkShard`, merged in edge
-    #: index order, and the cloud's request path is immutable-shared /
-    #: per-edge-isolated — so any value reproduces the serial float64
-    #: run bit-for-bit, traffic ledger included
-    #: (tests/distributed/test_cross_edge_parallel.py).  Composes with
-    #: ``parallel_devices``: when both fan out, the nested device width
-    #: is capped so ``edges × devices`` stays within the host budget
-    #: (:func:`repro.distributed.executor.split_worker_budget`).
-    parallel_edges: WorkerSpec = None
-    #: Fleet-batched local training inside every edge cluster: the
-    #: aggregation loop's importance rounds and the finalize fine-tune
-    #: run as one computation graph per round with a single fused
-    #: fleet-optimizer step spanning all of a cluster's headers
-    #: (:mod:`repro.train.fleet`).  Bit-for-bit identical to the
-    #: per-device loops under float64 — accuracies, losses, importance
-    #: sets, and the full traffic ledger (tested in
-    #: tests/distributed/test_fleet_system.py).  Replaces the
-    #: ``parallel_devices`` fan-out for those phases inside each edge;
-    #: composes with ``parallel_edges`` (each worker runs its own
-    #: edge's fleet).  Ineligible clusters (stochastic models,
-    #: non-equivalent backbones) fall back per device automatically.
-    fleet_training: bool = False
+    #: Where the work runs — cross-edge width, per-device / NAS-child
+    #: width, the inner tier's backend, fleet-batching: the one
+    #: declaration of execution placement
+    #: (:class:`~repro.distributed.executor.ExecutionPlan`).  Every plan
+    #: reproduces the serial float64 run bit-for-bit, traffic ledger
+    #: included (tests/distributed/test_cross_edge_parallel.py).
+    execution: ExecutionPlan = ExecutionPlan()
     #: Seeded chaos campaign for this run: drop/corrupt/duplicate/delay
     #: rates, retry/backoff budgets, churn probability and permanently
     #: dead devices (:class:`~repro.distributed.faults.FaultConfig`).
@@ -139,17 +107,6 @@ class ACMEConfig:
     #: every path is bit-for-bit identical to the always-live default
     #: (``None``) — tested in tests/distributed/test_state_store.py.
     device_state_capacity: Optional[int] = None
-    #: Executor backend for the intra-edge fan-outs (importance rounds,
-    #: finalize/eval, similarity features, NAS child scoring):
-    #: ``"thread"`` (default) or ``"process"``.  The process backend
-    #: (:mod:`repro.distributed.procpool`) forks workers that mutate
-    #: device headers through shared-memory mappings of the fused flat
-    #: buffers, so the tape-bound phases scale past the GIL; results are
-    #: bit-for-bit identical across backends
-    #: (tests/distributed/test_process_backend.py).  The cross-edge tier
-    #: (``parallel_edges``) always stays thread-backed — edge pipelines
-    #: mutate the network fabric, which lives in the parent.
-    backend: str = "thread"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -177,29 +134,6 @@ class ACMEConfig:
                 keep_fraction=0.8,
                 seed=self.seed,
             )
-        # Wire the cluster-level worker budget through the edge tier and
-        # into NAS child scoring, without clobbering explicit settings.
-        # When the edge tier itself fans out (parallel_edges), the
-        # nested per-device width is capped so the two tiers' product
-        # stays within the host thread budget.
-        self.backend = resolve_backend(self.backend)
-        _, device_spec = split_worker_budget(
-            self.parallel_edges,
-            self.parallel_devices,
-            num_outer_tasks=self.num_clusters,
-            inner_backend=self.backend,
-        )
-        if self.edge.parallel_devices is None:
-            self.edge.parallel_devices = device_spec
-        if self.edge.backend == "thread" and self.backend != "thread":
-            self.edge.backend = self.backend
-        if self.edge.nas is not None:
-            if self.edge.nas.parallel_workers is None:
-                self.edge.nas.parallel_workers = device_spec
-            if self.edge.nas.backend == "thread" and self.backend != "thread":
-                self.edge.nas.backend = self.backend
-        if self.fleet_training:
-            self.edge.fleet_training = True
 
 
 @dataclass
@@ -319,7 +253,12 @@ def build_cluster(
             )
         )
     return EdgeServer(
-        cluster_idx, devices, data.shared_datasets[cluster_idx], network, cfg.edge
+        cluster_idx,
+        devices,
+        data.shared_datasets[cluster_idx],
+        network,
+        cfg.edge,
+        plan=cfg.execution.split(cfg.num_clusters),
     )
 
 
@@ -457,10 +396,6 @@ def run_edge_phases(
     # Final fine-tune + evaluation (skipped in protocol-only runs,
     # e.g. the Table I traffic accounting where only byte counts
     # matter — payload sizes depend on shapes, not trained values).
-    # Fans out across the edge's parallel_devices workers, which
-    # __post_init__ seeded from cfg.parallel_devices (budget-split
-    # against parallel_edges) unless the edge config set its own
-    # value explicitly.
     evals = edge.finalize() if config.finalize else []
     mark("finalize")
     return ClusterResult(
@@ -590,17 +525,16 @@ class ACMESystem:
         Each edge sends through its own network shard; the shards are
         merged into the global ledger in edge index order afterwards, so
         the traffic statistics and the message log are bit-identical to
-        the serial edge-by-edge loop for any ``parallel_edges`` value.
+        the serial edge-by-edge loop for any cross-edge width.
         Cluster results come back in edge order (``parallel_map``'s
         input-order contract).
         """
         with dtype_scope(self.config):
             shards = [self.network.shard(edge.name) for edge in self.edges]
             try:
-                clusters = parallel_map(
+                clusters = self.config.execution.map_edges(
                     lambda pair: self.run_edge_pipeline(*pair),
                     list(zip(self.edges, shards)),
-                    max_workers=self.config.parallel_edges,
                 )
             finally:
                 # Merge even when a pipeline raised, so the traffic the

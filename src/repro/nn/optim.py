@@ -238,7 +238,6 @@ class Optimizer:
         self,
         params: Iterable[Tensor],
         lr: float,
-        reuse_grad_buffers: bool = True,
     ) -> None:
         # Deduplicate by identity so shared modules are stepped once.
         seen = set()
@@ -252,15 +251,13 @@ class Optimizer:
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.lr = lr
-        self.reuse_grad_buffers = bool(reuse_grad_buffers)
         self._flat_groups: Optional[List[_FlatGroup]] = None
         with _REGISTRY_LOCK:
             _LIVE_OPTIMIZERS.add(self)
 
     def zero_grad(self) -> None:
-        keep = self.reuse_grad_buffers
         for p in self.params:
-            p.zero_grad(keep_buffer=keep)
+            p.zero_grad(keep_buffer=True)
 
     def step(self) -> None:
         raise NotImplementedError
@@ -310,9 +307,8 @@ class SGD(Optimizer):
         lr: float = 0.01,
         momentum: float = 0.0,
         weight_decay: float = 0.0,
-        reuse_grad_buffers: bool = True,
     ) -> None:
-        super().__init__(params, lr, reuse_grad_buffers=reuse_grad_buffers)
+        super().__init__(params, lr)
         self.momentum = momentum
         self.weight_decay = weight_decay
         self._NUM_STATE = 1 if momentum else 0
@@ -442,9 +438,8 @@ class Adam(Optimizer):
         betas=(0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 0.0,
-        reuse_grad_buffers: bool = True,
     ) -> None:
-        super().__init__(params, lr, reuse_grad_buffers=reuse_grad_buffers)
+        super().__init__(params, lr)
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
@@ -539,7 +534,6 @@ class FleetOptimizer:
         betas=(0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 0.0,
-        reuse_grad_buffers: bool = True,
     ) -> None:
         self.members: List[List[Tensor]] = []
         seen_ids: Set[int] = set()
@@ -571,7 +565,6 @@ class FleetOptimizer:
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
-        self.reuse_grad_buffers = bool(reuse_grad_buffers)
         self._t: List[int] = [0] * num
         self._groups: Optional[List[_FlatGroup]] = None
         self._segments: List[List[_FleetSegment]] = []
@@ -591,10 +584,9 @@ class FleetOptimizer:
 
     def zero_grad(self, active: Optional[Sequence[int]] = None) -> None:
         members = self.members if active is None else [self.members[m] for m in active]
-        keep = self.reuse_grad_buffers
         for member in members:
             for p in member:
-                p.zero_grad(keep_buffer=keep)
+                p.zero_grad(keep_buffer=True)
 
     def _on_params_rebound(self, ids: Set[int], dtype: np.dtype) -> None:
         if self._groups is not None and any(id(p) in ids for p in self.params):

@@ -19,6 +19,7 @@ import pytest
 from repro.distributed import (
     ACMEConfig,
     ACMESystem,
+    ExecutionPlan,
     FaultConfig,
     FaultPolicy,
     ProtocolError,
@@ -202,7 +203,7 @@ class TestChaosDeterminism:
                 quorum=0.5,
                 num_clusters=2,
                 devices_per_cluster=2,
-                parallel_edges=2,
+                execution=ExecutionPlan(edge_workers=2),
                 finalize=False,
             )
             results.append((system, result))

@@ -1,6 +1,6 @@
 """Cross-edge parallel cluster pipeline reproduces the serial run exactly.
 
-``ACMEConfig.parallel_edges`` fans whole per-edge pipelines (backbone
+``ExecutionPlan.edge_workers`` fans whole per-edge pipelines (backbone
 request, header NAS, aggregation loop, finalize) out across worker
 threads.  Each edge sends through its own
 :class:`repro.distributed.network.NetworkShard`; shards merge into the
@@ -8,22 +8,28 @@ global ledger in deterministic edge order, and the cloud's request path
 is immutable-shared with a per-edge response path — so any worker count
 must reproduce the serial float64 run **bit-for-bit**, including the
 full traffic ledger.  These tests assert exactly that, plus the fabric
-semantics (shard routing, merge determinism, register/unregister) and
-the worker-budget split that keeps nested fan-outs within the host
-budget.
+semantics (shard routing, merge determinism, register/unregister), the
+:class:`ExecutionPlan` itself (validation, the worker-budget split that
+keeps nested fan-outs within the host budget) and the plan checked as a
+**product**: every cell of widths × backend × fleet-batching equals the
+serial run.
 """
 
+import dataclasses
+import os
+import pickle
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.distributed import ACMEConfig, ACMESystem
-from repro.distributed.executor import split_worker_budget
+from repro.distributed import ACMEConfig, ACMESystem, ExecutionPlan
 from repro.distributed.faults import FaultConfig, FaultPolicy
 from repro.distributed.messages import Message, MessageKind
 from repro.distributed.network import Network
+from repro.distributed.procpool import fork_available
+from tests.helpers import assert_same_run
 
 
 def _fleet_config(**overrides) -> ACMEConfig:
@@ -48,7 +54,9 @@ def serial_and_parallel_runs():
 
     reset_engine_state()
     serial = ACMESystem(_fleet_config()).run()
-    parallel = ACMESystem(_fleet_config(parallel_edges=3)).run()
+    parallel = ACMESystem(
+        _fleet_config(execution=ExecutionPlan(edge_workers=3))
+    ).run()
     return serial, parallel
 
 
@@ -101,17 +109,48 @@ class TestEndToEndParity:
         assert stats.total_bytes == sum(stats.by_kind.values())
         assert stats.total_bytes == sum(stats.by_pair.values())
 
-    def test_composes_with_parallel_devices(self):
+    def test_composes_with_parallel_devices(self, serial_and_parallel_runs):
         """Both tiers fanning out at once still reproduces serial."""
-        serial = ACMESystem(_fleet_config()).run()
         nested = ACMESystem(
-            _fleet_config(parallel_edges=2, parallel_devices=2)
+            _fleet_config(execution=ExecutionPlan(edge_workers=2, device_workers=2))
         ).run()
-        assert [c.device_accuracies for c in serial.clusters] == [
-            c.device_accuracies for c in nested.clusters
-        ]
-        assert serial.message_kinds == nested.message_kinds
-        assert dict(serial.traffic.by_pair) == dict(nested.traffic.by_pair)
+        assert_same_run(serial_and_parallel_runs[0], nested)
+
+
+#: ``ExecutionPlan`` cells, each held to the serial run.  The first seven
+#: are the pairs the per-file parity tests cover one at a time; the last
+#: two (process × edges, process × fleet) nothing else covers.  Under a
+#: fanned-out edge tier ``ExecutionPlan.split`` downgrades the process
+#: tier to threads (a ``fork()`` from a threaded edge tier deadlocks
+#: whenever the budget lets edges=2 × devices=2 through), so that cell
+#: holds the downgrade to the contract.
+PLAN_CELLS = {
+    "devices4": dict(device_workers=4),
+    "edges3": dict(edge_workers=3),
+    "edges2-devices2": dict(edge_workers=2, device_workers=2),
+    "fleet": dict(fleet_batched=True),
+    "fleet-edges2": dict(fleet_batched=True, edge_workers=2),
+    "fleet-devices2": dict(fleet_batched=True, device_workers=2),
+    "process-devices2": dict(backend="process", device_workers=2),
+    "process-edges2": dict(backend="process", edge_workers=2, device_workers=2),
+    "process-fleet": dict(backend="process", device_workers=2, fleet_batched=True),
+}
+
+
+class TestPlanProduct:
+    @pytest.mark.parametrize("cell", list(PLAN_CELLS))
+    def test_cell_reproduces_serial(self, cell, serial_and_parallel_runs, monkeypatch):
+        """Execution placement is invisible to the protocol: accuracies,
+        losses, ``(width, depth)``, kind sequence, ledger bytes and fault
+        counters of every plan equal the serial run's."""
+        plan = ExecutionPlan(**PLAN_CELLS[cell])
+        if not plan.workers_share_heap and not fork_available():
+            pytest.skip("process backend requires the fork start method")
+        # A roomy host budget, so the nested cells really nest instead
+        # of being capped to edges × 1 on a 2-core CI box.
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        system = ACMESystem(_fleet_config(execution=plan))
+        assert_same_run(serial_and_parallel_runs[0], system.run())
 
 
 class TestShardFabric:
@@ -300,38 +339,76 @@ class TestTeardown:
         assert system.network.nodes() == []
 
 
+class TestExecutionPlan:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("device_workers", -2),
+            ("edge_workers", -2),
+            ("device_workers", "many"),
+            ("backend", "fibers"),
+        ],
+    )
+    def test_bad_spec_named_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=f"ExecutionPlan.{field}: "):
+            ExecutionPlan(**{field: value})
+
+    def test_frozen_and_pickles(self):
+        """Immutable (no layer can re-declare a field after the fact) and
+        picklable (the supervisor ships configs to edge processes)."""
+        plan = ExecutionPlan(edge_workers=2, device_workers="auto", backend="process")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.backend = "thread"
+        config = _fleet_config(execution=plan)
+        assert pickle.loads(pickle.dumps(config)).execution == plan
+
+    def test_one_plan_reaches_every_layer(self):
+        """No tier can disagree with the system about backend or
+        fleet-batching: the edge holds the config's plan, split once."""
+        plan = ExecutionPlan(device_workers=2, backend="process", fleet_batched=True)
+        system = ACMESystem(_fleet_config(num_clusters=1, finalize=False, execution=plan))
+        assert system.edges[0].plan == plan.split(1)
+        assert not hasattr(system.config.edge, "backend")
+        assert not hasattr(system.config.edge.nas, "backend")
+
+
 class TestWorkerBudgetSplit:
     def test_serial_outer_passes_inner_through(self):
-        assert split_worker_budget(None, 4) == (1, 4)
-        assert split_worker_budget(1, "auto") == (1, "auto")
+        plan = ExecutionPlan(device_workers=4)
+        assert plan.split(3) is plan
+        plan = ExecutionPlan(edge_workers=1, device_workers="auto")
+        assert plan.split(3) is plan
 
     def test_serial_inner_untouched(self):
-        assert split_worker_budget(4, None) == (4, None)
-        assert split_worker_budget(4, 1) == (4, 1)
+        for inner in (None, 1):
+            plan = ExecutionPlan(edge_workers=4, device_workers=inner)
+            assert plan.split(4) is plan
 
     def test_product_capped_by_budget(self):
-        outer, inner = split_worker_budget(4, 8, budget=8)
-        assert outer == 4 and inner == 2
-        outer, inner = split_worker_budget(8, 8, budget=4)
-        assert outer == 8 and inner == 1  # outer tier wins; inner floors at 1
+        plan = ExecutionPlan(edge_workers=4, device_workers=8)
+        assert plan.split(4, budget=8).device_workers == 2
+        # Outer tier wins; inner floors at 1.
+        plan = ExecutionPlan(edge_workers=8, device_workers=8)
+        assert plan.split(8, budget=4) == ExecutionPlan(edge_workers=8, device_workers=1)
 
     def test_within_budget_passes_through(self):
-        assert split_worker_budget(2, 3, budget=6) == (2, 3)
+        plan = ExecutionPlan(edge_workers=2, device_workers=3)
+        assert plan.split(2, budget=6) is plan
 
     def test_outer_clamped_to_tasks(self):
-        outer, inner = split_worker_budget(16, 4, num_outer_tasks=2, budget=8)
-        assert outer == 2 and inner == 4
+        plan = ExecutionPlan(edge_workers=16, device_workers=4)
+        assert plan.split(2, budget=8) is plan
 
     def test_config_wiring_applies_split(self):
-        config = _fleet_config(parallel_edges=2, parallel_devices=8)
-        _, expected = split_worker_budget(2, 8, num_outer_tasks=3)
-        assert config.edge.parallel_devices == expected
-        assert config.edge.nas.parallel_workers == expected
+        plan = ExecutionPlan(edge_workers=2, device_workers=8)
+        system = ACMESystem(_fleet_config(finalize=False, execution=plan))
+        assert [edge.plan for edge in system.edges] == [plan.split(3)] * 3
+        assert system.edges[0].plan.device_workers == max(1, (os.cpu_count() or 1) // 2)
 
     def test_config_wiring_without_edges_unchanged(self):
-        config = _fleet_config(parallel_devices=5)
-        assert config.edge.parallel_devices == 5
-        assert config.edge.nas.parallel_workers == 5
+        plan = ExecutionPlan(device_workers=5)
+        system = ACMESystem(_fleet_config(num_clusters=1, finalize=False, execution=plan))
+        assert system.edges[0].plan is plan
 
 
 class TestCloudConcurrencySafety:

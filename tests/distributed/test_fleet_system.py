@@ -1,4 +1,4 @@
-"""``ACMEConfig.fleet_training`` reproduces the per-device run exactly.
+"""``ExecutionPlan.fleet_batched`` reproduces the per-device run exactly.
 
 With fleet training on, every edge cluster's local updates — the
 aggregation loop's importance rounds and the finalize fine-tune — run as
@@ -6,18 +6,18 @@ one computation graph per round with a single fused fleet-optimizer step
 (:mod:`repro.train.fleet`).  The float64 contract mirrors PR 2-4:
 accuracies, losses, the message-kind sequence and the full traffic
 ledger must be **bit-for-bit identical** to the serial per-device run,
-alone and composed with ``parallel_edges``/``parallel_devices``.
+alone and composed with the plan's edge and device widths.
 """
 
-import numpy as np
 import pytest
 
-from repro.distributed import ACMEConfig, ACMESystem
-from repro.distributed.edge import EdgeConfig
+from repro.distributed import ACMEConfig, ACMESystem, ExecutionPlan
+from tests.helpers import assert_same_run
 
 
-def _config(**overrides) -> ACMEConfig:
-    base = dict(
+def _config(**plan) -> ACMEConfig:
+    return ACMEConfig(
+        execution=ExecutionPlan(**plan),
         num_clusters=2,
         devices_per_cluster=3,
         num_classes=6,
@@ -25,8 +25,6 @@ def _config(**overrides) -> ACMEConfig:
         compute_dtype="float64",
         seed=0,
     )
-    base.update(overrides)
-    return ACMEConfig(**base)
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +33,7 @@ def serial_and_fleet_runs():
 
     reset_engine_state()
     serial = ACMESystem(_config()).run()
-    fleet = ACMESystem(_config(fleet_training=True)).run()
+    fleet = ACMESystem(_config(fleet_batched=True)).run()
     return serial, fleet
 
 
@@ -67,47 +65,31 @@ class TestFleetSystemParity:
         """Fleet batching inside each edge + whole-edge fan-out across
         workers: still bit-identical, ledger included."""
         serial, _fleet = serial_and_fleet_runs
-        nested = ACMESystem(_config(fleet_training=True, parallel_edges=2)).run()
-        assert [c.device_accuracies for c in serial.clusters] == [
-            c.device_accuracies for c in nested.clusters
-        ]
-        assert [c.device_losses for c in serial.clusters] == [
-            c.device_losses for c in nested.clusters
-        ]
-        assert serial.message_kinds == nested.message_kinds
-        assert dict(serial.traffic.by_pair) == dict(nested.traffic.by_pair)
-        assert serial.traffic.total_bytes == nested.traffic.total_bytes
+        nested = ACMESystem(_config(fleet_batched=True, edge_workers=2)).run()
+        assert_same_run(serial, nested)
 
     def test_composes_with_parallel_devices(self, serial_and_fleet_runs):
-        """parallel_devices still drives the phases fleet does not claim
-        (similarity feature extraction, NAS scoring); results match."""
+        """The device width still drives the phases fleet does not claim
+        (NAS scoring, per-device evaluation); results match."""
         serial, _fleet = serial_and_fleet_runs
-        combined = ACMESystem(_config(fleet_training=True, parallel_devices=2)).run()
-        assert [c.device_accuracies for c in serial.clusters] == [
-            c.device_accuracies for c in combined.clusters
-        ]
-        assert serial.message_kinds == combined.message_kinds
+        combined = ACMESystem(_config(fleet_batched=True, device_workers=2)).run()
+        assert_same_run(serial, combined)
 
 
 class TestFleetWiring:
     def test_config_propagates_to_edge(self):
-        config = _config(fleet_training=True)
-        assert config.edge.fleet_training is True
-        assert _config().edge.fleet_training is False
-
-    def test_explicit_edge_config_respected(self):
-        edge = EdgeConfig(fleet_training=True, seed=0)
-        config = _config(edge=edge)
-        assert config.edge.fleet_training is True
+        for fleet in (True, False):
+            system = ACMESystem(_config(fleet_batched=fleet))
+            assert [e.plan.fleet_batched for e in system.edges] == [fleet] * 2
 
     def test_fleet_ready_requires_distributed_models(self):
-        system = ACMESystem(_config(fleet_training=True))
+        system = ACMESystem(_config(fleet_batched=True))
         edge = system.edges[0]
         # Before model distribution no device holds a backbone/header.
         assert not edge._fleet_ready()
 
     def test_fleet_ready_rejects_heterogeneous_backbones(self):
-        system = ACMESystem(_config(fleet_training=True))
+        system = ACMESystem(_config(fleet_batched=True))
         system.run_cloud_phases()
         edge = system.edges[0]
         edge.request_backbone()

@@ -1,12 +1,11 @@
 """Parallel multi-device execution reproduces the serial run exactly.
 
-``ACMEConfig.parallel_devices`` fans the cluster phases (importance
-rounds, finalize/eval, NAS child scoring, similarity feature extraction)
-out across worker threads.  Because per-device work is state-disjoint,
-results are collected in device order, and the engine's grad/dtype
-switches are context-local, any worker count must reproduce the serial
-float64 run **bit-for-bit** — these tests assert exactly that, end to
-end and phase by phase.
+``ExecutionPlan.device_workers`` fans the cluster phases (importance
+rounds, finalize/eval, NAS child scoring) out across worker threads.
+Because per-device work is state-disjoint, results are collected in
+device order, and the engine's grad/dtype switches are context-local,
+any worker count must reproduce the serial float64 run **bit-for-bit**
+— these tests assert exactly that, end to end and phase by phase.
 """
 
 import numpy as np
@@ -15,12 +14,13 @@ import pytest
 from repro.core.nas import HeaderSearch, NASConfig
 from repro.core.similarity import build_similarity_matrix
 from repro.data.synthetic import make_cifar100_like
-from repro.distributed import ACMEConfig, ACMESystem
+from repro.distributed import ACMEConfig, ACMESystem, ExecutionPlan
 from repro.models.vit import ViTConfig, VisionTransformer
 
 
-def _small_config(**overrides) -> ACMEConfig:
+def _small_config(device_workers=None, **overrides) -> ACMEConfig:
     base = dict(
+        execution=ExecutionPlan(device_workers=device_workers),
         num_clusters=1,
         devices_per_cluster=4,
         num_classes=6,
@@ -41,7 +41,7 @@ def serial_and_parallel_runs():
 
     reset_engine_state()
     serial = ACMESystem(_small_config()).run()
-    parallel = ACMESystem(_small_config(parallel_devices=4)).run()
+    parallel = ACMESystem(_small_config(device_workers=4)).run()
     return serial, parallel
 
 
@@ -73,11 +73,11 @@ class TestPhaseParity:
         """finalize() with workers equals the serial loop, device by device."""
         serial_system = ACMESystem(_small_config(finalize=False))
         serial_system.run()
-        parallel_system = ACMESystem(_small_config(finalize=False))
+        parallel_system = ACMESystem(_small_config(finalize=False, device_workers=4))
         parallel_system.run()
 
-        serial_evals = serial_system.edges[0].finalize(max_workers=1)
-        parallel_evals = parallel_system.edges[0].finalize(max_workers=4)
+        serial_evals = serial_system.edges[0].finalize()
+        parallel_evals = parallel_system.edges[0].finalize()
         assert [e["accuracy"] for e in serial_evals] == [
             e["accuracy"] for e in parallel_evals
         ]
@@ -86,28 +86,16 @@ class TestPhaseParity:
     def test_similarity_matrices_identical(self):
         serial_system = ACMESystem(_small_config(finalize=False))
         serial_system.run()
-        parallel_system = ACMESystem(_small_config(finalize=False, parallel_devices=4))
+        parallel_system = ACMESystem(_small_config(finalize=False, device_workers=4))
         parallel_system.run()
         for es, ep in zip(serial_system.edges, parallel_system.edges):
             np.testing.assert_array_equal(es.similarity, ep.similarity)
 
-    def test_build_similarity_matrix_worker_parity(self):
-        generator = make_cifar100_like(num_classes=4, image_size=16, seed=0)
-        datasets = [
-            generator.generate(8, seed=10 + i, name=f"d{i}") for i in range(4)
-        ]
-        model = VisionTransformer(
-            ViTConfig(num_classes=4, depth=2, embed_dim=32), seed=0
-        )
-        serial = build_similarity_matrix(model, datasets, max_workers=None)
-        parallel = build_similarity_matrix(model, datasets, max_workers=4)
-        np.testing.assert_array_equal(serial, parallel)
-
     def test_stochastic_shared_model_stays_deterministic(self):
-        """Training-mode dropout forces the shared-model fan-out serial:
-        concurrent draws from one per-module Generator would be neither
-        deterministic nor safe, so worker counts must not change the
-        matrix even then."""
+        """Training-mode dropout forces feature extraction onto the
+        per-dataset serial loop — one deterministic draw order from the
+        per-module Generator — so two fresh seeded models give the
+        identical matrix."""
         from repro.nn import has_active_stochastic_modules
 
         generator = make_cifar100_like(num_classes=4, image_size=16, seed=0)
@@ -123,9 +111,9 @@ class TestPhaseParity:
             return model
 
         assert has_active_stochastic_modules(fresh_model())
-        serial = build_similarity_matrix(fresh_model(), datasets, max_workers=None)
-        parallel = build_similarity_matrix(fresh_model(), datasets, max_workers=4)
-        np.testing.assert_array_equal(serial, parallel)
+        first = build_similarity_matrix(fresh_model(), datasets)
+        second = build_similarity_matrix(fresh_model(), datasets)
+        np.testing.assert_array_equal(first, second)
 
 
 class TestAggregationParity:
@@ -157,7 +145,11 @@ class TestAggregationParity:
                 for i in range(3)
             ]
             return personalized_architecture_aggregation(
-                backbone, headers, datasets, num_rounds=1, max_workers=workers
+                backbone,
+                headers,
+                datasets,
+                num_rounds=1,
+                plan=ExecutionPlan(device_workers=workers),
             )
 
         serial, parallel = run(None), run(4)
@@ -183,12 +175,13 @@ class TestNASParity:
             controller_updates_per_epoch=2,
             derive_samples=3,
             train_backbone=False,
-            parallel_workers=workers,
             seed=0,
         )
         generator = make_cifar100_like(num_classes=4, image_size=16, seed=0)
         dataset = generator.generate(10, seed=5, name="nas")
-        search = HeaderSearch(backbone, 4, config)
+        search = HeaderSearch(
+            backbone, 4, config, plan=ExecutionPlan(device_workers=workers)
+        )
         return search.search(dataset)
 
     def test_parallel_child_scoring_matches_serial(self):
@@ -201,22 +194,17 @@ class TestNASParity:
 
 class TestConfigWiring:
     def test_parallel_devices_propagates_to_edge_and_nas(self):
-        config = _small_config(parallel_devices=3)
-        assert config.edge.parallel_devices == 3
-        assert config.edge.nas.parallel_workers == 3
-
-    def test_explicit_edge_setting_not_clobbered(self):
-        from repro.core.nas import NASConfig
-        from repro.distributed.edge import EdgeConfig
-
-        edge = EdgeConfig(
-            nas=NASConfig(seed=0, parallel_workers=2), parallel_devices=2, seed=0
-        )
-        config = _small_config(parallel_devices=8, edge=edge)
-        assert config.edge.parallel_devices == 2
-        assert config.edge.nas.parallel_workers == 2
+        """The edge is handed the config's plan and hands the same object
+        on to its header search — nothing in between re-declares it."""
+        system = ACMESystem(_small_config(device_workers=3, finalize=False))
+        edge = system.edges[0]
+        assert edge.plan is system.config.execution
+        edge.backbone = VisionTransformer(system.config.vit, seed=0)
+        edge.config.nas.search_epochs = 0  # derivation only
+        edge.search_header()
+        assert edge.search.plan is edge.plan
 
     def test_default_stays_serial(self):
         config = _small_config()
-        assert config.edge.parallel_devices is None
-        assert config.edge.nas.parallel_workers is None
+        assert config.execution == ExecutionPlan()
+        assert ACMEConfig().execution == ExecutionPlan()

@@ -12,9 +12,9 @@ designated tensors write-through over ``multiprocessing.shared_memory``
   :class:`ExecutorError` (never a hang) and leaves no orphan children;
 * **shared-memory hygiene** — no ``/dev/shm`` segment survives any exit
   path: success, a task exception, or a worker crash;
-* **the satellite regressions** — ``parallel_starmap`` forwarding
-  ``serial_if_stochastic`` (historically dropped) and the
-  backend-aware ``split_worker_budget``.
+* **the backend-aware budget** — ``ExecutionPlan.split`` clamps a
+  process tier to the host budget and downgrades it under a fanned-out
+  edge tier.
 """
 
 import multiprocessing
@@ -24,13 +24,7 @@ import signal
 import numpy as np
 import pytest
 
-from repro.distributed.executor import (
-    ExecutorError,
-    parallel_map,
-    parallel_starmap,
-    resolve_backend,
-    split_worker_budget,
-)
+from repro.distributed.executor import ExecutionPlan, ExecutorError, parallel_map
 from repro.distributed.procpool import SharedParamArena, fork_available
 from repro.nn.layers import Dropout, Linear, Sequential
 from repro.nn.optim import Adam
@@ -174,8 +168,7 @@ class TestCrossBackendParity:
         with pytest.raises(ValueError, match="unknown executor backend"):
             parallel_map(lambda i: i, range(2), max_workers=2, backend="greenlet")
         with pytest.raises(ValueError):
-            resolve_backend("fibers")
-        assert resolve_backend(None) == "thread"
+            ExecutionPlan(backend="fibers")
 
 
 class TestWorkerCrash:
@@ -280,64 +273,38 @@ class TestSharedParamArena:
         arena.demote()
 
 
-class TestStarmapRegression:
-    def test_starmap_forwards_serial_if_stochastic(self):
-        """``parallel_starmap`` historically dropped the stochastic
-        guard: a training-mode dropout module fanned out across threads
-        anyway, drawing from one RNG concurrently.  It must drop to
-        serial exactly like ``parallel_map`` does."""
-        import threading
-
-        model = Sequential(Linear(4, 4), Dropout(0.5))
-        model.train()
-        caller = threading.get_ident()
-        out = parallel_starmap(
-            lambda a, b: threading.get_ident(),
-            [(1, 2), (3, 4), (5, 6)],
-            max_workers=3,
-            serial_if_stochastic=(model,),
-        )
-        assert out == [caller] * 3
-        model.eval()
-
-    def test_starmap_still_parallel_without_guard(self):
-        out = parallel_starmap(
-            lambda a, b: a + b, [(1, 2), (3, 4)], max_workers=2
-        )
-        assert out == [3, 7]
-
-    @needs_fork
-    def test_starmap_process_backend(self):
-        out = parallel_starmap(
-            lambda a, b: a * b, [(2, 3), (4, 5), (6, 7)],
-            max_workers=2, backend="process",
-        )
-        assert out == [6, 20, 42]
-
-
 class TestBackendAwareBudget:
     def test_serial_outer_thread_inner_passes_through(self):
-        assert split_worker_budget(1, 8, budget=4) == (1, 8)
-        assert split_worker_budget(None, "auto", budget=4) == (1, "auto")
+        for inner in (8, "auto"):
+            plan = ExecutionPlan(edge_workers=1, device_workers=inner)
+            assert plan.split(3, budget=4) is plan
 
     def test_serial_outer_process_inner_clamped_to_budget(self):
         # Thread workers past the core count just time-slice; process
         # workers each cost a core and a fork, so they are clamped even
         # with no outer fan-out.
-        assert split_worker_budget(1, 8, budget=4, inner_backend="process") == (1, 4)
-        assert split_worker_budget(None, 16, budget=2, inner_backend="process") == (1, 2)
+        plan = ExecutionPlan(device_workers=8, backend="process")
+        assert plan.split(1, budget=4) == ExecutionPlan(device_workers=4, backend="process")
+        plan = ExecutionPlan(device_workers=16, backend="process")
+        assert plan.split(1, budget=2).device_workers == 2
 
     def test_serial_inner_untouched_for_process(self):
-        assert split_worker_budget(1, None, budget=4, inner_backend="process") == (1, None)
-        assert split_worker_budget(1, 1, budget=4, inner_backend="process") == (1, 1)
+        for inner in (None, 1):
+            plan = ExecutionPlan(edge_workers=1, device_workers=inner, backend="process")
+            assert plan.split(3, budget=4) is plan
 
     def test_outer_fanout_caps_like_threads(self):
-        assert split_worker_budget(4, 8, budget=8, inner_backend="process") == (4, 2)
-        assert split_worker_budget(4, 8, budget=8, inner_backend="thread") == (4, 2)
+        for backend in ("process", "thread"):
+            plan = ExecutionPlan(edge_workers=4, device_workers=8, backend=backend)
+            # ... and never forks from a threaded edge tier (a fork while
+            # a sibling edge thread is inside BLAS deadlocks).
+            assert plan.split(4, budget=8) == ExecutionPlan(
+                edge_workers=4, device_workers=2, backend="thread"
+            )
 
     def test_invalid_inner_backend_rejected(self):
-        with pytest.raises(ValueError):
-            split_worker_budget(1, 4, inner_backend="mpi")
+        with pytest.raises(ValueError, match="ExecutionPlan.backend"):
+            ExecutionPlan(device_workers=4, backend="mpi")
 
 
 class TestSystemLevelParity:
@@ -346,6 +313,7 @@ class TestSystemLevelParity:
         """A tiny end-to-end ACME run with ``backend="process"`` must
         reproduce the serial accuracies and traffic ledger exactly."""
         from repro.distributed import ACMEConfig, ACMESystem
+        from tests.helpers import assert_same_run
 
         def run(backend, workers):
             config = ACMEConfig(
@@ -353,8 +321,7 @@ class TestSystemLevelParity:
                 devices_per_cluster=2,
                 num_classes=4,
                 samples_per_class=8,
-                parallel_devices=workers,
-                backend=backend,
+                execution=ExecutionPlan(device_workers=workers, backend=backend),
                 seed=0,
             )
             system = ACMESystem(config)
@@ -364,8 +331,4 @@ class TestSystemLevelParity:
 
         serial = run("thread", 1)
         process = run("process", 2)
-        assert process.mean_accuracy == serial.mean_accuracy
-        assert process.traffic.total_megabytes() == serial.traffic.total_megabytes()
-        for s, p in zip(serial.clusters, process.clusters):
-            assert p.device_accuracies == s.device_accuracies
-            assert (p.width, p.depth) == (s.width, s.depth)
+        assert_same_run(serial, process)

@@ -15,7 +15,7 @@ carry-forward subset path aggregates whoever made it.  Three contracts:
 import numpy as np
 import pytest
 
-from repro.distributed import ACMEConfig, ACMESystem
+from repro.distributed import ACMEConfig, ACMESystem, ExecutionPlan
 from repro.hw.energy import latency
 
 
@@ -35,7 +35,9 @@ def _run(deadline=None, fleet=False, finalize=True):
     from tests.helpers import reset_engine_state
 
     reset_engine_state()
-    config = _config(finalize=finalize, fleet_training=fleet)
+    config = _config(
+        finalize=finalize, execution=ExecutionPlan(fleet_batched=fleet)
+    )
     config.edge.round_deadline = deadline
     system = ACMESystem(config)
     result = system.run()

@@ -119,3 +119,36 @@ def _parameter_gradient_check(module, forward, params, atol, rtol) -> None:
 
         numeric = numerical_gradient(eval_loss, p.data.copy())
         np.testing.assert_allclose(expected, numeric, atol=atol, rtol=rtol)
+
+
+def assert_same_run(reference, other) -> None:
+    """Two ``ACMERunResult``s are the same run: accuracies, losses,
+    ``(width, depth)``, kind sequences, ledger bytes and fault counters.
+
+    The replay contract in one place — what must not depend on where the
+    work ran (executor plan, transport, memory mode).
+    """
+
+    def observed(run):
+        t = run.traffic
+        return {
+            "clusters": [
+                (c.edge_name, c.width, c.depth, c.device_accuracies, c.device_losses)
+                for c in run.clusters
+            ],
+            "kinds": run.message_kinds,
+            "edge_kinds": run.edge_message_kinds,
+            "bytes": (t.total_bytes, t.upload_bytes, t.download_bytes, t.message_count),
+            "by_kind": dict(t.by_kind),
+            "by_pair": dict(t.by_pair),
+            "faults": (
+                run.fault_counts,
+                run.total_retries,
+                run.delivery_attempts,
+                run.failed_deliveries,
+            ),
+        }
+
+    want, got = observed(reference), observed(other)
+    for field in want:  # field by field, so a failure names what moved
+        assert got[field] == want[field], field

@@ -148,7 +148,7 @@ class TestAllocationRegression:
     def test_grad_accumulation_reuses_buffer_across_steps(self):
         rng = np.random.default_rng(1)
         p = Tensor(rng.normal(size=(64, 64)), requires_grad=True)
-        opt = SGD([p], lr=1e-3, reuse_grad_buffers=True)
+        opt = SGD([p], lr=1e-3)
         x = Tensor(rng.normal(size=(8, 64)))
         (x @ p).sum().backward()
         opt.step()  # flattens: p.grad becomes a view of the flat buffer
@@ -163,17 +163,6 @@ class TestAllocationRegression:
         opt.zero_grad()
         (x @ p).sum().backward()
         assert p.grad is flat_buffer
-
-    def test_zero_grad_without_reuse_drops_buffer(self):
-        rng = np.random.default_rng(1)
-        p = Tensor(rng.normal(size=(8, 8)), requires_grad=True)
-        opt = SGD([p], lr=1e-3, reuse_grad_buffers=False)
-        x = Tensor(rng.normal(size=(4, 8)))
-        (x @ p).sum().backward()
-        first_buffer = p.grad
-        opt.zero_grad()
-        (x @ p).sum().backward()
-        assert p.grad is not first_buffer
 
 
 class TestInPlaceAccumulation:

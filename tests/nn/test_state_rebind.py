@@ -159,14 +159,11 @@ class TestAstypeInvalidation:
             group.flat_state[0], moments_before.astype(np.float32)
         )
 
-    @pytest.mark.parametrize("reuse_grad_buffers", [True, False])
-    def test_model_stays_converted_after_steps(self, reuse_grad_buffers):
-        """Moments (or a kept grad buffer) left in float64 after astype
+    def test_model_stays_converted_after_steps(self):
+        """Moments (or the kept grad buffer) left in float64 after astype
         would silently upcast the model back on the next step."""
         model = _make_model()
-        optimizer = Adam(
-            model.parameters(), lr=1e-2, reuse_grad_buffers=reuse_grad_buffers
-        )
+        optimizer = Adam(model.parameters(), lr=1e-2)
         X, y = _make_batch()
         for _ in range(3):
             _train_step(model, optimizer, X, y)

@@ -63,6 +63,36 @@ class TestCommands:
         assert captured.out == ""
         assert "round_quorum must be in (0, 1], got 1.5" in captured.err
 
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [
+            ("--workers", "-2", "ExecutionPlan.device_workers: invalid worker count -2"),
+            ("--edge-workers", "-2", "ExecutionPlan.edge_workers: invalid worker count -2"),
+            ("--backend", "fibers", "ExecutionPlan.backend: unknown executor backend 'fibers'"),
+        ],
+    )
+    def test_run_rejects_bad_execution_spec_before_any_work(
+        self, capsys, monkeypatch, flag, value, named
+    ):
+        """``--workers -2`` used to pay for every cloud phase and then die
+        on a traceback in the first fan-out; ``--edge-workers -2`` was a
+        traceback out of ``ACMEConfig()``."""
+        from repro.distributed import ACMESystem
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a system was built for a rejected spec")
+
+        monkeypatch.setattr(ACMESystem, "__init__", no_work)
+        code = main([
+            "run", "--clusters", "1", "--devices", "2",
+            "--classes", "6", "--samples", "18", flag, value,
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro-cli run: error: ")
+        assert named in captured.err
+
     def test_scale_small_campaign(self, capsys):
         code = main([
             "scale", "--devices", "60", "--clusters", "2", "--rounds", "1",

@@ -54,3 +54,36 @@ def test_core_symbols_are_callable_or_classes():
                  "personalized_architecture_aggregation",
                  "header_search_space_size"):
         assert callable(getattr(core, name))
+
+
+def test_execution_placement_is_declared_once():
+    """No dataclass under ``repro.distributed`` / ``repro.core`` re-declares
+    what :class:`ExecutionPlan` owns: a field named like one of the
+    plan's, or like the knobs it replaced."""
+    import dataclasses
+    import pkgutil
+    import re
+
+    import repro.core
+    import repro.distributed
+    from repro.distributed.executor import ExecutionPlan
+
+    owned = {f.name for f in dataclasses.fields(ExecutionPlan)}
+    retired = re.compile(r"parallel_.*|backend|fleet_training")
+    offenders = []
+    for package in (repro.core, repro.distributed):
+        for info in pkgutil.iter_modules(package.__path__, package.__name__ + "."):
+            module = importlib.import_module(info.name)
+            for cls in vars(module).values():
+                if (
+                    not dataclasses.is_dataclass(cls)
+                    or cls is ExecutionPlan
+                    or getattr(cls, "__module__", None) != info.name
+                ):
+                    continue
+                offenders += [
+                    f"{info.name}.{cls.__name__}.{f.name}"
+                    for f in dataclasses.fields(cls)
+                    if f.name in owned or retired.fullmatch(f.name)
+                ]
+    assert offenders == []

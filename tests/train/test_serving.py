@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 from repro.core.nas import HeaderSearch, NASConfig
-from repro.core.similarity import build_similarity_matrix, extract_features
+from repro.core.similarity import (
+    build_similarity_matrix,
+    distance_matrix,
+    extract_features,
+    regularize_similarity,
+    similarity_from_distances,
+)
 from repro.data.synthetic import make_cifar100_like
 from repro.models.vit import ViTConfig, VisionTransformer
 from repro.models.headers import build_fixed_header
@@ -122,9 +128,16 @@ class TestBatchedExtractFeatures:
             np.testing.assert_array_equal(batched[i], expected)
 
     def test_build_similarity_matrix_batched_parity(self, backbone, datasets):
-        batched = build_similarity_matrix(backbone, datasets, max_samples=8, batched=True)
-        unbatched = build_similarity_matrix(
-            backbone, datasets, max_samples=8, batched=False
+        """The one stacked forward gives the matrix the per-dataset
+        pipeline gives, composed here from its parts (Eqs. 19-20)."""
+        batched = build_similarity_matrix(backbone, datasets, max_samples=8, seed=3)
+        features = [
+            extract_features(backbone, dataset, max_samples=8, seed=3 + i)
+            for i, dataset in enumerate(datasets)
+        ]
+        unbatched = regularize_similarity(
+            similarity_from_distances(distance_matrix(features, seed=3)),
+            temperature=0.05,
         )
         np.testing.assert_array_equal(batched, unbatched)
 
