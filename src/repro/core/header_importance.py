@@ -10,6 +10,9 @@ would introduce:
 Importances are accumulated over mini-batches (the paper computes them
 "every minibatch", Fig. 6a) and averaged, producing the importance set
 ``Q_n`` uploaded to the edge server.
+
+The backbone only ever runs tape-free here — or not at all, when the
+caller hands in its features over the dataset (``features=``).
 """
 
 from __future__ import annotations
@@ -22,11 +25,10 @@ import numpy as np
 from repro.core.importance import header_parameter_importance
 from repro.data.dataset import ArrayDataset, DataLoader
 from repro.models.header_dag import DAGHeader
-from repro.models.headers import BackboneFeatures
+from repro.models.headers import BackboneFeatures, frozen_batch_features
 from repro.models.vit import VisionTransformer
 from repro.nn import functional as F
 from repro.nn.optim import Adam
-from repro.nn.tensor import Tensor
 
 
 @dataclass
@@ -46,10 +48,11 @@ def compute_importance_set(
     dataset: ArrayDataset,
     config: Optional[ImportanceConfig] = None,
     train: bool = True,
+    features: Optional[BackboneFeatures] = None,
 ) -> np.ndarray:
     """Train the header locally and return its importance set ``Q_n``.
 
-    The backbone is used frozen (features detached), matching §III-D:
+    The backbone is used frozen (tape-free forwards), matching §III-D:
     "freezing the backbone architecture and its parameters, training the
     header using local private dataset, and generating an importance set".
 
@@ -58,6 +61,14 @@ def compute_importance_set(
     train:
         When False, skips optimizer updates and only accumulates
         importances (useful for re-scoring an already-trained header).
+    features:
+        The frozen backbone's precomputed features over
+        ``dataset.images``, row-aligned
+        (:func:`repro.train.serving.precompute_backbone_features`).
+        Each mini-batch is then a row gather instead of a backbone
+        forward — same shuffle stream, bit-identical importance set and
+        header weights.  The owner of the cache decides when it is valid
+        (:meth:`repro.distributed.device.DeviceNode.frozen_features`).
 
     Returns
     -------
@@ -73,14 +84,18 @@ def compute_importance_set(
     accumulated = np.zeros(header.parameter_count())
     batches_seen = 0
 
-    loader = DataLoader(dataset, batch_size=config.batch_size, shuffle=True, rng=rng)
+    loader = DataLoader(
+        dataset,
+        batch_size=config.batch_size,
+        shuffle=True,
+        rng=rng,
+        yield_indices=features is not None,
+    )
     for _epoch in range(config.epochs):
-        for batch_idx, (images, labels) in enumerate(loader):
+        for batch_idx, (batch, labels) in enumerate(loader):
             if batch_idx >= config.max_batches_per_epoch:
                 break
-            cls, tokens, penult = backbone.forward_features_multi(Tensor(images))
-            features = BackboneFeatures(cls.detach(), tokens.detach(), penult.detach())
-            logits = header(features)
+            logits = header(frozen_batch_features(backbone, batch, features))
             loss = F.cross_entropy(logits, labels)
             # Buffer-reuse mode: each batch's backward accumulates into
             # the previous batch's grad arrays instead of fresh ones.

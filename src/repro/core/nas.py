@@ -12,7 +12,8 @@ The edge server searches for a coarse header matching its backbone:
   moving-average baseline.
 
 Per the paper the backbone is *not* frozen at this stage; freezing it is
-available as a fast path (features are then cached across steps).
+available as a fast path (its features over the search's train split and
+the scored validation prefix are then swept once per search).
 """
 
 from __future__ import annotations
@@ -30,10 +31,16 @@ from repro.core.controller import (
 from repro.data.dataset import ArrayDataset, DataLoader
 from repro.models.blocks import OPERATION_NAMES, build_operation, num_operations
 from repro.models.header_dag import DAGHeader
-from repro.models.headers import BackboneFeatures
+from repro.models.headers import BackboneFeatures, frozen_batch_features
 from repro.models.vit import VisionTransformer
 from repro.nn import functional as F
-from repro.nn.layers import Activation, Linear, Module, Sequential
+from repro.nn.layers import (
+    Activation,
+    Linear,
+    Module,
+    Sequential,
+    has_active_stochastic_modules,
+)
 from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.tensor import Tensor, no_grad
 
@@ -135,7 +142,6 @@ class HeaderSearch:
         )
         self._controller_opt = Adam(self.controller.parameters(), lr=cfg.controller_lr)
         self._baseline = MovingAverageBaseline()
-        self._feature_cache: Dict[object, BackboneFeatures] = {}
 
     # ------------------------------------------------------------------
     def build_child(self, spec: HeaderSpec) -> DAGHeader:
@@ -149,19 +155,31 @@ class HeaderSearch:
             classifier=self.classifier,
         )
 
-    def _features(self, images: np.ndarray, key=None) -> BackboneFeatures:
-        """Backbone features; cached when the backbone is frozen."""
-        if not self.config.train_backbone and key is not None:
-            cached = self._feature_cache.get(key)
-            if cached is not None:
-                return cached
-        cls, tokens, penult = self.backbone.forward_features_multi(Tensor(images))
-        if not self.config.train_backbone:
-            cls, tokens, penult = cls.detach(), tokens.detach(), penult.detach()
-        features = BackboneFeatures(cls, tokens, penult)
-        if not self.config.train_backbone and key is not None:
-            self._feature_cache[key] = features
-        return features
+    def _features(
+        self, batch: np.ndarray, features: Optional[BackboneFeatures] = None
+    ) -> BackboneFeatures:
+        """One batch's backbone features: rows of ``features`` (a
+        :meth:`_sweep`; ``batch`` is then row indices), else a forward
+        over the images — taped only while the backbone trains."""
+        if features is None and self.config.train_backbone:
+            return BackboneFeatures(*self.backbone.forward_features_multi(Tensor(batch)))
+        return frozen_batch_features(self.backbone, batch, features)
+
+    def _sweep(self, images: np.ndarray) -> Optional[BackboneFeatures]:
+        """Tape-free features of ``images``, row-aligned, to gather batches from.
+
+        Valid only while the backbone's weights stand still: a frozen
+        search sweeps once in :meth:`search`, a ``train_backbone`` one
+        only inside a scoring call.  ``None`` (per-batch forwards stay)
+        when there is no row, or when a forward would draw module-local
+        RNG (training-mode dropout) and one sweep would consume a
+        different stream than the per-batch loop.
+        """
+        from repro.train.serving import precompute_backbone_features  # lazy: cycle
+
+        if len(images) == 0 or has_active_stochastic_modules(self.backbone):
+            return None
+        return precompute_backbone_features(self.backbone, images)
 
     def _shared_parameters(self, child: DAGHeader):
         params = self.pool.parameters() + self.classifier.parameters()
@@ -176,17 +194,21 @@ class HeaderSearch:
                 seen.add(id(p))
         return params
 
-    def _train_shared(self, child: DAGHeader, loader: DataLoader) -> None:
+    def _train_shared(
+        self,
+        child: DAGHeader,
+        loader: DataLoader,
+        features: Optional[BackboneFeatures] = None,
+    ) -> None:
+        """A few ω_s steps on ``child``; with ``features`` (a sweep of
+        the loader's dataset) the loader yields row indices to gather."""
         cfg = self.config
         optimizer = Adam(self._shared_parameters(child), lr=cfg.shared_lr)
         steps = 0
-        for images, labels in loader:
+        for batch, labels in loader:
             if steps >= cfg.shared_steps_per_child:
                 break
-            # No cache key: the loader shuffles, so batch indices are not
-            # stable identities for caching.
-            features = self._features(images)
-            logits = child(features)
+            logits = child(self._features(batch, features))
             loss = F.cross_entropy(logits, labels)
             optimizer.zero_grad()
             loss.backward()
@@ -203,17 +225,15 @@ class HeaderSearch:
         child: DAGHeader,
         dataset: ArrayDataset,
         max_batches: int = 4,
-        features_by_batch: Optional[Dict[int, BackboneFeatures]] = None,
+        features: Optional[BackboneFeatures] = None,
     ) -> float:
         """Score an already-built child — the parallelizable inner task.
 
         Pure inference over shared (frozen-for-scoring) weights: safe to
-        run concurrently for many children.  ``features_by_batch`` (from
-        :meth:`_prefetch_scoring_features`) supplies pre-served backbone
-        features keyed by batch index so scoring skips the backbone
-        entirely; without it, the feature cache may be filled redundantly
-        by racing workers, but every writer computes the identical value,
-        so results don't depend on scheduling.
+        run concurrently for many children.  ``features`` (a
+        :meth:`_sweep` of the scored prefix of ``dataset``) turns each
+        batch into a row gather so scoring skips the backbone entirely;
+        without it every batch is a tape-free forward.
         """
         loader = DataLoader(
             dataset,
@@ -223,82 +243,26 @@ class HeaderSearch:
             # stream; the pinned rng keeps eval loaders deterministic even if
             # the set_seed fallback default ever changes
             rng=np.random.default_rng(0),
+            yield_indices=features is not None,
         )
         correct, total = 0, 0
         # Reward scoring is pure inference (REINFORCE differentiates the
         # controller's log-probs, never the child): run it tape-free.
         with no_grad():
-            for batch_idx, (images, labels) in enumerate(loader):
+            for batch_idx, (batch, labels) in enumerate(loader):
                 if batch_idx >= max_batches:
                     break
-                if features_by_batch is not None and batch_idx in features_by_batch:
-                    features = features_by_batch[batch_idx]
-                else:
-                    features = self._features(images, key=(id(dataset), batch_idx))
-                logits = child(features)
+                logits = child(self._features(batch, features))
                 correct += int((logits.data.argmax(axis=-1) == labels).sum())
                 total += labels.shape[0]
         return correct / max(1, total)
 
-    def _prefetch_scoring_features(
-        self, dataset: ArrayDataset, max_batches: int
-    ) -> Optional[Dict[int, BackboneFeatures]]:
-        """Backbone features for the scoring batches, one stacked forward.
-
-        The scoring loop visits the same first ``max_batches`` validation
-        batches for every child; serving them through a single batched
-        tape-free forward (:mod:`repro.train.serving`) amortizes the
-        backbone cost across the whole child cohort while producing
-        bit-identical features.  With a frozen backbone the persistent
-        ``_feature_cache`` is consulted first and fed afterwards, so
-        repeated ``_score_specs`` calls (one per controller update plus
-        derivation) run the stacked forward at most once per dataset.
-        Returns ``None`` (fall back to per-child computation) when the
-        backbone would consume module-local RNG.
-        """
-        from repro.nn.layers import has_active_stochastic_modules
-
-        if has_active_stochastic_modules(self.backbone):
-            return None
-        loader = DataLoader(
-            dataset,
-            batch_size=self.config.batch_size,
-            shuffle=False,
-            # reprolint: fixed-rng -- shuffle=False never draws from this
-            # stream; the pinned rng keeps eval loaders deterministic even if
-            # the set_seed fallback default ever changes
-            rng=np.random.default_rng(0),
-        )
-        batches = []
-        for batch_idx, (images, _labels) in enumerate(loader):
-            if batch_idx >= max_batches:
-                break
-            batches.append((batch_idx, images))
-        if not batches:
-            return None
-        frozen = not self.config.train_backbone
-        features_by_batch: Dict[int, BackboneFeatures] = {}
-        missing = []
-        for batch_idx, images in batches:
-            cached = self._feature_cache.get((id(dataset), batch_idx)) if frozen else None
-            if cached is not None:
-                features_by_batch[batch_idx] = cached
-            else:
-                missing.append((batch_idx, images))
-        if missing:
-            from repro.train.serving import batched_forward_features_multi
-
-            computed = batched_forward_features_multi(
-                self.backbone, [images for _idx, images in missing]
-            )
-            for (batch_idx, _images), features in zip(missing, computed):
-                features_by_batch[batch_idx] = features
-                if frozen:
-                    self._feature_cache[(id(dataset), batch_idx)] = features
-        return features_by_batch
-
     def _score_specs(
-        self, specs: List[HeaderSpec], dataset: ArrayDataset, max_batches: int = 4
+        self,
+        specs: List[HeaderSpec],
+        dataset: ArrayDataset,
+        max_batches: int = 4,
+        features: Optional[BackboneFeatures] = None,
     ) -> List[float]:
         """Validation rewards for many specs, fanned out over the plan.
 
@@ -312,20 +276,32 @@ class HeaderSearch:
         would consume module-local RNG (training-mode dropout), since
         concurrent draws from one generator are neither deterministic
         nor safe.
+
+        Every child visits the same first ``max_batches`` validation
+        batches, so they are served from one sweep: the caller's
+        ``features`` when the backbone is frozen for the whole search,
+        otherwise one made here (nothing trains during a scoring call).
         """
         from repro.distributed.executor import ExecutionPlan  # lazy: avoids import cycle
 
         children = [self.build_child(spec) for spec in specs]
-        features_by_batch = self._prefetch_scoring_features(dataset, max_batches)
+        if features is None:
+            features = self._sweep(self._scored_prefix(dataset, max_batches))
         return (self.plan or ExecutionPlan()).map_devices(
             lambda child: self._evaluate_child(
-                child, dataset, max_batches, features_by_batch=features_by_batch
+                child, dataset, max_batches, features=features
             ),
             children,
             serial_if_stochastic=(self.backbone, *children),
         )
 
-    def _update_controller(self, val_set: ArrayDataset) -> float:
+    def _scored_prefix(self, dataset: ArrayDataset, max_batches: int = 4) -> np.ndarray:
+        """The rows :meth:`_evaluate_child`'s unshuffled loader visits."""
+        return dataset.images[: max_batches * self.config.batch_size]
+
+    def _update_controller(
+        self, val_set: ArrayDataset, features: Optional[BackboneFeatures] = None
+    ) -> float:
         """One REINFORCE update; returns the mean reward of its samples.
 
         Architecture sampling stays serial (it threads the controller's
@@ -338,7 +314,7 @@ class HeaderSearch:
             self.controller.sample(self.rng)
             for _ in range(cfg.controller_updates_per_epoch)
         ]
-        rewards = self._score_specs([s.spec for s in samples], val_set)
+        rewards = self._score_specs([s.spec for s in samples], val_set, features=features)
         losses = None
         for sample, reward in zip(samples, rewards):
             baseline = self._baseline.update(reward)
@@ -357,6 +333,12 @@ class HeaderSearch:
         cfg = self.config
         train_set, val_set = dataset.split(1.0 - cfg.val_fraction, self.rng)
         result = SearchResult(spec=HeaderSpec.from_sequence([0, 0, 0, 0]))
+        # A frozen backbone's features are a pure function of the rows:
+        # sweep them once per search instead of once per shuffled batch.
+        train_features = val_features = None
+        if not cfg.train_backbone:
+            train_features = self._sweep(train_set.images)
+            val_features = self._sweep(self._scored_prefix(val_set))
 
         for _epoch in range(cfg.search_epochs):
             # Step 1: optimize shared parameters ω_s with sampled children.
@@ -368,10 +350,11 @@ class HeaderSearch:
                     batch_size=cfg.batch_size,
                     shuffle=True,
                     rng=self.rng,
+                    yield_indices=train_features is not None,
                 )
-                self._train_shared(child, loader)
+                self._train_shared(child, loader, train_features)
             # Step 2: update the controller policy θ_LSTM.
-            mean_reward = self._update_controller(val_set)
+            mean_reward = self._update_controller(val_set, val_features)
             result.reward_history.append(mean_reward)
 
         # Derivation: sample candidates (serial, RNG-ordered), score them
@@ -382,7 +365,9 @@ class HeaderSearch:
             self.controller.sample(self.rng).spec for _ in range(cfg.derive_samples)
         ]
         greedy = self.controller.sample(self.rng, greedy=True)
-        rewards = self._score_specs(derive_specs + [greedy.spec], val_set)
+        rewards = self._score_specs(
+            derive_specs + [greedy.spec], val_set, features=val_features
+        )
         best_spec, best_reward = None, -1.0
         for spec, reward in zip(derive_specs, rewards[: len(derive_specs)]):
             if reward > best_reward:

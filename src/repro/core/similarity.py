@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.analysis.registry import register_lock
 from repro.data.dataset import ArrayDataset
+from repro.models.headers import BackboneFeatures
 from repro.models.vit import VisionTransformer
 from repro.nn.tensor import Tensor, no_grad
 
@@ -67,10 +68,22 @@ def _cached_projections(dims: int, num_projections: int, seed: int) -> np.ndarra
 
 
 def extract_features(
-    model: VisionTransformer, dataset: ArrayDataset, max_samples: int = 64, seed: int = 0
+    model: VisionTransformer,
+    dataset: ArrayDataset,
+    max_samples: int = 64,
+    seed: int = 0,
+    features: Optional[BackboneFeatures] = None,
 ) -> np.ndarray:
-    """CLS-token features of a small random sample (the P(D̃) of Eq. 19)."""
+    """CLS-token features of a small random sample (the P(D̃) of Eq. 19).
+
+    ``features`` — ``model``'s precomputed features over
+    ``dataset.images``, row-aligned — turns the forward into a row
+    gather at the same seeded sample's indices (bit-identical: the
+    kernels are row-independent).
+    """
     rng = np.random.default_rng(seed)
+    if features is not None:
+        return features.cls.data[dataset.sample_indices(max_samples, rng)]
     sample = dataset.sample(max_samples, rng)
     with no_grad():
         cls, _tokens = model.forward_features(Tensor(sample.images))

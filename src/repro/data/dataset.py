@@ -82,11 +82,14 @@ class ArrayDataset:
             self.subset(order[cut:], name=f"{self.name}/b"),
         )
 
+    def sample_indices(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Row indices of a random sample of ``n`` items without replacement."""
+        return rng.choice(len(self), size=min(n, len(self)), replace=False)
+
     def sample(self, n: int, rng: np.random.Generator) -> "ArrayDataset":
         """Random sample of ``n`` items without replacement."""
-        n = min(n, len(self))
-        indices = rng.choice(len(self), size=n, replace=False)
-        return self.subset(indices, name=f"{self.name}/sample{n}")
+        indices = self.sample_indices(n, rng)
+        return self.subset(indices, name=f"{self.name}/sample{len(indices)}")
 
     def class_histogram(self) -> np.ndarray:
         """Counts per class over the full label space."""

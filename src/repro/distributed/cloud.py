@@ -17,6 +17,12 @@ served), and the per-edge response path writes only the edge's own
 ``assignments`` slot (under a lock).  Selection ties break
 deterministically (:func:`repro.core.pareto.select_model`), so the
 replies are independent of the order concurrent requests arrive in.
+
+The loss grid is filled width-major (:meth:`CloudServer._fill_losses`):
+δ keeps the *first* ``d`` layers (§II-C), so at one width a single
+tape-free forward at the deepest requested depth yields every shallower
+candidate's hidden state, and each cell's loss is read off its prefix —
+bit-identical to evaluating the cells one at a time.
 """
 
 from __future__ import annotations
@@ -36,8 +42,13 @@ from repro.distributed.network import Network
 from repro.hw.energy import energy
 from repro.hw.profiles import DeviceProfile
 from repro.models.vit import VisionTransformer
-from repro.train.evaluate import evaluate_model
+from repro.nn.tensor import Tensor, no_grad
+from repro.train.evaluate import batch_metrics
 from repro.train.trainer import TrainConfig, train_model
+
+#: Rows per eval batch of the loss grid — ``evaluate_model``'s default,
+#: which the per-cell evaluation this replaces ran at.
+_EVAL_BATCH = 64
 
 
 @dataclass
@@ -153,30 +164,58 @@ class CloudServer:
         with self._lock:
             if self._losses_ready:
                 return
-            for width in self.config.width_choices:
-                for depth in self._depth_choices():
-                    key = (width, depth)
-                    if key in self._loss_cache:
-                        continue
-                    self.backbone.scale(width, depth)
-                    # A fresh sample per cell reproduces the historical
-                    # lazy path bit-for-bit (the generator is re-seeded
-                    # per call, so every cell sees the same sample).
-                    sample = self.public_dataset.sample(
-                        self.config.eval_samples,
-                        np.random.default_rng(self.config.seed),
-                    )
-                    self._loss_cache[key] = evaluate_model(self.backbone, sample)[
-                        "loss"
-                    ]
-            # Restore full configuration, then freeze the reply payload:
-            # requests ship this captured copy instead of reading live
+            self._fill_losses(
+                [(w, d) for w in self.config.width_choices for d in self._depth_choices()]
+            )
+            # Freeze the reply payload at full configuration: requests
+            # ship this captured copy instead of reading live
             # parameters, so even the off-grid ``_candidate_loss``
             # fallback (which re-scales the backbone under this lock)
             # cannot race a concurrent reply.
-            self.backbone.scale(1.0, self.backbone.config.depth)
             self._backbone_state = self.backbone.state_dict()
             self._losses_ready = True
+
+    def _fill_losses(self, cells: Sequence[Tuple[float, int]]) -> None:
+        """Cache L_s(˜θ_s, D̃_c) for each uncached ``(w, d)`` in ``cells``.
+
+        The caller holds ``self._lock``.  Width-major: the seeded sample
+        is drawn once, and at each width one tape-free forward per eval
+        batch at the deepest requested depth serves every shallower
+        depth (:meth:`VisionTransformer.forward_depth_prefixes`) —
+        ``len(widths) · max(depths)`` encoder-layer forwards per batch
+        where one ``evaluate_model`` per cell ran ``Σ depths`` per
+        width.  Sample, batching (``_EVAL_BATCH`` rows, dataset order)
+        and metric accumulation are ``evaluate_model``'s, so every loss
+        equals the per-cell evaluation exactly (the oracle is
+        ``tests/reference/cloud_grid.py``).  The backbone is left at
+        full scale.
+        """
+        assert self.backbone is not None
+        sample = self.public_dataset.sample(
+            self.config.eval_samples, np.random.default_rng(self.config.seed)
+        )
+        if len(sample) == 0:
+            raise ValueError("no samples evaluated")
+        depths_of: Dict[float, List[int]] = {}
+        for width, depth in cells:
+            if (width, depth) not in self._loss_cache:
+                depths_of.setdefault(width, []).append(depth)
+        self.backbone.eval()
+        with no_grad():
+            for width, depths in depths_of.items():
+                self.backbone.scale(width, max(depths))
+                loss_sums = [0.0] * len(depths)
+                for start in range(0, len(sample), _EVAL_BATCH):
+                    rows = slice(start, start + _EVAL_BATCH)
+                    labels = sample.labels[rows]
+                    logits = self.backbone.forward_depth_prefixes(
+                        Tensor(sample.images[rows]), depths
+                    )
+                    for i, depth_logits in enumerate(logits):
+                        loss_sums[i] += batch_metrics(depth_logits, labels)[0]
+                for depth, loss_sum in zip(depths, loss_sums):
+                    self._loss_cache[(width, depth)] = loss_sum / len(sample)
+        self.backbone.scale(1.0, self.backbone.config.depth)
 
     def _candidate_loss(self, width: float, depth: int) -> float:
         """L_s(˜θ_s, D̃_c): public-set loss of the (w, d) sub-backbone."""
@@ -189,14 +228,7 @@ class CloudServer:
             # parameters, so the re-scale cannot corrupt a reply.
             with self._lock:
                 if key not in self._loss_cache:
-                    self.backbone.scale(width, depth)
-                    sample = self.public_dataset.sample(
-                        self.config.eval_samples,
-                        np.random.default_rng(self.config.seed),
-                    )
-                    metrics = evaluate_model(self.backbone, sample)
-                    self.backbone.scale(1.0, self.backbone.config.depth)
-                    self._loss_cache[key] = metrics["loss"]
+                    self._fill_losses([key])
         return self._loss_cache[key]
 
     def _representative_profile(self, stats: dict) -> DeviceProfile:

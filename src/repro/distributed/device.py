@@ -7,6 +7,11 @@ compute an importance set (Eqs. 16-18), upload it, and prune the header by
 the personalized set the edge sends back.  Local data never leaves the
 device — only importance sets and a tiny feature sample for similarity
 estimation.
+
+The backbone being frozen for all of that, an always-live device sweeps
+its private set through it once per installed model
+(:meth:`DeviceNode.frozen_features`); the importance rounds, the finale's
+fine-tune and the similarity sample all gather rows from that sweep.
 """
 
 from __future__ import annotations
@@ -33,8 +38,10 @@ from repro.distributed.state_store import (
 from repro.hw.profiles import DeviceProfile
 from repro.models.blocks import HeaderSpec
 from repro.models.header_dag import DAGHeader
+from repro.models.headers import BackboneFeatures
 from repro.models.vit import VisionTransformer, ViTConfig
-from repro.train.serving import batched_evaluate_headers
+from repro.nn.layers import has_active_stochastic_modules
+from repro.train.serving import batched_evaluate_headers, precompute_backbone_features
 from repro.train.trainer import TrainConfig, train_header
 
 #: Snapshot key for the cached frozen-feature sample (kept distinct from
@@ -81,6 +88,9 @@ class DeviceNode:
         #: function of installed state, so computing it once per model
         #: distribution is value-identical to recomputing per round.
         self._feature_sample: Optional[np.ndarray] = None
+        #: The installed backbone's features over ``dataset.images`` —
+        #: see :meth:`frozen_features`, the only reader.
+        self._features: Optional[BackboneFeatures] = None
         #: Churn state: an inactive device is unregistered from the
         #: fabric (sends to it raise ``KeyError``) and sits out protocol
         #: rounds until :meth:`reactivate` re-registers it.
@@ -173,6 +183,7 @@ class DeviceNode:
         self.header = None
         self.backbone = None
         self._feature_sample = None
+        self._features = None
 
     # ------------------------------------------------------------------
     def handle(self, message: Message) -> Optional[Message]:
@@ -192,6 +203,7 @@ class DeviceNode:
         payload-free either way, so the wire traffic does not change.
         """
         self._feature_sample = None
+        self._features = None
         self.keep_fraction = float(message.payload.get("keep_fraction", 0.7))
         if self.state_store is not None:
             self.state_store.drop(self)
@@ -214,6 +226,40 @@ class DeviceNode:
         return Message(self.name, message.sender, MessageKind.ACK)
 
     # ------------------------------------------------------------------
+    def frozen_features(self) -> Optional[BackboneFeatures]:
+        """The frozen backbone's features over the whole private set.
+
+        Phase 2-2 trains headers "freezing the backbone architecture and
+        its parameters" (§III-D) over a fixed private set, so these
+        features are a pure function of the installed model: they are
+        swept once, tape-free, at first need and serve every importance
+        round, the finale's fine-tune and the similarity feature sample
+        as row gathers (bit-identical — the kernels are row-independent)
+        until the next ``MODEL_DISTRIBUTION`` drops them.  Resident cost
+        is ``(1 + 2·num_patches) · embed_dim`` floats per private sample.
+
+        ``None`` — callers keep the per-batch tape-free forward — where
+        a cache would be wrong or wasteful: the backbone draws
+        module-local RNG per forward (training-mode dropout), there is
+        no row to sweep, or the device lives in a
+        :class:`DeviceStateLRU` (a thrashing LRU would re-sweep all
+        ``n`` rows per touch where a capped round forwards at most
+        ``max_batches_per_epoch · batch_size``, and the cold snapshot
+        must not grow).
+        """
+        assert self.backbone is not None, "model must be live"
+        if (
+            self.state_store is not None
+            or len(self.dataset) == 0
+            or has_active_stochastic_modules(self.backbone)
+        ):
+            return None
+        if self._features is None:
+            self._features = precompute_backbone_features(
+                self.backbone, self.dataset.images
+            )
+        return self._features
+
     def importance_round(
         self, include_feature_sample: bool = False, round_index: int = 0
     ) -> Message:
@@ -226,7 +272,11 @@ class DeviceNode:
         """
         self._ensure_live()
         q = compute_importance_set(
-            self.backbone, self.header, self.dataset, config=self.importance_config
+            self.backbone,
+            self.header,
+            self.dataset,
+            config=self.importance_config,
+            features=self.frozen_features(),
         )
         return self.build_importance_message(q, include_feature_sample)
 
@@ -250,7 +300,11 @@ class DeviceNode:
         if include_feature_sample:
             if self._feature_sample is None:
                 self._feature_sample = extract_features(
-                    self.backbone, self.dataset, max_samples=16, seed=self.seed
+                    self.backbone,
+                    self.dataset,
+                    max_samples=16,
+                    seed=self.seed,
+                    features=self.frozen_features(),
                 ).astype(np.float32)
             payload["feature_sample"] = self._feature_sample
         return Message(self.name, "", MessageKind.IMPORTANCE_SET, payload)
@@ -268,6 +322,7 @@ class DeviceNode:
             self.dataset,
             config=config or self.finetune_config(),
             freeze_backbone=True,
+            features=self.frozen_features(),
         )
 
     def finalize_round(self, config: Optional[TrainConfig] = None) -> dict:

@@ -462,6 +462,7 @@ class EdgeServer:
                 [d.header for d in participants],
                 [d.dataset for d in participants],
                 [d.importance_config for d in participants],
+                [d.frozen_features() for d in participants],
             )
             messages = [
                 device.build_importance_message(
@@ -474,6 +475,7 @@ class EdgeServer:
             # accumulation) are independent per device — fan out.  The
             # network sends stay serial and in device order so the
             # traffic ledger and message sequence match the serial run.
+            self._warm_frozen_features(participants)
             messages = self._fan_out_plan(participants).map_devices(
                 lambda device: device.importance_round(
                     include_feature_sample=include_features, round_index=t
@@ -609,6 +611,19 @@ class EdgeServer:
             for d in devices
         ]
 
+    def _warm_frozen_features(self, devices: Sequence[DeviceNode]) -> None:
+        """Sweep the devices' frozen-feature caches ahead of a forked round.
+
+        A forked worker's ``device._features`` is private to the worker
+        and dies with it, so the sweep would be repeated in every
+        fan-out; done here, the workers inherit the parent's pages.
+        Workers that share the heap (threads, and the serial plan of a
+        lazy cluster) build — or skip — their own cache in place.
+        """
+        if not self._fan_out_plan(devices).workers_share_heap:
+            for device in devices:
+                device.frozen_features()
+
     def _harvest_feature_samples(
         self, devices: Sequence[DeviceNode], messages: Sequence[Message]
     ) -> None:
@@ -689,8 +704,10 @@ class EdgeServer:
                 [d.header for d in devices],
                 [d.dataset for d in devices],
                 [d.finetune_config() for d in devices],
+                [d.frozen_features() for d in devices],
             )
         else:
+            self._warm_frozen_features(devices)
             plan.map_devices(
                 lambda device: device.finetune(),
                 devices,

@@ -18,7 +18,7 @@ from repro.nn import init
 from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.conv import AvgPool2d, Conv2d, GlobalAvgPool2d
 from repro.nn.layers import Activation, LayerNorm, Linear, Module, Sequential
-from repro.nn.tensor import Tensor, concatenate
+from repro.nn.tensor import Tensor, concatenate, no_grad
 
 
 class BackboneFeatures(NamedTuple):
@@ -52,6 +52,31 @@ class BackboneFeatures(NamedTuple):
         n, t, d = tokens.shape
         g = self.grid_size
         return tokens.transpose((0, 2, 1)).reshape(n, d, g, g)
+
+
+def gather_features(features: BackboneFeatures, indices: np.ndarray) -> BackboneFeatures:
+    """Row-gather a precomputed feature cache into a mini-batch view."""
+    return BackboneFeatures(
+        Tensor(features.cls.data[indices]),
+        Tensor(features.tokens.data[indices]),
+        Tensor(features.penultimate.data[indices]),
+    )
+
+
+def frozen_batch_features(
+    backbone: Module, batch: np.ndarray, features: Optional[BackboneFeatures] = None
+) -> BackboneFeatures:
+    """One mini-batch's features from a frozen backbone.
+
+    With ``features`` (the backbone's precomputed features over the
+    loader's dataset) ``batch`` is the loader's row indices and this is
+    a gather; without, ``batch`` is the images and this is a tape-free
+    forward.  Bit-identical either way: the kernels are row-independent.
+    """
+    if features is not None:
+        return gather_features(features, batch)
+    with no_grad():
+        return BackboneFeatures(*backbone.forward_features_multi(Tensor(batch)))
 
 
 class Header(Module):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -219,6 +219,18 @@ class VisionTransformer(Module):
     def forward(self, images: Tensor) -> Tensor:
         cls, _tokens = self.forward_features(images)
         return self.head(cls)
+
+    def forward_depth_prefixes(self, images: Tensor, depths: Sequence[int]) -> List[Tensor]:
+        """Logits of the depth-``d`` sub-model for every ``d`` in ``depths``.
+
+        δ keeps the *first* ``d`` layers (§II-C), so at one width the
+        depth-``d`` hidden state is a prefix of any deeper one: a single
+        encoder pass at the current scale serves every depth up to the
+        active one, each bit-identical to ``scale(width, d)`` followed by
+        :meth:`forward`.
+        """
+        _final, hidden = self.encoder(self._embed(images), collect_hidden=True)
+        return [self.head(self.norm(hidden[d - 1])[:, 0, :]) for d in depths]
 
     # ------------------------------------------------------------------
     # Materialization: emit a genuinely smaller model for deployment

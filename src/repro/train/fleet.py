@@ -96,41 +96,42 @@ def _resolve_configs(configs, count: int, default_factory) -> List:
 class _FleetFeatureServer:
     """Frozen-backbone features for every member's mini-batches.
 
-    Two serving modes, chosen per member with the same economics as
-    ``train_header``'s cache guard: members that sweep their whole
-    dataset every epoch (no ``max_batches_per_epoch`` cap) get their
-    features **precomputed once** into a shared concatenated cache and
-    row-gathered per round; members whose epochs are batch-capped would
-    waste backbone sweeps on rows they never visit, so their rows are
-    instead forwarded **per round** — all capped members' batch images
-    stacked into one ``no_grad`` forward (exactly the rows the serial
-    loop forwards, batched across devices).  Both modes are bit-for-bit
-    identical per row (row-independent kernels, the PR 3 invariant).
+    Two serving modes per member.  A member with a feature cache —
+    handed in by its owner (a device's
+    :meth:`~repro.distributed.device.DeviceNode.frozen_features`, which
+    outlives the call), or swept here in one chunked pass over every
+    uncached member whose epochs visit its whole dataset (no binding
+    ``max_batches_per_epoch`` cap) — is row-gathered per round.  A
+    batch-capped member without one would waste a per-call sweep on rows
+    it never visits, so its rows are forwarded **per round** — all such
+    members' batch images stacked into one ``no_grad`` forward (exactly
+    the rows the serial loop forwards, batched across devices).  Both
+    modes are bit-for-bit identical per row (row-independent kernels,
+    the PR 3 invariant).
     """
 
     def __init__(
         self,
         backbone: Module,
         datasets: Sequence[ArrayDataset],
-        cache_member: Sequence[bool],
+        sweep_member: Sequence[bool],
+        features: Sequence[Optional[BackboneFeatures]],
     ) -> None:
         self.backbone = backbone
         self.datasets = list(datasets)
-        self.cached = [bool(c) and len(d) > 0 for c, d in zip(cache_member, datasets)]
-        offsets = []
-        total = 0
-        images = []
-        for dataset, cached in zip(self.datasets, self.cached):
-            offsets.append(total)
-            if cached:
-                total += len(dataset)
-                images.append(dataset.images)
-        self.offsets = offsets
-        self.features: Optional[BackboneFeatures] = (
-            serving.precompute_backbone_features(backbone, np.concatenate(images, axis=0))
-            if images
-            else None
-        )
+        self.features: List[Optional[BackboneFeatures]] = list(features)
+        swept = [
+            m
+            for m, dataset in enumerate(self.datasets)
+            if self.features[m] is None and sweep_member[m] and len(dataset) > 0
+        ]
+        if swept:
+            sweep = serving.precompute_backbone_features(
+                backbone, np.concatenate([self.datasets[m].images for m in swept], axis=0)
+            )
+            parts = self._split(sweep, [len(self.datasets[m]) for m in swept])
+            for m, part in zip(swept, parts):
+                self.features[m] = part
 
     @staticmethod
     def _split(features: BackboneFeatures, sizes: Sequence[int]) -> List[BackboneFeatures]:
@@ -148,17 +149,13 @@ class _FleetFeatureServer:
         self, active: Sequence[int], batches: Sequence[np.ndarray]
     ) -> List[BackboneFeatures]:
         """The round's per-member features, in ``active`` order."""
-        cached_pairs = [(i, m) for i, m in enumerate(active) if self.cached[m]]
-        direct_pairs = [(i, m) for i, m in enumerate(active) if not self.cached[m]]
-        out: List[Optional[BackboneFeatures]] = [None] * len(active)
-        if cached_pairs:
-            rows = np.concatenate(
-                [self.offsets[m] + np.asarray(batches[i]) for i, m in cached_pairs]
-            )
-            gathered = serving.gather_features(self.features, rows)
-            split = self._split(gathered, [len(batches[i]) for i, _m in cached_pairs])
-            for (i, _m), feats in zip(cached_pairs, split):
-                out[i] = feats
+        out: List[Optional[BackboneFeatures]] = [
+            None
+            if self.features[m] is None
+            else serving.gather_features(self.features[m], batches[i])
+            for i, m in enumerate(active)
+        ]
+        direct_pairs = [(i, m) for i, m in enumerate(active) if out[i] is None]
         if direct_pairs:
             # One stacked tape-free forward over exactly the rows the
             # serial loops would forward this round.
@@ -302,6 +299,7 @@ def train_headers_fleet(
     headers: Sequence[Module],
     datasets: Sequence[ArrayDataset],
     configs=None,
+    features: Optional[Sequence[Optional[BackboneFeatures]]] = None,
 ) -> List[TrainReport]:
     """Train many headers over one shared frozen backbone, fleet-batched.
 
@@ -312,17 +310,21 @@ def train_headers_fleet(
     one stacked graph with a single fused fleet-optimizer step.  Falls
     back to the serial per-member loop for stochastic models; members
     that opted out via ``TrainConfig.fleet_training=False`` train
-    serially while the rest still fleet-batch.
+    serially while the rest still fleet-batch.  ``features`` aligns
+    with ``headers``: member ``i``'s precomputed features over
+    ``datasets[i].images`` (or ``None``), as for :func:`train_header`.
     """
     if not (len(headers) == len(datasets)):
         raise ValueError(f"{len(headers)} headers vs {len(datasets)} datasets")
     configs = _resolve_configs(configs, len(headers), TrainConfig)
     if not headers:
         return []
+    if features is None:
+        features = [None] * len(headers)
     if not fleet_supported(backbone, headers):
         return [
-            train_header(backbone, h, d, config=c, freeze_backbone=True)
-            for h, d, c in zip(headers, datasets, configs)
+            train_header(backbone, h, d, config=c, freeze_backbone=True, features=f)
+            for h, d, c, f in zip(headers, datasets, configs, features)
         ]
     if not all(c.fleet_training for c in configs):
         # Per-member opt-out: fleet the opted-in members, train the rest
@@ -332,7 +334,12 @@ def train_headers_fleet(
         for i, c in enumerate(configs):
             if not c.fleet_training:
                 reports[i] = train_header(
-                    backbone, headers[i], datasets[i], config=c, freeze_backbone=True
+                    backbone,
+                    headers[i],
+                    datasets[i],
+                    config=c,
+                    freeze_backbone=True,
+                    features=features[i],
                 )
         if fleet_ids:
             sub_reports = train_headers_fleet(
@@ -340,6 +347,7 @@ def train_headers_fleet(
                 [headers[i] for i in fleet_ids],
                 [datasets[i] for i in fleet_ids],
                 [configs[i] for i in fleet_ids],
+                [features[i] for i in fleet_ids],
             )
             for i, report in zip(fleet_ids, sub_reports):
                 reports[i] = report
@@ -352,6 +360,7 @@ def train_headers_fleet(
             _cache_worthwhile(d, c.batch_size, c.max_batches_per_epoch)
             for d, c in zip(datasets, configs)
         ],
+        features,
     )
     members = []
     for header, dataset, config in zip(headers, datasets, configs):
@@ -394,6 +403,7 @@ def fleet_importance_rounds(
     headers: Sequence[Module],
     datasets: Sequence[ArrayDataset],
     configs=None,
+    features: Optional[Sequence[Optional[BackboneFeatures]]] = None,
 ) -> List[np.ndarray]:
     """Fleet-batched local importance rounds (Algorithm 2's device phase).
 
@@ -403,17 +413,20 @@ def fleet_importance_rounds(
     rounds and accumulates each device's first-order Taylor importance
     set from the per-member gradient slices **before** each fused fleet
     step, exactly as the serial loop reads them.  Float64 importance
-    sets are bit-for-bit identical to the serial path.
+    sets are bit-for-bit identical to the serial path.  ``features``
+    aligns with ``headers``, as for :func:`train_headers_fleet`.
     """
     if not (len(headers) == len(datasets)):
         raise ValueError(f"{len(headers)} headers vs {len(datasets)} datasets")
     configs = _resolve_configs(configs, len(headers), ImportanceConfig)
     if not headers:
         return []
+    if features is None:
+        features = [None] * len(headers)
     if not fleet_supported(backbone, headers):
         return [
-            compute_importance_set(backbone, h, d, config=c)
-            for h, d, c in zip(headers, datasets, configs)
+            compute_importance_set(backbone, h, d, config=c, features=f)
+            for h, d, c, f in zip(headers, datasets, configs, features)
         ]
 
     cache = _FleetFeatureServer(
@@ -423,6 +436,7 @@ def fleet_importance_rounds(
             _cache_worthwhile(d, c.batch_size, c.max_batches_per_epoch)
             for d, c in zip(datasets, configs)
         ],
+        features,
     )
     members = []
     for header, dataset, config in zip(headers, datasets, configs):

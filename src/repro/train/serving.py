@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.analysis.registry import register_lock
 from repro.data.dataset import ArrayDataset, DataLoader
-from repro.models.headers import BackboneFeatures
+from repro.models.headers import BackboneFeatures, gather_features  # noqa: F401  (re-export)
 from repro.nn.layers import Module, has_active_stochastic_modules
 from repro.nn.tensor import Tensor, no_grad
 from repro.train.evaluate import batch_metrics, evaluate_header
@@ -136,15 +136,6 @@ def precompute_backbone_features(
         Tensor(_concat_rows(cls_parts)),
         Tensor(_concat_rows(token_parts)),
         Tensor(_concat_rows(penult_parts)),
-    )
-
-
-def gather_features(features: BackboneFeatures, indices: np.ndarray) -> BackboneFeatures:
-    """Row-gather a precomputed feature cache into a mini-batch view."""
-    return BackboneFeatures(
-        Tensor(features.cls.data[indices]),
-        Tensor(features.tokens.data[indices]),
-        Tensor(features.penultimate.data[indices]),
     )
 
 

@@ -9,12 +9,12 @@ import numpy as np
 
 from repro.data.dataset import ArrayDataset, DataLoader
 from repro.models.header_dag import DAGHeader
-from repro.models.headers import BackboneFeatures, Header
+from repro.models.headers import BackboneFeatures, Header, frozen_batch_features
 from repro.models.vit import VisionTransformer
 from repro.nn import functional as F
 from repro.nn.layers import Module, has_active_stochastic_modules
 from repro.nn.optim import Adam, clip_grad_norm
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor
 
 
 @dataclass
@@ -94,13 +94,23 @@ def train_header(
     dataset: ArrayDataset,
     config: Optional[TrainConfig] = None,
     freeze_backbone: bool = True,
+    features: Optional[BackboneFeatures] = None,
 ) -> TrainReport:
     """Train a header on top of a backbone.
 
     With ``freeze_backbone=True`` (the Phase 2-2 setting) backbone features
-    are detached so only header parameters receive gradients.
+    are computed tape-free so only header parameters receive gradients.
+
+    ``features`` — the frozen backbone's precomputed features over
+    ``dataset.images``, row-aligned — is a cache the caller owns across
+    calls (:meth:`repro.distributed.device.DeviceNode.frozen_features`):
+    every mini-batch is then a row gather, bit-identical to the forward
+    it replaces.  Without it a frozen, RNG-free backbone is still swept
+    once per call when the epochs visit every row.
     """
     config = config or TrainConfig()
+    if features is not None and not freeze_backbone:
+        raise ValueError("precomputed features require freeze_backbone=True")
     rng = np.random.default_rng(config.seed)
     params = header.parameters()
     if not freeze_backbone:
@@ -109,56 +119,46 @@ def train_header(
     report = TrainReport()
     from repro.train import serving  # lazy: trainer is imported by the package init
 
-    # Frozen backbones are pure per-sample feature extractors, so their
-    # features can be served once from the batched runner and gathered
-    # per mini-batch — unless the backbone consumes module-local RNG
-    # (training-mode dropout), where per-batch draws must be preserved,
-    # or the epoch is batch-capped, where precomputing the whole dataset
-    # would cost more than the forwards it saves.
-    use_cached_features = (
-        freeze_backbone
+    # A frozen backbone is a pure per-sample feature extractor, so one
+    # sweep per call serves every epoch — unless the backbone consumes
+    # module-local RNG (training-mode dropout), where per-batch draws
+    # must be preserved, or the epoch is batch-capped, where a sweep of
+    # the whole dataset for this one call would cost more than the
+    # forwards it saves.
+    if (
+        features is None
+        and freeze_backbone
         and config.max_batches_per_epoch is None
         and len(dataset) > 0  # nothing to precompute (or train on)
         and not has_active_stochastic_modules(backbone)
-    )
-    cached_features = (
-        serving.precompute_backbone_features(backbone, dataset.images)
-        if use_cached_features
-        else None
-    )
+    ):
+        features = serving.precompute_backbone_features(backbone, dataset.images)
     loader = DataLoader(
         dataset,
         batch_size=config.batch_size,
         shuffle=True,
         rng=rng,
-        yield_indices=use_cached_features,
+        yield_indices=features is not None,
     )
 
     header.train()
     for _epoch in range(config.epochs):
         losses, correct, total = [], 0, 0
-        for batch_idx, batch in enumerate(loader):
+        for batch_idx, (batch, labels) in enumerate(loader):
             if (
                 config.max_batches_per_epoch is not None
                 and batch_idx >= config.max_batches_per_epoch
             ):
                 break
-            if cached_features is not None:
-                indices, labels = batch
-                features = serving.gather_features(cached_features, indices)
+            if freeze_backbone:
+                # The backbone is pure feature extraction here: a row
+                # gather, or a tape-free forward — never a graph.
+                batch_features = frozen_batch_features(backbone, batch, features)
             else:
-                images, labels = batch
-                if freeze_backbone:
-                    # The backbone is pure feature extraction here: run it
-                    # tape-free instead of building a graph and detaching.
-                    with no_grad():
-                        cls, tokens, penult = backbone.forward_features_multi(
-                            Tensor(images)
-                        )
-                else:
-                    cls, tokens, penult = backbone.forward_features_multi(Tensor(images))
-                features = BackboneFeatures(cls, tokens, penult)
-            logits = header(features)
+                batch_features = BackboneFeatures(
+                    *backbone.forward_features_multi(Tensor(batch))
+                )
+            logits = header(batch_features)
             loss = F.cross_entropy(logits, labels)
             optimizer.zero_grad()
             loss.backward()

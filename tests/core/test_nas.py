@@ -1,10 +1,13 @@
 """Tests for the ENAS-style header search (Phase 2-1)."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from repro.core.nas import HeaderSearch, NASConfig, SharedOpPool
-from repro.data import make_cifar100_like
+from repro.core.segmentation import clone_model
+from repro.data import ArrayDataset, make_cifar100_like
 from repro.models import ViTConfig, VisionTransformer
 from repro.models.blocks import BlockSpec, HeaderSpec, num_operations
 from repro.train import TrainConfig, train_model
@@ -78,23 +81,58 @@ class TestHeaderSearch:
         acc = search.evaluate(spec, data)
         assert 0.0 <= acc <= 1.0
 
-    def test_frozen_backbone_caches_features(self, setup):
+    def test_evaluate_keeps_no_memo_across_datasets(self, setup):
+        """Ad-hoc datasets are scored on their own rows: a dataset that
+        dies between two ``evaluate`` calls (its address free for the
+        next one) must not lend its features to its successor."""
         model, data = setup
         search = HeaderSearch(model, 5, FAST)
-        spec = HeaderSpec(blocks=(BlockSpec(0, 1, 3, 3), BlockSpec(2, 0, 3, 3)))
-        search.evaluate(spec, data)
-        assert search._feature_cache
-        first = len(search._feature_cache)
-        search.evaluate(spec, data)
-        assert len(search._feature_cache) == first  # hit, not re-insert
+        spec = search.search(data).spec
+        first = make_cifar100_like(num_classes=5, image_size=8).generate(
+            samples_per_class=16, seed=2
+        )
+        # Identical rows with one label: every row gets the same
+        # prediction, so the right answer is all-or-nothing — which the
+        # first dataset's features (five balanced classes) cannot give.
+        blank = (np.zeros_like(first.images), np.zeros_like(first.labels))
+        got_first = search.evaluate(spec, first)
+        assert got_first == self._fresh_answer(search, spec, first)
+        assert 0.0 < got_first < 1.0
+        stale_address = id(first)
+        del first
+        gc.collect()
+        # Allocate until the allocator hands the dead dataset's address
+        # out again (the rejects stay alive so it cannot give up theirs).
+        rejects = []
+        for _ in range(20000):
+            second = ArrayDataset(*blank, num_classes=5)
+            if id(second) == stale_address:
+                break
+            rejects.append(second)
+        got_second = search.evaluate(spec, second)
+        assert got_second == self._fresh_answer(search, spec, second)
+        assert got_second in (0.0, 1.0)
 
-    def test_train_backbone_mode_does_not_cache(self, setup):
+    @staticmethod
+    def _fresh_answer(trained, spec, dataset):
+        """``evaluate`` by a search that has never seen any dataset."""
+        fresh = HeaderSearch(trained.backbone, 5, FAST)
+        fresh.pool, fresh.classifier = trained.pool, trained.classifier
+        return fresh.evaluate(spec, dataset)
+
+    @pytest.mark.parametrize("train_backbone", [True, False])
+    def test_backbone_moves_only_in_train_backbone_mode(self, setup, train_backbone):
+        """``train_backbone=True`` (the paper's stage 2-1) keeps updating
+        backbone weights during ``search`` — no swept features stand in
+        for a backbone that is training; frozen mode never touches it."""
         model, data = setup
-        config = NASConfig(**{**FAST.__dict__, "train_backbone": True})
-        search = HeaderSearch(model, 5, config)
-        spec = HeaderSpec(blocks=(BlockSpec(0, 1, 3, 3), BlockSpec(2, 0, 3, 3)))
-        search.evaluate(spec, data)
-        assert not search._feature_cache
+        backbone = clone_model(model)
+        config = NASConfig(**{**FAST.__dict__, "train_backbone": train_backbone})
+        before = backbone.state_dict()
+        HeaderSearch(backbone, 5, config).search(data)
+        after = backbone.state_dict()
+        moved = any(not np.array_equal(before[k], after[k]) for k in before)
+        assert moved == train_backbone
 
     def test_materialize_header_copies_pool_weights(self, setup):
         model, data = setup

@@ -32,12 +32,18 @@ def serial_and_fleet_runs():
     from tests.helpers import reset_engine_state
 
     reset_engine_state()
-    serial = ACMESystem(_config()).run()
-    fleet = ACMESystem(_config(fleet_batched=True)).run()
+    systems = ACMESystem(_config()), ACMESystem(_config(fleet_batched=True))
+    serial, fleet = (system.run() for system in systems)
+    # Both runs trained from the devices' own frozen-feature caches.
+    for system in systems:
+        assert all(d._features is not None for e in system.edges for d in e.devices)
     return serial, fleet
 
 
 class TestFleetSystemParity:
+    def test_same_run(self, serial_and_fleet_runs):
+        assert_same_run(*serial_and_fleet_runs)
+
     def test_accuracies_and_losses_bit_for_bit(self, serial_and_fleet_runs):
         serial, fleet = serial_and_fleet_runs
         for cs, cf in zip(serial.clusters, fleet.clusters):

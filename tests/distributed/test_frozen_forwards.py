@@ -1,0 +1,184 @@
+"""Every frozen forward runs once.
+
+δ(θ0, w, d) keeps the *first* ``d`` layers (§II-C), so the (w, d) loss
+grid shares depth prefixes; Phase 2-2 freezes the backbone (§III-D), so
+a device's features over its fixed private set are swept once per
+installed model.  Two kinds of check: the per-cell grid loop the cloud
+used to run, kept as an oracle in ``tests/reference/cloud_grid.py``,
+must equal the cached losses exactly; and a count of encoder-layer
+forwards — by protocol phase, in calls and in rows — must equal what one
+sweep costs, whatever ``aggregation_rounds`` is.
+"""
+
+import math
+
+import pytest
+
+from repro.core.distill import DistillConfig
+from repro.core.nas import NASConfig
+from repro.data import make_cifar100_like
+from repro.distributed import ACMEConfig, ACMESystem
+from repro.distributed.cloud import CloudConfig, CloudServer
+from repro.distributed.edge import EdgeConfig
+from repro.distributed.network import Network
+from repro.distributed.system import dtype_scope, run_edge_phases
+from repro.models import ViTConfig, VisionTransformer
+from repro.nn.transformer import TransformerEncoderLayer
+from tests.reference.cloud_grid import cell_loss, loss_grid
+
+SWEEP_CHUNK = 256  # precompute_backbone_features' default chunk_size
+
+
+class LayerForwards:
+    """Active encoder-layer forwards since the last :meth:`take`."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.calls = 0
+        self.rows = 0
+        forward = TransformerEncoderLayer.forward
+
+        def counted(layer, x):
+            if layer.active:
+                self.calls += 1
+                self.rows += x.shape[0]
+            return forward(layer, x)
+
+        monkeypatch.setattr(TransformerEncoderLayer, "forward", counted)
+
+    def take(self):
+        taken, self.calls, self.rows = (self.calls, self.rows), 0, 0
+        return taken
+
+
+@pytest.fixture()
+def layer_forwards(monkeypatch):
+    return LayerForwards(monkeypatch)
+
+
+@pytest.fixture()
+def cloud():
+    """A distilled backbone over 84 public rows: two eval batches (64 +
+    16 of ``eval_samples=80``) and a non-contiguous depth grid."""
+    data = make_cifar100_like(num_classes=6, image_size=8).generate(
+        samples_per_class=14, seed=1
+    )
+    vit = ViTConfig(image_size=8, patch_size=4, embed_dim=16, depth=4,
+                    num_heads=4, num_classes=6)
+    server = CloudServer(
+        VisionTransformer(vit, seed=0), data, Network(),
+        CloudConfig(pretrain_epochs=1, distill=DistillConfig(epochs=1),
+                    depth_choices=(2, 4), eval_samples=80, seed=3),
+    )
+    server.pretrain_reference()
+    server.generate_dynamic_backbone()
+    return server
+
+
+class TestLossGrid:
+    def test_grid_equals_the_per_cell_oracle(self, cloud):
+        cfg = cloud.config
+        cloud.prepare_candidates()
+        frozen = {k: v.copy() for k, v in cloud._backbone_state.items()}
+        assert sorted(cloud._loss_cache) == [
+            (w, d) for w in cfg.width_choices for d in (2, 4)
+        ]
+        off_grid = cloud._candidate_loss(0.5, 3)
+        assert (0.5, 3) in cloud._loss_cache
+        # The fallback leaves the backbone at full scale and the frozen
+        # reply payload untouched.
+        assert (cloud.backbone.width, cloud.backbone.depth) == (1.0, 4)
+        assert all((cloud._backbone_state[k] == v).all() for k, v in frozen.items())
+
+        oracle = loss_grid(
+            cloud.backbone, cloud.public_dataset, cfg.width_choices, (2, 4),
+            cfg.eval_samples, cfg.seed,
+        )
+        oracle[(0.5, 3)] = cell_loss(
+            cloud.backbone, cloud.public_dataset, 0.5, 3, cfg.eval_samples, cfg.seed
+        )
+        assert cloud._loss_cache == oracle  # exact: same floats, same keys
+        assert off_grid == oracle[(0.5, 3)]
+
+    def test_grid_runs_each_width_once_at_its_deepest_depth(
+        self, cloud, layer_forwards
+    ):
+        cfg = cloud.config
+        eval_batches = math.ceil(cfg.eval_samples / 64)
+        assert eval_batches == 2
+        layer_forwards.take()
+        cloud.prepare_candidates()
+        calls, rows = layer_forwards.take()
+        assert calls == len(cfg.width_choices) * max(cfg.depth_choices) * eval_batches
+        assert rows == len(cfg.width_choices) * max(cfg.depth_choices) * cfg.eval_samples
+        # Ready: a second call and an on-grid query forward nothing ...
+        cloud.prepare_candidates()
+        cloud._candidate_loss(0.25, 2)
+        assert layer_forwards.take() == (0, 0)
+        # ... and an off-grid cell costs its own depth, once.
+        cloud._candidate_loss(0.5, 3)
+        cloud._candidate_loss(0.5, 3)
+        assert layer_forwards.take() == (3 * eval_batches, 3 * cfg.eval_samples)
+
+
+def _campaign(rounds: int) -> ACMEConfig:
+    return ACMEConfig(
+        num_clusters=2,
+        devices_per_cluster=2,
+        num_classes=6,
+        samples_per_class=30,
+        edge=EdgeConfig(
+            nas=NASConfig(
+                num_blocks=2,
+                search_epochs=2,
+                children_per_epoch=2,
+                shared_steps_per_child=2,
+                controller_updates_per_epoch=2,
+                derive_samples=2,
+                train_backbone=False,
+                seed=0,
+            ),
+            aggregation_rounds=rounds,
+            keep_fraction=0.8,
+            seed=0,
+        ),
+        seed=0,
+    )
+
+
+class TestCampaignForwardCounts:
+    @pytest.mark.parametrize("rounds", [1, 3])
+    def test_device_rows_are_swept_once_per_distribution(self, rounds, layer_forwards):
+        """The aggregation loop's importance rounds, the similarity
+        feature samples and the finale's fine-tune all read one sweep of
+        each device's private set; header NAS reads one sweep of its
+        train split and scored validation prefix."""
+        config = _campaign(rounds)
+        system = ACMESystem(config)
+        system.run_cloud_phases()
+        for edge in system.edges:
+            by_phase = {}
+            layer_forwards.take()
+
+            def mark(phase):
+                by_phase[phase] = layer_forwards.take()
+
+            with dtype_scope(config):
+                run_edge_phases(config, edge, checkpoint=mark)
+            depth = edge.assigned_depth
+            sizes = [len(d.dataset) for d in edge.devices]
+            assert by_phase["aggregate"] == (
+                depth * sum(math.ceil(n / SWEEP_CHUNK) for n in sizes),
+                depth * sum(sizes),
+            )
+            # Finalize: the fine-tune gathers rows; only evaluation runs
+            # the backbone.
+            eval_rows = sum(len(d.eval_dataset()) for d in edge.devices)
+            assert by_phase["finalize"][1] == depth * eval_rows
+            assert all(d._features is not None for d in edge.devices)
+
+            nas = config.edge.nas
+            shared = len(edge.shared_dataset)
+            train_rows = max(1, int(round((1.0 - nas.val_fraction) * shared)))
+            scored = min(shared - train_rows, 4 * nas.batch_size)
+            assert by_phase["search"] == (2 * depth, depth * (train_rows + scored))
+            assert by_phase["distribute"] == (0, 0)

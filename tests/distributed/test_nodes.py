@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.distill import DistillConfig
 from repro.core.header_importance import ImportanceConfig
+from repro.core.similarity import extract_features
 from repro.data import make_cifar100_like
 from repro.distributed.cloud import CloudConfig, CloudServer
 from repro.distributed.device import DeviceNode
@@ -15,6 +16,7 @@ from repro.hw.profiles import DeviceProfile, cluster_statistics, make_fleet
 from repro.models import ViTConfig, VisionTransformer
 from repro.models.blocks import BlockSpec, HeaderSpec
 from repro.models.header_dag import DAGHeader
+from repro.train.serving import precompute_backbone_features
 
 
 @pytest.fixture()
@@ -98,14 +100,13 @@ class TestDeviceNode:
         with pytest.raises(AssertionError):
             device.importance_round()
 
-    def test_model_installation_and_importance(self, env):
-        network, _cloud, data, config = env
-        device = self._device(network, data)
-        backbone = VisionTransformer(config, seed=0)
+    @staticmethod
+    def _distribution(device, config, backbone_seed=0):
+        backbone = VisionTransformer(config, seed=backbone_seed)
         spec = HeaderSpec(blocks=(BlockSpec(0, 1, 1, 3),))
         header = DAGHeader(config.embed_dim, config.num_patches,
                            config.num_classes, spec)
-        message = Message(
+        return Message(
             "edge0", device.name, MessageKind.MODEL_DISTRIBUTION,
             {
                 "vit_config": config,
@@ -119,6 +120,11 @@ class TestDeviceNode:
                 "keep_fraction": 0.5,
             },
         )
+
+    def test_model_installation_and_importance(self, env):
+        network, _cloud, data, config = env
+        device = self._device(network, data)
+        message = self._distribution(device, config)
         reply = device.handle(message)
         assert reply.kind is MessageKind.ACK
         assert device.backbone.width == 0.5
@@ -139,6 +145,39 @@ class TestDeviceNode:
                     {"importance": q_prime})
         )
         assert device.header._parameter_mask is not None
+
+    def test_frozen_features_live_as_long_as_the_installed_model(self, env):
+        """One sweep of the private set serves every round until the next
+        ``MODEL_DISTRIBUTION``; a new backbone means new features."""
+        network, _cloud, data, config = env
+        device = self._device(network, data)
+
+        def sweep():  # what the cache must equal: a forward over every row
+            return precompute_backbone_features(device.backbone, data.images)
+
+        device.handle(self._distribution(device, config, backbone_seed=0))
+        first = device.frozen_features()
+        assert first.cls.shape[0] == len(data)
+        device.importance_round(include_feature_sample=True)
+        device.finetune()
+        assert device.frozen_features() is first  # rounds and finale reuse it
+        np.testing.assert_array_equal(first.tokens.data, sweep().tokens.data)
+
+        device.handle(self._distribution(device, config, backbone_seed=1))
+        second = device.frozen_features()
+        assert second is not first
+        assert not np.array_equal(second.cls.data, first.cls.data)
+        for got, want in zip(second, sweep()):
+            np.testing.assert_array_equal(got.data, want.data)
+        sample = device.importance_round(include_feature_sample=True).payload[
+            "feature_sample"
+        ]
+        np.testing.assert_array_equal(
+            sample,
+            extract_features(
+                device.backbone, data, max_samples=16, seed=device.seed
+            ).astype(np.float32),
+        )
 
 
 class TestEdgeServer:

@@ -327,8 +327,13 @@ class TestSystemLevelParity:
             system = ACMESystem(config)
             result = system.run()
             system.dispose()
-            return result
+            return result, [
+                d._features is not None for e in system.edges for d in e.devices
+            ]
 
-        serial = run("thread", 1)
-        process = run("process", 2)
+        serial, _ = run("thread", 1)
+        process, swept_in_parent = run("process", 2)
         assert_same_run(serial, process)
+        # A forked worker's feature cache dies with it: the parent sweeps
+        # before each fan-out so every fork inherits the same pages.
+        assert all(swept_in_parent)

@@ -208,6 +208,30 @@ class TestEvictionParity:
         for name, value in expected.items():
             np.testing.assert_array_equal(value, restored[name])
 
+    def test_lazy_device_never_caches_frozen_features(self, twins):
+        """A store-managed device keeps the capped per-batch forwards: no
+        whole-set feature cache is built, live or cold, and the cold
+        snapshot holds the header's arrays plus the 16-row sample only —
+        while its always-live twin, which does cache, agrees bit for bit."""
+        eager, lazy, store, network, data, payload = twins
+        for _round in range(2):
+            up_eager = eager.importance_round(include_feature_sample=True)
+            up_lazy = lazy.importance_round(include_feature_sample=True)
+            np.testing.assert_array_equal(
+                up_eager.payload["importance"], up_lazy.payload["importance"]
+            )
+        eager.finetune()
+        lazy.finetune()
+        assert eager.frozen_features() is not None
+        assert lazy.frozen_features() is None and lazy._features is None
+        header_keys = set(snapshot_header(lazy.header))
+        _force_evict(lazy, store, network, data, payload)
+        assert lazy._features is None
+        assert set(lazy._cold_state) == header_keys | {"feature.sample"}
+        lazy._ensure_live()
+        for name, value in eager.header.state_dict().items():
+            np.testing.assert_array_equal(value, lazy.header.state_dict()[name])
+
     def test_eviction_across_astype(self, twins):
         eager, lazy, store, network, data, payload = twins
         eager.finetune()

@@ -240,6 +240,91 @@ class TestPrecomputedFeatures:
             assert len(precomputes) == 1  # the capped run never precomputed
             self._assert_traces_equal(cached, per_batch)
 
+    def test_owned_cache_matches_per_batch_under_a_binding_cap(self, monkeypatch):
+        """``features=`` — a cache the caller owns across calls — turns
+        every mini-batch into a row gather: header training and the
+        importance round are bit-identical to the capped per-batch
+        forwards, and neither sweeps the backbone itself."""
+        from repro.core.header_importance import (
+            ImportanceConfig,
+            compute_importance_set,
+        )
+        from repro.models.blocks import BlockSpec, HeaderSpec
+        from repro.models.header_dag import DAGHeader
+        from repro.train import serving
+        from repro.train.trainer import TrainConfig, train_header
+
+        backbone, (dataset, _other) = self._float64_fixture()
+        with using_dtype("float64"):
+            cache = precompute_backbone_features(
+                backbone, dataset.images, chunk_size=7
+            )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a call handed its features must not sweep")
+
+        monkeypatch.setattr(serving, "precompute_backbone_features", refuse)
+
+        def dag_header():
+            spec = HeaderSpec(blocks=(BlockSpec(0, 1, 1, 3), BlockSpec(2, 0, 3, 3)))
+            return DAGHeader(
+                VIT.embed_dim, VIT.num_patches, VIT.num_classes, spec,
+                rng=np.random.default_rng(5),
+            )
+
+        def train(features):
+            with using_dtype("float64"):
+                header = self._header(0)
+                config = TrainConfig(
+                    epochs=2, batch_size=8, seed=0, max_batches_per_epoch=2
+                )
+                report = train_header(
+                    backbone, header, dataset, config, features=features
+                )
+            return self._trace([report], [header])
+
+        def importance(features):
+            with using_dtype("float64"):
+                header = dag_header()
+                config = ImportanceConfig(
+                    epochs=2, batch_size=8, seed=1, max_batches_per_epoch=2
+                )
+                q = compute_importance_set(
+                    backbone, header, dataset, config=config, features=features
+                )
+            return q, header.state_dict()
+
+        self._assert_traces_equal(train(None), train(cache))
+        q_plain, state_plain = importance(None)
+        q_cached, state_cached = importance(cache)
+        np.testing.assert_array_equal(q_plain, q_cached)
+        assert set(state_plain) == set(state_cached)
+        for name, value in state_plain.items():
+            np.testing.assert_array_equal(value, state_cached[name])
+
+    def test_train_header_rejects_features_for_a_training_backbone(self, backbone, datasets):
+        from repro.train.trainer import train_header
+
+        cache = precompute_backbone_features(backbone, datasets[0].images)
+        with pytest.raises(ValueError, match="freeze_backbone"):
+            train_header(
+                backbone, self._header(0), datasets[0],
+                freeze_backbone=False, features=cache,
+            )
+
+    def test_feature_sample_is_rows_of_the_cache(self, backbone, datasets):
+        """Eq. 19's 16-row sample: the cache's CLS rows at the seeded
+        sample's indices equal the forward over the sampled subset."""
+        for dataset in datasets:
+            cache = precompute_backbone_features(backbone, dataset.images)
+            for seed in (0, 3):
+                np.testing.assert_array_equal(
+                    extract_features(
+                        backbone, dataset, max_samples=16, seed=seed, features=cache
+                    ),
+                    extract_features(backbone, dataset, max_samples=16, seed=seed),
+                )
+
     def test_fleet_nonbinding_cap_is_a_noop(self):
         """One capped (never binding) and one uncapped fleet member train
         exactly like two uncapped members, and like per-member
@@ -314,16 +399,14 @@ class TestNASBatchedScoring:
 
     @pytest.mark.parametrize("train_backbone", [False, True])
     def test_batched_scoring_matches_per_child(self, train_backbone, monkeypatch):
-        """A whole search scored from the one stacked forward equals one
-        scored child by child, each computing its own backbone features."""
+        """A whole search scored from swept features equals one scored
+        child by child, each computing its own backbone features."""
         batched = self._search(train_backbone=train_backbone)
 
-        def score_per_child(search, specs, dataset, max_batches=4):
+        def score_per_child(search, specs, dataset, max_batches=4, features=None):
             children = [search.build_child(spec) for spec in specs]
             return [
-                search._evaluate_child(
-                    child, dataset, max_batches, features_by_batch=None
-                )
+                search._evaluate_child(child, dataset, max_batches, features=None)
                 for child in children
             ]
 
