@@ -21,7 +21,10 @@ cross-checked against the *runtime* lock registry by importing the
 module (CONC003): the registry that ``procpool`` replays after fork is
 derived by importing it, never re-hardcoded here, so a registration
 that does not actually execute (typo'd attr, import-guarded call) is
-caught statically.
+caught statically.  The same whole-package pass feeds DEAD001: the
+identifier uses of ``src/`` and of the consumer directories beside it
+are counted once, and a ``def`` whose name none of them uses is
+surface nothing reaches.
 """
 
 from __future__ import annotations
@@ -29,13 +32,34 @@ from __future__ import annotations
 import argparse
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.rules import RULES, FileContext, Finding, rule_tokens
+from repro.analysis.rules import (
+    RULES,
+    FileContext,
+    Finding,
+    Rule,
+    identifier_uses,
+    rule_tokens,
+)
 from repro.analysis.suppress import scan_suppressions
 
-__all__ = ["lint_source", "lint_paths", "main", "self_test"]
+__all__ = ["lint_source", "lint_paths", "lint_fixture", "main", "self_test"]
+
+#: Who, beside ``src/`` itself, a run can start from (DEAD001): the
+#: directories next to the linted ``src/``, and the part of ``tests/``
+#: that is infrastructure rather than a test of one symbol.
+_CONSUMER_ROOTS = (
+    "benchmarks",
+    "examples",
+    "scripts",
+    "tools",
+    "tests/helpers.py",
+    "tests/conftest.py",
+    "tests/reference",
+)
 
 
 def _relpath(path: Path) -> str:
@@ -147,27 +171,64 @@ def _registry_cross_check(
     return findings
 
 
+def _tree_uses(contexts: Sequence[FileContext]) -> Optional[Counter]:
+    """Identifier uses of the whole package and of its consumers (DEAD001).
+
+    ``None`` unless the linted files include the package root
+    ``repro/__init__.py``: whether anything reaches a definition cannot
+    be decided from part of the tree.  Consumers are the package's own
+    files (a package ``__init__``'s imports are re-exports, not uses)
+    and every ``.py`` file under :data:`_CONSUMER_ROOTS` next to the
+    linted ``src/`` — no flag names them, they are where they are.
+    """
+    root = next((c.path for c in contexts if c.rel == "repro/__init__.py"), None)
+    if root is None:
+        return None
+    uses: Counter = Counter()
+    for ctx in contexts:
+        if ctx.rel.startswith("repro/"):
+            uses.update(
+                identifier_uses(ctx.tree, imports=not ctx.rel.endswith("/__init__.py"))
+            )
+    repo = Path(root).resolve().parents[2]  # <repo>/src/repro/__init__.py
+    for path in _iter_py_files([str(repo / name) for name in _CONSUMER_ROOTS]):
+        uses.update(identifier_uses(ast.parse(path.read_text(encoding="utf-8"))))
+    return uses
+
+
+def _parse_error(path: str, exc: SyntaxError) -> Finding:
+    return Finding(
+        path=path,
+        line=exc.lineno or 1,
+        rule="PARSE001",
+        message=f"file does not parse: {exc.msg}",
+    )
+
+
 def lint_source(
     source: str,
     rel: str,
     path: str = "",
     select: Optional[Sequence[str]] = None,
+    tree_uses: Optional[Counter] = None,
 ) -> List[Finding]:
-    """Lint one source blob as if it lived at tree-relative path *rel*."""
+    """Lint one source blob as if it lived at tree-relative path *rel*.
+
+    Without *tree_uses* (see :func:`_tree_uses`) the blob is linted on
+    its own and the tree-level rule DEAD001 stays silent, as do
+    suppressions naming it.
+    """
     path = path or rel
     try:
         tree = ast.parse(source)
     except SyntaxError as exc:
-        return [
-            Finding(
-                path=path,
-                line=exc.lineno or 1,
-                rule="PARSE001",
-                message=f"file does not parse: {exc.msg}",
-            )
-        ]
-    ctx = FileContext(path=path, rel=rel, source=source, tree=tree)
-    suppressions = scan_suppressions(source)
+        return [_parse_error(path, exc)]
+    return _lint_context(FileContext(path, rel, source, tree, tree_uses), select)
+
+
+def _lint_context(ctx: FileContext, select: Optional[Sequence[str]]) -> List[Finding]:
+    path = ctx.path
+    suppressions = scan_suppressions(ctx.source)
     known_tokens = rule_tokens()
 
     findings: List[Finding] = []
@@ -204,10 +265,10 @@ def lint_source(
                     )
                 )
 
-    rules = RULES
+    rules = [r for r in RULES if ctx.tree_uses is not None or not r.needs_tree]
     if select:
         wanted = set(select)
-        rules = tuple(r for r in RULES if r.id in wanted or r.token in wanted)
+        rules = [r for r in rules if r.id in wanted or r.token in wanted]
     for rule in rules:
         for finding in rule.check(ctx):
             absorbed = False
@@ -218,8 +279,10 @@ def lint_source(
             if not absorbed:
                 findings.append(finding)
 
+    # Only a rule that ran can prove a suppression idle.
+    ran_tokens = {rule.token for rule in rules}
     for sup in suppressions:
-        if sup.tokens and not sup.used and all(t in known_tokens for t in sup.tokens):
+        if sup.tokens and not sup.used and all(t in ran_tokens for t in sup.tokens):
             findings.append(
                 Finding(
                     path=path,
@@ -244,10 +307,8 @@ def lint_paths(
 ) -> List[Finding]:
     """Lint every ``.py`` file under *paths*; returns all findings."""
     findings: List[Finding] = []
-    register_calls: List[Tuple[str, str, str, int]] = []
-    saw_registry_module = False
+    contexts: List[FileContext] = []
     for path in _iter_py_files(paths):
-        rel = _relpath(path)
         try:
             source = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
@@ -260,21 +321,37 @@ def lint_paths(
                 )
             )
             continue
-        if rel == "repro/analysis/registry.py":
-            saw_registry_module = True
-        file_findings = lint_source(source, rel=rel, path=str(path), select=select)
-        findings.extend(file_findings)
-        if registry_check and not any(f.rule == "PARSE001" for f in file_findings):
+        try:
             tree = ast.parse(source)
-            ctx = FileContext(path=str(path), rel=rel, source=source, tree=tree)
+        except SyntaxError as exc:
+            findings.append(_parse_error(str(path), exc))
+            continue
+        contexts.append(FileContext(str(path), _relpath(path), source, tree))
+    tree_uses = _tree_uses(contexts)
+    register_calls: List[Tuple[str, str, str, int]] = []
+    for ctx in contexts:
+        ctx.tree_uses = tree_uses
+        findings.extend(_lint_context(ctx, select))
+        if registry_check:
             register_calls.extend(
-                (str(path), module_name, attr, line)
+                (ctx.path, module_name, attr, line)
                 for module_name, attr, line in _collect_register_calls(ctx)
             )
-    if registry_check and register_calls and saw_registry_module:
+    saw_registry_module = any(c.rel == "repro/analysis/registry.py" for c in contexts)
+    if register_calls and saw_registry_module:
         findings.extend(_registry_cross_check(register_calls))
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
+
+
+def lint_fixture(rule: Rule, snippet: str) -> List[Finding]:
+    """Lint one of *rule*'s fixture snippets, as ``--self-test`` does.
+
+    A rule that needs the tree is shown the snippet as the whole tree:
+    the snippet's own identifier uses are every use there is.
+    """
+    uses = identifier_uses(ast.parse(snippet)) if rule.needs_tree else None
+    return lint_source(snippet, rel=rule.snippet_rel, tree_uses=uses)
 
 
 def self_test(verbose: bool = False) -> List[str]:
@@ -286,7 +363,7 @@ def self_test(verbose: bool = False) -> List[str]:
     """
     failures: List[str] = []
     for rule in RULES:
-        flagged = lint_source(rule.must_flag, rel=rule.snippet_rel)
+        flagged = lint_fixture(rule, rule.must_flag)
         if not any(f.rule == rule.id for f in flagged):
             failures.append(f"{rule.id}: must-flag fixture produced no {rule.id} finding")
         extra = [f for f in flagged if f.rule != rule.id]
@@ -295,7 +372,7 @@ def self_test(verbose: bool = False) -> List[str]:
                 f"{rule.id}: must-flag fixture produced unrelated findings: "
                 + ", ".join(f.rule for f in extra)
             )
-        passed = lint_source(rule.must_pass, rel=rule.snippet_rel)
+        passed = lint_fixture(rule, rule.must_pass)
         if passed:
             failures.append(
                 f"{rule.id}: must-pass fixture produced findings: "

@@ -125,6 +125,8 @@ def lock_records() -> Dict[str, LockRecord]:
         return dict(_RECORDS)
 
 
+# reprolint: unreached -- safety handle: test_registry reads it to prove instance-scope
+# register_lock calls are accounted under the names lockwatch reports
 def instance_lock_names() -> Dict[str, int]:
     """Names registered at instance scope and how often (diagnostics)."""
     with _RECORDS_LOCK:

@@ -18,7 +18,9 @@ rest on (see ``ANALYSIS.md`` for the prose catalogue):
   binary-operator assignment is a per-step temporary.
 
 Plus **EXC001**: ``except Exception`` hides protocol errors; narrow it
-or annotate the boundary.
+or annotate the boundary — and **DEAD001**, the one rule that needs the
+whole tree: a ``def``/``class`` under ``src/repro`` whose name no
+consumer uses is surface nothing reaches.
 
 Every rule carries its own ``must_flag``/``must_pass`` fixture snippet;
 ``lint --self-test`` and ``tests/analysis`` replay them, so a rule that
@@ -29,10 +31,11 @@ from __future__ import annotations
 
 import ast
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Final, Iterator, List, Optional, Tuple
 
-__all__ = ["Finding", "FileContext", "Rule", "RULES", "rule_tokens"]
+__all__ = ["Finding", "FileContext", "Rule", "RULES", "identifier_uses", "rule_tokens"]
 
 
 @dataclass(frozen=True)
@@ -55,12 +58,23 @@ class Finding:
 class FileContext:
     """One file under lint: source, AST, and its place in the tree."""
 
-    def __init__(self, path: str, rel: str, source: str, tree: ast.Module) -> None:
+    def __init__(
+        self,
+        path: str,
+        rel: str,
+        source: str,
+        tree: ast.Module,
+        tree_uses: Optional[Counter] = None,
+    ) -> None:
         self.path = path
         #: Tree-relative posix path, e.g. ``repro/distributed/edge.py``.
         self.rel = rel
         self.source = source
         self.tree = tree
+        #: :func:`identifier_uses` summed over every consumer of the
+        #: linted tree, or ``None`` when one file is linted on its own
+        #: (tree-level rules then have nothing to say).
+        self.tree_uses = tree_uses
 
     @property
     def protocol_path(self) -> bool:
@@ -106,6 +120,9 @@ class Rule:
     #: Virtual tree location the fixture snippets lint under (protocol
     #: path by default so path-scoped rules exercise).
     snippet_rel: str = "repro/distributed/_snippet.py"
+    #: Whether the rule reads :attr:`FileContext.tree_uses`; its
+    #: fixtures are then linted as a one-file tree.
+    needs_tree: bool = False
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         raise NotImplementedError
@@ -616,6 +633,105 @@ class BroadExceptRule(Rule):
             yield type_node
 
 
+# ---------------------------------------------------------------------------
+# DEAD: reachability
+# ---------------------------------------------------------------------------
+def identifier_uses(node: ast.AST, imports: bool = True) -> Counter:
+    """How often each identifier is *used* under ``node``.
+
+    A use is a ``Name``, the attribute of an ``Attribute``, a call
+    keyword, or (unless ``imports`` is false — a package ``__init__``
+    re-export is not a use) the last component of an imported name.  A
+    ``def``'s own name, strings (``__all__``) and docstrings are none of
+    these, so they never count.
+    """
+    uses: Counter = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            uses[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            uses[sub.attr] += 1
+        elif isinstance(sub, ast.keyword) and sub.arg:
+            uses[sub.arg] += 1
+        elif imports and isinstance(sub, ast.alias):
+            uses[sub.name.rsplit(".", 1)[-1]] += 1
+    return uses
+
+
+def _scoped_defs(body: List[ast.stmt], scope: str = "") -> Iterator[Tuple[str, ast.AST]]:
+    """``(qualified name, node)`` of every def/class at module or class level."""
+    for stmt in body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield scope + stmt.name, stmt
+            if isinstance(stmt, ast.ClassDef):
+                yield from _scoped_defs(stmt.body, f"{scope}{stmt.name}.")
+
+
+class UnreachedDefRule(Rule):
+    id = "DEAD001"
+    token = "unreached"
+    summary = (
+        "every def/class under src/repro must be used by name somewhere a run "
+        "can start from — src itself, benchmarks, examples, scripts, tools or "
+        "the test infrastructure; its own body, a package re-export and its "
+        "own test do not count"
+    )
+    needs_tree = True
+    must_flag = (
+        "def live(x):\n"
+        "    return x + 1\n"
+        "\n"
+        "\n"
+        "def orphan(x):\n"
+        "    return orphan(x - 1)\n"
+        "\n"
+        "\n"
+        "RESULT = live(1)\n"
+    )
+    must_pass = (
+        "class Codec:\n"
+        "    def encode(self, x):\n"
+        "        return self._pad(x)\n"
+        "\n"
+        "    def _pad(self, x):\n"
+        "        return x\n"
+        "\n"
+        "\n"
+        "def roundtrip(codec):\n"
+        "    return codec.encode(1)\n"
+        "\n"
+        "\n"
+        "# reprolint: unreached -- Eq. 12: the closed form the figure script's fit is tested against\n"
+        "def eq12(x):\n"
+        "    return 2 * x\n"
+        "\n"
+        "\n"
+        "RESULT = roundtrip(Codec())\n"
+    )
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        if ctx.tree_uses is None or not ctx.rel.startswith("repro/"):
+            return
+        for qualname, node in _scoped_defs(ctx.tree.body):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if ctx.tree_uses[name] > identifier_uses(node)[name]:
+                continue
+            first_line = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            yield self.finding(
+                ctx,
+                first_line,
+                f"`{qualname}` is defined but nothing reaches it: no file in "
+                "src/ (outside its own body), benchmarks/, examples/, "
+                "scripts/, tools/ or the test infrastructure uses the name",
+                "delete it together with its tests; keep it only if it "
+                "reproduces a paper equation/figure or is the handle a safety "
+                "check is tested through, with `# reprolint: unreached -- "
+                "<that anchor>`",
+            )
+
+
 RULES: Final[Tuple[Rule, ...]] = (
     GlobalRandomRule(),
     FixedRngRule(),
@@ -625,6 +741,7 @@ RULES: Final[Tuple[Rule, ...]] = (
     UnregisteredLockRule(),
     HotPathAllocRule(),
     BroadExceptRule(),
+    UnreachedDefRule(),
 )
 
 

@@ -41,7 +41,6 @@ from repro.core.pareto import (
     dominates,
     grid_coordinates,
     pareto_front,
-    pfg_members,
     select_model,
 )
 from repro.core.search_space import (
@@ -107,7 +106,6 @@ __all__ = [
     "make_policies",
     "pareto_front",
     "personalized_architecture_aggregation",
-    "pfg_members",
     "prune_by_importance",
     "regularize_similarity",
     "select_model",

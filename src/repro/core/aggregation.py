@@ -226,10 +226,6 @@ class AggregationResult:
     weights: np.ndarray
     rounds: List[AggregationRoundRecord] = field(default_factory=list)
 
-    @property
-    def total_upload_bytes(self) -> int:
-        return sum(r.uploaded_bytes for r in self.rounds)
-
 
 def personalized_architecture_aggregation(
     backbone: VisionTransformer,

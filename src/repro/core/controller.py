@@ -120,6 +120,8 @@ class ArchitectureController(Module):
         spec = HeaderSpec.from_sequence(decisions, repeats=self.repeats)
         return SampledArchitecture(spec=spec, log_prob=log_prob, entropy=entropy)
 
+    # reprolint: unreached -- deferred deletion (no paper anchor): goes with its 3 policy-
+    # gradient direction tests in test_controller.py
     def log_prob_of(self, spec: HeaderSpec) -> Tensor:
         """Differentiable log-probability of an existing spec."""
         state: Optional[Tuple[Tensor, Tensor]] = None
@@ -136,6 +138,8 @@ class ArchitectureController(Module):
         assert total is not None
         return total
 
+    # reprolint: unreached -- deferred deletion (no paper anchor): sole reader of
+    # `accuracy_head`, which must leave the controller's parameter list with it; 1 test
     def predict_accuracy(self, spec: HeaderSpec) -> Tensor:
         """Sigmoid accuracy estimate from the final hidden state (§III-C2)."""
         state: Optional[Tuple[Tensor, Tensor]] = None

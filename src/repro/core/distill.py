@@ -51,10 +51,6 @@ class DistillReport:
     def final_loss(self) -> float:
         return self.step_losses[-1] if self.step_losses else float("nan")
 
-    @property
-    def initial_loss(self) -> float:
-        return self.step_losses[0] if self.step_losses else float("nan")
-
 
 def _forward_full(model: VisionTransformer, images: Tensor):
     """Run a ViT capturing embeddings, hidden states, and logits."""

@@ -127,6 +127,8 @@ def make_policies(performance_window: float = 0.05, seed: int = 0) -> Dict[str, 
     }
 
 
+# reprolint: unreached -- Fig. 9: the paper's raw Trade-off Score L + E + ζ (NormalizedTradeoff
+# is the weighted form the bench plots); the matching tests rank the four policies by it
 def trade_off_score(
     loss: float, energy: float, size: float, scales: Optional[Sequence[float]] = None
 ) -> float:

@@ -193,8 +193,3 @@ def select_model(
         ),
     )
     return pfg.candidates[chosen]
-
-
-def pfg_members(pfg: ParetoFrontGrid) -> List[Candidate]:
-    """The candidates forming the Pareto Front Grid."""
-    return [pfg.candidates[i] for i in pfg.members]

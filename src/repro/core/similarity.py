@@ -143,6 +143,8 @@ def _validate_pair(a: np.ndarray, b: np.ndarray, p: int):
     return a, b
 
 
+# reprolint: unreached -- Eq. 19: one pair's w̃_ij for general p and explicit projections; the
+# handle the metric-property tests and the textbook-loop parity tests check the kernel through
 def sliced_wasserstein(
     a: np.ndarray,
     b: np.ndarray,

@@ -55,6 +55,8 @@ class ArrayDataset:
     def __getitem__(self, index) -> Tuple[np.ndarray, np.ndarray]:
         return self.images[index], self.labels[index]
 
+    # reprolint: unreached -- deferred deletion (no paper anchor): goes with
+    # test_dataset.py::test_image_shape
     @property
     def image_shape(self) -> Tuple[int, int, int]:
         return tuple(self.images.shape[1:])  # type: ignore[return-value]
@@ -95,6 +97,8 @@ class ArrayDataset:
         """Counts per class over the full label space."""
         return np.bincount(self.labels, minlength=self.num_classes)
 
+    # reprolint: unreached -- deferred deletion (no paper anchor): goes with its 2 tests in
+    # test_dataset.py; test_partition.py's entropy helper re-aims at class_histogram
     def class_distribution(self) -> np.ndarray:
         """Normalized class histogram (sums to 1; uniform if empty)."""
         hist = self.class_histogram().astype(np.float64)

@@ -55,6 +55,8 @@ def partition_iid(
     ]
 
 
+# reprolint: unreached -- deferred deletion (no paper anchor): goes with
+# test_partition.py::TestByClasses (3 tests)
 def partition_by_classes(
     dataset: ArrayDataset,
     num_devices: int,

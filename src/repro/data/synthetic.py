@@ -66,12 +66,8 @@ class SyntheticImageGenerator:
     def __init__(self, spec: SyntheticSpec, seed: int = 0) -> None:
         self.spec = spec
         self.seed = seed
-        self._prototypes = self._build_prototypes(np.random.default_rng(seed))
-
-    @property
-    def prototypes(self) -> np.ndarray:
-        """Class prototype images, shape ``(num_classes, C, H, W)``."""
-        return self._prototypes
+        #: Class prototype images, shape ``(num_classes, C, H, W)``.
+        self.prototypes = self._build_prototypes(np.random.default_rng(seed))
 
     def _build_prototypes(self, rng: np.random.Generator) -> np.ndarray:
         spec = self.spec
@@ -129,7 +125,7 @@ class SyntheticImageGenerator:
                 scale=spec.noise_scale,
                 size=(samples_per_class, spec.channels, spec.image_size, spec.image_size),
             )
-            images.append(self._prototypes[cls][None] + noise)
+            images.append(self.prototypes[cls][None] + noise)
             labels.append(np.full(samples_per_class, cls, dtype=np.int64))
         dataset = ArrayDataset(
             np.concatenate(images, axis=0),

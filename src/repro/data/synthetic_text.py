@@ -77,6 +77,8 @@ class TextDataset:
         return self.subset(order[:cut]), self.subset(order[cut:])
 
 
+# reprolint: unreached -- deferred deletion (no paper anchor): the whole module goes with
+# models/text.py and tests/models/test_text.py (14 tests) — the paper is image ViTs only
 class SyntheticTextGenerator:
     """Deterministic generator of topic-classification datasets."""
 

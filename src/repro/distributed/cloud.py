@@ -101,9 +101,7 @@ class CloudServer:
         self._lock = register_lock("cloud.state")
         #: Full-scale backbone weights captured when the loss grid is
         #: frozen — the immutable payload every ``BACKBONE_ASSIGNMENT``
-        #: reply ships, so the request path never reads live parameters
-        #: (which the lock-protected off-grid ``_candidate_loss``
-        #: fallback may be scaling).
+        #: reply ships, so the request path never reads live parameters.
         self._backbone_state: Optional[Dict[str, np.ndarray]] = None
         self.assignments: Dict[str, Candidate] = {}
         network.register(name, self.handle)
@@ -164,23 +162,20 @@ class CloudServer:
         with self._lock:
             if self._losses_ready:
                 return
-            self._fill_losses(
-                [(w, d) for w in self.config.width_choices for d in self._depth_choices()]
-            )
-            # Freeze the reply payload at full configuration: requests
-            # ship this captured copy instead of reading live
-            # parameters, so even the off-grid ``_candidate_loss``
-            # fallback (which re-scales the backbone under this lock)
-            # cannot race a concurrent reply.
+            self._fill_losses()
+            # Freeze the reply payload at full configuration: replies
+            # ship the copy captured here, and ``_fill_losses`` — the
+            # only code that re-scales the backbone — runs only above,
+            # under this lock, before ``_losses_ready`` is set.
             self._backbone_state = self.backbone.state_dict()
             self._losses_ready = True
 
-    def _fill_losses(self, cells: Sequence[Tuple[float, int]]) -> None:
-        """Cache L_s(˜θ_s, D̃_c) for each uncached ``(w, d)`` in ``cells``.
+    def _fill_losses(self) -> None:
+        """Cache L_s(˜θ_s, D̃_c) for every ``(w, d)`` of the configured grid.
 
         The caller holds ``self._lock``.  Width-major: the seeded sample
         is drawn once, and at each width one tape-free forward per eval
-        batch at the deepest requested depth serves every shallower
+        batch at the deepest configured depth serves every shallower
         depth (:meth:`VisionTransformer.forward_depth_prefixes`) —
         ``len(widths) · max(depths)`` encoder-layer forwards per batch
         where one ``evaluate_model`` per cell ran ``Σ depths`` per
@@ -196,13 +191,10 @@ class CloudServer:
         )
         if len(sample) == 0:
             raise ValueError("no samples evaluated")
-        depths_of: Dict[float, List[int]] = {}
-        for width, depth in cells:
-            if (width, depth) not in self._loss_cache:
-                depths_of.setdefault(width, []).append(depth)
+        depths = self._depth_choices()
         self.backbone.eval()
         with no_grad():
-            for width, depths in depths_of.items():
+            for width in self.config.width_choices:
                 self.backbone.scale(width, max(depths))
                 loss_sums = [0.0] * len(depths)
                 for start in range(0, len(sample), _EVAL_BATCH):
@@ -216,20 +208,6 @@ class CloudServer:
                 for depth, loss_sum in zip(depths, loss_sums):
                     self._loss_cache[(width, depth)] = loss_sum / len(sample)
         self.backbone.scale(1.0, self.backbone.config.depth)
-
-    def _candidate_loss(self, width: float, depth: int) -> float:
-        """L_s(˜θ_s, D̃_c): public-set loss of the (w, d) sub-backbone."""
-        assert self.backbone is not None, "generate_dynamic_backbone() first"
-        key = (width, depth)
-        if key not in self._loss_cache:
-            # Off-grid query (outside the configured choices): scaling
-            # happens under the lock, and concurrent replies ship the
-            # frozen ``_backbone_state`` copy rather than reading live
-            # parameters, so the re-scale cannot corrupt a reply.
-            with self._lock:
-                if key not in self._loss_cache:
-                    self._fill_losses([key])
-        return self._loss_cache[key]
 
     def _representative_profile(self, stats: dict) -> DeviceProfile:
         """Worst-case device profile reconstructed from cluster statistics.

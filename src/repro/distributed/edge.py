@@ -74,9 +74,6 @@ class EdgeConfig:
     #: re-poll loop.  Message-level retries are separate (the fault
     #: policy's ``retries``).
     round_retries: int = 2
-    #: Seconds of linear backoff between round-level retries (scaled by
-    #: the retry index).  Keep 0.0 in tests — the fabric is instant.
-    retry_backoff: float = 0.0
     #: Straggler deadline in *simulated* seconds per local epoch: a
     #: device whose hardware model predicts a slower epoch
     #: (:func:`repro.hw.energy.latency` at the assigned width/depth)
@@ -496,12 +493,10 @@ class EdgeServer:
         # retraining) until enough fresh sets arrived or the retry
         # budget is spent.  A no-op on the fault-free path.
         quorum = math.ceil(config.round_quorum * len(participants))
-        for retry in range(config.round_retries):
+        for _ in range(config.round_retries):
             if sum(d.profile.device_id in pending for d in participants) >= quorum:
                 break
             self.round_retry_total += 1
-            if config.retry_backoff > 0.0:
-                time.sleep(config.retry_backoff * (retry + 1))
             for device, message in zip(participants, messages):
                 if device.profile.device_id in pending:
                     continue

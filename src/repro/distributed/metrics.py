@@ -90,6 +90,8 @@ def centralized_upload_bytes(datasets: Sequence[ArrayDataset]) -> int:
     return int(sum(d.nbytes() for d in datasets))
 
 
+# reprolint: unreached -- deferred deletion (no paper anchor): bench_table1 computes the Table I
+# upload ratio from the two ledgers itself; goes with its 2 tests in test_metrics.py
 def relative_upload(acme_upload_bytes: int, datasets: Sequence[ArrayDataset]) -> float:
     """ACME's upload volume as a fraction of the centralized system's."""
     baseline = centralized_upload_bytes(datasets)

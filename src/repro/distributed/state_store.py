@@ -23,22 +23,19 @@ bounded working set instead:
   per-device instances of the always-live path.
 
 Snapshot contents cover everything mutable on a device: header
-parameters (masked values), the prune mask and its pristine copies, the
-cached frozen-feature sample, and — for training loops that persist an
-optimizer across the eviction point — Adam moments via
-:func:`export_adam_state` / :func:`import_adam_state`.  Parity is
-asserted bit-for-bit in ``tests/distributed/test_state_store.py``.
+parameters (masked values), the prune mask and its pristine copies, and
+the cached frozen-feature sample.  Parity is asserted bit-for-bit in
+``tests/distributed/test_state_store.py``.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
 
 from repro.models.vit import VisionTransformer
-from repro.nn.optim import Adam
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.models.header_dag import DAGHeader
@@ -48,8 +45,6 @@ __all__ = [
     "backbone_from_payload",
     "snapshot_header",
     "restore_header",
-    "export_adam_state",
-    "import_adam_state",
 ]
 
 _PARAM = "param."
@@ -116,54 +111,6 @@ def restore_header(header: "DAGHeader", state: Dict[str, np.ndarray]) -> None:
     header._pristine = pristine or None
 
 
-def export_adam_state(optimizer: Adam) -> Dict[str, np.ndarray]:
-    """Adam moments + step count as arrays, in ``optimizer.params`` order.
-
-    Reads the flat-group state views, so a snapshot taken mid-training
-    captures exactly what the next ``step()`` would have used.
-    Never-stepped parameters export zero moments.
-    """
-    if not isinstance(optimizer, Adam):
-        raise TypeError(
-            f"optimizer state capsule supports Adam, got {type(optimizer).__name__}"
-        )
-    views: Dict[int, List[np.ndarray]] = {}
-    if optimizer._flat_groups is not None:
-        for group in optimizer._flat_groups:
-            views.update(group.carried_state())
-    state: Dict[str, np.ndarray] = {"t": np.asarray(optimizer._t, dtype=np.int64)}
-    for i, p in enumerate(optimizer.params):
-        zeros = np.zeros_like(p.data)
-        m, v = views.get(id(p), (zeros, zeros))
-        state[f"m.{i}"] = np.array(m, copy=True)
-        state[f"v.{i}"] = np.array(v, copy=True)
-    return state
-
-
-def import_adam_state(optimizer: Adam, state: Dict[str, np.ndarray]) -> None:
-    """Restore :func:`export_adam_state` into a freshly built Adam.
-
-    The optimizer must already be bound to the restored module's
-    parameters, in the same order as at export.  The flat groups are
-    force-built and the moments copied into their state views — from
-    where a later ``Module.astype`` rebuild carries (and casts) them
-    exactly like never-evicted state (the PR 5 rebind path).
-    """
-    if not isinstance(optimizer, Adam):
-        raise TypeError(
-            f"optimizer state capsule supports Adam, got {type(optimizer).__name__}"
-        )
-    optimizer._t = int(state["t"])
-    if optimizer._flat_groups is None:
-        optimizer._flat_groups = optimizer._build_groups()
-    index_of = {id(p): i for i, p in enumerate(optimizer.params)}
-    for group in optimizer._flat_groups:
-        for j, p in enumerate(group.params):
-            i = index_of[id(p)]
-            np.copyto(group.state_views[0][j], state[f"m.{i}"], casting="unsafe")
-            np.copyto(group.state_views[1][j], state[f"v.{i}"], casting="unsafe")
-
-
 class DeviceStateLRU:
     """Capacity-bounded working set of live devices for one cluster.
 
@@ -210,10 +157,8 @@ class DeviceStateLRU:
         """Forget a live entry without snapshotting (state superseded)."""
         self._live.pop(owner.name, None)
 
-    @property
-    def live_count(self) -> int:
-        return len(self._live)
-
+    # reprolint: unreached -- safety handle: the residency tests assert through it which devices
+    # are live and which sit as cold snapshots
     def is_live(self, owner) -> bool:
         return owner.name in self._live
 

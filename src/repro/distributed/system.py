@@ -548,6 +548,9 @@ class ACMESystem:
                 self.network.merge_shards(shards)
         return clusters
 
+    # reprolint: unreached -- fabric teardown: unregisters every node so a driver can rebuild a
+    # system on the same fabric; the cross-edge and process-backend parity suites release their
+    # fabrics with it
     def dispose(self) -> None:
         """Unregister every node from the fabric.
 

@@ -449,10 +449,6 @@ class WireHub(_Endpoint):
         with self._route_lock:
             return name in self._routes
 
-    def peers(self) -> List[str]:
-        with self._route_lock:
-            return sorted(self._channels)
-
     def request(self, message: Message) -> Tuple[Optional[str], Optional[Message]]:
         with self._route_lock:
             channel = self._routes.get(message.receiver)

@@ -540,6 +540,8 @@ def check_body(body: bytes, length: int, crc: int) -> bytes:
     return body
 
 
+# reprolint: unreached -- check on outside input: the frame-validation fuzz tests drive
+# truncated, corrupted and trailing-byte frames through it
 def decode_frame(data: bytes) -> Tuple[Any, bytes]:
     """Decode one frame from a byte string; return ``(value, rest)``.
 

@@ -75,6 +75,8 @@ def energy(
     )
 
 
+# reprolint: unreached -- deferred deletion (no paper anchor): CloudServer realises Eq. 10
+# through `_representative_profile`; goes with its 2 tests in test_profiles_energy.py
 def cluster_energy(profiles, width: float, depth: int, epochs: int = 1) -> float:
     """``E_s = max_{n∈N_s} E_n`` — the cluster representative of Eq. (10)."""
     profiles = list(profiles)

@@ -127,6 +127,9 @@ class DAGHeader(Header):
                 out.append((name, p))
         return out
 
+    # reprolint: unreached -- deferred deletion (no paper anchor): goes with
+    # test_blocks_dag.py::test_parameter_vector_matches_count; three other tests read header
+    # weights through it and re-aim at parameters()
     def parameter_vector(self) -> np.ndarray:
         """Flat copy of all header parameters ΥH (Eq. 16 ordering)."""
         return np.concatenate([p.data.reshape(-1) for p in self.parameters()])
@@ -156,13 +159,6 @@ class DAGHeader(Header):
             p.data = self._pristine[name] * mask
             offset += size
         self._parameter_mask = masks
-
-    def clear_parameter_mask(self) -> None:
-        if self._pristine is not None:
-            for name, p in self._unique_named_parameters():
-                p.data = self._pristine[name].copy()
-        self._parameter_mask = None
-        self._pristine = None
 
     def reapply_mask(self) -> None:
         """Re-zero masked parameters in place (call after optimizer steps)."""

@@ -55,6 +55,9 @@ class TextConfig:
         return depth * width * (self.head_params + 2 * self.embed_dim * self.mlp_hidden)
 
 
+# reprolint: unreached -- deferred deletion (no paper anchor): the whole module goes with
+# data/synthetic_text.py, nn.layers.Embedding, nn.lstm.LSTM and tests/models/test_text.py (14
+# tests)
 class TextTransformer(Module):
     """Token-classification Transformer: embeddings → encoder → CLS head."""
 

@@ -4,15 +4,14 @@ The paper parameterizes every candidate backbone relative to a reference
 model via the transformation ``θB_n = δ(θB_0, w, d)`` where ``w ∈ (0, 1]``
 scales width (attention heads + MLP neurons, DynaBERT-style) and ``d``
 counts active Transformer layers (§II-C).  :class:`VisionTransformer`
-implements δ as cheap boolean masking, plus :meth:`materialize` to emit a
-genuinely smaller deployable copy, and ``zeta`` implements the paper's
-parameter-count model ζ(θ) = d·w·(H + 2·ξ_h·ξ_f) (Eq. 3).
+implements δ as cheap boolean masking, and ``zeta`` implements the
+paper's parameter-count model ζ(θ) = d·w·(H + 2·ξ_h·ξ_f) (Eq. 3).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -231,72 +230,3 @@ class VisionTransformer(Module):
         """
         _final, hidden = self.encoder(self._embed(images), collect_hidden=True)
         return [self.head(self.norm(hidden[d - 1])[:, 0, :]) for d in depths]
-
-    # ------------------------------------------------------------------
-    # Materialization: emit a genuinely smaller model for deployment
-    # ------------------------------------------------------------------
-    def materialize(self) -> "VisionTransformer":
-        """Build a standalone model with masked structures removed.
-
-        Kept heads/neurons copy their weights; the returned model has the
-        active depth and a head count equal to the per-layer keep count, so
-        its true parameter count matches what ζ models.
-        """
-        cfg = self.config
-        keep_heads = max(1, int(round(self.width * cfg.num_heads)))
-        keep_neurons = max(1, int(round(self.width * cfg.mlp_hidden)))
-        head_dim = cfg.embed_dim // cfg.num_heads
-        new_embed = keep_heads * head_dim
-        new_cfg = replace(
-            cfg,
-            embed_dim=new_embed,
-            depth=self.depth,
-            num_heads=keep_heads,
-            mlp_ratio=keep_neurons / new_embed,
-        )
-        small = VisionTransformer(new_cfg, seed=0)
-
-        # Copy the embedding slice corresponding to the kept head dims of
-        # layer 0's ordering (embedding channels are shared across layers;
-        # we keep the leading slice which is the standard DynaBERT recipe).
-        dim_slice = slice(0, new_embed)
-        small.patch_embed.proj.weight.data = self.patch_embed.proj.weight.data[:, dim_slice].copy()
-        small.patch_embed.proj.bias.data = self.patch_embed.proj.bias.data[dim_slice].copy()
-        small.cls_token.data = self.cls_token.data[..., dim_slice].copy()
-        small.pos_embed.data = self.pos_embed.data[..., dim_slice].copy()
-        small.norm.gamma.data = self.norm.gamma.data[dim_slice].copy()
-        small.norm.beta.data = self.norm.beta.data[dim_slice].copy()
-        small.head.weight.data = self.head.weight.data[dim_slice, :].copy()
-        small.head.bias.data = self.head.bias.data.copy()
-
-        active_layers = [l for l in self.encoder.layers if l.active]
-        for small_layer, big_layer in zip(small.encoder.layers, active_layers):
-            idx = self.encoder.layers.index(big_layer)
-            heads = np.sort(self._head_orders[idx][:keep_heads])
-            neurons = np.sort(self._neuron_orders[idx][:keep_neurons])
-            _copy_layer(big_layer, small_layer, heads, neurons, head_dim, dim_slice)
-        return small
-
-
-def _copy_layer(big, small, heads, neurons, head_dim, dim_slice) -> None:
-    """Copy kept heads/neurons from a big encoder layer into a small one."""
-    d = big.attn.embed_dim
-    # Column indices in the fused QKV weight for the kept heads, per Q/K/V.
-    head_cols = np.concatenate(
-        [np.arange(h * head_dim, (h + 1) * head_dim) for h in heads]
-    )
-    qkv_cols = np.concatenate([head_cols, d + head_cols, 2 * d + head_cols])
-    small.attn.qkv.weight.data = big.attn.qkv.weight.data[dim_slice, :][:, qkv_cols].copy()
-    small.attn.qkv.bias.data = big.attn.qkv.bias.data[qkv_cols].copy()
-    small.attn.proj.weight.data = big.attn.proj.weight.data[head_cols, :][:, dim_slice].copy()
-    small.attn.proj.bias.data = big.attn.proj.bias.data[dim_slice].copy()
-
-    small.norm1.gamma.data = big.norm1.gamma.data[dim_slice].copy()
-    small.norm1.beta.data = big.norm1.beta.data[dim_slice].copy()
-    small.norm2.gamma.data = big.norm2.gamma.data[dim_slice].copy()
-    small.norm2.beta.data = big.norm2.beta.data[dim_slice].copy()
-
-    small.mlp.fc1.weight.data = big.mlp.fc1.weight.data[dim_slice, :][:, neurons].copy()
-    small.mlp.fc1.bias.data = big.mlp.fc1.bias.data[neurons].copy()
-    small.mlp.fc2.weight.data = big.mlp.fc2.weight.data[neurons, :][:, dim_slice].copy()
-    small.mlp.fc2.bias.data = big.mlp.fc2.bias.data[dim_slice].copy()

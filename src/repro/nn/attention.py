@@ -62,9 +62,6 @@ class MultiHeadSelfAttention(Module):
             raise ValueError(f"head mask shape {mask.shape} != ({self.num_heads},)")
         self.head_mask = mask.copy()
 
-    def active_heads(self) -> int:
-        return int(self.head_mask.sum())
-
     def forward(self, x: Tensor) -> Tensor:
         n, t, d = x.shape
         h, hd = self.num_heads, self.head_dim

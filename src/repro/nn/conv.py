@@ -77,6 +77,8 @@ def clear_im2col_cache() -> None:
     _cached_indices.cache_clear()
 
 
+# reprolint: unreached -- safety handle: the cache tests read hit counts through it to prove the
+# index cache is shared across threads and cleared on request
 def im2col_cache_info():
     """``functools.lru_cache`` statistics of the shared index cache."""
     return _cached_indices.cache_info()
@@ -256,6 +258,8 @@ class GlobalAvgPool2d(Module):
         return x.mean(axis=(2, 3))
 
 
+# reprolint: unreached -- deferred deletion (no paper anchor): goes with
+# test_conv.py::TestDownsample (2 tests)
 class Downsample2d(Module):
     """Strided 1×1 convolution halving the spatial resolution.
 

@@ -79,12 +79,6 @@ def xavier_uniform(shape, rng: np.random.Generator, gain: float = 1.0) -> np.nda
     return rng.uniform(-bound, bound, size=shape)
 
 
-def xavier_normal(shape, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    fan_in, fan_out = _fans(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
 def kaiming_uniform(shape, rng: np.random.Generator) -> np.ndarray:
     """He uniform initialization, suited to ReLU-family activations."""
     fan_in, _fan_out = _fans(shape)

@@ -215,6 +215,8 @@ class Dropout(Module):
         return F.dropout(x, self.p, self._rng, training=self.training)
 
 
+# reprolint: unreached -- deferred deletion (no paper anchor): only models/text.py builds one;
+# goes with it, test_layers.py::TestEmbedding and the two test_rng_fallback.py cases
 class Embedding(Module):
     """Lookup table mapping integer indices to dense vectors."""
 
@@ -334,9 +336,6 @@ class MLP(Module):
                 f"neuron mask shape {mask.shape} != ({self.hidden_features},)"
             )
         self.neuron_mask = mask.copy()
-
-    def active_neurons(self) -> int:
-        return int(self.neuron_mask.sum())
 
     def forward(self, x: Tensor) -> Tensor:
         hidden = self.act(self.fc1(x))

@@ -579,9 +579,6 @@ class FleetOptimizer:
     def member_parameters(self, member: int) -> List[Tensor]:
         return list(self.members[member])
 
-    def step_count(self, member: int) -> int:
-        return self._t[member]
-
     def zero_grad(self, active: Optional[Sequence[int]] = None) -> None:
         members = self.members if active is None else [self.members[m] for m in active]
         for member in members:

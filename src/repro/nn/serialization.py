@@ -30,12 +30,15 @@ def _npz_path(path: Union[str, Path]) -> Path:
     return path if path.name.endswith(".npz") else path.with_name(path.name + ".npz")
 
 
+# reprolint: unreached -- deferred deletion (no paper anchor): goes with load_state,
+# test_serialization.py::TestSaveLoad (6 tests) and the checkpoint case of test_state_rebind.py
 def save_state(module: Module, path: Union[str, Path]) -> None:
     """Serialize a module's parameters to an ``.npz`` archive."""
     state = module.state_dict()
     np.savez(_npz_path(path), **state)
 
 
+# reprolint: unreached -- deferred deletion (no paper anchor): goes with save_state
 def load_state(module: Module, path: Union[str, Path]) -> None:
     """Load parameters saved by :func:`save_state` into ``module``."""
     with np.load(_npz_path(path)) as archive:
@@ -48,11 +51,15 @@ def state_dict_nbytes(state: Dict[str, np.ndarray]) -> int:
     return int(sum(np.asarray(v).nbytes for v in state.values()))
 
 
+# reprolint: unreached -- deferred deletion (no paper anchor): goes with
+# test_serialization.py::TestByteAccounting's case for it
 def module_nbytes(module: Module) -> int:
     """Byte size of a module's trainable parameters."""
     return state_dict_nbytes(module.state_dict())
 
 
+# reprolint: unreached -- deferred deletion (no paper anchor): goes with
+# test_serialization.py::TestByteAccounting's case for it
 def array_nbytes(*arrays: np.ndarray) -> int:
     """Total byte size of plain arrays (importance sets, statistics, ...)."""
     return int(sum(np.asarray(a).nbytes for a in arrays))
@@ -63,6 +70,8 @@ def json_nbytes(obj) -> int:
     return len(json.dumps(obj, sort_keys=True).encode("utf-8"))
 
 
+# reprolint: unreached -- deferred deletion (no paper anchor): goes with
+# test_serialization.py::TestByteAccounting's case for it
 def compressed_nbytes(state: Dict[str, np.ndarray], level: int = 6) -> int:
     """Byte size after zlib compression — a lower bound used in ablations."""
     buffer = io.BytesIO()

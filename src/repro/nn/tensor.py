@@ -196,6 +196,8 @@ class no_grad(_GradMode):
     _mode = False
 
 
+# reprolint: unreached -- safety handle: the scoped inverse of no_grad; the grad-mode nesting
+# and thread-isolation tests drive it
 class enable_grad(_GradMode):
     """Re-enable tape recording inside a ``no_grad`` region."""
 
@@ -723,11 +725,6 @@ class Tensor:
             self._accumulate(grad[slices])
 
         return Tensor._make(out_data, (self,), backward)
-
-    def flatten(self, start_axis: int = 0) -> "Tensor":
-        shape = self.data.shape
-        new_shape = shape[:start_axis] + (-1,)
-        return self.reshape(new_shape)
 
 
 # ----------------------------------------------------------------------

@@ -308,11 +308,10 @@ def train_headers_fleet(
     per member — per-member float64 traces (epoch losses, accuracies,
     final weights) are bit-for-bit identical — but each round runs as
     one stacked graph with a single fused fleet-optimizer step.  Falls
-    back to the serial per-member loop for stochastic models; members
-    that opted out via ``TrainConfig.fleet_training=False`` train
-    serially while the rest still fleet-batch.  ``features`` aligns
-    with ``headers``: member ``i``'s precomputed features over
-    ``datasets[i].images`` (or ``None``), as for :func:`train_header`.
+    back to the serial per-member loop for stochastic models.
+    ``features`` aligns with ``headers``: member ``i``'s precomputed
+    features over ``datasets[i].images`` (or ``None``), as for
+    :func:`train_header`.
     """
     if not (len(headers) == len(datasets)):
         raise ValueError(f"{len(headers)} headers vs {len(datasets)} datasets")
@@ -326,32 +325,6 @@ def train_headers_fleet(
             train_header(backbone, h, d, config=c, freeze_backbone=True, features=f)
             for h, d, c, f in zip(headers, datasets, configs, features)
         ]
-    if not all(c.fleet_training for c in configs):
-        # Per-member opt-out: fleet the opted-in members, train the rest
-        # serially (members are state-disjoint, so order is irrelevant).
-        reports: List[Optional[TrainReport]] = [None] * len(headers)
-        fleet_ids = [i for i, c in enumerate(configs) if c.fleet_training]
-        for i, c in enumerate(configs):
-            if not c.fleet_training:
-                reports[i] = train_header(
-                    backbone,
-                    headers[i],
-                    datasets[i],
-                    config=c,
-                    freeze_backbone=True,
-                    features=features[i],
-                )
-        if fleet_ids:
-            sub_reports = train_headers_fleet(
-                backbone,
-                [headers[i] for i in fleet_ids],
-                [datasets[i] for i in fleet_ids],
-                [configs[i] for i in fleet_ids],
-                [features[i] for i in fleet_ids],
-            )
-            for i, report in zip(fleet_ids, sub_reports):
-                reports[i] = report
-        return reports  # type: ignore[return-value]
 
     cache = _FleetFeatureServer(
         backbone,

@@ -26,13 +26,6 @@ class TrainConfig:
     lr: float = 1e-3
     grad_clip: float = 5.0
     max_batches_per_epoch: Optional[int] = None
-    #: Per-member opt-out for fleet batching: callers that train many
-    #: headers over one shared frozen backbone (``EdgeServer`` with
-    #: ``fleet_training``, :func:`repro.train.fleet.train_headers_fleet`)
-    #: stack this member into the one-graph-per-round fleet only when
-    #: True.  Bit-for-bit identical either way; ``False`` forces the
-    #: serial per-device loop (e.g. for A/B benchmarking).
-    fleet_training: bool = True
     seed: int = 0
 
 

@@ -4,11 +4,14 @@
 the pass cannot be faked: these tests re-lint real engine sources with
 one suppression stripped or one registration bypassed and assert the
 exit flips — every suppression and every registry entry in the tree is
-load-bearing.
+load-bearing.  The same goes for reachability: on a copy of the tree, one
+unreferenced ``def`` is a DEAD001 exit and one consumer reference undoes
+it.
 """
 
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
 
@@ -97,3 +100,57 @@ def test_registry_cross_check_runs_on_src():
         )
     finally:
         target.unlink()
+
+
+def _python_only(directory, names):
+    return [
+        n for n in names
+        if n == "__pycache__"
+        or not (n.endswith(".py") or (pathlib.Path(directory) / n).is_dir())
+    ]
+
+
+def _copy_tree_with_consumers(dest):
+    """``src/`` plus every DEAD001 consumer root, ``.py`` files only."""
+    for name in ("src", "benchmarks", "examples", "scripts", "tests/reference"):
+        shutil.copytree(REPO_ROOT / name, dest / name, ignore=_python_only)
+    for name in ("tests/helpers.py", "tests/conftest.py"):
+        shutil.copy(REPO_ROOT / name, dest / name)
+
+
+def test_an_unreached_def_flips_the_exit_and_a_consumer_flips_it_back(tmp_path):
+    _copy_tree_with_consumers(tmp_path)
+    src = str(tmp_path / "src")
+    assert lint_paths([src], registry_check=False) == []
+
+    energy = tmp_path / "src" / "repro" / "hw" / "energy.py"
+    energy.write_text(
+        energy.read_text(encoding="utf-8")
+        + "\n\ndef joules_to_kwh(joules):\n    return joules / 3.6e6\n",
+        encoding="utf-8",
+    )
+    # Neither a package re-export nor the symbol's own test reaches it.
+    package = tmp_path / "src" / "repro" / "hw" / "__init__.py"
+    package.write_text(
+        package.read_text(encoding="utf-8")
+        + "\nfrom repro.hw.energy import joules_to_kwh\n",
+        encoding="utf-8",
+    )
+    own_test = tmp_path / "tests" / "hw" / "test_kwh.py"
+    own_test.parent.mkdir()
+    own_test.write_text(
+        "from repro.hw import joules_to_kwh\n\n\n"
+        "def test_kwh():\n    assert joules_to_kwh(3.6e6) == 1.0\n",
+        encoding="utf-8",
+    )
+    findings = lint_paths([src], registry_check=False)
+    assert [f.rule for f in findings] == ["DEAD001"], [f.render() for f in findings]
+    assert "`joules_to_kwh`" in findings[0].message
+
+    example = tmp_path / "examples" / "quickstart.py"
+    example.write_text(
+        example.read_text(encoding="utf-8")
+        + "\nfrom repro.hw.energy import joules_to_kwh\n",
+        encoding="utf-8",
+    )
+    assert lint_paths([src], registry_check=False) == []

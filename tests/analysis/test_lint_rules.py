@@ -8,20 +8,22 @@ the comment grammar: trailing vs. standalone anchoring, multi-line
 comment blocks, SUP001/SUP002/SUP003 enforcement.
 """
 
+import ast
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from repro.analysis.lint import lint_source, self_test
-from repro.analysis.rules import RULES, rule_tokens
+from repro.analysis.lint import lint_fixture, lint_source, self_test
+from repro.analysis.rules import RULES, identifier_uses, rule_tokens
 
 RULE_IDS = [rule.id for rule in RULES]
 
 
 @pytest.mark.parametrize("rule", RULES, ids=RULE_IDS)
 def test_must_flag_fixture_fires(rule):
-    findings = lint_source(rule.must_flag, rel=rule.snippet_rel)
+    findings = lint_fixture(rule, rule.must_flag)
     assert any(f.rule == rule.id for f in findings), (
         f"{rule.id} must-flag fixture produced no finding"
     )
@@ -31,23 +33,20 @@ def test_must_flag_fixture_fires(rule):
 
 @pytest.mark.parametrize("rule", RULES, ids=RULE_IDS)
 def test_must_pass_fixture_is_clean(rule):
-    findings = lint_source(rule.must_pass, rel=rule.snippet_rel)
+    findings = lint_fixture(rule, rule.must_pass)
     assert not findings, [f.render() for f in findings]
 
 
 @pytest.mark.parametrize("rule", RULES, ids=RULE_IDS)
 def test_suppression_absorbs_each_rule(rule):
     """A correctly anchored, justified suppression silences every rule."""
-    flagged = [
-        f for f in lint_source(rule.must_flag, rel=rule.snippet_rel)
-        if f.rule == rule.id
-    ]
+    flagged = [f for f in lint_fixture(rule, rule.must_flag) if f.rule == rule.id]
     lines = rule.must_flag.splitlines()
     for finding in flagged:
         lines[finding.line - 1] += (
             f"  # reprolint: {rule.token} -- fixture-level justification"
         )
-    suppressed = lint_source("\n".join(lines) + "\n", rel=rule.snippet_rel)
+    suppressed = lint_fixture(rule, "\n".join(lines) + "\n")
     assert not any(f.rule == rule.id for f in suppressed), (
         f"{rule.id} finding survived its own suppression token"
     )
@@ -130,6 +129,44 @@ def test_protocol_rules_scope_to_protocol_paths():
     assert any(f.rule == "DET003" for f in inside)
     outside = lint_source(src, rel="repro/train/_s.py")
     assert not any(f.rule == "DET003" for f in outside)
+
+
+def test_dead001_needs_the_tree():
+    """One file linted on its own says nothing about reachability — and a
+    suppression naming the rule is not reported idle by a rule that did
+    not run."""
+    src = (
+        "# reprolint: unreached -- Fig. 3: the curve the bench is checked against\n"
+        "def fig3(x):\n"
+        "    return x\n"
+    )
+    assert lint_source(src, rel="repro/core/_s.py") == []
+    used = lint_source(src, rel="repro/core/_s.py", tree_uses=Counter(fig3=1))
+    assert [f.rule for f in used] == ["SUP003"]
+
+
+def test_dead001_counts_uses_outside_the_defs_own_body():
+    src = (
+        "class Walker:\n"
+        "    def walk(self, n):\n"
+        "        return self.walk(n - 1) if n else self.rest()\n"
+        "\n"
+        "    def rest(self):\n"
+        "        return Walker\n"
+    )
+    uses = identifier_uses(ast.parse(src))
+    assert uses == Counter({"self": 2, "walk": 1, "n": 2, "rest": 1, "Walker": 1})
+    flagged = lint_source(src, rel="repro/core/_s.py", tree_uses=uses)
+    # ``rest`` is called from ``walk``; ``walk`` only calls itself and
+    # ``Walker`` is named only inside its own body.
+    assert sorted(f.message.split("`")[1] for f in flagged) == ["Walker", "Walker.walk"]
+    # A keyword, an attribute or an import anywhere else is a use.
+    for consumer in ("f(walk=1)", "x.walk", "from m import walk"):
+        more = uses + identifier_uses(ast.parse(consumer))
+        flagged = lint_source(src, rel="repro/core/_s.py", tree_uses=more)
+        assert [f.message.split("`")[1] for f in flagged] == ["Walker"]
+    # ... unless the import is a package ``__init__`` re-export.
+    assert identifier_uses(ast.parse("from m import walk"), imports=False) == Counter()
 
 
 def test_cli_self_test_exits_zero():

@@ -204,7 +204,7 @@ class TestAlgorithm2:
         assert len(result.headers) == 3
         assert result.weights.shape == (3, 3)
         assert len(result.rounds) == 1
-        assert result.total_upload_bytes > 0
+        assert result.rounds[0].uploaded_bytes > 0
 
     def test_headers_are_pruned(self, setup):
         model, data = setup

@@ -11,7 +11,6 @@ from repro.core.pareto import (
     dominates,
     grid_coordinates,
     pareto_front,
-    pfg_members,
     select_model,
 )
 
@@ -108,12 +107,6 @@ class TestBuildPFG:
             build_pfg([], performance_window=0.1)
         with pytest.raises(ValueError):
             build_pfg(self.grid(), performance_window=0.0)
-
-    def test_pfg_members_helper(self):
-        pfg = build_pfg(self.grid(), performance_window=0.1)
-        members = pfg_members(pfg)
-        assert len(members) == len(pfg.members)
-        assert all(isinstance(m, Candidate) for m in members)
 
 
 class TestSelectModel:

@@ -5,8 +5,8 @@ cluster keep only K devices' headers materialized; everything else sits
 as its cold snapshot (the ``snapshot_header`` arrays — no byte format on
 the residency path).  The contract under test: *no observable
 difference* from the always-live mode — not in importance sets, not in
-prune masks, not in fused-optimizer state, not across checkpoints or
-dtype casts, and not in a full system run's ledger.  Eviction is probed
+prune masks, not across checkpoints or dtype casts, and not in a full
+system run's ledger.  Eviction is probed
 at the adversarial points: between importance rounds, after pruning,
 across a save→load checkpoint, and across ``astype``.
 """
@@ -24,8 +24,6 @@ from repro.distributed.messages import Message, MessageKind
 from repro.distributed.network import Network
 from repro.distributed.state_store import (
     DeviceStateLRU,
-    export_adam_state,
-    import_adam_state,
     restore_header,
     snapshot_header,
 )
@@ -33,10 +31,7 @@ from repro.hw.profiles import DeviceProfile
 from repro.models import ViTConfig, VisionTransformer
 from repro.models.blocks import BlockSpec, HeaderSpec
 from repro.models.header_dag import DAGHeader
-from repro.nn.optim import Adam
 from repro.nn.serialization import state_from_bytes, state_to_bytes
-from repro.nn.tensor import Tensor, using_dtype
-from tests.reference.optim import ReferenceAdam
 
 
 def _distribution_payload(seed: int = 0) -> dict:
@@ -269,85 +264,6 @@ class TestSnapshotRoundTrip:
             )
 
 
-class TestAdamStateCapsule:
-    @pytest.fixture(autouse=True)
-    def _float64_engine(self):
-        # The fixtures feed float64 numpy draws straight into Tensor
-        # data and grads; under the float32 engine default the data
-        # would downcast while the raw ``p.grad`` assignment stayed
-        # float64, and the mixed-precision steps would diverge between
-        # the fused path and the oracle.
-        with using_dtype("float64"):
-            yield
-
-    def _train(self, params, optimizer, grads):
-        for step_grads in grads:
-            for p, g in zip(params, step_grads):
-                p.grad = g.copy()
-            optimizer.step()
-
-    def test_mid_training_roundtrip_bit_exact(self):
-        """Evict at step k, restore into a FRESH optimizer, keep training."""
-        rng = np.random.default_rng(11)
-        shapes = [(12, 8), (8,), (5, 3)]
-        datas = [rng.normal(size=s) for s in shapes]
-        grads = [[rng.normal(size=s) for s in shapes] for _ in range(12)]
-
-        straight = [Tensor(d.copy(), requires_grad=True) for d in datas]
-        opt_straight = Adam(straight, lr=1e-2)
-        self._train(straight, opt_straight, grads)
-
-        interrupted = [Tensor(d.copy(), requires_grad=True) for d in datas]
-        opt_a = Adam(interrupted, lr=1e-2)
-        self._train(interrupted, opt_a, grads[:5])
-        blob = state_to_bytes(export_adam_state(opt_a))
-        # Fresh params at the evicted values + a fresh optimizer — the
-        # rehydration scenario (old objects are gone).
-        resumed = [Tensor(p.data.copy(), requires_grad=True) for p in interrupted]
-        opt_b = Adam(resumed, lr=1e-2)
-        import_adam_state(opt_b, state_from_bytes(blob))
-        self._train(resumed, opt_b, grads[5:])
-
-        for a, b in zip(straight, resumed):
-            np.testing.assert_array_equal(a.data, b.data)
-
-    def test_cross_mode_roundtrip(self):
-        """Fused-exported ``m``/``v``/``t`` resume bit-exact on the textbook
-        oracle (``tests/reference/optim.py``)."""
-        rng = np.random.default_rng(13)
-        shapes = [(6, 4), (4,)]
-        datas = [rng.normal(size=s) for s in shapes]
-        grads = [[rng.normal(size=s) for s in shapes] for _ in range(10)]
-
-        straight = [Tensor(d.copy(), requires_grad=True) for d in datas]
-        self._train(straight, ReferenceAdam(straight, lr=3e-3), grads)
-
-        fused_params = [Tensor(d.copy(), requires_grad=True) for d in datas]
-        opt_fused = Adam(fused_params, lr=3e-3)
-        self._train(fused_params, opt_fused, grads[:4])
-        state = export_adam_state(opt_fused)
-        resumed = [Tensor(p.data.copy(), requires_grad=True) for p in fused_params]
-        opt_ref = ReferenceAdam(resumed, lr=3e-3)
-        opt_ref.load_capsule(state)
-        self._train(resumed, opt_ref, grads[4:])
-
-        for a, b in zip(straight, resumed):
-            np.testing.assert_array_equal(a.data, b.data)
-
-    def test_never_stepped_exports_zeros(self):
-        params = [Tensor(np.ones((3, 2)), requires_grad=True)]
-        state = export_adam_state(Adam(params))
-        assert int(state["t"]) == 0
-        np.testing.assert_array_equal(state["m.0"], np.zeros((3, 2)))
-
-    def test_non_adam_rejected(self):
-        from repro.nn.optim import SGD
-
-        params = [Tensor(np.ones(2), requires_grad=True)]
-        with pytest.raises(TypeError):
-            export_adam_state(SGD(params))
-
-
 class TestLRUMechanics:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
@@ -371,7 +287,6 @@ class TestLRUMechanics:
         devices[2]._ensure_live()  # evicts 1, not 0
         assert store.is_live(devices[0]) and store.is_live(devices[2])
         assert not store.is_live(devices[1])
-        assert store.live_count == 2
         assert store.hydrations == 3 and store.evictions == 1
         # The evicted device's cold snapshot exists; the live ones have none.
         assert devices[1]._cold_state is not None

@@ -146,7 +146,7 @@ class TestDAGHeader:
         assert header.active_parameter_count() == keep.sum()
         masked = header(x).data
         assert not np.allclose(original, masked)
-        header.clear_parameter_mask()
+        header.set_parameter_mask(np.ones(count, dtype=bool))
         np.testing.assert_allclose(header(x).data, original)
 
     def test_mask_revision_from_pristine(self):

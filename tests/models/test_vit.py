@@ -146,32 +146,6 @@ class TestScaling:
         np.testing.assert_allclose(model(x).data, full)
 
 
-class TestMaterialize:
-    def test_materialized_matches_masked_sizes(self):
-        cfg = small_config()
-        model = VisionTransformer(cfg, seed=0)
-        model.scale(0.5, 2)
-        small = model.materialize()
-        assert small.config.num_heads == 2
-        assert small.config.depth == 2
-        assert small.num_parameters() < model.num_parameters()
-
-    def test_materialized_output_shape(self):
-        cfg = small_config()
-        model = VisionTransformer(cfg, seed=0)
-        model.scale(0.5, 2)
-        small = model.materialize()
-        assert small(images(2, cfg)).shape == (2, 5)
-
-    def test_full_width_materialization_preserves_logits(self):
-        """At w=1, d=max the materialized copy is numerically identical."""
-        cfg = small_config()
-        model = VisionTransformer(cfg, seed=0)
-        small = model.materialize()
-        x = images(2, cfg)
-        np.testing.assert_allclose(small(x).data, model(x).data, atol=1e-8)
-
-
 @settings(max_examples=20, deadline=None)
 @given(
     st.sampled_from([0.25, 0.5, 0.75, 1.0]),

@@ -34,7 +34,7 @@ class TestMHSA:
         attn.set_head_mask(np.array([True, True, False, False]))
         masked = attn(x).data
         assert not np.allclose(full, masked)
-        assert attn.active_heads() == 2
+        assert attn.head_mask.sum() == 2
 
     def test_all_heads_masked_yields_projection_of_zeros(self):
         attn = MultiHeadSelfAttention(8, 2, rng=RNG)

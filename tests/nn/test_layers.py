@@ -159,10 +159,10 @@ class TestMLP:
 
     def test_active_neurons(self):
         mlp = MLP(4, 6, 4)
-        assert mlp.active_neurons() == 6
+        assert mlp.neuron_mask.sum() == 6
         mask = np.array([True, False, True, False, True, False])
         mlp.set_neuron_mask(mask)
-        assert mlp.active_neurons() == 3
+        assert mlp.neuron_mask.sum() == 3
 
     def test_masked_neurons_receive_no_gradient(self):
         mlp = MLP(3, 4, 2, rng=RNG)

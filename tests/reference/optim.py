@@ -84,13 +84,6 @@ class ReferenceAdam(_ReferenceOptimizer):
             self.v[id(p)] = v
             p.data = p.data - self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
 
-    def load_capsule(self, state: Dict[str, np.ndarray]) -> None:
-        """Resume from :func:`repro.distributed.state_store.export_adam_state`."""
-        self.t = int(state["t"])
-        for i, p in enumerate(self.params):
-            self.m[id(p)] = np.array(state[f"m.{i}"], copy=True)
-            self.v[id(p)] = np.array(state[f"v.{i}"], copy=True)
-
 
 #: The oracle of each engine optimizer class.
 ORACLE = {Adam: ReferenceAdam, SGD: ReferenceSGD}

@@ -57,21 +57,22 @@ def test_core_symbols_are_callable_or_classes():
 
 
 def test_execution_placement_is_declared_once():
-    """No dataclass under ``repro.distributed`` / ``repro.core`` re-declares
-    what :class:`ExecutionPlan` owns: a field named like one of the
-    plan's, or like the knobs it replaced."""
+    """No dataclass under ``repro.distributed`` / ``repro.core`` /
+    ``repro.train`` re-declares what :class:`ExecutionPlan` owns: a field
+    named like one of the plan's, or like the knobs it replaced."""
     import dataclasses
     import pkgutil
     import re
 
     import repro.core
     import repro.distributed
+    import repro.train
     from repro.distributed.executor import ExecutionPlan
 
     owned = {f.name for f in dataclasses.fields(ExecutionPlan)}
     retired = re.compile(r"parallel_.*|backend|fleet_training")
     offenders = []
-    for package in (repro.core, repro.distributed):
+    for package in (repro.core, repro.distributed, repro.train):
         for info in pkgutil.iter_modules(package.__path__, package.__name__ + "."):
             module = importlib.import_module(info.name)
             for cls in vars(module).values():

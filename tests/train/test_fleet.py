@@ -152,39 +152,6 @@ class TestTrainFleetParity:
             assert rs.epoch_losses == rf.epoch_losses
         _assert_headers_equal(serial, fleet)
 
-    def test_member_opt_out_trains_serially_rest_fleet(self, backbone, monkeypatch):
-        """An opted-out member routes through the serial loop; the rest
-        still fleet-batch, and every trace matches the serial path."""
-        datasets = _datasets([4, 4, 4], seed0=45)
-        configs = [
-            TrainConfig(epochs=1, batch_size=8, seed=0),
-            TrainConfig(epochs=1, batch_size=8, seed=1, fleet_training=False),
-            TrainConfig(epochs=1, batch_size=8, seed=2),
-        ]
-        serial = _mlp_headers(3, seed0=120)
-        reports_serial = [
-            train_header(backbone, h, d, config=c, freeze_backbone=True)
-            for h, d, c in zip(serial, datasets, configs)
-        ]
-
-        calls = []
-        import repro.train.fleet as fleet_mod
-
-        original = fleet_mod.train_header
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(fleet_mod, "train_header", counting)
-        fleet = _mlp_headers(3, seed0=120)
-        reports_fleet = train_headers_fleet(backbone, fleet, datasets, configs)
-        assert len(calls) == 1  # only the opted-out member went serial
-        for rs, rf in zip(reports_serial, reports_fleet):
-            assert rs.epoch_losses == rf.epoch_losses
-            assert rs.epoch_accuracies == rf.epoch_accuracies
-        _assert_headers_equal(serial, fleet)
-
     def test_length_mismatch_raises(self, backbone):
         with pytest.raises(ValueError, match="headers"):
             train_headers_fleet(backbone, _mlp_headers(2), _datasets([4]))
