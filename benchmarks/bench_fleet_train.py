@@ -1,24 +1,30 @@
-"""Perf trajectory bench: fleet-batched training vs the serial device loop.
+"""Perf trajectory bench: one fleet of N vs N fleets of one.
 
-Two comparisons, both run against the **current fast serial path** (fused
-per-member optimizers, cached frozen features — the PR 3 defaults), so the
-recorded speedups are what the fleet trainer adds on top of it:
+Frozen-header training has one loop (:mod:`repro.train.fleet`); a
+single device is its one-member case.  The "serial" side of both
+comparisons is therefore N consecutive one-member rounds —
+``train_header`` / ``compute_importance_set`` per member, each with its
+own fused optimizer and feature sweep — and the recorded speedups are
+what stacking the members into one graph per round adds on top of it:
 
 * **fleet ``train_headers_fleet``** — a 48-member linear-probe fleet
   (the per-device personalization regime: many small headers over one
   frozen backbone, small local batches) trained as one graph per round
   with a single fused :class:`~repro.nn.optim.FleetOptimizer` step, vs
-  48 serial ``train_header`` runs.  Floor: 1.5×.
+  48 one-member ``train_header`` runs.  Floor: 1.5×.
 * **fleet ``fleet_importance_rounds``** — a 12-member DAG-header fleet
   running Algorithm 2's local importance rounds (the aggregation loop's
-  per-device phase), vs 12 serial ``compute_importance_set`` runs.
-  Floor: 1.1× (DAG forwards dominate; the fleet fuses the loss,
-  backward and step phases).
+  per-device phase), vs 12 one-member ``compute_importance_set`` runs.
+  No floor: DAG forwards dominate and a 12-header flat buffer is past
+  the cache size a one-header step enjoys, so the two sides measure
+  within ±15% of each other (the 1.1× floor this row used to carry
+  was earned against a per-device loop that forwarded the backbone per
+  batch, which no longer exists); the row stays for its parity assert.
 
 Both comparisons assert **bit-for-bit float64 parity** while they time:
 per-member epoch losses and accuracies, final header weights, and
-importance sets must equal the serial path exactly — the fleet trainer
-is a pure execution-plan change.
+importance sets of the fleet of N must equal the N fleets of one
+exactly — grouping is a pure execution-plan change.
 
 Results are persisted machine-readably to ``bench_results/`` and merged
 into ``BENCH_perf.json`` at the repo root (floors replayed in tier-1 by
@@ -56,9 +62,8 @@ from repro.train.trainer import TrainConfig, train_header
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-# Floors asserted by emit_perf — regressions below these fail the bench.
+# Floor asserted by emit_perf — a regression below it fails the bench.
 TRAIN_FLEET_FLOOR = 1.5
-IMPORTANCE_FLEET_FLOOR = 1.1
 
 
 def _backbone(smoke: bool):
@@ -185,7 +190,7 @@ def bench_fleet_importance(smoke: bool):
         "fleet_importance_rounds",
         fast=fast,
         baseline=baseline,
-        floor=None if smoke else IMPORTANCE_FLEET_FLOOR,
+        floor=None,  # parity row: no speedup is claimed (module docstring)
         members=members,
     )
 

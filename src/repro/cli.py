@@ -36,7 +36,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 edge_workers=args.edge_workers,
                 device_workers=args.workers,
                 backend=args.backend,
-                fleet_batched=args.fleet,
             ),
             fault_config=fault_config,
             seed=args.seed,
@@ -154,8 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="ExecutionPlan.device_workers: width of the fan-outs inside "
         "an edge — per-device importance rounds and finalize/eval, NAS "
-        "child scoring (1 = serial, -1 = all CPU cores); any value "
-        "reproduces the serial results exactly",
+        "child scoring (1 = serial: an edge's headers train together in "
+        "one stacked graph; -1 = all CPU cores); any value reproduces "
+        "the serial results exactly",
     )
     run.add_argument(
         "--edge-workers",
@@ -177,14 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the tape-bound phases (importance rounds, NAS child scoring) "
         "scale past the GIL.  Either backend reproduces the serial "
         "results bit for bit",
-    )
-    run.add_argument(
-        "--fleet",
-        action="store_true",
-        help="ExecutionPlan.fleet_batched: fleet-batch each cluster's "
-        "local training — one computation "
-        "graph and one fused optimizer step per round for all of an "
-        "edge's headers; reproduces the per-device results exactly",
     )
     run.add_argument(
         "--faults",

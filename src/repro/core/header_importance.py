@@ -11,24 +11,23 @@ Importances are accumulated over mini-batches (the paper computes them
 "every minibatch", Fig. 6a) and averaged, producing the importance set
 ``Q_n`` uploaded to the edge server.
 
-The backbone only ever runs tape-free here — or not at all, when the
-caller hands in its features over the dataset (``features=``).
+The training itself is :mod:`repro.train.fleet`'s round loop — one
+device is the fleet of one.  The backbone only ever runs tape-free
+there — or not at all, when the caller hands in its features over the
+dataset (``features=``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.core.importance import header_parameter_importance
-from repro.data.dataset import ArrayDataset, DataLoader
+from repro.data.dataset import ArrayDataset
 from repro.models.header_dag import DAGHeader
-from repro.models.headers import BackboneFeatures, frozen_batch_features
+from repro.models.headers import BackboneFeatures
 from repro.models.vit import VisionTransformer
-from repro.nn import functional as F
-from repro.nn.optim import Adam
 
 
 @dataclass
@@ -76,50 +75,11 @@ def compute_importance_set(
         Flat array with one importance per header parameter, aligned with
         ``header.parameter_vector()``.
     """
-    config = config or ImportanceConfig()
-    rng = np.random.default_rng(config.seed)
-    params = header.parameters()
-    optimizer = Adam(params, lr=config.lr) if train else None
+    from repro.train.fleet import fleet_importance_rounds  # lazy: train imports core
 
-    accumulated = np.zeros(header.parameter_count())
-    batches_seen = 0
-
-    loader = DataLoader(
-        dataset,
-        batch_size=config.batch_size,
-        shuffle=True,
-        rng=rng,
-        yield_indices=features is not None,
-    )
-    for _epoch in range(config.epochs):
-        for batch_idx, (batch, labels) in enumerate(loader):
-            if batch_idx >= config.max_batches_per_epoch:
-                break
-            logits = header(frozen_batch_features(backbone, batch, features))
-            loss = F.cross_entropy(logits, labels)
-            # Buffer-reuse mode: each batch's backward accumulates into
-            # the previous batch's grad arrays instead of fresh ones.
-            header.zero_grad(reuse_buffers=True)
-            loss.backward()
-
-            # Eq. (17)-(18): per-parameter (g · υ)², accumulated per batch.
-            grads = np.concatenate(
-                [
-                    (p.grad if p.grad is not None else np.zeros_like(p.data)).reshape(-1)
-                    for p in params
-                ]
-            )
-            values = np.concatenate([p.data.reshape(-1) for p in params])
-            accumulated += header_parameter_importance(grads, values)
-            batches_seen += 1
-
-            if optimizer is not None:
-                optimizer.step()
-                header.reapply_mask()
-
-    if batches_seen == 0:
-        raise ValueError("dataset produced no batches for importance estimation")
-    return accumulated / batches_seen
+    return fleet_importance_rounds(
+        backbone, [header], [dataset], [config], [features], train=train
+    )[0]
 
 
 def prune_by_importance(

@@ -16,15 +16,11 @@ fine-tune and the similarity sample all gather rows from that sweep.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.header_importance import (
-    ImportanceConfig,
-    compute_importance_set,
-    prune_by_importance,
-)
+from repro.core.header_importance import ImportanceConfig, prune_by_importance
 from repro.core.similarity import extract_features
 from repro.data.dataset import ArrayDataset
 from repro.distributed.messages import Message, MessageKind
@@ -41,8 +37,9 @@ from repro.models.header_dag import DAGHeader
 from repro.models.headers import BackboneFeatures
 from repro.models.vit import VisionTransformer, ViTConfig
 from repro.nn.layers import has_active_stochastic_modules
+from repro.train.fleet import fleet_importance_rounds, train_headers_fleet
 from repro.train.serving import batched_evaluate_headers, precompute_backbone_features
-from repro.train.trainer import TrainConfig, train_header
+from repro.train.trainer import TrainConfig
 
 #: Snapshot key for the cached frozen-feature sample (kept distinct from
 #: the header's ``param.``/``mask.``/``pristine.`` namespaces).
@@ -261,35 +258,42 @@ class DeviceNode:
         return self._features
 
     def importance_round(
-        self, include_feature_sample: bool = False, round_index: int = 0
-    ) -> Message:
-        """Run a local importance round and build the upload message.
+        self,
+        include_feature_sample: bool = False,
+        round_index: int = 0,
+        peers: Sequence["DeviceNode"] = (),
+    ) -> List[Message]:
+        """Run the local importance round of this device and its ``peers``;
+        one upload message each, this device's first.
 
-        The caller (edge server) transmits the returned message through the
-        network so the bytes are accounted on the uplink.  ``round_index``
-        is the edge's round counter; the local data decide the set here,
-        so only synthetic devices (the scale harness) read it.
+        The group trains against this device's backbone in one stacked
+        graph per mini-batch round (:mod:`repro.train.fleet`), so the
+        caller names as peers only devices whose frozen backbones are
+        value-identical to it and RNG-free.  The caller (edge server)
+        transmits the returned messages through the network so the bytes
+        are accounted on the uplink.  ``round_index`` is the edge's
+        round counter; the local data decide the sets here, so only
+        synthetic devices (the scale harness) read it.
         """
-        self._ensure_live()
-        q = compute_importance_set(
+        devices = (self, *peers)
+        for device in devices:
+            device._ensure_live()
+        sets = fleet_importance_rounds(
             self.backbone,
-            self.header,
-            self.dataset,
-            config=self.importance_config,
-            features=self.frozen_features(),
+            [d.header for d in devices],
+            [d.dataset for d in devices],
+            [d.importance_config for d in devices],
+            [d.frozen_features() for d in devices],
         )
-        return self.build_importance_message(q, include_feature_sample)
+        return [
+            device.build_importance_message(q, include_feature_sample)
+            for device, q in zip(devices, sets)
+        ]
 
     def build_importance_message(
         self, importance: np.ndarray, include_feature_sample: bool = False
     ) -> Message:
-        """The ``IMPORTANCE_SET`` upload for an already-computed set.
-
-        Split from :meth:`importance_round` so the edge's fleet-batched
-        local-update phase (:mod:`repro.train.fleet`), which computes all
-        devices' sets in one stacked graph, produces byte-identical wire
-        messages in the same device order as the per-device rounds.
-        """
+        """The ``IMPORTANCE_SET`` upload for an already-computed set."""
         assert self.backbone is not None
         # Wire format: importance sets travel as float32 (like any practical
         # serialization); local computation stays float64.
@@ -310,29 +314,35 @@ class DeviceNode:
         return Message(self.name, "", MessageKind.IMPORTANCE_SET, payload)
 
     def finetune_config(self) -> TrainConfig:
-        """The final fine-tuning schedule (shared with the fleet path)."""
+        """The final fine-tuning schedule."""
         return TrainConfig(epochs=2, seed=self.seed)
 
-    def finetune(self, config: Optional[TrainConfig] = None) -> None:
-        """Final local header training (backbone frozen, mask enforced)."""
-        self._ensure_live()
-        train_header(
+    def finetune(
+        self,
+        config: Optional[TrainConfig] = None,
+        peers: Sequence["DeviceNode"] = (),
+    ) -> None:
+        """Final local header training (backbone frozen, mask enforced)
+        of this device and its ``peers`` — grouped as for
+        :meth:`importance_round`."""
+        devices = (self, *peers)
+        for device in devices:
+            device._ensure_live()
+        train_headers_fleet(
             self.backbone,
-            self.header,
-            self.dataset,
-            config=config or self.finetune_config(),
-            freeze_backbone=True,
-            features=self.frozen_features(),
+            [d.header for d in devices],
+            [d.dataset for d in devices],
+            [config or d.finetune_config() for d in devices],
+            [d.frozen_features() for d in devices],
         )
 
     def finalize_round(self, config: Optional[TrainConfig] = None) -> dict:
         """Final fine-tune followed by evaluation — one schedulable unit.
 
-        This is the task the cluster-phase executor fans out: it reads
-        and writes only this device's own state (its backbone, header,
-        datasets and seeded RNG streams), so any number of devices can
-        run their rounds concurrently and reproduce the serial result
-        exactly.
+        It reads and writes only this device's own state (its backbone,
+        header, datasets and seeded RNG streams), so any number of
+        devices can run their rounds concurrently and reproduce the
+        serial result exactly.
         """
         self.finetune(config)
         return self.evaluate()

@@ -17,7 +17,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from repro.core.similarity import (
 )
 from repro.data.dataset import ArrayDataset
 from repro.distributed.device import DeviceNode
-from repro.distributed.executor import ExecutionPlan
+from repro.distributed.executor import ExecutionPlan, resolve_workers
 from repro.distributed.faults import DeliveryError, ProtocolError
 from repro.distributed.messages import Message, MessageKind, payload_nbytes
 from repro.distributed.network import Network
@@ -39,6 +39,7 @@ from repro.hw.energy import latency
 from repro.hw.profiles import cluster_statistics
 from repro.models.blocks import HeaderSpec
 from repro.models.vit import VisionTransformer
+from repro.nn.layers import has_active_stochastic_modules
 from repro.train import serving
 
 
@@ -81,8 +82,7 @@ class EdgeConfig:
     #: upload, no personalized set — making partial rounds first-class
     #: on a fault-free fabric.  Determination is deterministic from the
     #: device profiles.  The on-time subset aggregates through the same
-    #: masked/renormalized path as quorum rounds (the fleet trainer's
-    #: member-slice stepping handles the subset), and a deadline no
+    #: masked/renormalized path as quorum rounds, and a deadline no
     #: device misses reproduces the full round bit-for-bit.  ``None``
     #: (default) disables the deadline.
     round_deadline: Optional[float] = None
@@ -308,43 +308,6 @@ class EdgeServer:
         full[np.ix_(have, have)] = similarity
         return full
 
-    def _fleet_ready(
-        self,
-        backbones_equal: Optional[bool] = None,
-        devices: Optional[Sequence[DeviceNode]] = None,
-    ) -> bool:
-        """Whether this cluster's local updates can run fleet-batched.
-
-        The fleet trainer serves every device from one backbone instance
-        and one stacked graph, so it needs ≥2 devices that all hold
-        value-identical frozen backbones and RNG-free forwards.  Pass
-        ``backbones_equal`` when the caller already ran the
-        :func:`~repro.train.serving.backbones_equivalent` sweep — it is
-        O(cluster × backbone params) and worth not repeating.  Degraded
-        rounds pass their participant subset as ``devices``; the fleet
-        optimizer's per-member slice steps handle any subset.
-        """
-        from repro.train import fleet
-
-        devices = self.devices if devices is None else devices
-        # Lazy clusters never fleet-batch: the fleet round holds every
-        # member's header across the whole stacked graph, which the LRU
-        # could evict (snapshotting stale values) mid-round.
-        if not (
-            self.plan.fleet_batched
-            and len(devices) > 1
-            and all(d.state_store is None for d in devices)
-            and all(d.backbone is not None and d.header is not None for d in devices)
-        ):
-            return False
-        if backbones_equal is None:
-            backbones_equal = serving.backbones_equivalent(
-                [d.backbone for d in devices]
-            )
-        return backbones_equal and fleet.fleet_supported(
-            devices[0].backbone, [d.header for d in devices]
-        )
-
     def _round_participants(self, round_index: int) -> List[DeviceNode]:
         """Who takes part in this round: churn, then the straggler cut.
 
@@ -441,46 +404,27 @@ class EdgeServer:
         subset's row renormalization divides by a float row-sum that
         need not be exactly 1.0).
         """
-        from repro.train import fleet
-
         config = self.config
         pending = self._pending_importance
         pending.clear()
         include_features = self.similarity is None or self._similarity_partial
-        if self._fleet_ready(devices=participants):
-            # Fleet-batched local updates: every participant's header
-            # trains in one graph per round with a single fused
-            # fleet-optimizer step; importance sets come back
-            # bit-identical to the per-device rounds, and the wire
-            # messages are built per device in device order so the
-            # traffic ledger matches exactly.
-            sets = fleet.fleet_importance_rounds(
-                participants[0].backbone,
-                [d.header for d in participants],
-                [d.dataset for d in participants],
-                [d.importance_config for d in participants],
-                [d.frozen_features() for d in participants],
-            )
-            messages = [
-                device.build_importance_message(
-                    q, include_feature_sample=include_features
-                )
-                for device, q in zip(participants, sets)
-            ]
-        else:
-            # The local importance rounds (header training + Taylor
-            # accumulation) are independent per device — fan out.  The
-            # network sends stay serial and in device order so the
-            # traffic ledger and message sequence match the serial run.
-            self._warm_frozen_features(participants)
-            messages = self._fan_out_plan(participants).map_devices(
-                lambda device: device.importance_round(
-                    include_feature_sample=include_features, round_index=t
-                ),
+        # The local importance rounds (header training + Taylor
+        # accumulation) run group by group; the network sends stay
+        # serial and in device order so the traffic ledger and message
+        # sequence are the same under every plan.
+        messages = [
+            message
+            for group_messages in self._local_updates(
                 participants,
-                shared_params=self._shared_header_params(participants),
+                lambda group: group[0].importance_round(
+                    include_feature_sample=include_features,
+                    round_index=t,
+                    peers=group[1:],
+                ),
             )
-            self._harvest_feature_samples(participants, messages)
+            for message in group_messages
+        ]
+        self._harvest_feature_samples(participants, messages)
         for message in messages:
             message.receiver = self.name
             try:
@@ -589,22 +533,68 @@ class EdgeServer:
         lazy = any(d.state_store is not None for d in devices)
         return _SERIAL if lazy else self.plan
 
-    def _shared_header_params(self, devices: Sequence[DeviceNode]):
-        """Write-through state for a fan-out whose workers are forked.
+    def _local_groups(
+        self, devices: Sequence[DeviceNode], backbones_equal: Optional[bool] = None
+    ) -> List[List[DeviceNode]]:
+        """Partition ``devices`` for a local update (importance round,
+        fine-tune): who trains in one stacked graph together.
 
-        A device's round task (importance round / finetune / finalize)
-        mutates exactly its own header parameters, so those are what the
-        process backend maps into shared memory; every other mutation
-        (prune masks, the network ledger) happens in the parent.  Workers
-        that share the parent heap need nothing — return ``None`` so the
-        executor skips the arena entirely.
+        One group when the inner tier is serial and the devices are
+        batchable: at least two always-live devices of one class whose
+        frozen backbones are value-identical and whose forwards draw no
+        module-local RNG — a group is trained by its first member's own
+        update method (:meth:`DeviceNode.importance_round`) against
+        that member's backbone instance.  Singletons otherwise: a plan
+        that asks for inner-tier width gets the fan-out, and a lazy
+        cluster's LRU could evict a member (snapshotting stale values)
+        while its group's graph still holds the header.  Pass
+        ``backbones_equal`` when the caller already ran the
+        :func:`~repro.train.serving.backbones_equivalent` sweep — it is
+        O(cluster × backbone params) and worth not repeating.
         """
-        if self.plan.workers_share_heap:
-            return None
-        return [
-            list(d.header.parameters()) if d.header is not None else []
-            for d in devices
-        ]
+        if (
+            len(devices) > 1
+            and resolve_workers(self.plan.device_workers) == 1
+            and len({type(d) for d in devices}) == 1
+            and all(d.state_store is None and d.header is not None for d in devices)
+            and not any(
+                has_active_stochastic_modules(m)
+                for m in (devices[0].backbone, *(d.header for d in devices))
+            )
+            and (
+                serving.backbones_equivalent([d.backbone for d in devices])
+                if backbones_equal is None
+                else backbones_equal
+            )
+        ):
+            return [list(devices)]
+        return [[d] for d in devices]
+
+    def _local_updates(
+        self,
+        devices: Sequence[DeviceNode],
+        update: Callable[[List[DeviceNode]], object],
+        backbones_equal: Optional[bool] = None,
+    ) -> list:
+        """``update(group)`` for each of :meth:`_local_groups`, in order.
+
+        A group's update mutates exactly its own devices' header
+        parameters, so those are what the process backend maps into
+        shared memory; every other mutation (prune masks, the network
+        ledger) happens in the parent.  Workers that share the parent
+        heap need nothing.
+        """
+        groups = self._local_groups(devices, backbones_equal)
+        self._warm_frozen_features(devices)
+        shared = None
+        if not self.plan.workers_share_heap:
+            shared = [
+                [p for d in group if d.header is not None for p in d.header.parameters()]
+                for group in groups
+            ]
+        return self._fan_out_plan(devices).map_devices(
+            update, groups, shared_params=shared
+        )
 
     def _warm_frozen_features(self, devices: Sequence[DeviceNode]) -> None:
         """Sweep the devices' frozen-feature caches ahead of a forked round.
@@ -642,16 +632,16 @@ class EdgeServer:
     def finalize(self) -> List[dict]:
         """Final device-side fine-tuning and evaluation.
 
-        Each device's finetune+eval touches only that device's state, so
-        the loop fans out across the plan's inner tier; results stay in
-        device order.
+        Each device's finetune+eval touches only that device's state;
+        the fine-tune runs group by group (:meth:`_local_groups`) and
+        results stay in device order.
 
         For a cluster whose devices all hold the same frozen backbone —
         the invariant :meth:`distribute_models` establishes — the
         evaluation half is served through one batched backbone forward
         per round (:func:`repro.train.serving.batched_evaluate_headers`)
-        instead of one forward per device; fine-tuning still fans out.
-        Both halves are numerically identical to the per-device loop.
+        instead of one forward per device.  Both halves are numerically
+        identical to the per-device loop.
         """
         # Only devices that are on the fabric and actually hold a model
         # reach the finale; a dead or never-provisioned device yields no
@@ -678,36 +668,16 @@ class EdgeServer:
         """Fine-tune then evaluate devices that fit in memory together."""
         for device in devices:
             device._ensure_live()
-        plan = self._fan_out_plan(devices)
-        # One equivalence sweep feeds both the batched-serving and the
-        # fleet eligibility checks.
+        # One equivalence sweep feeds both the batched evaluation and
+        # the fine-tune's grouping.
         backbones_equal = len(devices) > 1 and serving.backbones_equivalent(
             [d.backbone for d in devices]
         )
-        fleet_ready = self._fleet_ready(
-            backbones_equal=backbones_equal, devices=devices
+        self._local_updates(
+            devices,
+            lambda group: group[0].finetune(peers=group[1:]),
+            backbones_equal,
         )
-
-        if fleet_ready:
-            # Fleet-batched fine-tuning: one graph + one fused step per
-            # round for the whole cluster, replacing the per-device
-            # fan-out (bit-identical traces).
-            from repro.train import fleet
-
-            fleet.train_headers_fleet(
-                devices[0].backbone,
-                [d.header for d in devices],
-                [d.dataset for d in devices],
-                [d.finetune_config() for d in devices],
-                [d.frozen_features() for d in devices],
-            )
-        else:
-            self._warm_frozen_features(devices)
-            plan.map_devices(
-                lambda device: device.finetune(),
-                devices,
-                shared_params=self._shared_header_params(devices),
-            )
         if backbones_equal:
             return serving.batched_evaluate_headers(
                 devices[0].backbone,
@@ -715,4 +685,6 @@ class EdgeServer:
                 [d.eval_dataset() for d in devices],
             )
         # Evaluation is read-only — no write-through state to share.
-        return plan.map_devices(lambda device: device.evaluate(), devices)
+        return self._fan_out_plan(devices).map_devices(
+            lambda device: device.evaluate(), devices
+        )

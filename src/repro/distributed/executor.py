@@ -20,7 +20,8 @@ tests rely on:
   also the reference behavior parallel runs are asserted against.
 
 Worker counts: pass an explicit positive integer, or ``-1`` /
-``"auto"`` to use the host's CPU count.
+``"auto"`` to use the host's CPU count; anything else that is not
+``None`` or an integer is refused, never truncated.
 
 Backends: ``backend="thread"`` (default) overlaps the GIL-releasing
 numpy kernels (BLAS matmuls, ufuncs, sorts) — the right fit for
@@ -38,15 +39,18 @@ without the ``fork`` start method.
 :func:`parallel_map` is the single primitive.  *Which* widths and
 backend a system run uses is declared once, on an
 :class:`ExecutionPlan` (cross-edge width, inner per-device / NAS-child
-width, the inner tier's backend, fleet-batching): the config holds one,
-its worker budget is split once where clusters are built, and every
-layer that fans out is handed the plan and calls ``plan.map_edges`` /
-``plan.map_devices`` instead of re-declaring the knobs.
+width, the inner tier's backend): the config holds one, its worker
+budget is split once where clusters are built, and every layer that
+fans out is handed the plan and calls ``plan.map_edges`` /
+``plan.map_devices`` instead of re-declaring the knobs.  A serial inner
+tier is also what lets an edge train a whole cluster's headers in one
+stacked graph (:meth:`repro.distributed.edge.EdgeServer._local_groups`).
 """
 
 from __future__ import annotations
 
 import contextvars
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -75,8 +79,10 @@ def resolve_workers(max_workers: WorkerSpec, num_tasks: Optional[int] = None) ->
     ``None`` / ``0`` / ``1`` mean serial; exactly ``-1`` or ``"auto"``
     mean the host CPU count (other negatives raise, so a typo cannot
     silently oversubscribe a shared machine); positive integers pass
-    through.  When ``num_tasks`` is given the count is clamped to it
-    (no idle workers).
+    through.  A float or a bool is refused rather than truncated: the
+    resolved width decides how an edge groups its devices' training.
+    When ``num_tasks`` is given the count is clamped to it (no idle
+    workers).
     """
     if max_workers is None:
         workers = 1
@@ -84,6 +90,10 @@ def resolve_workers(max_workers: WorkerSpec, num_tasks: Optional[int] = None) ->
         if max_workers != "auto":
             raise ValueError(f"unknown worker spec {max_workers!r}; use 'auto' or an int")
         workers = os.cpu_count() or 1
+    elif isinstance(max_workers, bool) or not isinstance(max_workers, numbers.Integral):
+        raise ValueError(
+            f"invalid worker spec {max_workers!r}; use None, 'auto' or an int"
+        )
     else:
         workers = int(max_workers)
         if workers == -1:
@@ -187,6 +197,9 @@ class ExecutionPlan:
     edge_workers: WorkerSpec = None
     #: Width of the fan-outs inside an edge: per-device importance
     #: rounds and finalize/eval, and NAS child scoring.  Same spec rules.
+    #: Serial (the default), an edge trains its devices' headers
+    #: together — one graph and one fused optimizer step per mini-batch
+    #: round — instead of one after another.
     device_workers: WorkerSpec = None
     #: Backend of that inner tier: ``"thread"`` overlaps the
     #: GIL-releasing numpy kernels; ``"process"`` forks workers that
@@ -194,12 +207,6 @@ class ExecutionPlan:
     #: (:mod:`repro.distributed.procpool`) so the tape-bound phases
     #: scale past the GIL.
     backend: str = "thread"
-    #: Fleet-batch each cluster's local training (importance rounds and
-    #: the finalize fine-tune) as one graph and one fused optimizer step
-    #: per round (:mod:`repro.train.fleet`) in place of the per-device
-    #: fan-out.  Ineligible clusters (stochastic models, non-equivalent
-    #: backbones, lazy state) fall back per device.
-    fleet_batched: bool = False
 
     def __post_init__(self) -> None:
         for name, check in (

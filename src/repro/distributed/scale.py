@@ -37,7 +37,7 @@ from __future__ import annotations
 import time
 import tracemalloc
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -126,7 +126,8 @@ class ScaleDevice(DeviceNode):
 
     * :meth:`importance_round` touches the LRU (hydration is the real,
       measured per-device work at scale) and uploads a seeded random
-      set — a pure function of ``(seed, device_id, round_index)``;
+      set per device — a pure function of
+      ``(seed, device_id, round_index)``;
     * :meth:`_receive_personalized_set` acknowledges the downlink
       without pruning, because synthetic sets are not aligned to header
       parameters.  The wire exchange (payload + ACK) is unchanged.
@@ -137,14 +138,22 @@ class ScaleDevice(DeviceNode):
         self.set_size = int(set_size)
 
     def importance_round(
-        self, include_feature_sample: bool = False, round_index: int = 0
-    ) -> Message:
-        self._ensure_live()
-        rng = np.random.default_rng(
-            [max(self.seed, 0), self.profile.device_id, round_index]
-        )
-        q = rng.standard_normal(self.set_size).astype(np.float32)
-        return self.build_importance_message(q, include_feature_sample)
+        self,
+        include_feature_sample: bool = False,
+        round_index: int = 0,
+        peers: Sequence[DeviceNode] = (),
+    ) -> List[Message]:
+        messages = []
+        for device in (self, *peers):
+            device._ensure_live()
+            rng = np.random.default_rng(
+                [max(device.seed, 0), device.profile.device_id, round_index]
+            )
+            q = rng.standard_normal(device.set_size).astype(np.float32)
+            messages.append(
+                device.build_importance_message(q, include_feature_sample)
+            )
+        return messages
 
     def _receive_personalized_set(self, message: Message) -> Message:
         assert self.has_model, "model must be distributed first"

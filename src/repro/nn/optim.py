@@ -190,12 +190,12 @@ class _FlatGroup:
             for i, p in enumerate(self.params)
         }
 
-    def sync(self) -> str:
-        """Re-establish the flat layout before a step.
+    def sync(self, lo: int = 0, hi: Optional[int] = None) -> str:
+        """Re-establish the flat layout of ``params[lo:hi]`` before a step.
 
         Returns ``"flat"`` when every parameter's data is (again) a view
         of ``flat_data`` and every parameter has its gradient in
-        ``flat_grad`` — the whole group can be stepped with single flat
+        ``flat_grad`` — the whole range can be stepped with single flat
         ufunc passes.  ``"partial"`` when some parameter has no gradient
         (it must be skipped, so the step runs per parameter over the same
         views).  ``"rebuild"`` when a parameter changed shape or dtype
@@ -206,7 +206,9 @@ class _FlatGroup:
         flat buffer is never authoritative across a rebind.
         """
         status = "flat"
-        for p, dview, gview in zip(self.params, self.data_views, self.grad_views):
+        for p, dview, gview in zip(
+            self.params[lo:hi], self.data_views[lo:hi], self.grad_views[lo:hi]
+        ):
             if p.data is not dview:
                 if p.data.shape != dview.shape or p.data.dtype != dview.dtype:
                     return "rebuild"
@@ -229,8 +231,8 @@ class _FlatGroup:
 class Optimizer:
     """Base class: holds parameters, exposes ``step`` and ``zero_grad``."""
 
-    #: Zero-initialized flat state arrays per group (overridden: Adam 2,
-    #: SGD-with-momentum 1) and scratch arrays per group.
+    #: Zero-initialized flat state arrays per group (SGD-with-momentum
+    #: overrides to 1) and scratch arrays per group.
     _NUM_STATE = 0
     _NUM_SCRATCH = 1
 
@@ -372,11 +374,10 @@ def _adam_inplace_update(
     """The fused in-place Adam update; exact reference operation order.
 
     Only commutative operand swaps separate this from the reference
-    formula, so float64 results are bit-for-bit identical.  Shared by
-    :class:`Adam` (one pass per flat group / per parameter) and
-    :class:`FleetOptimizer` (one pass per fleet buffer / member slice) —
-    elementwise ufuncs make a pass over a concatenation equal, bit for
-    bit, to passes over its pieces.
+    formula, so float64 results are bit-for-bit identical.
+    :class:`FleetOptimizer` runs it once per fleet buffer, member slice
+    or parameter — elementwise ufuncs make a pass over a concatenation
+    equal, bit for bit, to passes over its pieces.
 
     The same elementwise property is what makes the sweep safely
     **cache-blocked**: flat (1-D) buffers larger than one block are
@@ -425,66 +426,6 @@ def _adam_block(
     data -= s1
 
 
-class Adam(Optimizer):
-    """Adam with bias correction (Kingma & Ba, 2015)."""
-
-    _NUM_STATE = 2  # first and second moments
-    _NUM_SCRATCH = 2
-
-    def __init__(
-        self,
-        params: Iterable[Tensor],
-        lr: float = 1e-3,
-        betas=(0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(params, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._t: int = 0
-
-    def step(self) -> None:
-        self._t += 1
-        bias1 = 1.0 - self.beta1**self._t
-        bias2 = 1.0 - self.beta2**self._t
-        for group, status in self._prepare_groups():
-            if status == "flat":
-                self._update(
-                    group.flat_data,
-                    group.flat_grad,
-                    group.flat_state[0],
-                    group.flat_state[1],
-                    group.flat_scratch[0],
-                    group.flat_scratch[1],
-                    bias1,
-                    bias2,
-                )
-            else:
-                for i, p in enumerate(group.params):
-                    if p.grad is None:
-                        continue
-                    self._update(
-                        group.data_views[i],
-                        p.grad,
-                        group.state_views[0][i],
-                        group.state_views[1][i],
-                        group.scratch_views[0][i],
-                        group.scratch_views[1][i],
-                        bias1,
-                        bias2,
-                    )
-
-    def _update(self, data, grad, m, v, s1, s2, bias1, bias2) -> None:
-        """One in-place Adam update; exact reference operation order."""
-        _adam_inplace_update(
-            data, grad, m, v, s1, s2,
-            self.lr, self.beta1, self.beta2, self.eps, self.weight_decay,
-            bias1, bias2,
-        )
-
-
 class _FleetSegment:
     """One member's contiguous span inside a fleet flat group."""
 
@@ -501,35 +442,34 @@ class _FleetSegment:
 class FleetOptimizer:
     """Fused Adam over a whole fleet of independent parameter sets.
 
-    Where :class:`Adam` flattens *one* model's parameters, the fleet
-    optimizer flattens the parameters of **many members** (e.g. every
-    device header in an edge cluster) into one contiguous buffer per
-    dtype, laid out member-major so each member owns a contiguous slice.
-    A training round in which every member steps is then a *single*
-    fused pass over the whole fleet — ~14 ``out=``-ufunc calls total,
+    The parameters of **many members** (e.g. every device header in an
+    edge cluster) are flattened into one contiguous buffer per dtype,
+    laid out member-major so each member owns a contiguous slice.  A
+    training round in which every member steps is then a *single* fused
+    pass over the whole fleet — ~14 ``out=``-ufunc calls total,
     regardless of how many members (and how many small tensors each)
-    participate — instead of one fused step per member.
+    participate.  :class:`Adam` is the one-member fleet.
 
-    Semantics are exactly "one fused :class:`Adam` per member":
+    Members are independent optimizers in everything but storage:
 
     * independent step counters per member (bias correction follows each
       member's own step count, so members may join/leave rounds freely —
       heterogeneous dataset sizes, empty devices);
     * independent learning rates per member (``lr`` may be a sequence);
-    * the per-element update is :func:`_adam_inplace_update`, the same
-      operation sequence :class:`Adam` runs — and elementwise ufuncs
-      over a concatenation equal the per-slice passes bit for bit — so
-      float64 fleet training traces are **bit-for-bit identical** to the
-      serial per-member path (asserted in ``tests/train/test_fleet.py``).
+    * the per-element update is :func:`_adam_inplace_update` — and
+      elementwise ufuncs over a concatenation equal the per-slice passes
+      bit for bit — so a float64 fleet of N traces **bit-for-bit** the N
+      fleets of one (asserted in ``tests/train/test_fleet.py``).
 
-    Rounds where only some members step (or some parameters lack
-    gradients) fall back to per-member slice passes / per-parameter
-    updates over the same flat state, mirroring ``Adam``'s partial path.
+    Rounds where only some members step fall back to per-member slice
+    passes, and a member with a parameter that has no gradient (e.g. a
+    partially-used ENAS shared pool) to per-parameter updates that skip
+    it — all over the same flat state.
     """
 
     def __init__(
         self,
-        member_params: Sequence[Sequence[Tensor]],
+        member_params: Sequence[Iterable[Tensor]],
         lr=1e-3,
         betas=(0.9, 0.999),
         eps: float = 1e-8,
@@ -542,7 +482,7 @@ class FleetOptimizer:
             local: Set[int] = set()
             for p in params:
                 if id(p) in local:
-                    continue  # dedup within a member, like Optimizer
+                    continue  # shared modules are stepped once
                 if id(p) in seen_ids:
                     raise ValueError(
                         "FleetOptimizer members must not share parameters: "
@@ -553,32 +493,26 @@ class FleetOptimizer:
                 member.append(p)
             seen_ids.update(local)
             self.members.append(member)
-        if not self.members or not any(self.members):
-            raise ValueError("FleetOptimizer received no parameters")
+        self.params: List[Tensor] = [p for member in self.members for p in member]
+        if not self.params:
+            raise ValueError("optimizer received no parameters")
         num = len(self.members)
         lrs = [float(lr)] * num if np.isscalar(lr) else [float(v) for v in lr]
         if len(lrs) != num:
             raise ValueError(f"{len(lrs)} learning rates for {num} members")
         if any(v <= 0 for v in lrs):
-            raise ValueError("learning rates must be positive")
+            raise ValueError(f"learning rates must be positive, got {lr}")
         self.lrs = lrs
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
         self._t: List[int] = [0] * num
-        self._groups: Optional[List[_FlatGroup]] = None
+        self._flat_groups: Optional[List[_FlatGroup]] = None
         self._segments: List[List[_FleetSegment]] = []
         with _REGISTRY_LOCK:
             _LIVE_OPTIMIZERS.add(self)
 
     # -- plumbing -------------------------------------------------------
-    @property
-    def params(self) -> List[Tensor]:
-        return [p for member in self.members for p in member]
-
-    def member_parameters(self, member: int) -> List[Tensor]:
-        return list(self.members[member])
-
     def zero_grad(self, active: Optional[Sequence[int]] = None) -> None:
         members = self.members if active is None else [self.members[m] for m in active]
         for member in members:
@@ -586,27 +520,26 @@ class FleetOptimizer:
                 p.zero_grad(keep_buffer=True)
 
     def _on_params_rebound(self, ids: Set[int], dtype: np.dtype) -> None:
-        if self._groups is not None and any(id(p) in ids for p in self.params):
+        if self._flat_groups is not None and any(id(p) in ids for p in self.params):
             self._build_groups()
 
     def _build_groups(self) -> None:
         carry: Dict[int, List[np.ndarray]] = {}
-        if self._groups is not None:
-            for group in self._groups:
+        if self._flat_groups is not None:
+            for group in self._flat_groups:
                 carry.update(group.carried_state())
         by_dtype: "Dict[np.dtype, List[Tensor]]" = {}
         spans: "Dict[np.dtype, List[Tuple[int, int, int]]]" = {}
         for m, member in enumerate(self.members):
             for p in member:
                 bucket = by_dtype.setdefault(p.data.dtype, [])
-                spans.setdefault(p.data.dtype, [])
-                span = spans[p.data.dtype]
+                span = spans.setdefault(p.data.dtype, [])
                 if span and span[-1][0] == m:
                     span[-1] = (m, span[-1][1], len(bucket) + 1)
                 else:
                     span.append((m, len(bucket), len(bucket) + 1))
                 bucket.append(p)
-        self._groups = []
+        self._flat_groups = []
         self._segments = []
         for dt, group_params in by_dtype.items():
             group = _FlatGroup(group_params, num_state=2, num_scratch=2, carry_state=carry)
@@ -617,33 +550,8 @@ class FleetOptimizer:
                 _FleetSegment(m, lo, hi, int(offsets[lo]), int(offsets[hi]))
                 for (m, lo, hi) in spans[dt]
             ]
-            self._groups.append(group)
+            self._flat_groups.append(group)
             self._segments.append(segs)
-
-    def _sync_member(self, group: _FlatGroup, seg: _FleetSegment) -> str:
-        """Per-member :meth:`_FlatGroup.sync`, scoped to the segment."""
-        status = "flat"
-        for i in range(seg.param_lo, seg.param_hi):
-            p = group.params[i]
-            dview = group.data_views[i]
-            gview = group.grad_views[i]
-            if p.data is not dview:
-                if p.data.shape != dview.shape or p.data.dtype != dview.dtype:
-                    return "rebuild"
-                np.copyto(dview, p.data)
-                p.data = dview
-            grad = p.grad
-            if grad is None:
-                status = "partial"
-                continue
-            if grad is not gview:
-                if grad.shape != gview.shape or grad.dtype != gview.dtype:
-                    status = "partial"
-                    continue
-                np.copyto(gview, grad)
-                p.grad = gview
-                p._grad_buffer = gview
-        return status
 
     # -- the step -------------------------------------------------------
     def step(self, active: Optional[Sequence[int]] = None) -> None:
@@ -652,14 +560,16 @@ class FleetOptimizer:
         active_set = set(members)
         for m in members:
             self._t[m] += 1
-        if self._groups is None:
+        if self._flat_groups is None:
             self._build_groups()
         for attempt in range(2):
             statuses: List[List[str]] = []
             rebuild = False
-            for group, segs in zip(self._groups, self._segments):
+            for group, segs in zip(self._flat_groups, self._segments):
                 group_status = [
-                    self._sync_member(group, seg) if seg.member in active_set else "skip"
+                    group.sync(seg.param_lo, seg.param_hi)
+                    if seg.member in active_set
+                    else "skip"
                     for seg in segs
                 ]
                 if "rebuild" in group_status:
@@ -672,78 +582,64 @@ class FleetOptimizer:
         else:  # pragma: no cover - second rebuild cannot miss
             raise RuntimeError("fleet flat groups failed to stabilize")
 
-        for group, segs, group_status in zip(self._groups, self._segments, statuses):
-            self._step_group(group, segs, group_status, active_set)
+        for group, segs, group_status in zip(self._flat_groups, self._segments, statuses):
+            self._step_group(group, segs, group_status)
+
+    def _update(self, member: int, data, grad, m, v, s1, s2) -> None:
+        """One in-place Adam update at ``member``'s step count and rate."""
+        t = self._t[member]
+        _adam_inplace_update(
+            data, grad, m, v, s1, s2,
+            self.lrs[member], self.beta1, self.beta2, self.eps, self.weight_decay,
+            1.0 - self.beta1**t, 1.0 - self.beta2**t,
+        )
 
     def _step_group(
-        self,
-        group: _FlatGroup,
-        segs: List[_FleetSegment],
-        status: List[str],
-        active_set: Set[int],
+        self, group: _FlatGroup, segs: List[_FleetSegment], status: List[str]
     ) -> None:
-        active_segs = [s for s in segs if s.member in active_set]
-        if not active_segs:
-            return
-        ts = {self._t[s.member] for s in active_segs}
-        lrs = {self.lrs[s.member] for s in active_segs}
-        if (
-            len(active_segs) == len(segs)
-            and all(st == "flat" for st in status if st != "skip")
-            and len(ts) == 1
-            and len(lrs) == 1
+        flat = (group.flat_data, group.flat_grad, *group.flat_state, *group.flat_scratch)
+        if all(st == "flat" for st in status) and (
+            len({(self._t[s.member], self.lrs[s.member]) for s in segs}) == 1
         ):
             # Whole-fleet fast path: one fused pass over the buffers.
-            t = ts.pop()
-            _adam_inplace_update(
-                group.flat_data,
-                group.flat_grad,
-                group.flat_state[0],
-                group.flat_state[1],
-                group.flat_scratch[0],
-                group.flat_scratch[1],
-                lrs.pop(),
-                self.beta1,
-                self.beta2,
-                self.eps,
-                self.weight_decay,
-                1.0 - self.beta1**t,
-                1.0 - self.beta2**t,
-            )
+            self._update(segs[0].member, *flat)
             return
         for seg, st in zip(segs, status):
-            if st == "skip":
-                continue
-            t = self._t[seg.member]
-            lr = self.lrs[seg.member]
-            bias1 = 1.0 - self.beta1**t
-            bias2 = 1.0 - self.beta2**t
             if st == "flat":
-                _adam_inplace_update(
-                    group.flat_data[seg.lo : seg.hi],
-                    group.flat_grad[seg.lo : seg.hi],
-                    group.flat_state[0][seg.lo : seg.hi],
-                    group.flat_state[1][seg.lo : seg.hi],
-                    group.flat_scratch[0][seg.lo : seg.hi],
-                    group.flat_scratch[1][seg.lo : seg.hi],
-                    lr, self.beta1, self.beta2, self.eps, self.weight_decay,
-                    bias1, bias2,
-                )
-                continue
-            for i in range(seg.param_lo, seg.param_hi):
-                p = group.params[i]
-                if p.grad is None:
-                    continue
-                _adam_inplace_update(
-                    group.data_views[i],
-                    p.grad,
-                    group.state_views[0][i],
-                    group.state_views[1][i],
-                    group.scratch_views[0][i],
-                    group.scratch_views[1][i],
-                    lr, self.beta1, self.beta2, self.eps, self.weight_decay,
-                    bias1, bias2,
-                )
+                self._update(seg.member, *(buf[seg.lo : seg.hi] for buf in flat))
+            elif st == "partial":
+                for i in range(seg.param_lo, seg.param_hi):
+                    p = group.params[i]
+                    if p.grad is not None:
+                        self._update(
+                            seg.member,
+                            group.data_views[i],
+                            p.grad,
+                            group.state_views[0][i],
+                            group.state_views[1][i],
+                            group.scratch_views[0][i],
+                            group.scratch_views[1][i],
+                        )
+
+
+class Adam(FleetOptimizer):
+    """Adam with bias correction (Kingma & Ba, 2015): a fleet of one."""
+
+    def __init__(
+        self,
+        params: Iterable[Tensor],
+        lr: float = 1e-3,
+        betas=(0.9, 0.999),
+        eps: float = 1e-8,
+        weight_decay: float = 0.0,
+    ) -> None:
+        super().__init__(
+            [params], lr=lr, betas=betas, eps=eps, weight_decay=weight_decay
+        )
+
+    @property
+    def lr(self) -> float:
+        return self.lrs[0]
 
 
 def clip_grad_norm(params: Iterable[Tensor], max_norm: float) -> float:

@@ -1,19 +1,17 @@
-"""Batched cross-device **training**: many headers, one graph, one step.
+"""Frozen-backbone header training: one round loop for one device or many.
 
-PR 3 batched the frozen-backbone *serving* fan-outs (evaluation, feature
-extraction) across the devices of a cluster; this module batches the
-*training* loops the same way.  Every device in an ACME cluster trains
-its own personalized header against the same frozen backbone, so a
-round of local updates is N small, structurally identical training
-steps.  The fleet trainer runs them as **one computation graph per
-round**:
+Every device in an ACME cluster trains its own personalized header
+against the same frozen backbone (§III-D, Algorithm 2), so a round of
+local updates is N small, structurally identical training steps.
+:func:`_run_rounds` is the only frozen-header mini-batch loop in
+``src/`` and runs them as **one computation graph per round**:
 
-1. every member's frozen-backbone features are precomputed **once**
-   into a single concatenated cache (one chunked ``no_grad`` sweep over
-   all members' samples, reusing :mod:`repro.train.serving`);
+1. every member's frozen-backbone features come from a cache its owner
+   hands in, or are swept **once** here (one chunked ``no_grad`` pass
+   over all uncached members' samples, :mod:`repro.train.serving`);
 2. each round, the active members' mini-batch rows are gathered from
-   that cache with one fancy-index row gather and split into contiguous
-   per-member views;
+   those caches (or, for a batch-capped or stochastic backbone, forwarded
+   in one stacked tape-free pass over exactly those rows);
 3. each member's header forwards its own rows (weights differ per
    member, so forwards stay per-header), the logits are stacked
    row-wise into one tensor, and
@@ -26,45 +24,50 @@ round**:
    parameters — flattened member-major into one per-dtype flat buffer —
    in a single fused pass.
 
-Numerical contract (the PR 2-4 invariant, asserted in
-``tests/train/test_fleet.py``): under float64 every per-member loss,
-accuracy, and final header weight is **bit-for-bit identical** to
-running the serial per-device path (:func:`repro.train.trainer.train_header`
-/ :func:`repro.core.header_importance.compute_importance_set`) member by
-member.  The pieces composing that guarantee: served frozen features are
-bit-identical to per-batch forwards (row-independent kernels, PR 3),
-each member's masked loss and gradient rows equal per-slice
-cross-entropy under the upstream gradient ``1.0`` that
-``loss.backward()`` would supply (row-independent log-softmax +
-block-diagonal gradient routing), and the fleet optimizer's fused pass
-equals one fused Adam per member (elementwise updates over a
+A single device is the fleet of one:
+:func:`repro.train.trainer.train_header` (frozen backbone) and
+:func:`repro.core.header_importance.compute_importance_set` are
+one-member calls into this module.
+
+Numerical contract (asserted in ``tests/train/test_fleet.py`` against
+the textbook per-device loops in ``tests/reference/train.py``): under
+float64 every per-member loss, accuracy, importance set and final header
+weight of a fleet of N is **bit-for-bit identical** to N fleets of one
+and to the textbook loop.  The pieces composing that guarantee: served
+frozen features are bit-identical to per-batch forwards
+(row-independent kernels), each member's masked loss and gradient rows
+equal per-slice cross-entropy under the upstream gradient ``1.0`` that
+``loss.backward()`` would supply, and the fleet optimizer's fused pass
+equals one fused pass per member (elementwise updates over a
 concatenation).
 
 Members may have different dataset sizes, epoch counts and batch caps —
 each keeps its own shuffle stream, epoch schedule and Adam step counter,
 simply dropping out of rounds it has no batch for.  Stochastic models
-(training-mode dropout) fall back to the serial loop: one concatenated
-graph would consume module-local RNG in a different order than N
-separate loops (see :func:`repro.nn.layers.has_active_stochastic_modules`).
+(training-mode dropout) run as consecutive fleets of one: one
+concatenated graph would consume module-local RNG in a different order
+than N separate loops (see
+:func:`repro.nn.layers.has_active_stochastic_modules`), while one member
+forwards exactly the rows, in exactly the order, a per-device loop does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+import itertools
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.header_importance import ImportanceConfig, compute_importance_set
+from repro.core.header_importance import ImportanceConfig
 from repro.core.importance import header_parameter_importance
 from repro.data.dataset import ArrayDataset, DataLoader
 from repro.models.headers import BackboneFeatures
 from repro.nn import functional as F
 from repro.nn.layers import Module, has_active_stochastic_modules
 from repro.nn.optim import FleetOptimizer, clip_grad_norm
-from repro.nn.tensor import Tensor, concatenate, no_grad
+from repro.nn.tensor import concatenate
 from repro.train import serving
-from repro.train.trainer import TrainConfig, TrainReport, train_header
+from repro.train.trainer import TrainConfig, TrainReport
 
 
 def fleet_supported(backbone: Module, headers: Sequence[Module]) -> bool:
@@ -72,8 +75,8 @@ def fleet_supported(backbone: Module, headers: Sequence[Module]) -> bool:
 
     False when any forward would consume module-local RNG
     (training-mode dropout): a fleet round draws a different stream than
-    N separate loops, so such fleets must train serially.  Callers with
-    per-device backbones must additionally check
+    N separate loops, so such fleets train one member at a time.
+    Callers with per-device backbones must additionally check
     :func:`repro.train.serving.backbones_equivalent` — the fleet serves
     every member from **one** backbone instance.
     """
@@ -93,111 +96,67 @@ def _resolve_configs(configs, count: int, default_factory) -> List:
     return [c if c is not None else default_factory() for c in configs]
 
 
-class _FleetFeatureServer:
-    """Frozen-backbone features for every member's mini-batches.
-
-    Two serving modes per member.  A member with a feature cache —
-    handed in by its owner (a device's
-    :meth:`~repro.distributed.device.DeviceNode.frozen_features`, which
-    outlives the call), or swept here in one chunked pass over every
-    uncached member whose epochs visit its whole dataset (no binding
-    ``max_batches_per_epoch`` cap) — is row-gathered per round.  A
-    batch-capped member without one would waste a per-call sweep on rows
-    it never visits, so its rows are forwarded **per round** — all such
-    members' batch images stacked into one ``no_grad`` forward (exactly
-    the rows the serial loop forwards, batched across devices).  Both
-    modes are bit-for-bit identical per row (row-independent kernels,
-    the PR 3 invariant).
-    """
+class _Member:
+    """One member's header, data, and private epoch/batch schedule."""
 
     def __init__(
         self,
-        backbone: Module,
-        datasets: Sequence[ArrayDataset],
-        sweep_member: Sequence[bool],
-        features: Sequence[Optional[BackboneFeatures]],
+        index: int,
+        header: Module,
+        dataset: ArrayDataset,
+        config,
+        features: Optional[BackboneFeatures],
     ) -> None:
-        self.backbone = backbone
-        self.datasets = list(datasets)
-        self.features: List[Optional[BackboneFeatures]] = list(features)
-        swept = [
-            m
-            for m, dataset in enumerate(self.datasets)
-            if self.features[m] is None and sweep_member[m] and len(dataset) > 0
-        ]
-        if swept:
-            sweep = serving.precompute_backbone_features(
-                backbone, np.concatenate([self.datasets[m].images for m in swept], axis=0)
-            )
-            parts = self._split(sweep, [len(self.datasets[m]) for m in swept])
-            for m, part in zip(swept, parts):
-                self.features[m] = part
-
-    @staticmethod
-    def _split(features: BackboneFeatures, sizes: Sequence[int]) -> List[BackboneFeatures]:
-        bounds = np.concatenate(([0], np.cumsum(sizes)))
-        return [
-            BackboneFeatures(
-                Tensor(features.cls.data[lo:hi]),
-                Tensor(features.tokens.data[lo:hi]),
-                Tensor(features.penultimate.data[lo:hi]),
-            )
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-
-    def gather(
-        self, active: Sequence[int], batches: Sequence[np.ndarray]
-    ) -> List[BackboneFeatures]:
-        """The round's per-member features, in ``active`` order."""
-        out: List[Optional[BackboneFeatures]] = [
-            None
-            if self.features[m] is None
-            else serving.gather_features(self.features[m], batches[i])
-            for i, m in enumerate(active)
-        ]
-        direct_pairs = [(i, m) for i, m in enumerate(active) if out[i] is None]
-        if direct_pairs:
-            # One stacked tape-free forward over exactly the rows the
-            # serial loops would forward this round.
-            images = np.concatenate(
-                [self.datasets[m].images[np.asarray(batches[i])] for i, m in direct_pairs]
-            )
-            with no_grad():
-                cls, tokens, penult = self.backbone.forward_features_multi(Tensor(images))
-            split = self._split(
-                BackboneFeatures(cls, tokens, penult),
-                [len(batches[i]) for i, _m in direct_pairs],
-            )
-            for (i, _m), feats in zip(direct_pairs, split):
-                out[i] = feats
-        return out  # type: ignore[return-value]
-
-
-@dataclass
-class _MemberSchedule:
-    """One member's private epoch/batch schedule (serial-path semantics)."""
-
-    header: Module
-    dataset: ArrayDataset
-    epochs: int
-    max_batches: Optional[int]
-    loader: DataLoader
-    epoch: int = 0
-    batch_idx: int = 0
-    done: bool = False
-    _iter: Optional[Iterator] = None
-
-    def __post_init__(self) -> None:
+        #: Position in the front-end's ``headers`` — what its hook is
+        #: keyed by, however the members are split into rounds.
+        self.index = index
+        self.header = header
+        self.params = header.parameters()
+        self.dataset = dataset
+        #: The frozen backbone's features over ``dataset.images``: the
+        #: owner's cache (a device's
+        #: :meth:`~repro.distributed.device.DeviceNode.frozen_features`,
+        #: which outlives the call), or :func:`_sweep_features`'s.
+        self.features = features
+        self.epochs = config.epochs
+        self.max_batches = config.max_batches_per_epoch
+        self.lr = config.lr
+        # An ImportanceConfig has none: importance reads raw gradients.
+        self.grad_clip = getattr(config, "grad_clip", None)
+        self.loader = DataLoader(
+            dataset,
+            batch_size=config.batch_size,
+            shuffle=True,
+            rng=np.random.default_rng(config.seed),
+            yield_indices=True,
+        )
+        self.epoch = 0
+        self.batch_idx = 0
+        self.batches_seen = 0
+        self.done = self.epochs <= 0
+        self._iter: Optional[Iterator] = None
         self.losses: List[float] = []
         self.correct = 0
         self.total = 0
         self.epoch_losses: List[float] = []
         self.epoch_accuracies: List[float] = []
-        if self.epochs <= 0:
-            self.done = True
+
+    @property
+    def visits_every_row(self) -> bool:
+        """Whether every epoch visits the whole dataset.
+
+        Sweeping features for rows a batch-capped epoch never visits
+        costs more backbone work than it saves — such members are
+        forwarded per round instead.
+        """
+        return self.max_batches is None or len(self.loader) <= self.max_batches
+
+    @property
+    def yields_batches(self) -> bool:
+        """Whether the schedule holds at least one mini-batch."""
+        return self.epochs > 0 and len(self.loader) > 0 and self.max_batches != 0
 
     def _finish_epoch(self) -> None:
-        # Exactly the serial loop's epoch bookkeeping.
         self.epoch_losses.append(
             float(np.mean(self.losses)) if self.losses else float("nan")
         )
@@ -212,9 +171,9 @@ class _MemberSchedule:
     def next_batch(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """The member's next ``(indices, labels)`` pair, or None when done.
 
-        Epochs with no (remaining) batches are closed out exactly like
-        the serial loop: empty-dataset members record ``nan`` losses and
-        zero accuracy for every epoch without ever stepping.
+        Epochs with no (remaining) batches are closed out in place:
+        empty-dataset members record ``nan`` losses and zero accuracy
+        for every epoch without ever stepping.
         """
         while not self.done:
             if self._iter is None:
@@ -234,62 +193,126 @@ class _MemberSchedule:
         self.losses.append(loss)
         self.correct += int((logits.argmax(axis=-1) == labels).sum())
         self.total += labels.shape[0]
+        self.batches_seen += 1
 
 
-def _cache_worthwhile(dataset: ArrayDataset, batch_size: int, max_batches) -> bool:
-    """Whether a member visits its whole dataset every epoch.
+def _members(headers, datasets, configs, default_config, features) -> List[_Member]:
+    if len(headers) != len(datasets):
+        raise ValueError(f"{len(headers)} headers vs {len(datasets)} datasets")
+    configs = _resolve_configs(configs, len(headers), default_config)
+    if features is None:
+        features = [None] * len(headers)
+    return [
+        _Member(i, h, d, c, f)
+        for i, (h, d, c, f) in enumerate(zip(headers, datasets, configs, features))
+    ]
 
-    Mirrors ``train_header``'s cache guard: precomputing features for
-    rows a batch-capped epoch never visits costs more backbone sweeps
-    than it saves — those members are served per round instead.
+
+def _sweep_features(backbone: Module, members: Sequence[_Member]) -> None:
+    """One chunked tape-free sweep for the members that need a cache.
+
+    A frozen backbone is a pure per-sample feature extractor, so one
+    sweep serves every epoch — unless it consumes module-local RNG
+    (training-mode dropout), where per-batch draws must be preserved, or
+    the member's epochs are batch-capped (:attr:`_Member.visits_every_row`).
     """
-    if max_batches is None:
-        return True
-    batches_per_epoch = -(-len(dataset) // batch_size)
-    return batches_per_epoch <= max_batches
+    if has_active_stochastic_modules(backbone):
+        return
+    swept = [
+        m
+        for m in members
+        if m.features is None and m.visits_every_row and len(m.dataset) > 0
+    ]
+    if not swept:
+        return
+    images = (
+        swept[0].dataset.images
+        if len(swept) == 1
+        else np.concatenate([m.dataset.images for m in swept], axis=0)
+    )
+    parts = serving.split_features(
+        serving.precompute_backbone_features(backbone, images),
+        [len(m.dataset) for m in swept],
+    )
+    for member, part in zip(swept, parts):
+        member.features = part
+
+
+def _round_features(
+    backbone: Module, members: Sequence[_Member], batches: Sequence[np.ndarray]
+) -> List[BackboneFeatures]:
+    """The round's per-member features: row gathers from the caches, and
+    for cacheless members one stacked tape-free forward over exactly the
+    rows a per-device loop would forward this round.  Bit-for-bit
+    identical per row either way (row-independent kernels)."""
+    out: List[Optional[BackboneFeatures]] = [
+        None if m.features is None else serving.gather_features(m.features, batch)
+        for m, batch in zip(members, batches)
+    ]
+    direct = [i for i, feats in enumerate(out) if feats is None]
+    if direct:
+        forwarded = serving.batched_forward_features_multi(
+            backbone, [members[i].dataset.images[batches[i]] for i in direct]
+        )
+        for i, feats in zip(direct, forwarded):
+            out[i] = feats
+    return out  # type: ignore[return-value]
 
 
 def _run_rounds(
-    members: List[_MemberSchedule],
-    cache: _FleetFeatureServer,
-    optimizer: FleetOptimizer,
-    grad_clips: Sequence[Optional[float]],
-    on_step,
+    backbone: Module,
+    members: Sequence[_Member],
+    step: bool = True,
+    on_step: Optional[Callable[[_Member], None]] = None,
 ) -> None:
-    """The shared round loop: gather → forward → masked loss → one step."""
+    """The round loop: gather → forward → masked loss → one step.
+
+    ``on_step`` sees each active member between ``backward()`` and the
+    optimizer step; ``step=False`` leaves the weights alone (gradients
+    only).
+    """
+    if not members:
+        return
+    if len(members) > 1 and not fleet_supported(backbone, [m.header for m in members]):
+        for member in members:
+            _run_rounds(backbone, [member], step, on_step)
+        return
+    _sweep_features(backbone, members)
+    optimizer = FleetOptimizer([m.params for m in members], lr=[m.lr for m in members])
     while True:
         active: List[int] = []
         batches: List[np.ndarray] = []
         labels: List[np.ndarray] = []
-        for m, member in enumerate(members):
+        for i, member in enumerate(members):
             batch = member.next_batch()
             if batch is None:
                 continue
-            active.append(m)
-            batches.append(np.asarray(batch[0]))
+            active.append(i)
+            batches.append(batch[0])
             labels.append(batch[1])
         if not active:
             return
-        features = cache.gather(active, batches)
-        logits_list = [members[m].header(f) for m, f in zip(active, features)]
-        stacked = (
-            concatenate(logits_list, axis=0) if len(logits_list) > 1 else logits_list[0]
+        stepping = [members[i] for i in active]
+        features = _round_features(backbone, stepping, batches)
+        logits_list = [m.header(f) for m, f in zip(stepping, features)]
+        one = len(stepping) == 1  # no stacking copies for a fleet of one
+        stacked = logits_list[0] if one else concatenate(logits_list, axis=0)
+        bounds = [0, *itertools.accumulate(len(b) for b in batches)]
+        segments = list(zip(bounds, bounds[1:]))
+        total, losses = F.fleet_cross_entropy(
+            stacked, labels[0] if one else np.concatenate(labels), segments
         )
-        sizes = [b.shape[0] for b in batches]
-        bounds = np.concatenate(([0], np.cumsum(sizes)))
-        segments = list(zip(bounds[:-1], bounds[1:]))
-        total, losses = F.fleet_cross_entropy(stacked, np.concatenate(labels), segments)
         optimizer.zero_grad(active)
         total.backward()
-        for m in active:
-            if grad_clips[m] is not None:
-                clip_grad_norm(optimizer.member_parameters(m), grad_clips[m])
-        if on_step is not None:
-            on_step(active)
-        optimizer.step(active)
-        for m, loss, (lo, hi), y in zip(active, losses, segments, labels):
-            member = members[m]
-            if hasattr(member.header, "reapply_mask"):
+        for member in stepping:
+            if member.grad_clip is not None:
+                clip_grad_norm(member.params, member.grad_clip)
+            if on_step is not None:
+                on_step(member)
+        if step:
+            optimizer.step(active)
+        for member, loss, (lo, hi), y in zip(stepping, losses, segments, labels):
+            if step and hasattr(member.header, "reapply_mask"):
                 member.header.reapply_mask()
             member.record(loss, stacked.data[lo:hi], y)
 
@@ -301,74 +324,26 @@ def train_headers_fleet(
     configs=None,
     features: Optional[Sequence[Optional[BackboneFeatures]]] = None,
 ) -> List[TrainReport]:
-    """Train many headers over one shared frozen backbone, fleet-batched.
+    """Train headers over one shared frozen backbone (the Phase 2-2 setting).
 
-    Drop-in replacement for calling
-    ``train_header(backbone, header, dataset, config, freeze_backbone=True)``
-    per member — per-member float64 traces (epoch losses, accuracies,
-    final weights) are bit-for-bit identical — but each round runs as
-    one stacked graph with a single fused fleet-optimizer step.  Falls
-    back to the serial per-member loop for stochastic models.
+    Each member follows its own :class:`TrainConfig` schedule (shuffle
+    stream, epochs, batch cap, learning rate, gradient clip); each round
+    runs as one stacked graph with a single fused optimizer step.
     ``features`` aligns with ``headers``: member ``i``'s precomputed
-    features over ``datasets[i].images`` (or ``None``), as for
-    :func:`train_header`.
+    features over ``datasets[i].images`` (or ``None``) — a cache the
+    caller owns across calls; every mini-batch is then a row gather,
+    bit-identical to the forward it replaces.
     """
-    if not (len(headers) == len(datasets)):
-        raise ValueError(f"{len(headers)} headers vs {len(datasets)} datasets")
-    configs = _resolve_configs(configs, len(headers), TrainConfig)
-    if not headers:
-        return []
-    if features is None:
-        features = [None] * len(headers)
-    if not fleet_supported(backbone, headers):
-        return [
-            train_header(backbone, h, d, config=c, freeze_backbone=True, features=f)
-            for h, d, c, f in zip(headers, datasets, configs, features)
-        ]
-
-    cache = _FleetFeatureServer(
-        backbone,
-        datasets,
-        [
-            _cache_worthwhile(d, c.batch_size, c.max_batches_per_epoch)
-            for d, c in zip(datasets, configs)
-        ],
-        features,
-    )
-    members = []
-    for header, dataset, config in zip(headers, datasets, configs):
+    members = _members(headers, datasets, configs, TrainConfig, features)
+    for header in headers:
         header.train()
-        members.append(
-            _MemberSchedule(
-                header=header,
-                dataset=dataset,
-                epochs=config.epochs,
-                max_batches=config.max_batches_per_epoch,
-                loader=DataLoader(
-                    dataset,
-                    batch_size=config.batch_size,
-                    shuffle=True,
-                    rng=np.random.default_rng(config.seed),
-                    yield_indices=True,
-                ),
-            )
-        )
-    optimizer = FleetOptimizer(
-        [h.parameters() for h in headers], lr=[c.lr for c in configs]
-    )
-    _run_rounds(
-        members, cache, optimizer, [c.grad_clip for c in configs], on_step=None
-    )
-    reports = []
-    for member in members:
-        member.header.eval()
-        reports.append(
-            TrainReport(
-                epoch_losses=member.epoch_losses,
-                epoch_accuracies=member.epoch_accuracies,
-            )
-        )
-    return reports
+    _run_rounds(backbone, members)
+    for header in headers:
+        header.eval()
+    return [
+        TrainReport(epoch_losses=m.epoch_losses, epoch_accuracies=m.epoch_accuracies)
+        for m in members
+    ]
 
 
 def fleet_importance_rounds(
@@ -377,84 +352,35 @@ def fleet_importance_rounds(
     datasets: Sequence[ArrayDataset],
     configs=None,
     features: Optional[Sequence[Optional[BackboneFeatures]]] = None,
+    train: bool = True,
 ) -> List[np.ndarray]:
-    """Fleet-batched local importance rounds (Algorithm 2's device phase).
+    """Local importance rounds (Algorithm 2's device phase, Eqs. 16-18).
 
-    Drop-in replacement for calling
-    :func:`repro.core.header_importance.compute_importance_set` per
-    device: trains every header for its configured schedule in stacked
-    rounds and accumulates each device's first-order Taylor importance
-    set from the per-member gradient slices **before** each fused fleet
-    step, exactly as the serial loop reads them.  Float64 importance
-    sets are bit-for-bit identical to the serial path.  ``features``
-    aligns with ``headers``, as for :func:`train_headers_fleet`.
+    Trains every header for its :class:`ImportanceConfig` schedule in
+    stacked rounds and accumulates each device's first-order Taylor
+    importance set from its own gradients **before** each optimizer
+    step; returns one flat set per header, aligned with
+    ``header.parameter_vector()``.  ``train=False`` skips the updates
+    and only accumulates (re-scoring an already-trained header).
+    ``features`` aligns with ``headers``, as for
+    :func:`train_headers_fleet`.  A member whose schedule holds no batch
+    is an error raised before any header is touched.
     """
-    if not (len(headers) == len(datasets)):
-        raise ValueError(f"{len(headers)} headers vs {len(datasets)} datasets")
-    configs = _resolve_configs(configs, len(headers), ImportanceConfig)
-    if not headers:
-        return []
-    if features is None:
-        features = [None] * len(headers)
-    if not fleet_supported(backbone, headers):
-        return [
-            compute_importance_set(backbone, h, d, config=c, features=f)
-            for h, d, c, f in zip(headers, datasets, configs, features)
-        ]
-
-    cache = _FleetFeatureServer(
-        backbone,
-        datasets,
-        [
-            _cache_worthwhile(d, c.batch_size, c.max_batches_per_epoch)
-            for d, c in zip(datasets, configs)
-        ],
-        features,
-    )
-    members = []
-    for header, dataset, config in zip(headers, datasets, configs):
-        members.append(
-            _MemberSchedule(
-                header=header,
-                dataset=dataset,
-                epochs=config.epochs,
-                max_batches=config.max_batches_per_epoch,
-                loader=DataLoader(
-                    dataset,
-                    batch_size=config.batch_size,
-                    shuffle=True,
-                    rng=np.random.default_rng(config.seed),
-                    yield_indices=True,
-                ),
-            )
-        )
-    member_params = [h.parameters() for h in headers]
-    optimizer = FleetOptimizer(member_params, lr=[c.lr for c in configs])
-    accumulated = [np.zeros(h.parameter_count()) for h in headers]
-    batches_seen = [0] * len(headers)
-
-    def accumulate_importance(active: Sequence[int]) -> None:
-        # Eq. (17)-(18), read between backward and the optimizer step —
-        # the same point in the batch the serial loop samples.
-        for m in active:
-            params = member_params[m]
-            grads = np.concatenate(
-                [
-                    (p.grad if p.grad is not None else np.zeros_like(p.data)).reshape(-1)
-                    for p in params
-                ]
-            )
-            values = np.concatenate([p.data.reshape(-1) for p in params])
-            accumulated[m] += header_parameter_importance(grads, values)
-            batches_seen[m] += 1
-
-    _run_rounds(
-        members,
-        cache,
-        optimizer,
-        [None] * len(headers),
-        on_step=accumulate_importance,
-    )
-    if any(n == 0 for n in batches_seen):
+    members = _members(headers, datasets, configs, ImportanceConfig, features)
+    if not all(m.yields_batches for m in members):
         raise ValueError("dataset produced no batches for importance estimation")
-    return [acc / n for acc, n in zip(accumulated, batches_seen)]
+    accumulated = [np.zeros(h.parameter_count()) for h in headers]
+
+    def accumulate_importance(member: _Member) -> None:
+        # Eq. (17)-(18): per-parameter (g · υ)², accumulated per batch.
+        grads = np.concatenate(
+            [
+                (p.grad if p.grad is not None else np.zeros_like(p.data)).reshape(-1)
+                for p in member.params
+            ]
+        )
+        values = np.concatenate([p.data.reshape(-1) for p in member.params])
+        accumulated[member.index] += header_parameter_importance(grads, values)
+
+    _run_rounds(backbone, members, step=train, on_step=accumulate_importance)
+    return [acc / m.batches_seen for acc, m in zip(accumulated, members)]

@@ -72,6 +72,25 @@ def _concat_rows(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return np.concatenate(arrays, axis=0)
 
 
+def split_features(
+    features: BackboneFeatures, counts: Sequence[int]
+) -> List[BackboneFeatures]:
+    """Row-split stacked features back per caller (views — no copies)."""
+    out: List[BackboneFeatures] = []
+    start = 0
+    for n in counts:
+        end = start + n
+        out.append(
+            BackboneFeatures(
+                Tensor(features.cls.data[start:end]),
+                Tensor(features.tokens.data[start:end]),
+                Tensor(features.penultimate.data[start:end]),
+            )
+        )
+        start = end
+    return out
+
+
 def batched_forward_features_multi(
     backbone: Module, arrays: Sequence[np.ndarray]
 ) -> List[BackboneFeatures]:
@@ -81,30 +100,16 @@ def batched_forward_features_multi(
     they are concatenated along the batch axis, pushed through
     ``backbone.forward_features_multi`` once under :func:`no_grad`, and
     the resulting CLS/token/penultimate features are split back into one
-    :class:`BackboneFeatures` per input (views into the batched output —
-    no copies).
+    :class:`BackboneFeatures` per input (:func:`split_features`).
     """
     arrays = [np.asarray(a) for a in arrays]
     if not arrays:
         return []
-    counts = [a.shape[0] for a in arrays]
     with no_grad():
-        cls, tokens, penult = backbone.forward_features_multi(
-            Tensor(_concat_rows(arrays))
+        stacked = BackboneFeatures(
+            *backbone.forward_features_multi(Tensor(_concat_rows(arrays)))
         )
-    out: List[BackboneFeatures] = []
-    start = 0
-    for n in counts:
-        end = start + n
-        out.append(
-            BackboneFeatures(
-                Tensor(cls.data[start:end]),
-                Tensor(tokens.data[start:end]),
-                Tensor(penult.data[start:end]),
-            )
-        )
-        start = end
-    return out
+    return split_features(stacked, [a.shape[0] for a in arrays])
 
 
 def precompute_backbone_features(

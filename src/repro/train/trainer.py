@@ -3,16 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from repro.data.dataset import ArrayDataset, DataLoader
-from repro.models.header_dag import DAGHeader
-from repro.models.headers import BackboneFeatures, Header, frozen_batch_features
+from repro.models.headers import BackboneFeatures, Header
 from repro.models.vit import VisionTransformer
 from repro.nn import functional as F
-from repro.nn.layers import Module, has_active_stochastic_modules
+from repro.nn.layers import Module
 from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.tensor import Tensor
 
@@ -45,19 +44,23 @@ class TrainReport:
         return self.epoch_accuracies[-1] if self.epoch_accuracies else float("nan")
 
 
-def train_model(
-    model: Module,
+def _train_taped(
+    forward: Callable[[np.ndarray], Tensor],
+    params: List[Tensor],
+    module: Module,
     dataset: ArrayDataset,
-    config: Optional[TrainConfig] = None,
+    config: Optional[TrainConfig],
+    after_step: Optional[Callable[[], None]] = None,
 ) -> TrainReport:
-    """Train an end-to-end model (``forward(images) -> logits``)."""
+    """The taped mini-batch loop: ``forward(images) -> logits`` trains
+    ``params``; ``module`` is what enters and leaves training mode."""
     config = config or TrainConfig()
     rng = np.random.default_rng(config.seed)
-    optimizer = Adam(model.parameters(), lr=config.lr)
+    optimizer = Adam(params, lr=config.lr)
     report = TrainReport()
     loader = DataLoader(dataset, batch_size=config.batch_size, shuffle=True, rng=rng)
 
-    model.train()
+    module.train()
     for _epoch in range(config.epochs):
         losses, correct, total = [], 0, 0
         for batch_idx, (images, labels) in enumerate(loader):
@@ -66,19 +69,32 @@ def train_model(
                 and batch_idx >= config.max_batches_per_epoch
             ):
                 break
-            logits = model(Tensor(images))
+            logits = forward(images)
             loss = F.cross_entropy(logits, labels)
             optimizer.zero_grad()
             loss.backward()
             clip_grad_norm(optimizer.params, config.grad_clip)
             optimizer.step()
+            if after_step is not None:
+                after_step()
             losses.append(float(loss.data))
             correct += int((logits.data.argmax(axis=-1) == labels).sum())
             total += labels.shape[0]
         report.epoch_losses.append(float(np.mean(losses)) if losses else float("nan"))
         report.epoch_accuracies.append(correct / max(1, total))
-    model.eval()
+    module.eval()
     return report
+
+
+def train_model(
+    model: Module,
+    dataset: ArrayDataset,
+    config: Optional[TrainConfig] = None,
+) -> TrainReport:
+    """Train an end-to-end model (``forward(images) -> logits``)."""
+    return _train_taped(
+        lambda images: model(Tensor(images)), model.parameters(), model, dataset, config
+    )
 
 
 def train_header(
@@ -91,8 +107,10 @@ def train_header(
 ) -> TrainReport:
     """Train a header on top of a backbone.
 
-    With ``freeze_backbone=True`` (the Phase 2-2 setting) backbone features
-    are computed tape-free so only header parameters receive gradients.
+    With ``freeze_backbone=True`` (the Phase 2-2 setting) this is the
+    fleet of one: :func:`repro.train.fleet.train_headers_fleet` over
+    ``[header]`` — backbone features are computed tape-free, so only
+    header parameters receive gradients.
 
     ``features`` — the frozen backbone's precomputed features over
     ``dataset.images``, row-aligned — is a cache the caller owns across
@@ -101,68 +119,23 @@ def train_header(
     it replaces.  Without it a frozen, RNG-free backbone is still swept
     once per call when the epochs visit every row.
     """
-    config = config or TrainConfig()
-    if features is not None and not freeze_backbone:
+    if freeze_backbone:
+        from repro.train.fleet import train_headers_fleet  # lazy: fleet imports this module
+
+        return train_headers_fleet(backbone, [header], [dataset], [config], [features])[0]
+    if features is not None:
         raise ValueError("precomputed features require freeze_backbone=True")
-    rng = np.random.default_rng(config.seed)
-    params = header.parameters()
-    if not freeze_backbone:
-        params = params + backbone.parameters()
-    optimizer = Adam(params, lr=config.lr)
-    report = TrainReport()
-    from repro.train import serving  # lazy: trainer is imported by the package init
 
-    # A frozen backbone is a pure per-sample feature extractor, so one
-    # sweep per call serves every epoch — unless the backbone consumes
-    # module-local RNG (training-mode dropout), where per-batch draws
-    # must be preserved, or the epoch is batch-capped, where a sweep of
-    # the whole dataset for this one call would cost more than the
-    # forwards it saves.
-    if (
-        features is None
-        and freeze_backbone
-        and config.max_batches_per_epoch is None
-        and len(dataset) > 0  # nothing to precompute (or train on)
-        and not has_active_stochastic_modules(backbone)
-    ):
-        features = serving.precompute_backbone_features(backbone, dataset.images)
-    loader = DataLoader(
+    def forward(images: np.ndarray) -> Tensor:
+        return header(BackboneFeatures(*backbone.forward_features_multi(Tensor(images))))
+
+    # A taped backbone trains with the header — a different computation
+    # from the frozen loop; only the header toggles training mode.
+    return _train_taped(
+        forward,
+        header.parameters() + backbone.parameters(),
+        header,
         dataset,
-        batch_size=config.batch_size,
-        shuffle=True,
-        rng=rng,
-        yield_indices=features is not None,
+        config,
+        after_step=getattr(header, "reapply_mask", None),
     )
-
-    header.train()
-    for _epoch in range(config.epochs):
-        losses, correct, total = [], 0, 0
-        for batch_idx, (batch, labels) in enumerate(loader):
-            if (
-                config.max_batches_per_epoch is not None
-                and batch_idx >= config.max_batches_per_epoch
-            ):
-                break
-            if freeze_backbone:
-                # The backbone is pure feature extraction here: a row
-                # gather, or a tape-free forward — never a graph.
-                batch_features = frozen_batch_features(backbone, batch, features)
-            else:
-                batch_features = BackboneFeatures(
-                    *backbone.forward_features_multi(Tensor(batch))
-                )
-            logits = header(batch_features)
-            loss = F.cross_entropy(logits, labels)
-            optimizer.zero_grad()
-            loss.backward()
-            clip_grad_norm(optimizer.params, config.grad_clip)
-            optimizer.step()
-            if isinstance(header, DAGHeader):
-                header.reapply_mask()
-            losses.append(float(loss.data))
-            correct += int((logits.data.argmax(axis=-1) == labels).sum())
-            total += labels.shape[0]
-        report.epoch_losses.append(float(np.mean(losses)) if losses else float("nan"))
-        report.epoch_accuracies.append(correct / max(1, total))
-    header.eval()
-    return report

@@ -63,6 +63,54 @@ class TestImportanceSet:
                                ImportanceConfig(max_batches_per_epoch=2))
         assert not np.allclose(header.parameter_vector(), before)
 
+    def test_matches_the_textbook_loop(self, setup):
+        """Two back-to-back rounds with a prune in between (Algorithm 2's
+        shape) equal the textbook per-device loop, bit for bit under
+        float64 — sets, weights and the re-applied mask."""
+        from repro.nn.tensor import using_dtype
+        from tests.reference.train import reference_importance_set
+
+        _model, data = setup
+        with using_dtype("float64"):
+            model = VisionTransformer(_model.config, seed=0)
+            ours, textbook = make_header(2), make_header(2)
+            for t in range(2):
+                config = ImportanceConfig(seed=t, max_batches_per_epoch=3)
+                got = compute_importance_set(model, ours, data, config)
+                want = reference_importance_set(model, textbook, data, config)
+                np.testing.assert_array_equal(got, want)
+                for header, q in ((ours, got), (textbook, want)):
+                    prune_by_importance(header, q, keep_fraction=0.7)
+        np.testing.assert_array_equal(
+            ours.parameter_vector(), textbook.parameter_vector()
+        )
+
+    @pytest.mark.parametrize(
+        "empty", [dict(max_batches_per_epoch=0), dict(epochs=0), "dataset"]
+    )
+    def test_a_member_without_batches_is_refused_before_any_training(
+        self, setup, empty
+    ):
+        """Known from the schedule before round one: no other member's
+        header is trained in place ahead of the error."""
+        from repro.data.dataset import ArrayDataset
+        from repro.train.fleet import fleet_importance_rounds
+
+        model, data = setup
+        headers = [make_header(0), make_header(1)]
+        before = [h.parameter_vector() for h in headers]
+        datasets, configs = [data, data], [ImportanceConfig(), ImportanceConfig()]
+        if empty == "dataset":
+            datasets[1] = ArrayDataset(
+                data.images[:0], data.labels[:0], data.num_classes, name="empty"
+            )
+        else:
+            configs[1] = ImportanceConfig(**empty)
+        with pytest.raises(ValueError, match="no batches"):
+            fleet_importance_rounds(model, headers, datasets, configs)
+        for header, vector in zip(headers, before):
+            np.testing.assert_array_equal(header.parameter_vector(), vector)
+
 
 class TestPruning:
     def test_prunes_requested_fraction(self, setup):

@@ -117,23 +117,20 @@ class TestEndToEndParity:
         assert_same_run(serial_and_parallel_runs[0], nested)
 
 
-#: ``ExecutionPlan`` cells, each held to the serial run.  The first seven
-#: are the pairs the per-file parity tests cover one at a time; the last
-#: two (process × edges, process × fleet) nothing else covers.  Under a
-#: fanned-out edge tier ``ExecutionPlan.split`` downgrades the process
-#: tier to threads (a ``fork()`` from a threaded edge tier deadlocks
-#: whenever the budget lets edges=2 × devices=2 through), so that cell
-#: holds the downgrade to the contract.
+#: ``ExecutionPlan`` cells, each held to the serial run (whose clusters
+#: train batched: the inner tier is serial).  The first four are the
+#: pairs the per-file parity tests cover one at a time; the last
+#: (process × edges) nothing else covers.  Under a fanned-out edge tier
+#: ``ExecutionPlan.split`` downgrades the process tier to threads (a
+#: ``fork()`` from a threaded edge tier deadlocks whenever the budget
+#: lets edges=2 × devices=2 through), so that cell holds the downgrade
+#: to the contract.
 PLAN_CELLS = {
     "devices4": dict(device_workers=4),
     "edges3": dict(edge_workers=3),
     "edges2-devices2": dict(edge_workers=2, device_workers=2),
-    "fleet": dict(fleet_batched=True),
-    "fleet-edges2": dict(fleet_batched=True, edge_workers=2),
-    "fleet-devices2": dict(fleet_batched=True, device_workers=2),
     "process-devices2": dict(backend="process", device_workers=2),
     "process-edges2": dict(backend="process", edge_workers=2, device_workers=2),
-    "process-fleet": dict(backend="process", device_workers=2, fleet_batched=True),
 }
 
 
@@ -346,6 +343,10 @@ class TestExecutionPlan:
             ("device_workers", -2),
             ("edge_workers", -2),
             ("device_workers", "many"),
+            # Refused, not truncated to 2 / 1: the resolved width decides
+            # how an edge groups its devices' training.
+            ("device_workers", 2.7),
+            ("edge_workers", True),
             ("backend", "fibers"),
         ],
     )
@@ -363,9 +364,9 @@ class TestExecutionPlan:
         assert pickle.loads(pickle.dumps(config)).execution == plan
 
     def test_one_plan_reaches_every_layer(self):
-        """No tier can disagree with the system about backend or
-        fleet-batching: the edge holds the config's plan, split once."""
-        plan = ExecutionPlan(device_workers=2, backend="process", fleet_batched=True)
+        """No tier can disagree with the system about width or backend:
+        the edge holds the config's plan, split once."""
+        plan = ExecutionPlan(device_workers=2, backend="process")
         system = ACMESystem(_fleet_config(num_clusters=1, finalize=False, execution=plan))
         assert system.edges[0].plan == plan.split(1)
         assert not hasattr(system.config.edge, "backend")

@@ -1,17 +1,26 @@
-"""``ExecutionPlan.fleet_batched`` reproduces the per-device run exactly.
+"""The batched local update reproduces the per-device run exactly.
 
-With fleet training on, every edge cluster's local updates — the
-aggregation loop's importance rounds and the finalize fine-tune — run as
-one computation graph per round with a single fused fleet-optimizer step
-(:mod:`repro.train.fleet`).  The float64 contract mirrors PR 2-4:
-accuracies, losses, the message-kind sequence and the full traffic
-ledger must be **bit-for-bit identical** to the serial per-device run,
-alone and composed with the plan's edge and device widths.
+Under the default plan (serial inner tier) every edge cluster's local
+updates — the aggregation loop's importance rounds and the finalize
+fine-tune — run as one computation graph per round with a single fused
+optimizer step (:mod:`repro.train.fleet`); a plan that asks for
+inner-tier width (``device_workers=2``) runs them one device at a time
+across the fan-out.  The float64 contract: accuracies, losses, the
+message-kind sequence and the full traffic ledger must be **bit-for-bit
+identical** between the two, alone and composed with the edge width.
 """
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.distributed import ACMEConfig, ACMESystem, ExecutionPlan
+from repro.distributed.messages import MessageKind
+from repro.distributed.network import Network
+from repro.distributed.scale import ScaleCluster, ScaleConfig
+from repro.nn.layers import Dropout
+from repro.train import fleet
 from tests.helpers import assert_same_run
 
 
@@ -32,7 +41,7 @@ def serial_and_fleet_runs():
     from tests.helpers import reset_engine_state
 
     reset_engine_state()
-    systems = ACMESystem(_config()), ACMESystem(_config(fleet_batched=True))
+    systems = ACMESystem(_config(device_workers=2)), ACMESystem(_config())
     serial, fleet = (system.run() for system in systems)
     # Both runs trained from the devices' own frozen-feature caches.
     for system in systems:
@@ -68,50 +77,128 @@ class TestFleetSystemParity:
         assert dict(s.by_pair) == dict(f.by_pair)
 
     def test_composes_with_parallel_edges(self, serial_and_fleet_runs):
-        """Fleet batching inside each edge + whole-edge fan-out across
+        """Batched updates inside each edge + whole-edge fan-out across
         workers: still bit-identical, ledger included."""
         serial, _fleet = serial_and_fleet_runs
-        nested = ACMESystem(_config(fleet_batched=True, edge_workers=2)).run()
+        nested = ACMESystem(_config(edge_workers=2)).run()
         assert_same_run(serial, nested)
 
-    def test_composes_with_parallel_devices(self, serial_and_fleet_runs):
-        """The device width still drives the phases fleet does not claim
-        (NAS scoring, per-device evaluation); results match."""
-        serial, _fleet = serial_and_fleet_runs
-        combined = ACMESystem(_config(fleet_batched=True, device_workers=2)).run()
-        assert_same_run(serial, combined)
+
+def _distributed_edge(**plan):
+    system = ACMESystem(_config(**plan))
+    system.run_cloud_phases()
+    edge = system.edges[0]
+    edge.request_backbone()
+    edge.search_header()
+    edge.distribute_models()
+    return edge
 
 
 class TestFleetWiring:
-    def test_config_propagates_to_edge(self):
-        for fleet in (True, False):
-            system = ACMESystem(_config(fleet_batched=fleet))
-            assert [e.plan.fleet_batched for e in system.edges] == [fleet] * 2
-
     def test_fleet_ready_requires_distributed_models(self):
-        system = ACMESystem(_config(fleet_batched=True))
-        edge = system.edges[0]
+        edge = ACMESystem(_config()).edges[0]
         # Before model distribution no device holds a backbone/header.
-        assert not edge._fleet_ready()
+        assert edge._local_groups(edge.devices) == [[d] for d in edge.devices]
 
     def test_fleet_ready_rejects_heterogeneous_backbones(self):
-        system = ACMESystem(_config(fleet_batched=True))
+        edge = _distributed_edge()
+        assert edge._local_groups(edge.devices) == [edge.devices]
+        # Perturb one device's backbone: the cluster no longer shares
+        # value-identical weights, so the devices train one by one.
+        device = edge.devices[0]
+        param = device.backbone.parameters()[0]
+        param.data[...] = param.data + 1.0
+        assert edge._local_groups(edge.devices) == [[d] for d in edge.devices]
+
+    def test_inner_tier_width_selects_the_fan_out(self):
+        """A plan that asks for inner-tier width gets singletons; so does
+        a stochastic backbone, whose per-device RNG streams one shared
+        instance would merge."""
+        edge = _distributed_edge(device_workers=2)
+        assert edge._local_groups(edge.devices) == [[d] for d in edge.devices]
+        edge = _distributed_edge()
+        backbone = edge.devices[0].backbone
+        for module in backbone.modules():
+            if isinstance(module, Dropout):
+                module.p = 0.1
+        backbone.train()
+        assert edge._local_groups(edge.devices) == [[d] for d in edge.devices]
+
+
+@pytest.fixture()
+def round_loop_calls(monkeypatch):
+    """The members' datasets at every entry into the one round loop."""
+    calls = []
+    real = fleet._run_rounds
+
+    def counting(backbone, members, *args, **kwargs):
+        calls.append([m.dataset for m in members])
+        return real(backbone, members, *args, **kwargs)
+
+    monkeypatch.setattr(fleet, "_run_rounds", counting)
+    return calls
+
+
+class TestRoundLoopEntries:
+    """How many times, and with how many members, a plan enters
+    ``repro.train.fleet._run_rounds`` — T aggregation rounds and the
+    finale's one chunk over a 3-device cluster."""
+
+    @staticmethod
+    def _entries(calls, **config):
+        system = ACMESystem(dataclasses.replace(_config(), **config))
         system.run_cloud_phases()
         edge = system.edges[0]
         edge.request_backbone()
         edge.search_header()
         edge.distribute_models()
-        assert edge._fleet_ready()
-        # Perturb one device's backbone: the cluster no longer shares
-        # value-identical weights, so fleet batching must stand down.
-        device = edge.devices[0]
-        param = device.backbone.parameters()[0]
-        param.data[...] = param.data + 1.0
-        assert not edge._fleet_ready()
+        del calls[:]
+        edge.aggregation_loop()
+        edge.finalize()
+        datasets = [d.dataset for d in edge.devices]
+        phases = edge.config.aggregation_rounds + 1
+        return [[datasets.index(d) for d in call] for call in calls], phases
 
-    def test_cli_flag_parses(self):
-        from repro.cli import build_parser
+    def test_default_plan_is_one_call_per_round_and_per_finalize_chunk(
+        self, round_loop_calls
+    ):
+        entries, phases = self._entries(round_loop_calls)
+        assert entries == [[0, 1, 2]] * phases
 
-        args = build_parser().parse_args(["run", "--fleet"])
-        assert args.fleet is True
-        assert build_parser().parse_args(["run"]).fleet is False
+    def test_device_width_is_one_member_calls(self, round_loop_calls):
+        entries, phases = self._entries(
+            round_loop_calls, execution=ExecutionPlan(device_workers=2)
+        )
+        assert sorted(entries) == sorted([[0], [1], [2]] * phases)
+
+    def test_lazy_cluster_is_one_member_calls_serially(self, round_loop_calls):
+        """A ``state_store`` cluster trains one device at a time, in
+        device order: a group's graph must not outlive an eviction."""
+        entries, phases = self._entries(round_loop_calls, device_state_capacity=1)
+        assert entries == [[0], [1], [2]] * phases
+
+
+class TestScaleClusterDispatch:
+    def test_always_live_round_goes_through_the_device_class(self):
+        """An always-live ``ScaleCluster`` is batchable, and its group
+        update is ``ScaleDevice``'s: synthetic ``set_size``-float sets,
+        no header weight moved (a batched path that reached around the
+        device class trained the headers for real)."""
+        config = ScaleConfig(
+            num_devices=3, num_clusters=1, always_live=True, set_size=24,
+            ledger="full",
+        )
+        network = Network(ledger=config.ledger)
+        cluster = ScaleCluster(0, 3, 0, network, config)
+        assert cluster.distribute() == 3
+        assert cluster._local_groups(cluster.devices) == [cluster.devices]
+        before = [
+            [p.data.copy() for p in d.header.parameters()] for d in cluster.devices
+        ]
+        assert cluster.run_round(0, None) == 3
+        for device, weights in zip(cluster.devices, before):
+            for p, w in zip(device.header.parameters(), weights):
+                np.testing.assert_array_equal(p.data, w)
+        uploads = [m for m in network.log if m.kind is MessageKind.IMPORTANCE_SET]
+        assert [m.sender for m in uploads] == [d.name for d in cluster.devices]
+        assert all(m.payload["importance"].shape == (24,) for m in uploads)

@@ -131,7 +131,7 @@ class TestDeviceNode:
         assert device.backbone.depth == 2
         assert device.keep_fraction == 0.5
 
-        upload = device.importance_round(include_feature_sample=True)
+        upload = device.importance_round(include_feature_sample=True)[0]
         assert upload.kind is MessageKind.IMPORTANCE_SET
         assert upload.payload["importance"].dtype == np.float32
         assert "feature_sample" in upload.payload
@@ -169,7 +169,7 @@ class TestDeviceNode:
         assert not np.array_equal(second.cls.data, first.cls.data)
         for got, want in zip(second, sweep()):
             np.testing.assert_array_equal(got.data, want.data)
-        sample = device.importance_round(include_feature_sample=True).payload[
+        sample = device.importance_round(include_feature_sample=True)[0].payload[
             "feature_sample"
         ]
         np.testing.assert_array_equal(

@@ -104,8 +104,8 @@ class TestEvictionParity:
     def test_first_touch_matches_eager_build(self, twins):
         eager, lazy, _store, *_ = twins
         assert lazy.header is None  # nothing materialized yet
-        up_eager = eager.importance_round(include_feature_sample=True)
-        up_lazy = lazy.importance_round(include_feature_sample=True)
+        up_eager = eager.importance_round(include_feature_sample=True)[0]
+        up_lazy = lazy.importance_round(include_feature_sample=True)[0]
         np.testing.assert_array_equal(
             up_eager.payload["importance"], up_lazy.payload["importance"]
         )
@@ -115,8 +115,8 @@ class TestEvictionParity:
 
     def test_eviction_between_importance_rounds(self, twins):
         eager, lazy, store, network, data, payload = twins
-        q1e = eager.importance_round().payload["importance"]
-        q1l = lazy.importance_round().payload["importance"]
+        q1e = eager.importance_round()[0].payload["importance"]
+        q1l = lazy.importance_round()[0].payload["importance"]
         np.testing.assert_array_equal(q1e, q1l)
         # Prune both by the same personalized set, then evict the lazy
         # twin *between rounds* — masks and pristine copies must survive
@@ -128,8 +128,8 @@ class TestEvictionParity:
         eager.handle(Message("edge0", eager.name, MessageKind.PERSONALIZED_SET, down))
         lazy.handle(Message("edge0", lazy.name, MessageKind.PERSONALIZED_SET, down))
         _force_evict(lazy, store, network, data, payload)
-        q2e = eager.importance_round().payload["importance"]
-        q2l = lazy.importance_round().payload["importance"]
+        q2e = eager.importance_round()[0].payload["importance"]
+        q2l = lazy.importance_round()[0].payload["importance"]
         np.testing.assert_array_equal(q2e, q2l)
         for name, value in eager.header.state_dict().items():
             np.testing.assert_array_equal(value, lazy.header.state_dict()[name])
@@ -183,8 +183,8 @@ class TestEvictionParity:
         for _round in range(3):
             for eager_twin, lazy_twin in zip(live, lazy):
                 np.testing.assert_array_equal(
-                    eager_twin.importance_round().payload["importance"],
-                    lazy_twin.importance_round().payload["importance"],
+                    eager_twin.importance_round()[0].payload["importance"],
+                    lazy_twin.importance_round()[0].payload["importance"],
                 )
         assert store.hydrations == 6 and store.evictions == 5
 
@@ -210,8 +210,8 @@ class TestEvictionParity:
         while its always-live twin, which does cache, agrees bit for bit."""
         eager, lazy, store, network, data, payload = twins
         for _round in range(2):
-            up_eager = eager.importance_round(include_feature_sample=True)
-            up_lazy = lazy.importance_round(include_feature_sample=True)
+            up_eager = eager.importance_round(include_feature_sample=True)[0]
+            up_lazy = lazy.importance_round(include_feature_sample=True)[0]
             np.testing.assert_array_equal(
                 up_eager.payload["importance"], up_lazy.payload["importance"]
             )

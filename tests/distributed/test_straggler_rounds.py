@@ -6,8 +6,9 @@ carry-forward subset path aggregates whoever made it.  Three contracts:
 
 1. a deadline nobody misses is *bit-for-bit* the no-deadline run —
    enabling the knob must not perturb the arithmetic;
-2. the fleet-batched optimizer's member-slice stepping (partial rounds)
-   reproduces the per-device path exactly under the same deadline;
+2. the on-time subset trained as one batched group (the default plan)
+   reproduces the per-device fan-out (``device_workers=2``) exactly
+   under the same deadline;
 3. a tight deadline degrades participation without raising or hanging,
    and still finalizes every device.
 """
@@ -31,12 +32,13 @@ def _config(**overrides) -> ACMEConfig:
     )
 
 
-def _run(deadline=None, fleet=False, finalize=True):
+def _run(deadline=None, fleet=True, finalize=True):
     from tests.helpers import reset_engine_state
 
     reset_engine_state()
     config = _config(
-        finalize=finalize, execution=ExecutionPlan(fleet_batched=fleet)
+        finalize=finalize,
+        execution=ExecutionPlan(device_workers=None if fleet else 2),
     )
     config.edge.round_deadline = deadline
     system = ACMESystem(config)
@@ -69,12 +71,12 @@ class TestDeadlineParity:
         assert slack == baseline
 
     def test_fleet_partial_rounds_match_per_device(self):
-        """Member-slice fleet stepping under a deadline == per-device path.
+        """A batched on-time subset under a deadline == per-device path.
 
         The deadline is picked *from the run itself* (between the two
-        fastest devices' latencies) so exactly the on-time subset steps:
-        the FleetOptimizer must fall back to slice passes that reproduce
-        the per-device optimizers exactly.
+        fastest devices' latencies) so exactly the on-time subset
+        trains: a group of two of the cluster's three devices must
+        reproduce the per-device fan-out exactly.
         """
         probe_system, _ = _run(deadline=None, finalize=False)
         lats = _latencies(probe_system)

@@ -70,7 +70,8 @@ def test_execution_placement_is_declared_once():
     from repro.distributed.executor import ExecutionPlan
 
     owned = {f.name for f in dataclasses.fields(ExecutionPlan)}
-    retired = re.compile(r"parallel_.*|backend|fleet_training")
+    retired = re.compile(r"parallel_.*|backend|fleet_training|fleet_batched")
+    assert not any(retired.fullmatch(name) for name in owned - {"backend"})
     offenders = []
     for package in (repro.core, repro.distributed, repro.train):
         for info in pkgutil.iter_modules(package.__path__, package.__name__ + "."):
@@ -88,3 +89,14 @@ def test_execution_placement_is_declared_once():
                     if f.name in owned or retired.fullmatch(f.name)
                 ]
     assert offenders == []
+
+
+def test_run_has_no_fleet_flag():
+    """``repro-cli run --fleet`` is retired with the knob it set (the
+    edge derives the grouping); ``table1 --fleet N`` is a fleet *size*."""
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    with pytest.raises(SystemExit):
+        parser.parse_args(["run", "--fleet"])
+    assert parser.parse_args(["table1", "--fleet", "7"]).fleet == 7

@@ -1,11 +1,14 @@
-"""Fleet-batched training reproduces the serial per-device path exactly.
+"""A fleet of N == N fleets of one == the textbook per-device loop.
 
-:mod:`repro.train.fleet` trains many headers over one shared frozen
-backbone in one computation graph per round (stacked logits, per-member
-block-diagonal loss masking, one fused fleet-optimizer step).  These
-tests assert the float64 bit-for-bit contract against the serial
-reference paths (:func:`repro.train.trainer.train_header`,
-:func:`repro.core.header_importance.compute_importance_set`) across
+:mod:`repro.train.fleet` holds the only frozen-header mini-batch loop in
+``src/``: many headers over one shared frozen backbone train in one
+computation graph per round (stacked logits, per-member block-diagonal
+loss masking, one fused fleet-optimizer step), and a single device
+(:func:`repro.train.trainer.train_header`,
+:func:`repro.core.header_importance.compute_importance_set`) is its
+one-member case.  These tests assert the float64 bit-for-bit contract
+against the textbook loops in ``tests/reference/train.py`` — code that
+is not the code under test — and against the one-member calls, across
 heterogeneous batch counts, epochs, empty datasets and partial-round
 schedules, plus the segmented-loss and fleet-optimizer primitives.
 """
@@ -26,9 +29,18 @@ from repro.nn.optim import Adam, FleetOptimizer
 from repro.nn.tensor import Tensor, concatenate, using_dtype
 from repro.train.fleet import fleet_importance_rounds, fleet_supported, train_headers_fleet
 from repro.train.trainer import TrainConfig, train_header
+from tests.reference.train import reference_importance_set, reference_train_header
 
 VIT = ViTConfig(num_classes=6, depth=1, embed_dim=16, num_heads=4, image_size=16)
 SPEC = HeaderSpec.from_sequence([0, 1, 0, 2, 1, 2, 2, 0])
+
+
+@pytest.fixture(autouse=True)
+def float64_engine():
+    """The bit-for-bit contract is float64's: the textbook Adam's Python
+    scalars round differently from the fused kernels' under float32."""
+    with using_dtype("float64"):
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +48,8 @@ def backbone():
     from tests.helpers import reset_engine_state
 
     reset_engine_state()
-    return VisionTransformer(VIT, seed=0)
+    with using_dtype("float64"):
+        return VisionTransformer(VIT, seed=0)
 
 
 def _datasets(sizes, seed0=10):
@@ -73,6 +86,28 @@ def _assert_headers_equal(serial_headers, fleet_headers):
             np.testing.assert_array_equal(a.data, b.data, err_msg=name)
 
 
+def _per_device_training(backbone, build, datasets, configs):
+    """Both per-device right-hand sides: ``(headers, reports)`` of the
+    textbook loop and of N fleets of one."""
+    for train in (
+        reference_train_header,
+        lambda b, h, d, config: train_header(b, h, d, config=config, freeze_backbone=True),
+    ):
+        headers = build()
+        yield headers, [
+            train(backbone, h, d, config=c) for h, d, c in zip(headers, datasets, configs)
+        ]
+
+
+def _per_device_importance(backbone, sides, datasets, configs):
+    """One round of both right-hand sides over their own header lists
+    ``sides``: the textbook loop and N fleets of one."""
+    for headers, score in zip(sides, (reference_importance_set, compute_importance_set)):
+        yield headers, [
+            score(backbone, h, d, config=c) for h, d, c in zip(headers, datasets, configs)
+        ]
+
+
 class TestTrainFleetParity:
     def test_heterogeneous_batch_counts_bit_for_bit(self, backbone):
         """Members with different dataset sizes (and so different batch
@@ -80,17 +115,15 @@ class TestTrainFleetParity:
         match the serial loop exactly."""
         datasets = _datasets([4, 7, 3])
         configs = [TrainConfig(epochs=2, batch_size=8, seed=7 + i) for i in range(3)]
-        serial = _dag_headers(3)
-        reports_serial = [
-            train_header(backbone, h, d, config=c, freeze_backbone=True)
-            for h, d, c in zip(serial, datasets, configs)
-        ]
         fleet = _dag_headers(3)
         reports_fleet = train_headers_fleet(backbone, fleet, datasets, configs)
-        for rs, rf in zip(reports_serial, reports_fleet):
-            assert rs.epoch_losses == rf.epoch_losses
-            assert rs.epoch_accuracies == rf.epoch_accuracies
-        _assert_headers_equal(serial, fleet)
+        for serial, reports_serial in _per_device_training(
+            backbone, lambda: _dag_headers(3), datasets, configs
+        ):
+            for rs, rf in zip(reports_serial, reports_fleet):
+                assert rs.epoch_losses == rf.epoch_losses
+                assert rs.epoch_accuracies == rf.epoch_accuracies
+            _assert_headers_equal(serial, fleet)
 
     def test_heterogeneous_epochs_and_batch_caps(self, backbone):
         datasets = _datasets([5, 5, 5], seed0=20)
@@ -99,17 +132,15 @@ class TestTrainFleetParity:
             TrainConfig(epochs=3, batch_size=4, seed=2, max_batches_per_epoch=2),
             TrainConfig(epochs=2, batch_size=16, seed=3),
         ]
-        serial = _mlp_headers(3)
-        reports_serial = [
-            train_header(backbone, h, d, config=c, freeze_backbone=True)
-            for h, d, c in zip(serial, datasets, configs)
-        ]
         fleet = _mlp_headers(3)
         reports_fleet = train_headers_fleet(backbone, fleet, datasets, configs)
-        for rs, rf in zip(reports_serial, reports_fleet):
-            assert rs.epoch_losses == rf.epoch_losses
-            assert rs.epoch_accuracies == rf.epoch_accuracies
-        _assert_headers_equal(serial, fleet)
+        for serial, reports_serial in _per_device_training(
+            backbone, lambda: _mlp_headers(3), datasets, configs
+        ):
+            for rs, rf in zip(reports_serial, reports_fleet):
+                assert rs.epoch_losses == rf.epoch_losses
+                assert rs.epoch_accuracies == rf.epoch_accuracies
+            _assert_headers_equal(serial, fleet)
 
     def test_empty_dataset_member(self, backbone):
         """An empty member records nan losses / zero accuracy for every
@@ -117,21 +148,21 @@ class TestTrainFleetParity:
         untouched — matching the serial loop member by member."""
         datasets = _datasets([4, 0, 3], seed0=30)
         configs = [TrainConfig(epochs=2, batch_size=8, seed=5 + i) for i in range(3)]
-        serial = _mlp_headers(3, seed0=90)
-        reports_serial = [
-            train_header(backbone, h, d, config=c, freeze_backbone=True)
-            for h, d, c in zip(serial, datasets, configs)
-        ]
         fleet = _mlp_headers(3, seed0=90)
         reports_fleet = train_headers_fleet(backbone, fleet, datasets, configs)
-        for rs, rf in zip(reports_serial, reports_fleet):
-            np.testing.assert_array_equal(rs.epoch_losses, rf.epoch_losses)
-            assert rs.epoch_accuracies == rf.epoch_accuracies
+        for serial, reports_serial in _per_device_training(
+            backbone, lambda: _mlp_headers(3, seed0=90), datasets, configs
+        ):
+            for rs, rf in zip(reports_serial, reports_fleet):
+                np.testing.assert_array_equal(rs.epoch_losses, rf.epoch_losses)
+                assert rs.epoch_accuracies == rf.epoch_accuracies
+            _assert_headers_equal(serial, fleet)
         assert all(np.isnan(reports_fleet[1].epoch_losses))
         assert reports_fleet[1].epoch_accuracies == [0.0, 0.0]
-        _assert_headers_equal(serial, fleet)
 
     def test_stochastic_header_falls_back_to_serial(self, backbone):
+        """Not ``fleet_supported``: the group runs as consecutive fleets
+        of one through the same loop."""
         datasets = _datasets([4, 4], seed0=40)
 
         def build():
@@ -141,16 +172,14 @@ class TestTrainFleetParity:
 
         assert not fleet_supported(backbone, build())
         configs = [TrainConfig(epochs=1, batch_size=8, seed=i) for i in range(2)]
-        serial = build()
-        reports_serial = [
-            train_header(backbone, h, d, config=c, freeze_backbone=True)
-            for h, d, c in zip(serial, datasets, configs)
-        ]
         fleet = build()
         reports_fleet = train_headers_fleet(backbone, fleet, datasets, configs)
-        for rs, rf in zip(reports_serial, reports_fleet):
-            assert rs.epoch_losses == rf.epoch_losses
-        _assert_headers_equal(serial, fleet)
+        for serial, reports_serial in _per_device_training(
+            backbone, build, datasets, configs
+        ):
+            for rs, rf in zip(reports_serial, reports_fleet):
+                assert rs.epoch_losses == rf.epoch_losses
+            _assert_headers_equal(serial, fleet)
 
     def test_length_mismatch_raises(self, backbone):
         with pytest.raises(ValueError, match="headers"):
@@ -161,33 +190,31 @@ class TestImportanceFleetParity:
     def test_importance_sets_bit_for_bit(self, backbone):
         datasets = _datasets([4, 6, 3], seed0=60)
         configs = [ImportanceConfig(seed=3 + i) for i in range(3)]
-        serial = _dag_headers(3, seed0=130)
-        sets_serial = [
-            compute_importance_set(backbone, h, d, config=c)
-            for h, d, c in zip(serial, datasets, configs)
-        ]
+        sides = [_dag_headers(3, seed0=130) for _ in range(2)]
         fleet = _dag_headers(3, seed0=130)
         sets_fleet = fleet_importance_rounds(backbone, fleet, datasets, configs)
-        for a, b in zip(sets_serial, sets_fleet):
-            np.testing.assert_array_equal(a, b)
-        _assert_headers_equal(serial, fleet)
+        for serial, sets_serial in _per_device_importance(
+            backbone, sides, datasets, configs
+        ):
+            for a, b in zip(sets_serial, sets_fleet):
+                np.testing.assert_array_equal(a, b)
+            _assert_headers_equal(serial, fleet)
 
     def test_second_round_continues_from_trained_state(self, backbone):
         """Aggregation runs several importance rounds back to back; each
         fleet round must continue bit-for-bit from the previous one."""
         datasets = _datasets([4, 5], seed0=65)
         configs = [ImportanceConfig(seed=1 + i) for i in range(2)]
-        serial = _dag_headers(2, seed0=140)
+        sides = [_dag_headers(2, seed0=140) for _ in range(2)]
         fleet = _dag_headers(2, seed0=140)
         for _round in range(2):
-            sets_serial = [
-                compute_importance_set(backbone, h, d, config=c)
-                for h, d, c in zip(serial, datasets, configs)
-            ]
             sets_fleet = fleet_importance_rounds(backbone, fleet, datasets, configs)
-            for a, b in zip(sets_serial, sets_fleet):
-                np.testing.assert_array_equal(a, b)
-        _assert_headers_equal(serial, fleet)
+            for serial, sets_serial in _per_device_importance(
+                backbone, sides, datasets, configs
+            ):
+                for a, b in zip(sets_serial, sets_fleet):
+                    np.testing.assert_array_equal(a, b)
+                _assert_headers_equal(serial, fleet)
 
     def test_empty_dataset_raises_like_serial(self, backbone):
         datasets = _datasets([4, 0], seed0=68)
@@ -346,6 +373,6 @@ class TestFleetOptimizer:
         assert w.data is not rebound  # re-adopted into the flat buffer
         assert any(
             w.data is view
-            for group in fopt._groups
+            for group in fopt._flat_groups
             for view in group.data_views
         )

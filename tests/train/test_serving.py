@@ -209,11 +209,13 @@ class TestPrecomputedFeatures:
                 np.testing.assert_array_equal(a, b)
 
     def test_train_header_cached_path_matches_per_batch(self, monkeypatch):
-        """A cap that never binds (3 batches per epoch) truncates nothing
-        but disables the precompute: the per-batch forwards it falls back
-        to must reproduce the cached-row trace bit for bit."""
+        """``train_header`` sweeps the backbone once per call and gathers
+        rows; the textbook loop under a cap that never binds (3 batches
+        per epoch) truncates nothing and forwards every batch — the
+        traces must agree bit for bit."""
         from repro.train import serving
         from repro.train.trainer import TrainConfig, train_header
+        from tests.reference.train import reference_train_header
 
         precomputes = []
         real = serving.precompute_backbone_features
@@ -224,27 +226,28 @@ class TestPrecomputedFeatures:
         )
         backbone, (dataset, _other) = self._float64_fixture()
 
-        def run(max_batches):
+        def run(train, max_batches):
             with using_dtype("float64"):
                 header = self._header(0)
                 config = TrainConfig(
                     epochs=2, batch_size=8, seed=0, max_batches_per_epoch=max_batches
                 )
-                report = train_header(backbone, header, dataset, config)
+                report = train(backbone, header, dataset, config)
             return self._trace([report], [header])
 
-        cached = run(None)
+        cached = run(train_header, None)
         assert len(precomputes) == 1
         for cap in (3, 10):
-            per_batch = run(cap)
-            assert len(precomputes) == 1  # the capped run never precomputed
-            self._assert_traces_equal(cached, per_batch)
+            self._assert_traces_equal(cached, run(reference_train_header, cap))
+            # A cap that never binds is no reason to forward per batch.
+            self._assert_traces_equal(cached, run(train_header, cap))
+        assert len(precomputes) == 3
 
     def test_owned_cache_matches_per_batch_under_a_binding_cap(self, monkeypatch):
         """``features=`` — a cache the caller owns across calls — turns
         every mini-batch into a row gather: header training and the
-        importance round are bit-identical to the capped per-batch
-        forwards, and neither sweeps the backbone itself."""
+        importance round are bit-identical to the textbook loop's capped
+        per-batch forwards, and neither sweeps the backbone itself."""
         from repro.core.header_importance import (
             ImportanceConfig,
             compute_importance_set,
@@ -253,6 +256,10 @@ class TestPrecomputedFeatures:
         from repro.models.header_dag import DAGHeader
         from repro.train import serving
         from repro.train.trainer import TrainConfig, train_header
+        from tests.reference.train import (
+            reference_importance_set,
+            reference_train_header,
+        )
 
         backbone, (dataset, _other) = self._float64_fixture()
         with using_dtype("float64"):
@@ -272,35 +279,35 @@ class TestPrecomputedFeatures:
                 rng=np.random.default_rng(5),
             )
 
-        def train(features):
+        def train(features, train_one=train_header):
             with using_dtype("float64"):
                 header = self._header(0)
                 config = TrainConfig(
                     epochs=2, batch_size=8, seed=0, max_batches_per_epoch=2
                 )
-                report = train_header(
+                report = train_one(
                     backbone, header, dataset, config, features=features
                 )
             return self._trace([report], [header])
 
-        def importance(features):
+        def importance(features, score=compute_importance_set):
             with using_dtype("float64"):
                 header = dag_header()
                 config = ImportanceConfig(
                     epochs=2, batch_size=8, seed=1, max_batches_per_epoch=2
                 )
-                q = compute_importance_set(
-                    backbone, header, dataset, config=config, features=features
-                )
+                q = score(backbone, header, dataset, config=config, features=features)
             return q, header.state_dict()
 
-        self._assert_traces_equal(train(None), train(cache))
-        q_plain, state_plain = importance(None)
-        q_cached, state_cached = importance(cache)
-        np.testing.assert_array_equal(q_plain, q_cached)
-        assert set(state_plain) == set(state_cached)
-        for name, value in state_plain.items():
-            np.testing.assert_array_equal(value, state_cached[name])
+        textbook = train(None, reference_train_header)
+        self._assert_traces_equal(textbook, train(None))
+        self._assert_traces_equal(textbook, train(cache))
+        q_textbook, state_textbook = importance(None, reference_importance_set)
+        for q, state in (importance(None), importance(cache)):
+            np.testing.assert_array_equal(q_textbook, q)
+            assert set(state_textbook) == set(state)
+            for name, value in state_textbook.items():
+                np.testing.assert_array_equal(value, state[name])
 
     def test_train_header_rejects_features_for_a_training_backbone(self, backbone, datasets):
         from repro.train.trainer import train_header
@@ -327,10 +334,11 @@ class TestPrecomputedFeatures:
 
     def test_fleet_nonbinding_cap_is_a_noop(self):
         """One capped (never binding) and one uncapped fleet member train
-        exactly like two uncapped members, and like per-member
-        ``train_header`` on the per-batch path."""
+        exactly like two uncapped members, and like the textbook
+        per-member loop on the per-batch path."""
         from repro.train.fleet import train_headers_fleet
-        from repro.train.trainer import TrainConfig, train_header
+        from repro.train.trainer import TrainConfig
+        from tests.reference.train import reference_train_header
 
         backbone, datasets = self._float64_fixture()
 
@@ -350,7 +358,7 @@ class TestPrecomputedFeatures:
             with using_dtype("float64"):
                 headers = [self._header(1), self._header(2)]
                 reports = [
-                    train_header(backbone, h, d, c)
+                    reference_train_header(backbone, h, d, c)
                     for h, d, c in zip(headers, datasets, configs(cap))
                 ]
             return self._trace(reports, headers)

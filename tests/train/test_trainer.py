@@ -1,5 +1,7 @@
 """Tests for training and evaluation loops."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,10 @@ from repro.models import (
     VisionTransformer,
     build_fixed_header,
 )
+from repro.core.header_importance import ImportanceConfig, compute_importance_set
 from repro.models.blocks import BlockSpec, HeaderSpec
+from repro.nn.layers import Dropout
+from repro.nn.tensor import using_dtype
 from repro.train import (
     TrainConfig,
     evaluate_header,
@@ -18,6 +23,7 @@ from repro.train import (
     train_header,
     train_model,
 )
+from tests.reference.train import reference_importance_set, reference_train_header
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +108,77 @@ class TestTrainHeader:
         # Masked entries must remain exactly zero after optimizer steps.
         flat = header.parameter_vector()
         np.testing.assert_allclose(flat[:50], 0.0)
+
+
+class TestTextbookParity:
+    """One device through the round loop == the textbook per-device
+    loop (``tests/reference/train.py``), bit for bit under float64."""
+
+    @staticmethod
+    def _sides(cfg, dropout=0.0):
+        """Two identical (backbone, DAG header) pairs, pruned alike."""
+        sides = []
+        with using_dtype("float64"):
+            for _ in range(2):
+                model = VisionTransformer(
+                    dataclasses.replace(cfg, dropout=dropout), seed=0
+                )
+                if dropout:
+                    model.train()
+                spec = HeaderSpec(blocks=(BlockSpec(0, 1, 1, 3),))
+                header = DAGHeader(
+                    cfg.embed_dim, cfg.num_patches, 4, spec,
+                    rng=np.random.default_rng(3),
+                )
+                keep = np.ones(header.parameter_count(), dtype=bool)
+                keep[::7] = False
+                header.set_parameter_mask(keep)
+                sides.append((model, header))
+        return sides
+
+    @staticmethod
+    def _assert_same_state(left, right):
+        (model_a, header_a), (model_b, header_b) = left, right
+        for (name, a), (_, b) in zip(
+            header_a.named_parameters(), header_b.named_parameters()
+        ):
+            np.testing.assert_array_equal(a.data, b.data, err_msg=name)
+        drops = [
+            (m.p, m._rng.bit_generator.state)
+            for model in (model_a, model_b)
+            for m in model.modules()
+            if isinstance(m, Dropout)
+        ]
+        half = len(drops) // 2
+        assert half > 0 and drops[:half] == drops[half:]
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    @pytest.mark.parametrize("cap", [None, 2])
+    def test_train_header_matches_the_textbook_loop(self, setup, dropout, cap):
+        """A stochastic backbone (training-mode dropout) is forwarded on
+        exactly the rows, in exactly the order, the textbook loop
+        forwards them — every ``Dropout`` generator ends in its state."""
+        cfg, data = setup
+        config = TrainConfig(epochs=2, batch_size=16, seed=4, max_batches_per_epoch=cap)
+        ours, textbook = self._sides(cfg, dropout)
+        with using_dtype("float64"):
+            got = train_header(*ours, data, config)
+            want = reference_train_header(*textbook, data, config)
+        assert got.epoch_losses == want.epoch_losses
+        assert got.epoch_accuracies == want.epoch_accuracies
+        self._assert_same_state(ours, textbook)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    @pytest.mark.parametrize("train", [True, False])
+    def test_importance_set_matches_the_textbook_loop(self, setup, dropout, train):
+        cfg, data = setup
+        config = ImportanceConfig(epochs=2, batch_size=16, seed=5, max_batches_per_epoch=3)
+        ours, textbook = self._sides(cfg, dropout)
+        with using_dtype("float64"):
+            got = compute_importance_set(*ours, data, config, train=train)
+            want = reference_importance_set(*textbook, data, config, train=train)
+        np.testing.assert_array_equal(got, want)
+        self._assert_same_state(ours, textbook)
 
 
 class TestEvaluate:
