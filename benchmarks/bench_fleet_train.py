@@ -1,11 +1,11 @@
-"""Perf trajectory bench: one fleet of N vs N fleets of one.
+"""Perf trajectory bench: one fleet of N vs one device at a time.
 
 Frozen-header training has one loop (:mod:`repro.train.fleet`); a
-single device is its one-member case.  The "serial" side of both
-comparisons is therefore N consecutive one-member rounds —
-``train_header`` / ``compute_importance_set`` per member, each with its
-own fused optimizer and feature sweep — and the recorded speedups are
-what stacking the members into one graph per round adds on top of it:
+single device is its one-member case.  The "serial" side is therefore N
+consecutive one-member rounds — ``train_header`` /
+``compute_importance_set`` per member, each with its own fused optimizer
+and feature sweep — and what is recorded is what stacking the members
+into one graph per round adds on top of it:
 
 * **fleet ``train_headers_fleet``** — a 48-member linear-probe fleet
   (the per-device personalization regime: many small headers over one
@@ -14,17 +14,23 @@ what stacking the members into one graph per round adds on top of it:
   48 one-member ``train_header`` runs.  Floor: 1.5×.
 * **fleet ``fleet_importance_rounds``** — a 12-member DAG-header fleet
   running Algorithm 2's local importance rounds (the aggregation loop's
-  per-device phase), vs 12 one-member ``compute_importance_set`` runs.
-  No floor: DAG forwards dominate and a 12-header flat buffer is past
-  the cache size a one-header step enjoys, so the two sides measure
-  within ±15% of each other (the 1.1× floor this row used to carry
-  was earned against a per-device loop that forwarded the backbone per
-  batch, which no longer exists); the row stays for its parity assert.
+  per-device phase), vs 12 one-member ``compute_importance_set`` runs
+  (recorded as ``one_member``; DAG forwards dominate, so grouping these
+  measures within a few percent of not grouping them) **and** vs the
+  textbook per-device loop of ``tests/reference/train.py`` — one
+  ``DataLoader``, one backbone forward and one ``backward()`` per
+  mini-batch per device, what ``compute_importance_set`` was when this
+  row earned its floor.  Floor: 1.1×, against that loop: the batched
+  round is every default run's path and must not fall back to it.
+
+The sides of a comparison are timed in alternation — one repetition of
+each in turn — so a busy neighbour on a shared host slows a repetition
+of every side instead of one side's whole block.
 
 Both comparisons assert **bit-for-bit float64 parity** while they time:
 per-member epoch losses and accuracies, final header weights, and
-importance sets of the fleet of N must equal the N fleets of one
-exactly — grouping is a pure execution-plan change.
+importance sets of the fleet of N must equal the N fleets of one (and
+the textbook loop) exactly — grouping is a pure execution-plan change.
 
 Results are persisted machine-readably to ``bench_results/`` and merged
 into ``BENCH_perf.json`` at the repo root (floors replayed in tier-1 by
@@ -46,7 +52,9 @@ from pathlib import Path
 
 import numpy as np
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+sys.path.insert(0, str(REPO_ROOT))  # tests.reference: the textbook loops
 
 from _common import emit_perf, perf_record
 
@@ -59,11 +67,11 @@ from repro.models.vit import VisionTransformer, ViTConfig
 from repro.nn.tensor import using_dtype
 from repro.train.fleet import fleet_importance_rounds, train_headers_fleet
 from repro.train.trainer import TrainConfig, train_header
+from tests.reference.train import reference_importance_set
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-# Floor asserted by emit_perf — a regression below it fails the bench.
+# Floors asserted by emit_perf — regressions below these fail the bench.
 TRAIN_FLEET_FLOOR = 1.5
+IMPORTANCE_FLEET_FLOOR = 1.1
 
 
 def _backbone(smoke: bool):
@@ -71,22 +79,32 @@ def _backbone(smoke: bool):
     return vit, VisionTransformer(vit, seed=0)
 
 
-def _timed_best(fn, repeats: int):
-    fn()  # warm (im2col caches, allocator pools)
-    times = []
-    result = None
+def _timed_alternating(sides, repeats: int):
+    """``{name: (measurement, last result)}`` of ``sides``' callables,
+    each warmed once (im2col caches, allocator pools), then timed one
+    repetition of each in turn, ``repeats`` times."""
+    for fn in sides.values():
+        fn()
+    times = {name: [] for name in sides}
+    results = {}
     for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        times.append(time.perf_counter() - start)
-    measurement = {
-        "best_s": min(times),
-        "mean_s": sum(times) / len(times),
-        "repeats": repeats,
-        "warmup": 1,
-        "times_s": times,
+        for name, fn in sides.items():
+            start = time.perf_counter()
+            results[name] = fn()
+            times[name].append(time.perf_counter() - start)
+    return {
+        name: (
+            {
+                "best_s": min(samples),
+                "mean_s": sum(samples) / len(samples),
+                "repeats": repeats,
+                "warmup": 1,
+                "times_s": samples,
+            },
+            results[name],
+        )
+        for name, samples in times.items()
     }
-    return measurement, result
 
 
 def bench_fleet_train(smoke: bool):
@@ -125,9 +143,11 @@ def bench_fleet_train(smoke: bool):
         reports = train_headers_fleet(backbone, fleet, datasets, configs)
         return fleet, reports
 
-    repeats = 2 if smoke else 5
-    fast, (fleet_headers, fleet_reports) = _timed_best(run_fleet, repeats)
-    baseline, (serial_headers, serial_reports) = _timed_best(run_serial, repeats)
+    timings = _timed_alternating(
+        {"fleet": run_fleet, "serial": run_serial}, repeats=2 if smoke else 5
+    )
+    fast, (fleet_headers, fleet_reports) = timings["fleet"]
+    baseline, (serial_headers, serial_reports) = timings["serial"]
 
     # The fleet is a pure execution-plan change: per-member traces and
     # final weights must match the serial path bit for bit.
@@ -149,7 +169,8 @@ def bench_fleet_train(smoke: bool):
 
 
 def bench_fleet_importance(smoke: bool):
-    """12 DAG headers: serial importance rounds vs one fleet round."""
+    """12 DAG headers: one fleet round vs the textbook per-device loop
+    (floor) and vs 12 one-member rounds (recorded beside it)."""
     members = 3 if smoke else 12
     vit, backbone = _backbone(smoke)
     generator = make_cifar100_like(num_classes=8, image_size=16, seed=0)
@@ -169,29 +190,40 @@ def bench_fleet_importance(smoke: bool):
             for i in range(members)
         ]
 
-    def run_serial():
-        fleet = headers()
-        return [
-            compute_importance_set(backbone, h, d, config=c)
-            for h, d, c in zip(fleet, datasets, configs)
-        ]
+    def per_device(score):
+        def run():
+            return [
+                score(backbone, h, d, config=c)
+                for h, d, c in zip(headers(), datasets, configs)
+            ]
+
+        return run
 
     def run_fleet():
-        fleet = headers()
-        return fleet_importance_rounds(backbone, fleet, datasets, configs)
+        return fleet_importance_rounds(backbone, headers(), datasets, configs)
 
-    repeats = 2 if smoke else 5
-    fast, fleet_sets = _timed_best(run_fleet, repeats)
-    baseline, serial_sets = _timed_best(run_serial, repeats)
-    for a, b in zip(serial_sets, fleet_sets):
+    timings = _timed_alternating(
+        {
+            "fleet": run_fleet,
+            "textbook": per_device(reference_importance_set),
+            "one_member": per_device(compute_importance_set),
+        },
+        repeats=2 if smoke else 5,
+    )
+    fast, fleet_sets = timings["fleet"]
+    baseline, textbook_sets = timings["textbook"]
+    one_member, one_member_sets = timings["one_member"]
+    for a, b, c in zip(fleet_sets, textbook_sets, one_member_sets):
         np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a, c)
 
     return perf_record(
         "fleet_importance_rounds",
         fast=fast,
         baseline=baseline,
-        floor=None,  # parity row: no speedup is claimed (module docstring)
+        floor=None if smoke else IMPORTANCE_FLEET_FLOOR,
         members=members,
+        one_member=one_member,
     )
 
 

@@ -257,29 +257,30 @@ class DeviceNode:
             )
         return self._features
 
-    def importance_round(
-        self,
+    @classmethod
+    def importance_rounds(
+        cls,
+        devices: Sequence["DeviceNode"],
         include_feature_sample: bool = False,
         round_index: int = 0,
-        peers: Sequence["DeviceNode"] = (),
     ) -> List[Message]:
-        """Run the local importance round of this device and its ``peers``;
-        one upload message each, this device's first.
+        """Run the local importance round of ``devices``; one upload
+        message each, in order.
 
-        The group trains against this device's backbone in one stacked
-        graph per mini-batch round (:mod:`repro.train.fleet`), so the
-        caller names as peers only devices whose frozen backbones are
-        value-identical to it and RNG-free.  The caller (edge server)
-        transmits the returned messages through the network so the bytes
-        are accounted on the uplink.  ``round_index`` is the edge's
-        round counter; the local data decide the sets here, so only
-        synthetic devices (the scale harness) read it.
+        The group trains against its first device's backbone in one
+        stacked graph per mini-batch round (:mod:`repro.train.fleet`),
+        so the caller groups only devices of this class whose frozen
+        backbones are value-identical and RNG-free; one device is the
+        group of one.  The caller (edge server) transmits the returned
+        messages through the network so the bytes are accounted on the
+        uplink.  ``round_index`` is the edge's round counter; the local
+        data decide the sets here, so only synthetic devices (the scale
+        harness) read it.
         """
-        devices = (self, *peers)
         for device in devices:
             device._ensure_live()
         sets = fleet_importance_rounds(
-            self.backbone,
+            devices[0].backbone,
             [d.header for d in devices],
             [d.dataset for d in devices],
             [d.importance_config for d in devices],
@@ -317,24 +318,25 @@ class DeviceNode:
         """The final fine-tuning schedule."""
         return TrainConfig(epochs=2, seed=self.seed)
 
-    def finetune(
-        self,
-        config: Optional[TrainConfig] = None,
-        peers: Sequence["DeviceNode"] = (),
+    @classmethod
+    def finetune_group(
+        cls, devices: Sequence["DeviceNode"], config: Optional[TrainConfig] = None
     ) -> None:
         """Final local header training (backbone frozen, mask enforced)
-        of this device and its ``peers`` — grouped as for
-        :meth:`importance_round`."""
-        devices = (self, *peers)
+        of ``devices`` — grouped as for :meth:`importance_rounds`."""
         for device in devices:
             device._ensure_live()
         train_headers_fleet(
-            self.backbone,
+            devices[0].backbone,
             [d.header for d in devices],
             [d.dataset for d in devices],
             [config or d.finetune_config() for d in devices],
             [d.frozen_features() for d in devices],
         )
+
+    def finetune(self, config: Optional[TrainConfig] = None) -> None:
+        """:meth:`finetune_group` of this device alone."""
+        type(self).finetune_group([self], config)
 
     def finalize_round(self, config: Optional[TrainConfig] = None) -> dict:
         """Final fine-tune followed by evaluation — one schedulable unit.

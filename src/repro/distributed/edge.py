@@ -416,10 +416,8 @@ class EdgeServer:
             message
             for group_messages in self._local_updates(
                 participants,
-                lambda group: group[0].importance_round(
-                    include_feature_sample=include_features,
-                    round_index=t,
-                    peers=group[1:],
+                lambda group: type(group[0]).importance_rounds(
+                    group, include_feature_sample=include_features, round_index=t
                 ),
             )
             for message in group_messages
@@ -542,9 +540,9 @@ class EdgeServer:
         One group when the inner tier is serial and the devices are
         batchable: at least two always-live devices of one class whose
         frozen backbones are value-identical and whose forwards draw no
-        module-local RNG — a group is trained by its first member's own
-        update method (:meth:`DeviceNode.importance_round`) against
-        that member's backbone instance.  Singletons otherwise: a plan
+        module-local RNG — a group is trained by its class's group
+        method (:meth:`DeviceNode.importance_rounds`) against its first
+        member's backbone instance.  Singletons otherwise: a plan
         that asks for inner-tier width gets the fan-out, and a lazy
         cluster's LRU could evict a member (snapshotting stale values)
         while its group's graph still holds the header.  Pass
@@ -675,7 +673,7 @@ class EdgeServer:
         )
         self._local_updates(
             devices,
-            lambda group: group[0].finetune(peers=group[1:]),
+            lambda group: type(group[0]).finetune_group(group),
             backbones_equal,
         )
         if backbones_equal:

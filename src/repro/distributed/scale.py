@@ -124,7 +124,7 @@ class ScaleDevice(DeviceNode):
     Inherits the full lazy-state machinery (hydrate/evict/LRU) and wire
     behavior of :class:`DeviceNode`; only the *learning* is replaced:
 
-    * :meth:`importance_round` touches the LRU (hydration is the real,
+    * :meth:`importance_rounds` touches the LRU (hydration is the real,
       measured per-device work at scale) and uploads a seeded random
       set per device — a pure function of
       ``(seed, device_id, round_index)``;
@@ -137,14 +137,15 @@ class ScaleDevice(DeviceNode):
         super().__init__(*args, **kwargs)
         self.set_size = int(set_size)
 
-    def importance_round(
-        self,
+    @classmethod
+    def importance_rounds(
+        cls,
+        devices: Sequence["ScaleDevice"],
         include_feature_sample: bool = False,
         round_index: int = 0,
-        peers: Sequence[DeviceNode] = (),
     ) -> List[Message]:
         messages = []
-        for device in (self, *peers):
+        for device in devices:
             device._ensure_live()
             rng = np.random.default_rng(
                 [max(device.seed, 0), device.profile.device_id, round_index]

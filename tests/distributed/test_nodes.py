@@ -17,6 +17,7 @@ from repro.models import ViTConfig, VisionTransformer
 from repro.models.blocks import BlockSpec, HeaderSpec
 from repro.models.header_dag import DAGHeader
 from repro.train.serving import precompute_backbone_features
+from tests.helpers import importance_round
 
 
 @pytest.fixture()
@@ -98,7 +99,7 @@ class TestDeviceNode:
         network, _cloud, data, _config = env
         device = self._device(network, data)
         with pytest.raises(AssertionError):
-            device.importance_round()
+            importance_round(device)
 
     @staticmethod
     def _distribution(device, config, backbone_seed=0):
@@ -131,7 +132,7 @@ class TestDeviceNode:
         assert device.backbone.depth == 2
         assert device.keep_fraction == 0.5
 
-        upload = device.importance_round(include_feature_sample=True)[0]
+        upload = importance_round(device, include_feature_sample=True)
         assert upload.kind is MessageKind.IMPORTANCE_SET
         assert upload.payload["importance"].dtype == np.float32
         assert "feature_sample" in upload.payload
@@ -158,7 +159,7 @@ class TestDeviceNode:
         device.handle(self._distribution(device, config, backbone_seed=0))
         first = device.frozen_features()
         assert first.cls.shape[0] == len(data)
-        device.importance_round(include_feature_sample=True)
+        importance_round(device, include_feature_sample=True)
         device.finetune()
         assert device.frozen_features() is first  # rounds and finale reuse it
         np.testing.assert_array_equal(first.tokens.data, sweep().tokens.data)
@@ -169,7 +170,7 @@ class TestDeviceNode:
         assert not np.array_equal(second.cls.data, first.cls.data)
         for got, want in zip(second, sweep()):
             np.testing.assert_array_equal(got.data, want.data)
-        sample = device.importance_round(include_feature_sample=True)[0].payload[
+        sample = importance_round(device, include_feature_sample=True).payload[
             "feature_sample"
         ]
         np.testing.assert_array_equal(

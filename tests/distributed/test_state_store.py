@@ -32,6 +32,7 @@ from repro.models import ViTConfig, VisionTransformer
 from repro.models.blocks import BlockSpec, HeaderSpec
 from repro.models.header_dag import DAGHeader
 from repro.nn.serialization import state_from_bytes, state_to_bytes
+from tests.helpers import importance_round
 
 
 def _distribution_payload(seed: int = 0) -> dict:
@@ -104,8 +105,8 @@ class TestEvictionParity:
     def test_first_touch_matches_eager_build(self, twins):
         eager, lazy, _store, *_ = twins
         assert lazy.header is None  # nothing materialized yet
-        up_eager = eager.importance_round(include_feature_sample=True)[0]
-        up_lazy = lazy.importance_round(include_feature_sample=True)[0]
+        up_eager = importance_round(eager, include_feature_sample=True)
+        up_lazy = importance_round(lazy, include_feature_sample=True)
         np.testing.assert_array_equal(
             up_eager.payload["importance"], up_lazy.payload["importance"]
         )
@@ -115,8 +116,8 @@ class TestEvictionParity:
 
     def test_eviction_between_importance_rounds(self, twins):
         eager, lazy, store, network, data, payload = twins
-        q1e = eager.importance_round()[0].payload["importance"]
-        q1l = lazy.importance_round()[0].payload["importance"]
+        q1e = importance_round(eager).payload["importance"]
+        q1l = importance_round(lazy).payload["importance"]
         np.testing.assert_array_equal(q1e, q1l)
         # Prune both by the same personalized set, then evict the lazy
         # twin *between rounds* — masks and pristine copies must survive
@@ -128,8 +129,8 @@ class TestEvictionParity:
         eager.handle(Message("edge0", eager.name, MessageKind.PERSONALIZED_SET, down))
         lazy.handle(Message("edge0", lazy.name, MessageKind.PERSONALIZED_SET, down))
         _force_evict(lazy, store, network, data, payload)
-        q2e = eager.importance_round()[0].payload["importance"]
-        q2l = lazy.importance_round()[0].payload["importance"]
+        q2e = importance_round(eager).payload["importance"]
+        q2l = importance_round(lazy).payload["importance"]
         np.testing.assert_array_equal(q2e, q2l)
         for name, value in eager.header.state_dict().items():
             np.testing.assert_array_equal(value, lazy.header.state_dict()[name])
@@ -183,8 +184,8 @@ class TestEvictionParity:
         for _round in range(3):
             for eager_twin, lazy_twin in zip(live, lazy):
                 np.testing.assert_array_equal(
-                    eager_twin.importance_round()[0].payload["importance"],
-                    lazy_twin.importance_round()[0].payload["importance"],
+                    importance_round(eager_twin).payload["importance"],
+                    importance_round(lazy_twin).payload["importance"],
                 )
         assert store.hydrations == 6 and store.evictions == 5
 
@@ -210,8 +211,8 @@ class TestEvictionParity:
         while its always-live twin, which does cache, agrees bit for bit."""
         eager, lazy, store, network, data, payload = twins
         for _round in range(2):
-            up_eager = eager.importance_round(include_feature_sample=True)[0]
-            up_lazy = lazy.importance_round(include_feature_sample=True)[0]
+            up_eager = importance_round(eager, include_feature_sample=True)
+            up_lazy = importance_round(lazy, include_feature_sample=True)
             np.testing.assert_array_equal(
                 up_eager.payload["importance"], up_lazy.payload["importance"]
             )

@@ -121,6 +121,13 @@ def _parameter_gradient_check(module, forward, params, atol, rtol) -> None:
         np.testing.assert_allclose(expected, numeric, atol=atol, rtol=rtol)
 
 
+def importance_round(device, **kwargs):
+    """One device's local importance round — the group of one of
+    ``DeviceNode.importance_rounds`` — as its single upload message."""
+    (message,) = type(device).importance_rounds([device], **kwargs)
+    return message
+
+
 def assert_same_run(reference, other) -> None:
     """Two ``ACMERunResult``s are the same run: accuracies, losses,
     ``(width, depth)``, kind sequences, ledger bytes and fault counters.

@@ -6,12 +6,16 @@ computation graph per round (stacked logits, per-member block-diagonal
 loss masking, one fused fleet-optimizer step), and a single device
 (:func:`repro.train.trainer.train_header`,
 :func:`repro.core.header_importance.compute_importance_set`) is its
-one-member case.  These tests assert the float64 bit-for-bit contract
-against the textbook loops in ``tests/reference/train.py`` — code that
-is not the code under test — and against the one-member calls, across
-heterogeneous batch counts, epochs, empty datasets and partial-round
-schedules, plus the segmented-loss and fleet-optimizer primitives.
+one-member case.  These tests hold a fleet of N bit for bit to the
+one-member calls at the engine's default dtype (float32, what production
+runs) and, under float64, to the textbook loops in
+``tests/reference/train.py`` — code that is not the code under test —
+across heterogeneous batch counts, epochs, empty datasets and
+partial-round schedules, plus the segmented-loss and fleet-optimizer
+primitives.
 """
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -35,21 +39,36 @@ VIT = ViTConfig(num_classes=6, depth=1, embed_dim=16, num_heads=4, image_size=16
 SPEC = HeaderSpec.from_sequence([0, 1, 0, 2, 1, 2, 2, 0])
 
 
-@pytest.fixture(autouse=True)
-def float64_engine():
-    """The bit-for-bit contract is float64's: the textbook Adam's Python
-    scalars round differently from the fused kernels' under float32."""
-    with using_dtype("float64"):
-        yield
-
-
 @pytest.fixture(scope="module")
 def backbone():
     from tests.helpers import reset_engine_state
 
     reset_engine_state()
+    return VisionTransformer(VIT, seed=0)
+
+
+def _train_one_member(backbone, header, dataset, config):
+    return train_header(backbone, header, dataset, config=config, freeze_backbone=True)
+
+
+@pytest.fixture(scope="module")
+def sides(backbone):
+    """The per-device right-hand sides a fleet of N is held to, each
+    ``(dtype scope, backbone, train, score)``: N fleets of one at the
+    engine's default dtype, and the textbook loops under float64 —
+    ``ReferenceAdam``'s Python scalars round differently from the fused
+    kernels' under float32, so only that comparison needs the scope."""
     with using_dtype("float64"):
-        return VisionTransformer(VIT, seed=0)
+        backbone64 = VisionTransformer(VIT, seed=0)
+    return [
+        (nullcontext, backbone, _train_one_member, compute_importance_set),
+        (
+            lambda: using_dtype("float64"),
+            backbone64,
+            reference_train_header,
+            reference_importance_set,
+        ),
+    ]
 
 
 def _datasets(sizes, seed0=10):
@@ -86,81 +105,75 @@ def _assert_headers_equal(serial_headers, fleet_headers):
             np.testing.assert_array_equal(a.data, b.data, err_msg=name)
 
 
-def _per_device_training(backbone, build, datasets, configs):
-    """Both per-device right-hand sides: ``(headers, reports)`` of the
-    textbook loop and of N fleets of one."""
-    for train in (
-        reference_train_header,
-        lambda b, h, d, config: train_header(b, h, d, config=config, freeze_backbone=True),
-    ):
-        headers = build()
-        yield headers, [
-            train(backbone, h, d, config=c) for h, d, c in zip(headers, datasets, configs)
-        ]
+def _assert_training_parity(sides, build, datasets, configs):
+    """On every side, ``build()``'s headers trained as one fleet equal
+    ``build()``'s trained one device at a time: every epoch loss and
+    accuracy, every final weight.  Returns the last fleet's reports."""
+    for scope, backbone, train, _score in sides:
+        with scope():
+            fleet = build()
+            reports_fleet = train_headers_fleet(backbone, fleet, datasets, configs)
+            serial = build()
+            reports_serial = [
+                train(backbone, h, d, config=c)
+                for h, d, c in zip(serial, datasets, configs)
+            ]
+        for rs, rf in zip(reports_serial, reports_fleet):
+            # array_equal: an empty member's losses are nan on both sides.
+            np.testing.assert_array_equal(rs.epoch_losses, rf.epoch_losses)
+            assert rs.epoch_accuracies == rf.epoch_accuracies
+        _assert_headers_equal(serial, fleet)
+    return reports_fleet
 
 
-def _per_device_importance(backbone, sides, datasets, configs):
-    """One round of both right-hand sides over their own header lists
-    ``sides``: the textbook loop and N fleets of one."""
-    for headers, score in zip(sides, (reference_importance_set, compute_importance_set)):
-        yield headers, [
-            score(backbone, h, d, config=c) for h, d, c in zip(headers, datasets, configs)
-        ]
+def _assert_importance_parity(sides, build, datasets, configs, rounds=1):
+    """On every side, ``rounds`` back-to-back importance rounds of one
+    fleet equal the per-device rounds: every set, every header weight."""
+    for scope, backbone, _train, score in sides:
+        with scope():
+            fleet, serial = build(), build()
+            for _round in range(rounds):
+                sets_fleet = fleet_importance_rounds(backbone, fleet, datasets, configs)
+                sets_serial = [
+                    score(backbone, h, d, config=c)
+                    for h, d, c in zip(serial, datasets, configs)
+                ]
+                for a, b in zip(sets_serial, sets_fleet):
+                    np.testing.assert_array_equal(a, b)
+                _assert_headers_equal(serial, fleet)
 
 
 class TestTrainFleetParity:
-    def test_heterogeneous_batch_counts_bit_for_bit(self, backbone):
+    def test_heterogeneous_batch_counts_bit_for_bit(self, sides):
         """Members with different dataset sizes (and so different batch
         counts per epoch) drop out of late rounds; every trace must still
         match the serial loop exactly."""
         datasets = _datasets([4, 7, 3])
         configs = [TrainConfig(epochs=2, batch_size=8, seed=7 + i) for i in range(3)]
-        fleet = _dag_headers(3)
-        reports_fleet = train_headers_fleet(backbone, fleet, datasets, configs)
-        for serial, reports_serial in _per_device_training(
-            backbone, lambda: _dag_headers(3), datasets, configs
-        ):
-            for rs, rf in zip(reports_serial, reports_fleet):
-                assert rs.epoch_losses == rf.epoch_losses
-                assert rs.epoch_accuracies == rf.epoch_accuracies
-            _assert_headers_equal(serial, fleet)
+        _assert_training_parity(sides, lambda: _dag_headers(3), datasets, configs)
 
-    def test_heterogeneous_epochs_and_batch_caps(self, backbone):
+    def test_heterogeneous_epochs_and_batch_caps(self, sides):
         datasets = _datasets([5, 5, 5], seed0=20)
         configs = [
             TrainConfig(epochs=1, batch_size=8, seed=1),
             TrainConfig(epochs=3, batch_size=4, seed=2, max_batches_per_epoch=2),
             TrainConfig(epochs=2, batch_size=16, seed=3),
         ]
-        fleet = _mlp_headers(3)
-        reports_fleet = train_headers_fleet(backbone, fleet, datasets, configs)
-        for serial, reports_serial in _per_device_training(
-            backbone, lambda: _mlp_headers(3), datasets, configs
-        ):
-            for rs, rf in zip(reports_serial, reports_fleet):
-                assert rs.epoch_losses == rf.epoch_losses
-                assert rs.epoch_accuracies == rf.epoch_accuracies
-            _assert_headers_equal(serial, fleet)
+        _assert_training_parity(sides, lambda: _mlp_headers(3), datasets, configs)
 
-    def test_empty_dataset_member(self, backbone):
+    def test_empty_dataset_member(self, sides):
         """An empty member records nan losses / zero accuracy for every
         epoch, never steps, and leaves the other members' traces
         untouched — matching the serial loop member by member."""
         datasets = _datasets([4, 0, 3], seed0=30)
         configs = [TrainConfig(epochs=2, batch_size=8, seed=5 + i) for i in range(3)]
-        fleet = _mlp_headers(3, seed0=90)
-        reports_fleet = train_headers_fleet(backbone, fleet, datasets, configs)
-        for serial, reports_serial in _per_device_training(
-            backbone, lambda: _mlp_headers(3, seed0=90), datasets, configs
-        ):
-            for rs, rf in zip(reports_serial, reports_fleet):
-                np.testing.assert_array_equal(rs.epoch_losses, rf.epoch_losses)
-                assert rs.epoch_accuracies == rf.epoch_accuracies
-            _assert_headers_equal(serial, fleet)
+        reports_fleet = _assert_training_parity(
+            sides, lambda: _mlp_headers(3, seed0=90), datasets, configs
+        )
         assert all(np.isnan(reports_fleet[1].epoch_losses))
         assert reports_fleet[1].epoch_accuracies == [0.0, 0.0]
 
-    def test_stochastic_header_falls_back_to_serial(self, backbone):
+    def test_stochastic_header_falls_back_to_serial(self, backbone, sides):
         """Not ``fleet_supported``: the group runs as consecutive fleets
         of one through the same loop."""
         datasets = _datasets([4, 4], seed0=40)
@@ -172,14 +185,7 @@ class TestTrainFleetParity:
 
         assert not fleet_supported(backbone, build())
         configs = [TrainConfig(epochs=1, batch_size=8, seed=i) for i in range(2)]
-        fleet = build()
-        reports_fleet = train_headers_fleet(backbone, fleet, datasets, configs)
-        for serial, reports_serial in _per_device_training(
-            backbone, build, datasets, configs
-        ):
-            for rs, rf in zip(reports_serial, reports_fleet):
-                assert rs.epoch_losses == rf.epoch_losses
-            _assert_headers_equal(serial, fleet)
+        _assert_training_parity(sides, build, datasets, configs)
 
     def test_length_mismatch_raises(self, backbone):
         with pytest.raises(ValueError, match="headers"):
@@ -187,34 +193,21 @@ class TestTrainFleetParity:
 
 
 class TestImportanceFleetParity:
-    def test_importance_sets_bit_for_bit(self, backbone):
+    def test_importance_sets_bit_for_bit(self, sides):
         datasets = _datasets([4, 6, 3], seed0=60)
         configs = [ImportanceConfig(seed=3 + i) for i in range(3)]
-        sides = [_dag_headers(3, seed0=130) for _ in range(2)]
-        fleet = _dag_headers(3, seed0=130)
-        sets_fleet = fleet_importance_rounds(backbone, fleet, datasets, configs)
-        for serial, sets_serial in _per_device_importance(
-            backbone, sides, datasets, configs
-        ):
-            for a, b in zip(sets_serial, sets_fleet):
-                np.testing.assert_array_equal(a, b)
-            _assert_headers_equal(serial, fleet)
+        _assert_importance_parity(
+            sides, lambda: _dag_headers(3, seed0=130), datasets, configs
+        )
 
-    def test_second_round_continues_from_trained_state(self, backbone):
+    def test_second_round_continues_from_trained_state(self, sides):
         """Aggregation runs several importance rounds back to back; each
         fleet round must continue bit-for-bit from the previous one."""
         datasets = _datasets([4, 5], seed0=65)
         configs = [ImportanceConfig(seed=1 + i) for i in range(2)]
-        sides = [_dag_headers(2, seed0=140) for _ in range(2)]
-        fleet = _dag_headers(2, seed0=140)
-        for _round in range(2):
-            sets_fleet = fleet_importance_rounds(backbone, fleet, datasets, configs)
-            for serial, sets_serial in _per_device_importance(
-                backbone, sides, datasets, configs
-            ):
-                for a, b in zip(sets_serial, sets_fleet):
-                    np.testing.assert_array_equal(a, b)
-                _assert_headers_equal(serial, fleet)
+        _assert_importance_parity(
+            sides, lambda: _dag_headers(2, seed0=140), datasets, configs, rounds=2
+        )
 
     def test_empty_dataset_raises_like_serial(self, backbone):
         datasets = _datasets([4, 0], seed0=68)
