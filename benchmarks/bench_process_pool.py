@@ -16,8 +16,7 @@ Two comparisons, recorded into the ``BENCH_perf.json`` trajectory
   cross-edge and cluster-finalize benches pin), keeping the 1.5×
   floor replayable everywhere.  Either way the process-backend results
   are asserted **bit-for-bit identical** to the serial loop under
-  float64 — parameters shared over ``multiprocessing.shared_memory``
-  included.
+  float64 — header parameters returned in the result frames included.
 
 * ``fused_step_cache_blocked`` — the cache-blocked fused Adam sweep
   (PR 9: ``repro.nn.optim._FUSED_BLOCK_ELEMS``-element chunks keep one
@@ -126,8 +125,8 @@ def bench_process_pool_importance(smoke: bool):
         serial_total = sum(durations)
 
         # The process backend must reproduce the serial sets exactly —
-        # results travel back over the wire codec, header parameters
-        # over shared memory.
+        # results and header parameters both travel back in the
+        # wire-codec result frames.
         threads = ExecutionPlan(device_workers=WORKERS)
         processes = ExecutionPlan(device_workers=WORKERS, backend="process")
         process_items, process_shared = make_items()

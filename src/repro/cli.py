@@ -152,10 +152,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="ExecutionPlan.device_workers: width of the fan-outs inside "
-        "an edge — per-device importance rounds and finalize/eval, NAS "
-        "child scoring (1 = serial: an edge's headers train together in "
-        "one stacked graph; -1 = all CPU cores); any value reproduces "
-        "the serial results exactly",
+        "an edge — local header training, per-device eval, NAS child "
+        "scoring (an edge's headers train in that many stacked groups, "
+        "one per worker; 1 = serial, -1 = all CPU cores); any value "
+        "reproduces the serial results exactly",
     )
     run.add_argument(
         "--edge-workers",
@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="ExecutionPlan.backend: executor backend of the --workers "
         "tier, 'thread' or 'process'.  'thread' overlaps the "
         "GIL-releasing numpy kernels; 'process' forks a "
-        "worker pool with device headers mapped over shared memory, so "
+        "worker pool that returns the device headers it trained, so "
         "the tape-bound phases (importance rounds, NAS child scoring) "
         "scale past the GIL.  Either backend reproduces the serial "
         "results bit for bit",

@@ -261,7 +261,7 @@ def personalized_architecture_aggregation(
         (``None`` = serial).  Per-device work is state-disjoint and
         results stay in device order, so any width reproduces the serial
         result; under the process backend each round's header mutations
-        are written through shared memory — still bit-identical.
+        come home in the workers' result frames — still bit-identical.
     """
     from repro.distributed.executor import ExecutionPlan  # lazy: avoids import cycle
 

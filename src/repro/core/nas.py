@@ -271,7 +271,7 @@ class HeaderSearch:
         on the plan's inner tier with rewards returned in spec order — so
         any width and either backend reproduces the serial loop exactly
         (scoring reads shared state and writes none that outlives the
-        task, so forked workers need no shared-memory arena).  Scoring
+        task, so forked workers send nothing home but the reward).  Scoring
         drops to serial if a forward through the shared backbone or pool
         would consume module-local RNG (training-mode dropout), since
         concurrent draws from one generator are neither deterministic

@@ -3,7 +3,6 @@
 from repro.data.dataset import ArrayDataset, DataLoader, merge
 from repro.data.partition import (
     ConfusionLevel,
-    partition_by_classes,
     partition_confusion,
     partition_dirichlet,
     partition_iid,
@@ -29,7 +28,6 @@ __all__ = [
     "make_cifar100_like",
     "make_stanford_cars_like",
     "merge",
-    "partition_by_classes",
     "partition_confusion",
     "partition_dirichlet",
     "partition_iid",

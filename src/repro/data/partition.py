@@ -55,49 +55,6 @@ def partition_iid(
     ]
 
 
-# reprolint: unreached -- deferred deletion (no paper anchor): goes with
-# test_partition.py::TestByClasses (3 tests)
-def partition_by_classes(
-    dataset: ArrayDataset,
-    num_devices: int,
-    classes_per_device: int,
-    rng: np.random.Generator,
-) -> List[ArrayDataset]:
-    """Each device receives samples from a random subset of classes.
-
-    Classes may be shared between devices; every sample of a chosen class
-    held by no other device is assigned to its sole holder, and shared
-    classes split their samples evenly among holders.
-    """
-    _validate(dataset, num_devices)
-    num_classes = dataset.num_classes
-    if not 1 <= classes_per_device <= num_classes:
-        raise ValueError(
-            f"classes_per_device must be in [1, {num_classes}], got {classes_per_device}"
-        )
-
-    assignments = [
-        rng.choice(num_classes, size=classes_per_device, replace=False)
-        for _ in range(num_devices)
-    ]
-    holders: dict = {}
-    for device, classes in enumerate(assignments):
-        for cls in classes:
-            holders.setdefault(int(cls), []).append(device)
-
-    device_indices: List[List[int]] = [[] for _ in range(num_devices)]
-    for cls, devices in holders.items():
-        cls_indices = np.flatnonzero(dataset.labels == cls)
-        cls_indices = rng.permutation(cls_indices)
-        for i, chunk in enumerate(np.array_split(cls_indices, len(devices))):
-            device_indices[devices[i]].extend(chunk.tolist())
-
-    return [
-        dataset.subset(np.array(sorted(idx), dtype=np.int64), name=f"{dataset.name}/device{i}")
-        for i, idx in enumerate(device_indices)
-    ]
-
-
 def partition_dirichlet(
     dataset: ArrayDataset,
     num_devices: int,

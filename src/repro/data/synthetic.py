@@ -23,13 +23,17 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from repro.data.dataset import ArrayDataset
 
 
 def _smooth(field: np.ndarray, sigma: float) -> np.ndarray:
     """Low-pass filter a random field to create image-like structure."""
+    # Imported at the first blur, not with the package: ``scipy.ndimage``
+    # is half of ``import repro.distributed``'s wall time and only a
+    # prototype build needs it (a missing scipy still fails loudly here).
+    from scipy.ndimage import gaussian_filter
+
     return gaussian_filter(field, sigma=sigma, mode="wrap")
 
 

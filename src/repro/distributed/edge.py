@@ -537,27 +537,32 @@ class EdgeServer:
         """Partition ``devices`` for a local update (importance round,
         fine-tune): who trains in one stacked graph together.
 
-        One group when the inner tier is serial and the devices are
-        batchable: at least two always-live devices of one class whose
-        frozen backbones are value-identical and whose forwards draw no
-        module-local RNG — a group is trained by its class's group
-        method (:meth:`DeviceNode.importance_rounds`) against its first
-        member's backbone instance.  Singletons otherwise: a plan
-        that asks for inner-tier width gets the fan-out, and a lazy
+        Batchable devices — at least two always-live devices of one
+        class whose frozen backbones are value-identical and whose
+        forwards draw no module-local RNG — are chunked into as many
+        contiguous groups as the plan's inner tier has workers, one
+        stacked graph per worker; the serial plan is the one-group case.
+        A group is trained by its class's group method
+        (:meth:`DeviceNode.importance_rounds`) against its first
+        member's backbone instance.  Singletons otherwise: a lazy
         cluster's LRU could evict a member (snapshotting stale values)
         while its group's graph still holds the header.  Pass
         ``backbones_equal`` when the caller already ran the
         :func:`~repro.train.serving.backbones_equivalent` sweep — it is
         O(cluster × backbone params) and worth not repeating.
         """
+        singletons = [[d] for d in devices]
+        if len(devices) < 2:
+            return singletons
+        width = resolve_workers(self.plan.device_workers, num_tasks=len(devices))
+        size = -(-len(devices) // width)
+        groups = [list(devices[i : i + size]) for i in range(0, len(devices), size)]
         if (
-            len(devices) > 1
-            and resolve_workers(self.plan.device_workers) == 1
-            and len({type(d) for d in devices}) == 1
+            len({type(d) for d in devices}) == 1
             and all(d.state_store is None and d.header is not None for d in devices)
             and not any(
                 has_active_stochastic_modules(m)
-                for m in (devices[0].backbone, *(d.header for d in devices))
+                for m in [g[0].backbone for g in groups] + [d.header for d in devices]
             )
             and (
                 serving.backbones_equivalent([d.backbone for d in devices])
@@ -565,8 +570,8 @@ class EdgeServer:
                 else backbones_equal
             )
         ):
-            return [list(devices)]
-        return [[d] for d in devices]
+            return groups
+        return singletons
 
     def _local_updates(
         self,
@@ -577,10 +582,10 @@ class EdgeServer:
         """``update(group)`` for each of :meth:`_local_groups`, in order.
 
         A group's update mutates exactly its own devices' header
-        parameters, so those are what the process backend maps into
-        shared memory; every other mutation (prune masks, the network
-        ledger) happens in the parent.  Workers that share the parent
-        heap need nothing.
+        parameters, so those are what a forked worker ships home
+        (``shared_params``); every other mutation (prune masks, the
+        network ledger) happens in the parent.  Workers that share the
+        parent heap need nothing.
         """
         groups = self._local_groups(devices, backbones_equal)
         self._warm_frozen_features(devices)
@@ -682,7 +687,7 @@ class EdgeServer:
                 [d.header for d in devices],
                 [d.eval_dataset() for d in devices],
             )
-        # Evaluation is read-only — no write-through state to share.
+        # Evaluation is read-only — no state to bring home.
         return self._fan_out_plan(devices).map_devices(
             lambda device: device.evaluate(), devices
         )

@@ -28,8 +28,8 @@ numpy kernels (BLAS matmuls, ufuncs, sorts) — the right fit for
 inference-heavy fan-outs.  ``backend="process"`` forks a worker pool
 (:mod:`repro.distributed.procpool`) so the *tape-bound* phases, whose
 Python-level autograd bookkeeping holds the GIL, scale past it; the
-caller can designate per-item tensors to share write-through via
-``shared_params`` (mapped zero-copy over ``multiprocessing.shared_memory``).
+caller names the tensors each item's task mutates via ``shared_params``
+and their final values come home in the item's result frame.
 Both backends produce bit-for-bit the results of the serial loop; on a
 single-core host they degrade gracefully to roughly serial wall-clock
 with identical results.  ``backend="process"`` silently downgrades to
@@ -42,9 +42,9 @@ backend a system run uses is declared once, on an
 width, the inner tier's backend): the config holds one, its worker
 budget is split once where clusters are built, and every layer that
 fans out is handed the plan and calls ``plan.map_edges`` /
-``plan.map_devices`` instead of re-declaring the knobs.  A serial inner
-tier is also what lets an edge train a whole cluster's headers in one
-stacked graph (:meth:`repro.distributed.edge.EdgeServer._local_groups`).
+``plan.map_devices`` instead of re-declaring the knobs.  The inner width
+is also how many stacked graphs an edge splits a cluster's header
+training into (:meth:`repro.distributed.edge.EdgeServer._local_groups`).
 """
 
 from __future__ import annotations
@@ -138,10 +138,11 @@ def parallel_map(
     (:mod:`repro.distributed.procpool`): tasks whose bottleneck is
     Python-level autograd bookkeeping scale past the GIL, at the price
     of a fork per pool.  ``shared_params`` (aligned with ``items``)
-    names the tensors each task mutates; they are mapped write-through
-    into the workers over ``multiprocessing.shared_memory`` and
-    restored to private heap arrays after the join.  Thread and serial
-    backends ignore ``shared_params`` — threads share memory natively.
+    names the tensors each task mutates: a worker trains its forked
+    copy, ships their final ``data`` / ``grad`` home in the item's
+    result frame, and the parent copies them into the arrays it already
+    holds (no tensor is rebound).  Thread and serial backends ignore
+    ``shared_params`` — threads share memory natively.
     A worker crash raises :class:`ExecutorError`; task exceptions
     re-raise as themselves, like the thread backend.
     """
@@ -195,15 +196,15 @@ class ExecutionPlan:
     #: thread-backed — edge pipelines mutate the fabric, which lives in
     #: the parent.  ``None``/0/1 = serial; -1/"auto" = host CPU count.
     edge_workers: WorkerSpec = None
-    #: Width of the fan-outs inside an edge: per-device importance
-    #: rounds and finalize/eval, and NAS child scoring.  Same spec rules.
-    #: Serial (the default), an edge trains its devices' headers
-    #: together — one graph and one fused optimizer step per mini-batch
-    #: round — instead of one after another.
+    #: Width of the fan-outs inside an edge — local header training
+    #: (importance rounds, the finale's fine-tune), per-device eval and
+    #: NAS child scoring — and nothing else.  Same spec rules.  A
+    #: cluster's batchable devices train in that many stacked groups,
+    #: one per worker; serial (the default) is the one-group case.
     device_workers: WorkerSpec = None
     #: Backend of that inner tier: ``"thread"`` overlaps the
     #: GIL-releasing numpy kernels; ``"process"`` forks workers that
-    #: mutate device headers through shared-memory mappings
+    #: train copies of the device headers and return what they changed
     #: (:mod:`repro.distributed.procpool`) so the tape-bound phases
     #: scale past the GIL.
     backend: str = "thread"
@@ -223,8 +224,8 @@ class ExecutionPlan:
     def workers_share_heap(self) -> bool:
         """Whether inner-tier workers mutate the parent's arrays directly.
 
-        False for forked workers: what a task writes must be mapped
-        write-through (``shared_params``) or travel back in its result.
+        False for forked workers: what a task writes must be named in
+        ``shared_params`` or returned, or it dies with the worker.
         """
         return self.backend != "process"
 
@@ -271,7 +272,8 @@ class ExecutionPlan:
         serial_if_stochastic: Sequence[object] = (),
         shared_params: Optional[Sequence[Sequence[object]]] = None,
     ) -> List[R]:
-        """:func:`parallel_map` across the inner tier, on its backend."""
+        """:func:`parallel_map` across the inner tier, on its backend
+        (``shared_params``: the tensors each item's task mutates)."""
         return parallel_map(
             fn,
             items,

@@ -7,28 +7,18 @@ bookkeeping that holds the GIL, so thread fan-outs cap out well below
 core count exactly where the protocol spends its time.  This module
 runs the same fan-out across **forked worker processes**, preserving
 the executor's contract (deterministic input-order results, engine
-contextvar propagation, exception transparency) and adding the two
-pieces a process boundary needs:
-
-* **a shared-memory arena** (:class:`SharedParamArena`): designated
-  mutable tensors — in practice each device's header parameters, which
-  the fused optimizers already keep in contiguous per-dtype flat
-  buffers — are migrated into one ``multiprocessing.shared_memory``
-  segment per dtype *before* the fork.  ``Tensor.data`` is rebound to a
-  zero-copy view of the segment, so the forked workers inherit
-  write-through mappings of exactly the state their tasks mutate.  A
-  task that rebinds ``p.data`` off the view mid-flight (a fresh fused
-  optimizer building its own flat heap buffer does exactly that) is
-  reconciled by an explicit per-item write-back sweep.  After the join
-  the parent copies the final values back to private heap arrays,
-  restores grads, notifies live optimizers through the PR 5 rebind
-  machinery, and unlinks the segments — no ``/dev/shm`` entry survives
-  any exit path.
-
-* **wire-codec task transport**: results cross the pipe as
-  ``distributed/wire.py`` payloads (the compact tagged binary codec the
-  TCP transport uses, bit-exact for numpy arrays) instead of pickle,
-  falling back to pickle only for values the codec does not know.
+contextvar propagation, exception transparency) and adding the one
+piece a process boundary needs — **a result frame**: each item comes
+home as one ``distributed/wire.py`` payload (the compact tagged binary
+codec the TCP transport uses, bit-exact for numpy arrays; pickle only
+for values the codec does not know) carrying ``(index, result, [(p.data,
+p.grad), …])`` — the task's return value plus the final arrays of the
+tensors the caller designated as mutated by that item (``shared_params``;
+in practice one device group's header parameters, a few KB).  After the
+join the parent copies those arrays **into** its own ``p.data`` /
+``p.grad``, so parent-side array identity is stable across a fan-out:
+live optimizers and outside aliases never see a rebind, and no OS
+object exists that a killed worker could strand.
 
 Fork is the consistency point: with the ``"fork"`` start method the
 workers inherit the caller's live objects (closures, datasets, modules)
@@ -41,9 +31,9 @@ cannot observe each other's engine-state mutations.
 A worker that dies mid-task (segfault, OOM kill, SIGKILL) surfaces as a
 clean :class:`ExecutorError` — never a hang: the parent treats EOF on a
 result pipe before the worker's done-marker as a crash, reaps the whole
-pool (terminate → kill → join), and demotes/unlinks the arena on the
-way out.  Workers exit through ``os._exit`` so a forked child never
-runs the parent's atexit machinery.
+pool (terminate → kill → join) and writes no parameter — the returned
+arrays are applied only once every item is home.  Workers exit through
+``os._exit`` so a forked child never runs the parent's atexit machinery.
 """
 
 from __future__ import annotations
@@ -51,17 +41,14 @@ from __future__ import annotations
 import contextvars
 import os
 import pickle
-import threading
 import traceback
 from multiprocessing import connection, get_context
-from multiprocessing import shared_memory
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "ExecutorError",
-    "SharedParamArena",
     "fork_available",
     "in_worker",
     "process_map",
@@ -91,8 +78,8 @@ def in_worker() -> bool:
 def fork_available() -> bool:
     """Whether the ``fork`` start method exists (POSIX only).
 
-    Without it the zero-copy design (COW closures, inherited shm
-    mappings, inherited contextvars) does not hold, so ``parallel_map``
+    Without it the inherit-everything design (COW closures, live
+    tensors, contextvars) does not hold, so ``parallel_map``
     silently falls back to the thread backend.
     """
     try:
@@ -127,143 +114,6 @@ def _reinit_locks_after_fork() -> None:
     registry.reinit_locks_after_fork()
 
 
-class _ParamRecord:
-    """One tensor's slot in the arena: views + the grad-presence flag index."""
-
-    __slots__ = ("param", "data_view", "grad_view", "flag_index", "flags")
-
-    def __init__(self, param, data_view, grad_view, flag_index, flags) -> None:
-        self.param = param
-        self.data_view = data_view
-        self.grad_view = grad_view
-        self.flag_index = flag_index
-        self.flags = flags
-
-
-class SharedParamArena:
-    """Write-through shared-memory mapping for designated tensors.
-
-    ``param_lists`` is aligned with the executor's ``items``: entry *i*
-    names the tensors item *i*'s task mutates (typically one device's
-    header parameters).  Layout mirrors the fused optimizers' flat
-    groups — one segment per dtype holding ``[data | grad | flags]``
-    with every parameter's span contiguous — which is exactly the shape
-    ``multiprocessing.shared_memory`` maps zero-copy.
-
-    Lifecycle: the parent constructs the arena (promoting ``p.data`` to
-    segment views), forks, workers call :meth:`writeback` after each of
-    their items, and the parent calls :meth:`demote` exactly once in a
-    ``finally`` — restoring heap-backed data/grad arrays, notifying
-    live optimizers via :func:`repro.nn.optim.notify_params_rebound`,
-    and closing **and unlinking** every segment.
-    """
-
-    def __init__(self, param_lists: Sequence[Sequence[object]]) -> None:
-        param_lists = [list(params) for params in param_lists]
-        self._records: Dict[int, _ParamRecord] = {}
-        self._by_item: List[List[_ParamRecord]] = []
-        self._segments: List[shared_memory.SharedMemory] = []
-        self._demoted = False
-
-        unique: List[object] = []
-        for params in param_lists:
-            for p in params:
-                if id(p) not in self._records:
-                    self._records[id(p)] = None  # placeholder, ordered
-                    unique.append(p)
-
-        by_dtype: Dict[np.dtype, List[object]] = {}
-        for p in unique:
-            by_dtype.setdefault(p.data.dtype, []).append(p)
-
-        for dtype, params in by_dtype.items():
-            itemsize = np.dtype(dtype).itemsize
-            total = sum(int(p.data.size) for p in params)
-            nbytes = 2 * total * itemsize + len(params)
-            shm = shared_memory.SharedMemory(create=True, size=max(1, nbytes))
-            self._segments.append(shm)
-            flags = np.ndarray((len(params),), dtype=np.uint8, buffer=shm.buf,
-                               offset=2 * total * itemsize)
-            offset = 0
-            for k, p in enumerate(params):
-                shape = p.data.shape
-                data_view = np.ndarray(shape, dtype=dtype, buffer=shm.buf,
-                                       offset=offset * itemsize)
-                grad_view = np.ndarray(shape, dtype=dtype, buffer=shm.buf,
-                                       offset=(total + offset) * itemsize)
-                np.copyto(data_view, p.data)
-                if p.grad is not None:
-                    np.copyto(grad_view, p.grad)
-                    flags[k] = 1
-                else:
-                    flags[k] = 0
-                p.data = data_view
-                self._records[id(p)] = _ParamRecord(p, data_view, grad_view, k, flags)
-                offset += int(p.data.size)
-
-        for params in param_lists:
-            self._by_item.append([self._records[id(p)] for p in params])
-
-    # ------------------------------------------------------------------
-    def writeback(self, item_index: int) -> None:
-        """Worker side: flush item *i*'s final param values into the segment.
-
-        A no-op for tensors still bound to their views (writes already
-        went through); tensors a task rebound (fused optimizers build
-        their own flat heap buffers) are copied back explicitly.
-        """
-        for rec in self._by_item[item_index]:
-            p = rec.param
-            if p.data is not rec.data_view:
-                if p.data.shape != rec.data_view.shape:
-                    raise ExecutorError(
-                        f"shared param changed shape {rec.data_view.shape} -> "
-                        f"{p.data.shape} inside a process worker"
-                    )
-                np.copyto(rec.data_view, p.data)
-            if p.grad is None:
-                rec.flags[rec.flag_index] = 0
-            else:
-                if p.grad is not rec.grad_view:
-                    np.copyto(rec.grad_view, p.grad)
-                rec.flags[rec.flag_index] = 1
-
-    # ------------------------------------------------------------------
-    def demote(self) -> None:
-        """Parent side: restore private heap arrays and unlink every segment.
-
-        Idempotent.  Runs on success *and* error paths so no
-        ``/dev/shm`` entry can outlive the fan-out.
-        """
-        if self._demoted:
-            return
-        self._demoted = True
-        rebound: Dict[np.dtype, list] = {}
-        for rec in self._records.values():
-            p = rec.param
-            heap = np.array(rec.data_view, copy=True)
-            p.data = heap
-            if rec.flags[rec.flag_index]:
-                p.grad = np.array(rec.grad_view, copy=True)
-            else:
-                p.grad = None
-            rebound.setdefault(heap.dtype, []).append(p)
-        for shm in self._segments:
-            try:
-                shm.close()
-            finally:
-                try:
-                    shm.unlink()
-                except FileNotFoundError:  # pragma: no cover - defensive
-                    pass
-        self._segments = []
-        if rebound:
-            from repro.nn.optim import notify_params_rebound
-
-            for dtype, params in rebound.items():
-                notify_params_rebound(params, dtype)
-
-
 # ----------------------------------------------------------------------
 # Result transport: wire codec first, pickle fallback.
 # ----------------------------------------------------------------------
@@ -273,15 +123,17 @@ _TAG_ERROR = b"E"
 _TAG_DONE = b"D"
 
 
-def _encode_result(index: int, result) -> bytes:
+def _encode_result(index: int, result, params: Sequence) -> bytes:
+    """Item ``index``'s frame: its result and the arrays of ``params`` now."""
     from repro.distributed import wire
 
+    frame = (index, result, [(p.data, p.grad) for p in params])
     try:
-        return _TAG_WIRE + wire.encode_value((index, result))
+        return _TAG_WIRE + wire.encode_value(frame)
     # reprolint: broad-except -- codec fallback boundary: any wire-codec rejection
     # (unsupported type, nested container, size limit) downgrades to pickle
     except Exception:
-        return _TAG_PICKLE + pickle.dumps((index, result))
+        return _TAG_PICKLE + pickle.dumps(frame)
 
 
 def _encode_error(index: int, exc: BaseException) -> bytes:
@@ -318,7 +170,7 @@ def _worker_main(
     fn: Callable,
     items: Sequence,
     conn,
-    arena: Optional[SharedParamArena],
+    shared_params: Optional[Sequence[Sequence[object]]],
 ) -> None:
     global _IN_WORKER
     _IN_WORKER = True
@@ -330,8 +182,6 @@ def _worker_main(
                 # backend: the fork already carried the caller's context
                 # here, and per-task copies keep tasks isolated.
                 result = contextvars.copy_context().run(fn, items[index])
-                if arena is not None:
-                    arena.writeback(index)
             # reprolint: broad-except -- worker fault transport: every task
             # failure (including KeyboardInterrupt/SystemExit) is shipped to the
             # parent instead of killing the worker mid-batch
@@ -339,7 +189,9 @@ def _worker_main(
                 conn.send_bytes(_encode_error(index, exc))
                 continue
             try:
-                payload = _encode_result(index, result)
+                payload = _encode_result(
+                    index, result, shared_params[index] if shared_params else ()
+                )
             # reprolint: broad-except -- untransportable-result boundary: if even
             # the pickle fallback rejects the return value, report it as that
             # task's failure instead of silently killing the worker's remaining
@@ -366,9 +218,33 @@ def _worker_main(
             conn.close()
         except OSError:  # pragma: no cover - already closed by the other end
             pass
-        # Skip the parent's inherited atexit handlers / resource tracker:
-        # the child owns nothing — the parent unlinks the arena.
+        # Skip the parent's inherited atexit handlers: the child owns
+        # nothing — everything it produced went home in its frames.
         os._exit(0)
+
+
+def _apply_returned(index: int, params: Sequence, arrays: Sequence) -> None:
+    """Copy item ``index``'s returned ``(data, grad)`` arrays into ``params``.
+
+    Into the arrays the parent already holds, so nothing that aliases
+    them is rebound; checked before the first write, so an item is
+    applied whole or not at all.
+    """
+    for p, (data, _) in zip(params, arrays):
+        if (data.shape, data.dtype) != (p.data.shape, p.data.dtype):
+            raise ExecutorError(
+                f"task {index}: shared param changed shape/dtype "
+                f"{p.data.shape} {p.data.dtype} -> {data.shape} {data.dtype} "
+                "inside a process worker"
+            )
+    for p, (data, grad) in zip(params, arrays):
+        np.copyto(p.data, data)
+        held = p.grad
+        both = held is not None and grad is not None
+        if both and (held.shape, held.dtype) == (grad.shape, grad.dtype):
+            np.copyto(held, grad)
+        else:
+            p.grad = grad
 
 
 def _reap(procs: List) -> None:
@@ -404,6 +280,15 @@ def process_map(
     submission-order semantics) re-raises in the parent.  A worker that
     dies without its done-marker raises :class:`ExecutorError` after
     the pool is reaped.
+
+    ``shared_params`` (aligned with ``items``) names the tensors each
+    item's task mutates.  Nothing is mapped: the worker trains its
+    forked copy and the item's result frame carries every named
+    tensor's final ``(data, grad)`` home, where they are copied into the
+    parent's existing arrays once every item is in — a crash leaves all
+    of them untouched, a failed task leaves its own untouched, and a
+    tensor whose shape or dtype changed inside a worker is that item's
+    :class:`ExecutorError`.
     """
     if shared_params is not None and len(shared_params) != len(items):
         raise ValueError(
@@ -417,9 +302,9 @@ def process_map(
     ctx = get_context("fork")
     n = len(items)
     workers = min(workers, n)
-    arena = SharedParamArena(shared_params) if shared_params else None
 
     results: List = [None] * n
+    returned: List = [()] * n
     received = [False] * n
     errors: Dict[int, Tuple[Optional[BaseException], str]] = {}
     procs: List = []
@@ -429,7 +314,7 @@ def process_map(
             parent_conn, child_conn = ctx.Pipe(duplex=False)
             proc = ctx.Process(
                 target=_worker_main,
-                args=(w, workers, fn, items, child_conn, arena),
+                args=(w, workers, fn, items, child_conn, shared_params),
                 daemon=True,
             )
             proc.start()
@@ -441,7 +326,6 @@ def process_map(
             conns.append(parent_conn)
 
         live = {conns[w]: w for w in range(workers)}
-        done = set()
         while live:
             ready = connection.wait(list(live), timeout=1.0)
             if not ready:
@@ -465,7 +349,6 @@ def process_map(
                     ) from None
                 kind, payload = _decode_payload(data)
                 if kind == "done":
-                    done.add(w)
                     del live[conn]
                     conn.close()
                 elif kind == "error":
@@ -473,8 +356,8 @@ def process_map(
                     errors[index] = (exc, text)
                     received[index] = True
                 else:
-                    index, value = payload
-                    results[index] = value
+                    index, value, arrays = payload
+                    results[index], returned[index] = value, arrays
                     received[index] = True
 
         for proc in procs:
@@ -485,6 +368,12 @@ def process_map(
         if not all(received):
             missing = [i for i, r in enumerate(received) if not r]
             raise ExecutorError(f"process pool lost results for items {missing}")
+        for index, arrays in enumerate(returned):
+            if arrays:
+                try:
+                    _apply_returned(index, shared_params[index], arrays)
+                except ExecutorError as err:
+                    errors[index] = (err, "")
         if errors:
             index = min(errors)
             exc, text = errors[index]
@@ -501,5 +390,3 @@ def process_map(
                 conn.close()
             except OSError:  # pragma: no cover - already closed by the worker
                 pass
-        if arena is not None:
-            arena.demote()

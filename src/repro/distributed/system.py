@@ -82,8 +82,8 @@ class ACMEConfig:
     #: the ambient engine default.
     compute_dtype: Optional[str] = "float64"
     #: Where the work runs — cross-edge width, per-device / NAS-child
-    #: width, the inner tier's backend, fleet-batching: the one
-    #: declaration of execution placement
+    #: width, the inner tier's backend: the one declaration of
+    #: execution placement
     #: (:class:`~repro.distributed.executor.ExecutionPlan`).  Every plan
     #: reproduces the serial float64 run bit-for-bit, traffic ledger
     #: included (tests/distributed/test_cross_edge_parallel.py).

@@ -21,7 +21,6 @@ from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.conv import (
     AvgPool2d,
     Conv2d,
-    Downsample2d,
     GlobalAvgPool2d,
     MaxPool2d,
     clear_im2col_cache,
@@ -72,7 +71,6 @@ __all__ = [
     "Adam",
     "AvgPool2d",
     "Conv2d",
-    "Downsample2d",
     "Dropout",
     "Embedding",
     "GlobalAvgPool2d",

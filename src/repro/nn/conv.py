@@ -256,25 +256,3 @@ class GlobalAvgPool2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return x.mean(axis=(2, 3))
-
-
-# reprolint: unreached -- deferred deletion (no paper anchor): goes with
-# test_conv.py::TestDownsample (2 tests)
-class Downsample2d(Module):
-    """Strided 1×1 convolution halving the spatial resolution.
-
-    This is the "downsampling" operation in the header search space; it is
-    the standard parameterized alternative to pooling.
-    """
-
-    def __init__(
-        self,
-        channels: int,
-        stride: int = 2,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        super().__init__()
-        self.conv = Conv2d(channels, channels, kernel_size=1, stride=stride, rng=rng)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return self.conv(x)

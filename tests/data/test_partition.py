@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.data import (
     ArrayDataset,
     ConfusionLevel,
-    partition_by_classes,
     partition_confusion,
     partition_dirichlet,
     partition_iid,
@@ -53,29 +52,6 @@ class TestIID:
             partition_iid(ds, 0, np.random.default_rng(0))
         with pytest.raises(ValueError):
             partition_iid(ds, 100, np.random.default_rng(0))
-
-
-class TestByClasses:
-    def test_partition_covers_held_classes(self):
-        ds = make_dataset(60, classes=6)
-        shards = partition_by_classes(ds, 3, classes_per_device=2, rng=np.random.default_rng(1))
-        for shard in shards:
-            assert len(np.unique(shard.labels)) <= 2
-
-    def test_bounds(self):
-        ds = make_dataset()
-        with pytest.raises(ValueError):
-            partition_by_classes(ds, 2, 0, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            partition_by_classes(ds, 2, 7, np.random.default_rng(0))
-
-    def test_disjoint_samples(self):
-        ds = make_dataset(60, classes=6)
-        shards = partition_by_classes(ds, 4, 3, np.random.default_rng(2))
-        seen = []
-        for shard in shards:
-            seen.extend(img.tobytes() for img in shard.images)
-        assert len(seen) == len(set(seen))
 
 
 class TestDirichlet:

@@ -1,5 +1,10 @@
 """Tests for the synthetic CIFAR-100 / Stanford Cars stand-ins."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -113,3 +118,25 @@ class TestFineGrained:
             for j in range(i + 1, 8):
                 (within if i % groups == j % groups else across).append(sims[i, j])
         assert np.mean(within) > np.mean(across)
+
+
+class TestImportCost:
+    def test_scipy_ndimage_waits_for_the_first_blur(self):
+        """``scipy.ndimage`` (half the package's import time) loads when a
+        prototype is first built, not with ``import repro.distributed``."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        code = (
+            "import sys, repro.distributed\n"
+            "assert 'scipy.ndimage' not in sys.modules, 'imported with the package'\n"
+            "from repro.data import make_cifar100_like\n"
+            "make_cifar100_like(num_classes=2, image_size=8)\n"
+            "assert 'scipy.ndimage' in sys.modules\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 0, result.stderr

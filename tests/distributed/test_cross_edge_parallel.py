@@ -11,8 +11,7 @@ full traffic ledger.  These tests assert exactly that, plus the fabric
 semantics (shard routing, merge determinism, register/unregister), the
 :class:`ExecutionPlan` itself (validation, the worker-budget split that
 keeps nested fan-outs within the host budget) and the plan checked as a
-**product**: every cell of widths × backend × fleet-batching equals the
-serial run.
+**product**: every cell of widths × backend equals the serial run.
 """
 
 import dataclasses
@@ -148,6 +147,20 @@ class TestPlanProduct:
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         system = ACMESystem(_fleet_config(execution=plan))
         assert_same_run(serial_and_parallel_runs[0], system.run())
+
+    def test_batched_groups_on_process_workers_reproduce_serial(self):
+        """Width and batching compose: 3 devices on 2 forked workers
+        train as the stacked groups ``[[0, 1], [2]]``, each worker
+        ships its members' header arrays home, and the run equals the
+        serial one (one group of 3) — accuracies, ledger, kinds."""
+        if not fork_available():
+            pytest.skip("process backend requires the fork start method")
+        cluster = dict(num_clusters=1, devices_per_cluster=3)
+        serial = ACMESystem(_fleet_config(**cluster)).run()
+        plan = ExecutionPlan(device_workers=2, backend="process")
+        assert_same_run(
+            serial, ACMESystem(_fleet_config(execution=plan, **cluster)).run()
+        )
 
 
 class TestShardFabric:

@@ -3,11 +3,12 @@
 Under the default plan (serial inner tier) every edge cluster's local
 updates — the aggregation loop's importance rounds and the finalize
 fine-tune — run as one computation graph per round with a single fused
-optimizer step (:mod:`repro.train.fleet`); a plan that asks for
-inner-tier width (``device_workers=2``) runs them one device at a time
-across the fan-out.  The float64 contract: accuracies, losses, the
-message-kind sequence and the full traffic ledger must be **bit-for-bit
-identical** between the two, alone and composed with the edge width.
+optimizer step (:mod:`repro.train.fleet`); inner-tier width splits the
+cluster into that many stacked groups, so a worker per device
+(``device_workers=3`` here) runs them one device at a time across the
+fan-out.  The float64 contract: accuracies, losses, the message-kind
+sequence and the full traffic ledger must be **bit-for-bit identical**
+between the two, alone and composed with the edge width.
 """
 
 import dataclasses
@@ -41,7 +42,7 @@ def serial_and_fleet_runs():
     from tests.helpers import reset_engine_state
 
     reset_engine_state()
-    systems = ACMESystem(_config(device_workers=2)), ACMESystem(_config())
+    systems = ACMESystem(_config(device_workers=3)), ACMESystem(_config())
     serial, fleet = (system.run() for system in systems)
     # Both runs trained from the devices' own frozen-feature caches.
     for system in systems:
@@ -111,12 +112,16 @@ class TestFleetWiring:
         assert edge._local_groups(edge.devices) == [[d] for d in edge.devices]
 
     def test_inner_tier_width_selects_the_fan_out(self):
-        """A plan that asks for inner-tier width gets singletons; so does
-        a stochastic backbone, whose per-device RNG streams one shared
-        instance would merge."""
+        """Inner-tier width is the number of stacked groups — contiguous
+        chunks of ``ceil(N / w)``, one per worker — and nothing else; a
+        stochastic backbone, whose per-device RNG streams one shared
+        instance would merge, gets singletons under any width."""
         edge = _distributed_edge(device_workers=2)
+        first, second, third = edge.devices
+        assert edge._local_groups(edge.devices) == [[first, second], [third]]
+        edge.plan = ExecutionPlan(device_workers=8)  # clamped to the 3 devices
         assert edge._local_groups(edge.devices) == [[d] for d in edge.devices]
-        edge = _distributed_edge()
+        edge.plan = ExecutionPlan()
         backbone = edge.devices[0].backbone
         for module in backbone.modules():
             if isinstance(module, Dropout):
@@ -169,7 +174,9 @@ class TestRoundLoopEntries:
         entries, phases = self._entries(
             round_loop_calls, execution=ExecutionPlan(device_workers=2)
         )
-        assert sorted(entries) == sorted([[0], [1], [2]] * phases)
+        # Width 2 over 3 devices: two stacked groups per phase, one per
+        # worker (in completion order — the workers are threads).
+        assert sorted(entries) == sorted([[0, 1], [2]] * phases)
 
     def test_lazy_cluster_is_one_member_calls_serially(self, round_loop_calls):
         """A ``state_store`` cluster trains one device at a time, in

@@ -1,8 +1,9 @@
-"""The process executor backend: parity, crash handling, shm hygiene.
+"""The process executor backend: parity, crash handling, what comes home.
 
-``parallel_map(backend="process")`` forks a worker pool and maps
-designated tensors write-through over ``multiprocessing.shared_memory``
-(:mod:`repro.distributed.procpool`).  These tests pin its contract:
+``parallel_map(backend="process")`` forks a worker pool; each item's
+result frame carries the final arrays of the tensors the caller named in
+``shared_params`` and the parent copies them into the arrays it already
+holds (:mod:`repro.distributed.procpool`).  These tests pin its contract:
 
 * **cross-backend parity** — serial, thread and process fan-outs of the
   same seeded workload produce bit-identical results, final parameter
@@ -10,8 +11,10 @@ designated tensors write-through over ``multiprocessing.shared_memory``
   float64 protocol dtype;
 * **crash containment** — a SIGKILLed worker surfaces as a clean
   :class:`ExecutorError` (never a hang) and leaves no orphan children;
-* **shared-memory hygiene** — no ``/dev/shm`` segment survives any exit
-  path: success, a task exception, or a worker crash;
+* **returned parameters** — parent-side array identity is stable across
+  a fan-out, ``None`` grads stay ``None``, a shape/dtype change is a
+  named error, and no OS object (``/dev/shm`` segment, child) is ever
+  left — or, for segments, even created — on any exit path;
 * **the backend-aware budget** — ``ExecutionPlan.split`` clamps a
   process tier to the host budget and downgrades it under a fanned-out
   edge tier.
@@ -25,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro.distributed.executor import ExecutionPlan, ExecutorError, parallel_map
-from repro.distributed.procpool import SharedParamArena, fork_available
+from repro.distributed.procpool import fork_available
 from repro.nn.layers import Dropout, Linear, Sequential
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor, get_default_dtype, using_dtype
@@ -62,10 +65,10 @@ def _make_params(seed: int, shapes=((6, 4), (4,))):
 def _train_task(bundle):
     """A tape-plus-fused-optimizer step sequence on one item's params.
 
-    Builds a fresh fused Adam inside the task (which rebinds ``p.data``
-    onto its private flat heap buffer — the exact rebind the arena's
-    write-back sweep exists for) and leaves grads populated, so the
-    grad round-trip is exercised too.
+    Builds a fresh fused Adam inside the task (which rebinds the
+    worker's ``p.data`` onto its private flat buffer — what every real
+    header update does) and leaves grads populated, so the grad
+    round-trip is exercised too.
     """
     params, steps, seed = bundle
     optimizer = Adam(params, lr=1e-2)
@@ -199,9 +202,13 @@ class TestWorkerCrash:
 
     @needs_fork
     def test_crash_with_arena_still_unlinks_segments(self):
-        params = [_make_params(seed=3)]
+        params = _make_params(seed=3)
+        arrays = [p.data for p in params]
+        values = [p.data.copy() for p in params]
 
         def task(item):
+            for p in params:
+                p.data[...] = 0.0
             os.kill(os.getpid(), signal.SIGKILL)
 
         with pytest.raises(ExecutorError):
@@ -210,46 +217,102 @@ class TestWorkerCrash:
                 [0, 1],
                 max_workers=2,
                 backend="process",
-                shared_params=[params[0], params[0]],
+                shared_params=[params, params],
             )
         # The autouse fixture asserts no segments/children leaked; the
-        # params must also be heap-backed (demoted) again.
-        for p in params[0]:
-            assert p.data.base is None or isinstance(p.data.base, np.ndarray)
+        # parent's params are the heap arrays they were, values untouched.
+        for p, array, value in zip(params, arrays, values):
+            assert p.data is array and p.data.base is None
+            np.testing.assert_array_equal(p.data, value)
+
+
+def _map_two(task, devices):
+    return parallel_map(
+        task, [0, 1], max_workers=2, backend="process", shared_params=devices
+    )
 
 
 class TestSharedParamArena:
-    def test_promote_demote_roundtrip_restores_heap(self):
-        params = _make_params(seed=5)
-        params[0].grad = np.ones_like(params[0].data)
-        params[1].grad = None
-        original = [p.data.copy() for p in params]
-        arena = SharedParamArena([params])
-        # Views are write-through shared memory, values preserved.
-        for p, o in zip(params, original):
-            np.testing.assert_array_equal(p.data, o)
-        arena.demote()
-        for p, o in zip(params, original):
-            np.testing.assert_array_equal(p.data, o)
-        np.testing.assert_array_equal(params[0].grad, np.ones_like(original[0]))
-        assert params[1].grad is None
+    """What ``shared_params`` brings home (the class name predates the
+    result frame: there is no arena any more)."""
 
-    def test_demote_is_idempotent(self):
-        params = _make_params(seed=6)
-        arena = SharedParamArena([params])
-        arena.demote()
-        arena.demote()  # second call must be a no-op, not a double-unlink
+    @needs_fork
+    def test_param_arrays_keep_their_identity(self):
+        """The worker's values land in the arrays the parent already
+        holds, so an optimizer built before the fan-out keeps stepping
+        them — no flat-group rebuild, no stale buffer."""
+        devices = [_make_params(seed=20), _make_params(seed=21)]
+        optimizers = [Adam(params, lr=1e-2) for params in devices]
+        for params, optimizer in zip(devices, optimizers):
+            for p in params:
+                p.grad = np.ones_like(p.data)
+            optimizer.step()  # builds the flat groups; p.data are views now
+        arrays = [[p.data for p in params] for params in devices]
+        groups = [optimizer._flat_groups for optimizer in optimizers]
 
+        def task(i):
+            for p in devices[i]:
+                p.data = np.full_like(p.data, float(i + 2))  # rebinds in the worker
+            return i
+
+        assert _map_two(task, devices) == [0, 1]
+        for i, params in enumerate(devices):
+            for p, array in zip(params, arrays[i]):
+                assert p.data is array
+                np.testing.assert_array_equal(p.data, float(i + 2))
+                p.grad = np.zeros_like(p.data)
+            optimizers[i].step()
+            assert optimizers[i]._flat_groups is groups[i]
+            for p, array in zip(params, arrays[i]):
+                assert p.data is array
+                assert np.all(p.data != float(i + 2))  # stepped from what came home
+
+    @needs_fork
+    def test_grads_come_home_none_or_bit_equal(self):
+        devices = [_make_params(seed=22), _make_params(seed=23)]
+        devices[0][0].grad = np.ones_like(devices[0][0].data)  # cleared in the worker
+        held = devices[1][1].grad = np.zeros_like(devices[1][1].data)
+
+        def task(i):
+            first, second = devices[i]
+            first.grad = None
+            second.grad = np.arange(second.data.size, dtype=second.data.dtype)
+            return i
+
+        _map_two(task, devices)
+        for first, second in devices:
+            assert first.grad is None
+            np.testing.assert_array_equal(second.grad, np.arange(second.data.size))
+            assert second.grad.dtype == second.data.dtype
+        assert devices[1][1].grad is held  # a held grad array is filled, not replaced
+
+    @needs_fork
     def test_writeback_rejects_shape_change(self):
-        params = _make_params(seed=7)
-        arena = SharedParamArena([params])
-        try:
-            params[0].data = np.zeros((2, 2))
-            with pytest.raises(ExecutorError, match="changed shape"):
-                arena.writeback(0)
-        finally:
-            params[0].data = np.zeros((6, 4))
-            arena.demote()
+        """A shape (or dtype) change inside a worker names its item; that
+        item is left untouched — never half-written — and the others
+        are applied."""
+        changes = (
+            lambda a: np.zeros((2, 2), a.dtype),
+            lambda a: a.astype(np.float16),
+        )
+        for change in changes:
+            devices = [_make_params(seed=7), _make_params(seed=8)]
+            before = [p.data.copy() for p in devices[1]]
+
+            def task(i):
+                first, second = devices[i]
+                first.data = first.data + 1.0
+                if i == 1:
+                    second.data = change(second.data)
+                return i
+
+            with pytest.raises(ExecutorError, match="task 1: shared param changed"):
+                _map_two(task, devices)
+            for p, b in zip(devices[1], before):
+                np.testing.assert_array_equal(p.data, b)
+            np.testing.assert_array_equal(
+                devices[0][0].data, _make_params(seed=7)[0].data + 1.0
+            )
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError, match="shared_params"):
@@ -261,16 +324,25 @@ class TestSharedParamArena:
                 shared_params=[[], []],
             )
 
+    @needs_fork
     def test_mixed_dtype_params_share_one_arena(self):
+        """One item's frame carries tensors of both dtypes home."""
         with using_dtype("float64"):
             p64 = _make_params(seed=8, shapes=((3, 3),))
         with using_dtype("float32"):
             p32 = _make_params(seed=9, shapes=((4,),))
-        params = p64 + p32
-        arena = SharedParamArena([params])
-        assert params[0].data.dtype == np.float64
-        assert params[1].data.dtype == np.float32
-        arena.demote()
+        devices = [p64 + p32, _make_params(seed=10)]
+
+        def task(i):
+            for p in devices[i]:
+                p.data = p.data * 2
+            return i
+
+        expected = [p.data * 2 for p in devices[0]]
+        _map_two(task, devices)
+        for p, e in zip(devices[0], expected):
+            np.testing.assert_array_equal(p.data, e)
+        assert [p.data.dtype for p in devices[0]] == [np.float64, np.float32]
 
 
 class TestBackendAwareBudget:

@@ -6,7 +6,6 @@ import pytest
 from repro.nn.conv import (
     AvgPool2d,
     Conv2d,
-    Downsample2d,
     GlobalAvgPool2d,
     MaxPool2d,
     im2col,
@@ -107,19 +106,6 @@ class TestPooling:
         out = GlobalAvgPool2d()(x)
         assert out.shape == (3, 5)
         np.testing.assert_allclose(out.data, x.data.mean(axis=(2, 3)))
-
-
-class TestDownsample:
-    def test_halves_spatial_dims(self):
-        down = Downsample2d(4, rng=RNG)
-        out = down(Tensor(RNG.normal(size=(2, 4, 8, 8))))
-        assert out.shape == (2, 4, 4, 4)
-
-    def test_is_trainable(self):
-        down = Downsample2d(2, rng=RNG)
-        out = down(Tensor(RNG.normal(size=(1, 2, 4, 4))))
-        out.sum().backward()
-        assert down.conv.weight.grad is not None
 
 
 class TestIm2col:

@@ -4,7 +4,7 @@ The perf benches only run when a perf PR invokes them; this test drives
 the process-pool bench end to end in its ``--smoke`` mode (tiny shapes,
 no floor assertions, ``BENCH_perf.json`` untouched) so the script
 itself cannot rot between perf PRs — the fork-pool fan-out, the
-shared-memory parameter round-trip, the serial/process bit-for-bit
+header parameters' trip home, the serial/process bit-for-bit
 parity asserts and the cache-blocked fused-step A/B all execute on
 every test run.
 """
