@@ -12,9 +12,13 @@ and drops, micro-batched serving — and records three floored throughput
 * ``scale_eval_requests_s`` — serving requests completed per second
   through the micro-batched :class:`~repro.train.serving.ServingFront`;
 * ``scale_lazy_memory`` — tracemalloc peak of the lazy 10k campaign
-  vs. the always-live peak *projected* from its measured per-device
-  marginal (the eager fleet cannot be materialized at 10k on CI —
-  that being the point); the speedup field is the memory ratio.
+  vs. the unbounded-store (``lru_capacity=None``) peak *projected*
+  from its measured per-device marginal; the speedup field is the
+  memory ratio.  The recorded value predates PR 24, when an always-live
+  device built a private backbone; an unbounded store now shares one
+  per cluster, and the projection has fallen under the budget
+  (PERFORMANCE.md, fleet-scale memory) — the full run's tripwire below
+  says so until the LRU is replaced.
 
 A 100k-device single-round leg runs unfloored as a diagnostic record.
 
@@ -60,18 +64,18 @@ def campaign_config(num_devices: int, rounds: int = 3, **overrides) -> ScaleConf
 
 
 def project_live_peak(measure_points=(200, 400), target: int = 10_000) -> dict:
-    """Always-live tracemalloc peak extrapolated to ``target`` devices.
+    """Unbounded-store tracemalloc peak extrapolated to ``target`` devices.
 
-    Runs the eager path at two small fleet sizes, takes the per-device
-    marginal, and projects linearly — the eager fleet's footprint *is*
-    linear in device count (one backbone + header + feature cache per
-    device), which is exactly why it cannot be run at 10k directly.
+    Runs ``lru_capacity=None`` at two small fleet sizes, takes the
+    per-device marginal, and projects linearly — a never-evicting
+    fleet's footprint *is* linear in device count (one live header and
+    feature sample per device).
     """
     n0, n1 = measure_points
     peaks = {}
     for n in (n0, n1):
         report = run_scale_campaign(
-            campaign_config(n, rounds=2, num_clusters=4, always_live=True,
+            campaign_config(n, rounds=2, num_clusters=4, lru_capacity=None,
                             churn=0.0, drop=0.0, deadline_quantile=1.0),
             measure_memory=True,
         )

@@ -86,8 +86,7 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         num_clusters=args.clusters,
         rounds=args.rounds,
         set_size=args.set_size,
-        lru_capacity=args.lru,
-        always_live=args.always_live,
+        lru_capacity=None if args.always_live else args.lru,
         eval_requests=args.eval_requests,
         deadline_quantile=args.deadline_quantile,
         churn=args.churn,
@@ -231,8 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     scale.add_argument(
         "--always-live",
         action="store_true",
-        help="disable lazy eviction; every device keeps a live header "
-        "(the memory baseline the LRU exists to beat)",
+        help="no eviction (an unbounded --lru); every device keeps a live "
+        "header (the memory baseline the LRU exists to beat)",
     )
     scale.add_argument("--eval-requests", type=int, default=8)
     scale.add_argument(

@@ -55,12 +55,6 @@ class ArrayDataset:
     def __getitem__(self, index) -> Tuple[np.ndarray, np.ndarray]:
         return self.images[index], self.labels[index]
 
-    # reprolint: unreached -- deferred deletion (no paper anchor): goes with
-    # test_dataset.py::test_image_shape
-    @property
-    def image_shape(self) -> Tuple[int, int, int]:
-        return tuple(self.images.shape[1:])  # type: ignore[return-value]
-
     def subset(self, indices: Sequence[int], name: Optional[str] = None) -> "ArrayDataset":
         """New dataset restricted to ``indices`` (copies are avoided)."""
         indices = np.asarray(indices, dtype=np.int64)

@@ -23,7 +23,6 @@ from repro.distributed.metrics import (
     NormalizedTradeoff,
     centralized_upload_bytes,
     energy_efficiency_ratio,
-    relative_upload,
     schedule_length,
     size_efficiency_ratio,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "energy_efficiency_ratio",
     "parallel_map",
     "payload_nbytes",
-    "relative_upload",
     "resolve_workers",
     "run_multiprocess",
     "schedule_length",

@@ -8,8 +8,8 @@ the personalized set the edge sends back.  Local data never leaves the
 device — only importance sets and a tiny feature sample for similarity
 estimation.
 
-The backbone being frozen for all of that, an always-live device sweeps
-its private set through it once per installed model
+The backbone being frozen for all of that, a device whose store is
+unbounded sweeps its private set through it once per installed model
 (:meth:`DeviceNode.frozen_features`); the importance rounds, the finale's
 fine-tune and the similarity sample all gather rows from that sweep.
 """
@@ -27,7 +27,6 @@ from repro.distributed.messages import Message, MessageKind
 from repro.distributed.network import Network
 from repro.distributed.state_store import (
     DeviceStateLRU,
-    backbone_from_payload,
     restore_header,
     snapshot_header,
 )
@@ -69,15 +68,18 @@ class DeviceNode:
         self.backbone: Optional[VisionTransformer] = None
         self.header: Optional[DAGHeader] = None
         self.keep_fraction: float = 0.7
-        #: Lazy-state mode: when a :class:`DeviceStateLRU` is attached,
-        #: the device does not materialize its backbone/header at model
-        #: distribution.  It keeps the payload, hydrates on first touch
-        #: (building the header exactly as :meth:`_receive_model` would
-        #: have, borrowing the store's shared backbone), and keeps only
-        #: the snapshot of its mutable state (:func:`snapshot_header`'s
-        #: arrays plus the feature sample) when the store evicts it.
-        #: Every path is bit-for-bit identical to the always-live mode.
-        self.state_store = state_store
+        #: Where model state lives — the cluster's store, or a private
+        #: unbounded one for a device built alone.  The device keeps the
+        #: distributed payload and hydrates from it (building its header
+        #: from the payload with its own seeded RNG, borrowing the
+        #: store's shared backbone): at once when the store is
+        #: unbounded, on first touch otherwise, keeping only the snapshot
+        #: of its mutable state (:func:`snapshot_header`'s arrays plus
+        #: the feature sample) when a bounded store evicts it.  Every
+        #: capacity is bit-for-bit identical.
+        self.state_store = (
+            state_store if state_store is not None else DeviceStateLRU()
+        )
         self._model_payload: Optional[dict] = None
         self._cold_state: Optional[Dict[str, np.ndarray]] = None
         #: Deterministic cache of the similarity feature sample: frozen
@@ -116,31 +118,27 @@ class DeviceNode:
             self.active = True
 
     # ------------------------------------------------------------------
-    # Lazy-state protocol (DeviceStateLRU owner interface)
+    # Residency protocol (DeviceStateLRU owner interface)
     # ------------------------------------------------------------------
     @property
     def has_model(self) -> bool:
         """Whether this device holds a distributed model, live or cold.
 
         The protocol's participation checks use this instead of probing
-        ``backbone``/``header`` directly, so a lazily evicted device
-        still counts as provisioned.
+        ``backbone``/``header`` directly, so an evicted device still
+        counts as provisioned.
         """
-        if self.header is not None:
-            return True
-        return self.state_store is not None and self._model_payload is not None
+        return self._model_payload is not None
 
     def _ensure_live(self) -> None:
         """Materialize model state before any use (no-op when live)."""
-        if self.state_store is not None:
-            assert self._model_payload is not None, "model must be distributed first"
-            self.state_store.touch(self)
-        assert self.backbone is not None and self.header is not None
+        assert self._model_payload is not None, "model must be distributed first"
+        self.state_store.touch(self)
 
     def _hydrate(self) -> None:
         """Store callback: build (first touch) or restore (post-evict)."""
         payload = self._model_payload
-        assert payload is not None and self.state_store is not None
+        assert payload is not None
         self.backbone = self.state_store.shared_backbone(payload)
         self.header = self._new_header(payload)
         if self._cold_state is None:
@@ -193,25 +191,23 @@ class DeviceNode:
     def _receive_model(self, message: Message) -> Message:
         """Install the distributed backbone + coarse header.
 
-        In lazy mode the payload is stashed and nothing is built — the
-        header materializes on first touch (:meth:`_hydrate`), from the
-        same payload with the same seeded RNG, so the eventual live
-        state is bit-identical to building it here.  The ACK is
-        payload-free either way, so the wire traffic does not change.
+        The payload is stashed and the previous state dropped; the
+        header materializes in :meth:`_hydrate` — here and now when
+        nothing can ever evict it, on first touch under a bounded store
+        — from the same payload with the same seeded RNG, so the live
+        state is bit-identical whenever it is built.  The ACK is
+        payload-free, so the wire traffic does not depend on it.
         """
         self._feature_sample = None
         self._features = None
         self.keep_fraction = float(message.payload.get("keep_fraction", 0.7))
-        if self.state_store is not None:
-            self.state_store.drop(self)
-            self._model_payload = message.payload
-            self._cold_state = None
-            self.backbone = None
-            self.header = None
-        else:
-            self.backbone = backbone_from_payload(message.payload)
-            self.header = self._new_header(message.payload)
-            self.header.load_state_dict(message.payload["header_state"])
+        self.state_store.drop(self)
+        self._model_payload = message.payload
+        self._cold_state = None
+        self.backbone = None
+        self.header = None
+        if not self.state_store.bounded:
+            self.state_store.touch(self)
         return Message(self.name, message.sender, MessageKind.ACK)
 
     def _receive_personalized_set(self, message: Message) -> Message:
@@ -238,7 +234,7 @@ class DeviceNode:
         ``None`` — callers keep the per-batch tape-free forward — where
         a cache would be wrong or wasteful: the backbone draws
         module-local RNG per forward (training-mode dropout), there is
-        no row to sweep, or the device lives in a
+        no row to sweep, or the device lives in a bounded
         :class:`DeviceStateLRU` (a thrashing LRU would re-sweep all
         ``n`` rows per touch where a capped round forwards at most
         ``max_batches_per_epoch · batch_size``, and the cold snapshot
@@ -246,7 +242,7 @@ class DeviceNode:
         """
         assert self.backbone is not None, "model must be live"
         if (
-            self.state_store is not None
+            self.state_store.bounded
             or len(self.dataset) == 0
             or has_active_stochastic_modules(self.backbone)
         ):
@@ -269,8 +265,8 @@ class DeviceNode:
 
         The group trains against its first device's backbone in one
         stacked graph per mini-batch round (:mod:`repro.train.fleet`),
-        so the caller groups only devices of this class whose frozen
-        backbones are value-identical and RNG-free; one device is the
+        so the caller groups only devices of this class that hold the
+        same RNG-free frozen backbone instance; one device is the
         group of one.  The caller (edge server) transmits the returned
         messages through the network so the bytes are accounted on the
         uplink.  ``round_index`` is the edge's round counter; the local

@@ -524,32 +524,27 @@ class EdgeServer:
     def _fan_out_plan(self, devices: Sequence[DeviceNode]) -> ExecutionPlan:
         """The plan a per-device fan-out over ``devices`` runs under.
 
-        Lazy devices (state in a DeviceStateLRU) run serially: a
-        concurrent hydration could evict a peer whose header another
-        worker is mid-way through training.
+        Devices in a bounded DeviceStateLRU run serially: a concurrent
+        hydration could evict a peer whose header another worker is
+        mid-way through training.
         """
-        lazy = any(d.state_store is not None for d in devices)
+        lazy = any(d.state_store.bounded for d in devices)
         return _SERIAL if lazy else self.plan
 
-    def _local_groups(
-        self, devices: Sequence[DeviceNode], backbones_equal: Optional[bool] = None
-    ) -> List[List[DeviceNode]]:
+    def _local_groups(self, devices: Sequence[DeviceNode]) -> List[List[DeviceNode]]:
         """Partition ``devices`` for a local update (importance round,
         fine-tune): who trains in one stacked graph together.
 
-        Batchable devices — at least two always-live devices of one
-        class whose frozen backbones are value-identical and whose
-        forwards draw no module-local RNG — are chunked into as many
-        contiguous groups as the plan's inner tier has workers, one
-        stacked graph per worker; the serial plan is the one-group case.
-        A group is trained by its class's group method
-        (:meth:`DeviceNode.importance_rounds`) against its first
-        member's backbone instance.  Singletons otherwise: a lazy
-        cluster's LRU could evict a member (snapshotting stale values)
-        while its group's graph still holds the header.  Pass
-        ``backbones_equal`` when the caller already ran the
-        :func:`~repro.train.serving.backbones_equivalent` sweep — it is
-        O(cluster × backbone params) and worth not repeating.
+        Batchable devices — at least two devices of one class, none
+        evictable, that hold the same frozen backbone instance and
+        whose forwards draw no module-local RNG — are chunked into as
+        many contiguous groups as the plan's inner tier has workers,
+        one stacked graph per worker; the serial plan is the one-group
+        case.  A group is trained by its class's group method
+        (:meth:`DeviceNode.importance_rounds`) against that backbone.
+        Singletons otherwise: a bounded store's LRU could evict a
+        member (snapshotting stale values) while its group's graph
+        still holds the header.
         """
         singletons = [[d] for d in devices]
         if len(devices) < 2:
@@ -557,17 +552,15 @@ class EdgeServer:
         width = resolve_workers(self.plan.device_workers, num_tasks=len(devices))
         size = -(-len(devices) // width)
         groups = [list(devices[i : i + size]) for i in range(0, len(devices), size)]
+        backbone = devices[0].backbone
         if (
             len({type(d) for d in devices}) == 1
-            and all(d.state_store is None and d.header is not None for d in devices)
+            and not any(d.state_store.bounded for d in devices)
+            and backbone is not None
+            and all(d.backbone is backbone for d in devices)
             and not any(
                 has_active_stochastic_modules(m)
-                for m in [g[0].backbone for g in groups] + [d.header for d in devices]
-            )
-            and (
-                serving.backbones_equivalent([d.backbone for d in devices])
-                if backbones_equal is None
-                else backbones_equal
+                for m in [backbone] + [d.header for d in devices]
             )
         ):
             return groups
@@ -577,7 +570,6 @@ class EdgeServer:
         self,
         devices: Sequence[DeviceNode],
         update: Callable[[List[DeviceNode]], object],
-        backbones_equal: Optional[bool] = None,
     ) -> list:
         """``update(group)`` for each of :meth:`_local_groups`, in order.
 
@@ -587,7 +579,7 @@ class EdgeServer:
         network ledger) happens in the parent.  Workers that share the
         parent heap need nothing.
         """
-        groups = self._local_groups(devices, backbones_equal)
+        groups = self._local_groups(devices)
         self._warm_frozen_features(devices)
         shared = None
         if not self.plan.workers_share_heap:
@@ -606,7 +598,7 @@ class EdgeServer:
         and dies with it, so the sweep would be repeated in every
         fan-out; done here, the workers inherit the parent's pages.
         Workers that share the heap (threads, and the serial plan of a
-        lazy cluster) build — or skip — their own cache in place.
+        bounded cluster) build — or skip — their own cache in place.
         """
         if not self._fan_out_plan(devices).workers_share_heap:
             for device in devices:
@@ -652,16 +644,16 @@ class EdgeServer:
         devices = [d for d in self.devices if d.active and d.has_model]
         if not devices:
             return []
-        # A lazy cluster runs serially (``_fan_out_plan``) in LRU-capacity
-        # chunks, so each chunk is simultaneously live and its evaluation
-        # can still ride one batched backbone forward; an all-live
-        # cluster is one chunk.  Per-device results are row-independent
-        # in ``batched_evaluate_headers``, so any chunking is
-        # bit-identical to the unchunked finale.
-        chunk_size = len(devices)
-        stores = [d.state_store for d in devices if d.state_store is not None]
-        if stores:
-            chunk_size = min(store.capacity for store in stores)
+        # A bounded cluster runs serially (``_fan_out_plan``) in
+        # LRU-capacity chunks, so each chunk is simultaneously live and
+        # its evaluation can still ride one batched backbone forward; an
+        # unbounded cluster is one chunk.  Per-device results are
+        # row-independent in ``batched_evaluate_headers``, so any
+        # chunking is bit-identical to the unchunked finale.
+        chunk_size = min(
+            [len(devices)]
+            + [d.state_store.capacity for d in devices if d.state_store.bounded]
+        )
         results: List[dict] = []
         for start in range(0, len(devices), chunk_size):
             results.extend(self._finalize_chunk(devices[start : start + chunk_size]))
@@ -671,17 +663,10 @@ class EdgeServer:
         """Fine-tune then evaluate devices that fit in memory together."""
         for device in devices:
             device._ensure_live()
-        # One equivalence sweep feeds both the batched evaluation and
-        # the fine-tune's grouping.
-        backbones_equal = len(devices) > 1 and serving.backbones_equivalent(
-            [d.backbone for d in devices]
-        )
         self._local_updates(
-            devices,
-            lambda group: type(group[0]).finetune_group(group),
-            backbones_equal,
+            devices, lambda group: type(group[0]).finetune_group(group)
         )
-        if backbones_equal:
+        if all(d.backbone is devices[0].backbone for d in devices):
             return serving.batched_evaluate_headers(
                 devices[0].backbone,
                 [d.header for d in devices],

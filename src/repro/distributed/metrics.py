@@ -88,13 +88,3 @@ def schedule_length(durations: Sequence[float], workers: int) -> float:
 def centralized_upload_bytes(datasets: Sequence[ArrayDataset]) -> int:
     """Upload volume of the centralized baseline: all raw local data."""
     return int(sum(d.nbytes() for d in datasets))
-
-
-# reprolint: unreached -- deferred deletion (no paper anchor): bench_table1 computes the Table I
-# upload ratio from the two ledgers itself; goes with its 2 tests in test_metrics.py
-def relative_upload(acme_upload_bytes: int, datasets: Sequence[ArrayDataset]) -> float:
-    """ACME's upload volume as a fraction of the centralized system's."""
-    baseline = centralized_upload_bytes(datasets)
-    if baseline == 0:
-        raise ValueError("centralized baseline transferred zero bytes")
-    return acme_upload_bytes / baseline

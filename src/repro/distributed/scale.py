@@ -10,11 +10,11 @@ and drops from the PR-6 :class:`~repro.distributed.faults.FaultPolicy` —
 while replacing the per-device *learning* with seeded synthetic
 importance sets, so the harness measures what actually limits scale:
 
-* **memory** — devices run in lazy mode behind one
+* **memory** — devices live behind one
   :class:`~repro.distributed.state_store.DeviceStateLRU` per cluster,
   so only ``lru_capacity`` headers are live at any instant and the rest
-  sit as cold snapshots (``always_live=True`` flips to the
-  eager path the LRU replaces, for the memory comparison);
+  sit as cold snapshots (``lru_capacity=None`` never evicts — every
+  header live, for the memory comparison);
 * **the round** — each cluster is an
   :class:`~repro.distributed.edge.EdgeServer` and runs its round
   unchanged (quorum re-poll and carry-forward included), aggregating
@@ -67,11 +67,9 @@ class ScaleConfig:
     #: Length of each synthetic importance set.
     set_size: int = 64
     rounds: int = 3
-    #: Live headers per cluster in lazy mode (ignored when always_live).
-    lru_capacity: int = 64
-    #: Eager per-device state, as before the LRU existed.  Only sane at
-    #: small ``num_devices``; exists for the memory comparison.
-    always_live: bool = False
+    #: Live headers per cluster; ``None`` keeps every header live —
+    #: only sane at small ``num_devices``, for the memory comparison.
+    lru_capacity: Optional[int] = 64
     #: Serving requests sampled per cluster per round.
     eval_requests: int = 8
     micro_batch: int = 16
@@ -121,7 +119,7 @@ def heavy_tailed_sizes(
 class ScaleDevice(DeviceNode):
     """Protocol-faithful device with synthetic local computation.
 
-    Inherits the full lazy-state machinery (hydrate/evict/LRU) and wire
+    Inherits the full residency machinery (hydrate/evict/LRU) and wire
     behavior of :class:`DeviceNode`; only the *learning* is replaced:
 
     * :meth:`importance_rounds` touches the LRU (hydration is the real,
@@ -183,9 +181,7 @@ class ScaleCluster(EdgeServer):
         config: ScaleConfig,
     ) -> None:
         self.scale_config = config
-        self.store = (
-            None if config.always_live else DeviceStateLRU(config.lru_capacity)
-        )
+        self.store = DeviceStateLRU(config.lru_capacity)
 
         # One tiny model template and ONE dataset object per cluster;
         # devices alias both, so fleet memory is dominated by per-device
@@ -426,7 +422,7 @@ def run_scale_campaign(
             tracemalloc.stop()
 
     rates = [p for c in clusters for p in c.round_participation]
-    stores = [c.store for c in clusters if c.store is not None]
+    stores = [c.store for c in clusters]
     return ScaleReport(
         num_devices=cfg.num_devices,
         cluster_sizes=sizes,

@@ -1,26 +1,28 @@
-"""Lazy per-device state with LRU eviction — the fleet-scale memory model.
+"""Per-cluster device state: one install path, residency as a capacity.
 
-An always-live :class:`~repro.distributed.device.DeviceNode` holds a
-full :class:`~repro.models.vit.VisionTransformer` and a
-:class:`~repro.models.header_dag.DAGHeader` from the moment the model
-distribution arrives; at 10⁴–10⁶ registered devices that is the memory
-bill that makes fleet-scale simulation impossible.  This module keeps a
-bounded working set instead:
+Every :class:`~repro.distributed.device.DeviceNode` installs its model
+through a :class:`DeviceStateLRU`.  A live device holds a
+:class:`~repro.models.header_dag.DAGHeader` and borrows the store's one
+frozen :class:`~repro.models.vit.VisionTransformer`; at 10⁴–10⁶
+registered devices keeping every header live is the memory bill that
+makes fleet-scale simulation impossible, so how many stay live is the
+store's capacity:
 
-* :class:`DeviceStateLRU` — a capacity-bounded LRU of *live* devices.
-  Touching a cold device hydrates it (building its header on first
-  touch, or restoring an evicted snapshot); exceeding the capacity
-  evicts the least-recently-used device down to its snapshot — the
+* :class:`DeviceStateLRU` — the working set of *live* devices.
+  Unbounded (``capacity=None``), every device hydrates once, at model
+  distribution, and stays live.  Bounded, touching a cold device
+  hydrates it (building its header on first touch, or restoring an
+  evicted snapshot) and exceeding the capacity evicts the
+  least-recently-used device down to its snapshot — the
   :func:`snapshot_header` arrays themselves, no byte format
   (:mod:`repro.nn.serialization` has the explicit spill-to-disk /
   checkpoint form of the same dict).
-* One **shared backbone per model payload**: every device in an ACME
-  cluster receives the same frozen ``backbone_state``, so the store
-  materializes a single :class:`VisionTransformer` per distribution
-  payload and lends it to whichever devices are live.  Backbones are
-  read-only during the single loop, and the engine's kernels are
-  deterministic per input, so sharing is bit-for-bit equivalent to the
-  per-device instances of the always-live path.
+* One **shared backbone per cluster**: the edge distributes one frozen
+  ``backbone_state`` to its whole cluster, so the store materializes a
+  single eval-mode :class:`VisionTransformer` for the current payload
+  and lends it to whichever devices are live.  Backbones are read-only
+  during the single loop and the engine's kernels are deterministic per
+  input, so "same frozen backbone" is instance identity.
 
 Snapshot contents cover everything mutable on a device: header
 parameters (masked values), the prune mask and its pristine copies, and
@@ -55,10 +57,10 @@ _PRISTINE = "pristine."
 def backbone_from_payload(payload: Dict) -> VisionTransformer:
     """Build the backbone a distribution/assignment payload describes.
 
-    The one materializer behind the edge's assignment, a live device's
-    model install and the store's shared instance: same construction
-    seed, state dict, importance orders and (width, depth) scaling, so
-    forwards through any of them are bit-identical.
+    The one materializer behind the edge's assignment and the store's
+    shared instance: same construction seed, state dict, importance
+    orders and (width, depth) scaling, so forwards through either are
+    bit-identical.
     """
     backbone = VisionTransformer(payload["vit_config"], seed=0)
     backbone.load_state_dict(payload["backbone_state"])
@@ -112,43 +114,52 @@ def restore_header(header: "DAGHeader", state: Dict[str, np.ndarray]) -> None:
 
 
 class DeviceStateLRU:
-    """Capacity-bounded working set of live devices for one cluster.
+    """Working set of live devices for one cluster.
 
     Owners implement the hydration protocol — ``_hydrate()`` (build or
     restore live state) and ``_evict()`` (keep a cold snapshot and drop
     live references) — and call :meth:`touch` before using their
-    model state.  The store is deliberately single-threaded: lazy
+    model state.  ``capacity=None`` never evicts: owners hydrate at
+    install and a later :meth:`touch` is a pure read, safe under any
+    fan-out.  A bounded store is deliberately single-threaded: its
     clusters run their device fan-outs serially (the edge enforces it),
     because a concurrent hydration could evict a peer mid-use.
     """
 
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
+    def __init__(self, capacity: Optional[int] = None) -> None:
+        if capacity is not None and capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
+        self.capacity = None if capacity is None else int(capacity)
         self._live: "OrderedDict[str, object]" = OrderedDict()
-        #: One shared backbone per distribution payload, keyed by the
-        #: identity of the payload's ``backbone_state`` dict (kept
-        #: strongly referenced alongside, so the id cannot be recycled).
-        self._backbones: Dict[int, tuple] = {}
+        #: The current payload's ``(backbone_state, backbone)``; a new
+        #: payload replaces the pair, releasing the previous backbone.
+        self._backbone: tuple = (None, None)
         self.hydrations = 0
         self.evictions = 0
 
+    @property
+    def bounded(self) -> bool:
+        """Whether live state can ever be evicted."""
+        return self.capacity is not None
+
     # ------------------------------------------------------------------
     def touch(self, owner) -> None:
-        """Mark ``owner`` most-recently-used, hydrating it if cold.
+        """Hydrate ``owner`` if cold; when bounded, mark it most recent.
 
         Hydration beyond capacity evicts the least-recently-used live
-        device first-in-first-out until the bound holds again.
+        device first-in-first-out until the bound holds again.  An
+        unbounded store keeps no recency order, so touching a live
+        owner mutates nothing.
         """
         key = owner.name
         if key in self._live:
-            self._live.move_to_end(key)
+            if self.bounded:
+                self._live.move_to_end(key)
             return
         owner._hydrate()
         self.hydrations += 1
         self._live[key] = owner
-        while len(self._live) > self.capacity:
+        while self.bounded and len(self._live) > self.capacity:
             _, cold = self._live.popitem(last=False)
             cold._evict()
             self.evictions += 1
@@ -164,12 +175,15 @@ class DeviceStateLRU:
 
     # ------------------------------------------------------------------
     def shared_backbone(self, payload: Dict) -> VisionTransformer:
-        """The single backbone instance for a distribution payload."""
-        backbone_state = payload["backbone_state"]
-        key = id(backbone_state)
-        cached = self._backbones.get(key)
-        if cached is not None:
-            return cached[0]
-        backbone = backbone_from_payload(payload)
-        self._backbones[key] = (backbone, backbone_state)
+        """The cluster's one frozen backbone, built for ``payload``.
+
+        Installed in ``eval()`` mode — a frozen feature extractor.  A
+        payload other than the current one (a re-distribution, or a
+        device whose newer distribution was lost hydrating from the one
+        it holds) rebuilds from that payload: correct, never stale.
+        """
+        backbone_state, backbone = self._backbone
+        if backbone_state is not payload["backbone_state"]:
+            backbone = backbone_from_payload(payload).eval()
+            self._backbone = (payload["backbone_state"], backbone)
         return backbone

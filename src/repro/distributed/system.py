@@ -97,15 +97,16 @@ class ACMEConfig:
     #: results (tests/distributed/test_chaos.py); pair with
     #: ``edge.round_quorum < 1.0`` for partial-round aggregation.
     fault_config: Optional[FaultConfig] = None
-    #: Lazy per-device state: when set, each cluster gets a
-    #: :class:`~repro.distributed.state_store.DeviceStateLRU` of this
-    #: capacity and its devices materialize headers on first touch,
-    #: sharing one backbone instance per distribution payload and
-    #: evicting cold per-device state (header params, prune-mask state,
-    #: cached feature samples) down to its snapshot arrays.  Memory per
-    #: cluster is bounded by the capacity instead of the cluster size;
-    #: every path is bit-for-bit identical to the always-live default
-    #: (``None``) — tested in tests/distributed/test_state_store.py.
+    #: Live devices per cluster: the capacity of each cluster's
+    #: :class:`~repro.distributed.state_store.DeviceStateLRU`, through
+    #: which every device installs its model and borrows the cluster's
+    #: one frozen backbone.  ``None`` (the default) never evicts; with a
+    #: bound, devices materialize headers on first touch and cold
+    #: per-device state (header params, prune-mask state, cached feature
+    #: samples) is evicted down to its snapshot arrays, so memory per
+    #: cluster follows the capacity instead of the cluster size.  Every
+    #: capacity is bit-for-bit identical — tested in
+    #: tests/distributed/test_state_store.py.
     device_state_capacity: Optional[int] = None
     seed: int = 0
 
@@ -232,11 +233,7 @@ def build_cluster(
     """
     cfg = config
     profiles = data.fleet[cluster_idx]
-    store = (
-        DeviceStateLRU(cfg.device_state_capacity)
-        if cfg.device_state_capacity is not None
-        else None
-    )
+    store = DeviceStateLRU(cfg.device_state_capacity)
     devices = []
     base = cluster_idx * cfg.devices_per_cluster
     for offset, profile in enumerate(profiles):

@@ -2,7 +2,6 @@
 
 from repro.hw.energy import (
     EnergyReport,
-    cluster_energy,
     energy,
     gpu_batch_energy,
     latency,
@@ -13,7 +12,6 @@ from repro.hw.profiles import DeviceProfile, cluster_statistics, make_fleet
 __all__ = [
     "DeviceProfile",
     "EnergyReport",
-    "cluster_energy",
     "cluster_statistics",
     "energy",
     "gpu_batch_energy",

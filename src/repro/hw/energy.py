@@ -75,16 +75,6 @@ def energy(
     )
 
 
-# reprolint: unreached -- deferred deletion (no paper anchor): CloudServer realises Eq. 10
-# through `_representative_profile`; goes with its 2 tests in test_profiles_energy.py
-def cluster_energy(profiles, width: float, depth: int, epochs: int = 1) -> float:
-    """``E_s = max_{n∈N_s} E_n`` — the cluster representative of Eq. (10)."""
-    profiles = list(profiles)
-    if not profiles:
-        raise ValueError("cluster must contain at least one device")
-    return max(energy(p, width, depth, epochs).energy_joules for p in profiles)
-
-
 def _check(width: float, depth: int) -> None:
     if not 0.0 < width <= 1.0:
         raise ValueError(f"width factor must be in (0, 1], got {width}")

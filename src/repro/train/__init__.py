@@ -7,7 +7,6 @@ from repro.train.fleet import (
     train_headers_fleet,
 )
 from repro.train.serving import (
-    backbones_equivalent,
     batched_evaluate_headers,
     batched_extract_features,
     batched_forward_features_multi,
@@ -18,7 +17,6 @@ from repro.train.trainer import TrainConfig, TrainReport, train_header, train_mo
 __all__ = [
     "TrainConfig",
     "TrainReport",
-    "backbones_equivalent",
     "batched_evaluate_headers",
     "batched_extract_features",
     "batched_forward_features_multi",

@@ -76,9 +76,8 @@ def fleet_supported(backbone: Module, headers: Sequence[Module]) -> bool:
     False when any forward would consume module-local RNG
     (training-mode dropout): a fleet round draws a different stream than
     N separate loops, so such fleets train one member at a time.
-    Callers with per-device backbones must additionally check
-    :func:`repro.train.serving.backbones_equivalent` — the fleet serves
-    every member from **one** backbone instance.
+    The fleet serves every member from **one** backbone instance —
+    the one a cluster's devices all borrow from their store.
     """
     if has_active_stochastic_modules(backbone):
         return False

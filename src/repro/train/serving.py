@@ -1,10 +1,10 @@
 """Batched cross-device backbone serving.
 
-Every device in an ACME cluster receives the *same* frozen backbone from
-its edge server (one ``backbone_state`` payload, one ``(width, depth)``
-scaling), so the per-device inference fan-outs — finalize/eval, feature
-extraction for the similarity matrix, NAS child scoring — run many small
-forwards through numerically identical models.  This module batches
+Every device in an ACME cluster borrows the *same* frozen backbone
+instance from its cluster's store (one ``backbone_state`` payload, one
+``(width, depth)`` scaling), so the per-device inference fan-outs —
+finalize/eval, feature extraction for the similarity matrix, NAS child
+scoring — run many small forwards through one model.  This module batches
 those forwards: same-shape inputs from many devices are concatenated
 along the batch axis into a **single** ``no_grad`` forward and the
 results are split back per device.
@@ -39,30 +39,6 @@ from repro.models.headers import BackboneFeatures, gather_features  # noqa: F401
 from repro.nn.layers import Module, has_active_stochastic_modules
 from repro.nn.tensor import Tensor, no_grad
 from repro.train.evaluate import batch_metrics, evaluate_header
-
-
-def backbones_equivalent(backbones: Sequence[Module]) -> bool:
-    """True when every backbone holds identical parameter values.
-
-    This is the precondition for serving a whole cluster through one
-    backbone instance: ACME distributes one state dict per cluster, so
-    device backbones are value-identical, but the check keeps the batched
-    path safe against hand-built heterogeneous fleets.
-    """
-    if not backbones:
-        return False
-    reference = dict(backbones[0].named_parameters())
-    for other in backbones[1:]:
-        params = dict(other.named_parameters())
-        if params.keys() != reference.keys():
-            return False
-        for name, p in reference.items():
-            q = params[name]
-            if p.data is q.data:
-                continue
-            if p.data.shape != q.data.shape or not np.array_equal(p.data, q.data):
-                return False
-    return True
 
 
 def _concat_rows(arrays: Sequence[np.ndarray]) -> np.ndarray:

@@ -32,9 +32,6 @@ class TestArrayDataset:
         assert image.shape == (3, 8, 8)
         assert np.isscalar(label) or label.shape == ()
 
-    def test_image_shape(self):
-        assert make_dataset().image_shape == (3, 8, 8)
-
     def test_subset_preserves_label_space(self):
         ds = make_dataset(10, classes=5)
         sub = ds.subset([0, 2, 4])

@@ -11,14 +11,19 @@ full traffic ledger.  These tests assert exactly that, plus the fabric
 semantics (shard routing, merge determinism, register/unregister), the
 :class:`ExecutionPlan` itself (validation, the worker-budget split that
 keeps nested fan-outs within the host budget) and the plan checked as a
-**product**: every cell of widths × backend equals the serial run.
+**product**: every cell of widths × backend equals the serial run, and
+every cell of residency × executor × dropout gives one result per
+dropout value.
 """
 
 import dataclasses
+import functools
+import gc
 import os
 import pickle
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -28,7 +33,8 @@ from repro.distributed.faults import FaultConfig, FaultPolicy
 from repro.distributed.messages import Message, MessageKind
 from repro.distributed.network import Network
 from repro.distributed.procpool import fork_available
-from tests.helpers import assert_same_run
+from repro.models.vit import ViTConfig
+from tests.helpers import assert_same_run, reset_engine_state
 
 
 def _fleet_config(**overrides) -> ACMEConfig:
@@ -161,6 +167,100 @@ class TestPlanProduct:
         assert_same_run(
             serial, ACMESystem(_fleet_config(execution=plan, **cluster)).run()
         )
+
+
+#: Residency × executor × dropout on a 1 × 3-device system.  Every
+#: device borrows its cluster's one eval-mode backbone whatever the
+#: capacity, so backbone dropout — the only thing that reads
+#: ``Module.training`` — cannot tell the cells apart.
+CAPACITY_CELLS = {"unbounded": None, "capacity1": 1, "capacityN": 3}
+EXECUTOR_CELLS = {
+    "serial": {},
+    "threads2": dict(device_workers=2),
+    "process2": dict(device_workers=2, backend="process"),
+}
+
+
+def _residency_run(capacity, executor, dropout):
+    reset_engine_state()
+    config = _fleet_config(
+        num_clusters=1,
+        devices_per_cluster=3,
+        num_classes=4,
+        samples_per_class=12,
+        vit=ViTConfig(num_classes=4, depth=4, embed_dim=32, dropout=dropout),
+        device_state_capacity=capacity,
+        execution=ExecutionPlan(**EXECUTOR_CELLS[executor]),
+    )
+    run = ACMESystem(config).run()
+    (cluster,) = run.clusters
+    return (
+        cluster.device_accuracies,
+        cluster.device_losses,
+        run.traffic.total_bytes,
+        run.message_kinds,
+    )
+
+
+@functools.cache
+def _residency_reference(dropout):
+    """The serial unbounded run for one dropout value."""
+    return _residency_run(None, "serial", dropout)
+
+
+class TestResidencyProduct:
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    @pytest.mark.parametrize("executor", list(EXECUTOR_CELLS))
+    @pytest.mark.parametrize("capacity", list(CAPACITY_CELLS))
+    def test_cell_gives_the_one_result(self, capacity, executor, dropout):
+        """How many devices stay live and where their updates run are
+        invisible: one ``(accuracies, losses, total_bytes,
+        message_kinds)`` per dropout value over all nine cells."""
+        if executor == "process2" and not fork_available():
+            pytest.skip("process backend requires the fork start method")
+        got = _residency_run(CAPACITY_CELLS[capacity], executor, dropout)
+        assert got == _residency_reference(dropout)
+
+
+def _device_backbones(edge):
+    return {id(d.backbone): d.backbone for d in edge.devices if d.backbone is not None}
+
+
+class TestOneBackbonePerCluster:
+    @pytest.mark.parametrize("capacity", [None, 2])
+    def test_cluster_shares_one_eval_mode_instance(self, capacity):
+        system = ACMESystem(
+            _fleet_config(num_clusters=2, device_state_capacity=capacity)
+        )
+        system.run_cloud_phases()
+        instances = {}
+        for edge in system.edges:
+            edge.request_backbone()
+            edge.search_header()
+            edge.distribute_models()
+            for device in edge.devices:  # a bounded store builds on first touch
+                device._ensure_live()
+            (backbone,) = _device_backbones(edge).values()
+            assert backbone is not edge.backbone
+            assert not any(m.training for m in backbone.modules())
+            instances.update(_device_backbones(edge))
+        assert len(instances) == 2  # one per cluster, not one per device
+
+    def test_redistribution_releases_the_previous_backbone(self):
+        """The store holds the current payload's backbone only: a second
+        distribution replaces it and nothing pins the first."""
+        system = ACMESystem(_fleet_config(num_clusters=1))
+        system.run_cloud_phases()
+        (edge,) = system.edges
+        edge.request_backbone()
+        edge.search_header()
+        edge.distribute_models()
+        first = weakref.ref(edge.devices[0].backbone)
+        edge.distribute_models()
+        gc.collect()
+        assert first() is None
+        (second,) = _device_backbones(edge).values()
+        assert all(d.backbone is second for d in edge.devices)
 
 
 class TestShardFabric:

@@ -20,6 +20,7 @@ from repro.distributed import ACMEConfig, ACMESystem, ExecutionPlan
 from repro.distributed.messages import MessageKind
 from repro.distributed.network import Network
 from repro.distributed.scale import ScaleCluster, ScaleConfig
+from repro.distributed.state_store import backbone_from_payload
 from repro.nn.layers import Dropout
 from repro.train import fleet
 from tests.helpers import assert_same_run
@@ -104,12 +105,22 @@ class TestFleetWiring:
     def test_fleet_ready_rejects_heterogeneous_backbones(self):
         edge = _distributed_edge()
         assert edge._local_groups(edge.devices) == [edge.devices]
-        # Perturb one device's backbone: the cluster no longer shares
-        # value-identical weights, so the devices train one by one.
+        # The cluster shares one backbone instance, so an in-place
+        # perturbation reaches every member and it stays one group.
         device = edge.devices[0]
         param = device.backbone.parameters()[0]
         param.data[...] = param.data + 1.0
+        assert edge._local_groups(edge.devices) == [edge.devices]
+        # A device holding its own instance — even a value-identical
+        # one — breaks the sharing: the devices train one by one and
+        # the finale evaluates per device instead of one batched forward.
+        device.backbone = backbone_from_payload(device._model_payload)
         assert edge._local_groups(edge.devices) == [[d] for d in edge.devices]
+        evaluated = []
+        for d in edge.devices:
+            d.evaluate = lambda d=d: evaluated.append(d) or {"accuracy": 0.0}
+        edge._finalize_chunk(edge.devices)
+        assert evaluated == edge.devices
 
     def test_inner_tier_width_selects_the_fan_out(self):
         """Inner-tier width is the number of stacked groups — contiguous
@@ -179,7 +190,7 @@ class TestRoundLoopEntries:
         assert sorted(entries) == sorted([[0, 1], [2]] * phases)
 
     def test_lazy_cluster_is_one_member_calls_serially(self, round_loop_calls):
-        """A ``state_store`` cluster trains one device at a time, in
+        """A bounded-store cluster trains one device at a time, in
         device order: a group's graph must not outlive an eviction."""
         entries, phases = self._entries(round_loop_calls, device_state_capacity=1)
         assert entries == [[0], [1], [2]] * phases
@@ -187,12 +198,12 @@ class TestRoundLoopEntries:
 
 class TestScaleClusterDispatch:
     def test_always_live_round_goes_through_the_device_class(self):
-        """An always-live ``ScaleCluster`` is batchable, and its group
+        """An unbounded-store ``ScaleCluster`` is batchable, and its group
         update is ``ScaleDevice``'s: synthetic ``set_size``-float sets,
         no header weight moved (a batched path that reached around the
         device class trained the headers for real)."""
         config = ScaleConfig(
-            num_devices=3, num_clusters=1, always_live=True, set_size=24,
+            num_devices=3, num_clusters=1, lru_capacity=None, set_size=24,
             ledger="full",
         )
         network = Network(ledger=config.ledger)

@@ -8,7 +8,6 @@ from repro.distributed import (
     NormalizedTradeoff,
     centralized_upload_bytes,
     energy_efficiency_ratio,
-    relative_upload,
     size_efficiency_ratio,
 )
 
@@ -52,13 +51,3 @@ class TestUploadAccounting:
         sets = [dataset(5), dataset(10)]
         expected = sets[0].nbytes() + sets[1].nbytes()
         assert centralized_upload_bytes(sets) == expected
-
-    def test_relative_upload(self):
-        sets = [dataset(100)]
-        baseline = centralized_upload_bytes(sets)
-        assert relative_upload(baseline // 10, sets) == pytest.approx(0.1, rel=0.01)
-
-    def test_relative_upload_zero_baseline(self):
-        empty = ArrayDataset(np.zeros((0, 1, 2, 2)), np.zeros(0, dtype=int), 2)
-        with pytest.raises(ValueError):
-            relative_upload(100, [empty])

@@ -64,9 +64,9 @@ class TestSummaryLedger:
 
 class TestScaleMemoryBudget:
     #: MiB budget for the 10k-device smoke below.  Lazy LRU state plus
-    #: the bounded ledger measured ~260 MiB; the always-live path's
-    #: measured marginal (~0.1 MiB/device — see benchmarks/bench_scale.py)
-    #: projects to ~1 GiB at this fleet size, far past the budget.
+    #: the bounded ledger measured ~260 MiB; a private backbone per
+    #: device (~0.1 MiB/device, the install path PR 24 retired)
+    #: projected to ~1 GiB at this fleet size, far past the budget.
     BUDGET_MB = 420.0
 
     def test_ten_thousand_devices_stay_under_budget(self):

@@ -1,10 +1,11 @@
-"""Lazy device-state LRU: evict → rehydrate is bit-for-bit the live path.
+"""Device-state LRU: evict → rehydrate is bit-for-bit the never-evicted path.
 
 The :class:`~repro.distributed.state_store.DeviceStateLRU` lets a
 cluster keep only K devices' headers materialized; everything else sits
 as its cold snapshot (the ``snapshot_header`` arrays — no byte format on
 the residency path).  The contract under test: *no observable
-difference* from the always-live mode — not in importance sets, not in
+difference* from an unbounded store (the "eager" twins here own a
+private one, hydrated at distribution) — not in importance sets, not in
 prune masks, not across checkpoints or dtype casts, and not in a full
 system run's ledger.  Eviction is probed
 at the adversarial points: between importance rounds, after pruning,
@@ -12,6 +13,7 @@ across a save→load checkpoint, and across ``astype``.
 """
 
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -307,6 +309,47 @@ class TestLRUMechanics:
             _provision(d, payload)
             d._ensure_live()
         assert devices[0].backbone is devices[1].backbone is devices[2].backbone
+
+
+class TestUnboundedStore:
+    def test_hydrates_at_install_and_touch_is_a_pure_read(self):
+        """``capacity=None``: every owner is built once, when the model
+        arrives, and a later touch — from any number of threads, as the
+        thread fan-out of a live cluster does — mutates nothing."""
+        network = Network()
+        data = make_cifar100_like(num_classes=4, image_size=8).generate(
+            samples_per_class=4, seed=1
+        )
+        payload = _distribution_payload()
+        store = DeviceStateLRU()
+        assert not store.bounded and DeviceStateLRU(2).bounded
+        devices = [_device(network, data, device_id=i, store=store) for i in range(6)]
+        for d in devices:
+            _provision(d, payload)
+        assert all(d.header is not None and store.is_live(d) for d in devices)
+        assert len({id(d.backbone) for d in devices}) == 1
+        headers = [d.header for d in devices]
+        order = list(store._live)
+
+        def touch_all():
+            for _ in range(200):
+                for d in reversed(devices):
+                    d._ensure_live()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=touch_all) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (store.hydrations, store.evictions) == (6, 0)
+        assert list(store._live) == order
+        assert [d.header for d in devices] == headers
 
 
 class TestSystemParity:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.hw import (
     DeviceProfile,
-    cluster_energy,
     cluster_statistics,
     energy,
     gpu_batch_energy,
@@ -103,16 +102,6 @@ class TestEnergyModel:
             latency(p, 0.5, 0)
         with pytest.raises(ValueError):
             energy(p, 0.5, 1, epochs=0)
-
-    def test_cluster_energy_is_max(self):
-        fleet = make_fleet(num_clusters=1, devices_per_cluster=4)[0]
-        worst = cluster_energy(fleet, 0.5, 3)
-        individual = [energy(d, 0.5, 3).energy_joules for d in fleet]
-        assert worst == pytest.approx(max(individual))
-
-    def test_cluster_energy_rejects_empty(self):
-        with pytest.raises(ValueError):
-            cluster_energy([], 0.5, 1)
 
 
 @settings(max_examples=30, deadline=None)

@@ -24,7 +24,6 @@ from repro.models.headers import build_fixed_header
 from repro.nn.tensor import Tensor, no_grad, using_dtype
 from repro.train.evaluate import evaluate_header
 from repro.train.serving import (
-    backbones_equivalent,
     batched_evaluate_headers,
     batched_extract_features,
     batched_forward_features_multi,
@@ -140,22 +139,6 @@ class TestBatchedExtractFeatures:
             temperature=0.05,
         )
         np.testing.assert_array_equal(batched, unbatched)
-
-
-class TestBackbonesEquivalent:
-    def test_value_identical_clones(self, backbone):
-        clone = VisionTransformer(VIT, seed=1)
-        clone.load_state_dict(backbone.state_dict())
-        assert backbones_equivalent([backbone, clone])
-
-    def test_detects_weight_drift(self, backbone):
-        clone = VisionTransformer(VIT, seed=1)
-        clone.load_state_dict(backbone.state_dict())
-        clone.parameters()[0].data[0] += 1e-9
-        assert not backbones_equivalent([backbone, clone])
-
-    def test_empty_fleet(self):
-        assert not backbones_equivalent([])
 
 
 class TestPrecomputedFeatures:
