@@ -10,9 +10,11 @@ by more than the parent's own inter-quartile range.
     python scripts/ab_pairs.py --parent <git-ref> --workload W \\
         [--pairs 10] [--seconds S] [--seed N]
 
-The parent is checked out with ``git worktree add`` into a temporary
-directory and removed on every exit path; the change is this checkout as
-it stands (uncommitted edits included).  Each side runs its *own*
+The parent is resolved to a commit in this repository, then checked out
+in a temporary directory by a local ``git clone --no-checkout`` and a
+detached ``git checkout``; removing that directory, on every exit path,
+is the whole cleanup.  The change is this checkout as it stands
+(uncommitted edits included).  Each side runs its *own*
 ``benchmarks/e2e/run.py --workload W --trace 0``, so each side's gates
 (pinned digests, replay, nothing left behind) are on: a run that exits
 non-zero or reports ``correct: false`` makes this script exit 1 after
@@ -113,6 +115,14 @@ def report(metrics: List[dict], runs: Dict[str, List[dict]]) -> None:
         print(f"  {verdict(spec, columns['parent'], columns['change'])}")
 
 
+def git(parser: argparse.ArgumentParser, cwd: Path, *args: str) -> str:
+    """``git <args>`` in ``cwd``; its stdout, or a usage error naming why."""
+    done = subprocess.run(["git", *args], cwd=cwd, capture_output=True, text=True)
+    if done.returncode != 0:
+        parser.error(f"git {args[0]} failed: {done.stderr.strip()}")
+    return done.stdout.strip()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git ref of the parent commit")
@@ -127,40 +137,32 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
-    # SIGTERM unwinds like Ctrl-C, so the worktree is removed either way.
+    # SIGTERM unwinds like Ctrl-C, so the temporary checkout is removed
+    # either way.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     metrics = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     runs: Dict[str, List[dict]] = {side: [] for side in SIDES}
     gate_failures = 0
+    sha = git(parser, REPO_ROOT, "rev-parse", "--verify", f"{args.parent}^{{commit}}")
     with tempfile.TemporaryDirectory(prefix="ab_pairs.") as scratch:
         parent_checkout = Path(scratch) / "parent"
-        try:
-            added = subprocess.run(
-                ["git", "worktree", "add", "--detach", str(parent_checkout), args.parent],
-                cwd=REPO_ROOT, capture_output=True, text=True,
-            )
-            if added.returncode != 0:
-                parser.error(f"cannot check out --parent {args.parent}: {added.stderr.strip()}")
-            checkouts = {"parent": parent_checkout, "change": REPO_ROOT}
-            for pair in range(args.pairs):
-                order = SIDES if pair % 2 == 0 else SIDES[::-1]
-                results = {}
-                for side in order:
-                    results[side] = run_once(
-                        checkouts[side], Path(scratch) / f"out.{side}", args
-                    )
-                    print(f"pair {pair + 1:2d} {side:6s} {json.dumps(results[side])}", flush=True)
-                if None in results.values():
-                    gate_failures += 1
-                    continue  # a pair counts only when both sides ran clean
-                for side in SIDES:
-                    runs[side].append(results[side])
-        finally:
-            subprocess.run(
-                ["git", "worktree", "remove", "--force", str(parent_checkout)],
-                cwd=REPO_ROOT, check=False, capture_output=True,
-            )
-            subprocess.run(["git", "worktree", "prune"], cwd=REPO_ROOT, check=False)
+        git(parser, REPO_ROOT, "clone", "--quiet", "--no-checkout", str(REPO_ROOT),
+            str(parent_checkout))
+        git(parser, parent_checkout, "checkout", "--quiet", "--detach", sha)
+        checkouts = {"parent": parent_checkout, "change": REPO_ROOT}
+        for pair in range(args.pairs):
+            order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            results = {}
+            for side in order:
+                results[side] = run_once(
+                    checkouts[side], Path(scratch) / f"out.{side}", args
+                )
+                print(f"pair {pair + 1:2d} {side:6s} {json.dumps(results[side])}", flush=True)
+            if None in results.values():
+                gate_failures += 1
+                continue  # a pair counts only when both sides ran clean
+            for side in SIDES:
+                runs[side].append(results[side])
     print(
         f"\n{args.workload} seed {args.seed}: {len(runs['parent'])} of {args.pairs} "
         f"pairs clean, parent = {args.parent}"

@@ -6,9 +6,7 @@ choices (vocabulary size ``b + 2``) and two operation choices (vocabulary
 size ``|Ô|``).  Per the paper it is a single-layer LSTM with 100 hidden
 units; each decision is one-hot encoded, passed through an embedding, and
 the hidden state is projected to logits over the step's vocabulary
-(invalid entries masked).  A separate head maps the final hidden state
-through a fully-connected layer and a sigmoid to estimate validation
-accuracy (the predictor used for progressive ranking).
+(invalid entries masked).
 """
 
 from __future__ import annotations
@@ -69,7 +67,6 @@ class ArchitectureController(Module):
         self.embed = Linear(self.max_vocab, embed_size, bias=False, rng=rng)
         self.cell = LSTMCell(embed_size, hidden_size, rng=rng)
         self.out = Linear(hidden_size, self.max_vocab, rng=rng)
-        self.accuracy_head = Linear(hidden_size, 1, rng=rng)
 
     # ------------------------------------------------------------------
     def step_vocab_sizes(self) -> List[int]:
@@ -119,39 +116,6 @@ class ArchitectureController(Module):
         assert log_prob is not None
         spec = HeaderSpec.from_sequence(decisions, repeats=self.repeats)
         return SampledArchitecture(spec=spec, log_prob=log_prob, entropy=entropy)
-
-    # reprolint: unreached -- deferred deletion (no paper anchor): goes with its 3 policy-
-    # gradient direction tests in test_controller.py
-    def log_prob_of(self, spec: HeaderSpec) -> Tensor:
-        """Differentiable log-probability of an existing spec."""
-        state: Optional[Tuple[Tensor, Tensor]] = None
-        previous = np.zeros((1, self.max_vocab))
-        total: Optional[Tensor] = None
-        for vocab, choice in zip(self.step_vocab_sizes(), spec.to_sequence()):
-            embedded = self.embed(Tensor(previous))
-            h, c = self.cell(embedded, state)
-            state = (h, c)
-            log_probs = F.log_softmax(self._masked_logits(h, vocab), axis=-1)
-            step_lp = log_probs[0, choice]
-            total = step_lp if total is None else total + step_lp
-            previous = F.one_hot(np.array([choice]), self.max_vocab)
-        assert total is not None
-        return total
-
-    # reprolint: unreached -- deferred deletion (no paper anchor): sole reader of
-    # `accuracy_head`, which must leave the controller's parameter list with it; 1 test
-    def predict_accuracy(self, spec: HeaderSpec) -> Tensor:
-        """Sigmoid accuracy estimate from the final hidden state (§III-C2)."""
-        state: Optional[Tuple[Tensor, Tensor]] = None
-        previous = np.zeros((1, self.max_vocab))
-        h: Optional[Tensor] = None
-        for choice in spec.to_sequence():
-            embedded = self.embed(Tensor(previous))
-            h, c = self.cell(embedded, state)
-            state = (h, c)
-            previous = F.one_hot(np.array([choice]), self.max_vocab)
-        assert h is not None
-        return self.accuracy_head(h).sigmoid().reshape(())
 
 
 class MovingAverageBaseline:

@@ -91,16 +91,6 @@ class ArrayDataset:
         """Counts per class over the full label space."""
         return np.bincount(self.labels, minlength=self.num_classes)
 
-    # reprolint: unreached -- deferred deletion (no paper anchor): goes with its 2 tests in
-    # test_dataset.py; test_partition.py's entropy helper re-aims at class_histogram
-    def class_distribution(self) -> np.ndarray:
-        """Normalized class histogram (sums to 1; uniform if empty)."""
-        hist = self.class_histogram().astype(np.float64)
-        total = hist.sum()
-        if total == 0:
-            return np.full(self.num_classes, 1.0 / self.num_classes)
-        return hist / total
-
     def nbytes(self) -> int:
         """Byte size of the raw data — the cost of uploading this dataset."""
         return int(self.images.nbytes + self.labels.nbytes)

@@ -12,6 +12,12 @@ The backbone being frozen for all of that, a device whose store is
 unbounded sweeps its private set through it once per installed model
 (:meth:`DeviceNode.frozen_features`); the importance rounds, the finale's
 fine-tune and the similarity sample all gather rows from that sweep.
+
+The group methods (:meth:`DeviceNode.importance_rounds`,
+:meth:`DeviceNode.finetune_group`) take live devices and never touch
+the store: only the edge's walk touches a bounded store, in the parent,
+chunk by chunk.  The single-device entry points (:meth:`finetune`,
+:meth:`evaluate`, the personalized-set downlink) hydrate themselves.
 """
 
 from __future__ import annotations
@@ -271,10 +277,9 @@ class DeviceNode:
         messages through the network so the bytes are accounted on the
         uplink.  ``round_index`` is the edge's round counter; the local
         data decide the sets here, so only synthetic devices (the scale
-        harness) read it.
+        harness) read it.  The devices must be live: the edge's walk
+        hydrates them ahead of the fan-out.
         """
-        for device in devices:
-            device._ensure_live()
         sets = fleet_importance_rounds(
             devices[0].backbone,
             [d.header for d in devices],
@@ -319,9 +324,7 @@ class DeviceNode:
         cls, devices: Sequence["DeviceNode"], config: Optional[TrainConfig] = None
     ) -> None:
         """Final local header training (backbone frozen, mask enforced)
-        of ``devices`` — grouped as for :meth:`importance_rounds`."""
-        for device in devices:
-            device._ensure_live()
+        of live ``devices`` — grouped as for :meth:`importance_rounds`."""
         train_headers_fleet(
             devices[0].backbone,
             [d.header for d in devices],
@@ -332,6 +335,7 @@ class DeviceNode:
 
     def finetune(self, config: Optional[TrainConfig] = None) -> None:
         """:meth:`finetune_group` of this device alone."""
+        self._ensure_live()
         type(self).finetune_group([self], config)
 
     def finalize_round(self, config: Optional[TrainConfig] = None) -> dict:

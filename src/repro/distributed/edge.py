@@ -9,10 +9,17 @@ An edge server ``s`` manages a device cluster N_s and a shared dataset
 * **Phase 2-2** — drive the single loop of Algorithm 2: collect device
   importance sets, compute the Wasserstein similarity matrix from the
   devices' feature samples, aggregate (Eq. 21), and redistribute.
+
+The devices' side of every round and of the finale is one walk over the
+cluster (:meth:`EdgeServer._local_updates`): chunks as large as the
+cluster's store keeps live, each hydrated in the parent and then trained
+in groups across the plan's workers — only the edge's walk touches a
+store that can evict, in the parent, chunk by chunk.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -41,10 +48,6 @@ from repro.models.blocks import HeaderSpec
 from repro.models.vit import VisionTransformer
 from repro.nn.layers import has_active_stochastic_modules
 from repro.train import serving
-
-
-#: The plan of every fan-out that must not fan out.
-_SERIAL = ExecutionPlan()
 
 
 @dataclass
@@ -126,7 +129,7 @@ class EdgeServer:
         network: Network,
         config: Optional[EdgeConfig] = None,
         cloud_name: str = "cloud",
-        plan: ExecutionPlan = _SERIAL,
+        plan: ExecutionPlan = ExecutionPlan(),
     ) -> None:
         self.index = index
         self.devices = list(devices)
@@ -412,16 +415,12 @@ class EdgeServer:
         # accumulation) run group by group; the network sends stay
         # serial and in device order so the traffic ledger and message
         # sequence are the same under every plan.
-        messages = [
-            message
-            for group_messages in self._local_updates(
-                participants,
-                lambda group: type(group[0]).importance_rounds(
-                    group, include_feature_sample=include_features, round_index=t
-                ),
-            )
-            for message in group_messages
-        ]
+        messages = self._local_updates(
+            participants,
+            lambda group: type(group[0]).importance_rounds(
+                group, include_feature_sample=include_features, round_index=t
+            ),
+        )
         self._harvest_feature_samples(participants, messages)
         for message in messages:
             message.receiver = self.name
@@ -521,30 +520,24 @@ class EdgeServer:
         return len(fresh)
 
     # ------------------------------------------------------------------
-    def _fan_out_plan(self, devices: Sequence[DeviceNode]) -> ExecutionPlan:
-        """The plan a per-device fan-out over ``devices`` runs under.
+    def _local_groups(
+        self,
+        devices: Sequence[DeviceNode],
+        backbone_draws_rng: Callable[[VisionTransformer], bool] = (
+            has_active_stochastic_modules
+        ),
+    ) -> List[List[DeviceNode]]:
+        """Partition live ``devices`` for a local update (importance
+        round, fine-tune): who trains in one stacked graph together.
 
-        Devices in a bounded DeviceStateLRU run serially: a concurrent
-        hydration could evict a peer whose header another worker is
-        mid-way through training.
-        """
-        lazy = any(d.state_store.bounded for d in devices)
-        return _SERIAL if lazy else self.plan
-
-    def _local_groups(self, devices: Sequence[DeviceNode]) -> List[List[DeviceNode]]:
-        """Partition ``devices`` for a local update (importance round,
-        fine-tune): who trains in one stacked graph together.
-
-        Batchable devices — at least two devices of one class, none
-        evictable, that hold the same frozen backbone instance and
-        whose forwards draw no module-local RNG — are chunked into as
-        many contiguous groups as the plan's inner tier has workers,
-        one stacked graph per worker; the serial plan is the one-group
-        case.  A group is trained by its class's group method
-        (:meth:`DeviceNode.importance_rounds`) against that backbone.
-        Singletons otherwise: a bounded store's LRU could evict a
-        member (snapshotting stale values) while its group's graph
-        still holds the header.
+        Batchable devices — at least two devices of one class that hold
+        the same frozen backbone instance and whose forwards draw no
+        module-local RNG (``backbone_draws_rng`` asks it of the
+        backbone) — are chunked into as many contiguous groups as the
+        plan's inner tier has workers, one stacked graph per worker;
+        the serial plan is the one-group case.  A group is trained by
+        its class's group method (:meth:`DeviceNode.importance_rounds`)
+        against that backbone.  Singletons otherwise.
         """
         singletons = [[d] for d in devices]
         if len(devices) < 2:
@@ -555,13 +548,10 @@ class EdgeServer:
         backbone = devices[0].backbone
         if (
             len({type(d) for d in devices}) == 1
-            and not any(d.state_store.bounded for d in devices)
             and backbone is not None
             and all(d.backbone is backbone for d in devices)
-            and not any(
-                has_active_stochastic_modules(m)
-                for m in [backbone] + [d.header for d in devices]
-            )
+            and not backbone_draws_rng(backbone)
+            and not any(has_active_stochastic_modules(d.header) for d in devices)
         ):
             return groups
         return singletons
@@ -569,40 +559,51 @@ class EdgeServer:
     def _local_updates(
         self,
         devices: Sequence[DeviceNode],
-        update: Callable[[List[DeviceNode]], object],
+        update: Callable[[List[DeviceNode]], list],
     ) -> list:
-        """``update(group)`` for each of :meth:`_local_groups`, in order.
+        """``update(group)`` over ``devices``, walked chunk by chunk; the
+        groups' per-device results, concatenated in device order.
 
-        A group's update mutates exactly its own devices' header
-        parameters, so those are what a forked worker ships home
-        (``shared_params``); every other mutation (prune masks, the
-        network ledger) happens in the parent.  Workers that share the
-        parent heap need nothing.
+        A chunk is as many devices as the smallest store capacity among
+        them (all of ``devices`` when no store has a capacity).  Each
+        chunk is hydrated here, in the parent and in device order — the
+        only store touches ahead of the fan-out, so no worker ever moves
+        an LRU — and stays live while :meth:`_local_groups` partitions
+        it and ``plan.map_devices`` runs ``update`` on the groups, each
+        of which returns one result per member.  A group's update mutates
+        exactly its own devices' header parameters, so those are what a
+        forked worker ships home (``shared_params``); every other
+        mutation (prune masks, the network ledger) happens in the
+        parent.  A forked worker's frozen-feature cache dies with it, so
+        the chunk's caches are swept here first and the workers inherit
+        the pages.
         """
-        groups = self._local_groups(devices)
-        self._warm_frozen_features(devices)
-        shared = None
-        if not self.plan.workers_share_heap:
-            shared = [
-                [p for d in group if d.header is not None for p in d.header.parameters()]
-                for group in groups
-            ]
-        return self._fan_out_plan(devices).map_devices(
-            update, groups, shared_params=shared
+        capacities = [d.state_store.capacity for d in devices if d.state_store.bounded]
+        size = min(capacities, default=max(len(devices), 1))
+        # One RNG check of the (shared) backbone per walk, not per chunk.
+        backbone_draws_rng = functools.lru_cache(maxsize=1)(
+            has_active_stochastic_modules
         )
-
-    def _warm_frozen_features(self, devices: Sequence[DeviceNode]) -> None:
-        """Sweep the devices' frozen-feature caches ahead of a forked round.
-
-        A forked worker's ``device._features`` is private to the worker
-        and dies with it, so the sweep would be repeated in every
-        fan-out; done here, the workers inherit the parent's pages.
-        Workers that share the heap (threads, and the serial plan of a
-        bounded cluster) build — or skip — their own cache in place.
-        """
-        if not self._fan_out_plan(devices).workers_share_heap:
-            for device in devices:
-                device.frozen_features()
+        forked = not self.plan.workers_share_heap
+        results: list = []
+        for start in range(0, len(devices), size):
+            chunk = devices[start : start + size]
+            for device in chunk:
+                device._ensure_live()
+                if forked:
+                    device.frozen_features()
+            groups = self._local_groups(chunk, backbone_draws_rng)
+            shared = None
+            if forked:
+                shared = [
+                    [p for d in group for p in d.header.parameters()]
+                    for group in groups
+                ]
+            for group_results in self.plan.map_devices(
+                update, groups, shared_params=shared
+            ):
+                results.extend(group_results)
+        return results
 
     def _harvest_feature_samples(
         self, devices: Sequence[DeviceNode], messages: Sequence[Message]
@@ -625,54 +626,28 @@ class EdgeServer:
 
     # ------------------------------------------------------------------
     def finalize(self) -> List[dict]:
-        """Final device-side fine-tuning and evaluation.
+        """Final device-side fine-tuning and evaluation, in device order.
 
-        Each device's finetune+eval touches only that device's state;
-        the fine-tune runs group by group (:meth:`_local_groups`) and
-        results stay in device order.
-
-        For a cluster whose devices all hold the same frozen backbone —
-        the invariant :meth:`distribute_models` establishes — the
-        evaluation half is served through one batched backbone forward
-        per round (:func:`repro.train.serving.batched_evaluate_headers`)
-        instead of one forward per device.  Both halves are numerically
-        identical to the per-device loop.
+        The same walk as a round (:meth:`_local_updates`): each group
+        fine-tunes, then is evaluated while its chunk is live through
+        one batched backbone forward per batch
+        (:func:`repro.train.serving.batched_evaluate_headers`) against
+        the backbone its members share — a device alone is the group of
+        one.  Per-device results are row-independent there, so any
+        grouping is bit-identical to the per-device loop.
         """
         # Only devices that are on the fabric and actually hold a model
         # reach the finale; a dead or never-provisioned device yields no
         # result row (the cluster's participation metric reports it).
         devices = [d for d in self.devices if d.active and d.has_model]
-        if not devices:
-            return []
-        # A bounded cluster runs serially (``_fan_out_plan``) in
-        # LRU-capacity chunks, so each chunk is simultaneously live and
-        # its evaluation can still ride one batched backbone forward; an
-        # unbounded cluster is one chunk.  Per-device results are
-        # row-independent in ``batched_evaluate_headers``, so any
-        # chunking is bit-identical to the unchunked finale.
-        chunk_size = min(
-            [len(devices)]
-            + [d.state_store.capacity for d in devices if d.state_store.bounded]
-        )
-        results: List[dict] = []
-        for start in range(0, len(devices), chunk_size):
-            results.extend(self._finalize_chunk(devices[start : start + chunk_size]))
-        return results
+        return self._local_updates(devices, _finetune_and_evaluate)
 
-    def _finalize_chunk(self, devices: List[DeviceNode]) -> List[dict]:
-        """Fine-tune then evaluate devices that fit in memory together."""
-        for device in devices:
-            device._ensure_live()
-        self._local_updates(
-            devices, lambda group: type(group[0]).finetune_group(group)
-        )
-        if all(d.backbone is devices[0].backbone for d in devices):
-            return serving.batched_evaluate_headers(
-                devices[0].backbone,
-                [d.header for d in devices],
-                [d.eval_dataset() for d in devices],
-            )
-        # Evaluation is read-only — no state to bring home.
-        return self._fan_out_plan(devices).map_devices(
-            lambda device: device.evaluate(), devices
-        )
+
+def _finetune_and_evaluate(group: List[DeviceNode]) -> List[dict]:
+    """The finale of one group: fine-tune, then evaluate (one row each)."""
+    type(group[0]).finetune_group(group)
+    return serving.batched_evaluate_headers(
+        group[0].backbone,
+        [d.header for d in group],
+        [d.eval_dataset() for d in group],
+    )

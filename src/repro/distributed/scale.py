@@ -17,7 +17,9 @@ importance sets, so the harness measures what actually limits scale:
   header live, for the memory comparison);
 * **the round** — each cluster is an
   :class:`~repro.distributed.edge.EdgeServer` and runs its round
-  unchanged (quorum re-poll and carry-forward included), aggregating
+  unchanged (quorum re-poll and carry-forward included): its walk
+  hydrates ``lru_capacity``-sized chunks of participants in the parent,
+  one chunk live at a time, and it aggregates
   through one uniform weight row into one running-sum accumulator,
   never an ``(n, R)`` stack or an ``n × n`` matrix;
 * **stragglers** — the edge's ``round_deadline`` is set at the
@@ -122,10 +124,10 @@ class ScaleDevice(DeviceNode):
     Inherits the full residency machinery (hydrate/evict/LRU) and wire
     behavior of :class:`DeviceNode`; only the *learning* is replaced:
 
-    * :meth:`importance_rounds` touches the LRU (hydration is the real,
-      measured per-device work at scale) and uploads a seeded random
-      set per device — a pure function of
-      ``(seed, device_id, round_index)``;
+    * :meth:`importance_rounds` uploads a seeded random set per device
+      — a pure function of ``(seed, device_id, round_index)`` — for a
+      chunk the edge's walk has just hydrated through the LRU
+      (hydration is the real, measured per-device work at scale);
     * :meth:`_receive_personalized_set` acknowledges the downlink
       without pruning, because synthetic sets are not aligned to header
       parameters.  The wire exchange (payload + ACK) is unchanged.
@@ -144,7 +146,6 @@ class ScaleDevice(DeviceNode):
     ) -> List[Message]:
         messages = []
         for device in devices:
-            device._ensure_live()
             rng = np.random.default_rng(
                 [max(device.seed, 0), device.profile.device_id, round_index]
             )

@@ -32,6 +32,7 @@ the cached frozen-feature sample.  Parity is asserted bit-for-bit in
 
 from __future__ import annotations
 
+import numbers
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, Optional
 
@@ -121,14 +122,24 @@ class DeviceStateLRU:
     live references) — and call :meth:`touch` before using their
     model state.  ``capacity=None`` never evicts: owners hydrate at
     install and a later :meth:`touch` is a pure read, safe under any
-    fan-out.  A bounded store is deliberately single-threaded: its
-    clusters run their device fan-outs serially (the edge enforces it),
-    because a concurrent hydration could evict a peer mid-use.
+    fan-out.  A bounded store is single-threaded: only the edge's walk
+    touches it ahead of a fan-out — in the parent, chunk by chunk, a
+    chunk being at most ``capacity`` devices — so no worker ever
+    hydrates, and no peer is evicted while a group still uses it.
     """
 
     def __init__(self, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        # A float or a bool is refused rather than truncated, as worker
+        # specs are (``executor.resolve_workers``): the capacity sizes
+        # the edge's chunks.
+        if capacity is not None and (
+            isinstance(capacity, bool)
+            or not isinstance(capacity, numbers.Integral)
+            or capacity < 1
+        ):
+            raise ValueError(
+                f"capacity must be None or an int >= 1, got {capacity!r}"
+            )
         self.capacity = None if capacity is None else int(capacity)
         self._live: "OrderedDict[str, object]" = OrderedDict()
         #: The current payload's ``(backbone_state, backbone)``; a new

@@ -72,17 +72,6 @@ class TestArrayDataset:
         ds = make_dataset(5)
         assert len(ds.sample(100, np.random.default_rng(0))) == 5
 
-    def test_class_histogram_and_distribution(self):
-        ds = ArrayDataset(
-            np.zeros((4, 1, 2, 2)), np.array([0, 0, 1, 2]), num_classes=4
-        )
-        np.testing.assert_array_equal(ds.class_histogram(), [2, 1, 1, 0])
-        np.testing.assert_allclose(ds.class_distribution().sum(), 1.0)
-
-    def test_empty_distribution_is_uniform(self):
-        ds = ArrayDataset(np.zeros((0, 1, 2, 2)), np.zeros(0, dtype=int), 4)
-        np.testing.assert_allclose(ds.class_distribution(), 0.25)
-
     def test_nbytes_counts_images_and_labels(self):
         ds = make_dataset(10)
         assert ds.nbytes() == ds.images.nbytes + ds.labels.nbytes

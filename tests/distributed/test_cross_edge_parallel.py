@@ -169,11 +169,12 @@ class TestPlanProduct:
         )
 
 
-#: Residency × executor × dropout on a 1 × 3-device system.  Every
+#: Residency × executor × dropout on a 1 × 3-device system (capacity 2
+#: puts a chunk boundary of the edge's walk inside the cluster).  Every
 #: device borrows its cluster's one eval-mode backbone whatever the
 #: capacity, so backbone dropout — the only thing that reads
 #: ``Module.training`` — cannot tell the cells apart.
-CAPACITY_CELLS = {"unbounded": None, "capacity1": 1, "capacityN": 3}
+CAPACITY_CELLS = {"unbounded": None, "capacity1": 1, "capacity2": 2, "capacityN": 3}
 EXECUTOR_CELLS = {
     "serial": {},
     "threads2": dict(device_workers=2),
@@ -215,7 +216,7 @@ class TestResidencyProduct:
     def test_cell_gives_the_one_result(self, capacity, executor, dropout):
         """How many devices stay live and where their updates run are
         invisible: one ``(accuracies, losses, total_bytes,
-        message_kinds)`` per dropout value over all nine cells."""
+        message_kinds)`` per dropout value over all twelve cells."""
         if executor == "process2" and not fork_available():
             pytest.skip("process backend requires the fork start method")
         got = _residency_run(CAPACITY_CELLS[capacity], executor, dropout)

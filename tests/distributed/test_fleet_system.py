@@ -12,6 +12,7 @@ between the two, alone and composed with the edge width.
 """
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from repro.distributed.network import Network
 from repro.distributed.scale import ScaleCluster, ScaleConfig
 from repro.distributed.state_store import backbone_from_payload
 from repro.nn.layers import Dropout
-from repro.train import fleet
+from repro.train import fleet, serving
 from tests.helpers import assert_same_run
 
 
@@ -102,7 +103,7 @@ class TestFleetWiring:
         # Before model distribution no device holds a backbone/header.
         assert edge._local_groups(edge.devices) == [[d] for d in edge.devices]
 
-    def test_fleet_ready_rejects_heterogeneous_backbones(self):
+    def test_fleet_ready_rejects_heterogeneous_backbones(self, monkeypatch):
         edge = _distributed_edge()
         assert edge._local_groups(edge.devices) == [edge.devices]
         # The cluster shares one backbone instance, so an in-place
@@ -113,14 +114,20 @@ class TestFleetWiring:
         assert edge._local_groups(edge.devices) == [edge.devices]
         # A device holding its own instance — even a value-identical
         # one — breaks the sharing: the devices train one by one and
-        # the finale evaluates per device instead of one batched forward.
+        # the finale evaluates each against its own backbone instead of
+        # one batched forward.
         device.backbone = backbone_from_payload(device._model_payload)
         assert edge._local_groups(edge.devices) == [[d] for d in edge.devices]
         evaluated = []
-        for d in edge.devices:
-            d.evaluate = lambda d=d: evaluated.append(d) or {"accuracy": 0.0}
-        edge._finalize_chunk(edge.devices)
-        assert evaluated == edge.devices
+        real = serving.batched_evaluate_headers
+
+        def recording(backbone, headers, datasets, **kwargs):
+            evaluated.append((backbone, headers))
+            return real(backbone, headers, datasets, **kwargs)
+
+        monkeypatch.setattr(serving, "batched_evaluate_headers", recording)
+        assert len(edge.finalize()) == len(edge.devices)
+        assert evaluated == [(d.backbone, [d.header]) for d in edge.devices]
 
     def test_inner_tier_width_selects_the_fan_out(self):
         """Inner-tier width is the number of stacked groups — contiguous
@@ -158,7 +165,7 @@ def round_loop_calls(monkeypatch):
 class TestRoundLoopEntries:
     """How many times, and with how many members, a plan enters
     ``repro.train.fleet._run_rounds`` — T aggregation rounds and the
-    finale's one chunk over a 3-device cluster."""
+    finale over a 3-device cluster."""
 
     @staticmethod
     def _entries(calls, **config):
@@ -194,6 +201,40 @@ class TestRoundLoopEntries:
         device order: a group's graph must not outlive an eviction."""
         entries, phases = self._entries(round_loop_calls, device_state_capacity=1)
         assert entries == [[0], [1], [2]] * phases
+
+    def test_bounded_cluster_trains_in_store_sized_chunks(
+        self, round_loop_calls, monkeypatch
+    ):
+        """A bounded store's cluster is walked in chunks of its capacity,
+        each live at once and so a legal group: serially, one stacked
+        graph per chunk in device order; on two thread workers the first
+        chunk's two one-member groups run side by side."""
+        entries, phases = self._entries(round_loop_calls, device_state_capacity=2)
+        assert entries == [[0, 1], [2]] * phases
+
+        counting, ran_on = fleet._run_rounds, []
+
+        def on_thread(backbone, members, *args, **kwargs):
+            ran_on.append((members[0].dataset, threading.get_ident()))
+            return counting(backbone, members, *args, **kwargs)
+
+        monkeypatch.setattr(fleet, "_run_rounds", on_thread)
+        entries, phases = self._entries(
+            round_loop_calls,
+            device_state_capacity=2,
+            execution=ExecutionPlan(device_workers=2),
+        )
+        # Within a phase the chunks run in order; a chunk's groups in
+        # completion order.
+        assert [sorted(entries[i : i + 3]) for i in range(0, len(entries), 3)] == [
+            [[0], [1], [2]]
+        ] * phases
+        index = {id(call[0]): entry[0] for call, entry in zip(round_loop_calls, entries)}
+        walk = ran_on[-3 * phases :]
+        for i in range(0, len(walk), 3):
+            (first, a), (second, b) = walk[i : i + 2]
+            assert {index[id(first)], index[id(second)]} == {0, 1}
+            assert a != b
 
 
 class TestScaleClusterDispatch:

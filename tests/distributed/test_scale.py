@@ -96,6 +96,38 @@ class TestCampaignProperties:
     def test_replay_determinism(self):
         assert _stable(_campaign_dict()) == _stable(_campaign_dict())
 
+    @pytest.mark.parametrize(
+        "seed, counters", [(0, (276, 276, 244, 32, 0)), (1, (272, 272, 240, 32, 0))]
+    )
+    def test_residency_counters_of_the_benchmark_campaign(self, seed, counters):
+        """``benchmarks/e2e``'s ``scale_rounds`` campaign, pinned in
+        ``(contributions, hydrations, evictions, stragglers, carried)``:
+        one hydration per contribution — the edge's walk touches each
+        participant once, in device order, a chunk at a time — and
+        integers no BLAS build can move, so the pin holds on any host."""
+        report = run_scale_campaign(
+            ScaleConfig(
+                num_devices=160,
+                num_clusters=4,
+                rounds=2,
+                lru_capacity=8,
+                eval_requests=0,
+                drop=0.1,
+                churn=0.05,
+                retries=5,
+                deadline_quantile=0.9,
+                ledger="summary",
+                seed=seed,
+            )
+        )
+        assert (
+            report.contributions,
+            report.hydrations,
+            report.evictions,
+            report.stragglers,
+            report.carried,
+        ) == counters
+
     def test_straggler_and_fault_accounting(self):
         report = _campaign_dict()
         assert report["contributions"] > 0

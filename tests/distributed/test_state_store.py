@@ -24,6 +24,7 @@ from repro.distributed import ACMEConfig, ACMESystem
 from repro.distributed.device import DeviceNode
 from repro.distributed.messages import Message, MessageKind
 from repro.distributed.network import Network
+from repro.distributed.scale import ScaleCluster, ScaleConfig
 from repro.distributed.state_store import (
     DeviceStateLRU,
     restore_header,
@@ -271,6 +272,24 @@ class TestLRUMechanics:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             DeviceStateLRU(0)
+        # Refused and named, never truncated (2.7 → 2, True → 1) nor left
+        # to fail later inside a comparison ("4").
+        for bad in (2.7, True, "4", -1):
+            with pytest.raises(ValueError, match=f"got {bad!r}"):
+                DeviceStateLRU(bad)
+        assert DeviceStateLRU(np.int64(3)).capacity == 3
+        with pytest.raises(ValueError, match="got 2.7"):
+            ACMESystem(
+                ACMEConfig(
+                    num_clusters=1,
+                    devices_per_cluster=2,
+                    num_classes=4,
+                    samples_per_class=6,
+                    device_state_capacity=2.7,
+                )
+            )
+        with pytest.raises(ValueError, match="got 2.7"):
+            ScaleCluster(0, 2, 0, Network(), ScaleConfig(lru_capacity=2.7))
 
     def test_eviction_order_and_counters(self):
         network = Network()

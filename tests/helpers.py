@@ -123,7 +123,9 @@ def _parameter_gradient_check(module, forward, params, atol, rtol) -> None:
 
 def importance_round(device, **kwargs):
     """One device's local importance round — the group of one of
-    ``DeviceNode.importance_rounds`` — as its single upload message."""
+    ``DeviceNode.importance_rounds``, hydrated first as the edge's walk
+    would — as its single upload message."""
+    device._ensure_live()
     (message,) = type(device).importance_rounds([device], **kwargs)
     return message
 
