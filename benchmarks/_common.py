@@ -100,7 +100,7 @@ def emit_perf(
     updated record-by-record: records whose labels this bench rewrites
     are replaced, records from other benches are preserved — so
     ``BENCH_perf.json`` can accumulate the whole perf trajectory
-    (hot-path kernels, parallel cluster phases, …) regardless of which
+    (fleet trainer, fault fabric, fleet scale, …) regardless of which
     bench ran last.  Each record carries a ``bench`` provenance field.
     """
     records = [dict(r) for r in records]

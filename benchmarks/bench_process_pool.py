@@ -7,16 +7,13 @@ Two comparisons, recorded into the ``BENCH_perf.json`` trajectory
   fan-out (Algorithm 2's per-device phase: a taped DAG-header forward /
   backward per batch, the GIL-bound workload the process backend
   exists for) through an ``ExecutionPlan(backend="process")`` with 4
-  workers.  On a host with ≥4 cores this is measured **wall-clock
-  against the thread backend** — the honest past-the-GIL claim — with
-  a ≥1.5× floor.  On a smaller host (single-core CI) no real
-  parallelism is possible, so the record falls back to the
-  hardware-independent *schedule length* of the measured per-device
-  durations on 4 workers vs their serial sum (the same contract the
-  cross-edge and cluster-finalize benches pin), keeping the 1.5×
-  floor replayable everywhere.  Either way the process-backend results
-  are asserted **bit-for-bit identical** to the serial loop under
-  float64 — header parameters returned in the result frames included.
+  workers, measured **wall-clock against the thread backend** with a
+  ≥1.5× floor.  The record is written only on a host with ≥4 cores and
+  ``fork``; a smaller host cannot run the workers in parallel, so there
+  the leg checks parity and records nothing.  Either way the
+  process-backend results are asserted **bit-for-bit identical** to the
+  serial loop under float64 — header parameters returned in the result
+  frames included.
 
 * ``fused_step_cache_blocked`` — the cache-blocked fused Adam sweep
   (PR 9: ``repro.nn.optim._FUSED_BLOCK_ELEMS``-element chunks keep one
@@ -38,9 +35,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from pathlib import Path
-from typing import List
 
 import numpy as np
 
@@ -51,7 +46,6 @@ from _common import emit_perf, perf_record, timed
 from repro.core.header_importance import ImportanceConfig, compute_importance_set
 from repro.data.synthetic import make_cifar100_like
 from repro.distributed.executor import ExecutionPlan
-from repro.distributed.metrics import schedule_length
 from repro.distributed.procpool import fork_available
 from repro.models.blocks import HeaderSpec
 from repro.models.header_dag import DAGHeader
@@ -64,7 +58,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 WORKERS = 4
 DEVICES = 8
 #: Floor on the process-pool importance fan-out: wall-clock vs threads
-#: on a ≥4-core host, schedule-length vs serial on anything smaller.
+#: on a ≥4-core host (no record on anything smaller).
 PROCESS_POOL_FLOOR = 1.5
 #: Floor on the cache-blocked fused sweep: blocking must never lose.
 BLOCKED_STEP_FLOOR = 1.0
@@ -108,21 +102,17 @@ def _importance_fixture(smoke: bool):
 
 
 def bench_process_pool_importance(smoke: bool):
-    """8 per-device importance rounds: process pool vs thread/serial."""
+    """8 per-device importance rounds: process pool vs thread pool.
+
+    Returns ``None`` — parity checked, nothing timed — on a host with
+    fewer than ``WORKERS`` cores or without ``fork``.
+    """
     multicore = (os.cpu_count() or 1) >= WORKERS and fork_available()
     with using_dtype("float64"):
         make_items, task = _importance_fixture(smoke)
 
-        # Serial reference + per-device durations (drives the
-        # schedule-length fallback and the parity assert).
         items, _ = make_items()
-        durations: List[float] = []
-        serial_sets = []
-        for item in items:
-            start = time.perf_counter()
-            serial_sets.append(task(item))
-            durations.append(time.perf_counter() - start)
-        serial_total = sum(durations)
+        serial_sets = [task(item) for item in items]
 
         # The process backend must reproduce the serial sets exactly —
         # results and header parameters both travel back in the
@@ -135,47 +125,34 @@ def bench_process_pool_importance(smoke: bool):
         )
         for a, b in zip(serial_sets, process_sets):
             np.testing.assert_array_equal(a, b)
-
-        one_run = {"repeats": 1, "warmup": 0}
-        if multicore:
-            repeats = 2 if smoke else 5
-
-            def run_threads():
-                fresh, _ = make_items()
-                return threads.map_devices(task, fresh)
-
-            def run_processes():
-                fresh, shared = make_items()
-                return processes.map_devices(task, fresh, shared_params=shared)
-
-            thread_run = timed(run_threads, repeats=repeats, warmup=1)
-            process_run = timed(run_processes, repeats=repeats, warmup=1)
-            return perf_record(
-                "process_pool_importance_rounds",
-                fast=process_run,
-                baseline=thread_run,
-                floor=None if smoke else PROCESS_POOL_FLOOR,
-                workers=WORKERS,
-                devices=len(items),
-                host_cpus=os.cpu_count(),
-                metric="wall-clock: process pool vs thread pool on this host",
-                parity="float64 importance sets identical serial vs process",
+        if not multicore:
+            print(
+                "process_pool_importance_rounds: parity ok, not timed "
+                f"(needs >= {WORKERS} CPUs and fork)"
             )
-        # Single-core (or fork-less) fallback: the hardware-independent
-        # schedule length of the measured per-device durations — the
-        # speedup the pool delivers once the 4 workers are real cores.
-        makespan = schedule_length(durations, WORKERS)
+            return None
+
+        repeats = 2 if smoke else 5
+
+        def run_threads():
+            fresh, _ = make_items()
+            return threads.map_devices(task, fresh)
+
+        def run_processes():
+            fresh, shared = make_items()
+            return processes.map_devices(task, fresh, shared_params=shared)
+
+        thread_run = timed(run_threads, repeats=repeats, warmup=1)
+        process_run = timed(run_processes, repeats=repeats, warmup=1)
         return perf_record(
             "process_pool_importance_rounds",
-            fast={"best_s": makespan, "mean_s": makespan, **one_run},
-            baseline={"best_s": serial_total, "mean_s": serial_total, **one_run},
+            fast=process_run,
+            baseline=thread_run,
             floor=None if smoke else PROCESS_POOL_FLOOR,
             workers=WORKERS,
             devices=len(items),
             host_cpus=os.cpu_count(),
-            metric="list-schedule length of measured per-device durations "
-            "(single-core fallback; wall-clock mode needs >= 4 cores)",
-            per_device_s=durations,
+            metric="wall-clock: process pool vs thread pool on this host",
             parity="float64 importance sets identical serial vs process",
         )
 
@@ -216,8 +193,12 @@ def bench_blocked_fused_step(smoke: bool):
 
 def run_bench(smoke: bool = False):
     records = [
-        bench_process_pool_importance(smoke),
-        bench_blocked_fused_step(smoke),
+        record
+        for record in (
+            bench_process_pool_importance(smoke),
+            bench_blocked_fused_step(smoke),
+        )
+        if record is not None
     ]
     # Smoke runs exercise the full pipeline but never touch the committed
     # trajectory file or the full run's bench_results records.

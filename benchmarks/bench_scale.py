@@ -2,23 +2,18 @@
 
 Drives :func:`repro.distributed.scale.run_scale_campaign` — lazy LRU
 device state, streaming aggregation, deadline stragglers, seeded churn
-and drops, micro-batched serving — and records three floored throughput
-/memory figures into ``BENCH_perf.json``:
+and drops, micro-batched serving — and records two floored throughput
+figures into ``BENCH_perf.json``:
 
 * ``scale_devices_per_round_s`` — device contributions folded per
   second across the 10k-device aggregation rounds (speedup field holds
   devices/s against a 1 s/device strawman, so the floor is an absolute
   throughput floor);
 * ``scale_eval_requests_s`` — serving requests completed per second
-  through the micro-batched :class:`~repro.train.serving.ServingFront`;
-* ``scale_lazy_memory`` — tracemalloc peak of the lazy 10k campaign
-  vs. the unbounded-store (``lru_capacity=None``) peak *projected*
-  from its measured per-device marginal; the speedup field is the
-  memory ratio.  The recorded value predates PR 24, when an always-live
-  device built a private backbone; an unbounded store now shares one
-  per cluster, and the projection has fallen under the budget
-  (PERFORMANCE.md, fleet-scale memory) — the full run's tripwire below
-  says so until the LRU is replaced.
+  through the micro-batched :class:`~repro.train.serving.ServingFront`.
+
+A traced rerun of the same campaign prints its tracemalloc peak; the
+full run asserts it under an absolute 512 MiB budget.
 
 A 100k-device single-round leg runs unfloored as a diagnostic record.
 
@@ -32,15 +27,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from _common import emit_perf, perf_record, timed  # noqa: E402
+from _common import emit_perf, perf_record  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.distributed.scale import ScaleConfig, run_scale_campaign  # noqa: E402
 
-#: The lazy 10k campaign must fit under this tracemalloc peak; the
-#: projected always-live peak must exceed it (asserted below).
+#: The lazy 10k campaign must fit under this tracemalloc peak.
 MEMORY_BUDGET_MB = 512.0
 
 ONE_RUN = {"repeats": 1, "warmup": 0}
@@ -61,31 +55,6 @@ def campaign_config(num_devices: int, rounds: int = 3, **overrides) -> ScaleConf
     )
     base.update(overrides)
     return ScaleConfig(**base)
-
-
-def project_live_peak(measure_points=(200, 400), target: int = 10_000) -> dict:
-    """Unbounded-store tracemalloc peak extrapolated to ``target`` devices.
-
-    Runs ``lru_capacity=None`` at two small fleet sizes, takes the
-    per-device marginal, and projects linearly — a never-evicting
-    fleet's footprint *is* linear in device count (one live header and
-    feature sample per device).
-    """
-    n0, n1 = measure_points
-    peaks = {}
-    for n in (n0, n1):
-        report = run_scale_campaign(
-            campaign_config(n, rounds=2, num_clusters=4, lru_capacity=None,
-                            churn=0.0, drop=0.0, deadline_quantile=1.0),
-            measure_memory=True,
-        )
-        peaks[n] = report.peak_memory_mb
-    marginal = (peaks[n1] - peaks[n0]) / (n1 - n0)
-    return {
-        "measured_peaks_mb": {str(k): round(v, 2) for k, v in peaks.items()},
-        "marginal_mb_per_device": marginal,
-        "projected_peak_mb": peaks[n0] + marginal * (target - n0),
-    }
 
 
 def run(smoke: bool) -> None:
@@ -140,30 +109,17 @@ def run(smoke: bool) -> None:
         )
     )
 
-    # -- memory leg (traced lazy run vs projected always-live) --------
+    # -- memory leg (traced rerun under an absolute budget) -------------
     lazy = run_scale_campaign(cfg, measure_memory=True)
-    projection = project_live_peak(target=num_devices)
+    print(
+        f"lazy peak {lazy.peak_memory_mb:.1f} MiB, {lazy.live_headers} live "
+        f"headers (budget {MEMORY_BUDGET_MB:.0f} MiB)"
+    )
     if not smoke:
         assert lazy.peak_memory_mb < MEMORY_BUDGET_MB, (
             f"lazy 10k campaign peaked at {lazy.peak_memory_mb:.1f} MiB, "
             f"budget {MEMORY_BUDGET_MB} MiB"
         )
-        assert projection["projected_peak_mb"] > MEMORY_BUDGET_MB, (
-            "always-live projection no longer exceeds the budget — "
-            "the lazy mode is not buying anything"
-        )
-    records.append(
-        perf_record(
-            "scale_lazy_memory",
-            fast={"best_s": lazy.peak_memory_mb, **ONE_RUN},
-            baseline={"best_s": projection["projected_peak_mb"], **ONE_RUN},
-            floor=None if smoke else 2.0,
-            budget_mb=MEMORY_BUDGET_MB,
-            live_headers=lazy.live_headers,
-            lru_capacity=cfg.lru_capacity,
-            projection=projection,
-        )
-    )
 
     # -- 100k protocol leg (full mode only; unfloored diagnostic) -----
     if not smoke:

@@ -38,7 +38,7 @@ from _common import emit_perf, perf_record, timed
 from repro.distributed.system import ACMEConfig, ACMESystem, run_multiprocess
 from repro.distributed.wire import decode_value, encode_value
 from repro.models.vit import ViTConfig, VisionTransformer
-from repro.nn.serialization import state_from_bytes, state_to_bytes
+from repro.nn.serialization import state_dict_nbytes, state_from_bytes, state_to_bytes
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -101,7 +101,7 @@ def bench_transport(smoke: bool = False):
     reps = dict(repeats=3, warmup=1) if smoke else dict(repeats=7, warmup=2)
     wire_t = timed(wire_fn, **reps)
     npz_t = timed(npz_fn, **reps)
-    state_bytes = sum(a.nbytes for a in state.values())
+    state_bytes = state_dict_nbytes(state)
 
     one_run = {"repeats": 1, "warmup": 0}
     return [

@@ -1,7 +1,7 @@
 """Replay the perf floors recorded in ``BENCH_perf.json``.
 
 The perf benches (``benchmarks/bench_fleet_train.py``,
-``benchmarks/bench_parallel_devices.py``, …) assert their speedup floors at
+``benchmarks/bench_scale.py``, …) assert their speedup floors at
 measurement time and only then merge records into the trajectory file.
 This script replays those floors from the committed file so that a
 regressed or hand-edited trajectory fails fast — it is wired into tier-1

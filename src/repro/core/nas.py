@@ -216,10 +216,6 @@ class HeaderSearch:
             optimizer.step()
             steps += 1
 
-    def evaluate(self, spec: HeaderSpec, dataset: ArrayDataset, max_batches: int = 4) -> float:
-        """Validation accuracy of a spec under the shared weights."""
-        return self._evaluate_child(self.build_child(spec), dataset, max_batches)
-
     def _evaluate_child(
         self,
         child: DAGHeader,

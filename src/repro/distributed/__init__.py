@@ -23,7 +23,6 @@ from repro.distributed.metrics import (
     NormalizedTradeoff,
     centralized_upload_bytes,
     energy_efficiency_ratio,
-    schedule_length,
     size_efficiency_ratio,
 )
 from repro.distributed.network import Ledger, Network, NetworkShard, TrafficStats
@@ -75,6 +74,5 @@ __all__ = [
     "payload_nbytes",
     "resolve_workers",
     "run_multiprocess",
-    "schedule_length",
     "size_efficiency_ratio",
 ]

@@ -16,8 +16,8 @@ fine-tune and the similarity sample all gather rows from that sweep.
 The group methods (:meth:`DeviceNode.importance_rounds`,
 :meth:`DeviceNode.finetune_group`) take live devices and never touch
 the store: only the edge's walk touches a bounded store, in the parent,
-chunk by chunk.  The single-device entry points (:meth:`finetune`,
-:meth:`evaluate`, the personalized-set downlink) hydrate themselves.
+chunk by chunk.  The one single-device entry point, the
+personalized-set downlink, hydrates itself.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from repro.models.headers import BackboneFeatures
 from repro.models.vit import VisionTransformer, ViTConfig
 from repro.nn.layers import has_active_stochastic_modules
 from repro.train.fleet import fleet_importance_rounds, train_headers_fleet
-from repro.train.serving import batched_evaluate_headers, precompute_backbone_features
+from repro.train.serving import precompute_backbone_features
 from repro.train.trainer import TrainConfig
 
 #: Snapshot key for the cached frozen-feature sample (kept distinct from
@@ -320,53 +320,20 @@ class DeviceNode:
         return TrainConfig(epochs=2, seed=self.seed)
 
     @classmethod
-    def finetune_group(
-        cls, devices: Sequence["DeviceNode"], config: Optional[TrainConfig] = None
-    ) -> None:
+    def finetune_group(cls, devices: Sequence["DeviceNode"]) -> None:
         """Final local header training (backbone frozen, mask enforced)
         of live ``devices`` — grouped as for :meth:`importance_rounds`."""
         train_headers_fleet(
             devices[0].backbone,
             [d.header for d in devices],
             [d.dataset for d in devices],
-            [config or d.finetune_config() for d in devices],
+            [d.finetune_config() for d in devices],
             [d.frozen_features() for d in devices],
         )
-
-    def finetune(self, config: Optional[TrainConfig] = None) -> None:
-        """:meth:`finetune_group` of this device alone."""
-        self._ensure_live()
-        type(self).finetune_group([self], config)
-
-    def finalize_round(self, config: Optional[TrainConfig] = None) -> dict:
-        """Final fine-tune followed by evaluation — one schedulable unit.
-
-        It reads and writes only this device's own state (its backbone,
-        header, datasets and seeded RNG streams), so any number of
-        devices can run their rounds concurrently and reproduce the
-        serial result exactly.
-        """
-        self.finetune(config)
-        return self.evaluate()
 
     def eval_dataset(self) -> ArrayDataset:
         """The split this device's accuracy is judged on."""
         return self.test_dataset if self.test_dataset is not None else self.dataset
-
-    def evaluate(self) -> dict:
-        """Accuracy of θ_n = (θH_n, θB_n) on held-out (or train) data.
-
-        Routed through the batched serving runner
-        (:mod:`repro.train.serving`) with this device as the only
-        requester — tape-free end to end, and numerically identical to
-        :func:`repro.train.evaluate.evaluate_header`.  The edge server
-        batches whole clusters through the same runner in
-        :meth:`repro.distributed.edge.EdgeServer.finalize`.
-        """
-        self._ensure_live()
-        return batched_evaluate_headers(
-            self.backbone, [self.header], [self.eval_dataset()]
-        )[0]
 
     def dataset_upload_message(self, cloud_name: str) -> Message:
         """The centralized-system baseline: ship the raw local dataset."""

@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
@@ -103,14 +104,22 @@ class EdgeConfig:
         assign fields after construction.
         """
         rounds = self.aggregation_rounds if num_rounds is None else num_rounds
-        if rounds < 1:
-            raise ValueError(f"aggregation_rounds must be >= 1, got {rounds}")
+        # Counts are refused, not truncated, when they are a float or a
+        # bool — the rule of ``executor.resolve_workers``.
+        for field, value, low in (
+            ("aggregation_rounds", rounds, 1),
+            ("round_retries", self.round_retries, 0),
+        ):
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Integral)
+                or value < low
+            ):
+                raise ValueError(f"{field} must be an int >= {low}, got {value!r}")
         if not 0.0 < self.round_quorum <= 1.0:
             raise ValueError(
                 f"round_quorum must be in (0, 1], got {self.round_quorum}"
             )
-        if self.round_retries < 0:
-            raise ValueError(f"round_retries must be >= 0, got {self.round_retries}")
         if self.round_deadline is not None and self.round_deadline <= 0:
             raise ValueError(
                 f"round_deadline must be > 0 (or None), got {self.round_deadline}"

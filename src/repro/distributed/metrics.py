@@ -65,26 +65,6 @@ class NormalizedTradeoff:
         return 1.0 / self.score(loss, energy, size)
 
 
-def schedule_length(durations: Sequence[float], workers: int) -> float:
-    """FIFO list-schedule length of tasks placed onto ``workers`` slots.
-
-    Each task goes to the least-loaded worker in submission order —
-    exactly the assignment a thread pool produces.  This is the
-    hardware-independent speedup metric of the parallel benches (the
-    per-device and cross-edge ones under ``benchmarks/``): measured serial
-    per-task durations scheduled onto N workers give the makespan N
-    physical cores (or, in the deployment the paper simulates, N
-    physically distinct edge servers) would achieve.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    loads = [0.0] * workers
-    for duration in durations:
-        slot = min(range(workers), key=lambda w: loads[w])
-        loads[slot] += duration
-    return max(loads) if durations else 0.0
-
-
 def centralized_upload_bytes(datasets: Sequence[ArrayDataset]) -> int:
     """Upload volume of the centralized baseline: all raw local data."""
     return int(sum(d.nbytes() for d in datasets))

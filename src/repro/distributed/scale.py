@@ -36,6 +36,7 @@ is seeded: the same :class:`ScaleConfig` replays the identical campaign.
 
 from __future__ import annotations
 
+import numbers
 import time
 import tracemalloc
 from dataclasses import asdict, dataclass, field
@@ -134,6 +135,14 @@ class ScaleDevice(DeviceNode):
     """
 
     def __init__(self, *args, set_size: int = 64, **kwargs) -> None:
+        # Refused rather than truncated, as worker specs are
+        # (``executor.resolve_workers``).
+        if (
+            isinstance(set_size, bool)
+            or not isinstance(set_size, numbers.Integral)
+            or set_size < 1
+        ):
+            raise ValueError(f"set_size must be an int >= 1, got {set_size!r}")
         super().__init__(*args, **kwargs)
         self.set_size = int(set_size)
 

@@ -42,10 +42,8 @@ from repro.nn.layers import (
 from repro.nn.lstm import LSTM, LSTMCell
 from repro.nn.optim import Adam, FleetOptimizer, Optimizer, SGD, clip_grad_norm
 from repro.nn.serialization import (
-    array_nbytes,
     json_nbytes,
     load_state,
-    module_nbytes,
     save_state,
     state_dict_nbytes,
 )
@@ -89,7 +87,6 @@ __all__ = [
     "Tensor",
     "TransformerEncoder",
     "TransformerEncoderLayer",
-    "array_nbytes",
     "clear_im2col_cache",
     "clip_grad_norm",
     "concatenate",
@@ -102,7 +99,6 @@ __all__ = [
     "is_grad_enabled",
     "json_nbytes",
     "load_state",
-    "module_nbytes",
     "no_grad",
     "ones",
     "save_state",

@@ -1,15 +1,15 @@
 """Saving and loading module state, with byte-size accounting.
 
 The distributed simulator charges every transmitted payload by its
-serialized size; :func:`state_dict_nbytes` is the canonical measure used by
-:mod:`repro.distributed.accounting` for model/parameter transfers.
+size (:func:`repro.distributed.messages.payload_nbytes`): arrays by
+their in-memory bytes, as :func:`state_dict_nbytes` counts a state
+dict, and control fields by :func:`json_nbytes`.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import zlib
 from pathlib import Path
 from typing import Dict, Union
 
@@ -51,44 +51,21 @@ def state_dict_nbytes(state: Dict[str, np.ndarray]) -> int:
     return int(sum(np.asarray(v).nbytes for v in state.values()))
 
 
-# reprolint: unreached -- deferred deletion (no paper anchor): goes with
-# test_serialization.py::TestByteAccounting's case for it
-def module_nbytes(module: Module) -> int:
-    """Byte size of a module's trainable parameters."""
-    return state_dict_nbytes(module.state_dict())
-
-
-# reprolint: unreached -- deferred deletion (no paper anchor): goes with
-# test_serialization.py::TestByteAccounting's case for it
-def array_nbytes(*arrays: np.ndarray) -> int:
-    """Total byte size of plain arrays (importance sets, statistics, ...)."""
-    return int(sum(np.asarray(a).nbytes for a in arrays))
-
-
 def json_nbytes(obj) -> int:
     """Byte size of a JSON-serializable control message."""
     return len(json.dumps(obj, sort_keys=True).encode("utf-8"))
 
 
-# reprolint: unreached -- deferred deletion (no paper anchor): goes with
-# test_serialization.py::TestByteAccounting's case for it
-def compressed_nbytes(state: Dict[str, np.ndarray], level: int = 6) -> int:
-    """Byte size after zlib compression — a lower bound used in ablations."""
-    buffer = io.BytesIO()
-    np.savez(buffer, **state)
-    return len(zlib.compress(buffer.getvalue(), level))
-
-
 def state_to_bytes(state: Dict[str, np.ndarray], compress: bool = True) -> bytes:
     """Serialize an array dict to an in-memory ``.npz`` blob.
 
-    The compact form the device-state LRU
-    (:mod:`repro.distributed.state_store`) evicts cold per-device state
-    into: the ``npz`` container round-trips every array bit-exactly
-    (dtype, shape and payload), so rehydration reproduces the live
-    state to the bit.  ``compress=True`` uses the deflated container;
-    high-entropy float parameters deflate by only a few percent at ~5×
-    the serialization time, so the LRU store evicts in the raw form.
+    The explicit spill-to-disk / checkpoint form of a cold device's
+    snapshot.  The device-state LRU (:mod:`repro.distributed.state_store`)
+    keeps an evicted device as plain arrays, never as a blob; this
+    ``npz`` container round-trips those arrays bit-exactly (dtype, shape
+    and payload) when a caller writes them out.  ``compress=True`` uses
+    the deflated container; high-entropy float parameters deflate by
+    only a few percent at ~5× the serialization time.
     """
     buffer = io.BytesIO()
     if compress:

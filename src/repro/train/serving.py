@@ -29,6 +29,7 @@ to the unbatched path via
 
 from __future__ import annotations
 
+import numbers
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -257,8 +258,15 @@ class ServingFront:
     def __init__(
         self, backbone: Module, micro_batch: int = 16, batch_size: int = 64
     ) -> None:
-        if micro_batch < 1:
-            raise ValueError(f"micro_batch must be >= 1, got {micro_batch}")
+        # A float or a bool is refused rather than truncated, as worker
+        # specs are (``executor.resolve_workers``).
+        for field, value in (("micro_batch", micro_batch), ("batch_size", batch_size)):
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Integral)
+                or value < 1
+            ):
+                raise ValueError(f"{field} must be an int >= 1, got {value!r}")
         self.backbone = backbone
         self.micro_batch = int(micro_batch)
         self.batch_size = int(batch_size)

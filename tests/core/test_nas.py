@@ -12,6 +12,12 @@ from repro.models import ViTConfig, VisionTransformer
 from repro.models.blocks import BlockSpec, HeaderSpec, num_operations
 from repro.train import TrainConfig, train_model
 
+
+def _score(search, spec, dataset):
+    """Validation accuracy of ``spec`` under ``search``'s shared weights."""
+    return search._evaluate_child(search.build_child(spec), dataset)
+
+
 FAST = NASConfig(
     num_blocks=2,
     search_epochs=1,
@@ -78,12 +84,12 @@ class TestHeaderSearch:
         model, data = setup
         search = HeaderSearch(model, 5, FAST)
         spec = HeaderSpec(blocks=(BlockSpec(0, 1, 3, 3), BlockSpec(2, 0, 3, 3)))
-        acc = search.evaluate(spec, data)
+        acc = _score(search, spec, data)
         assert 0.0 <= acc <= 1.0
 
     def test_evaluate_keeps_no_memo_across_datasets(self, setup):
         """Ad-hoc datasets are scored on their own rows: a dataset that
-        dies between two ``evaluate`` calls (its address free for the
+        dies between two scoring calls (its address free for the
         next one) must not lend its features to its successor."""
         model, data = setup
         search = HeaderSearch(model, 5, FAST)
@@ -95,7 +101,7 @@ class TestHeaderSearch:
         # prediction, so the right answer is all-or-nothing — which the
         # first dataset's features (five balanced classes) cannot give.
         blank = (np.zeros_like(first.images), np.zeros_like(first.labels))
-        got_first = search.evaluate(spec, first)
+        got_first = _score(search, spec, first)
         assert got_first == self._fresh_answer(search, spec, first)
         assert 0.0 < got_first < 1.0
         stale_address = id(first)
@@ -109,16 +115,16 @@ class TestHeaderSearch:
             if id(second) == stale_address:
                 break
             rejects.append(second)
-        got_second = search.evaluate(spec, second)
+        got_second = _score(search, spec, second)
         assert got_second == self._fresh_answer(search, spec, second)
         assert got_second in (0.0, 1.0)
 
     @staticmethod
     def _fresh_answer(trained, spec, dataset):
-        """``evaluate`` by a search that has never seen any dataset."""
+        """The score a search that has never seen any dataset gives."""
         fresh = HeaderSearch(trained.backbone, 5, FAST)
         fresh.pool, fresh.classifier = trained.pool, trained.classifier
-        return fresh.evaluate(spec, dataset)
+        return _score(fresh, spec, dataset)
 
     @pytest.mark.parametrize("train_backbone", [True, False])
     def test_backbone_moves_only_in_train_backbone_mode(self, setup, train_backbone):
@@ -176,5 +182,5 @@ class TestHeaderSearch:
         # An untrained pool gives chance-level accuracy (~1/5).
         fresh = HeaderSearch(model, 5, FAST)
         spec = result.spec
-        untrained = fresh.evaluate(spec, data)
+        untrained = _score(fresh, spec, data)
         assert result.best_reward >= untrained

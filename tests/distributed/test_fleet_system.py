@@ -213,8 +213,14 @@ class TestRoundLoopEntries:
         assert entries == [[0, 1], [2]] * phases
 
         counting, ran_on = fleet._run_rounds, []
+        # Groups on pool threads meet here, so the test holds only if the
+        # first chunk's two groups are in flight at once — and does not
+        # depend on whether the OS lets one worker take both groups.
+        side_by_side = threading.Barrier(2)
 
         def on_thread(backbone, members, *args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                side_by_side.wait(timeout=30)
             ran_on.append((members[0].dataset, threading.get_ident()))
             return counting(backbone, members, *args, **kwargs)
 

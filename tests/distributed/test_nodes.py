@@ -17,7 +17,7 @@ from repro.models import ViTConfig, VisionTransformer
 from repro.models.blocks import BlockSpec, HeaderSpec
 from repro.models.header_dag import DAGHeader
 from repro.train.serving import precompute_backbone_features
-from tests.helpers import importance_round
+from tests.helpers import finetune, importance_round
 
 
 @pytest.fixture()
@@ -160,7 +160,7 @@ class TestDeviceNode:
         first = device.frozen_features()
         assert first.cls.shape[0] == len(data)
         importance_round(device, include_feature_sample=True)
-        device.finetune()
+        finetune(device)
         assert device.frozen_features() is first  # rounds and finale reuse it
         np.testing.assert_array_equal(first.tokens.data, sweep().tokens.data)
 
@@ -212,9 +212,13 @@ class TestEdgeServer:
         "field, value",
         [
             ("aggregation_rounds", 0),
+            ("aggregation_rounds", 2.5),
+            ("aggregation_rounds", True),
             ("round_quorum", 1.5),
             ("round_quorum", 0.0),
             ("round_retries", -1),
+            ("round_retries", 1.5),
+            ("round_retries", True),
             ("round_deadline", 0.0),
             ("round_deadline", -2.0),
         ],
@@ -223,7 +227,9 @@ class TestEdgeServer:
         """Assigned after ``__post_init__`` (as ``--quorum`` does), so the
         check sits where the round engine reads them: the loop refuses
         to start, naming the field, instead of running phantom retries
-        (quorum > 1) or dying on a bare assert (zero rounds)."""
+        (quorum > 1), dying on a bare assert (zero rounds) or on an
+        unnamed ``range()`` error (a float count), or taking ``True``
+        for 1."""
         network, _cloud, data, _config = env
         edge = EdgeServer(8, [], data, network, EdgeConfig())
         setattr(edge.config, field, value)
@@ -236,3 +242,13 @@ class TestEdgeServer:
         edge = EdgeServer(9, [], data, network, EdgeConfig())
         with pytest.raises(ValueError, match="aggregation_rounds"):
             edge.aggregation_loop(num_rounds=0)
+
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_explicit_round_count_must_be_an_int(self, env, value):
+        """The per-call count obeys the field's rule: a float is not left
+        to fail inside ``range()`` and ``True`` is not taken for 1."""
+        network, _cloud, data, _config = env
+        edge = EdgeServer(10, [], data, network, EdgeConfig())
+        with pytest.raises(ValueError, match=f"aggregation_rounds .*got {value!r}"):
+            edge.aggregation_loop(num_rounds=value)
+        assert edge.round_retry_total == 0 and edge.round_participation == []

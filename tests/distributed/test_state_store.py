@@ -35,7 +35,7 @@ from repro.models import ViTConfig, VisionTransformer
 from repro.models.blocks import BlockSpec, HeaderSpec
 from repro.models.header_dag import DAGHeader
 from repro.nn.serialization import state_from_bytes, state_to_bytes
-from tests.helpers import importance_round
+from tests.helpers import evaluate, finetune, importance_round
 
 
 def _distribution_payload(seed: int = 0) -> dict:
@@ -148,8 +148,8 @@ class TestEvictionParity:
 
     def test_eviction_across_checkpoint_save_load(self, twins, tmp_path):
         eager, lazy, store, network, data, payload = twins
-        eager.finetune()
-        lazy.finetune()
+        finetune(eager)
+        finetune(lazy)
         _force_evict(lazy, store, network, data, payload)
         # Spill the cold snapshot to disk explicitly (what a real edge
         # would checkpoint), reload it, and hand it back to the device.
@@ -159,7 +159,7 @@ class TestEvictionParity:
         lazy._ensure_live()
         for name, value in eager.header.state_dict().items():
             np.testing.assert_array_equal(value, lazy.header.state_dict()[name])
-        ev_eager, ev_lazy = eager.evaluate(), lazy.evaluate()
+        ev_eager, ev_lazy = evaluate(eager), evaluate(lazy)
         assert ev_eager == ev_lazy
 
     def test_eviction_and_rehydration_serialize_nothing(self, monkeypatch):
@@ -195,7 +195,7 @@ class TestEvictionParity:
     def test_cold_snapshot_owns_its_state(self, twins):
         """Nothing outside the device can reach into an evicted snapshot."""
         eager, lazy, store, network, data, payload = twins
-        lazy.finetune()
+        finetune(lazy)
         expected = lazy.header.state_dict()
         old_arrays = [p.data for p in lazy.header.parameters()]
         _force_evict(lazy, store, network, data, payload)
@@ -219,8 +219,8 @@ class TestEvictionParity:
             np.testing.assert_array_equal(
                 up_eager.payload["importance"], up_lazy.payload["importance"]
             )
-        eager.finetune()
-        lazy.finetune()
+        finetune(eager)
+        finetune(lazy)
         assert eager.frozen_features() is not None
         assert lazy.frozen_features() is None and lazy._features is None
         header_keys = set(snapshot_header(lazy.header))
@@ -233,8 +233,8 @@ class TestEvictionParity:
 
     def test_eviction_across_astype(self, twins):
         eager, lazy, store, network, data, payload = twins
-        eager.finetune()
-        lazy.finetune()
+        finetune(eager)
+        finetune(lazy)
         _force_evict(lazy, store, network, data, payload)
         lazy._ensure_live()
         eager32 = eager.header.astype(np.float32)
@@ -290,6 +290,18 @@ class TestLRUMechanics:
             )
         with pytest.raises(ValueError, match="got 2.7"):
             ScaleCluster(0, 2, 0, Network(), ScaleConfig(lru_capacity=2.7))
+        # The scale harness's other counts follow the same rule.
+        for field in ("set_size", "micro_batch"):
+            with pytest.raises(ValueError, match=f"{field} .*got 2.7"):
+                ScaleCluster(0, 2, 0, Network(), ScaleConfig(**{field: 2.7}))
+
+    @pytest.mark.parametrize("field", ["set_size", "micro_batch"])
+    def test_scale_counts_refuse_bools_and_zero(self, field):
+        """``True`` is not a count of 1 and zero is no count at all: the
+        harness refuses both, naming the field, before any device trains."""
+        for bad in (True, 0):
+            with pytest.raises(ValueError, match=f"{field} .*got {bad!r}"):
+                ScaleCluster(0, 2, 0, Network(), ScaleConfig(**{field: bad}))
 
     def test_eviction_order_and_counters(self):
         network = Network()

@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.nn.tensor import Tensor, using_dtype
+from repro.train.serving import batched_evaluate_headers
 
 
 def fresh_rng(seed: int = 0) -> np.random.Generator:
@@ -128,6 +129,22 @@ def importance_round(device, **kwargs):
     device._ensure_live()
     (message,) = type(device).importance_rounds([device], **kwargs)
     return message
+
+
+def finetune(device) -> None:
+    """One device's final fine-tune: ``DeviceNode.finetune_group`` of one,
+    hydrated first."""
+    device._ensure_live()
+    type(device).finetune_group([device])
+
+
+def evaluate(device) -> dict:
+    """One device's accuracy/loss row, as the edge's finale evaluates a
+    group of one — hydrated first."""
+    device._ensure_live()
+    return batched_evaluate_headers(
+        device.backbone, [device.header], [device.eval_dataset()]
+    )[0]
 
 
 def assert_same_run(reference, other) -> None:

@@ -5,16 +5,12 @@ import pytest
 
 from repro.nn import (
     Linear,
-    MLP,
     Sequential,
-    array_nbytes,
     json_nbytes,
     load_state,
-    module_nbytes,
     save_state,
     state_dict_nbytes,
 )
-from repro.nn.serialization import compressed_nbytes
 from repro.nn.tensor import Tensor, using_dtype
 
 
@@ -85,19 +81,6 @@ class TestByteAccounting:
         with using_dtype("float64"):
             assert state_dict_nbytes(Linear(10, 10).state_dict()) == 110 * 8
 
-    def test_module_nbytes_matches_state_dict(self):
-        mlp = MLP(8, 16, 4)
-        assert module_nbytes(mlp) == state_dict_nbytes(mlp.state_dict())
-
-    def test_array_nbytes(self):
-        assert array_nbytes(np.zeros(10), np.zeros((2, 5), dtype=np.float32)) == 120
-
     def test_json_nbytes(self):
         size = json_nbytes({"width": 0.5, "depth": 3})
         assert 10 < size < 100
-
-    def test_compression_is_a_lower_bound(self):
-        layer = Linear(20, 20, rng=np.random.default_rng(0))
-        state = layer.state_dict()
-        # Compressing structured float data should not exceed raw + header.
-        assert compressed_nbytes(state) < state_dict_nbytes(state) * 1.2

@@ -37,6 +37,8 @@ class TestBenchProcessPoolSmoke:
         )
         assert result.returncode == 0, result.stderr
         assert "bench_process_pool_smoke" in result.stdout
+        # The importance leg always runs its serial/process parity check;
+        # it is a record on a >= 4-core host and a one-line note elsewhere.
         assert "process_pool_importance_rounds" in result.stdout
 
         # Smoke mode must never touch the committed trajectory or the
@@ -52,5 +54,5 @@ class TestBenchProcessPoolSmoke:
         )
         assert payload["schema"] == "perf/v1"
         labels = {r["label"] for r in payload["results"]}
-        assert {"process_pool_importance_rounds", "fused_step_cache_blocked"} <= labels
+        assert "fused_step_cache_blocked" in labels
         assert all(r.get("floor") is None for r in payload["results"])

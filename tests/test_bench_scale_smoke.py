@@ -5,7 +5,7 @@ the script end to end in its ``--smoke`` mode (400 devices, no floor
 assertions, ``BENCH_perf.json`` untouched) so the harness cannot rot
 between perf PRs — the heavy-tailed fleet build, the lazy-LRU campaign,
 the straggler/churn accounting, the serving front, the tracemalloc
-memory leg and the record plumbing all execute on every test run.
+rerun and the record plumbing all execute on every test run.
 """
 
 import json
@@ -50,19 +50,12 @@ class TestBenchScaleSmoke:
         )
         assert payload["schema"] == "perf/v1"
         labels = {r["label"] for r in payload["results"]}
-        assert {
-            "scale_devices_per_round_s",
-            "scale_eval_requests_s",
-            "scale_lazy_memory",
-        } <= labels
+        assert {"scale_devices_per_round_s", "scale_eval_requests_s"} <= labels
         assert all(r.get("floor") is None for r in payload["results"])
         rounds = next(
             r for r in payload["results"] if r["label"] == "scale_devices_per_round_s"
         )
         assert rounds["stragglers"] > 0
         assert 0.0 < rounds["participation"] <= 1.0
-        memory = next(
-            r for r in payload["results"] if r["label"] == "scale_lazy_memory"
-        )
-        # Lazy peak (fast) must beat the always-live projection (baseline).
-        assert memory["speedup"] > 1.0
+        # The traced rerun prints its tracemalloc peak.
+        assert "lazy peak" in result.stdout

@@ -29,27 +29,20 @@ class TestPerfFloors:
         data = module.load_trajectory()
         labels = [r.get("label") for r in data["results"]]
         assert len(labels) == len(set(labels)), f"duplicate perf labels: {labels}"
-        # The trajectory must keep covering the PR 2 parallel cluster
-        # phase and the fleet trainer.
+        # Every record names the bench that regenerates it: a record whose
+        # producer is gone cannot be re-measured, only replayed.
+        orphans = [
+            (r.get("label"), r.get("bench"))
+            for r in data["results"]
+            if not (REPO_ROOT / "benchmarks" / f"{r.get('bench')}.py").is_file()
+        ]
+        assert not orphans, f"records without a producing bench: {orphans}"
         assert "fleet_train_headers" in labels
-        assert "cluster_finalize_makespan_4workers" in labels
 
     def test_recorded_floors_hold(self):
         module = _load_check_floors()
         failures = module.check_floors()
         assert not failures, "\n".join(failures)
-
-    def test_parallel_cluster_phase_floor(self):
-        """The headline PR 2 number: >=1.5x cluster-phase speedup on 4 workers."""
-        module = _load_check_floors()
-        data = module.load_trajectory()
-        record = next(
-            r
-            for r in data["results"]
-            if r.get("label") == "cluster_finalize_makespan_4workers"
-        )
-        assert record["floor"] >= 1.5
-        assert record["speedup"] >= 1.5
 
     def test_checker_cli_passes_on_committed_file(self, capsys):
         module = _load_check_floors()

@@ -30,6 +30,7 @@ from repro.train.serving import (
     gather_features,
     precompute_backbone_features,
 )
+from tests.helpers import evaluate
 
 VIT = ViTConfig(num_classes=6, depth=2, embed_dim=32, num_heads=4)
 
@@ -410,8 +411,8 @@ class TestNASBatchedScoring:
 
 class TestEdgeFinalizeBatched:
     def test_batched_finalize_matches_per_device(self):
-        """The finale's one batched evaluation equals ``DeviceNode.
-        evaluate()`` called per device on the same fine-tuned state."""
+        """The finale's one batched evaluation equals each device evaluated
+        alone (``tests.helpers.evaluate``) on the same fine-tuned state."""
         from repro.distributed import ACMEConfig, ACMESystem
 
         config = ACMEConfig(
@@ -428,7 +429,7 @@ class TestEdgeFinalizeBatched:
         edge = system.edges[0]
         with using_dtype("float64"):
             batched = edge.finalize()
-            per_device = [device.evaluate() for device in edge.devices]
+            per_device = [evaluate(device) for device in edge.devices]
         assert len(batched) == 3
         assert batched == per_device  # accuracies/losses bit-for-bit
 
@@ -497,3 +498,8 @@ class TestServingFront:
 
         with pytest.raises(ValueError, match="micro_batch"):
             ServingFront(backbone, micro_batch=0)
+        # Refused and named, never truncated (2.7 → 2, True → 1).
+        for field in ("micro_batch", "batch_size"):
+            for bad in (2.7, True):
+                with pytest.raises(ValueError, match=f"{field} .*got {bad!r}"):
+                    ServingFront(backbone, **{field: bad})
