@@ -8,8 +8,9 @@ output ``O_h`` is
 i.e. the loss change caused by removing the head, linearized around the
 current weights.  The same estimator applies to MLP hidden neurons using
 their activations.  Gradients are read from the per-head / per-neuron
-tensors recorded during the forward pass, so a single backward pass over
-the probe dataset ``D_C`` scores every head and neuron at once.
+tensors each encoder block's taped forward records (and its backward
+fills), so a single backward pass over the probe dataset ``D_C`` scores
+every head and neuron at once.
 """
 
 from __future__ import annotations
@@ -81,18 +82,18 @@ def estimate_backbone_importance(
         loss.backward()
 
         for i, layer in enumerate(layers):
-            attn = layer.attn
-            if attn.last_head_output is None or attn.last_head_output.grad is None:
+            # One taped block node recorded O_h and the MLP activations
+            # and its backward wrote both grads; take them and let go.
+            heads, hidden = layer.attn.last_head_output, layer.mlp.last_hidden
+            layer.attn.last_head_output = layer.mlp.last_hidden = None
+            if not layer.active or heads is None or heads.grad is None:
                 continue
             # O_h: (N, H, T, hd); sum the |grad · output| inner product over
             # batch, tokens and channels for each head.
-            product = attn.last_head_output.grad * attn.last_head_output.data
+            product = heads.grad * heads.data
             head_acc[i] += np.abs(product.sum(axis=(0, 2, 3)))
-
-            mlp = layer.mlp
-            if mlp.last_hidden is not None and mlp.last_hidden.grad is not None:
-                prod = mlp.last_hidden.grad * mlp.last_hidden.data
-                neuron_acc[i] += np.abs(prod.sum(axis=tuple(range(prod.ndim - 1))))
+            prod = hidden.grad * hidden.data
+            neuron_acc[i] += np.abs(prod.sum(axis=tuple(range(prod.ndim - 1))))
         batches += 1
 
     if batches == 0:

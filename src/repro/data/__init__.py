@@ -14,7 +14,6 @@ from repro.data.synthetic import (
     make_cifar100_like,
     make_stanford_cars_like,
 )
-from repro.data.synthetic_text import SyntheticTextGenerator, TextDataset, TextSpec
 
 __all__ = [
     "ArrayDataset",
@@ -22,9 +21,6 @@ __all__ = [
     "DataLoader",
     "SyntheticImageGenerator",
     "SyntheticSpec",
-    "SyntheticTextGenerator",
-    "TextDataset",
-    "TextSpec",
     "make_cifar100_like",
     "make_stanford_cars_like",
     "merge",

@@ -17,7 +17,6 @@ from repro.models.blocks import (
 )
 from repro.models.header_dag import DAGHeader
 from repro.models.multi_exit import EarlyExitResult, MultiExitViT
-from repro.models.text import TextConfig, TextTransformer
 from repro.models.headers import (
     AttentionHeader,
     BackboneFeatures,
@@ -55,8 +54,6 @@ __all__ = [
     "OPERATION_NAMES",
     "PatchEmbedding",
     "PoolHeader",
-    "TextConfig",
-    "TextTransformer",
     "TwinsSVTLike",
     "ViTConfig",
     "VisionTransformer",

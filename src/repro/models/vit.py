@@ -20,7 +20,7 @@ from repro.nn import functional as F
 from repro.nn import init
 from repro.nn.layers import LayerNorm, Linear, Module, Parameter
 from repro.nn.tensor import Tensor, concatenate
-from repro.nn.transformer import TransformerEncoder
+from repro.nn.transformer import TransformerEncoder, check_depth
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,8 @@ class ViTConfig:
             raise ValueError("patch_size must divide image_size")
         if self.embed_dim % self.num_heads != 0:
             raise ValueError("num_heads must divide embed_dim")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
     @property
     def num_patches(self) -> int:
@@ -66,8 +68,7 @@ class ViTConfig:
         """ζ(θ) = d·w·(H + 2·ξ_h·ξ_f) — the paper's size model (Eq. 3)."""
         if not 0.0 < width <= 1.0:
             raise ValueError(f"width must be in (0, 1], got {width}")
-        if not 1 <= depth <= self.depth:
-            raise ValueError(f"depth must be in [1, {self.depth}], got {depth}")
+        check_depth(depth, self.depth)
         return depth * width * (self.head_params + 2 * self.embed_dim * self.mlp_hidden)
 
 
@@ -171,6 +172,7 @@ class VisionTransformer(Module):
 
     def scale(self, width: float, depth: int) -> "VisionTransformer":
         """In-place δ(θ0, w, d); returns self for chaining."""
+        check_depth(depth, self.config.depth)  # before any mask changes
         self.set_width(width)
         self.set_depth(depth)
         return self

@@ -3,29 +3,195 @@
 These cover the numerically-sensitive compound ops (softmax, losses,
 layer normalization) with hand-derived backward passes where fusing is
 materially faster or more stable than composing primitives.
+
+Layer norm, linear, softmax attention, GELU and dropout each have **one
+numpy body** here (``*_forward`` / ``*_backward``, arrays in and out).
+The single-op tape functions below wrap them, and so does the fused
+encoder block (:mod:`repro.nn.transformer`), so the two agree bit for
+bit by construction.  Between two ops a body passes its result through
+``_as_array`` — the down-cast a :class:`Tensor` applies to its data —
+so a fused caller sees exactly the dtypes a chain of tape nodes would.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.nn.tensor import Tensor, get_default_dtype
+from repro.nn.tensor import (
+    Tensor,
+    _as_array,
+    _pow,
+    _unbroadcast,
+    get_default_dtype,
+)
 
 
+# ----------------------------------------------------------------------
+# Numpy bodies
+# ----------------------------------------------------------------------
+def softmax_forward(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    shifted = x - x.max(axis=axis, keepdims=True)
+    exps = np.exp(shifted)
+    return exps / exps.sum(axis=axis, keepdims=True)
+
+
+def softmax_backward(grad: np.ndarray, out: np.ndarray, axis: int = -1) -> np.ndarray:
+    # d softmax = s * (grad - sum(grad * s))
+    dot = (grad * out).sum(axis=axis, keepdims=True)
+    return out * (grad - dot)
+
+
+def layer_norm_forward(
+    x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(out, x_hat, inv_std)`` of layer normalization over the last axis."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    x_hat = (x - mu) * inv_std
+    return x_hat * gamma + beta, x_hat, inv_std
+
+
+def layer_norm_backward(
+    grad: np.ndarray,
+    gamma: Tensor,
+    beta: Tensor,
+    x_hat: np.ndarray,
+    inv_std: np.ndarray,
+    need_input: bool = True,
+) -> Optional[np.ndarray]:
+    """Feed ``gamma`` and ``beta`` their gradients; return the input's."""
+    axes = tuple(range(grad.ndim - 1))
+    if gamma.requires_grad:
+        gamma._accumulate((grad * x_hat).sum(axis=axes))
+    if beta.requires_grad:
+        beta._accumulate(grad.sum(axis=axes))
+    if not need_input:
+        return None
+    g = grad * gamma.data
+    return (
+        g - g.mean(axis=-1, keepdims=True)
+        - x_hat * (g * x_hat).mean(axis=-1, keepdims=True)
+    ) * inv_std
+
+
+def linear_forward(
+    x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray]
+) -> np.ndarray:
+    """``x @ weight + bias`` over the last axis."""
+    out = _as_array(x @ weight)
+    return out if bias is None else out + bias
+
+
+def linear_backward(
+    grad: np.ndarray,
+    x: np.ndarray,
+    weight: Tensor,
+    bias: Optional[Tensor],
+    need_input: bool = True,
+) -> Optional[np.ndarray]:
+    """Feed ``weight`` and ``bias`` their gradients; return the input's.
+
+    The reductions are a broadcast matmul's and a broadcast add's: the
+    weight gradient is ``xᵀ @ grad`` per leading index, then summed by
+    ``_unbroadcast``; the bias gradient is summed the same way.
+    """
+    if bias is not None and bias.requires_grad:
+        bias._accumulate(grad)
+    if weight.requires_grad:
+        gw = np.swapaxes(x, -1, -2) @ grad
+        weight._accumulate(_unbroadcast(gw, weight.data.shape))
+    if not need_input:
+        return None
+    return _unbroadcast(grad @ np.swapaxes(weight.data, -1, -2), x.shape)
+
+
+def attention_forward(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(heads, attn)``: ``attn = softmax(q kᵀ · scale)``, ``heads = attn v``.
+
+    ``scale`` is a 0-d array of the engine dtype (what a Python scalar
+    becomes as a tape operand).
+    """
+    scores = _as_array(_as_array(q @ k.swapaxes(-1, -2)) * scale)
+    attn = _as_array(softmax_forward(scores, axis=-1))
+    return _as_array(attn @ v), attn
+
+
+def attention_backward(
+    grad: np.ndarray,
+    q: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
+    attn: np.ndarray,
+    scale: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(gq, gk, gv)`` for a C-contiguous upstream ``grad`` on the heads.
+
+    Each matmul takes the forward's own operand views (``k`` serves as
+    ``(kᵀ)ᵀ``: the same strides), so the BLAS path — and every rounded
+    bit — is the one the chained ops took.
+    """
+    g_attn = grad @ np.swapaxes(v, -1, -2)
+    gv = np.swapaxes(attn, -1, -2) @ grad
+    g_scores = softmax_backward(g_attn, attn, axis=-1) * scale
+    gq = g_scores @ k
+    gk = np.swapaxes(np.swapaxes(q, -1, -2) @ g_scores, -1, -2)
+    return gq, gk, gv
+
+
+def gelu_forward(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(out, t)``: tanh-approximate GELU and the tanh its backward reads.
+
+    ``c`` is an ``np.float64`` scalar, so a float32 ``x`` computes in
+    float64 and so does every gradient below it (an open finding,
+    PERFORMANCE.md: fixing it moves float32 numbers).
+    """
+    c = np.sqrt(2.0 / np.pi)
+    inner = c * (x + 0.044715 * _pow(x, 3))
+    t = np.tanh(inner)
+    return 0.5 * x * (1.0 + t), t
+
+
+def gelu_backward(grad: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    c = np.sqrt(2.0 / np.pi)
+    dinner = c * (1.0 + 3 * 0.044715 * _pow(x, 2))
+    local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+    return grad * local
+
+
+def dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Inverted-dropout multiplier: survivors scaled by ``1/(1-p)``."""
+    return (rng.random(shape) >= p) / (1.0 - p)
+
+
+# ----------------------------------------------------------------------
+# Single-op tape functions
+# ----------------------------------------------------------------------
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically-stable softmax along ``axis``."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    exps = np.exp(shifted)
-    out_data = exps / exps.sum(axis=axis, keepdims=True)
+    out_data = softmax_forward(x.data, axis=axis)
 
     def backward(grad: np.ndarray) -> None:
-        # d softmax = s * (grad - sum(grad * s))
-        dot = (grad * out_data).sum(axis=axis, keepdims=True)
-        x._accumulate(out_data * (grad - dot))
+        x._accumulate(softmax_backward(grad, out_data, axis=axis))
 
     return Tensor._make(out_data, (x,), backward)
+
+
+def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """``x @ weight + bias`` as one tape node."""
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    out_data = linear_forward(x.data, weight.data, None if bias is None else bias.data)
+
+    def backward(grad: np.ndarray) -> None:
+        gx = linear_backward(grad, x.data, weight, bias, need_input=x.requires_grad)
+        if gx is not None:
+            x._accumulate(gx)
+
+    return Tensor._make(out_data, parents, backward)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -172,26 +338,13 @@ def layer_norm(
     x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5
 ) -> Tensor:
     """Layer normalization over the last axis with affine parameters."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = (x.data - mu) * inv_std
-    out_data = x_hat * gamma.data + beta.data
-    d = x.data.shape[-1]
+    out_data, x_hat, inv_std = layer_norm_forward(x.data, gamma.data, beta.data, eps)
 
     def backward(grad: np.ndarray) -> None:
-        if gamma.requires_grad:
-            axes = tuple(range(grad.ndim - 1))
-            gamma._accumulate((grad * x_hat).sum(axis=axes))
-        if beta.requires_grad:
-            axes = tuple(range(grad.ndim - 1))
-            beta._accumulate(grad.sum(axis=axes))
-        if x.requires_grad:
-            g = grad * gamma.data
-            gx = (
-                g - g.mean(axis=-1, keepdims=True)
-                - x_hat * (g * x_hat).mean(axis=-1, keepdims=True)
-            ) * inv_std
+        gx = layer_norm_backward(
+            grad, gamma, beta, x_hat, inv_std, need_input=x.requires_grad
+        )
+        if gx is not None:
             x._accumulate(gx)
 
     return Tensor._make(out_data, (x, gamma, beta), backward)
@@ -203,7 +356,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True
         return x
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
+    mask = dropout_mask(x.shape, p, rng)
     out_data = x.data * mask
 
     def backward(grad: np.ndarray) -> None:
@@ -213,7 +366,13 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True
 
 
 def gelu(x: Tensor) -> Tensor:
-    return x.gelu()
+    """Gaussian Error Linear Unit (tanh approximation)."""
+    out_data, t = gelu_forward(x.data)
+
+    def backward(grad: np.ndarray) -> None:
+        x._accumulate(gelu_backward(grad, x.data, t))
+
+    return Tensor._make(out_data, (x,), backward)
 
 
 def relu(x: Tensor) -> Tensor:

@@ -184,9 +184,7 @@ class Linear(Module):
         flat = x.ndim == 1
         if flat:
             x = x.reshape(1, -1)
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
+        out = F.linear(x, self.weight, self.bias)
         return out.reshape(-1) if flat else out
 
 
@@ -208,15 +206,25 @@ class Dropout(Module):
 
     def __init__(self, p: float = 0.1, seed: int = 0) -> None:
         super().__init__()
+        if not 0.0 <= p < 1.0:
+            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
         self.p = p
         self._rng = np.random.default_rng(seed)
 
     def forward(self, x: Tensor) -> Tensor:
         return F.dropout(x, self.p, self._rng, training=self.training)
 
+    def mask(self, shape) -> Optional[np.ndarray]:
+        """The multiplier a forward over ``shape`` would draw, or ``None``
+        when it would pass its input through (eval mode or ``p == 0``)."""
+        if not self.training or self.p <= 0.0:
+            return None
+        return F.dropout_mask(shape, self.p, self._rng)
 
-# reprolint: unreached -- deferred deletion (no paper anchor): only models/text.py builds one;
-# goes with it, test_layers.py::TestEmbedding and the two test_rng_fallback.py cases
+
+# reprolint: unreached -- deferred deletion (no paper anchor): the text stack's second half, its
+# only caller (models/text.py) is gone; goes with test_layers.py::TestEmbedding and the two
+# test_rng_fallback.py cases
 class Embedding(Module):
     """Lookup table mapping integer indices to dense vectors."""
 
@@ -326,8 +334,10 @@ class MLP(Module):
         self.fc2 = Linear(hidden_features, out_features, rng=rng)
         # Boolean keep-mask over hidden neurons; plain numpy (not trained).
         self.neuron_mask = np.ones(hidden_features, dtype=bool)
-        # Hidden activations of the last forward pass (for Taylor importance).
-        self.last_hidden = None
+        # Hidden activations of the last taped encoder-block forward
+        # (Taylor importance, Eq. 8); written by
+        # :class:`repro.nn.transformer.TransformerEncoderLayer`.
+        self.last_hidden: Optional[Tensor] = None
 
     def set_neuron_mask(self, mask: np.ndarray) -> None:
         mask = np.asarray(mask, dtype=bool)
@@ -339,7 +349,6 @@ class MLP(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         hidden = self.act(self.fc1(x))
-        self.last_hidden = hidden
         if not self.neuron_mask.all():
             hidden = hidden * Tensor(self.neuron_mask.astype(float))
         return self.fc2(hidden)

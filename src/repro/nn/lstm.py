@@ -59,9 +59,9 @@ class LSTMCell(Module):
         return h_next, c_next
 
 
-# reprolint: unreached -- deferred deletion (no paper anchor): only models/text.py unrolls one
-# (the NAS controller steps LSTMCell itself); goes with it and test_lstm_optim.py::TestLSTM (3
-# tests)
+# reprolint: unreached -- deferred deletion (no paper anchor): the text stack's second half, its
+# last user (models/text.py) is gone and the NAS controller steps LSTMCell itself; goes with
+# test_lstm_optim.py::TestLSTM (3 tests)
 class LSTM(Module):
     """Single-layer LSTM unrolled over a ``(N, T, F)`` input sequence."""
 

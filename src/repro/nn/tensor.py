@@ -196,6 +196,13 @@ class no_grad(_GradMode):
     _mode = False
 
 
+def records(*tensors: "Tensor") -> bool:
+    """Whether an op over ``tensors`` is taped: grad mode is on and some
+    input requires grad.  Fused ops ask before saving anything, so their
+    tape-free path keeps nothing alive for a backward."""
+    return is_grad_enabled() and any(t.requires_grad for t in tensors)
+
+
 # reprolint: unreached -- safety handle: the scoped inverse of no_grad; the grad-mode nesting
 # and thread-isolation tests drive it
 class enable_grad(_GradMode):
@@ -341,7 +348,7 @@ class Tensor:
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
         out = Tensor(data)
-        if is_grad_enabled() and any(p.requires_grad for p in parents):
+        if records(*parents):
             out.requires_grad = True
             out._parents = tuple(p for p in parents if p.requires_grad)
             out._backward = backward
@@ -576,18 +583,9 @@ class Tensor:
 
     def gelu(self) -> "Tensor":
         """Gaussian Error Linear Unit (tanh approximation)."""
-        c = np.sqrt(2.0 / np.pi)
-        x = self.data
-        inner = c * (x + 0.044715 * _pow(x, 3))
-        t = np.tanh(inner)
-        out_data = 0.5 * x * (1.0 + t)
+        from repro.nn.functional import gelu  # functional imports this module
 
-        def backward(grad: np.ndarray) -> None:
-            dinner = c * (1.0 + 3 * 0.044715 * _pow(x, 2))
-            local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-            self._accumulate(grad * local)
-
-        return Tensor._make(out_data, (self,), backward)
+        return gelu(self)
 
     def abs(self) -> "Tensor":
         out_data = np.abs(self.data)

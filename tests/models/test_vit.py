@@ -51,6 +51,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             cfg.zeta(0.5, cfg.depth + 1)
 
+    @pytest.mark.parametrize("depth", [2.5, 2.0, True])
+    def test_zeta_refuses_a_depth_that_is_not_an_int(self, depth):
+        """A fractional depth names a model that cannot exist."""
+        with pytest.raises(ValueError, match="depth must be an int"):
+            small_config().zeta(0.5, depth)
+
+    def test_zeta_takes_a_wire_decoded_depth(self):
+        cfg = small_config()
+        assert cfg.zeta(0.5, np.int64(2)) == cfg.zeta(0.5, 2)
+
+    @pytest.mark.parametrize("dropout", [1.5, 1.0, -0.1])
+    def test_dropout_outside_unit_interval_is_refused(self, dropout):
+        with pytest.raises(ValueError, match="dropout"):
+            small_config(dropout=dropout)
+
 
 class TestForward:
     def test_logits_shape(self):
@@ -110,6 +125,25 @@ class TestScaling:
         model = VisionTransformer(small_config(), seed=0)
         assert model.scale(0.5, 2) is model
         assert model.zeta() == model.config.zeta(0.5, 2)
+
+    @pytest.mark.parametrize("depth", [2.7, True])
+    def test_set_depth_refuses_a_depth_that_is_not_an_int(self, depth):
+        model = VisionTransformer(small_config(), seed=0)
+        with pytest.raises(ValueError, match="depth must be an int"):
+            model.set_depth(depth)
+        assert model.depth == 3
+
+    def test_scale_refuses_a_fractional_depth_before_touching_width(self):
+        model = VisionTransformer(small_config(), seed=0)
+        with pytest.raises(ValueError, match="depth must be an int"):
+            model.scale(0.5, 2.7)
+        assert model.width == 1.0 and model.depth == 3
+        assert all(layer.attn.head_mask.all() for layer in model.encoder.layers)
+
+    def test_scale_takes_a_wire_decoded_depth(self):
+        model = VisionTransformer(small_config(), seed=0)
+        model.scale(0.5, np.int64(2))
+        assert model.depth == 2
 
     def test_width_validation(self):
         model = VisionTransformer(small_config(), seed=0)

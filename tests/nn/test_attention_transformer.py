@@ -113,6 +113,20 @@ class TestEncoder:
         with pytest.raises(ValueError):
             enc.set_active_depth(4)
 
+    @pytest.mark.parametrize("depth", [2.7, 2.0, True])
+    def test_depth_must_be_an_int(self, depth):
+        """``2.7`` used to activate 3 layers silently."""
+        enc = TransformerEncoder(3, 8, 2, rng=RNG)
+        enc.set_active_depth(1)
+        with pytest.raises(ValueError, match="depth must be an int"):
+            enc.set_active_depth(depth)
+        assert enc.active_depth() == 1
+
+    def test_wire_decoded_depth_is_accepted(self):
+        enc = TransformerEncoder(3, 8, 2, rng=RNG)
+        enc.set_active_depth(np.int64(2))
+        assert enc.active_depth() == 2
+
     def test_reduced_depth_changes_output(self):
         enc = TransformerEncoder(3, 8, 2, rng=RNG)
         x = Tensor(RNG.normal(size=(1, 4, 8)))

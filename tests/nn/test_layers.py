@@ -176,6 +176,11 @@ class TestMLP:
 
 
 class TestDropoutLayer:
+    @pytest.mark.parametrize("p", [2.0, 1.0, -0.1])
+    def test_probability_is_checked_at_construction(self, p):
+        with pytest.raises(ValueError, match="dropout probability"):
+            Dropout(p)
+
     def test_respects_training_flag(self):
         drop = Dropout(0.9, seed=0)
         x = Tensor(np.ones((50, 50)))
