@@ -2,8 +2,9 @@
 
 A full reproduction of the ICDCS 2025 paper. The package is organized as:
 
-* :mod:`repro.nn` — a from-scratch reverse-mode autograd engine and neural
-  network layers (Linear, LayerNorm, multi-head self-attention, Conv2d, LSTM).
+* :mod:`repro.nn` — a from-scratch reverse-mode autograd engine, neural
+  network layers (Linear, LayerNorm, multi-head self-attention, Conv2d, an
+  LSTM cell) and one fused Adam optimizer.
 * :mod:`repro.data` — synthetic dataset substrate (CIFAR-100-like and
   Stanford-Cars-like generators) with non-IID partitioners.
 * :mod:`repro.models` — the width/depth-scalable Vision Transformer, fixed

@@ -19,7 +19,7 @@ reproduce the Fig. 11 comparison:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -32,9 +32,6 @@ from repro.core.similarity import build_similarity_matrix
 from repro.data.dataset import ArrayDataset
 from repro.models.header_dag import DAGHeader
 from repro.models.vit import VisionTransformer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.distributed.executor import ExecutionPlan
 
 AGGREGATION_METHODS = ("alone", "average", "js", "ours")
 
@@ -236,7 +233,6 @@ def personalized_architecture_aggregation(
     method: str = "ours",
     importance_config: Optional[ImportanceConfig] = None,
     seed: int = 0,
-    plan: Optional[ExecutionPlan] = None,
 ) -> AggregationResult:
     """Algorithm 2: generate fine headers for one device cluster.
 
@@ -256,15 +252,7 @@ def personalized_architecture_aggregation(
         the mask can both shrink and recover as importance estimates evolve.
     method:
         One of :data:`AGGREGATION_METHODS`.
-    plan:
-        Where each round's per-device importance sets are computed
-        (``None`` = serial).  Per-device work is state-disjoint and
-        results stay in device order, so any width reproduces the serial
-        result; under the process backend each round's header mutations
-        come home in the workers' result frames — still bit-identical.
     """
-    from repro.distributed.executor import ExecutionPlan  # lazy: avoids import cycle
-
     if len(headers) != len(datasets):
         raise ValueError("need exactly one dataset per header")
     if num_rounds < 1:
@@ -273,19 +261,14 @@ def personalized_architecture_aggregation(
     n = len(headers)
     # Algorithm 2 line 2: the similarity matrix is computed once, up front.
     weights = aggregation_weights(method, n, backbone, datasets, seed=seed)
-    plan = plan or ExecutionPlan()
     result = AggregationResult(headers=list(headers), weights=weights)
 
     for t in range(num_rounds):
         config = importance_config or ImportanceConfig(seed=seed + t)
-        importance_sets = plan.map_devices(
-            lambda pair: compute_importance_set(
-                backbone, pair[0], pair[1], config=config
-            ),
-            list(zip(headers, datasets)),
-            serial_if_stochastic=(backbone,),
-            shared_params=[list(h.parameters()) for h in headers],
-        )
+        importance_sets = [
+            compute_importance_set(backbone, header, dataset, config=config)
+            for header, dataset in zip(headers, datasets)
+        ]
         upload = sum(q.nbytes for q in importance_sets)  # devices upload Q_n (line 6)
 
         personalized = aggregate_importance_sets(importance_sets, weights)

@@ -73,7 +73,7 @@ def compute_importance_set(
     -------
     numpy.ndarray
         Flat array with one importance per header parameter, aligned with
-        ``header.parameter_vector()``.
+        the header's ``parameters()`` raveled and concatenated in order.
     """
     from repro.train.fleet import fleet_importance_rounds  # lazy: train imports core
 

@@ -185,10 +185,9 @@ class ExecutionPlan:
     checks the cells as a product).  ``ACMEConfig.execution`` holds the plan; the layers that
     fan out (:class:`~repro.distributed.system.ACMESystem`,
     :class:`~repro.distributed.edge.EdgeServer`,
-    :class:`~repro.core.nas.HeaderSearch`,
-    :func:`~repro.core.aggregation.personalized_architecture_aggregation`)
-    receive it and ask it for their fan-out.  Frozen and range-checked
-    at construction, so a bad spec is named before any work is paid for.
+    :class:`~repro.core.nas.HeaderSearch`) receive it and ask it for their
+    fan-out.  Frozen and range-checked at construction, so a bad spec is
+    named before any work is paid for.
     """
 
     #: Width of the cluster dimension: each worker runs one edge's whole

@@ -16,7 +16,6 @@ from repro.models.blocks import (
     num_operations,
 )
 from repro.models.header_dag import DAGHeader
-from repro.models.multi_exit import EarlyExitResult, MultiExitViT
 from repro.models.headers import (
     AttentionHeader,
     BackboneFeatures,
@@ -41,7 +40,6 @@ __all__ = [
     "CNNHeader",
     "DAGHeader",
     "DecomposedViT",
-    "EarlyExitResult",
     "EfficientViTLike",
     "FIXED_HEADERS",
     "Header",
@@ -50,7 +48,6 @@ __all__ = [
     "LinearHeader",
     "MLPHeader",
     "MobileViTLike",
-    "MultiExitViT",
     "OPERATION_NAMES",
     "PatchEmbedding",
     "PoolHeader",

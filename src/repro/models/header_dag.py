@@ -127,13 +127,6 @@ class DAGHeader(Header):
                 out.append((name, p))
         return out
 
-    # reprolint: unreached -- deferred deletion (no paper anchor): goes with
-    # test_blocks_dag.py::test_parameter_vector_matches_count; three other tests read header
-    # weights through it and re-aim at parameters()
-    def parameter_vector(self) -> np.ndarray:
-        """Flat copy of all header parameters ΥH (Eq. 16 ordering)."""
-        return np.concatenate([p.data.reshape(-1) for p in self.parameters()])
-
     def parameter_count(self) -> int:
         return self.num_parameters()
 

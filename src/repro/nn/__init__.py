@@ -1,9 +1,10 @@
-"""From-scratch neural-network substrate (autograd, layers, optimizers).
+"""From-scratch neural-network substrate (autograd, layers, optimizer).
 
 This subpackage replaces PyTorch for the reproduction: a reverse-mode
 autograd :class:`~repro.nn.tensor.Tensor`, standard layers (Linear,
-LayerNorm, Conv2d, LSTM, multi-head self-attention), Transformer encoder
-blocks with maskable width/depth, and SGD/Adam optimizers.
+LayerNorm, Conv2d, an LSTM cell, multi-head self-attention), Transformer
+encoder blocks with maskable width/depth, and one fused Adam engine
+(:class:`FleetOptimizer`, with :class:`Adam` as its one-member form).
 
 Engine state (grad mode via :func:`no_grad` / :func:`set_grad_enabled`,
 compute dtype via :func:`set_default_dtype` / :func:`using_dtype`) is
@@ -30,7 +31,6 @@ from repro.nn.init import default_generator, set_seed
 from repro.nn.layers import (
     Activation,
     Dropout,
-    Embedding,
     Linear,
     LayerNorm,
     MLP,
@@ -39,14 +39,9 @@ from repro.nn.layers import (
     Sequential,
     has_active_stochastic_modules,
 )
-from repro.nn.lstm import LSTM, LSTMCell
-from repro.nn.optim import Adam, FleetOptimizer, Optimizer, SGD, clip_grad_norm
-from repro.nn.serialization import (
-    json_nbytes,
-    load_state,
-    save_state,
-    state_dict_nbytes,
-)
+from repro.nn.lstm import LSTMCell
+from repro.nn.optim import Adam, FleetOptimizer, clip_grad_norm
+from repro.nn.serialization import json_nbytes, state_dict_nbytes
 from repro.nn.tensor import (
     Tensor,
     concatenate,
@@ -70,9 +65,7 @@ __all__ = [
     "AvgPool2d",
     "Conv2d",
     "Dropout",
-    "Embedding",
     "GlobalAvgPool2d",
-    "LSTM",
     "LSTMCell",
     "LayerNorm",
     "Linear",
@@ -80,9 +73,7 @@ __all__ = [
     "MaxPool2d",
     "Module",
     "MultiHeadSelfAttention",
-    "Optimizer",
     "Parameter",
-    "SGD",
     "Sequential",
     "Tensor",
     "TransformerEncoder",
@@ -98,10 +89,8 @@ __all__ = [
     "im2col_cache_info",
     "is_grad_enabled",
     "json_nbytes",
-    "load_state",
     "no_grad",
     "ones",
-    "save_state",
     "set_default_dtype",
     "set_grad_enabled",
     "set_seed",

@@ -1,8 +1,8 @@
 """Fused differentiable operations built on :mod:`repro.nn.tensor`.
 
-These cover the numerically-sensitive compound ops (softmax, losses,
-layer normalization) with hand-derived backward passes where fusing is
-materially faster or more stable than composing primitives.
+These cover the numerically-sensitive compound ops (log-softmax and the
+losses, layer normalization) with hand-derived backward passes where
+fusing is materially faster or more stable than composing primitives.
 
 Layer norm, linear, softmax attention, GELU and dropout each have **one
 numpy body** here (``*_forward`` / ``*_backward``, arrays in and out).
@@ -171,16 +171,6 @@ def dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Single-op tape functions
 # ----------------------------------------------------------------------
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically-stable softmax along ``axis``."""
-    out_data = softmax_forward(x.data, axis=axis)
-
-    def backward(grad: np.ndarray) -> None:
-        x._accumulate(softmax_backward(grad, out_data, axis=axis))
-
-    return Tensor._make(out_data, (x,), backward)
-
-
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """``x @ weight + bias`` as one tape node."""
     parents = (x, weight) if bias is None else (x, weight, bias)

@@ -3,8 +3,8 @@
 Each initializer takes an explicit :class:`numpy.random.Generator` so that
 every experiment in the reproduction is deterministic given its seed.
 
-Layers built *without* an explicit generator (``Linear``, ``Embedding``,
-``MLP``, ``LSTMCell``, attention, transformer blocks, ``Conv2d``) draw
+Layers built *without* an explicit generator (``Linear``, ``MLP``,
+``LSTMCell``, attention, transformer blocks, ``Conv2d``) draw
 from :func:`default_generator` instead of a freshly-seeded one — two
 such modules constructed back to back get different weights (previously
 every unseeded module restarted ``default_rng(0)`` and received

@@ -106,8 +106,8 @@ class Module:
         Use together with :func:`repro.nn.set_default_dtype` to move an
         already-built model into the float32 compute mode.  Any live
         optimizer holding these parameters is notified so its fused flat
-        groups are rebuilt — and its state (moments/velocity) cast — in
-        the new dtype instead of silently stepping stale buffers.
+        groups are rebuilt — and its moments cast — in the new dtype
+        instead of silently stepping stale buffers.
         """
         from repro.nn.optim import notify_params_rebound
         from repro.nn.tensor import _resolve_dtype
@@ -121,7 +121,7 @@ class Module:
             p.grad = None
             p._grad_buffer = None
         if converted:
-            notify_params_rebound(converted, resolved)
+            notify_params_rebound(converted)
         return self
 
     # -- (de)serialization ------------------------------------------------
@@ -220,29 +220,6 @@ class Dropout(Module):
         if not self.training or self.p <= 0.0:
             return None
         return F.dropout_mask(shape, self.p, self._rng)
-
-
-# reprolint: unreached -- deferred deletion (no paper anchor): the text stack's second half, its
-# only caller (models/text.py) is gone; goes with test_layers.py::TestEmbedding and the two
-# test_rng_fallback.py cases
-class Embedding(Module):
-    """Lookup table mapping integer indices to dense vectors."""
-
-    def __init__(
-        self,
-        num_embeddings: int,
-        embedding_dim: int,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        super().__init__()
-        rng = rng if rng is not None else init.default_generator()
-        self.num_embeddings = num_embeddings
-        self.embedding_dim = embedding_dim
-        self.weight = Parameter(init.truncated_normal((num_embeddings, embedding_dim), rng))
-
-    def forward(self, indices: np.ndarray) -> Tensor:
-        indices = np.asarray(indices, dtype=np.int64)
-        return self.weight[indices]
 
 
 def has_active_stochastic_modules(module: Module) -> bool:

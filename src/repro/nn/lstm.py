@@ -1,9 +1,9 @@
-"""LSTM cell and single-layer LSTM for the NAS controller.
+"""LSTM cell for the NAS controller.
 
 The paper's ENAS-style controller (§III-C2) is a single-layer LSTM with
 100 hidden units that consumes one-hot encoded architecture decisions and
-emits logits over the next decision.  Only the pieces that controller needs
-are implemented: a cell, a sequence wrapper, and explicit state threading.
+emits logits over the next decision.  Only the piece that controller needs
+is implemented: a cell it steps itself, threading the state explicitly.
 """
 
 from __future__ import annotations
@@ -57,33 +57,3 @@ class LSTMCell(Module):
         c_next = f * c + i * g
         h_next = o * c_next.tanh()
         return h_next, c_next
-
-
-# reprolint: unreached -- deferred deletion (no paper anchor): the text stack's second half, its
-# last user (models/text.py) is gone and the NAS controller steps LSTMCell itself; goes with
-# test_lstm_optim.py::TestLSTM (3 tests)
-class LSTM(Module):
-    """Single-layer LSTM unrolled over a ``(N, T, F)`` input sequence."""
-
-    def __init__(
-        self,
-        input_size: int,
-        hidden_size: int,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        super().__init__()
-        self.cell = LSTMCell(input_size, hidden_size, rng=rng)
-        self.hidden_size = hidden_size
-
-    def forward(
-        self, x: Tensor, state: Optional[Tuple[Tensor, Tensor]] = None
-    ) -> Tuple[Tensor, Tuple[Tensor, Tensor]]:
-        """Run the sequence; returns (final hidden state, (h, c))."""
-        n, t, _f = x.shape
-        h_c = state
-        h = None
-        for step in range(t):
-            h, c = self.cell(x[:, step, :], h_c)
-            h_c = (h, c)
-        assert h is not None and h_c is not None
-        return h, h_c

@@ -1,34 +1,35 @@
-"""Gradient-based optimizers.
+"""Gradient-based optimizer: one fused Adam engine.
 
-Plain SGD (with momentum and weight decay) and Adam, operating on lists of
-:class:`~repro.nn.layers.Parameter`.  All state is keyed by parameter
-identity, so parameters can be shared between child models (the ENAS
+:class:`FleetOptimizer` steps the parameters of many independent members
+(every device header of a cluster, say) with Adam; :class:`Adam` is its
+one-member form and :func:`clip_grad_norm` bounds the global gradient
+norm before a step.  Parameters are deduplicated by identity, so a
+member's parameters can be shared between child models (the ENAS
 weight-sharing scheme) and still receive a single, consistent update.
 
-Both optimizers run **fused in-place**.  On the first step the
-parameters are flattened into one contiguous buffer per dtype (a
+The step runs **fused in-place**.  On the first step the parameters
+are flattened into one contiguous buffer per dtype (a
 :class:`_FlatGroup`): each parameter's ``data`` becomes a view into the
 flat buffer, its grad buffer a view into a flat grad buffer, and the
-optimizer state (momentum / moments) plus two scratch buffers live as
-flat arrays of the same length.  A steady-state step is then a fixed
-handful of ``out=``-style ufunc passes (``np.multiply(..., out=)``,
+two Adam moments plus two scratch buffers live as flat arrays of the
+same length.  A steady-state step is then a fixed handful of
+``out=``-style ufunc passes (``np.multiply(..., out=)``,
 ``flat_data -= ...``) over the whole parameter set — zero allocations
 and zero per-parameter Python dispatch, which is where the seed
 implementation (~6 fresh temporaries per parameter per step, ~15 numpy
 calls per parameter) spent most of its time on realistic models.
 
-Every fused update keeps the exact per-element operation sequence of the
-textbook allocating formulas (only swapping operands of commutative
+The fused update keeps the exact per-element operation sequence of the
+textbook allocating formula (only swapping operands of commutative
 ``+``/``*``, which is bitwise-neutral under IEEE-754), so fused float64
-training traces are **bit-for-bit identical** to them — the formulas
-live in ``tests/reference/optim.py`` as the parity suites' oracle.
+training traces are **bit-for-bit identical** to it — the formula
+lives in ``tests/reference/optim.py`` as the parity suites' oracle.
 Steps where some parameters have no gradient (e.g. partially-used ENAS
 shared pools) fall back to an equivalent per-parameter in-place update
 over the same flat state, skipping those parameters.
 
-``Optimizer.zero_grad`` defaults to the buffer-reuse mode: cleared
-parameter grads keep their arrays (see
-:meth:`repro.nn.tensor.Tensor.zero_grad`) so step N+1's backward pass
+``zero_grad`` keeps each cleared parameter's grad buffer (see
+:meth:`repro.nn.tensor.Tensor.zero_grad`), so step N+1's backward pass
 accumulates straight into the flat grad buffer instead of freshly
 allocated arrays.
 """
@@ -94,21 +95,20 @@ def _block_slices(size: int):
         yield slice(lo, min(lo + block, size))
 
 
-def notify_params_rebound(params: Sequence[Tensor], dtype) -> None:
+def notify_params_rebound(params: Sequence[Tensor]) -> None:
     """Tell live optimizers that ``params`` were rebound to new storage.
 
     Called by ``Module.astype`` after converting parameter dtypes: every
     optimizer holding any of these parameters rebuilds its flat groups
-    around the new arrays and casts its per-parameter state (moments /
-    velocity) to ``dtype``, so subsequent steps update the live arrays
-    instead of the detached flat buffers, and never silently upcast the
-    model back.
+    around the new arrays and casts its moments to the parameters' new
+    dtype, so subsequent steps update the live arrays instead of the
+    detached flat buffers, and never silently upcast the model back.
     """
     ids = {id(p) for p in params}
     with _REGISTRY_LOCK:
         live = list(_LIVE_OPTIMIZERS)
     for optimizer in live:
-        optimizer._on_params_rebound(ids, np.dtype(dtype))
+        optimizer._on_params_rebound(ids)
 
 
 class _FlatGroup:
@@ -116,8 +116,8 @@ class _FlatGroup:
 
     Layout: ``flat_data`` (parameter values; each parameter's ``data`` is
     rebound to a view of it), ``flat_grad`` (the owned grad buffers the
-    backward pass accumulates into), ``num_state`` zero-initialized state
-    arrays and ``num_scratch`` uninitialized scratch arrays.  Per-param
+    backward pass accumulates into), two zero-initialized state arrays
+    (Adam's moments) and two uninitialized scratch arrays.  Per-param
     views of every buffer are kept for the partial (per-parameter)
     update path.
     """
@@ -137,21 +137,19 @@ class _FlatGroup:
     def __init__(
         self,
         params: Sequence[Tensor],
-        num_state: int,
-        num_scratch: int,
-        carry_state: Optional[Dict[int, List[np.ndarray]]] = None,
+        carry_state: Dict[int, List[np.ndarray]],
     ) -> None:
         self.params = list(params)
         dtype = self.params[0].data.dtype
         total = int(sum(p.size for p in self.params))
         self.flat_data = np.empty(total, dtype=dtype)
         self.flat_grad = np.empty(total, dtype=dtype)
-        self.flat_state = [np.zeros(total, dtype=dtype) for _ in range(num_state)]
-        self.flat_scratch = [np.empty(total, dtype=dtype) for _ in range(num_scratch)]
+        self.flat_state = [np.zeros(total, dtype=dtype) for _ in range(2)]
+        self.flat_scratch = [np.empty(total, dtype=dtype) for _ in range(2)]
         self.data_views: List[np.ndarray] = []
         self.grad_views: List[np.ndarray] = []
-        self.state_views: List[List[np.ndarray]] = [[] for _ in range(num_state)]
-        self.scratch_views: List[List[np.ndarray]] = [[] for _ in range(num_scratch)]
+        self.state_views: List[List[np.ndarray]] = [[], []]
+        self.scratch_views: List[List[np.ndarray]] = [[], []]
         offset = 0
         for p in self.params:
             end = offset + p.size
@@ -168,16 +166,15 @@ class _FlatGroup:
             p._grad_buffer = gview
             self.data_views.append(dview)
             self.grad_views.append(gview)
-            for k in range(num_state):
+            carried = carry_state.get(id(p))
+            for k in range(2):
                 sview = self.flat_state[k][offset:end].reshape(shape)
-                carried = carry_state.get(id(p)) if carry_state else None
                 # Dtype may legitimately differ after ``Module.astype``:
                 # the moments follow the parameter into the new precision
                 # (copyto casts) instead of being silently zeroed.
                 if carried is not None and carried[k].shape == shape:
                     np.copyto(sview, carried[k], casting="unsafe")
                 self.state_views[k].append(sview)
-            for k in range(num_scratch):
                 self.scratch_views[k].append(
                     self.flat_scratch[k][offset:end].reshape(shape)
                 )
@@ -190,7 +187,7 @@ class _FlatGroup:
             for i, p in enumerate(self.params)
         }
 
-    def sync(self, lo: int = 0, hi: Optional[int] = None) -> str:
+    def sync(self, lo: int, hi: int) -> str:
         """Re-establish the flat layout of ``params[lo:hi]`` before a step.
 
         Returns ``"flat"`` when every parameter's data is (again) a view
@@ -226,145 +223,6 @@ class _FlatGroup:
                 p.grad = gview
                 p._grad_buffer = gview
         return status
-
-
-class Optimizer:
-    """Base class: holds parameters, exposes ``step`` and ``zero_grad``."""
-
-    #: Zero-initialized flat state arrays per group (SGD-with-momentum
-    #: overrides to 1) and scratch arrays per group.
-    _NUM_STATE = 0
-    _NUM_SCRATCH = 1
-
-    def __init__(
-        self,
-        params: Iterable[Tensor],
-        lr: float,
-    ) -> None:
-        # Deduplicate by identity so shared modules are stepped once.
-        seen = set()
-        self.params: List[Tensor] = []
-        for p in params:
-            if id(p) not in seen:
-                seen.add(id(p))
-                self.params.append(p)
-        if not self.params:
-            raise ValueError("optimizer received an empty parameter list")
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        self.lr = lr
-        self._flat_groups: Optional[List[_FlatGroup]] = None
-        with _REGISTRY_LOCK:
-            _LIVE_OPTIMIZERS.add(self)
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad(keep_buffer=True)
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-    # -- flat-group plumbing -------------------------------------------
-    def _build_groups(self) -> List[_FlatGroup]:
-        carry: Dict[int, List[np.ndarray]] = {}
-        if self._flat_groups is not None:
-            for group in self._flat_groups:
-                carry.update(group.carried_state())
-        by_dtype: "Dict[np.dtype, List[Tensor]]" = {}
-        for p in self.params:
-            by_dtype.setdefault(p.data.dtype, []).append(p)
-        return [
-            _FlatGroup(group_params, self._NUM_STATE, self._NUM_SCRATCH, carry_state=carry)
-            for group_params in by_dtype.values()
-        ]
-
-    def _on_params_rebound(self, ids: Set[int], dtype: np.dtype) -> None:
-        """React to ``Module.astype`` rebinding some of our parameters."""
-        if self._flat_groups is not None and any(id(p) in ids for p in self.params):
-            # Rebuild around the new arrays; per-parameter state is
-            # carried (and cast) by ``_FlatGroup``'s carry path.
-            self._flat_groups = self._build_groups()
-
-    def _prepare_groups(self) -> List:
-        """Lazily build, sync, and (at most once) rebuild the flat groups."""
-        if self._flat_groups is None:
-            self._flat_groups = self._build_groups()
-        synced = []
-        for group in self._flat_groups:
-            status = group.sync()
-            if status == "rebuild":
-                self._flat_groups = self._build_groups()
-                # Freshly built groups always sync cleanly.
-                return [(g, g.sync()) for g in self._flat_groups]
-            synced.append((group, status))
-        return synced
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        params: Iterable[Tensor],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._NUM_STATE = 1 if momentum else 0
-
-    def step(self) -> None:
-        for group, status in self._prepare_groups():
-            if status == "flat":
-                self._update(
-                    group.flat_data,
-                    group.flat_grad,
-                    group.flat_state[0] if self.momentum else None,
-                    group.flat_scratch[0],
-                )
-            else:
-                for i, p in enumerate(group.params):
-                    if p.grad is None:
-                        continue
-                    self._update(
-                        group.data_views[i],
-                        p.grad,
-                        group.state_views[0][i] if self.momentum else None,
-                        group.scratch_views[0][i],
-                    )
-
-    @hotpath
-    def _update(self, data, grad, velocity, scratch) -> None:
-        """One in-place SGD update; exact reference operation order.
-
-        Flat (1-D) sweeps run cache-blocked (see ``_block_slices``):
-        every operation is elementwise, so the blocked sweep is
-        bit-for-bit the unblocked one.
-        """
-        if data.ndim == 1:
-            for sl in _block_slices(data.size):
-                self._update_block(
-                    data[sl], grad[sl],
-                    velocity[sl] if velocity is not None else None,
-                    scratch[sl],
-                )
-            return
-        self._update_block(data, grad, velocity, scratch)
-
-    @hotpath
-    def _update_block(self, data, grad, velocity, scratch) -> None:
-        if self.weight_decay:
-            np.multiply(data, self.weight_decay, out=scratch)
-            scratch += grad
-            grad = scratch
-        if self.momentum:
-            np.multiply(velocity, self.momentum, out=velocity)
-            velocity += grad
-            grad = velocity
-        np.multiply(grad, self.lr, out=scratch)
-        data -= scratch
 
 
 @hotpath
@@ -504,6 +362,10 @@ class FleetOptimizer:
             raise ValueError(f"learning rates must be positive, got {lr}")
         self.lrs = lrs
         self.beta1, self.beta2 = betas
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError(f"betas must lie in [0, 1), got {betas}")
+        if not eps > 0:
+            raise ValueError(f"eps must be positive, got {eps}")
         self.eps = eps
         self.weight_decay = weight_decay
         self._t: List[int] = [0] * num
@@ -519,7 +381,7 @@ class FleetOptimizer:
             for p in member:
                 p.zero_grad(keep_buffer=True)
 
-    def _on_params_rebound(self, ids: Set[int], dtype: np.dtype) -> None:
+    def _on_params_rebound(self, ids: Set[int]) -> None:
         if self._flat_groups is not None and any(id(p) in ids for p in self.params):
             self._build_groups()
 
@@ -542,7 +404,7 @@ class FleetOptimizer:
         self._flat_groups = []
         self._segments = []
         for dt, group_params in by_dtype.items():
-            group = _FlatGroup(group_params, num_state=2, num_scratch=2, carry_state=carry)
+            group = _FlatGroup(group_params, carry)
             offsets = np.concatenate(
                 ([0], np.cumsum([p.size for p in group_params], dtype=np.int64))
             )
@@ -648,7 +510,12 @@ def clip_grad_norm(params: Iterable[Tensor], max_norm: float) -> float:
     Returns the pre-clipping norm (useful for logging).  Each
     parameter's squared norm is a single BLAS ``np.dot`` over a raveled
     view (no ``grad * grad`` temporary) and the scaling is in place.
+    ``max_norm`` must be finite and positive — a negative bound would
+    flip every gradient and a zero one erase it — and is checked before
+    any gradient is touched.
     """
+    if not 0.0 < max_norm < float("inf"):
+        raise ValueError(f"max_norm must be finite and positive, got {max_norm}")
     params = [p for p in params if p.grad is not None]
     total_sq = 0.0
     for p in params:

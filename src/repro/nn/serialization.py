@@ -1,4 +1,4 @@
-"""Saving and loading module state, with byte-size accounting.
+"""Byte-size accounting and in-memory serialization of module state.
 
 The distributed simulator charges every transmitted payload by its
 size (:func:`repro.distributed.messages.payload_nbytes`): arrays by
@@ -10,40 +10,9 @@ from __future__ import annotations
 
 import io
 import json
-from pathlib import Path
-from typing import Dict, Union
+from typing import Dict
 
 import numpy as np
-
-from repro.nn.layers import Module
-
-
-def _npz_path(path: Union[str, Path]) -> Path:
-    """The filename ``np.savez`` actually writes for ``path``.
-
-    ``np.savez`` appends ``.npz`` to any filename not already ending in
-    it, while ``np.load`` opens the literal path — so an extensionless
-    ``save_state``/``load_state`` round-trip used to miss the file.
-    Normalizing both sides through this helper keeps them in agreement.
-    """
-    path = Path(path)
-    return path if path.name.endswith(".npz") else path.with_name(path.name + ".npz")
-
-
-# reprolint: unreached -- deferred deletion (no paper anchor): goes with load_state,
-# test_serialization.py::TestSaveLoad (6 tests) and the checkpoint case of test_state_rebind.py
-def save_state(module: Module, path: Union[str, Path]) -> None:
-    """Serialize a module's parameters to an ``.npz`` archive."""
-    state = module.state_dict()
-    np.savez(_npz_path(path), **state)
-
-
-# reprolint: unreached -- deferred deletion (no paper anchor): goes with save_state
-def load_state(module: Module, path: Union[str, Path]) -> None:
-    """Load parameters saved by :func:`save_state` into ``module``."""
-    with np.load(_npz_path(path)) as archive:
-        state = {name: archive[name] for name in archive.files}
-    module.load_state_dict(state)
 
 
 def state_dict_nbytes(state: Dict[str, np.ndarray]) -> int:

@@ -358,8 +358,8 @@ def fleet_importance_rounds(
     Trains every header for its :class:`ImportanceConfig` schedule in
     stacked rounds and accumulates each device's first-order Taylor
     importance set from its own gradients **before** each optimizer
-    step; returns one flat set per header, aligned with
-    ``header.parameter_vector()``.  ``train=False`` skips the updates
+    step; returns one flat set per header, aligned with the header's
+    ``parameters()`` raveled and concatenated in order.  ``train=False`` skips the updates
     and only accumulates (re-scoring an already-trained header).
     ``features`` aligns with ``headers``, as for
     :func:`train_headers_fleet`.  A member whose schedule holds no batch

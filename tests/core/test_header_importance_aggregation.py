@@ -20,6 +20,7 @@ from repro.data import make_cifar100_like, partition_iid
 from repro.models import DAGHeader, ViTConfig, VisionTransformer
 from repro.models.blocks import BlockSpec, HeaderSpec
 from repro.train import TrainConfig, train_model
+from tests.helpers import header_weights
 
 
 @pytest.fixture(scope="module")
@@ -50,18 +51,18 @@ class TestImportanceSet:
     def test_no_train_mode_leaves_weights(self, setup):
         model, data = setup
         header = make_header()
-        before = header.parameter_vector()
+        before = header_weights(header)
         compute_importance_set(model, header, data,
                                ImportanceConfig(max_batches_per_epoch=2), train=False)
-        np.testing.assert_allclose(header.parameter_vector(), before)
+        np.testing.assert_allclose(header_weights(header), before)
 
     def test_train_mode_updates_weights(self, setup):
         model, data = setup
         header = make_header()
-        before = header.parameter_vector()
+        before = header_weights(header)
         compute_importance_set(model, header, data,
                                ImportanceConfig(max_batches_per_epoch=2))
-        assert not np.allclose(header.parameter_vector(), before)
+        assert not np.allclose(header_weights(header), before)
 
     def test_matches_the_textbook_loop(self, setup):
         """Two back-to-back rounds with a prune in between (Algorithm 2's
@@ -82,7 +83,7 @@ class TestImportanceSet:
                 for header, q in ((ours, got), (textbook, want)):
                     prune_by_importance(header, q, keep_fraction=0.7)
         np.testing.assert_array_equal(
-            ours.parameter_vector(), textbook.parameter_vector()
+            header_weights(ours), header_weights(textbook)
         )
 
     @pytest.mark.parametrize(
@@ -98,7 +99,7 @@ class TestImportanceSet:
 
         model, data = setup
         headers = [make_header(0), make_header(1)]
-        before = [h.parameter_vector() for h in headers]
+        before = [header_weights(h) for h in headers]
         datasets, configs = [data, data], [ImportanceConfig(), ImportanceConfig()]
         if empty == "dataset":
             datasets[1] = ArrayDataset(
@@ -109,7 +110,7 @@ class TestImportanceSet:
         with pytest.raises(ValueError, match="no batches"):
             fleet_importance_rounds(model, headers, datasets, configs)
         for header, vector in zip(headers, before):
-            np.testing.assert_array_equal(header.parameter_vector(), vector)
+            np.testing.assert_array_equal(header_weights(header), vector)
 
 
 class TestPruning:
@@ -265,6 +266,28 @@ class TestAlgorithm2:
         )
         for h in headers:
             assert h.active_parameter_count() < h.parameter_count()
+
+    def test_rerun_is_bit_identical(self, setup):
+        """Same backbone, headers, data and seed: the weights, the pruning
+        masks and the header weights come back bit for bit."""
+        model, data = setup
+        parts = partition_iid(data, 2, np.random.default_rng(0))
+
+        def run():
+            headers = [make_header(seed=i) for i in range(2)]
+            result = personalized_architecture_aggregation(
+                model, headers, parts, num_rounds=2,
+                importance_config=ImportanceConfig(max_batches_per_epoch=2),
+            )
+            return result.weights, headers
+
+        (w1, h1), (w2, h2) = run(), run()
+        np.testing.assert_array_equal(w1, w2)
+        for a, b in zip(h1, h2):
+            assert set(a._parameter_mask) == set(b._parameter_mask)
+            for key in a._parameter_mask:
+                np.testing.assert_array_equal(a._parameter_mask[key], b._parameter_mask[key])
+            np.testing.assert_array_equal(header_weights(a), header_weights(b))
 
     def test_validation(self, setup):
         model, data = setup

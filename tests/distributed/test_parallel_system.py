@@ -116,52 +116,6 @@ class TestPhaseParity:
         np.testing.assert_array_equal(first, second)
 
 
-class TestAggregationParity:
-    def test_personalized_aggregation_worker_parity(self):
-        """Algorithm 2's library entry point: any worker count produces
-        bit-identical weights and pruning masks."""
-        from repro.core.aggregation import personalized_architecture_aggregation
-        from repro.models.blocks import HeaderSpec
-        from repro.models.header_dag import DAGHeader
-
-        generator = make_cifar100_like(num_classes=4, image_size=16, seed=0)
-        datasets = [
-            generator.generate(8, seed=30 + i, name=f"d{i}") for i in range(3)
-        ]
-
-        def run(workers):
-            backbone = VisionTransformer(
-                ViTConfig(num_classes=4, depth=2, embed_dim=32), seed=0
-            )
-            spec = HeaderSpec.from_sequence([0, 1, 0, 2])
-            headers = [
-                DAGHeader(
-                    32,
-                    backbone.config.num_patches,
-                    4,
-                    spec,
-                    rng=np.random.default_rng(i),
-                )
-                for i in range(3)
-            ]
-            return personalized_architecture_aggregation(
-                backbone,
-                headers,
-                datasets,
-                num_rounds=1,
-                plan=ExecutionPlan(device_workers=workers),
-            )
-
-        serial, parallel = run(None), run(4)
-        np.testing.assert_array_equal(serial.weights, parallel.weights)
-        for hs, hp in zip(serial.headers, parallel.headers):
-            assert set(hs._parameter_mask) == set(hp._parameter_mask)
-            for key in hs._parameter_mask:
-                np.testing.assert_array_equal(
-                    hs._parameter_mask[key], hp._parameter_mask[key]
-                )
-
-
 class TestNASParity:
     def _search(self, workers):
         backbone = VisionTransformer(

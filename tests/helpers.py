@@ -122,6 +122,12 @@ def _parameter_gradient_check(module, forward, params, atol, rtol) -> None:
         np.testing.assert_allclose(expected, numeric, atol=atol, rtol=rtol)
 
 
+def header_weights(header) -> np.ndarray:
+    """Flat copy of a header's parameters in ``parameters()`` order — the
+    order its importance sets and keep-masks index (Eq. 16)."""
+    return np.concatenate([p.data.reshape(-1) for p in header.parameters()])
+
+
 def importance_round(device, **kwargs):
     """One device's local importance round — the group of one of
     ``DeviceNode.importance_rounds``, hydrated first as the edge's walk

@@ -15,6 +15,7 @@ from repro.models import (
     num_operations,
 )
 from repro.nn.tensor import Tensor
+from tests.helpers import header_weights
 
 RNG = np.random.default_rng(41)
 EMBED, PATCHES, CLASSES = 16, 16, 5
@@ -176,9 +177,19 @@ class TestDAGHeader:
         header.reapply_mask()
         assert sum(np.abs(p.data).sum() for p in header.parameters()) == 0.0
 
-    def test_parameter_vector_matches_count(self):
+    def test_mask_index_addresses_parameters_order(self):
+        """Keep-mask position i is element i of the weights flattened in
+        ``parameters()`` order — the order importance sets index (Eq. 16)."""
         header = DAGHeader(EMBED, PATCHES, CLASSES, self.spec())
-        assert header.parameter_vector().size == header.parameter_count()
+        before = header_weights(header)
+        assert before.size == header.parameter_count()
+        dropped = [0, before.size // 2, before.size - 1]
+        keep = np.ones(before.size, dtype=bool)
+        keep[dropped] = False
+        header.set_parameter_mask(keep)
+        expected = before.copy()
+        expected[dropped] = 0.0
+        np.testing.assert_array_equal(header_weights(header), expected)
 
     def test_shared_op_factory(self):
         """Two headers built from one factory share operation weights."""

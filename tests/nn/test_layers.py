@@ -7,7 +7,6 @@ from repro.nn import functional as F
 from repro.nn.layers import (
     Activation,
     Dropout,
-    Embedding,
     LayerNorm,
     Linear,
     MLP,
@@ -88,21 +87,6 @@ class TestLinear:
             lambda: (layer(x) ** 2).sum(),
             [layer.weight, layer.bias],
         )
-
-
-class TestEmbedding:
-    def test_lookup_shape(self):
-        emb = Embedding(10, 4)
-        out = emb(np.array([1, 5, 5]))
-        assert out.shape == (3, 4)
-        np.testing.assert_allclose(out.data[1], out.data[2])
-
-    def test_gradient_accumulates_on_repeats(self):
-        emb = Embedding(5, 2)
-        out = emb(np.array([3, 3]))
-        out.sum().backward()
-        np.testing.assert_allclose(emb.weight.grad[3], [2.0, 2.0])
-        np.testing.assert_allclose(emb.weight.grad[0], [0.0, 0.0])
 
 
 class TestSequential:

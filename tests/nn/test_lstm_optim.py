@@ -1,16 +1,25 @@
-"""Tests for the LSTM controller substrate and optimizers."""
+"""Tests for the LSTM controller cell, Adam and gradient clipping."""
 
 import numpy as np
 import pytest
 
 from repro.nn import functional as F
 from repro.nn.layers import Linear
-from repro.nn.lstm import LSTM, LSTMCell
-from repro.nn.optim import Adam, SGD, clip_grad_norm
+from repro.nn.lstm import LSTMCell
+from repro.nn.optim import Adam, FleetOptimizer, clip_grad_norm
 from repro.nn.tensor import Tensor
 from tests.helpers import check_gradient
 
 RNG = np.random.default_rng(17)
+
+
+def _unroll(cell, x):
+    """Run ``cell`` over a ``(batch, time, features)`` sequence; returns
+    the last hidden and cell state."""
+    state = None
+    for t in range(x.shape[1]):
+        state = cell(Tensor(x[:, t]), state)
+    return state
 
 
 class TestLSTMCell:
@@ -41,79 +50,34 @@ class TestLSTMCell:
         h, _c = cell(Tensor(RNG.normal(size=(5, 2)) * 100))
         assert (np.abs(h.data) <= 1.0).all()
 
-
-class TestLSTM:
-    def test_sequence_shapes(self):
-        lstm = LSTM(5, 8, rng=RNG)
-        h, (hn, cn) = lstm(Tensor(RNG.normal(size=(2, 6, 5))))
-        assert h.shape == (2, 8)
-        assert hn.shape == (2, 8) and cn.shape == (2, 8)
+    def test_unrolled_sequence_shapes(self):
+        cell = LSTMCell(5, 8, rng=RNG)
+        h, c = _unroll(cell, RNG.normal(size=(2, 6, 5)))
+        assert h.shape == (2, 8) and c.shape == (2, 8)
 
     def test_longer_sequences_change_state(self):
-        lstm = LSTM(3, 4, rng=RNG)
+        cell = LSTMCell(3, 4, rng=RNG)
         x = RNG.normal(size=(1, 8, 3))
-        h_short, _ = lstm(Tensor(x[:, :2]))
-        h_long, _ = lstm(Tensor(x))
+        h_short, _ = _unroll(cell, x[:, :2])
+        h_long, _ = _unroll(cell, x)
         assert not np.allclose(h_short.data, h_long.data)
 
     def test_can_fit_parity_task(self):
-        """LSTM learns to classify sequences by sum sign — sanity check."""
+        """An unrolled cell trained with Adam learns to classify sequences
+        by the sign of their sum — backprop through time end to end."""
         rng = np.random.default_rng(1)
-        lstm = LSTM(1, 12, rng=rng)
+        cell = LSTMCell(1, 12, rng=rng)
         head = Linear(12, 2, rng=rng)
         x = rng.normal(size=(40, 5, 1))
         y = (x.sum(axis=(1, 2)) > 0).astype(int)
-        opt = Adam(lstm.parameters() + head.parameters(), lr=5e-3)
+        opt = Adam(cell.parameters() + head.parameters(), lr=5e-3)
         for _ in range(60):
             opt.zero_grad()
-            h, _ = lstm(Tensor(x))
-            loss = F.cross_entropy(head(h), y)
-            loss.backward()
+            h, _ = _unroll(cell, x)
+            F.cross_entropy(head(h), y).backward()
             opt.step()
-        h, _ = lstm(Tensor(x))
+        h, _ = _unroll(cell, x)
         assert F.accuracy(head(h), y) > 0.85
-
-
-class TestSGD:
-    def test_basic_descent(self):
-        p = Tensor(np.array([10.0]), requires_grad=True)
-        opt = SGD([p], lr=0.1)
-        for _ in range(50):
-            opt.zero_grad()
-            (p * p).sum().backward()
-            opt.step()
-        assert abs(p.data.item()) < 0.1
-
-    def test_momentum_accelerates(self):
-        def run(momentum):
-            p = Tensor(np.array([10.0]), requires_grad=True)
-            opt = SGD([p], lr=0.01, momentum=momentum)
-            for _ in range(30):
-                opt.zero_grad()
-                (p * p).sum().backward()
-                opt.step()
-            return abs(p.data.item())
-
-        assert run(0.9) < run(0.0)
-
-    def test_weight_decay_shrinks_weights(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
-        opt = SGD([p], lr=0.1, weight_decay=0.5)
-        opt.zero_grad()
-        (p * 0.0).sum().backward()  # zero loss gradient
-        opt.step()
-        assert p.data.item() < 1.0
-
-    def test_skips_parameters_without_grad(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
-        SGD([p], lr=0.1).step()  # no backward yet; must not raise
-        np.testing.assert_allclose(p.data, [1.0])
-
-    def test_rejects_empty_params_and_bad_lr(self):
-        with pytest.raises(ValueError):
-            SGD([], lr=0.1)
-        with pytest.raises(ValueError):
-            SGD([Tensor(np.ones(1), requires_grad=True)], lr=0.0)
 
 
 class TestAdam:
@@ -143,6 +107,59 @@ class TestAdam:
         opt.step()
         assert p.data.item() < 2.0
 
+    def test_skips_parameters_without_grad(self):
+        p = Tensor(np.array([1.0]), requires_grad=True)
+        Adam([p], lr=0.1).step()  # no backward yet; must not raise
+        np.testing.assert_allclose(p.data, [1.0])
+
+    def test_rejects_empty_params_and_bad_lr(self):
+        with pytest.raises(ValueError):
+            Adam([], lr=0.1)
+        with pytest.raises(ValueError):
+            Adam([Tensor(np.ones(1), requires_grad=True)], lr=0.0)
+
+    @pytest.mark.parametrize(
+        "betas", [(0.9, 1.0), (1.0, 0.999), (-0.1, 0.999), (0.9, 1.5), (0.9, np.nan)]
+    )
+    @pytest.mark.parametrize("optimizer", ["adam", "fleet"])
+    def test_rejects_betas_outside_unit_interval(self, optimizer, betas):
+        """beta2 = 1 makes the bias correction 1 - beta2**t zero: one step
+        would turn every parameter into NaN."""
+        p = Tensor(np.array([1.0]), requires_grad=True)
+        with pytest.raises(ValueError, match="betas"):
+            if optimizer == "adam":
+                Adam([p], betas=betas)
+            else:
+                FleetOptimizer([[p]], betas=betas)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-8, np.nan])
+    @pytest.mark.parametrize("optimizer", ["adam", "fleet"])
+    def test_rejects_eps_that_is_not_positive(self, optimizer, eps):
+        """eps = 0 divides 0 by 0 for every parameter whose gradient is
+        zero, turning it into NaN."""
+        p = Tensor(np.array([1.0]), requires_grad=True)
+        with pytest.raises(ValueError, match="eps"):
+            if optimizer == "adam":
+                Adam([p], eps=eps)
+            else:
+                FleetOptimizer([[p]], eps=eps)
+
+    def test_boundary_hyperparameters_are_accepted(self):
+        p = Tensor(np.array([1.0]), requires_grad=True)
+        opt = Adam([p], lr=0.1, betas=(0.0, 0.0), eps=1e-12)
+        p.grad = np.array([1.0])
+        opt.step()
+        assert np.isfinite(p.data).all()
+
+    def test_fleet_boundary_hyperparameters_are_accepted(self):
+        members = [[Tensor(np.array([1.0]), requires_grad=True)] for _ in range(2)]
+        opt = FleetOptimizer(members, lr=0.1, betas=(0.0, 0.0), eps=1e-12)
+        for (p,) in members:
+            p.grad = np.array([0.0])  # zero gradient: 0 / (0 + eps), not 0 / 0
+        opt.step()
+        for (p,) in members:
+            np.testing.assert_array_equal(p.data, [1.0])
+
 
 class TestClipGradNorm:
     def test_clips_large_gradients(self):
@@ -157,3 +174,33 @@ class TestClipGradNorm:
         p.grad = np.array([0.1, 0.1])
         clip_grad_norm([p], max_norm=5.0)
         np.testing.assert_allclose(p.grad, [0.1, 0.1])
+
+    @pytest.mark.parametrize("max_norm", [-1.0, 0.0, np.inf, np.nan])
+    def test_rejects_a_bound_that_is_not_finite_and_positive(self, max_norm):
+        """A negative bound used to flip every gradient (silent ascent) and
+        a zero one to erase them all; neither may touch a gradient."""
+        p = Tensor(np.zeros(3), requires_grad=True)
+        p.grad = np.array([1.0, 2.0, 2.0])
+        with pytest.raises(ValueError, match="max_norm"):
+            clip_grad_norm([p], max_norm=max_norm)
+        np.testing.assert_array_equal(p.grad, [1.0, 2.0, 2.0])
+
+    def test_skips_parameters_without_grad(self):
+        p = Tensor(np.zeros(2), requires_grad=True)
+        q = Tensor(np.zeros(2), requires_grad=True)
+        q.grad = np.array([3.0, 4.0])
+        norm = clip_grad_norm([p, q], max_norm=1.0)
+        assert norm == pytest.approx(5.0)
+        assert p.grad is None
+        np.testing.assert_allclose(q.grad, [0.6, 0.8])
+
+    def test_global_norm_scales_every_parameter_alike(self):
+        """The bound is on the norm over all parameters together, not on
+        each one: both gradients shrink by the same factor."""
+        p = Tensor(np.zeros(1), requires_grad=True)
+        q = Tensor(np.zeros(1), requires_grad=True)
+        p.grad, q.grad = np.array([3.0]), np.array([4.0])
+        norm = clip_grad_norm([p, q], max_norm=2.5)
+        assert norm == pytest.approx(5.0)
+        np.testing.assert_allclose(p.grad, [1.5])
+        np.testing.assert_allclose(q.grad, [2.0])

@@ -1,6 +1,6 @@
 """Cache-blocked fused optimizer sweeps: parity and the block-size hook.
 
-PR 9 chunks the fused Adam/SGD/fleet flat-buffer update passes at
+The fused Adam/fleet flat-buffer update passes run in chunks of
 ``repro.nn.optim._FUSED_BLOCK_ELEMS`` elements so one block of all the
 step's arrays stays cache-resident across the ~14 ufunc passes.  Every
 pass is elementwise, so blocking is a pure cache-behavior knob: these
@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.nn.optim import (
-    SGD,
     Adam,
     _block_slices,
     set_fused_block_elems,
@@ -59,8 +58,7 @@ class TestBlockedParity:
         [
             (Adam, dict(lr=1e-2)),
             (Adam, dict(lr=3e-3, weight_decay=0.1)),
-            (SGD, dict(lr=1e-2, momentum=0.9)),
-            (SGD, dict(lr=1e-2, momentum=0.9, weight_decay=0.05)),
+            (Adam, dict(lr=1e-3, betas=(0.8, 0.99), eps=1e-6)),
         ],
     )
     def test_bit_for_bit_vs_unblocked(self, opt_cls, kwargs, dtype, restore_block_size):

@@ -1,8 +1,8 @@
 """Fused in-place optimizer parity and allocation regression tests.
 
-The fused Adam/SGD steps must reproduce the textbook allocating updates
-(the oracles in ``tests/reference/optim.py``) **bit-for-bit** under
-float64 — including weight decay, momentum, and shared-parameter dedup —
+The fused Adam step must reproduce the textbook allocating update (the
+oracle in ``tests/reference/optim.py``) **bit-for-bit** under float64 —
+including weight decay, custom betas/eps and shared-parameter dedup —
 while allocating O(1) arrays per parameter in steady state (the oracle
 allocates ~6 fresh temporaries per parameter per step).  In-place
 gradient accumulation must keep every grad an exclusively owned buffer,
@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.nn.optim import SGD, Adam, clip_grad_norm
+from repro.nn.optim import Adam, clip_grad_norm
 from repro.nn.tensor import Tensor, using_dtype
 from tests.reference.autograd import allocating_accumulate
 from tests.reference.optim import ORACLE, ReferenceAdam, reference_clip_grad_norm
@@ -49,10 +49,8 @@ class TestFusedParity:
             (Adam, dict(lr=1e-2)),
             (Adam, dict(lr=3e-3, betas=(0.8, 0.99), eps=1e-6)),
             (Adam, dict(lr=1e-2, weight_decay=0.1)),
-            (SGD, dict(lr=1e-2)),
-            (SGD, dict(lr=1e-2, momentum=0.9)),
-            (SGD, dict(lr=1e-2, weight_decay=0.05)),
-            (SGD, dict(lr=1e-2, momentum=0.9, weight_decay=0.05)),
+            (Adam, dict(lr=1e-2, betas=(0.0, 0.0))),
+            (Adam, dict(lr=5e-3, betas=(0.5, 0.9), eps=1e-10, weight_decay=0.05)),
         ],
     )
     def test_bit_for_bit_float64(self, opt_cls, kwargs):
@@ -148,7 +146,7 @@ class TestAllocationRegression:
     def test_grad_accumulation_reuses_buffer_across_steps(self):
         rng = np.random.default_rng(1)
         p = Tensor(rng.normal(size=(64, 64)), requires_grad=True)
-        opt = SGD([p], lr=1e-3)
+        opt = Adam([p], lr=1e-3)
         x = Tensor(rng.normal(size=(8, 64)))
         (x @ p).sum().backward()
         opt.step()  # flattens: p.grad becomes a view of the flat buffer

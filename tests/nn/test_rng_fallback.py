@@ -2,8 +2,8 @@
 
 PR 1 moved ``Conv2d``'s no-rng fallback to the shared
 ``repro.nn.init.default_generator()`` stream; this PR migrates the
-remaining layers (``Linear``, ``Embedding``, ``MLP``, ``LSTMCell``,
-attention, transformer blocks).  Two properties matter:
+remaining layers (``Linear``, ``MLP``, ``LSTMCell``, attention,
+transformer blocks).  Two properties matter:
 
 * **sensitivity** — two modules built back-to-back without a generator
   must not silently share identical weights (the old
@@ -31,10 +31,6 @@ class TestFallbackSensitivity:
         a, b = nn.Linear(8, 8), nn.Linear(8, 8)
         assert not np.allclose(a.weight.data, b.weight.data)
 
-    def test_two_unseeded_embeddings_differ(self):
-        a, b = nn.Embedding(12, 6), nn.Embedding(12, 6)
-        assert not np.allclose(a.weight.data, b.weight.data)
-
     def test_two_unseeded_mlps_differ(self):
         a, b = nn.MLP(8, 16, 4), nn.MLP(8, 16, 4)
         assert not np.allclose(a.fc1.weight.data, b.fc1.weight.data)
@@ -55,6 +51,11 @@ class TestFallbackSensitivity:
         assert not np.allclose(a.attn.qkv.weight.data, b.attn.qkv.weight.data)
         assert not np.allclose(a.mlp.fc1.weight.data, b.mlp.fc1.weight.data)
 
+    def test_two_unseeded_convs_differ(self):
+        a = nn.Conv2d(3, 4, kernel_size=3)
+        b = nn.Conv2d(3, 4, kernel_size=3)
+        assert not np.allclose(_first_param(a), _first_param(b))
+
     def test_unseeded_encoder_stacks_layers_with_distinct_weights(self):
         enc = nn.TransformerEncoder(3, 8, 2)
         w0 = enc.layers[0].attn.qkv.weight.data
@@ -70,7 +71,6 @@ class TestFallbackSensitivity:
 class TestSetSeedReproducibility:
     BUILDERS = [
         lambda: nn.Linear(8, 8),
-        lambda: nn.Embedding(12, 6),
         lambda: nn.MLP(8, 16, 4),
         lambda: nn.LSTMCell(4, 6),
         lambda: nn.MultiHeadSelfAttention(8, 2),

@@ -1,76 +1,11 @@
-"""Tests for module serialization and byte-size accounting."""
+"""Tests for byte-size accounting and the in-memory state blob."""
 
 import numpy as np
 import pytest
 
-from repro.nn import (
-    Linear,
-    Sequential,
-    json_nbytes,
-    load_state,
-    save_state,
-    state_dict_nbytes,
-)
+from repro.nn import Linear, TransformerEncoderLayer, json_nbytes, state_dict_nbytes
+from repro.nn.serialization import state_from_bytes, state_to_bytes
 from repro.nn.tensor import Tensor, using_dtype
-
-
-class TestSaveLoad:
-    def test_roundtrip(self, tmp_path):
-        a = Linear(6, 4, rng=np.random.default_rng(1))
-        b = Linear(6, 4, rng=np.random.default_rng(2))
-        path = tmp_path / "weights.npz"
-        save_state(a, path)
-        load_state(b, path)
-        np.testing.assert_allclose(a.weight.data, b.weight.data)
-        np.testing.assert_allclose(a.bias.data, b.bias.data)
-
-    def test_roundtrip_nested(self, tmp_path):
-        a = Sequential(Linear(4, 8), Linear(8, 2))
-        b = Sequential(Linear(4, 8), Linear(8, 2))
-        for p in a.parameters():
-            p.data = p.data + 1.0
-        path = tmp_path / "nested.npz"
-        save_state(a, path)
-        load_state(b, path)
-        x = Tensor(np.ones((1, 4)))
-        np.testing.assert_allclose(a(x).data, b(x).data)
-
-    def test_roundtrip_extensionless_path(self, tmp_path):
-        """``np.savez`` appends ``.npz`` to what it writes; the loader
-        used to look for the literal path and miss the file."""
-        a = Linear(6, 4, rng=np.random.default_rng(1))
-        b = Linear(6, 4, rng=np.random.default_rng(2))
-        path = tmp_path / "checkpoint"  # no extension
-        save_state(a, path)
-        assert (tmp_path / "checkpoint.npz").exists()
-        load_state(b, path)
-        np.testing.assert_array_equal(a.weight.data, b.weight.data)
-        np.testing.assert_array_equal(a.bias.data, b.bias.data)
-
-    def test_roundtrip_foreign_extension(self, tmp_path):
-        """A non-``.npz`` suffix gets ``.npz`` appended, matching numpy."""
-        a = Linear(3, 2, rng=np.random.default_rng(1))
-        b = Linear(3, 2, rng=np.random.default_rng(2))
-        path = tmp_path / "model.ckpt"
-        save_state(a, path)
-        assert (tmp_path / "model.ckpt.npz").exists()
-        load_state(b, path)
-        np.testing.assert_array_equal(a.weight.data, b.weight.data)
-
-    def test_roundtrip_string_path(self, tmp_path):
-        a = Linear(3, 2, rng=np.random.default_rng(1))
-        b = Linear(3, 2, rng=np.random.default_rng(2))
-        save_state(a, str(tmp_path / "weights"))
-        load_state(b, str(tmp_path / "weights"))
-        np.testing.assert_array_equal(a.weight.data, b.weight.data)
-
-    def test_load_shape_mismatch(self, tmp_path):
-        a = Linear(4, 4)
-        b = Linear(4, 5)
-        path = tmp_path / "bad.npz"
-        save_state(a, path)
-        with pytest.raises((KeyError, ValueError)):
-            load_state(b, path)
 
 
 class TestByteAccounting:
@@ -84,3 +19,46 @@ class TestByteAccounting:
     def test_json_nbytes(self):
         size = json_nbytes({"width": 0.5, "depth": 3})
         assert 10 < size < 100
+
+
+@pytest.mark.parametrize("compress", [True, False], ids=["compressed", "plain"])
+class TestStateBytes:
+    def test_roundtrip_is_bit_exact(self, compress):
+        """Nested module names survive as keys; dtype, shape and payload
+        come back unchanged."""
+        state = TransformerEncoderLayer(8, 2, rng=np.random.default_rng(3)).state_dict()
+        loaded = state_from_bytes(state_to_bytes(state, compress=compress))
+        assert sorted(loaded) == sorted(state)
+        for name, array in state.items():
+            assert loaded[name].dtype == array.dtype, name
+            np.testing.assert_array_equal(loaded[name], array, err_msg=name)
+
+    def test_roundtrip_keeps_odd_shapes_and_dtypes(self, compress):
+        rng = np.random.default_rng(5)
+        state = {
+            "scalar": np.float64(2.5) * np.ones(()),
+            "empty": np.zeros((0, 3), dtype=np.float32),
+            "transposed": rng.normal(size=(4, 3)).astype(np.float32).T,
+            "counts": np.arange(6, dtype=np.int64).reshape(2, 3),
+            "mask": np.array([True, False, True]),
+        }
+        loaded = state_from_bytes(state_to_bytes(state, compress=compress))
+        for name, array in state.items():
+            assert loaded[name].dtype == array.dtype, name
+            assert loaded[name].shape == array.shape, name
+            np.testing.assert_array_equal(loaded[name], array, err_msg=name)
+
+
+class TestStateBytesRestore:
+    def test_loaded_state_restores_a_module(self):
+        source = Linear(6, 4, rng=np.random.default_rng(1))
+        target = Linear(6, 4, rng=np.random.default_rng(2))
+        x = Tensor(np.random.default_rng(0).normal(size=(3, 6)))
+        target.load_state_dict(state_from_bytes(state_to_bytes(source.state_dict())))
+        np.testing.assert_array_equal(target(x).data, source(x).data)
+
+    def test_plain_blob_holds_every_array_byte(self):
+        """The uncompressed container stores each array's payload whole, so
+        it is never smaller than the state's charged size."""
+        state = Linear(32, 16, rng=np.random.default_rng(4)).state_dict()
+        assert len(state_to_bytes(state, compress=False)) >= state_dict_nbytes(state)

@@ -1,4 +1,4 @@
-"""Textbook allocating SGD / Adam / gradient clipping.
+"""Textbook allocating Adam / gradient clipping.
 
 Every update allocates fresh arrays and rebinds ``p.data`` — the
 formulas the fused in-place kernels of :mod:`repro.nn.optim` must
@@ -11,7 +11,7 @@ from typing import Dict, Iterable, List
 
 import numpy as np
 
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 
 
@@ -30,28 +30,6 @@ class _ReferenceOptimizer:
         if buf is None:
             return np.zeros_like(p.data)
         return buf if buf.dtype == p.data.dtype else buf.astype(p.data.dtype)
-
-
-class ReferenceSGD(_ReferenceOptimizer):
-    def __init__(self, params, lr=0.01, momentum=0.0, weight_decay=0.0) -> None:
-        self.params = _dedup(params)
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.velocity: Dict[int, np.ndarray] = {}
-
-    def step(self) -> None:
-        for p in self.params:
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                buf = self.momentum * self._state(self.velocity, p) + grad
-                self.velocity[id(p)] = buf
-                grad = buf
-            p.data = p.data - self.lr * grad
 
 
 class ReferenceAdam(_ReferenceOptimizer):
@@ -86,7 +64,7 @@ class ReferenceAdam(_ReferenceOptimizer):
 
 
 #: The oracle of each engine optimizer class.
-ORACLE = {Adam: ReferenceAdam, SGD: ReferenceSGD}
+ORACLE = {Adam: ReferenceAdam}
 
 
 def reference_clip_grad_norm(params: Iterable[Tensor], max_norm: float) -> float:

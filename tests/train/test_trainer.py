@@ -23,6 +23,7 @@ from repro.train import (
     train_header,
     train_model,
 )
+from tests.helpers import header_weights
 from tests.reference.train import reference_importance_set, reference_train_header
 
 
@@ -106,7 +107,7 @@ class TestTrainHeader:
         header.set_parameter_mask(keep)
         train_header(model, header, data, TrainConfig(epochs=1, seed=0))
         # Masked entries must remain exactly zero after optimizer steps.
-        flat = header.parameter_vector()
+        flat = header_weights(header)
         np.testing.assert_allclose(flat[:50], 0.0)
 
 
