@@ -22,11 +22,11 @@ from typing import List, Optional
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.distributed import ACMEConfig, ACMESystem, ExecutionPlan, FaultConfig
 
-    fault_config = FaultConfig.parse(args.faults) if args.faults else None
     try:
         # Bad specs are named here, before the cloud phases are paid
-        # for: the plan range-checks itself, and checked_rounds() is the
-        # check every aggregation_loop runs.
+        # for: the fault config and the plan range-check themselves, and
+        # checked_rounds() is the check every aggregation_loop runs.
+        fault_config = FaultConfig.parse(args.faults) if args.faults else None
         config = ACMEConfig(
             num_clusters=args.clusters,
             devices_per_cluster=args.devices,

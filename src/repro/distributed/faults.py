@@ -36,6 +36,8 @@ semantics and the determinism contract.
 
 from __future__ import annotations
 
+import math
+import numbers
 import zlib
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -90,6 +92,28 @@ def _h(text: str) -> int:
     return zlib.crc32(text.encode("utf-8"))
 
 
+def check_unit_interval(name: str, value: object) -> None:
+    """Refuse a ``value`` that is not a real number in [0, 1] (NaN and
+    bool included), naming the field ``name``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not 0.0 <= value <= 1.0
+    ):
+        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+
+
+def _check_count(name: str, value: object, least: int) -> None:
+    # A float or a bool is refused rather than truncated, as worker
+    # specs are (``executor.resolve_workers``).
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < least
+    ):
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FaultConfig:
     """Knobs of a seeded chaos campaign.
@@ -122,6 +146,28 @@ class FaultConfig:
     churn: float = 0.0
     #: Devices that are permanently inactive for the whole run.
     dead_devices: Tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        # Checked here, so a bad value fails where it is written rather
+        # than reading later as a network failure or being clamped away.
+        for name in ("drop", "corrupt", "duplicate", "delay", "churn"):
+            check_unit_interval(name, getattr(self, name))
+        for table in ("drop_per_kind", "drop_per_link"):
+            for key, rate in getattr(self, table).items():
+                check_unit_interval(f"{table}[{key!r}]", rate)
+        _check_count("retries", self.retries, 0)
+        _check_count("delay_deliveries", self.delay_deliveries, 1)
+        if (
+            isinstance(self.backoff, bool)
+            or not isinstance(self.backoff, numbers.Real)
+            or not math.isfinite(self.backoff)
+            or self.backoff < 0
+        ):
+            raise ValueError(
+                f"backoff must be a finite number >= 0, got {self.backoff!r}"
+            )
+        for device in self.dead_devices:
+            _check_count("dead_devices entry", device, 0)
 
     @classmethod
     def parse(cls, spec: str) -> "FaultConfig":
@@ -240,7 +286,7 @@ class FaultPolicy:
         if u[2] < self.config.duplicate:
             return FaultDecision(duplicate=True)
         if u[3] < self.config.delay:
-            return FaultDecision(delay_deliveries=max(1, self.config.delay_deliveries))
+            return FaultDecision(delay_deliveries=self.config.delay_deliveries)
         return None
 
     # -- churn ----------------------------------------------------------

@@ -4,6 +4,9 @@ The :class:`Network` delivers messages between named nodes instantly (this
 is a protocol/cost simulation, not a latency simulation) and records every
 transfer: per message kind, per direction, and per (sender, receiver) pair.
 Table I's "Upload Data" column is read directly from these counters.
+The handler table is a directory, not an owner: a node's bound
+``handle`` is held weakly, so a deployment nobody references any more
+is freed by refcount (:meth:`Network.register`).
 
 One ledger.  :class:`Ledger` is the single representation of what a
 conversation cost: traffic counters (``stats``), the message ``log`` and
@@ -69,6 +72,8 @@ import functools
 import itertools
 import re
 import time
+import types
+import weakref
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -412,6 +417,13 @@ def _send_reliable(
     )
 
 
+def _live(entry):
+    """The handler a registry entry holds; ``None`` if absent or collected."""
+    if isinstance(entry, weakref.WeakMethod):
+        return entry()
+    return entry
+
+
 def _locked(method):
     """``method`` run under the root fabric's ``network.ledger`` lock."""
 
@@ -433,7 +445,9 @@ class Network(Ledger):
     """
 
     def __init__(self, ledger: str = "full") -> None:
-        self._handlers: Dict[str, Callable[[Message], Optional[Message]]] = {}
+        #: Name → handler, or a :class:`weakref.WeakMethod` of a bound
+        #: one (see :meth:`register`); read through :func:`_live`.
+        self._handlers: Dict[str, object] = {}
         self._registry_lock = register_lock("network.handler-registry")
         self._ledger_lock = register_lock("network.ledger")
         super().__init__(ledger)
@@ -479,21 +493,41 @@ class Network(Ledger):
     ) -> None:
         """Register a node's message handler under its unique name.
 
+        The registry is a directory, not an owner: a bound-method
+        handler (``node.handle``) is kept as a :class:`weakref.WeakMethod`,
+        so the fabric never keeps a node alive and a deployment whose
+        last reference is dropped is freed by refcount at once — the
+        node owns the fabric (``node.network``), never the other way
+        round.  Whoever builds a node owns it (``ACMESystem`` its cloud
+        and edges, an edge its devices).  Any other callable — a lambda,
+        a plain function, a callable object — is kept strongly, as
+        nothing else owns it.  A node collected without
+        :meth:`unregister` leaves a dead entry: delivering to it raises
+        a :class:`KeyError` that says so, and its name is free again.
+
         Names are fabric-global: registering through a shard and through
-        the root address the same table, and a collision raises
-        immediately instead of silently overwriting the existing node's
-        handler — stale registrations from a torn-down system must be
-        removed with :meth:`unregister` first.
+        the root address the same table, and a collision with a live
+        node raises immediately instead of silently overwriting the
+        existing node's handler — stale registrations from a torn-down
+        system that is still alive must be removed with
+        :meth:`unregister` first.
 
         Re-registering the *same* handler under its existing name is an
-        idempotent no-op (``==`` so a re-taken bound method of the same
-        object counts as the same handler).  A reconnecting transport
-        replays its registrations without knowing whether the previous
-        ones survived; only a genuinely different owner collides.
+        idempotent no-op (``==`` against the live handler, so a re-taken
+        bound method of the same object counts as the same handler).  A
+        reconnecting transport replays its registrations without knowing
+        whether the previous ones survived; only a genuinely different
+        owner collides.
         """
+        entry = (
+            weakref.WeakMethod(handler)
+            if isinstance(handler, types.MethodType)
+            else handler
+        )
         with self._registry_lock:
-            if name in self._handlers:
-                if self._handlers[name] == handler:
+            current = _live(self._handlers.get(name))
+            if current is not None:
+                if current == handler:
                     return
                 via = f" (via shard {shard.owner!r})" if shard is not None else ""
                 raise ValueError(
@@ -502,38 +536,52 @@ class Network(Ledger):
                     f"existing node (tearing down a previous system?) or pick "
                     f"a unique name"
                 )
-            self._handlers[name] = handler
+            self._handlers[name] = entry
 
     def unregister(self, name: str) -> None:
         """Remove a node, freeing its name for a rebuilt system.
 
         Raises :class:`KeyError` for unknown names so a teardown that
-        drifted out of sync with the registry fails loudly.
+        drifted out of sync with the registry fails loudly.  A collected
+        node's dead entry is removed like a live one.
         """
         with self._registry_lock:
             if name not in self._handlers:
                 raise KeyError(
                     f"cannot unregister unknown node {name!r}; "
-                    f"registered nodes: {sorted(self._handlers)}"
+                    f"registered nodes: {self._live_names()}"
                 )
             del self._handlers[name]
 
     def is_registered(self, name: str) -> bool:
-        """True if a node currently owns this name (churn-aware checks)."""
+        """True if a live node currently owns this name (churn-aware checks)."""
         with self._registry_lock:
-            return name in self._handlers
+            return _live(self._handlers.get(name)) is not None
 
     def nodes(self) -> List[str]:
+        """The names of the live registered nodes, sorted."""
         with self._registry_lock:
-            return sorted(self._handlers)
+            return self._live_names()
+
+    def _live_names(self) -> List[str]:
+        return sorted(
+            name for name, entry in self._handlers.items()
+            if _live(entry) is not None
+        )
 
     def _resolve(self, receiver: str, shard: Optional["NetworkShard"] = None):
         with self._registry_lock:
-            handler = self._handlers.get(receiver)
+            entry = self._handlers.get(receiver)
+            handler = _live(entry)
         if handler is None:
             via = f" (via shard {shard.owner!r})" if shard is not None else ""
+            why = (
+                " was garbage-collected without unregister()"
+                if entry is not None
+                else ""
+            )
             raise KeyError(
-                f"unknown receiver {receiver!r}{via}; "
+                f"unknown receiver {receiver!r}{via}{why}; "
                 f"registered nodes: {self.nodes()}"
             )
         return handler

@@ -47,7 +47,7 @@ import numpy as np
 from repro.data.synthetic import make_cifar100_like
 from repro.distributed.device import DeviceNode
 from repro.distributed.edge import EdgeConfig, EdgeServer
-from repro.distributed.faults import FaultConfig, FaultPolicy
+from repro.distributed.faults import FaultConfig, FaultPolicy, check_unit_interval
 from repro.distributed.messages import Message, MessageKind
 from repro.distributed.network import Network
 from repro.distributed.state_store import DeviceStateLRU
@@ -190,6 +190,10 @@ class ScaleCluster(EdgeServer):
         network: Network,
         config: ScaleConfig,
     ) -> None:
+        # Checked where the field is read rather than in ScaleConfig, so
+        # a value assigned after construction is caught too — before any
+        # device is built.
+        check_unit_interval("deadline_quantile", config.deadline_quantile)
         self.scale_config = config
         self.store = DeviceStateLRU(config.lru_capacity)
 

@@ -24,6 +24,15 @@ store's capacity:
   during the single loop and the engine's kernels are deterministic per
   input, so "same frozen backbone" is instance identity.
 
+Ownership runs one way: each device owns its store (``state_store``)
+and the store only *indexes* its live devices, by weak reference.
+With the fabric holding node handlers weakly too
+(:meth:`~repro.distributed.network.Network.register`), a deployment's
+object graph is a tree — system → network, cloud, edges; edge →
+devices → store → shared backbone — so dropping the last reference to
+a finished run frees its models, datasets and payloads by refcount,
+without waiting for the cyclic collector and with no teardown call.
+
 Snapshot contents cover everything mutable on a device: header
 parameters (masked values), the prune mask and its pristine copies, and
 the cached frozen-feature sample.  Parity is asserted bit-for-bit in
@@ -33,6 +42,7 @@ the cached frozen-feature sample.  Parity is asserted bit-for-bit in
 from __future__ import annotations
 
 import numbers
+import weakref
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, Optional
 
@@ -141,7 +151,9 @@ class DeviceStateLRU:
                 f"capacity must be None or an int >= 1, got {capacity!r}"
             )
         self.capacity = None if capacity is None else int(capacity)
-        self._live: "OrderedDict[str, object]" = OrderedDict()
+        #: Name → ``weakref.ref(owner)``: an index of the live owners,
+        #: not an owner of them (see the module text).
+        self._live: "OrderedDict[str, weakref.ref]" = OrderedDict()
         #: The current payload's ``(backbone_state, backbone)``; a new
         #: payload replaces the pair, releasing the previous backbone.
         self._backbone: tuple = (None, None)
@@ -169,11 +181,13 @@ class DeviceStateLRU:
             return
         owner._hydrate()
         self.hydrations += 1
-        self._live[key] = owner
+        self._live[key] = weakref.ref(owner)
         while self.bounded and len(self._live) > self.capacity:
-            _, cold = self._live.popitem(last=False)
-            cold._evict()
-            self.evictions += 1
+            _, ref = self._live.popitem(last=False)
+            cold = ref()
+            if cold is not None:  # a collected owner has nothing to evict
+                cold._evict()
+                self.evictions += 1
 
     def drop(self, owner) -> None:
         """Forget a live entry without snapshotting (state superseded)."""

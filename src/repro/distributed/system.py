@@ -551,8 +551,12 @@ class ACMESystem:
     def dispose(self) -> None:
         """Unregister every node from the fabric.
 
-        Makes the node names available again — the teardown path for
-        tests or drivers that rebuild systems against a fabric.
+        Frees names only: it makes the node names available again while
+        this system is still alive, for tests or drivers that rebuild
+        systems against a fabric.  Memory needs no call — the fabric and
+        the device stores hold their nodes weakly, so dropping the last
+        reference to a system frees it by refcount, and a collected
+        node's name is free again anyway.
         """
         for edge in self.edges:
             for device in edge.devices:

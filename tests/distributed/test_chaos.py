@@ -127,6 +127,42 @@ class TestFaultPolicyUnits:
         assert config.dead_devices == (2, 5)
         assert config.retries == 4
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("drop", 1.5),
+            ("corrupt", -0.1),
+            ("duplicate", float("nan")),
+            ("delay", True),
+            ("churn", 2),
+            ("drop_per_kind", {"importance_set": 1.5}),
+            ("drop_per_link", {"edge0->cloud": -1.0}),
+            ("retries", -1),
+            ("retries", 2.0),
+            ("retries", True),
+            ("delay_deliveries", 0),
+            ("delay_deliveries", -2),
+            ("backoff", -1.0),
+            ("backoff", float("inf")),
+            ("dead_devices", (2, -1)),
+            ("dead_devices", (1.5,)),
+        ],
+    )
+    def test_out_of_range_field_is_refused_at_construction(self, field, bad):
+        """A bad value fails where it is written: ``retries=-1`` used to
+        surface as a backbone exchange that "failed" after 0 attempts,
+        ``delay_deliveries=-2`` was clamped to 1 and ``backoff=-1`` read
+        as 0."""
+        with pytest.raises(ValueError, match=field):
+            FaultConfig(**{field: bad})
+
+    @pytest.mark.parametrize(
+        "spec", ["retries=-1", "drop=1.5", "delay_deliveries=0", "backoff=-1", "dead=3|-1"]
+    )
+    def test_parse_goes_through_the_same_checks(self, spec):
+        with pytest.raises(ValueError, match="must be"):
+            FaultConfig.parse(spec)
+
     def test_parse_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown fault spec key"):
             FaultConfig.parse("drp=0.1")

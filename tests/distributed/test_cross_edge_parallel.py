@@ -18,7 +18,6 @@ dropout value.
 
 import dataclasses
 import functools
-import gc
 import os
 import pickle
 import threading
@@ -34,7 +33,7 @@ from repro.distributed.messages import Message, MessageKind
 from repro.distributed.network import Network
 from repro.distributed.procpool import fork_available
 from repro.models.vit import ViTConfig
-from tests.helpers import assert_same_run, reset_engine_state
+from tests.helpers import assert_same_run, collector_off, reset_engine_state
 
 
 def _fleet_config(**overrides) -> ACMEConfig:
@@ -249,17 +248,18 @@ class TestOneBackbonePerCluster:
 
     def test_redistribution_releases_the_previous_backbone(self):
         """The store holds the current payload's backbone only: a second
-        distribution replaces it and nothing pins the first."""
-        system = ACMESystem(_fleet_config(num_clusters=1))
-        system.run_cloud_phases()
-        (edge,) = system.edges
-        edge.request_backbone()
-        edge.search_header()
-        edge.distribute_models()
-        first = weakref.ref(edge.devices[0].backbone)
-        edge.distribute_models()
-        gc.collect()
-        assert first() is None
+        distribution replaces it and nothing pins the first — not even a
+        cycle, as the collector never runs."""
+        with collector_off():
+            system = ACMESystem(_fleet_config(num_clusters=1))
+            system.run_cloud_phases()
+            (edge,) = system.edges
+            edge.request_backbone()
+            edge.search_header()
+            edge.distribute_models()
+            first = weakref.ref(edge.devices[0].backbone)
+            edge.distribute_models()
+            assert first() is None
         (second,) = _device_backbones(edge).values()
         assert all(d.backbone is second for d in edge.devices)
 

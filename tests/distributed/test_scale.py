@@ -195,3 +195,20 @@ class TestDegradedRounds:
         with pytest.raises(ValueError, match="fault policy"):
             cluster.run_round(0, FaultPolicy(FaultConfig(seed=0, drop=0.1)))
         assert cluster.run_round(0, None) == 3
+
+
+class TestConfigChecks:
+    def test_drop_rate_above_one_is_refused(self):
+        """It used to "succeed" with 0 contributions and 20 MB of traffic."""
+        with pytest.raises(ValueError, match="drop must be in"):
+            run_scale_campaign(
+                ScaleConfig(num_devices=4, num_clusters=1, rounds=1, drop=1.5)
+            )
+
+    @pytest.mark.parametrize("bad", [1.5, -1.0, float("nan"), True])
+    def test_deadline_quantile_outside_the_unit_interval_is_refused(self, bad):
+        """1.5 used to mean "no deadline" and -1.0 failed inside numpy."""
+        config = ScaleConfig(num_devices=3, num_clusters=1)
+        config.deadline_quantile = bad  # assigned late, as the CLI may
+        with pytest.raises(ValueError, match="deadline_quantile"):
+            ScaleCluster(0, 3, 0, Network(), config)

@@ -125,7 +125,8 @@ class TestRegisterIdempotency:
 
     def test_different_handler_still_collides(self):
         network = Network()
-        network.register("n2", _Echo("n2").handle)
+        owner = _Echo("n2")  # the fabric holds it weakly; keep it alive
+        network.register("n2", owner.handle)
         with pytest.raises(ValueError, match="already registered"):
             network.register("n2", _Echo("other").handle)
 

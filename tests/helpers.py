@@ -17,6 +17,8 @@ a shared stream whose position depends on construction history.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,6 +42,25 @@ def reset_engine_state() -> None:
     nn.set_grad_enabled(True)
     nn.clear_im2col_cache()
     similarity.clear_projection_cache()
+
+
+@contextlib.contextmanager
+def collector_off():
+    """Run the block with the cyclic collector disabled, then restore it.
+
+    Collects once first, so garbage left by earlier tests is not counted
+    against the block.  An object that dies inside the block died by
+    refcount alone — a weakref found dead there was not waiting on a
+    cycle.
+    """
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def numerical_gradient(

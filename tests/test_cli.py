@@ -69,6 +69,7 @@ class TestCommands:
             ("--workers", "-2", "ExecutionPlan.device_workers: invalid worker count -2"),
             ("--edge-workers", "-2", "ExecutionPlan.edge_workers: invalid worker count -2"),
             ("--backend", "fibers", "ExecutionPlan.backend: unknown executor backend 'fibers'"),
+            ("--faults", "retries=-1", "retries must be an int >= 0, got -1"),
         ],
     )
     def test_run_rejects_bad_execution_spec_before_any_work(
