@@ -18,9 +18,11 @@ rest on (see ``ANALYSIS.md`` for the prose catalogue):
   binary-operator assignment is a per-step temporary.
 
 Plus **EXC001**: ``except Exception`` hides protocol errors; narrow it
-or annotate the boundary — and **DEAD001**, the one rule that needs the
-whole tree: a ``def``/``class`` under ``src/repro`` whose name no
-consumer uses is surface nothing reaches.
+or annotate the boundary.  **DTYPE001**: in ``repro/nn`` an
+``np.float64`` scalar multiplied into an array promotes a float32 engine
+to float64.  And **DEAD001**, the one rule that needs the whole tree: a
+``def``/``class`` under ``src/repro`` whose name no consumer uses is
+surface nothing reaches.
 
 Every rule carries its own ``must_flag``/``must_pass`` fixture snippet;
 ``lint --self-test`` and ``tests/analysis`` replay them, so a rule that
@@ -634,6 +636,129 @@ class BroadExceptRule(Rule):
 
 
 # ---------------------------------------------------------------------------
+# DTYPE: the engine computes in the dtype it was given
+# ---------------------------------------------------------------------------
+_LITERAL_CONSTANTS: Final = frozenset({"np.pi", "numpy.pi", "math.pi", "np.e", "numpy.e"})
+_FLOAT64_UFUNCS: Final = frozenset(
+    {f"{np_}.{fn}" for np_ in ("np", "numpy") for fn in ("sqrt", "exp", "log")}
+)
+_FLOAT64_CTORS: Final = frozenset({"np.float64", "numpy.float64"})
+
+
+def _is_literal_expr(node: ast.AST) -> bool:
+    """Numbers, ``np.pi``/``np.e``, and arithmetic over them."""
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, (int, float)) and not isinstance(node.value, bool)
+    if isinstance(node, ast.UnaryOp):
+        return _is_literal_expr(node.operand)
+    if isinstance(node, ast.BinOp):
+        return _is_literal_expr(node.left) and _is_literal_expr(node.right)
+    return _dotted(node) in _LITERAL_CONSTANTS
+
+
+def _is_float64_scalar(node: ast.AST) -> bool:
+    """``np.sqrt`` / ``np.exp`` / ``np.log`` of a literal expression: an
+    ``np.float64`` scalar, where the bare Python float would be weak."""
+    return (
+        isinstance(node, ast.Call)
+        and _dotted(node.func) in _FLOAT64_UFUNCS
+        and len(node.args) == 1
+        and not node.keywords
+        and _is_literal_expr(node.args[0])
+    )
+
+
+def _bound_float64_scalars(body: List[ast.stmt]) -> set:
+    """Names a body's own statements bind to a float64 scalar."""
+    names = set()
+    for stmt in body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Assign) and _is_float64_scalar(node.value):
+                names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+class Float64ScalarRule(Rule):
+    id = "DTYPE001"
+    token = "float64-scalar"
+    summary = (
+        "no float64 scalar multiplied into an array in repro/nn numeric "
+        "bodies — np.float64(…), or np.sqrt/np.exp/np.log of a literal, "
+        "promotes a float32 activation and every gradient below it"
+    )
+    snippet_rel = "repro/nn/_snippet.py"
+    must_flag = (
+        "import numpy as np\n"
+        "\n"
+        "def gelu(x):\n"
+        "    c = np.sqrt(2.0 / np.pi)\n"
+        "    return 0.5 * x * (1.0 + np.tanh(c * x))\n"
+        "\n"
+        "def halve(x):\n"
+        "    return x * np.float64(0.5)\n"
+    )
+    must_pass = (
+        "import numpy as np\n"
+        "\n"
+        "def gelu(x):\n"
+        "    c = x.dtype.type(np.sqrt(2.0 / np.pi))\n"
+        "    return 0.5 * x * (1.0 + np.tanh(c * x))\n"
+        "\n"
+        "def normalize(x, eps):\n"
+        "    return x / np.sqrt(x.var() + eps)\n"
+        "\n"
+        "def init_std(fan_in):\n"
+        "    return np.sqrt(2.0) * 0.5 / np.sqrt(fan_in)\n"
+    )
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        if not ctx.rel.startswith("repro/nn/"):
+            return
+        module_names = _bound_float64_scalars(
+            [s for s in ctx.tree.body if isinstance(s, ast.Assign)]
+        )
+        functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+        nested = set()  # walked with their outermost function's names
+        for func in ast.walk(ctx.tree):
+            if not isinstance(func, functions) or id(func) in nested:
+                continue
+            names = module_names | _bound_float64_scalars(func.body)
+            for node in ast.walk(func):
+                if node is not func and isinstance(node, functions):
+                    nested.add(id(node))
+                yield from self._check_node(ctx, node, names)
+
+    def _check_node(self, ctx: FileContext, node: ast.AST, names: set) -> Iterator[Finding]:
+        if isinstance(node, ast.Call) and _dotted(node.func) in _FLOAT64_CTORS:
+            yield self.finding(
+                ctx,
+                node.lineno,
+                f"`{_dotted(node.func)}(…)` in a numeric body builds a float64 "
+                "value that promotes any float32 array it meets",
+                "build the scalar in the operand's dtype (x.dtype.type(...)) "
+                "or keep it a Python float",
+            )
+            return
+        # ``a *= c`` keeps ``a``'s dtype, so only a binary product promotes.
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
+            return
+        for scalar, other in ((node.left, node.right), (node.right, node.left)):
+            named = isinstance(scalar, ast.Name) and scalar.id in names
+            if (named or _is_float64_scalar(scalar)) and not _is_literal_expr(other):
+                yield self.finding(
+                    ctx,
+                    node.lineno,
+                    "an np.float64 scalar multiplies an array: a float32 "
+                    "operand computes in float64, and so does every gradient "
+                    "below it",
+                    "cast the constant to the operand's dtype "
+                    "(c = x.dtype.type(np.sqrt(2 / np.pi))) — a bare Python "
+                    "float would be weak, but an np.float64 is not",
+                )
+                return
+
+
+# ---------------------------------------------------------------------------
 # DEAD: reachability
 # ---------------------------------------------------------------------------
 def identifier_uses(node: ast.AST, imports: bool = True) -> Counter:
@@ -741,6 +866,7 @@ RULES: Final[Tuple[Rule, ...]] = (
     UnregisteredLockRule(),
     HotPathAllocRule(),
     BroadExceptRule(),
+    Float64ScalarRule(),
     UnreachedDefRule(),
 )
 

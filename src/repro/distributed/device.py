@@ -35,6 +35,7 @@ from repro.distributed.state_store import (
     DeviceStateLRU,
     restore_header,
     snapshot_header,
+    snapshot_params,
 )
 from repro.hw.profiles import DeviceProfile
 from repro.models.blocks import HeaderSpec
@@ -155,6 +156,20 @@ class DeviceNode:
         if sample is not None:
             self._feature_sample = sample
         restore_header(self.header, state)
+
+    def header_parameters(self) -> Dict[str, np.ndarray]:
+        """The header's parameter arrays, live or cold, without a touch.
+
+        A touch would hydrate a cold device and move the store's
+        counters; the cold snapshot (or, never hydrated, the payload)
+        holds the same values.
+        """
+        if self.header is not None:
+            return self.header.state_dict()
+        if self._cold_state is not None:
+            return snapshot_params(self._cold_state)
+        assert self._model_payload is not None, "model must be distributed first"
+        return self._model_payload["header_state"]
 
     def _new_header(self, payload: dict) -> DAGHeader:
         """The payload's header architecture, freshly seeded (no weights)."""

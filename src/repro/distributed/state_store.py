@@ -102,14 +102,18 @@ def snapshot_header(header: "DAGHeader") -> Dict[str, np.ndarray]:
     return state
 
 
-def restore_header(header: "DAGHeader", state: Dict[str, np.ndarray]) -> None:
-    """Load a :func:`snapshot_header` dict into a freshly built header."""
-    params = {
+def snapshot_params(state: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """The header parameters of a :func:`snapshot_header` dict, by name."""
+    return {
         key[len(_PARAM):]: value
         for key, value in state.items()
         if key.startswith(_PARAM)
     }
-    header.load_state_dict(params)
+
+
+def restore_header(header: "DAGHeader", state: Dict[str, np.ndarray]) -> None:
+    """Load a :func:`snapshot_header` dict into a freshly built header."""
+    header.load_state_dict(snapshot_params(state))
     masks = {
         key[len(_MASK):]: value.astype(bool)
         for key, value in state.items()

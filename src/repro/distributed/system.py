@@ -18,8 +18,9 @@ and the full traffic ledger — everything the evaluation section needs.
 from __future__ import annotations
 
 import contextlib
+import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -67,26 +68,25 @@ class ACMEConfig:
     device_importance: object = None  # Optional[ImportanceConfig]
     finalize: bool = True  # run final fine-tune + evaluation
     #: Engine compute precision for this run ("float32" or "float64").
-    #: ``None`` keeps the process-wide default.  float32 roughly halves
-    #: memory traffic on every matmul; see PERFORMANCE.md for measured
-    #: speedups and accuracy deltas.  The engine default dtype is scoped
-    #: to construction and ``run()`` (models are built in both) and
-    #: restored on exit, so it never leaks into the rest of the process.
+    #: The engine default dtype is scoped to construction and ``run()``
+    #: (models are built in both) and restored on exit, so it never
+    #: leaks into the rest of the process.
     #:
-    #: Defaults to ``"float64"`` — NOT ``None`` — deliberately: the
-    #: engine-wide default flipped to float32 (PR 9), and pinning
-    #: float64 here keeps every published protocol number (the
-    #: quickstart's 0.992/0.650, the Table-I campaign traces, all
-    #: bit-parity fixtures) exactly where PRs 1–8 left them.  Pass
-    #: ``"float32"`` for the fast serving mode, or ``None`` to inherit
-    #: the ambient engine default.
-    compute_dtype: Optional[str] = "float64"
+    #: float32 by default: the run computes in float32 and ships float32
+    #: backbones and headers, which cuts the benchmark campaigns' wire
+    #: bytes by 33–40 % and leaves the protocol — message kinds, upload
+    #: bytes, (w, d) assignments — as it was under float64
+    #: (PERFORMANCE.md).
+    #: Pass ``"float64"`` for full precision, as the finite-difference
+    #: and bit-parity fixtures do, or ``None`` to inherit the ambient
+    #: engine default.
+    compute_dtype: Optional[str] = "float32"
     #: Where the work runs — cross-edge width, per-device / NAS-child
     #: width, the inner tier's backend: the one declaration of
     #: execution placement
     #: (:class:`~repro.distributed.executor.ExecutionPlan`).  Every plan
-    #: reproduces the serial float64 run bit-for-bit, traffic ledger
-    #: included (tests/distributed/test_cross_edge_parallel.py).
+    #: reproduces the serial run bit-for-bit in either dtype, traffic
+    #: ledger included (tests/distributed/test_cross_edge_parallel.py).
     execution: ExecutionPlan = ExecutionPlan()
     #: Seeded chaos campaign for this run: drop/corrupt/duplicate/delay
     #: rates, retry/backoff budgets, churn probability and permanently
@@ -301,6 +301,20 @@ class ClusterResult:
     #: backbone-exchange repeats; message-level retries are counted on
     #: the network ledger).
     protocol_retries: int = 0
+    #: :func:`state_crc` of each provisioned device's final header
+    #: parameters, in device order, and of the deployed backbone.
+    header_crcs: List[int] = field(default_factory=list)
+    backbone_crc: int = 0
+
+
+def state_crc(state: Mapping[str, np.ndarray]) -> int:
+    """CRC-32 over a state dict: each name, dtype, shape and the bytes."""
+    crc = 0
+    for name, value in state.items():
+        value = np.ascontiguousarray(value)
+        crc = zlib.crc32(f"{name}:{value.dtype.str}:{value.shape}".encode(), crc)
+        crc = zlib.crc32(value, crc)
+    return crc
 
 
 @dataclass
@@ -324,6 +338,38 @@ class ACMERunResult:
     total_retries: int = 0
     delivery_attempts: int = 0
     failed_deliveries: int = 0
+
+    def digest(self) -> Dict[str, Dict[str, object]]:
+        """The run in two halves, each comparable with ``==``.
+
+        ``protocol`` is what went over the fabric: message count and
+        kinds CRC, upload and total bytes, fault counts, retries,
+        delivery attempts, failed deliveries and the (w, d)
+        assignments — integers no BLAS build or rounding moves.
+        ``numeric`` is what the run computed: device accuracies and
+        losses, and the CRC of every device's final header and every
+        cluster's deployed backbone.
+        """
+        kinds = self.message_kinds
+        return {
+            "protocol": {
+                "messages": len(kinds),
+                "kinds_crc": zlib.crc32(" ".join(kinds).encode()),
+                "upload_bytes": self.traffic.upload_bytes,
+                "total_bytes": self.traffic.total_bytes,
+                "fault_counts": dict(sorted(self.fault_counts.items())),
+                "retries": self.total_retries,
+                "delivery_attempts": self.delivery_attempts,
+                "failed_deliveries": self.failed_deliveries,
+                "assignments": [[c.width, c.depth] for c in self.clusters],
+            },
+            "numeric": {
+                "accuracies": [list(c.device_accuracies) for c in self.clusters],
+                "losses": [list(c.device_losses) for c in self.clusters],
+                "header_crcs": [list(c.header_crcs) for c in self.clusters],
+                "backbone_crcs": [c.backbone_crc for c in self.clusters],
+            },
+        }
 
     @property
     def mean_accuracy(self) -> float:
@@ -403,6 +449,12 @@ def run_edge_phases(
         device_losses=[e["loss"] for e in evals],
         round_participation=list(edge.round_participation),
         protocol_retries=edge.round_retry_total,
+        header_crcs=[
+            state_crc(d.header_parameters()) for d in edge.devices if d.has_model
+        ],
+        backbone_crc=(
+            0 if edge.backbone is None else state_crc(edge.backbone.state_dict())
+        ),
     )
 
 

@@ -146,26 +146,27 @@ def attention_backward(
 def gelu_forward(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``(out, t)``: tanh-approximate GELU and the tanh its backward reads.
 
-    ``c`` is an ``np.float64`` scalar, so a float32 ``x`` computes in
-    float64 and so does every gradient below it (an open finding,
-    PERFORMANCE.md: fixing it moves float32 numbers).
+    ``c`` is a scalar of ``x``'s dtype: an ``np.float64`` constant would
+    promote a float32 ``x`` — and every gradient below it — to float64.
     """
-    c = np.sqrt(2.0 / np.pi)
+    c = x.dtype.type(np.sqrt(2.0 / np.pi))
     inner = c * (x + 0.044715 * _pow(x, 3))
     t = np.tanh(inner)
     return 0.5 * x * (1.0 + t), t
 
 
 def gelu_backward(grad: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    c = np.sqrt(2.0 / np.pi)
+    c = x.dtype.type(np.sqrt(2.0 / np.pi))
     dinner = c * (1.0 + 3 * 0.044715 * _pow(x, 2))
     local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
     return grad * local
 
 
-def dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Inverted-dropout multiplier: survivors scaled by ``1/(1-p)``."""
-    return (rng.random(shape) >= p) / (1.0 - p)
+def dropout_mask(shape, p: float, rng: np.random.Generator, dtype) -> np.ndarray:
+    """Inverted-dropout multiplier of ``dtype``: survivors scaled by ``1/(1-p)``."""
+    mask = (rng.random(shape) >= p).astype(dtype)
+    mask *= 1.0 / (1.0 - p)
+    return mask
 
 
 # ----------------------------------------------------------------------
@@ -346,7 +347,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True
         return x
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    mask = dropout_mask(x.shape, p, rng)
+    mask = dropout_mask(x.shape, p, rng, x.dtype)
     out_data = x.data * mask
 
     def backward(grad: np.ndarray) -> None:

@@ -214,12 +214,13 @@ class Dropout(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.dropout(x, self.p, self._rng, training=self.training)
 
-    def mask(self, shape) -> Optional[np.ndarray]:
-        """The multiplier a forward over ``shape`` would draw, or ``None``
-        when it would pass its input through (eval mode or ``p == 0``)."""
+    def mask(self, like: np.ndarray) -> Optional[np.ndarray]:
+        """The multiplier a forward over the array ``like`` would draw, or
+        ``None`` when it would pass its input through (eval mode or
+        ``p == 0``)."""
         if not self.training or self.p <= 0.0:
             return None
-        return F.dropout_mask(shape, self.p, self._rng)
+        return F.dropout_mask(like.shape, self.p, self._rng, like.dtype)
 
 
 def has_active_stochastic_modules(module: Module) -> bool:

@@ -26,8 +26,8 @@ Two switches control the engine's speed/accuracy trade-off:
   precision (**float32 by default** since PR 9 — it roughly halves
   memory traffic on every kernel; scope :func:`using_dtype`
   ``("float64")`` around code that needs full precision, e.g.
-  finite-difference gradient checks and the published protocol
-  reproductions, whose configs pin float64 explicitly).
+  finite-difference gradient checks and the parity fixtures whose
+  configs pin float64 explicitly).
 
 Both switches are **context-local** (:mod:`contextvars`), not module
 globals: a ``no_grad()`` or ``using_dtype()`` region entered in one
@@ -56,9 +56,9 @@ _SUPPORTED_DTYPES: Final = {
 }
 
 #: Engine compute precision for newly created tensors (context-local).
-#: float32 is the import-time default (PR 9): the protocol's published
-#: numbers stay on float64 because ``ACMEConfig.compute_dtype`` pins it
-#: per run, while everything else gets the halved memory traffic.
+#: float32 is the import-time default, and so is a system run's
+#: (``ACMEConfig.compute_dtype``): every kernel, gradient and dropout
+#: mask stays in it, with half the memory traffic of float64.
 _DEFAULT_DTYPE_VAR: contextvars.ContextVar = contextvars.ContextVar(
     "repro_default_dtype", default=np.float32
 )

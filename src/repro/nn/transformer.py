@@ -105,7 +105,7 @@ class TransformerEncoderLayer(Module):
         )
         a = _as_array(a)
         h, attend_back = self.attn.attend(a, taped)
-        drop1 = self.drop.mask(h.shape)
+        drop1 = self.drop.mask(h)
         if drop1 is not None:
             h = _as_array(h * drop1)
         x1 = _as_array(x + h)
@@ -122,7 +122,7 @@ class TransformerEncoderLayer(Module):
             neurons = _as_array(mlp.neuron_mask.astype(float))
         fed = hidden if neurons is None else _as_array(hidden * neurons)
         m = _as_array(F.linear_forward(fed, fc2.weight.data, fc2.bias.data))
-        drop2 = self.drop.mask(m.shape)
+        drop2 = self.drop.mask(m)
         if drop2 is not None:
             m = _as_array(m * drop2)
         out = x1 + m

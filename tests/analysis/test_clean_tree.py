@@ -75,6 +75,19 @@ def test_bypassing_register_lock_flips_the_exit():
     assert any(f.rule == "CONC002" for f in findings)
 
 
+def test_reverting_the_float32_gelu_constant_flips_the_exit():
+    """GELU's ``√(2/π)`` as a bare ``np.float64`` promoted every float32
+    gradient below it; putting it back is a DTYPE001 finding."""
+    source = _read("repro/nn/functional.py")
+    reverted, n = re.subn(
+        r"c = x\.dtype\.type\((np\.sqrt\(2\.0 / np\.pi\))\)", r"c = \1", source
+    )
+    assert n == 2, "expected the dtype-cast constant in both GELU bodies"
+    assert lint_source(source, rel="repro/nn/functional.py") == []
+    findings = lint_source(reverted, rel="repro/nn/functional.py")
+    assert [f.rule for f in findings] == ["DTYPE001", "DTYPE001"]
+
+
 def test_deleting_a_suppression_target_is_sup003():
     """A suppression whose finding was fixed (line gone) is itself flagged."""
     source = _read("repro/distributed/messages.py")

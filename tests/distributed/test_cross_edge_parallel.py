@@ -13,7 +13,8 @@ semantics (shard routing, merge determinism, register/unregister), the
 keeps nested fan-outs within the host budget) and the plan checked as a
 **product**: every cell of widths × backend equals the serial run, and
 every cell of residency × executor × dropout gives one result per
-dropout value.
+dropout value — at float64, and on a subset of cells at the default
+float32.
 """
 
 import dataclasses
@@ -121,6 +122,12 @@ class TestEndToEndParity:
         assert_same_run(serial_and_parallel_runs[0], nested)
 
 
+@pytest.fixture(scope="module")
+def serial_float32_run():
+    reset_engine_state()
+    return ACMESystem(_fleet_config(compute_dtype="float32")).run()
+
+
 #: ``ExecutionPlan`` cells, each held to the serial run (whose clusters
 #: train batched: the inner tier is serial).  The first four are the
 #: pairs the per-file parity tests cover one at a time; the last
@@ -153,6 +160,18 @@ class TestPlanProduct:
         system = ACMESystem(_fleet_config(execution=plan))
         assert_same_run(serial_and_parallel_runs[0], system.run())
 
+    @pytest.mark.parametrize("cell", ["devices4", "process-devices2"])
+    def test_float32_cell_reproduces_serial(self, cell, serial_float32_run, monkeypatch):
+        """The same contract at the default dtype, on a thread cell and a
+        process cell: float32 arrays cross the fork and the executor's
+        context hand-off like float64 ones."""
+        plan = ExecutionPlan(**PLAN_CELLS[cell])
+        if not plan.workers_share_heap and not fork_available():
+            pytest.skip("process backend requires the fork start method")
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        system = ACMESystem(_fleet_config(execution=plan, compute_dtype="float32"))
+        assert_same_run(serial_float32_run, system.run())
+
     def test_batched_groups_on_process_workers_reproduce_serial(self):
         """Width and batching compose: 3 devices on 2 forked workers
         train as the stacked groups ``[[0, 1], [2]]``, each worker
@@ -181,7 +200,7 @@ EXECUTOR_CELLS = {
 }
 
 
-def _residency_run(capacity, executor, dropout):
+def _residency_run(capacity, executor, dropout, dtype="float64"):
     reset_engine_state()
     config = _fleet_config(
         num_clusters=1,
@@ -191,21 +210,15 @@ def _residency_run(capacity, executor, dropout):
         vit=ViTConfig(num_classes=4, depth=4, embed_dim=32, dropout=dropout),
         device_state_capacity=capacity,
         execution=ExecutionPlan(**EXECUTOR_CELLS[executor]),
+        compute_dtype=dtype,
     )
-    run = ACMESystem(config).run()
-    (cluster,) = run.clusters
-    return (
-        cluster.device_accuracies,
-        cluster.device_losses,
-        run.traffic.total_bytes,
-        run.message_kinds,
-    )
+    return ACMESystem(config).run().digest()
 
 
 @functools.cache
-def _residency_reference(dropout):
-    """The serial unbounded run for one dropout value."""
-    return _residency_run(None, "serial", dropout)
+def _residency_reference(dropout, dtype="float64"):
+    """The serial unbounded run for one dropout value and dtype."""
+    return _residency_run(None, "serial", dropout, dtype)
 
 
 class TestResidencyProduct:
@@ -214,12 +227,24 @@ class TestResidencyProduct:
     @pytest.mark.parametrize("capacity", list(CAPACITY_CELLS))
     def test_cell_gives_the_one_result(self, capacity, executor, dropout):
         """How many devices stay live and where their updates run are
-        invisible: one ``(accuracies, losses, total_bytes,
-        message_kinds)`` per dropout value over all twelve cells."""
+        invisible: one digest — protocol and numeric halves — per
+        dropout value over all twelve cells."""
         if executor == "process2" and not fork_available():
             pytest.skip("process backend requires the fork start method")
         got = _residency_run(CAPACITY_CELLS[capacity], executor, dropout)
         assert got == _residency_reference(dropout)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    @pytest.mark.parametrize("executor", list(EXECUTOR_CELLS))
+    @pytest.mark.parametrize("capacity", ["capacity1", "capacity2"])
+    def test_float32_cell_gives_the_one_result(self, capacity, executor, dropout):
+        """The default dtype on the capacities that evict: a float32
+        snapshot restores the float32 header it was taken from."""
+        if executor == "process2" and not fork_available():
+            pytest.skip("process backend requires the fork start method")
+        cap = CAPACITY_CELLS[capacity]
+        got = _residency_run(cap, executor, dropout, "float32")
+        assert got == _residency_reference(dropout, "float32")
 
 
 def _device_backbones(edge):

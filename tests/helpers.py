@@ -176,7 +176,8 @@ def evaluate(device) -> dict:
 
 def assert_same_run(reference, other) -> None:
     """Two ``ACMERunResult``s are the same run: accuracies, losses,
-    ``(width, depth)``, kind sequences, ledger bytes and fault counters.
+    ``(width, depth)``, kind sequences, ledger bytes, fault counters and
+    both digest halves (so every final header and deployed backbone).
 
     The replay contract in one place — what must not depend on where the
     work ran (executor plan, transport, memory mode).
@@ -200,6 +201,7 @@ def assert_same_run(reference, other) -> None:
                 run.delivery_attempts,
                 run.failed_deliveries,
             ),
+            **run.digest(),
         }
 
     want, got = observed(reference), observed(other)

@@ -90,9 +90,8 @@ class TestGradMode:
 
 class TestDefaultDtype:
     def test_default_is_float32(self):
-        # The engine default flipped to float32 in PR 9; published
-        # protocol numbers opt back into float64 via
-        # ``ACMEConfig.compute_dtype`` (see PERFORMANCE.md).
+        # A system run defaults to the same dtype
+        # (``ACMEConfig.compute_dtype``); float64 is one scope away.
         assert get_default_dtype() is np.float32
 
     def test_set_and_get(self):

@@ -107,17 +107,20 @@ class TestFusedBlockEqualsChain:
             fused = _run(layer, TransformerEncoderLayer.forward, x, upstream, extra)
         _compare(chained, fused)
 
-    def test_float32_keeps_the_chains_float64_gradients(self):
-        """GELU's ``np.float64`` constant promotes every gradient below it
-        (an open finding, reproduced rather than fixed)."""
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    def test_float32_gradients_stay_float32(self, dropout):
+        """GELU's constant and the dropout multiplier are float32 under
+        the float32 engine, so nothing below them promotes to float64."""
         rng = np.random.default_rng(1)
-        layer = TransformerEncoderLayer(EMBED, HEADS, rng=np.random.default_rng(2))
+        layer = TransformerEncoderLayer(
+            EMBED, HEADS, dropout=dropout, rng=np.random.default_rng(2)
+        )
+        layer.train()
         x = rng.normal(size=(BATCH, TOKENS, EMBED))
         fused = _run(layer, TransformerEncoderLayer.forward, x, np.ones_like(x))
-        assert fused["out"].dtype == np.float32
-        assert fused["x.grad"].dtype == np.float64
-        assert fused["mlp.fc1.weight.grad"].dtype == np.float64
-        assert fused["mlp.fc2.weight.grad"].dtype == np.float32
+        for key, value in fused.items():
+            if key != "rng":
+                assert value.dtype == np.float32, key
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_encoder_with_hidden_state_losses(self, dtype):

@@ -60,8 +60,8 @@ def _softmax(x, axis=-1):
 
 
 def _gelu(x):
-    c = np.sqrt(2.0 / np.pi)
     data = x.data
+    c = data.dtype.type(np.sqrt(2.0 / np.pi))
     inner = c * (data + 0.044715 * _pow(data, 3))
     t = np.tanh(inner)
     out_data = 0.5 * data * (1.0 + t)
@@ -77,7 +77,8 @@ def _gelu(x):
 def _dropout(drop, x):
     if not drop.training or drop.p <= 0.0:
         return x
-    mask = (drop._rng.random(x.shape) >= drop.p) / (1.0 - drop.p)
+    mask = (drop._rng.random(x.shape) >= drop.p).astype(x.dtype)
+    mask *= 1.0 / (1.0 - drop.p)
     out_data = x.data * mask
 
     def backward(grad):
