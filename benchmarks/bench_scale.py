@@ -32,7 +32,7 @@ from _common import emit_perf, perf_record  # noqa: E402
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.distributed.scale import ScaleConfig, run_scale_campaign  # noqa: E402
+from repro.distributed.scale import MICRO_BATCH, ScaleConfig, run_scale_campaign  # noqa: E402
 
 #: The lazy 10k campaign must fit under this tracemalloc peak.
 MEMORY_BUDGET_MB = 512.0
@@ -105,7 +105,7 @@ def run(smoke: bool) -> None:
             baseline={"best_s": 1.0, **ONE_RUN},
             floor=None if smoke else 100.0,
             requests=report.eval_requests_served,
-            micro_batch=cfg.micro_batch,
+            micro_batch=MICRO_BATCH,
         )
     )
 

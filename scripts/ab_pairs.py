@@ -25,6 +25,7 @@ from ``BENCHMARK.json``; nothing is imported from ``benchmarks/e2e``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import signal
@@ -33,7 +34,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
@@ -123,6 +124,24 @@ def git(parser: argparse.ArgumentParser, cwd: Path, *args: str) -> str:
     return done.stdout.strip()
 
 
+@contextlib.contextmanager
+def parent_checkout(parser: argparse.ArgumentParser, ref: str) -> Iterator[Path]:
+    """``ref``, resolved in this repository, checked out detached in a
+    temporary local clone; the clone's directory sits alone in a
+    temporary directory that is removed on every exit path (SIGTERM
+    included), so a caller may write scratch files beside it."""
+    # SIGTERM unwinds like Ctrl-C, so the temporary checkout is removed
+    # either way.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
+    sha = git(parser, REPO_ROOT, "rev-parse", "--verify", f"{ref}^{{commit}}")
+    with tempfile.TemporaryDirectory(prefix=f"{parser.prog}.") as scratch:
+        checkout = Path(scratch) / "parent"
+        git(parser, REPO_ROOT, "clone", "--quiet", "--no-checkout", str(REPO_ROOT),
+            str(checkout))
+        git(parser, checkout, "checkout", "--quiet", "--detach", sha)
+        yield checkout
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git ref of the parent commit")
@@ -137,25 +156,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
-    # SIGTERM unwinds like Ctrl-C, so the temporary checkout is removed
-    # either way.
-    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     metrics = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     runs: Dict[str, List[dict]] = {side: [] for side in SIDES}
     gate_failures = 0
-    sha = git(parser, REPO_ROOT, "rev-parse", "--verify", f"{args.parent}^{{commit}}")
-    with tempfile.TemporaryDirectory(prefix="ab_pairs.") as scratch:
-        parent_checkout = Path(scratch) / "parent"
-        git(parser, REPO_ROOT, "clone", "--quiet", "--no-checkout", str(REPO_ROOT),
-            str(parent_checkout))
-        git(parser, parent_checkout, "checkout", "--quiet", "--detach", sha)
-        checkouts = {"parent": parent_checkout, "change": REPO_ROOT}
+    with parent_checkout(parser, args.parent) as parent:
+        scratch = parent.parent
+        checkouts = {"parent": parent, "change": REPO_ROOT}
         for pair in range(args.pairs):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             results = {}
             for side in order:
                 results[side] = run_once(
-                    checkouts[side], Path(scratch) / f"out.{side}", args
+                    checkouts[side], scratch / f"out.{side}", args
                 )
                 print(f"pair {pair + 1:2d} {side:6s} {json.dumps(results[side])}", flush=True)
             if None in results.values():

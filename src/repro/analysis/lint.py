@@ -21,10 +21,11 @@ cross-checked against the *runtime* lock registry by importing the
 module (CONC003): the registry that ``procpool`` replays after fork is
 derived by importing it, never re-hardcoded here, so a registration
 that does not actually execute (typo'd attr, import-guarded call) is
-caught statically.  The same whole-package pass feeds DEAD001: the
-identifier uses of ``src/`` and of the consumer directories beside it
-are counted once, and a ``def`` whose name none of them uses is
-surface nothing reaches.
+caught statically.  The same whole-package pass feeds DEAD001 and
+KNOB001: the identifier uses and the field settings of ``src/`` and of
+the consumer directories beside it are counted once; a ``def`` whose
+name none of them uses is surface nothing reaches, and a config field
+nothing outside ``tests/`` sets is a constant.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from repro.analysis.rules import (
     Finding,
     Rule,
     identifier_uses,
+    knob_settings,
     rule_tokens,
 )
 from repro.analysis.suppress import scan_suppressions
@@ -171,29 +173,39 @@ def _registry_cross_check(
     return findings
 
 
-def _tree_uses(contexts: Sequence[FileContext]) -> Optional[Counter]:
-    """Identifier uses of the whole package and of its consumers (DEAD001).
+def _tree_summaries(
+    contexts: Sequence[FileContext],
+) -> Tuple[Optional[Counter], Optional[Counter]]:
+    """What the whole tree uses (DEAD001) and sets (KNOB001).
 
-    ``None`` unless the linted files include the package root
-    ``repro/__init__.py``: whether anything reaches a definition cannot
-    be decided from part of the tree.  Consumers are the package's own
-    files (a package ``__init__``'s imports are re-exports, not uses)
-    and every ``.py`` file under :data:`_CONSUMER_ROOTS` next to the
-    linted ``src/`` — no flag names them, they are where they are.
+    ``(None, None)`` unless the linted files include the package root
+    ``repro/__init__.py``: whether anything reaches a definition, or
+    sets a field, cannot be decided from part of the tree.  Consumers
+    are the package's own files (a package ``__init__``'s imports are
+    re-exports, not uses) and every ``.py`` file under
+    :data:`_CONSUMER_ROOTS` next to the linted ``src/`` — no flag names
+    them, they are where they are.  Settings are counted outside
+    ``tests/`` only: a knob only a test turns is not a knob.
     """
     root = next((c.path for c in contexts if c.rel == "repro/__init__.py"), None)
     if root is None:
-        return None
+        return None, None
     uses: Counter = Counter()
+    sets: Counter = Counter()
     for ctx in contexts:
         if ctx.rel.startswith("repro/"):
             uses.update(
                 identifier_uses(ctx.tree, imports=not ctx.rel.endswith("/__init__.py"))
             )
+            sets.update(knob_settings(ctx.tree))
     repo = Path(root).resolve().parents[2]  # <repo>/src/repro/__init__.py
-    for path in _iter_py_files([str(repo / name) for name in _CONSUMER_ROOTS]):
-        uses.update(identifier_uses(ast.parse(path.read_text(encoding="utf-8"))))
-    return uses
+    for name in _CONSUMER_ROOTS:
+        for path in _iter_py_files([str(repo / name)]):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            uses.update(identifier_uses(tree))
+            if not name.startswith("tests"):
+                sets.update(knob_settings(tree))
+    return uses, sets
 
 
 def _parse_error(path: str, exc: SyntaxError) -> Finding:
@@ -211,19 +223,20 @@ def lint_source(
     path: str = "",
     select: Optional[Sequence[str]] = None,
     tree_uses: Optional[Counter] = None,
+    tree_sets: Optional[Counter] = None,
 ) -> List[Finding]:
     """Lint one source blob as if it lived at tree-relative path *rel*.
 
-    Without *tree_uses* (see :func:`_tree_uses`) the blob is linted on
-    its own and the tree-level rule DEAD001 stays silent, as do
-    suppressions naming it.
+    Without *tree_uses* / *tree_sets* (see :func:`_tree_summaries`) the
+    blob is linted on its own and the tree-level rule reading the missing
+    one (DEAD001 / KNOB001) stays silent, as do suppressions naming it.
     """
     path = path or rel
     try:
         tree = ast.parse(source)
     except SyntaxError as exc:
         return [_parse_error(path, exc)]
-    return _lint_context(FileContext(path, rel, source, tree, tree_uses), select)
+    return _lint_context(FileContext(path, rel, source, tree, tree_uses, tree_sets), select)
 
 
 def _lint_context(ctx: FileContext, select: Optional[Sequence[str]]) -> List[Finding]:
@@ -265,7 +278,7 @@ def _lint_context(ctx: FileContext, select: Optional[Sequence[str]]) -> List[Fin
                     )
                 )
 
-    rules = [r for r in RULES if ctx.tree_uses is not None or not r.needs_tree]
+    rules = [r for r in RULES if not r.needs_tree or getattr(ctx, r.needs_tree) is not None]
     if select:
         wanted = set(select)
         rules = [r for r in rules if r.id in wanted or r.token in wanted]
@@ -327,10 +340,10 @@ def lint_paths(
             findings.append(_parse_error(str(path), exc))
             continue
         contexts.append(FileContext(str(path), _relpath(path), source, tree))
-    tree_uses = _tree_uses(contexts)
+    tree_uses, tree_sets = _tree_summaries(contexts)
     register_calls: List[Tuple[str, str, str, int]] = []
     for ctx in contexts:
-        ctx.tree_uses = tree_uses
+        ctx.tree_uses, ctx.tree_sets = tree_uses, tree_sets
         findings.extend(_lint_context(ctx, select))
         if registry_check:
             register_calls.extend(
@@ -350,8 +363,15 @@ def lint_fixture(rule: Rule, snippet: str) -> List[Finding]:
     A rule that needs the tree is shown the snippet as the whole tree:
     the snippet's own identifier uses are every use there is.
     """
-    uses = identifier_uses(ast.parse(snippet)) if rule.needs_tree else None
-    return lint_source(snippet, rel=rule.snippet_rel, tree_uses=uses)
+    if not rule.needs_tree:
+        return lint_source(snippet, rel=rule.snippet_rel)
+    tree = ast.parse(snippet)
+    return lint_source(
+        snippet,
+        rel=rule.snippet_rel,
+        tree_uses=identifier_uses(tree),
+        tree_sets=knob_settings(tree),
+    )
 
 
 def self_test(verbose: bool = False) -> List[str]:

@@ -22,7 +22,9 @@ or annotate the boundary.  **DTYPE001**: in ``repro/nn`` an
 ``np.float64`` scalar multiplied into an array promotes a float32 engine
 to float64.  And **DEAD001**, the one rule that needs the whole tree: a
 ``def``/``class`` under ``src/repro`` whose name no consumer uses is
-surface nothing reaches.
+surface nothing reaches.  **KNOB001**, its twin for settings: a field of
+a ``*Config`` / ``*Spec`` / ``*Plan`` dataclass that nothing outside
+``tests/`` sets is a constant wearing a knob's clothes.
 
 Every rule carries its own ``must_flag``/``must_pass`` fixture snippet;
 ``lint --self-test`` and ``tests/analysis`` replay them, so a rule that
@@ -37,7 +39,15 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Final, Iterator, List, Optional, Tuple
 
-__all__ = ["Finding", "FileContext", "Rule", "RULES", "identifier_uses", "rule_tokens"]
+__all__ = [
+    "Finding",
+    "FileContext",
+    "Rule",
+    "RULES",
+    "identifier_uses",
+    "knob_settings",
+    "rule_tokens",
+]
 
 
 @dataclass(frozen=True)
@@ -67,6 +77,7 @@ class FileContext:
         source: str,
         tree: ast.Module,
         tree_uses: Optional[Counter] = None,
+        tree_sets: Optional[Counter] = None,
     ) -> None:
         self.path = path
         #: Tree-relative posix path, e.g. ``repro/distributed/edge.py``.
@@ -77,6 +88,9 @@ class FileContext:
         #: linted tree, or ``None`` when one file is linted on its own
         #: (tree-level rules then have nothing to say).
         self.tree_uses = tree_uses
+        #: :func:`knob_settings` summed over every consumer outside
+        #: ``tests/`` (KNOB001), ``None`` alongside ``tree_uses``.
+        self.tree_sets = tree_sets
 
     @property
     def protocol_path(self) -> bool:
@@ -122,9 +136,10 @@ class Rule:
     #: Virtual tree location the fixture snippets lint under (protocol
     #: path by default so path-scoped rules exercise).
     snippet_rel: str = "repro/distributed/_snippet.py"
-    #: Whether the rule reads :attr:`FileContext.tree_uses`; its
-    #: fixtures are then linted as a one-file tree.
-    needs_tree: bool = False
+    #: The whole-tree summary the rule reads (``"tree_uses"`` or
+    #: ``"tree_sets"`` of :class:`FileContext`), if any; its fixtures
+    #: are then linted as a one-file tree.
+    needs_tree: str = ""
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         raise NotImplementedError
@@ -801,7 +816,7 @@ class UnreachedDefRule(Rule):
         "the test infrastructure; its own body, a package re-export and its "
         "own test do not count"
     )
-    needs_tree = True
+    needs_tree = "tree_uses"
     must_flag = (
         "def live(x):\n"
         "    return x + 1\n"
@@ -857,6 +872,163 @@ class UnreachedDefRule(Rule):
             )
 
 
+# ---------------------------------------------------------------------------
+# KNOB: settable values
+# ---------------------------------------------------------------------------
+_KNOB_CLASS: Final = re.compile(r"(Config|Spec|Plan)$")
+_KNOB_CONTAINER: Final = re.compile(r"\w(Config|Spec|Plan)\b")
+#: Where a process listens is the deployment's to choose, not the code's.
+_DEPLOYMENT_FIELDS: Final = frozenset({"host", "port"})
+#: Calls that read a field by name: their string argument sets nothing.
+_NAME_READERS: Final = frozenset({"getattr", "hasattr"})
+
+
+def knob_settings(node: ast.AST) -> Counter:
+    """Every way ``node`` sets a dataclass field, keyed for KNOB001.
+
+    ``Class.field`` is a keyword in a call to ``Class``, ``Class#i`` its
+    ``i``-th positional argument and ``Class.*`` a starred one (every
+    field, conservatively).  A bare ``field`` is a
+    ``dataclasses.replace`` keyword, an attribute store on a receiver
+    other than ``self``, or a string literal (``FaultConfig.parse``'s
+    keys) — but not the name a ``getattr`` / ``hasattr`` reads.
+    """
+    sets: Counter = Counter()
+    reads = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Call) and (name := _tail(_dotted(sub.func))):
+            if name in _NAME_READERS and len(sub.args) > 1:
+                reads.add(id(sub.args[1]))
+            for i, arg in enumerate(sub.args):
+                sets[f"{name}.*" if isinstance(arg, ast.Starred) else f"{name}#{i}"] += 1
+            prefix = "" if name == "replace" else f"{name}."
+            sets.update(prefix + kw.arg for kw in sub.keywords if kw.arg)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store):
+            if _dotted(sub.value) != "self":
+                sets[sub.attr] += 1
+    sets.update(
+        sub.value
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Constant)
+        and isinstance(sub.value, str)
+        and sub.value.isidentifier()
+        and id(sub) not in reads
+    )
+    return sets
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        _tail(_dotted(d.func if isinstance(d, ast.Call) else d)) == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def _init_fields(node: ast.ClassDef) -> Iterator[ast.AnnAssign]:
+    """A dataclass's ``__init__`` fields, in order."""
+    for stmt in node.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+            continue
+        if "ClassVar" in ast.unparse(stmt.annotation):
+            continue
+        value = stmt.value
+        if isinstance(value, ast.Call) and any(
+            kw.arg == "init" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+            for kw in value.keywords
+        ):
+            continue
+        yield stmt
+
+
+def _is_container(annotation: ast.AST) -> bool:
+    """A field holding another config (``ACMEConfig.cloud``): its own
+    fields are the knobs, and the rule checks them where they live."""
+    return _KNOB_CONTAINER.search(ast.unparse(annotation)) is not None
+
+
+class UnsetKnobRule(Rule):
+    id = "KNOB001"
+    token = "knob"
+    summary = (
+        "every field of a *Config / *Spec / *Plan dataclass under src/repro "
+        "must be set somewhere a run can start from outside tests/ — a call "
+        "keyword or position, a dataclasses.replace keyword, an attribute "
+        "store, or a string literal naming it"
+    )
+    needs_tree = "tree_sets"
+    must_flag = (
+        "from dataclasses import dataclass\n"
+        "\n"
+        "\n"
+        "@dataclass\n"
+        "class RunConfig:\n"
+        "    epochs: int = 3\n"
+        "    momentum: float = 0.9\n"
+        "\n"
+        "\n"
+        "CONFIG = RunConfig(epochs=5)\n"
+        "MOMENTUM = getattr(CONFIG, 'momentum')\n"
+    )
+    must_pass = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass, field\n"
+        "\n"
+        "\n"
+        "@dataclass\n"
+        "class NetSpec:\n"
+        "    width: int = 8\n"
+        "\n"
+        "\n"
+        "@dataclass\n"
+        "class RunConfig:\n"
+        "    epochs: int = 3\n"
+        "    lr: float = 1e-3\n"
+        "    net: NetSpec = field(default_factory=NetSpec)\n"
+        "    drop: float = 0.0\n"
+        "    tau: float = 1.0  # reprolint: knob -- Eq. 4: the paper's temperature τ\n"
+        "\n"
+        "\n"
+        "CONFIG = dataclasses.replace(RunConfig(5), lr=0.01)\n"
+        "CONFIG.net.width = 16\n"
+        "OVERRIDE = ('drop', 0.1)\n"
+    )
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        if ctx.tree_sets is None or not ctx.rel.startswith("repro/"):
+            return
+        sets = ctx.tree_sets
+        for node in ast.walk(ctx.tree):
+            if not (
+                isinstance(node, ast.ClassDef)
+                and _KNOB_CLASS.search(node.name)
+                and _is_dataclass(node)
+            ):
+                continue
+            cls = node.name
+            for index, stmt in enumerate(_init_fields(node)):
+                name = stmt.target.id  # type: ignore[attr-defined]
+                keys = (f"{cls}.{name}", f"{cls}#{index}", f"{cls}.*", name)
+                if (
+                    name in _DEPLOYMENT_FIELDS
+                    or _is_container(stmt.annotation)
+                    or any(sets[key] for key in keys)
+                ):
+                    continue
+                yield self.finding(
+                    ctx,
+                    stmt.lineno,
+                    f"`{cls}.{name}` is settable but nothing outside tests/ "
+                    "sets it: src/, benchmarks/, examples/, scripts/ and "
+                    "tools/ hold no call keyword or position, "
+                    "dataclasses.replace keyword, attribute store or string "
+                    "literal for it",
+                    "make it a module constant with its current default and "
+                    "rewrite the tests that varied it; keep it only if it is "
+                    "a paper symbol or a tested safety limit, with "
+                    "`# reprolint: knob -- <that anchor>`",
+                )
+
+
 RULES: Final[Tuple[Rule, ...]] = (
     GlobalRandomRule(),
     FixedRngRule(),
@@ -868,6 +1040,7 @@ RULES: Final[Tuple[Rule, ...]] = (
     BroadExceptRule(),
     Float64ScalarRule(),
     UnreachedDefRule(),
+    UnsetKnobRule(),
 )
 
 

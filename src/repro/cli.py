@@ -16,69 +16,67 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace) -> Callable[[], None]:
     from repro.distributed import ACMEConfig, ACMESystem, ExecutionPlan, FaultConfig
 
-    try:
-        # Bad specs are named here, before the cloud phases are paid
-        # for: the fault config and the plan range-check themselves, and
-        # checked_rounds() is the check every aggregation_loop runs.
-        fault_config = FaultConfig.parse(args.faults) if args.faults else None
-        config = ACMEConfig(
-            num_clusters=args.clusters,
-            devices_per_cluster=args.devices,
-            num_classes=args.classes,
-            samples_per_class=args.samples,
-            execution=ExecutionPlan(
-                edge_workers=args.edge_workers,
-                device_workers=args.workers,
-                backend=args.backend,
-            ),
-            fault_config=fault_config,
-            seed=args.seed,
-        )
-        if args.quorum is not None:
-            config.edge.round_quorum = args.quorum
-        config.edge.checked_rounds()
-    except ValueError as err:
-        print(f"repro-cli run: error: {err}", file=sys.stderr)
-        return 2
-    if args.transport == "tcp":
-        from repro.distributed.system import run_multiprocess
+    # Bad specs are named before the cloud phases are paid for: the
+    # configs and the plan range-check themselves, and checked_rounds()
+    # is the check every aggregation_loop runs.
+    fault_config = FaultConfig.parse(args.faults) if args.faults else None
+    config = ACMEConfig(
+        num_clusters=args.clusters,
+        devices_per_cluster=args.devices,
+        num_classes=args.classes,
+        samples_per_class=args.samples,
+        execution=ExecutionPlan(
+            edge_workers=args.edge_workers,
+            device_workers=args.workers,
+            backend=args.backend,
+        ),
+        fault_config=fault_config,
+        seed=args.seed,
+    )
+    if args.quorum is not None:
+        config.edge.round_quorum = args.quorum
+    config.edge.checked_rounds()
 
-        result = run_multiprocess(config)
-    else:
-        system = ACMESystem(config)
-        result = system.run()
-    payload = {
-        "mean_accuracy": result.mean_accuracy,
-        "upload_mb": result.traffic.upload_megabytes(),
-        "total_mb": result.traffic.total_megabytes(),
-        "upload_ratio_vs_centralized": result.upload_ratio_vs_centralized,
-        "clusters": [
-            {
-                "edge": c.edge_name,
-                "width": c.width,
-                "depth": c.depth,
-                "device_accuracies": c.device_accuracies,
-                "round_participation": c.round_participation,
-                "protocol_retries": c.protocol_retries,
-            }
-            for c in result.clusters
-        ],
-        "participation": result.participation,
-        "fault_counts": result.fault_counts,
-        "total_retries": result.total_retries,
-        "failed_deliveries": result.failed_deliveries,
-    }
-    print(json.dumps(payload, indent=2))
-    return 0
+    def execute() -> None:
+        if args.transport == "tcp":
+            from repro.distributed.system import run_multiprocess
+
+            result = run_multiprocess(config)
+        else:
+            result = ACMESystem(config).run()
+        payload = {
+            "mean_accuracy": result.mean_accuracy,
+            "upload_mb": result.traffic.upload_megabytes(),
+            "total_mb": result.traffic.total_megabytes(),
+            "upload_ratio_vs_centralized": result.upload_ratio_vs_centralized,
+            "clusters": [
+                {
+                    "edge": c.edge_name,
+                    "width": c.width,
+                    "depth": c.depth,
+                    "device_accuracies": c.device_accuracies,
+                    "round_participation": c.round_participation,
+                    "protocol_retries": c.protocol_retries,
+                }
+                for c in result.clusters
+            ],
+            "participation": result.participation,
+            "fault_counts": result.fault_counts,
+            "total_retries": result.total_retries,
+            "failed_deliveries": result.failed_deliveries,
+        }
+        print(json.dumps(payload, indent=2))
+
+    return execute
 
 
-def _cmd_scale(args: argparse.Namespace) -> int:
+def _cmd_scale(args: argparse.Namespace) -> Callable[[], None]:
     from repro.distributed.scale import ScaleConfig, run_scale_campaign
 
     config = ScaleConfig(
@@ -94,28 +92,30 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         ledger=args.ledger,
         seed=args.seed,
     )
-    report = run_scale_campaign(config, measure_memory=args.memory)
-    print(json.dumps(report.to_dict(), indent=2))
-    return 0
+    config.check()
+
+    def execute() -> None:
+        report = run_scale_campaign(config, measure_memory=args.memory)
+        print(json.dumps(report.to_dict(), indent=2))
+
+    return execute
 
 
-def _cmd_table1(args: argparse.Namespace) -> int:
+def _cmd_table1(args: argparse.Namespace) -> Callable[[], None]:
     from repro.core.search_space import table1_search_space_row
 
     row = table1_search_space_row(args.fleet, devices_per_cluster=args.devices)
-    print(json.dumps(row, indent=2))
-    return 0
+    return lambda: print(json.dumps(row, indent=2))
 
 
-def _cmd_search_space(args: argparse.Namespace) -> int:
+def _cmd_search_space(args: argparse.Namespace) -> Callable[[], None]:
     from repro.core.search_space import header_search_space_size
 
     size = header_search_space_size(args.blocks)
-    print(json.dumps({"blocks": args.blocks, "architectures": size}))
-    return 0
+    return lambda: print(json.dumps({"blocks": args.blocks, "architectures": size}))
 
 
-def _cmd_energy(args: argparse.Namespace) -> int:
+def _cmd_energy(args: argparse.Namespace) -> Callable[[], None]:
     import numpy as np
 
     from repro.hw.energy import energy
@@ -125,16 +125,12 @@ def _cmd_energy(args: argparse.Namespace) -> int:
         0, args.vcpus, storage_limit=10**9, rng=np.random.default_rng(args.seed)
     )
     report = energy(profile, args.width, args.depth, epochs=args.epochs)
-    print(
-        json.dumps(
-            {
-                "power_watts": report.power_watts,
-                "latency_seconds": report.latency_seconds,
-                "energy_joules": report.energy_joules,
-            }
-        )
-    )
-    return 0
+    summary = {
+        "power_watts": report.power_watts,
+        "latency_seconds": report.latency_seconds,
+        "energy_joules": report.energy_joules,
+    }
+    return lambda: print(json.dumps(summary))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,7 +277,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    # The one error path: every command builds and checks its inputs
+    # before it returns the work, so a bad value is a named error with
+    # exit 2, never a traceback or work paid for first.
+    try:
+        execute = args.func(args)
+    except ValueError as err:
+        print(f"repro-cli {args.command}: error: {err}", file=sys.stderr)
+        return 2
+    execute()
+    return 0
 
 
 if __name__ == "__main__":

@@ -15,29 +15,30 @@ depth-distillation alignment).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.data.dataset import ArrayDataset, DataLoader
 from repro.models.vit import VisionTransformer
 from repro.nn import functional as F
-from repro.nn.optim import Adam, clip_grad_norm
+from repro.nn.optim import GRAD_CLIP, LR, Adam, clip_grad_norm
 from repro.nn.tensor import Tensor, no_grad
+
+#: The width factors ``w`` the dynamic backbone is trained and offered at.
+WIDTH_CHOICES: Tuple[float, ...] = (0.25, 0.5, 0.75, 1.0)
 
 
 @dataclass
 class DistillConfig:
-    """Hyperparameters of the Eq. (9) distillation run."""
+    """Hyperparameters of the Eq. (9) distillation run: the student
+    samples a width from :data:`WIDTH_CHOICES` and a depth from
+    ``1..teacher depth`` per batch."""
 
-    width_choices: Sequence[float] = (0.25, 0.5, 0.75, 1.0)
-    depth_choices: Optional[Sequence[int]] = None  # default: 1..teacher depth
     epochs: int = 2
     batch_size: int = 32
-    lr: float = 1e-3
-    lambda_logits: float = 1.0  # λ1
-    lambda_embed: float = 0.5  # λ2
-    grad_clip: float = 5.0
+    lambda_logits: float = 1.0  # reprolint: knob -- λ1 of Eq. 9, the logit term's weight
+    lambda_embed: float = 0.5  # reprolint: knob -- λ2 of Eq. 9, the embedding term's weight
     seed: int = 0
 
 
@@ -85,17 +86,8 @@ def distill(
     """
     config = config or DistillConfig()
     rng = np.random.default_rng(config.seed)
-    depth_choices = (
-        list(config.depth_choices)
-        if config.depth_choices is not None
-        else list(range(1, teacher.config.depth + 1))
-    )
-    if not depth_choices or not config.width_choices:
-        raise ValueError("need at least one width and one depth choice")
-
-    teacher.eval()
-    student.train()
-    optimizer = Adam(student.parameters(), lr=config.lr)
+    depth_choices = list(range(1, teacher.config.depth + 1))
+    optimizer = Adam(student.parameters(), lr=LR)
     report = DistillReport()
 
     loader = DataLoader(
@@ -103,7 +95,7 @@ def distill(
     )
     for _epoch in range(config.epochs):
         for images, _labels in loader:
-            width = float(rng.choice(list(config.width_choices)))
+            width = float(rng.choice(list(WIDTH_CHOICES)))
             depth = int(rng.choice(depth_choices))
             student.scale(width, depth)
 
@@ -121,10 +113,9 @@ def distill(
 
             optimizer.zero_grad()
             loss.backward()
-            clip_grad_norm(student.parameters(), config.grad_clip)
+            clip_grad_norm(student.parameters(), GRAD_CLIP)
             optimizer.step()
             report.step_losses.append(float(loss.data))
 
     student.scale(1.0, teacher.config.depth)
-    student.eval()
     return report

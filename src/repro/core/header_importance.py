@@ -36,7 +36,6 @@ class ImportanceConfig:
 
     epochs: int = 1
     batch_size: int = 16
-    lr: float = 1e-3
     max_batches_per_epoch: int = 8
     seed: int = 0
 

@@ -71,7 +71,6 @@ def estimate_backbone_importance(
     loader = DataLoader(
         probe, batch_size=batch_size, shuffle=True, rng=np.random.default_rng(seed)
     )
-    model.eval()
     batches = 0
     for images, labels in loader:
         if batches >= max_batches:

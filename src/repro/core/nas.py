@@ -34,18 +34,22 @@ from repro.models.header_dag import DAGHeader
 from repro.models.headers import BackboneFeatures, frozen_batch_features
 from repro.models.vit import VisionTransformer
 from repro.nn import functional as F
-from repro.nn.layers import (
-    Activation,
-    Linear,
-    Module,
-    Sequential,
-    has_active_stochastic_modules,
-)
-from repro.nn.optim import Adam, clip_grad_norm
+from repro.nn.layers import Activation, Linear, Module, Sequential
+from repro.nn.optim import GRAD_CLIP, Adam, clip_grad_norm
 from repro.nn.tensor import Tensor, no_grad
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.distributed.executor import ExecutionPlan
+
+#: Repeats ``U`` of the searched cell in a derived header.
+REPEATS = 1
+#: Mini-batch rows of the ω_s steps and of child scoring.
+BATCH_SIZE = 16
+#: Adam learning rates of the shared pool ω_s and of the controller.
+SHARED_LR = 2e-3
+CONTROLLER_LR = 5e-3
+#: The share of the edge's shared set held out to score children on.
+VAL_FRACTION = 0.3
 
 
 class SharedOpPool:
@@ -84,18 +88,12 @@ class NASConfig:
     """Hyperparameters of the first-stage search."""
 
     num_blocks: int = 3  # B
-    repeats: int = 1  # U
     search_epochs: int = 3
     children_per_epoch: int = 4  # M in the Monte-Carlo gradient (Eq. 15)
     shared_steps_per_child: int = 2
-    batch_size: int = 16
-    shared_lr: float = 2e-3
-    controller_lr: float = 5e-3
     controller_updates_per_epoch: int = 4
     derive_samples: int = 8
-    val_fraction: float = 0.3
     train_backbone: bool = True  # paper: backbone NOT frozen in stage 2-1
-    grad_clip: float = 5.0
     seed: int = 0
 
 
@@ -131,7 +129,7 @@ class HeaderSearch:
         embed_dim = backbone.config.embed_dim
         self.pool = SharedOpPool(embed_dim, seed=cfg.seed)
         self.controller = ArchitectureController(
-            num_blocks=cfg.num_blocks, repeats=cfg.repeats, seed=cfg.seed
+            num_blocks=cfg.num_blocks, repeats=REPEATS, seed=cfg.seed
         )
         # Shared classifier: part of ω_s, reused by every child.
         rng = np.random.default_rng(cfg.seed + 1)
@@ -140,7 +138,7 @@ class HeaderSearch:
             Activation("gelu"),
             Linear(embed_dim, num_classes, rng=rng),
         )
-        self._controller_opt = Adam(self.controller.parameters(), lr=cfg.controller_lr)
+        self._controller_opt = Adam(self.controller.parameters(), lr=CONTROLLER_LR)
         self._baseline = MovingAverageBaseline()
 
     # ------------------------------------------------------------------
@@ -171,13 +169,11 @@ class HeaderSearch:
         Valid only while the backbone's weights stand still: a frozen
         search sweeps once in :meth:`search`, a ``train_backbone`` one
         only inside a scoring call.  ``None`` (per-batch forwards stay)
-        when there is no row, or when a forward would draw module-local
-        RNG (training-mode dropout) and one sweep would consume a
-        different stream than the per-batch loop.
+        when there is no row.
         """
         from repro.train.serving import precompute_backbone_features  # lazy: cycle
 
-        if len(images) == 0 or has_active_stochastic_modules(self.backbone):
+        if len(images) == 0:
             return None
         return precompute_backbone_features(self.backbone, images)
 
@@ -203,7 +199,7 @@ class HeaderSearch:
         """A few ω_s steps on ``child``; with ``features`` (a sweep of
         the loader's dataset) the loader yields row indices to gather."""
         cfg = self.config
-        optimizer = Adam(self._shared_parameters(child), lr=cfg.shared_lr)
+        optimizer = Adam(self._shared_parameters(child), lr=SHARED_LR)
         steps = 0
         for batch, labels in loader:
             if steps >= cfg.shared_steps_per_child:
@@ -212,7 +208,7 @@ class HeaderSearch:
             loss = F.cross_entropy(logits, labels)
             optimizer.zero_grad()
             loss.backward()
-            clip_grad_norm(optimizer.params, cfg.grad_clip)
+            clip_grad_norm(optimizer.params, GRAD_CLIP)
             optimizer.step()
             steps += 1
 
@@ -233,7 +229,7 @@ class HeaderSearch:
         """
         loader = DataLoader(
             dataset,
-            batch_size=self.config.batch_size,
+            batch_size=BATCH_SIZE,
             shuffle=False,
             # reprolint: fixed-rng -- shuffle=False never draws from this
             # stream; the pinned rng keeps eval loaders deterministic even if
@@ -267,11 +263,7 @@ class HeaderSearch:
         on the plan's inner tier with rewards returned in spec order — so
         any width and either backend reproduces the serial loop exactly
         (scoring reads shared state and writes none that outlives the
-        task, so forked workers send nothing home but the reward).  Scoring
-        drops to serial if a forward through the shared backbone or pool
-        would consume module-local RNG (training-mode dropout), since
-        concurrent draws from one generator are neither deterministic
-        nor safe.
+        task, so forked workers send nothing home but the reward).
 
         Every child visits the same first ``max_batches`` validation
         batches, so they are served from one sweep: the caller's
@@ -288,12 +280,11 @@ class HeaderSearch:
                 child, dataset, max_batches, features=features
             ),
             children,
-            serial_if_stochastic=(self.backbone, *children),
         )
 
     def _scored_prefix(self, dataset: ArrayDataset, max_batches: int = 4) -> np.ndarray:
         """The rows :meth:`_evaluate_child`'s unshuffled loader visits."""
-        return dataset.images[: max_batches * self.config.batch_size]
+        return dataset.images[: max_batches * BATCH_SIZE]
 
     def _update_controller(
         self, val_set: ArrayDataset, features: Optional[BackboneFeatures] = None
@@ -320,14 +311,14 @@ class HeaderSearch:
         assert losses is not None
         self._controller_opt.zero_grad()
         losses.backward()
-        clip_grad_norm(self.controller.parameters(), cfg.grad_clip)
+        clip_grad_norm(self.controller.parameters(), GRAD_CLIP)
         self._controller_opt.step()
         return float(np.mean(rewards))
 
     def search(self, dataset: ArrayDataset) -> SearchResult:
         """Run the alternating ENAS loop and derive the best header spec."""
         cfg = self.config
-        train_set, val_set = dataset.split(1.0 - cfg.val_fraction, self.rng)
+        train_set, val_set = dataset.split(1.0 - VAL_FRACTION, self.rng)
         result = SearchResult(spec=HeaderSpec.from_sequence([0, 0, 0, 0]))
         # A frozen backbone's features are a pure function of the rows:
         # sweep them once per search instead of once per shuffled batch.
@@ -343,7 +334,7 @@ class HeaderSearch:
                 child = self.build_child(sample.spec)
                 loader = DataLoader(
                     train_set,
-                    batch_size=cfg.batch_size,
+                    batch_size=BATCH_SIZE,
                     shuffle=True,
                     rng=self.rng,
                     yield_indices=train_features is not None,

@@ -44,6 +44,11 @@ class SearchSpaceAccounting:
     backbone_widths: int = 4  # |W_B|
     backbone_depths: int = 6  # |D_B|
 
+    def __post_init__(self) -> None:
+        for name in ("num_devices", "devices_per_cluster"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
     @property
     def num_clusters(self) -> int:
         return max(1, -(-self.num_devices // self.devices_per_cluster))

@@ -307,24 +307,13 @@ def build_similarity_matrix(
     tape-free forward of the shared model
     (:func:`repro.train.serving.batched_extract_features`) — per-sample
     results, and hence the matrix, are identical to per-dataset
-    forwards.  If the shared model would consume module-local RNG during
-    forwards (a training-mode ``Dropout`` with ``p > 0``), extraction is
-    instead a serial loop of one forward per dataset, so a single
-    deterministic stream is preserved.
+    forwards.
     """
-    from repro.nn.layers import has_active_stochastic_modules
+    from repro.train.serving import batched_extract_features  # lazy: cycle
 
-    if not has_active_stochastic_modules(model):
-        from repro.train.serving import batched_extract_features
-
-        features = batched_extract_features(
-            model, list(datasets), max_samples=max_samples, seed=seed
-        )
-    else:
-        features = [
-            extract_features(model, dataset, max_samples=max_samples, seed=seed + i)
-            for i, dataset in enumerate(datasets)
-        ]
+    features = batched_extract_features(
+        model, list(datasets), max_samples=max_samples, seed=seed
+    )
     distances = distance_matrix(features, metric=metric, seed=seed)
     return regularize_similarity(
         similarity_from_distances(distances), temperature=temperature

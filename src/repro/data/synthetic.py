@@ -37,6 +37,10 @@ def _smooth(field: np.ndarray, sigma: float) -> np.ndarray:
     return gaussian_filter(field, sigma=sigma, mode="wrap")
 
 
+#: Gaussian blur (in pixels) of the random prototype fields.
+SMOOTHING_SIGMA = 2.0
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Parameters of a synthetic image classification dataset."""
@@ -47,7 +51,6 @@ class SyntheticSpec:
     class_separation: float = 1.0
     noise_scale: float = 0.7
     fine_grained_groups: Optional[int] = None
-    smoothing_sigma: float = 2.0
 
     def __post_init__(self) -> None:
         if self.num_classes < 2:
@@ -80,7 +83,7 @@ class SyntheticImageGenerator:
         def random_field() -> np.ndarray:
             raw = rng.normal(size=shape)
             smooth = np.stack(
-                [_smooth(raw[c], spec.smoothing_sigma) for c in range(spec.channels)]
+                [_smooth(raw[c], SMOOTHING_SIGMA) for c in range(spec.channels)]
             )
             # Re-standardize: smoothing shrinks variance.
             return (smooth - smooth.mean()) / (smooth.std() + 1e-12)

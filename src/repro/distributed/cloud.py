@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.registry import register_lock
-from repro.core.distill import DistillConfig
+from repro.core.distill import WIDTH_CHOICES, DistillConfig
 from repro.core.pareto import Candidate, ParetoFrontGrid, build_pfg, select_model
 from repro.core.segmentation import generate_backbone
 from repro.data.dataset import ArrayDataset
@@ -49,23 +49,24 @@ from repro.train.trainer import TrainConfig, train_model
 #: Rows per eval batch of the loss grid — ``evaluate_model``'s default,
 #: which the per-cell evaluation this replaces ran at.
 _EVAL_BATCH = 64
+#: Public samples the (w, d) loss grid is evaluated on.
+EVAL_SAMPLES = 128
 
 
 @dataclass
 class CloudConfig:
-    """Knobs of the cloud-side Phase 1."""
+    """Knobs of the cloud-side Phase 1 (the widths offered are
+    :data:`~repro.core.distill.WIDTH_CHOICES`)."""
 
-    width_choices: Sequence[float] = (0.25, 0.5, 0.75, 1.0)
     depth_choices: Optional[Sequence[int]] = None  # default 1..reference depth
-    performance_window: float = 0.05  # γ_p
+    performance_window: float = 0.05  # reprolint: knob -- γ_p, the PFG's performance window
     pretrain_epochs: int = 3
     #: Filled from ``seed`` in ``__post_init__`` when not given — a
     #: mutable default can't be a dataclass default and the derived
     #: value depends on another field, so ``Optional`` + post-init is
     #: the idiom (not a ``None`` default lying about its type).
     distill: Optional[DistillConfig] = None
-    eval_samples: int = 128
-    energy_epochs: int = 5  # k in Eq. (1)
+    energy_epochs: int = 5  # reprolint: knob -- k of Eq. 1, the epochs energy is charged for
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -187,14 +188,13 @@ class CloudServer:
         """
         assert self.backbone is not None
         sample = self.public_dataset.sample(
-            self.config.eval_samples, np.random.default_rng(self.config.seed)
+            EVAL_SAMPLES, np.random.default_rng(self.config.seed)
         )
         if len(sample) == 0:
             raise ValueError("no samples evaluated")
         depths = self._depth_choices()
-        self.backbone.eval()
         with no_grad():
-            for width in self.config.width_choices:
+            for width in WIDTH_CHOICES:
                 self.backbone.scale(width, max(depths))
                 loss_sums = [0.0] * len(depths)
                 for start in range(0, len(sample), _EVAL_BATCH):
@@ -242,7 +242,7 @@ class CloudServer:
         self.prepare_candidates()
         profile = self._representative_profile(stats)
         candidates = []
-        for width in cfg.width_choices:
+        for width in WIDTH_CHOICES:
             for depth in self._depth_choices():
                 loss = self._loss_cache[(width, depth)]
                 joules = energy(profile, width, depth, epochs=cfg.energy_epochs).energy_joules

@@ -42,7 +42,6 @@ from repro.models.blocks import HeaderSpec
 from repro.models.header_dag import DAGHeader
 from repro.models.headers import BackboneFeatures
 from repro.models.vit import VisionTransformer, ViTConfig
-from repro.nn.layers import has_active_stochastic_modules
 from repro.train.fleet import fleet_importance_rounds, train_headers_fleet
 from repro.train.serving import precompute_backbone_features
 from repro.train.trainer import TrainConfig
@@ -253,20 +252,15 @@ class DeviceNode:
         is ``(1 + 2·num_patches) · embed_dim`` floats per private sample.
 
         ``None`` — callers keep the per-batch tape-free forward — where
-        a cache would be wrong or wasteful: the backbone draws
-        module-local RNG per forward (training-mode dropout), there is
-        no row to sweep, or the device lives in a bounded
+        a cache would be wasteful: there is no row to sweep, or the
+        device lives in a bounded
         :class:`DeviceStateLRU` (a thrashing LRU would re-sweep all
         ``n`` rows per touch where a capped round forwards at most
         ``max_batches_per_epoch · batch_size``, and the cold snapshot
         must not grow).
         """
         assert self.backbone is not None, "model must be live"
-        if (
-            self.state_store.bounded
-            or len(self.dataset) == 0
-            or has_active_stochastic_modules(self.backbone)
-        ):
+        if self.state_store.bounded or len(self.dataset) == 0:
             return None
         if self._features is None:
             self._features = precompute_backbone_features(
@@ -287,7 +281,7 @@ class DeviceNode:
         The group trains against its first device's backbone in one
         stacked graph per mini-batch round (:mod:`repro.train.fleet`),
         so the caller groups only devices of this class that hold the
-        same RNG-free frozen backbone instance; one device is the
+        same frozen backbone instance; one device is the
         group of one.  The caller (edge server) transmits the returned
         messages through the network so the bytes are accounted on the
         uplink.  ``round_index`` is the edge's round counter; the local

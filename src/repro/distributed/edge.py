@@ -19,10 +19,8 @@ store that can evict, in the parent, chunk by chunk.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
@@ -39,7 +37,7 @@ from repro.core.similarity import (
 from repro.data.dataset import ArrayDataset
 from repro.distributed.device import DeviceNode
 from repro.distributed.executor import ExecutionPlan, resolve_workers
-from repro.distributed.faults import DeliveryError, ProtocolError
+from repro.distributed.faults import DeliveryError, ProtocolError, check_count
 from repro.distributed.messages import Message, MessageKind, payload_nbytes
 from repro.distributed.network import Network
 from repro.distributed.state_store import backbone_from_payload
@@ -47,8 +45,17 @@ from repro.hw.energy import latency
 from repro.hw.profiles import cluster_statistics
 from repro.models.blocks import HeaderSpec
 from repro.models.vit import VisionTransformer
-from repro.nn.layers import has_active_stochastic_modules
 from repro.train import serving
+
+#: The distance behind the similarity weights (Eq. 19's sliced
+#: Wasserstein; ``core.similarity`` also offers ``"js"``).
+SIMILARITY_METRIC = "wasserstein"
+#: Round-level re-request budget when fresh replies are short of
+#: quorum.  Retries re-send each missing device's *cached* upload — the
+#: device does not retrain — mirroring a real edge's timeout → re-poll
+#: loop.  Message-level retries are separate (the fault policy's
+#: ``retries``).
+ROUND_RETRIES = 2
 
 
 @dataclass
@@ -61,7 +68,6 @@ class EdgeConfig:
     nas: Optional[NASConfig] = None
     aggregation_rounds: int = 2  # T in Algorithm 2
     keep_fraction: float = 0.7
-    similarity_metric: str = "wasserstein"  # "wasserstein" (ours) or "js"
     #: Degraded-mode quorum: the fraction of a round's *participating*
     #: devices whose fresh importance sets must arrive before the round
     #: aggregates.  1.0 (the default) is today's all-replies behavior —
@@ -69,16 +75,10 @@ class EdgeConfig:
     #: pre-quorum code, and a missing reply is a loud
     #: :class:`~repro.distributed.faults.ProtocolError`.  Below 1.0 the
     #: round proceeds with whoever answered: re-request up to
-    #: ``round_retries`` times, then aggregate the fresh sets (masked,
+    #: :data:`ROUND_RETRIES` times, then aggregate the fresh sets (masked,
     #: renormalized similarity rows), carrying forward each absent
     #: device's last known set only when even the quorum cannot be met.
     round_quorum: float = 1.0
-    #: Round-level re-request budget when fresh replies are short of
-    #: quorum.  Retries re-send each missing device's *cached* upload —
-    #: the device does not retrain — mirroring a real edge's timeout →
-    #: re-poll loop.  Message-level retries are separate (the fault
-    #: policy's ``retries``).
-    round_retries: int = 2
     #: Straggler deadline in *simulated* seconds per local epoch: a
     #: device whose hardware model predicts a slower epoch
     #: (:func:`repro.hw.energy.latency` at the assigned width/depth)
@@ -104,18 +104,7 @@ class EdgeConfig:
         assign fields after construction.
         """
         rounds = self.aggregation_rounds if num_rounds is None else num_rounds
-        # Counts are refused, not truncated, when they are a float or a
-        # bool — the rule of ``executor.resolve_workers``.
-        for field, value, low in (
-            ("aggregation_rounds", rounds, 1),
-            ("round_retries", self.round_retries, 0),
-        ):
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Integral)
-                or value < low
-            ):
-                raise ValueError(f"{field} must be an int >= {low}, got {value!r}")
+        check_count("aggregation_rounds", rounds, 1)
         if not 0.0 < self.round_quorum <= 1.0:
             raise ValueError(
                 f"round_quorum must be in (0, 1], got {self.round_quorum}"
@@ -308,7 +297,7 @@ class EdgeServer:
             return np.eye(len(ids))
         distances = distance_matrix(
             [self._feature_samples[ids[i]] for i in have],
-            metric=self.config.similarity_metric,
+            metric=SIMILARITY_METRIC,
             seed=self.config.seed,
         )
         similarity = regularize_similarity(
@@ -404,7 +393,7 @@ class EdgeServer:
         Uploads travel via :meth:`Network.send_reliable`; when fresh
         replies are short of ``ceil(round_quorum × participants)`` the
         edge re-polls (cached uploads, no retraining) up to
-        ``round_retries`` times, then aggregates whoever answered —
+        :data:`ROUND_RETRIES` times, then aggregates whoever answered —
         masked, renormalized similarity rows — carrying forward each
         absent device's last known set only when even the quorum cannot
         be met.  A round with no set at all, fresh or carried, is a hard
@@ -443,7 +432,7 @@ class EdgeServer:
         # retraining) until enough fresh sets arrived or the retry
         # budget is spent.  A no-op on the fault-free path.
         quorum = math.ceil(config.round_quorum * len(participants))
-        for _ in range(config.round_retries):
+        for _ in range(ROUND_RETRIES):
             if sum(d.profile.device_id in pending for d in participants) >= quorum:
                 break
             self.round_retry_total += 1
@@ -529,20 +518,12 @@ class EdgeServer:
         return len(fresh)
 
     # ------------------------------------------------------------------
-    def _local_groups(
-        self,
-        devices: Sequence[DeviceNode],
-        backbone_draws_rng: Callable[[VisionTransformer], bool] = (
-            has_active_stochastic_modules
-        ),
-    ) -> List[List[DeviceNode]]:
+    def _local_groups(self, devices: Sequence[DeviceNode]) -> List[List[DeviceNode]]:
         """Partition live ``devices`` for a local update (importance
         round, fine-tune): who trains in one stacked graph together.
 
         Batchable devices — at least two devices of one class that hold
-        the same frozen backbone instance and whose forwards draw no
-        module-local RNG (``backbone_draws_rng`` asks it of the
-        backbone) — are chunked into as many contiguous groups as the
+        the same frozen backbone instance — are chunked into as many contiguous groups as the
         plan's inner tier has workers, one stacked graph per worker;
         the serial plan is the one-group case.  A group is trained by
         its class's group method (:meth:`DeviceNode.importance_rounds`)
@@ -559,8 +540,6 @@ class EdgeServer:
             len({type(d) for d in devices}) == 1
             and backbone is not None
             and all(d.backbone is backbone for d in devices)
-            and not backbone_draws_rng(backbone)
-            and not any(has_active_stochastic_modules(d.header) for d in devices)
         ):
             return groups
         return singletons
@@ -589,10 +568,6 @@ class EdgeServer:
         """
         capacities = [d.state_store.capacity for d in devices if d.state_store.bounded]
         size = min(capacities, default=max(len(devices), 1))
-        # One RNG check of the (shared) backbone per walk, not per chunk.
-        backbone_draws_rng = functools.lru_cache(maxsize=1)(
-            has_active_stochastic_modules
-        )
         forked = not self.plan.workers_share_heap
         results: list = []
         for start in range(0, len(devices), size):
@@ -601,7 +576,7 @@ class EdgeServer:
                 device._ensure_live()
                 if forked:
                     device.frozen_features()
-            groups = self._local_groups(chunk, backbone_draws_rng)
+            groups = self._local_groups(chunk)
             shared = None
             if forked:
                 shared = [

@@ -113,7 +113,6 @@ def parallel_map(
     fn: Callable[[T], R],
     items: Iterable[T],
     max_workers: WorkerSpec = None,
-    serial_if_stochastic: Sequence[object] = (),
     backend: str = "thread",
     shared_params: Optional[Sequence[Sequence[object]]] = None,
 ) -> List[R]:
@@ -124,15 +123,6 @@ def parallel_map(
     so engine settings scoped at the call site (``using_dtype``,
     ``no_grad``) apply to the workers.  The first raised exception
     propagates to the caller.
-
-    ``serial_if_stochastic`` names modules the tasks will forward
-    through **concurrently** (a shared backbone, pooled NAS ops, …).
-    If any of them would consume module-local RNG during a forward
-    (training-mode dropout — see
-    :func:`repro.nn.layers.has_active_stochastic_modules`), the call
-    drops to serial: concurrent draws from one numpy generator are
-    neither deterministic nor safe, and every fan-out site gets that
-    guard from here instead of re-implementing it.
 
     ``backend="process"`` runs the fan-out on a forked worker pool
     (:mod:`repro.distributed.procpool`): tasks whose bottleneck is
@@ -147,11 +137,6 @@ def parallel_map(
     re-raise as themselves, like the thread backend.
     """
     _check_backend(backend)
-    if serial_if_stochastic:
-        from repro.nn.layers import has_active_stochastic_modules
-
-        if any(has_active_stochastic_modules(m) for m in serial_if_stochastic):
-            max_workers = None
     items = list(items)
     workers = resolve_workers(max_workers, num_tasks=len(items))
     if backend == "process":
@@ -268,7 +253,6 @@ class ExecutionPlan:
         self,
         fn: Callable[[T], R],
         items: Iterable[T],
-        serial_if_stochastic: Sequence[object] = (),
         shared_params: Optional[Sequence[Sequence[object]]] = None,
     ) -> List[R]:
         """:func:`parallel_map` across the inner tier, on its backend
@@ -277,7 +261,6 @@ class ExecutionPlan:
             fn,
             items,
             max_workers=self.device_workers,
-            serial_if_stochastic=serial_if_stochastic,
             backend=self.backend,
             shared_params=shared_params,
         )

@@ -40,8 +40,8 @@ import math
 import numbers
 import zlib
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -103,9 +103,10 @@ def check_unit_interval(name: str, value: object) -> None:
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
 
 
-def _check_count(name: str, value: object, least: int) -> None:
-    # A float or a bool is refused rather than truncated, as worker
-    # specs are (``executor.resolve_workers``).
+def check_count(name: str, value: object, least: int) -> None:
+    """Refuse a ``value`` that is not an int ``>= least``, naming the
+    field ``name``: a float or a bool is refused rather than truncated,
+    as worker specs are (``executor.resolve_workers``)."""
     if (
         isinstance(value, bool)
         or not isinstance(value, numbers.Integral)
@@ -119,10 +120,7 @@ class FaultConfig:
     """Knobs of a seeded chaos campaign.
 
     All probabilities are per delivery *attempt*; a retried message is a
-    fresh attempt with a fresh (deterministic) draw.  ``drop_per_kind``
-    and ``drop_per_link`` override the global ``drop`` rate for a
-    message kind (e.g. ``"importance_set"``) or a ``"sender->receiver"``
-    link — the knobs for targeting one protocol phase or one flaky hop.
+    fresh attempt with a fresh (deterministic) draw.
     """
 
     seed: int = 0
@@ -134,9 +132,6 @@ class FaultConfig:
     #: A delayed message's handler runs after this many further
     #: deliveries on the same ledger (the straggler model).
     delay_deliveries: int = 3
-    #: Per-kind / per-link drop-rate overrides (kind value / "a->b").
-    drop_per_kind: Mapping[str, float] = field(default_factory=dict)
-    drop_per_link: Mapping[str, float] = field(default_factory=dict)
     #: ``send_reliable`` defaults: extra attempts after the first, and
     #: the base backoff in seconds (scaled linearly per retry; keep 0.0
     #: in tests — the fabric is instant, backoff only models pacing).
@@ -152,11 +147,8 @@ class FaultConfig:
         # than reading later as a network failure or being clamped away.
         for name in ("drop", "corrupt", "duplicate", "delay", "churn"):
             check_unit_interval(name, getattr(self, name))
-        for table in ("drop_per_kind", "drop_per_link"):
-            for key, rate in getattr(self, table).items():
-                check_unit_interval(f"{table}[{key!r}]", rate)
-        _check_count("retries", self.retries, 0)
-        _check_count("delay_deliveries", self.delay_deliveries, 1)
+        check_count("retries", self.retries, 0)
+        check_count("delay_deliveries", self.delay_deliveries, 1)
         if (
             isinstance(self.backoff, bool)
             or not isinstance(self.backoff, numbers.Real)
@@ -167,7 +159,7 @@ class FaultConfig:
                 f"backoff must be a finite number >= 0, got {self.backoff!r}"
             )
         for device in self.dead_devices:
-            _check_count("dead_devices entry", device, 0)
+            check_count("dead_devices entry", device, 0)
 
     @classmethod
     def parse(cls, spec: str) -> "FaultConfig":
@@ -250,14 +242,6 @@ class FaultPolicy:
         self._lock = register_lock("faults.policy")
 
     # -- delivery faults ------------------------------------------------
-    def _drop_rate(self, kind: str, sender: str, receiver: str) -> float:
-        link = f"{sender}->{receiver}"
-        if link in self.config.drop_per_link:
-            return float(self.config.drop_per_link[link])
-        if kind in self.config.drop_per_kind:
-            return float(self.config.drop_per_kind[kind])
-        return self.config.drop
-
     def decide(self, kind: str, sender: str, receiver: str) -> Optional[FaultDecision]:
         """The fault (if any) injected into this link's next attempt."""
         key = (kind, sender, receiver)
@@ -279,7 +263,7 @@ class FaultPolicy:
         # One uniform per fault class, evaluated in severity order so at
         # most one fault fires per attempt.
         u = rng.random(4)
-        if u[0] < self._drop_rate(kind, sender, receiver):
+        if u[0] < self.config.drop:
             return FaultDecision(drop=True)
         if u[1] < self.config.corrupt:
             return FaultDecision(corrupt=True)

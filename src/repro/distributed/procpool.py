@@ -270,8 +270,7 @@ def process_map(
 
     The executor facade (:func:`repro.distributed.executor.parallel_map`)
     is the public entry point — it handles worker resolution, serial
-    fallback, the stochastic-module guard and the nested-fork
-    downgrade before delegating here with ``workers >= 2`` and
+    fallback and the nested-fork downgrade before delegating here with ``workers >= 2`` and
     ``len(items) >= 2``.
 
     Items are partitioned statically by stride (worker *w* takes items

@@ -36,9 +36,9 @@ is seeded: the same :class:`ScaleConfig` replays the identical campaign.
 
 from __future__ import annotations
 
-import numbers
 import time
 import tracemalloc
+import zlib
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -47,7 +47,7 @@ import numpy as np
 from repro.data.synthetic import make_cifar100_like
 from repro.distributed.device import DeviceNode
 from repro.distributed.edge import EdgeConfig, EdgeServer
-from repro.distributed.faults import FaultConfig, FaultPolicy, check_unit_interval
+from repro.distributed.faults import FaultConfig, FaultPolicy, check_count, check_unit_interval
 from repro.distributed.messages import Message, MessageKind
 from repro.distributed.network import Network
 from repro.distributed.state_store import DeviceStateLRU
@@ -58,6 +58,11 @@ from repro.models.header_dag import DAGHeader
 from repro.models.vit import VisionTransformer, ViTConfig
 from repro.train.serving import ServingFront
 
+#: Per-class samples of each edge's synthetic shared set.
+SAMPLES_PER_CLASS = 6
+#: Eval requests per stacked forward of a cluster's serving front.
+MICRO_BATCH = 16
+
 
 @dataclass
 class ScaleConfig:
@@ -66,7 +71,7 @@ class ScaleConfig:
     num_devices: int = 10_000
     num_clusters: int = 8
     #: Zipf exponent for cluster populations (larger = heavier head).
-    zipf_exponent: float = 1.2
+    zipf_exponent: float = 1.2  # reprolint: knob -- deferred: benchmarks/e2e reads it
     #: Length of each synthetic importance set.
     set_size: int = 64
     rounds: int = 3
@@ -75,7 +80,6 @@ class ScaleConfig:
     lru_capacity: Optional[int] = 64
     #: Serving requests sampled per cluster per round.
     eval_requests: int = 8
-    micro_batch: int = 16
     #: Deadline at this quantile of the cluster's latency distribution;
     #: 1.0 disables (every device is on time).
     deadline_quantile: float = 1.0
@@ -84,8 +88,19 @@ class ScaleConfig:
     retries: int = 2
     #: Network ledger mode: "summary" bounds log/stats memory at scale.
     ledger: str = "summary"
-    samples_per_class: int = 6
     seed: int = 0
+
+    def check(self) -> None:
+        """Refuse, naming the field, a campaign that cannot run: a fleet
+        that cannot be split into its clusters, a negative count, a rate
+        outside [0, 1].  Every :class:`ScaleCluster` checks its config
+        before it builds a device, so a value assigned after construction
+        is caught too."""
+        heavy_tailed_sizes(self.num_devices, self.num_clusters, self.zipf_exponent)
+        for name in ("rounds", "eval_requests", "retries"):
+            check_count(name, getattr(self, name), 0)
+        for name in ("drop", "churn", "deadline_quantile"):
+            check_unit_interval(name, getattr(self, name))
 
 
 def heavy_tailed_sizes(
@@ -131,20 +146,16 @@ class ScaleDevice(DeviceNode):
       (hydration is the real, measured per-device work at scale);
     * :meth:`_receive_personalized_set` acknowledges the downlink
       without pruning, because synthetic sets are not aligned to header
-      parameters.  The wire exchange (payload + ACK) is unchanged.
+      parameters, and folds the set into :attr:`sets_crc`.  The wire
+      exchange (payload + ACK) is unchanged.
     """
 
     def __init__(self, *args, set_size: int = 64, **kwargs) -> None:
-        # Refused rather than truncated, as worker specs are
-        # (``executor.resolve_workers``).
-        if (
-            isinstance(set_size, bool)
-            or not isinstance(set_size, numbers.Integral)
-            or set_size < 1
-        ):
-            raise ValueError(f"set_size must be an int >= 1, got {set_size!r}")
+        check_count("set_size", set_size, 1)
         super().__init__(*args, **kwargs)
         self.set_size = int(set_size)
+        #: CRC of every personalized set received, in arrival order.
+        self.sets_crc = 0
 
     @classmethod
     def importance_rounds(
@@ -166,6 +177,7 @@ class ScaleDevice(DeviceNode):
 
     def _receive_personalized_set(self, message: Message) -> Message:
         assert self.has_model, "model must be distributed first"
+        self.sets_crc = zlib.crc32(message.payload["importance"].tobytes(), self.sets_crc)
         return Message(self.name, message.sender, MessageKind.ACK)
 
 
@@ -190,10 +202,7 @@ class ScaleCluster(EdgeServer):
         network: Network,
         config: ScaleConfig,
     ) -> None:
-        # Checked where the field is read rather than in ScaleConfig, so
-        # a value assigned after construction is caught too — before any
-        # device is built.
-        check_unit_interval("deadline_quantile", config.deadline_quantile)
+        config.check()
         self.scale_config = config
         self.store = DeviceStateLRU(config.lru_capacity)
 
@@ -214,7 +223,7 @@ class ScaleCluster(EdgeServer):
             seed=config.seed + index,
         )
         dataset = generator.generate(
-            config.samples_per_class, seed=config.seed + 1, name=f"edge{index}"
+            SAMPLES_PER_CLASS, seed=config.seed + 1, name=f"edge{index}"
         )
         backbone = VisionTransformer(vit, seed=0)
         head_orders = [np.arange(vit.num_heads) for _ in range(vit.depth)]
@@ -282,7 +291,7 @@ class ScaleCluster(EdgeServer):
         #: every target; a round's absentees are masked out of it and
         #: the rest renormalized, like any similarity row.
         self.similarity = np.full((1, size), 1.0 / size)
-        self.front = ServingFront(backbone, micro_batch=config.micro_batch)
+        self.front = ServingFront(backbone, micro_batch=MICRO_BATCH)
 
     def _weight_rows(self, rows) -> np.ndarray:
         """The one uniform row, whoever the targets are."""
@@ -366,11 +375,43 @@ class ScaleReport:
     live_headers: int
     peak_memory_mb: Optional[float]
     total_megabytes: float
+    #: CRC over every device's :attr:`ScaleDevice.sets_crc`, in device
+    #: order: the aggregated floats the downlinks carried.
+    sets_crc: int
     kind_counts: Dict[str, int] = field(default_factory=dict)
     fault_counts: Dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+    def digest(self) -> Dict[str, Dict[str, object]]:
+        """The campaign in two halves, each comparable with ``==``, like
+        :meth:`~repro.distributed.system.ACMERunResult.digest`:
+        ``protocol`` holds what went over the fabric and through the
+        device stores (residency counters included) — integers no BLAS
+        build moves; ``numeric`` what the campaign computed.  Timings and
+        peak memory are in neither.
+        """
+        return {
+            "protocol": {
+                "cluster_sizes": list(self.cluster_sizes),
+                "contributions": self.contributions,
+                "kind_counts": dict(sorted(self.kind_counts.items())),
+                "total_bytes": int(round(self.total_megabytes * 1e6)),
+                "fault_counts": dict(sorted(self.fault_counts.items())),
+                "failed_deliveries": self.failed_deliveries,
+                "stragglers": self.stragglers,
+                "carried": self.carried,
+                "eval_requests_served": self.eval_requests_served,
+                "hydrations": self.hydrations,
+                "evictions": self.evictions,
+                "live_headers": self.live_headers,
+            },
+            "numeric": {
+                "participation": self.participation,
+                "sets_crc": self.sets_crc,
+            },
+        }
 
 
 def run_scale_campaign(
@@ -458,6 +499,9 @@ def run_scale_campaign(
         ),
         peak_memory_mb=peak_mb,
         total_megabytes=network.stats.total_megabytes(),
+        sets_crc=zlib.crc32(
+            b"".join(d.sets_crc.to_bytes(4, "big") for c in clusters for d in c.devices)
+        ),
         kind_counts=dict(network.kind_counts),
         fault_counts=network.fault_counts(),
     )

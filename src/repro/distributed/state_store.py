@@ -19,7 +19,7 @@ store's capacity:
   checkpoint form of the same dict).
 * One **shared backbone per cluster**: the edge distributes one frozen
   ``backbone_state`` to its whole cluster, so the store materializes a
-  single eval-mode :class:`VisionTransformer` for the current payload
+  single :class:`VisionTransformer` for the current payload
   and lends it to whichever devices are live.  Backbones are read-only
   during the single loop and the engine's kernels are deterministic per
   input, so "same frozen backbone" is instance identity.
@@ -41,13 +41,13 @@ the cached frozen-feature sample.  Parity is asserted bit-for-bit in
 
 from __future__ import annotations
 
-import numbers
 import weakref
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
 
+from repro.distributed.faults import check_count
 from repro.models.vit import VisionTransformer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -143,17 +143,8 @@ class DeviceStateLRU:
     """
 
     def __init__(self, capacity: Optional[int] = None) -> None:
-        # A float or a bool is refused rather than truncated, as worker
-        # specs are (``executor.resolve_workers``): the capacity sizes
-        # the edge's chunks.
-        if capacity is not None and (
-            isinstance(capacity, bool)
-            or not isinstance(capacity, numbers.Integral)
-            or capacity < 1
-        ):
-            raise ValueError(
-                f"capacity must be None or an int >= 1, got {capacity!r}"
-            )
+        if capacity is not None:  # it sizes the edge's chunks
+            check_count("capacity", capacity, 1)
         self.capacity = None if capacity is None else int(capacity)
         #: Name → ``weakref.ref(owner)``: an index of the live owners,
         #: not an owner of them (see the module text).
@@ -213,6 +204,6 @@ class DeviceStateLRU:
         """
         backbone_state, backbone = self._backbone
         if backbone_state is not payload["backbone_state"]:
-            backbone = backbone_from_payload(payload).eval()
+            backbone = backbone_from_payload(payload)
             self._backbone = (payload["backbone_state"], backbone)
         return backbone

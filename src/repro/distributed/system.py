@@ -33,13 +33,19 @@ from repro.distributed.cloud import CloudConfig, CloudServer
 from repro.distributed.device import DeviceNode
 from repro.distributed.edge import EdgeConfig, EdgeServer
 from repro.distributed.executor import ExecutionPlan
-from repro.distributed.faults import FaultConfig, FaultPolicy
+from repro.distributed.faults import FaultConfig, FaultPolicy, check_count
 from repro.distributed.metrics import centralized_upload_bytes
 from repro.distributed.network import Network, NetworkShard, TrafficStats
 from repro.distributed.state_store import DeviceStateLRU
 from repro.hw.profiles import DeviceProfile, make_fleet
 from repro.models.vit import ViTConfig, VisionTransformer
 from repro.nn.tensor import using_dtype
+
+#: The share of each device's data an edge keeps as its shared set (the
+#: 10-20 % of §IV-A).
+SHARED_FRACTION = 0.15
+#: Device storage limits in parameters, assigned round-robin.
+STORAGE_LEVELS = (20_000, 30_000, 40_000, 50_000, 60_000)
 
 
 @dataclass
@@ -56,15 +62,13 @@ class ACMEConfig:
     num_classes: int = 8
     samples_per_class: int = 48
     public_samples_per_class: int = 24
-    shared_fraction: float = 0.15  # edge keeps 10-20% of cluster data
-    dirichlet_alpha: float = 0.6  # device-level non-IID skew
+    dirichlet_alpha: float = 0.6  # reprolint: knob -- Dirichlet α of the non-IID split
     #: Derived from the other fields in ``__post_init__`` when not given
     #: (``Optional`` + post-init, since the defaults depend on
     #: ``num_classes``/``seed``/each other).
     vit: Optional[ViTConfig] = None
     cloud: Optional[CloudConfig] = None
     edge: Optional[EdgeConfig] = None
-    storage_levels: Sequence[int] = (20_000, 30_000, 40_000, 50_000, 60_000)
     device_importance: object = None  # Optional[ImportanceConfig]
     finalize: bool = True  # run final fine-tune + evaluation
     #: Engine compute precision for this run ("float32" or "float64").
@@ -107,10 +111,12 @@ class ACMEConfig:
     #: cluster follows the capacity instead of the cluster size.  Every
     #: capacity is bit-for-bit identical — tested in
     #: tests/distributed/test_state_store.py.
-    device_state_capacity: Optional[int] = None
+    device_state_capacity: Optional[int] = None  # reprolint: knob -- safety limit: residency
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_count("num_clusters", self.num_clusters, 1)
+        check_count("devices_per_cluster", self.devices_per_cluster, 1)
         if self.vit is None:
             self.vit = ViTConfig(num_classes=self.num_classes, depth=4, embed_dim=32)
         if self.cloud is None:
@@ -196,7 +202,7 @@ def build_fleet_data(
         num_clusters=cfg.num_clusters,
         devices_per_cluster=cfg.devices_per_cluster,
         seed=cfg.seed,
-        storage_levels=cfg.storage_levels,
+        storage_levels=STORAGE_LEVELS,
     )
     # Edge shared datasets: a fraction of each device's data (the
     # 10-20% of §IV-A), drawn cluster by cluster.
@@ -205,7 +211,7 @@ def build_fleet_data(
         base = cluster_idx * cfg.devices_per_cluster
         local_sets = device_datasets[base : base + cfg.devices_per_cluster]
         shared_parts = [
-            d.sample(max(2, int(cfg.shared_fraction * len(d))), rng)
+            d.sample(max(2, int(SHARED_FRACTION * len(d))), rng)
             for d in local_sets
         ]
         shared_datasets.append(merge(shared_parts, name=f"edge{cluster_idx}-shared"))

@@ -84,20 +84,20 @@ class TransportConfig:
     #: 0 = let the OS pick (the hub reports the bound port).
     port: int = 0
     #: Seconds between a link's heartbeat frames.
-    heartbeat_interval: float = 0.25
+    heartbeat_interval: float = 0.25  # reprolint: knob -- safety limit: liveness
     #: Intervals without any inbound frame before a peer is declared dead.
-    heartbeat_misses: int = 8
+    heartbeat_misses: int = 8  # reprolint: knob -- safety limit: a silent peer is pruned
     #: Per-request ceiling; an overrun surfaces as a retryable timeout.
-    request_timeout: float = 120.0
+    request_timeout: float = 120.0  # reprolint: knob -- safety limit: no request waits forever
     #: Per-dial (connect + hello exchange) ceiling.
-    connect_timeout: float = 10.0
+    connect_timeout: float = 10.0  # reprolint: knob -- safety limit: no dial waits forever
     #: First re-dial delay; doubles per attempt up to the cap.
-    reconnect_backoff: float = 0.05
-    reconnect_backoff_cap: float = 2.0
+    reconnect_backoff: float = 0.05  # reprolint: knob -- safety limit: re-dial pacing
+    reconnect_backoff_cap: float = 2.0  # reprolint: knob -- safety limit: re-dial pacing
     #: Dial attempts per reconnect before the failure is surfaced.
-    reconnect_attempts: int = 8
+    reconnect_attempts: int = 8  # reprolint: knob -- safety limit: a dead hub is surfaced
     #: Frame-body ceiling forwarded to the wire layer.
-    max_frame: int = wire.MAX_FRAME
+    max_frame: int = wire.MAX_FRAME  # reprolint: knob -- safety limit: oversized frames refused
 
 
 def _now() -> float:

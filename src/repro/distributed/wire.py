@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from dataclasses import asdict
 from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
@@ -136,44 +137,15 @@ def _register_builtin_codecs() -> None:
     from repro.models.blocks import HeaderSpec
     from repro.models.vit import ViTConfig
 
-    register_codec(
-        "vit_config",
-        ViTConfig,
-        lambda c: {
-            "image_size": c.image_size,
-            "patch_size": c.patch_size,
-            "channels": c.channels,
-            "embed_dim": c.embed_dim,
-            "depth": c.depth,
-            "num_heads": c.num_heads,
-            "mlp_ratio": c.mlp_ratio,
-            "num_classes": c.num_classes,
-            "dropout": c.dropout,
-        },
-        lambda s: ViTConfig(**s),
-    )
+    # A dataclass travels as its fields, in declaration order.
+    register_codec("vit_config", ViTConfig, asdict, lambda s: ViTConfig(**s))
     register_codec(
         "header_spec",
         HeaderSpec,
         lambda h: {"seq": h.to_sequence(), "repeats": h.repeats},
         lambda s: HeaderSpec.from_sequence(s["seq"], repeats=s["repeats"]),
     )
-    register_codec(
-        "device_profile",
-        DeviceProfile,
-        lambda p: {
-            "device_id": p.device_id,
-            "gpu_capacity": p.gpu_capacity,
-            "storage_limit": p.storage_limit,
-            "num_patches": p.num_patches,
-            "batch_size": p.batch_size,
-            "base_power": p.base_power,
-            "power_per_layer": p.power_per_layer,
-            "base_latency": p.base_latency,
-            "latency_per_layer": p.latency_per_layer,
-        },
-        lambda s: DeviceProfile(**s),
-    )
+    register_codec("device_profile", DeviceProfile, asdict, lambda s: DeviceProfile(**s))
     register_codec(
         "array_dataset",
         ArrayDataset,

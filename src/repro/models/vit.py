@@ -22,6 +22,9 @@ from repro.nn.layers import LayerNorm, Linear, Module, Parameter
 from repro.nn.tensor import Tensor, concatenate
 from repro.nn.transformer import TransformerEncoder, check_depth
 
+#: Colour channels of every input image (RGB).
+CHANNELS = 3
+
 
 @dataclass(frozen=True)
 class ViTConfig:
@@ -34,21 +37,17 @@ class ViTConfig:
 
     image_size: int = 16
     patch_size: int = 4
-    channels: int = 3
     embed_dim: int = 32
     depth: int = 6
     num_heads: int = 4
     mlp_ratio: float = 2.0
     num_classes: int = 20
-    dropout: float = 0.0
 
     def __post_init__(self) -> None:
         if self.image_size % self.patch_size != 0:
             raise ValueError("patch_size must divide image_size")
         if self.embed_dim % self.num_heads != 0:
             raise ValueError("num_heads must divide embed_dim")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
     @property
     def num_patches(self) -> int:
@@ -78,7 +77,7 @@ class PatchEmbedding(Module):
     def __init__(self, config: ViTConfig, rng: np.random.Generator) -> None:
         super().__init__()
         self.config = config
-        patch_dim = config.channels * config.patch_size**2
+        patch_dim = CHANNELS * config.patch_size**2
         self.proj = Linear(patch_dim, config.embed_dim, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -86,9 +85,9 @@ class PatchEmbedding(Module):
         n = x.shape[0]
         p = cfg.patch_size
         grid = cfg.image_size // p
-        x = x.reshape(n, cfg.channels, grid, p, grid, p)
+        x = x.reshape(n, CHANNELS, grid, p, grid, p)
         x = x.transpose((0, 2, 4, 1, 3, 5))
-        x = x.reshape(n, grid * grid, cfg.channels * p * p)
+        x = x.reshape(n, grid * grid, CHANNELS * p * p)
         return self.proj(x)
 
 
@@ -116,7 +115,6 @@ class VisionTransformer(Module):
             embed_dim=config.embed_dim,
             num_heads=config.num_heads,
             mlp_ratio=config.mlp_ratio,
-            dropout=config.dropout,
             rng=rng,
         )
         self.norm = LayerNorm(config.embed_dim)

@@ -30,14 +30,12 @@ from repro.nn.conv import (
 from repro.nn.init import default_generator, set_seed
 from repro.nn.layers import (
     Activation,
-    Dropout,
     Linear,
     LayerNorm,
     MLP,
     Module,
     Parameter,
     Sequential,
-    has_active_stochastic_modules,
 )
 from repro.nn.lstm import LSTMCell
 from repro.nn.optim import Adam, FleetOptimizer, clip_grad_norm
@@ -64,7 +62,6 @@ __all__ = [
     "Adam",
     "AvgPool2d",
     "Conv2d",
-    "Dropout",
     "GlobalAvgPool2d",
     "LSTMCell",
     "LayerNorm",
@@ -85,7 +82,6 @@ __all__ = [
     "enable_grad",
     "functional",
     "get_default_dtype",
-    "has_active_stochastic_modules",
     "im2col_cache_info",
     "is_grad_enabled",
     "json_nbytes",

@@ -4,7 +4,7 @@ These cover the numerically-sensitive compound ops (log-softmax and the
 losses, layer normalization) with hand-derived backward passes where
 fusing is materially faster or more stable than composing primitives.
 
-Layer norm, linear, softmax attention, GELU and dropout each have **one
+Layer norm, linear, softmax attention and GELU each have **one
 numpy body** here (``*_forward`` / ``*_backward``, arrays in and out).
 The single-op tape functions below wrap them, and so does the fused
 encoder block (:mod:`repro.nn.transformer`), so the two agree bit for
@@ -160,13 +160,6 @@ def gelu_backward(grad: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
     dinner = c * (1.0 + 3 * 0.044715 * _pow(x, 2))
     local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
     return grad * local
-
-
-def dropout_mask(shape, p: float, rng: np.random.Generator, dtype) -> np.ndarray:
-    """Inverted-dropout multiplier of ``dtype``: survivors scaled by ``1/(1-p)``."""
-    mask = (rng.random(shape) >= p).astype(dtype)
-    mask *= 1.0 / (1.0 - p)
-    return mask
 
 
 # ----------------------------------------------------------------------
@@ -339,21 +332,6 @@ def layer_norm(
             x._accumulate(gx)
 
     return Tensor._make(out_data, (x, gamma, beta), backward)
-
-
-def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout: at train time scale survivors by ``1/(1-p)``."""
-    if not training or p <= 0.0:
-        return x
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    mask = dropout_mask(x.shape, p, rng, x.dtype)
-    out_data = x.data * mask
-
-    def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad * mask)
-
-    return Tensor._make(out_data, (x,), backward)
 
 
 def gelu(x: Tensor) -> Tensor:

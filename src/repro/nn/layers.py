@@ -28,14 +28,14 @@ class Module:
     """Base class for all layers and models.
 
     Subclasses assign :class:`Parameter` and :class:`Module` instances as
-    attributes; these are discovered automatically for ``parameters()``,
-    ``state_dict()`` and recursive mode switching.
+    attributes; these are discovered automatically for ``parameters()``
+    and ``state_dict()``.  No layer behaves differently in training and
+    evaluation, so a module has no mode.
     """
 
     def __init__(self) -> None:
         self._parameters: "OrderedDict[str, Parameter]" = OrderedDict()
         self._modules: "OrderedDict[str, Module]" = OrderedDict()
-        self.training: bool = True
 
     # -- attribute registration ---------------------------------------
     def __setattr__(self, name: str, value) -> None:
@@ -78,15 +78,6 @@ class Module:
     def num_parameters(self) -> int:
         """Total scalar parameter count (used for ζ-style accounting)."""
         return int(sum(p.size for p in self.parameters()))
-
-    # -- training state --------------------------------------------------
-    def train(self, mode: bool = True) -> "Module":
-        for module in self.modules():
-            module.training = mode
-        return self
-
-    def eval(self) -> "Module":
-        return self.train(False)
 
     def zero_grad(self, reuse_buffers: bool = False) -> None:
         """Clear all parameter gradients.
@@ -199,43 +190,6 @@ class LayerNorm(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.layer_norm(x, self.gamma, self.beta, eps=self.eps)
-
-
-class Dropout(Module):
-    """Inverted dropout with its own deterministic RNG stream."""
-
-    def __init__(self, p: float = 0.1, seed: int = 0) -> None:
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self._rng = np.random.default_rng(seed)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.p, self._rng, training=self.training)
-
-    def mask(self, like: np.ndarray) -> Optional[np.ndarray]:
-        """The multiplier a forward over the array ``like`` would draw, or
-        ``None`` when it would pass its input through (eval mode or
-        ``p == 0``)."""
-        if not self.training or self.p <= 0.0:
-            return None
-        return F.dropout_mask(like.shape, self.p, self._rng, like.dtype)
-
-
-def has_active_stochastic_modules(module: Module) -> bool:
-    """True if a forward through ``module`` would consume module-local RNG.
-
-    Shared-model fan-outs (similarity feature extraction, NAS child
-    scoring) check this before going parallel: a training-mode
-    ``Dropout`` with ``p > 0`` draws from its per-module generator, and
-    concurrent draws from one numpy ``Generator`` are neither
-    deterministic nor safe — such models must be driven serially (or
-    switched to ``eval()``) to reproduce the serial run.
-    """
-    return any(
-        isinstance(m, Dropout) and m.p > 0 and m.training for m in module.modules()
-    )
 
 
 class Sequential(Module):

@@ -44,6 +44,12 @@ import numpy as np
 from repro.analysis.registry import hotpath, register_lock
 from repro.nn.tensor import Tensor
 
+#: The learning rate of every header-training, importance-round and
+#: distillation run (the NAS keeps its own two, ``repro.core.nas``).
+LR: Final = 1e-3
+#: The global gradient-norm bound of every clipped training loop.
+GRAD_CLIP: Final = 5.0
+
 #: Live optimizers, notified when a module rebinds parameter storage
 #: (``Module.astype``) so fused flat groups never step stale memory.
 #: Mutated only under ``_REGISTRY_LOCK``; never rebound.

@@ -57,8 +57,8 @@ _SUPPORTED_DTYPES: Final = {
 
 #: Engine compute precision for newly created tensors (context-local).
 #: float32 is the import-time default, and so is a system run's
-#: (``ACMEConfig.compute_dtype``): every kernel, gradient and dropout
-#: mask stays in it, with half the memory traffic of float64.
+#: (``ACMEConfig.compute_dtype``): every kernel and gradient stays
+#: in it, with half the memory traffic of float64.
 _DEFAULT_DTYPE_VAR: contextvars.ContextVar = contextvars.ContextVar(
     "repro_default_dtype", default=np.float32
 )

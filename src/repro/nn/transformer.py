@@ -11,8 +11,8 @@ structural degrees of freedom matter to the paper:
 Both are cheap boolean toggles, so the δ(θ0, w, d) transformation of §II-C
 never rebuilds parameter tensors.
 
-A block's forward is **one tape node**.  It runs LN → attention → dropout
-→ residual → LN → MLP (GELU, neuron mask) → dropout → residual as plain
+A block's forward is **one tape node**.  It runs LN → attention →
+residual → LN → MLP (GELU, neuron mask) → residual as plain
 numpy calls — the bodies of :mod:`repro.nn.functional`, in the order,
 on the operand views and in the dtypes a chain of single-op nodes would
 use — and keeps only the arrays its backward reads.  The hand-written
@@ -35,7 +35,7 @@ import numpy as np
 from repro.nn import functional as F
 from repro.nn import init
 from repro.nn.attention import MultiHeadSelfAttention
-from repro.nn.layers import Dropout, LayerNorm, MLP, Module
+from repro.nn.layers import LayerNorm, MLP, Module
 from repro.nn.tensor import Tensor, _as_array, records
 
 
@@ -59,7 +59,6 @@ class TransformerEncoderLayer(Module):
         embed_dim: int,
         num_heads: int,
         mlp_ratio: float = 4.0,
-        dropout: float = 0.0,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
@@ -69,7 +68,7 @@ class TransformerEncoderLayer(Module):
         self.attn = MultiHeadSelfAttention(embed_dim, num_heads, rng=rng)
         self.norm2 = LayerNorm(embed_dim)
         self.mlp = MLP(embed_dim, hidden, embed_dim, activation="gelu", rng=rng)
-        self.drop = Dropout(dropout, seed=int(rng.integers(2**31)))
+        rng.integers(2**31)  # the old dropout seed: later layers' init depends on it
         # Depth toggle: inactive layers pass input through untouched.
         self.active: bool = True
 
@@ -105,9 +104,6 @@ class TransformerEncoderLayer(Module):
         )
         a = _as_array(a)
         h, attend_back = self.attn.attend(a, taped)
-        drop1 = self.drop.mask(h)
-        if drop1 is not None:
-            h = _as_array(h * drop1)
         x1 = _as_array(x + h)
 
         a2, x_hat2, inv_std2 = F.layer_norm_forward(
@@ -122,9 +118,6 @@ class TransformerEncoderLayer(Module):
             neurons = _as_array(mlp.neuron_mask.astype(float))
         fed = hidden if neurons is None else _as_array(hidden * neurons)
         m = _as_array(F.linear_forward(fed, fc2.weight.data, fc2.bias.data))
-        drop2 = self.drop.mask(m)
-        if drop2 is not None:
-            m = _as_array(m * drop2)
         out = x1 + m
         if not taped:
             return out, None
@@ -132,16 +125,14 @@ class TransformerEncoderLayer(Module):
         recorded = mlp.last_hidden = Tensor(hidden)
 
         def pullback(grad: np.ndarray):
-            g = grad if drop2 is None else grad * drop2
-            g = F.linear_backward(g, fed, fc2.weight, fc2.bias)
+            g = F.linear_backward(grad, fed, fc2.weight, fc2.bias)
             if neurons is not None:
                 g = g * neurons
             recorded._accumulate(g)
             g = F.gelu_backward(g, pre, tanh)
             g = F.linear_backward(g, a2, fc1.weight, fc1.bias)
             g_x1 = grad + F.layer_norm_backward(g, norm2.gamma, norm2.beta, x_hat2, inv_std2)
-            g = g_x1 if drop1 is None else g_x1 * drop1
-            g = attend_back(g)
+            g = attend_back(g_x1)
             return g_x1, F.layer_norm_backward(g, norm1.gamma, norm1.beta, x_hat1, inv_std1)
 
         return out, pullback
@@ -161,7 +152,6 @@ class TransformerEncoder(Module):
         embed_dim: int,
         num_heads: int,
         mlp_ratio: float = 4.0,
-        dropout: float = 0.0,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
@@ -170,7 +160,7 @@ class TransformerEncoder(Module):
         self.layers: List[TransformerEncoderLayer] = []
         for i in range(depth):
             layer = TransformerEncoderLayer(
-                embed_dim, num_heads, mlp_ratio=mlp_ratio, dropout=dropout, rng=rng
+                embed_dim, num_heads, mlp_ratio=mlp_ratio, rng=rng
             )
             self.register_module(f"block{i}", layer)
             self.layers.append(layer)

@@ -3,7 +3,6 @@
 from repro.train.evaluate import evaluate_header, evaluate_model
 from repro.train.fleet import (
     fleet_importance_rounds,
-    fleet_supported,
     train_headers_fleet,
 )
 from repro.train.serving import (
@@ -24,7 +23,6 @@ __all__ = [
     "evaluate_header",
     "evaluate_model",
     "fleet_importance_rounds",
-    "fleet_supported",
     "train_header",
     "train_headers_fleet",
     "train_model",

@@ -36,7 +36,6 @@ def evaluate_model(
         # fallback default ever changes
         dataset, batch_size=batch_size, shuffle=False, rng=np.random.default_rng(0)
     )
-    model.eval()
     correct, total, loss_sum = 0, 0, 0.0
     with no_grad():
         for batch_idx, (images, labels) in enumerate(loader):
@@ -66,7 +65,6 @@ def evaluate_header(
         # fallback default ever changes
         dataset, batch_size=batch_size, shuffle=False, rng=np.random.default_rng(0)
     )
-    header.eval()
     correct, total, loss_sum = 0, 0, 0.0
     with no_grad():
         for batch_idx, (images, labels) in enumerate(loader):

@@ -10,8 +10,8 @@ local updates is N small, structurally identical training steps.
    hands in, or are swept **once** here (one chunked ``no_grad`` pass
    over all uncached members' samples, :mod:`repro.train.serving`);
 2. each round, the active members' mini-batch rows are gathered from
-   those caches (or, for a batch-capped or stochastic backbone, forwarded
-   in one stacked tape-free pass over exactly those rows);
+   those caches (or, for a batch-capped schedule, forwarded in one
+   stacked tape-free pass over exactly those rows);
 3. each member's header forwards its own rows (weights differ per
    member, so forwards stay per-header), the logits are stacked
    row-wise into one tensor, and
@@ -43,12 +43,9 @@ concatenation).
 
 Members may have different dataset sizes, epoch counts and batch caps —
 each keeps its own shuffle stream, epoch schedule and Adam step counter,
-simply dropping out of rounds it has no batch for.  Stochastic models
-(training-mode dropout) run as consecutive fleets of one: one
-concatenated graph would consume module-local RNG in a different order
-than N separate loops (see
-:func:`repro.nn.layers.has_active_stochastic_modules`), while one member
-forwards exactly the rows, in exactly the order, a per-device loop does.
+simply dropping out of rounds it has no batch for.  The fleet serves
+every member from **one** backbone instance — the one a cluster's
+devices all borrow from their store.
 """
 
 from __future__ import annotations
@@ -63,25 +60,11 @@ from repro.core.importance import header_parameter_importance
 from repro.data.dataset import ArrayDataset, DataLoader
 from repro.models.headers import BackboneFeatures
 from repro.nn import functional as F
-from repro.nn.layers import Module, has_active_stochastic_modules
-from repro.nn.optim import FleetOptimizer, clip_grad_norm
+from repro.nn.layers import Module
+from repro.nn.optim import GRAD_CLIP, LR, FleetOptimizer, clip_grad_norm
 from repro.nn.tensor import concatenate
 from repro.train import serving
 from repro.train.trainer import TrainConfig, TrainReport
-
-
-def fleet_supported(backbone: Module, headers: Sequence[Module]) -> bool:
-    """Whether one stacked graph reproduces the per-member loops exactly.
-
-    False when any forward would consume module-local RNG
-    (training-mode dropout): a fleet round draws a different stream than
-    N separate loops, so such fleets train one member at a time.
-    The fleet serves every member from **one** backbone instance —
-    the one a cluster's devices all borrow from their store.
-    """
-    if has_active_stochastic_modules(backbone):
-        return False
-    return not any(has_active_stochastic_modules(h) for h in headers)
 
 
 def _resolve_configs(configs, count: int, default_factory) -> List:
@@ -105,6 +88,7 @@ class _Member:
         dataset: ArrayDataset,
         config,
         features: Optional[BackboneFeatures],
+        max_batches: Optional[int],
     ) -> None:
         #: Position in the front-end's ``headers`` — what its hook is
         #: keyed by, however the members are split into rounds.
@@ -118,10 +102,8 @@ class _Member:
         #: which outlives the call), or :func:`_sweep_features`'s.
         self.features = features
         self.epochs = config.epochs
-        self.max_batches = config.max_batches_per_epoch
-        self.lr = config.lr
-        # An ImportanceConfig has none: importance reads raw gradients.
-        self.grad_clip = getattr(config, "grad_clip", None)
+        #: Batches per epoch, ``None`` for the whole dataset.
+        self.max_batches = max_batches
         self.loader = DataLoader(
             dataset,
             batch_size=config.batch_size,
@@ -196,13 +178,16 @@ class _Member:
 
 
 def _members(headers, datasets, configs, default_config, features) -> List[_Member]:
+    """One member per header; an :class:`ImportanceConfig` caps its
+    epochs at ``max_batches_per_epoch``, a :class:`TrainConfig` does not."""
     if len(headers) != len(datasets):
         raise ValueError(f"{len(headers)} headers vs {len(datasets)} datasets")
     configs = _resolve_configs(configs, len(headers), default_config)
     if features is None:
         features = [None] * len(headers)
+    capped = default_config is ImportanceConfig
     return [
-        _Member(i, h, d, c, f)
+        _Member(i, h, d, c, f, c.max_batches_per_epoch if capped else None)
         for i, (h, d, c, f) in enumerate(zip(headers, datasets, configs, features))
     ]
 
@@ -211,12 +196,9 @@ def _sweep_features(backbone: Module, members: Sequence[_Member]) -> None:
     """One chunked tape-free sweep for the members that need a cache.
 
     A frozen backbone is a pure per-sample feature extractor, so one
-    sweep serves every epoch — unless it consumes module-local RNG
-    (training-mode dropout), where per-batch draws must be preserved, or
-    the member's epochs are batch-capped (:attr:`_Member.visits_every_row`).
+    sweep serves every epoch — unless the member's epochs are
+    batch-capped (:attr:`_Member.visits_every_row`).
     """
-    if has_active_stochastic_modules(backbone):
-        return
     swept = [
         m
         for m in members
@@ -263,21 +245,19 @@ def _run_rounds(
     members: Sequence[_Member],
     step: bool = True,
     on_step: Optional[Callable[[_Member], None]] = None,
+    grad_clip: Optional[float] = None,
 ) -> None:
     """The round loop: gather → forward → masked loss → one step.
 
-    ``on_step`` sees each active member between ``backward()`` and the
+    ``grad_clip`` bounds each member's gradient norm after
+    ``backward()``; ``on_step`` then sees each active member before the
     optimizer step; ``step=False`` leaves the weights alone (gradients
     only).
     """
     if not members:
         return
-    if len(members) > 1 and not fleet_supported(backbone, [m.header for m in members]):
-        for member in members:
-            _run_rounds(backbone, [member], step, on_step)
-        return
     _sweep_features(backbone, members)
-    optimizer = FleetOptimizer([m.params for m in members], lr=[m.lr for m in members])
+    optimizer = FleetOptimizer([m.params for m in members], lr=LR)
     while True:
         active: List[int] = []
         batches: List[np.ndarray] = []
@@ -304,8 +284,8 @@ def _run_rounds(
         optimizer.zero_grad(active)
         total.backward()
         for member in stepping:
-            if member.grad_clip is not None:
-                clip_grad_norm(member.params, member.grad_clip)
+            if grad_clip is not None:
+                clip_grad_norm(member.params, grad_clip)
             if on_step is not None:
                 on_step(member)
         if step:
@@ -326,7 +306,8 @@ def train_headers_fleet(
     """Train headers over one shared frozen backbone (the Phase 2-2 setting).
 
     Each member follows its own :class:`TrainConfig` schedule (shuffle
-    stream, epochs, batch cap, learning rate, gradient clip); each round
+    stream, epochs, batch size); gradients are clipped at
+    :data:`~repro.nn.optim.GRAD_CLIP`; each round
     runs as one stacked graph with a single fused optimizer step.
     ``features`` aligns with ``headers``: member ``i``'s precomputed
     features over ``datasets[i].images`` (or ``None``) — a cache the
@@ -334,11 +315,7 @@ def train_headers_fleet(
     bit-identical to the forward it replaces.
     """
     members = _members(headers, datasets, configs, TrainConfig, features)
-    for header in headers:
-        header.train()
-    _run_rounds(backbone, members)
-    for header in headers:
-        header.eval()
+    _run_rounds(backbone, members, grad_clip=GRAD_CLIP)
     return [
         TrainReport(epoch_losses=m.epoch_losses, epoch_accuracies=m.epoch_accuracies)
         for m in members

@@ -20,11 +20,6 @@ Numerical contract: the engine's kernels are row-independent (matmuls,
 layer norm, softmax, im2col convolutions all operate per sample), so a
 batched forward is **bit-for-bit identical** per sample to the separate
 forwards it replaces (asserted in ``tests/train/test_serving.py``).
-Models whose forward consumes module-local RNG (training-mode dropout)
-are the exception — one concatenated forward would draw a different
-stream than N separate forwards — so every entry point here falls back
-to the unbatched path via
-:func:`repro.nn.layers.has_active_stochastic_modules`.
 """
 
 from __future__ import annotations
@@ -37,9 +32,9 @@ import numpy as np
 from repro.analysis.registry import register_lock
 from repro.data.dataset import ArrayDataset, DataLoader
 from repro.models.headers import BackboneFeatures, gather_features  # noqa: F401  (re-export)
-from repro.nn.layers import Module, has_active_stochastic_modules
+from repro.nn.layers import Module
 from repro.nn.tensor import Tensor, no_grad
-from repro.train.evaluate import batch_metrics, evaluate_header
+from repro.train.evaluate import batch_metrics
 
 
 def _concat_rows(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -101,8 +96,7 @@ def precompute_backbone_features(
     bit-for-bit identical to running the backbone on any mini-batch of
     the same samples — which is what lets ``train_header`` compute the
     frozen backbone **once per training run** instead of once per batch
-    per epoch.  Callers must keep stochastic backbones (training-mode
-    dropout) on the per-batch path.
+    per epoch.
     """
     images = np.asarray(images)
     cls_parts, token_parts, penult_parts = [], [], []
@@ -132,8 +126,6 @@ def batched_extract_features(
     Mirrors :func:`repro.core.similarity.extract_features` — dataset ``i``
     is sampled with ``default_rng(seed + i)`` exactly like the per-dataset
     loop — but runs the frozen model once over the concatenated samples.
-    Callers must route stochastic models (training-mode dropout) through
-    the unbatched path; see the module docstring.
     """
     samples = []
     for i, dataset in enumerate(datasets):
@@ -165,22 +157,10 @@ def batched_evaluate_headers(
     same loaders, batch ops and metric accumulation — but each round's
     per-device batches share a single backbone forward.  Datasets may
     have different sizes; devices simply drop out of later rounds.
-    Falls back to the per-pair loop when a forward would consume
-    module-local RNG (multi-device batching would change the stream).
     """
     if len(headers) != len(datasets):
         raise ValueError(f"{len(headers)} headers vs {len(datasets)} datasets")
-    if len(headers) > 1 and (
-        has_active_stochastic_modules(backbone)
-        or any(has_active_stochastic_modules(h) for h in headers)
-    ):
-        return [
-            evaluate_header(backbone, h, d, batch_size=batch_size, max_batches=max_batches)
-            for h, d in zip(headers, datasets)
-        ]
 
-    for header in headers:
-        header.eval()
     iterators = [
         iter(
             DataLoader(

@@ -12,19 +12,18 @@ from repro.models.headers import BackboneFeatures, Header
 from repro.models.vit import VisionTransformer
 from repro.nn import functional as F
 from repro.nn.layers import Module
-from repro.nn.optim import Adam, clip_grad_norm
+from repro.nn.optim import GRAD_CLIP, LR, Adam, clip_grad_norm
 from repro.nn.tensor import Tensor
 
 
 @dataclass
 class TrainConfig:
-    """Hyperparameters shared by the training helpers."""
+    """Hyperparameters shared by the training helpers (every epoch
+    visits the whole set; the learning rate and clip bound are
+    :data:`~repro.nn.optim.LR` and :data:`~repro.nn.optim.GRAD_CLIP`)."""
 
     epochs: int = 3
     batch_size: int = 32
-    lr: float = 1e-3
-    grad_clip: float = 5.0
-    max_batches_per_epoch: Optional[int] = None
     seed: int = 0
 
 
@@ -47,33 +46,25 @@ class TrainReport:
 def _train_taped(
     forward: Callable[[np.ndarray], Tensor],
     params: List[Tensor],
-    module: Module,
     dataset: ArrayDataset,
     config: Optional[TrainConfig],
     after_step: Optional[Callable[[], None]] = None,
 ) -> TrainReport:
     """The taped mini-batch loop: ``forward(images) -> logits`` trains
-    ``params``; ``module`` is what enters and leaves training mode."""
+    ``params``."""
     config = config or TrainConfig()
     rng = np.random.default_rng(config.seed)
-    optimizer = Adam(params, lr=config.lr)
+    optimizer = Adam(params, lr=LR)
     report = TrainReport()
     loader = DataLoader(dataset, batch_size=config.batch_size, shuffle=True, rng=rng)
-
-    module.train()
     for _epoch in range(config.epochs):
         losses, correct, total = [], 0, 0
-        for batch_idx, (images, labels) in enumerate(loader):
-            if (
-                config.max_batches_per_epoch is not None
-                and batch_idx >= config.max_batches_per_epoch
-            ):
-                break
+        for images, labels in loader:
             logits = forward(images)
             loss = F.cross_entropy(logits, labels)
             optimizer.zero_grad()
             loss.backward()
-            clip_grad_norm(optimizer.params, config.grad_clip)
+            clip_grad_norm(optimizer.params, GRAD_CLIP)
             optimizer.step()
             if after_step is not None:
                 after_step()
@@ -82,7 +73,6 @@ def _train_taped(
             total += labels.shape[0]
         report.epoch_losses.append(float(np.mean(losses)) if losses else float("nan"))
         report.epoch_accuracies.append(correct / max(1, total))
-    module.eval()
     return report
 
 
@@ -93,7 +83,7 @@ def train_model(
 ) -> TrainReport:
     """Train an end-to-end model (``forward(images) -> logits``)."""
     return _train_taped(
-        lambda images: model(Tensor(images)), model.parameters(), model, dataset, config
+        lambda images: model(Tensor(images)), model.parameters(), dataset, config
     )
 
 
@@ -116,8 +106,8 @@ def train_header(
     ``dataset.images``, row-aligned — is a cache the caller owns across
     calls (:meth:`repro.distributed.device.DeviceNode.frozen_features`):
     every mini-batch is then a row gather, bit-identical to the forward
-    it replaces.  Without it a frozen, RNG-free backbone is still swept
-    once per call when the epochs visit every row.
+    it replaces.  Without it a frozen backbone is still swept once per
+    call.
     """
     if freeze_backbone:
         from repro.train.fleet import train_headers_fleet  # lazy: fleet imports this module
@@ -130,11 +120,10 @@ def train_header(
         return header(BackboneFeatures(*backbone.forward_features_multi(Tensor(images))))
 
     # A taped backbone trains with the header — a different computation
-    # from the frozen loop; only the header toggles training mode.
+    # from the frozen loop.
     return _train_taped(
         forward,
         header.parameters() + backbone.parameters(),
-        header,
         dataset,
         config,
         after_step=getattr(header, "reapply_mask", None),

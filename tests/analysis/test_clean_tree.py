@@ -167,3 +167,52 @@ def test_an_unreached_def_flips_the_exit_and_a_consumer_flips_it_back(tmp_path):
         encoding="utf-8",
     )
     assert lint_paths([src], registry_check=False) == []
+
+
+def test_an_unset_field_flips_the_exit_and_only_a_consumer_flips_it_back(tmp_path):
+    """A field nothing outside ``tests/`` sets is a KNOB001 exit; a test
+    setting it is no setting, one example line is."""
+    _copy_tree_with_consumers(tmp_path)
+    src = str(tmp_path / "src")
+    synthetic = tmp_path / "src" / "repro" / "data" / "synthetic.py"
+    synthetic.write_text(
+        synthetic.read_text(encoding="utf-8").replace(
+            "    noise_scale: float = 0.7\n",
+            "    noise_scale: float = 0.7\n    contrast_gain: float = 1.0\n",
+        ),
+        encoding="utf-8",
+    )
+    own_test = tmp_path / "tests" / "data" / "test_gain.py"
+    own_test.parent.mkdir()
+    own_test.write_text(
+        "from repro.data.synthetic import SyntheticSpec\n\n\n"
+        "def test_gain():\n"
+        "    assert SyntheticSpec(4, contrast_gain=2.0).contrast_gain == 2.0\n",
+        encoding="utf-8",
+    )
+    findings = lint_paths([src], registry_check=False)
+    assert [f.rule for f in findings] == ["KNOB001"], [f.render() for f in findings]
+    assert "`SyntheticSpec.contrast_gain`" in findings[0].message
+
+    example = tmp_path / "examples" / "quickstart.py"
+    example.write_text(
+        example.read_text(encoding="utf-8")
+        + "\nGAIN = {'contrast_gain': 1.5}\n",
+        encoding="utf-8",
+    )
+    assert lint_paths([src], registry_check=False) == []
+
+
+def test_stripping_a_knob_anchor_flips_the_exit(tmp_path):
+    """λ1 / λ2 of Eq. 9 stay settable only through their anchors."""
+    _copy_tree_with_consumers(tmp_path)
+    distill = tmp_path / "src" / "repro" / "core" / "distill.py"
+    source = distill.read_text(encoding="utf-8")
+    stripped, n = re.subn(r"  # reprolint: knob[^\n]*", "", source)
+    assert n == 2, "expected the two anchored λ weights in distill.py"
+    distill.write_text(stripped, encoding="utf-8")
+    findings = lint_paths([str(tmp_path / "src")], registry_check=False)
+    assert sorted(f.message.split("`")[1] for f in findings) == [
+        "DistillConfig.lambda_embed",
+        "DistillConfig.lambda_logits",
+    ]

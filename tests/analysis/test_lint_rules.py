@@ -16,7 +16,7 @@ from collections import Counter
 import pytest
 
 from repro.analysis.lint import lint_fixture, lint_source, self_test
-from repro.analysis.rules import RULES, identifier_uses, rule_tokens
+from repro.analysis.rules import RULES, identifier_uses, knob_settings, rule_tokens
 
 RULE_IDS = [rule.id for rule in RULES]
 
@@ -167,6 +167,98 @@ def test_dead001_counts_uses_outside_the_defs_own_body():
         assert [f.message.split("`")[1] for f in flagged] == ["Walker"]
     # ... unless the import is a package ``__init__`` re-export.
     assert identifier_uses(ast.parse("from m import walk"), imports=False) == Counter()
+
+
+KNOB_SRC = (
+    "from dataclasses import dataclass, field\n"
+    "\n"
+    "\n"
+    "@dataclass\n"
+    "class RunConfig:\n"
+    "    epochs: int = 3\n"
+    "    momentum: float = 0.9\n"
+)
+
+
+def _knob_findings(src, *consumers):
+    sets = knob_settings(ast.parse(src))
+    for consumer in consumers:
+        sets += knob_settings(ast.parse(consumer))
+    return [
+        f.message.split("`")[1]
+        for f in lint_source(src, rel="repro/core/_s.py", tree_sets=sets)
+        if f.rule == "KNOB001"
+    ]
+
+
+def test_knob001_needs_the_tree():
+    """One file linted on its own cannot tell whether anything sets a
+    field; a suppression naming the rule is not idle there."""
+    src = KNOB_SRC.replace(
+        "    momentum: float = 0.9\n",
+        "    momentum: float = 0.9  # reprolint: knob -- Eq. 5: the paper's β\n",
+    )
+    assert lint_source(src, rel="repro/core/_s.py") == []
+    assert _knob_findings(KNOB_SRC) == ["RunConfig.epochs", "RunConfig.momentum"]
+
+
+@pytest.mark.parametrize(
+    "consumer",
+    [
+        "RunConfig(momentum=0.5)",
+        "RunConfig(3, 0.5)",
+        "RunConfig(*spec)",
+        "dataclasses.replace(config, momentum=0.5)",
+        "config.momentum = 0.5",
+        "run.config.momentum *= 0.5",
+        "OVERRIDES = {'momentum': 0.5}",
+    ],
+)
+def test_knob001_every_way_of_setting_a_field_counts(consumer):
+    assert _knob_findings(KNOB_SRC, "RunConfig(epochs=4)", consumer) == []
+
+
+@pytest.mark.parametrize(
+    "consumer",
+    [
+        "value = config.momentum",
+        "value = getattr(config, 'momentum', None)",
+        "known = hasattr(config, 'momentum')",
+        "OtherConfig(momentum=0.5)",
+        "RunConfig(3)",
+        "class Runner:\n    def reset(self):\n        self.momentum = 0.0\n",
+    ],
+)
+def test_knob001_a_read_or_another_class_is_no_setting(consumer):
+    assert _knob_findings(KNOB_SRC, "RunConfig(epochs=4)", consumer) == [
+        "RunConfig.momentum"
+    ]
+
+
+def test_knob001_exempts_containers_deployment_and_other_dataclasses():
+    src = (
+        "from dataclasses import dataclass, field\n"
+        "from typing import ClassVar, Optional\n"
+        "\n"
+        "\n"
+        "@dataclass\n"
+        "class ServerConfig:\n"
+        "    host: str = '127.0.0.1'\n"
+        "    port: int = 0\n"
+        "    net: Optional['NetSpec'] = None\n"
+        "    kind: ClassVar[str] = 'server'\n"
+        "    cache: dict = field(init=False, default_factory=dict)\n"
+        "\n"
+        "\n"
+        "@dataclass\n"
+        "class RunReport:\n"
+        "    loss: float = 0.0\n"
+        "\n"
+        "\n"
+        "class PlainConfig:\n"
+        "    retries: int = 2\n"
+    )
+    assert _knob_findings(src) == []
 
 
 def test_cli_self_test_exits_zero():

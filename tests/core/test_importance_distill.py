@@ -1,5 +1,7 @@
 """Tests for Taylor importance (Eqs. 6-8) and distillation (Eq. 9)."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -124,11 +126,14 @@ class TestDistillation:
         assert student.width == 1.0
         assert student.depth == model.config.depth
 
-    def test_config_validation(self, setup):
+    def test_config_validation(self, setup, monkeypatch):
+        """No width to sample a sub-network at is an error, not a run."""
+        distill_module = importlib.import_module("repro.core.distill")
         model, data = setup
         student = clone_model(model)
+        monkeypatch.setattr(distill_module, "WIDTH_CHOICES", ())
         with pytest.raises(ValueError):
-            distill(model, student, data, DistillConfig(width_choices=(), epochs=1))
+            distill(model, student, data, DistillConfig(epochs=1))
 
     def test_distilled_subnets_beat_undistilled(self, setup):
         """After distillation, a (0.5, 2) subnet must outperform the same

@@ -25,7 +25,6 @@ FAST = NASConfig(
     shared_steps_per_child=1,
     controller_updates_per_epoch=2,
     derive_samples=2,
-    batch_size=12,
     train_backbone=False,
     seed=0,
 )
@@ -173,7 +172,6 @@ class TestHeaderSearch:
             shared_steps_per_child=3,
             controller_updates_per_epoch=3,
             derive_samples=4,
-            batch_size=16,
             train_backbone=False,
             seed=1,
         )

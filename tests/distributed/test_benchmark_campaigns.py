@@ -14,8 +14,12 @@ seeds 0 and 1, at the default dtype (float32) and at float64:
   (``tests/reference/encoder.py``): the whole ``ACMERunResult`` and the
   cloud's backbone ``state_dict``, bit for bit;
 * the two dtypes run the same protocol: their ``protocol`` halves differ
-  only in the byte counts.
+  only in the byte counts;
+* the ``numeric`` half sees a float the protocol cannot: the distillation
+  learning rate × 1.01 moves it and leaves the ``protocol`` half as pinned.
 """
+
+import importlib
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from repro.distributed import ACMEConfig, ACMESystem
 from repro.models import ViTConfig
 from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.layers import Linear
+from repro.nn.optim import LR
 from repro.nn.transformer import TransformerEncoderLayer
 from tests.reference.encoder import (
     chained_attention_forward,
@@ -71,19 +76,22 @@ PIN_FIELDS = (
 )
 #: The ``protocol`` digest half as a :data:`PIN_FIELDS` tuple (its fault
 #: counts are empty) — the same on both seeds: the seed drives only what
-#: runs after the searches.  The dtypes differ only in ``total_bytes``.
+#: runs after the searches.  The dtypes differ only in ``total_bytes``,
+#: which counts a ``vit_config``'s repr: 3 messages carry one on
+#: ``campaign_cloud`` (the backbone reply, two model distributions) and
+#: 14 on ``campaign_edge``.
 PINS = {
     ("campaign_cloud", "float64"): (
-        12, 4275280605, 451906, 2655297, 0, 12, 0, [[0.5, 4]]
+        12, 4275280605, 451906, 2655222, 0, 12, 0, [[0.5, 4]]
     ),
     ("campaign_edge", "float64"): (
-        88, 1064655026, 509661, 5491456, 0, 88, 0, [[0.75, 3], [0.75, 3]]
+        88, 1064655026, 509661, 5491106, 0, 88, 0, [[0.75, 3], [0.75, 3]]
     ),
     ("campaign_cloud", "default"): (
-        12, 4275280605, 451906, 1786657, 0, 12, 0, [[0.5, 4]]
+        12, 4275280605, 451906, 1786582, 0, 12, 0, [[0.5, 4]]
     ),
     ("campaign_edge", "default"): (
-        88, 1064655026, 509661, 3275968, 0, 88, 0, [[0.75, 3], [0.75, 3]]
+        88, 1064655026, 509661, 3275618, 0, 88, 0, [[0.75, 3], [0.75, 3]]
     ),
 }
 
@@ -150,3 +158,17 @@ def test_float32_runs_the_float64_protocol(name, seed, fused_runs):
     )
     assert default == wide
     assert halves[0]["total_bytes"] < halves[1]["total_bytes"]
+
+
+@pytest.mark.parametrize("name", sorted(CAMPAIGNS))
+def test_numeric_half_sees_the_distillation_rate(name, fused_runs, monkeypatch):
+    """One percent on the rate the cloud distils the backbone at sends
+    the same messages and bytes and assigns the same (w, d) — and is
+    seen by the losses, accuracies and weight CRCs."""
+    pinned = fused_runs(name, 0, "default")[0].digest()
+    distill = importlib.import_module("repro.core.distill")
+    monkeypatch.setattr(distill, "LR", LR * 1.01)
+    moved = _run(name, 0, "default")[0].digest()
+    assert moved["protocol"] == pinned["protocol"]
+    assert moved["numeric"] != pinned["numeric"]
+    assert moved["numeric"]["backbone_crcs"] != pinned["numeric"]["backbone_crcs"]

@@ -89,22 +89,6 @@ class TestFaultPolicyUnits:
         two = [d is not None for d in (second.decide(*l) for l in links)]
         assert one != two
 
-    def test_per_link_override_beats_global_rate(self):
-        policy = FaultPolicy(
-            FaultConfig(seed=0, drop=0.0, drop_per_link={"a->b": 1.0})
-        )
-        assert all(
-            policy.decide("ack", "a", "b").drop for _ in range(5)
-        )
-        assert all(policy.decide("ack", "a", "c") is None for _ in range(5))
-
-    def test_per_kind_override(self):
-        policy = FaultPolicy(
-            FaultConfig(seed=0, drop=0.0, drop_per_kind={"importance_set": 1.0})
-        )
-        assert policy.decide("importance_set", "x", "y").drop
-        assert policy.decide("ack", "x", "y") is None
-
     def test_churn_schedule_is_seeded_and_dead_is_forever(self):
         config = FaultConfig(seed=9, churn=0.5, dead_devices=(2,))
         policy = FaultPolicy(config)
@@ -135,8 +119,6 @@ class TestFaultPolicyUnits:
             ("duplicate", float("nan")),
             ("delay", True),
             ("churn", 2),
-            ("drop_per_kind", {"importance_set": 1.5}),
-            ("drop_per_link", {"edge0->cloud": -1.0}),
             ("retries", -1),
             ("retries", 2.0),
             ("retries", True),

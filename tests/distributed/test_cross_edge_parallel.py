@@ -12,9 +12,8 @@ semantics (shard routing, merge determinism, register/unregister), the
 :class:`ExecutionPlan` itself (validation, the worker-budget split that
 keeps nested fan-outs within the host budget) and the plan checked as a
 **product**: every cell of widths × backend equals the serial run, and
-every cell of residency × executor × dropout gives one result per
-dropout value — at float64, and on a subset of cells at the default
-float32.
+every cell of residency × executor gives one result — at float64, and
+on a subset of cells at the default float32.
 """
 
 import dataclasses
@@ -28,6 +27,7 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.core.distill import WIDTH_CHOICES
 from repro.distributed import ACMEConfig, ACMESystem, ExecutionPlan
 from repro.distributed.faults import FaultConfig, FaultPolicy
 from repro.distributed.messages import Message, MessageKind
@@ -187,11 +187,8 @@ class TestPlanProduct:
         )
 
 
-#: Residency × executor × dropout on a 1 × 3-device system (capacity 2
-#: puts a chunk boundary of the edge's walk inside the cluster).  Every
-#: device borrows its cluster's one eval-mode backbone whatever the
-#: capacity, so backbone dropout — the only thing that reads
-#: ``Module.training`` — cannot tell the cells apart.
+#: Residency × executor on a 1 × 3-device system (capacity 2 puts a
+#: chunk boundary of the edge's walk inside the cluster).
 CAPACITY_CELLS = {"unbounded": None, "capacity1": 1, "capacity2": 2, "capacityN": 3}
 EXECUTOR_CELLS = {
     "serial": {},
@@ -200,14 +197,14 @@ EXECUTOR_CELLS = {
 }
 
 
-def _residency_run(capacity, executor, dropout, dtype="float64"):
+def _residency_run(capacity, executor, dtype="float64"):
     reset_engine_state()
     config = _fleet_config(
         num_clusters=1,
         devices_per_cluster=3,
         num_classes=4,
         samples_per_class=12,
-        vit=ViTConfig(num_classes=4, depth=4, embed_dim=32, dropout=dropout),
+        vit=ViTConfig(num_classes=4, depth=4, embed_dim=32),
         device_state_capacity=capacity,
         execution=ExecutionPlan(**EXECUTOR_CELLS[executor]),
         compute_dtype=dtype,
@@ -216,35 +213,33 @@ def _residency_run(capacity, executor, dropout, dtype="float64"):
 
 
 @functools.cache
-def _residency_reference(dropout, dtype="float64"):
-    """The serial unbounded run for one dropout value and dtype."""
-    return _residency_run(None, "serial", dropout, dtype)
+def _residency_reference(dtype="float64"):
+    """The serial unbounded run for one dtype."""
+    return _residency_run(None, "serial", dtype)
 
 
 class TestResidencyProduct:
-    @pytest.mark.parametrize("dropout", [0.0, 0.2])
     @pytest.mark.parametrize("executor", list(EXECUTOR_CELLS))
     @pytest.mark.parametrize("capacity", list(CAPACITY_CELLS))
-    def test_cell_gives_the_one_result(self, capacity, executor, dropout):
+    def test_cell_gives_the_one_result(self, capacity, executor):
         """How many devices stay live and where their updates run are
-        invisible: one digest — protocol and numeric halves — per
-        dropout value over all twelve cells."""
+        invisible: one digest — protocol and numeric halves — over all
+        twelve cells."""
         if executor == "process2" and not fork_available():
             pytest.skip("process backend requires the fork start method")
-        got = _residency_run(CAPACITY_CELLS[capacity], executor, dropout)
-        assert got == _residency_reference(dropout)
+        got = _residency_run(CAPACITY_CELLS[capacity], executor)
+        assert got == _residency_reference()
 
-    @pytest.mark.parametrize("dropout", [0.0, 0.2])
     @pytest.mark.parametrize("executor", list(EXECUTOR_CELLS))
     @pytest.mark.parametrize("capacity", ["capacity1", "capacity2"])
-    def test_float32_cell_gives_the_one_result(self, capacity, executor, dropout):
+    def test_float32_cell_gives_the_one_result(self, capacity, executor):
         """The default dtype on the capacities that evict: a float32
         snapshot restores the float32 header it was taken from."""
         if executor == "process2" and not fork_available():
             pytest.skip("process backend requires the fork start method")
         cap = CAPACITY_CELLS[capacity]
-        got = _residency_run(cap, executor, dropout, "float32")
-        assert got == _residency_reference(dropout, "float32")
+        got = _residency_run(cap, executor, "float32")
+        assert got == _residency_reference("float32")
 
 
 def _device_backbones(edge):
@@ -267,7 +262,6 @@ class TestOneBackbonePerCluster:
                 device._ensure_live()
             (backbone,) = _device_backbones(edge).values()
             assert backbone is not edge.backbone
-            assert not any(m.training for m in backbone.modules())
             instances.update(_device_backbones(edge))
         assert len(instances) == 2  # one per cluster, not one per device
 
@@ -573,9 +567,7 @@ class TestCloudConcurrencySafety:
         candidates = cloud.evaluate_candidates(stats_payload)
         assert cloud.backbone.width == width_before
         assert cloud.backbone.depth == depth_before
-        assert len(candidates) == len(cloud.config.width_choices) * len(
-            cloud._depth_choices()
-        )
+        assert len(candidates) == len(WIDTH_CHOICES) * len(cloud._depth_choices())
 
     def test_concurrent_requests_match_serial_replies(self):
         """Same stats → same deterministic reply regardless of arrival

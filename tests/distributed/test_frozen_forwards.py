@@ -14,10 +14,11 @@ import math
 
 import pytest
 
-from repro.core.distill import DistillConfig
-from repro.core.nas import NASConfig
+from repro.core.distill import WIDTH_CHOICES, DistillConfig
+from repro.core.nas import BATCH_SIZE, VAL_FRACTION, NASConfig
 from repro.data import make_cifar100_like
 from repro.distributed import ACMEConfig, ACMESystem
+from repro.distributed import cloud as cloud_module
 from repro.distributed.cloud import CloudConfig, CloudServer
 from repro.distributed.edge import EdgeConfig
 from repro.distributed.network import Network
@@ -56,9 +57,10 @@ def layer_forwards(monkeypatch):
 
 
 @pytest.fixture()
-def cloud():
+def cloud(monkeypatch):
     """A distilled backbone over 84 public rows: two eval batches (64 +
-    16 of ``eval_samples=80``) and a non-contiguous depth grid."""
+    16 of an ``EVAL_SAMPLES`` of 80) and a non-contiguous depth grid."""
+    monkeypatch.setattr(cloud_module, "EVAL_SAMPLES", 80)
     data = make_cifar100_like(num_classes=6, image_size=8).generate(
         samples_per_class=14, seed=1
     )
@@ -67,7 +69,7 @@ def cloud():
     server = CloudServer(
         VisionTransformer(vit, seed=0), data, Network(),
         CloudConfig(pretrain_epochs=1, distill=DistillConfig(epochs=1),
-                    depth_choices=(2, 4), eval_samples=80, seed=3),
+                    depth_choices=(2, 4), seed=3),
     )
     server.pretrain_reference()
     server.generate_dynamic_backbone()
@@ -75,11 +77,16 @@ def cloud():
 
 
 class TestLossGrid:
+    def test_grid_is_the_width_constant_by_the_depth_choices(self, cloud, monkeypatch):
+        monkeypatch.setattr(cloud_module, "WIDTH_CHOICES", (0.5, 1.0))
+        cloud.prepare_candidates()
+        assert sorted(cloud._loss_cache) == [(w, d) for w in (0.5, 1.0) for d in (2, 4)]
+
     def test_grid_equals_the_per_cell_oracle(self, cloud):
         cfg = cloud.config
         cloud.prepare_candidates()
         assert sorted(cloud._loss_cache) == [
-            (w, d) for w in cfg.width_choices for d in (2, 4)
+            (w, d) for w in WIDTH_CHOICES for d in (2, 4)
         ]
         # The sweep leaves the backbone at full scale, and the frozen
         # reply payload is that full-scale state.
@@ -88,8 +95,8 @@ class TestLossGrid:
         assert all((cloud._backbone_state[k] == v).all() for k, v in live.items())
 
         oracle = loss_grid(
-            cloud.backbone, cloud.public_dataset, cfg.width_choices, (2, 4),
-            cfg.eval_samples, cfg.seed,
+            cloud.backbone, cloud.public_dataset, WIDTH_CHOICES, (2, 4),
+            cloud_module.EVAL_SAMPLES, cfg.seed,
         )
         assert cloud._loss_cache == oracle  # exact: same floats, same keys
 
@@ -97,13 +104,13 @@ class TestLossGrid:
         self, cloud, layer_forwards
     ):
         cfg = cloud.config
-        eval_batches = math.ceil(cfg.eval_samples / 64)
+        eval_batches = math.ceil(cloud_module.EVAL_SAMPLES / 64)
         assert eval_batches == 2
         layer_forwards.take()
         cloud.prepare_candidates()
         calls, rows = layer_forwards.take()
-        assert calls == len(cfg.width_choices) * max(cfg.depth_choices) * eval_batches
-        assert rows == len(cfg.width_choices) * max(cfg.depth_choices) * cfg.eval_samples
+        assert calls == len(WIDTH_CHOICES) * max(cfg.depth_choices) * eval_batches
+        assert rows == len(WIDTH_CHOICES) * max(cfg.depth_choices) * cloud_module.EVAL_SAMPLES
         # Ready: a second call forwards nothing.
         cloud.prepare_candidates()
         assert layer_forwards.take() == (0, 0)
@@ -165,9 +172,8 @@ class TestCampaignForwardCounts:
             assert by_phase["finalize"][1] == depth * eval_rows
             assert all(d._features is not None for d in edge.devices)
 
-            nas = config.edge.nas
             shared = len(edge.shared_dataset)
-            train_rows = max(1, int(round((1.0 - nas.val_fraction) * shared)))
-            scored = min(shared - train_rows, 4 * nas.batch_size)
+            train_rows = max(1, int(round((1.0 - VAL_FRACTION) * shared)))
+            scored = min(shared - train_rows, 4 * BATCH_SIZE)
             assert by_phase["search"] == (2 * depth, depth * (train_rows + scored))
             assert by_phase["distribute"] == (0, 0)

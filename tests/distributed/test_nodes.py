@@ -7,6 +7,7 @@ from repro.core.distill import DistillConfig
 from repro.core.header_importance import ImportanceConfig
 from repro.core.similarity import extract_features
 from repro.data import make_cifar100_like
+from repro.distributed import ACMEConfig
 from repro.distributed.cloud import CloudConfig, CloudServer
 from repro.distributed.device import DeviceNode
 from repro.distributed.edge import EdgeConfig, EdgeServer
@@ -31,7 +32,7 @@ def env():
     cloud = CloudServer(
         reference, data, network,
         CloudConfig(pretrain_epochs=1, distill=DistillConfig(epochs=1),
-                    depth_choices=[1, 2, 3], eval_samples=24),
+                    depth_choices=[1, 2, 3]),
     )
     return network, cloud, data, config
 
@@ -216,9 +217,7 @@ class TestEdgeServer:
             ("aggregation_rounds", True),
             ("round_quorum", 1.5),
             ("round_quorum", 0.0),
-            ("round_retries", -1),
-            ("round_retries", 1.5),
-            ("round_retries", True),
+            ("round_quorum", float("nan")),
             ("round_deadline", 0.0),
             ("round_deadline", -2.0),
         ],
@@ -252,3 +251,19 @@ class TestEdgeServer:
         with pytest.raises(ValueError, match=f"aggregation_rounds .*got {value!r}"):
             edge.aggregation_loop(num_rounds=value)
         assert edge.round_retry_total == 0 and edge.round_participation == []
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("num_clusters", 0),
+        ("devices_per_cluster", 0),
+        ("num_clusters", 2.5),
+        ("devices_per_cluster", True),
+    ],
+)
+def test_an_empty_or_fractional_fleet_is_refused_at_construction(field, bad):
+    """``repro-cli run --clusters 0`` used to reach the data partition
+    and fail there with a traceback about ``num_devices``."""
+    with pytest.raises(ValueError, match=f"{field} must be an int >= 1, got {bad!r}"):
+        ACMEConfig(**{field: bad})

@@ -29,7 +29,6 @@ import pytest
 
 from repro.distributed.executor import ExecutionPlan, ExecutorError, parallel_map
 from repro.distributed.procpool import fork_available
-from repro.nn.layers import Dropout, Linear, Sequential
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor, get_default_dtype, using_dtype
 

@@ -51,7 +51,6 @@ def _random_scenario(rng: np.random.Generator) -> ACMEConfig:
         seed=int(rng.integers(0, 1000)),
     )
     config.edge.round_quorum = float(rng.choice([0.5, 0.67, 1.0] if fault is None else [0.5, 0.67]))
-    config.edge.round_retries = int(rng.integers(1, 3))
     if rng.random() < 0.3:
         # A deadline somewhere inside the plausible latency range; some
         # draws exclude nobody, some exclude slow devices entirely.

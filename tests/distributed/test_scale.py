@@ -21,6 +21,44 @@ from repro.distributed.scale import (
 )
 
 
+#: ``ScaleReport.digest()["protocol"]`` of the benchmark's ``scale_rounds``
+#: campaign, by seed.
+BENCHMARK_PINS = {
+    0: {
+        "cluster_sizes": [84, 37, 23, 16],
+        "contributions": 276,
+        "kind_counts": {
+            "importance_set": 303, "model_distribution": 177, "personalized_set": 315,
+        },
+        "total_bytes": 6416331,
+        "fault_counts": {"drop": 83},
+        "failed_deliveries": 0,
+        "stragglers": 32,
+        "carried": 0,
+        "eval_requests_served": 0,
+        "hydrations": 276,
+        "evictions": 244,
+        "live_headers": 32,
+    },
+    1: {
+        "cluster_sizes": [84, 37, 23, 16],
+        "contributions": 272,
+        "kind_counts": {
+            "importance_set": 301, "model_distribution": 185, "personalized_set": 300,
+        },
+        "total_bytes": 6694554,
+        "fault_counts": {"drop": 82},
+        "failed_deliveries": 0,
+        "stragglers": 32,
+        "carried": 0,
+        "eval_requests_served": 0,
+        "hydrations": 272,
+        "evictions": 240,
+        "live_headers": 32,
+    },
+}
+
+
 class TestHeavyTailedSizes:
     def test_exact_total_and_floor(self):
         sizes = heavy_tailed_sizes(1000, 8, exponent=1.2)
@@ -96,15 +134,15 @@ class TestCampaignProperties:
     def test_replay_determinism(self):
         assert _stable(_campaign_dict()) == _stable(_campaign_dict())
 
-    @pytest.mark.parametrize(
-        "seed, counters", [(0, (276, 276, 244, 32, 0)), (1, (272, 272, 240, 32, 0))]
-    )
-    def test_residency_counters_of_the_benchmark_campaign(self, seed, counters):
-        """``benchmarks/e2e``'s ``scale_rounds`` campaign, pinned in
-        ``(contributions, hydrations, evictions, stragglers, carried)``:
-        one hydration per contribution — the edge's walk touches each
-        participant once, in device order, a chunk at a time — and
-        integers no BLAS build can move, so the pin holds on any host."""
+    @pytest.mark.parametrize("seed", sorted(BENCHMARK_PINS))
+    def test_protocol_digest_of_the_benchmark_campaign(self, seed):
+        """``benchmarks/e2e``'s ``scale_rounds`` campaign, its whole
+        ``protocol`` digest half pinned: one hydration per contribution
+        — the edge's walk touches each participant once, in device
+        order, a chunk at a time — and integers no BLAS build can move,
+        so the pin holds on any host.  Every model distribution (retries
+        included) carries a ``vit_config``, which ``total_bytes`` counts
+        by its repr."""
         report = run_scale_campaign(
             ScaleConfig(
                 num_devices=160,
@@ -120,13 +158,49 @@ class TestCampaignProperties:
                 seed=seed,
             )
         )
-        assert (
-            report.contributions,
-            report.hydrations,
-            report.evictions,
-            report.stragglers,
-            report.carried,
-        ) == counters
+        assert report.digest()["protocol"] == BENCHMARK_PINS[seed]
+
+    def test_numeric_half_sees_the_sets_and_not_the_clock(self):
+        """The numeric half moves with the aggregated sets (another seed
+        for the devices' synthetic uploads), never with timings: a replay
+        gives the whole digest again."""
+        report = run_scale_campaign(ScaleConfig(num_devices=40, num_clusters=2, rounds=2))
+        again = run_scale_campaign(ScaleConfig(num_devices=40, num_clusters=2, rounds=2))
+        assert report.digest() == again.digest()
+        assert report.digest()["numeric"]["sets_crc"] != 0
+        other = run_scale_campaign(
+            ScaleConfig(num_devices=40, num_clusters=2, rounds=2, seed=1)
+        )
+        assert other.digest()["numeric"]["sets_crc"] != report.digest()["numeric"]["sets_crc"]
+
+    @pytest.mark.parametrize(
+        "field, bad, named",
+        [
+            ("drop", -0.1, "drop must be in"),
+            ("churn", 1.5, "churn must be in"),
+            ("deadline_quantile", float("nan"), "deadline_quantile must be in"),
+            ("rounds", -1, "rounds must be an int"),
+            ("eval_requests", 2.5, "eval_requests must be an int"),
+            ("retries", True, "retries must be an int"),
+            ("num_clusters", 0, "need at least one cluster"),
+        ],
+    )
+    def test_a_campaign_that_cannot_run_is_refused_before_any_device(
+        self, field, bad, named, monkeypatch
+    ):
+        """``drop=-0.1`` used to skip the fault policy and run as a clean
+        campaign; every field is checked before a cluster is built, even
+        when assigned after construction."""
+        from repro.distributed import scale
+
+        def no_device(*args, **kwargs):
+            raise AssertionError("a device was built for a refused campaign")
+
+        monkeypatch.setattr(scale, "ScaleDevice", no_device)
+        config = ScaleConfig(num_devices=40, num_clusters=2)
+        setattr(config, field, bad)
+        with pytest.raises(ValueError, match=named):
+            run_scale_campaign(config)
 
     def test_straggler_and_fault_accounting(self):
         report = _campaign_dict()

@@ -35,7 +35,14 @@ from repro.models import ViTConfig, VisionTransformer
 from repro.models.blocks import BlockSpec, HeaderSpec
 from repro.models.header_dag import DAGHeader
 from repro.nn.serialization import state_from_bytes, state_to_bytes
+from repro.train.serving import ServingFront
 from tests.helpers import evaluate, finetune, importance_round
+
+#: The scale harness's counts, each built the way the harness builds it.
+SCALE_COUNTS = {
+    "set_size": lambda n: ScaleCluster(0, 2, 0, Network(), ScaleConfig(set_size=n)),
+    "micro_batch": lambda n: ServingFront(None, micro_batch=n),
+}
 
 
 def _distribution_payload(seed: int = 0) -> dict:
@@ -290,18 +297,19 @@ class TestLRUMechanics:
             )
         with pytest.raises(ValueError, match="got 2.7"):
             ScaleCluster(0, 2, 0, Network(), ScaleConfig(lru_capacity=2.7))
-        # The scale harness's other counts follow the same rule.
-        for field in ("set_size", "micro_batch"):
+        # The scale harness's other counts follow the same rule: its
+        # own ``set_size`` and its serving front's ``micro_batch``.
+        for field, build in SCALE_COUNTS.items():
             with pytest.raises(ValueError, match=f"{field} .*got 2.7"):
-                ScaleCluster(0, 2, 0, Network(), ScaleConfig(**{field: 2.7}))
+                build(2.7)
 
-    @pytest.mark.parametrize("field", ["set_size", "micro_batch"])
+    @pytest.mark.parametrize("field", list(SCALE_COUNTS))
     def test_scale_counts_refuse_bools_and_zero(self, field):
         """``True`` is not a count of 1 and zero is no count at all: the
         harness refuses both, naming the field, before any device trains."""
         for bad in (True, 0):
             with pytest.raises(ValueError, match=f"{field} .*got {bad!r}"):
-                ScaleCluster(0, 2, 0, Network(), ScaleConfig(**{field: bad}))
+                SCALE_COUNTS[field](bad)
 
     def test_eviction_order_and_counters(self):
         network = Network()

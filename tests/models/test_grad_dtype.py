@@ -1,11 +1,10 @@
 """Under the float32 engine every gradient is float32.
 
-One backward through a train-mode ViT and a header leaves each
+One backward through a ViT and a header leaves each
 parameter a gradient of the parameter's own dtype — for every fixed
-header kind and a DAG header that uses all seven operations, with the
-backbone's dropout off and on.  A float64 constant multiplied into an
-activation (GELU's ``√(2/π)``, the dropout multiplier) used to promote
-everything below it.
+header kind and a DAG header that uses all seven operations.  A float64
+constant multiplied into an activation (GELU's ``√(2/π)``) used to
+promote everything below it.
 """
 
 import numpy as np
@@ -46,15 +45,12 @@ def test_the_dag_spec_uses_every_operation():
     assert ops == set(range(num_operations()))
 
 
-@pytest.mark.parametrize("dropout", [0.0, 0.2])
 @pytest.mark.parametrize("kind", sorted(FIXED_HEADERS) + ["dag"])
-def test_every_gradient_has_its_parameters_dtype(kind, dropout):
+def test_every_gradient_has_its_parameters_dtype(kind):
     rng = np.random.default_rng(0)
     with using_dtype("float32"):
-        config = ViTConfig(
-            num_classes=CLASSES, depth=2, embed_dim=16, dropout=dropout
-        )
-        vit = VisionTransformer(config, seed=0).train()
+        config = ViTConfig(num_classes=CLASSES, depth=2, embed_dim=16)
+        vit = VisionTransformer(config, seed=0)
         header = _header(kind, config, np.random.default_rng(1))
         images = rng.normal(size=(BATCH, 3, config.image_size, config.image_size))
         labels = rng.integers(0, CLASSES, size=BATCH)

@@ -1,4 +1,4 @@
-"""Tests for fused functional ops (softmax, losses, layer norm, dropout)."""
+"""Tests for fused functional ops (softmax, losses, layer norm)."""
 
 import numpy as np
 import pytest
@@ -124,31 +124,6 @@ class TestLayerNorm:
         (F.layer_norm(x, gamma, beta) ** 2).sum().backward()
         assert gamma.grad.shape == (5,)
         assert beta.grad.shape == (5,)
-
-
-class TestDropout:
-    def test_eval_mode_is_identity(self):
-        x = Tensor(RNG.normal(size=(10, 10)))
-        out = F.dropout(x, 0.5, np.random.default_rng(0), training=False)
-        assert out is x
-
-    def test_preserves_expectation(self):
-        rng = np.random.default_rng(3)
-        x = Tensor(np.ones((200, 200)))
-        out = F.dropout(x, 0.3, rng, training=True)
-        assert abs(out.data.mean() - 1.0) < 0.02
-
-    def test_rejects_bad_probability(self):
-        with pytest.raises(ValueError):
-            F.dropout(Tensor(np.ones(3)), 1.0, np.random.default_rng(0))
-
-    def test_gradient_masks_match_forward(self):
-        rng_state = np.random.default_rng(9)
-        x = Tensor(RNG.normal(size=(5, 5)), requires_grad=True)
-        out = F.dropout(x, 0.4, rng_state, training=True)
-        out.sum().backward()
-        # Gradient should be nonzero exactly where output is nonzero.
-        np.testing.assert_array_equal(x.grad != 0, out.data != 0)
 
 
 class TestHelpers:

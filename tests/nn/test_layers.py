@@ -6,7 +6,6 @@ import pytest
 from repro.nn import functional as F
 from repro.nn.layers import (
     Activation,
-    Dropout,
     LayerNorm,
     Linear,
     MLP,
@@ -30,13 +29,6 @@ class TestModule:
     def test_num_parameters(self):
         layer = Linear(3, 5)
         assert layer.num_parameters() == 3 * 5 + 5
-
-    def test_train_eval_propagates(self):
-        model = Sequential(Linear(2, 2), Dropout(0.5))
-        model.eval()
-        assert all(not m.training for m in model.modules())
-        model.train()
-        assert all(m.training for m in model.modules())
 
     def test_zero_grad(self):
         layer = Linear(3, 3)
@@ -157,18 +149,3 @@ class TestMLP:
         # fc2 weight rows for masked neurons get zero gradient.
         np.testing.assert_allclose(mlp.fc2.weight.grad[2:], 0.0)
         assert np.abs(mlp.fc2.weight.grad[:2]).sum() > 0
-
-
-class TestDropoutLayer:
-    @pytest.mark.parametrize("p", [2.0, 1.0, -0.1])
-    def test_probability_is_checked_at_construction(self, p):
-        with pytest.raises(ValueError, match="dropout probability"):
-            Dropout(p)
-
-    def test_respects_training_flag(self):
-        drop = Dropout(0.9, seed=0)
-        x = Tensor(np.ones((50, 50)))
-        drop.eval()
-        np.testing.assert_allclose(drop(x).data, x.data)
-        drop.train()
-        assert (drop(x).data == 0).any()

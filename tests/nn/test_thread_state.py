@@ -219,20 +219,6 @@ class TestExecutor:
         with pytest.raises(ValueError):
             resolve_workers(-2)  # only -1/'auto' may mean the CPU count
 
-    def test_stochastic_guard_forces_serial(self):
-        model = nn.Sequential(nn.Linear(4, 4), nn.Dropout(0.5))
-        model.train()
-        caller = threading.get_ident()
-        out = parallel_map(
-            lambda _: threading.get_ident(),
-            range(4),
-            max_workers=4,
-            serial_if_stochastic=(model,),
-        )
-        assert out == [caller] * 4  # dropped to serial in the calling thread
-        model.eval()
-        assert not nn.has_active_stochastic_modules(model)
-
     def test_parallel_training_matches_serial(self):
         """Tapes built concurrently in workers match the serial gradients."""
 

@@ -4,12 +4,12 @@ The Transformer block as ``src/`` ran it before the block became one
 fused node (:mod:`repro.nn.transformer`): about 24 single-op nodes per
 layer — layer norm, matmul + add per linear, reshape / transpose / index
 views, ``q @ kᵀ``, a scalar multiply, softmax, ``attn @ v``, the mask
-multiplies, GELU, dropout and two residual adds — each keeping its
+multiplies, GELU and two residual adds — each keeping its
 output and its closure, each backward taking a private copy of its
 gradient.  The formulas are frozen here (not imported from
-``repro.nn.functional``), so the fused block's forward, every gradient,
-the dtypes and the dropout RNG draws have an independent right-hand
-side to equal bit for bit.
+``repro.nn.functional``), so the fused block's forward, every gradient
+and the dtypes have an independent right-hand side to equal bit for
+bit.
 
 Install it with ``monkeypatch.setattr(TransformerEncoderLayer, "forward",
 chained_layer_forward)`` (and likewise ``chained_attention_forward`` /
@@ -74,19 +74,6 @@ def _gelu(x):
     return Tensor._make(out_data, (x,), backward)
 
 
-def _dropout(drop, x):
-    if not drop.training or drop.p <= 0.0:
-        return x
-    mask = (drop._rng.random(x.shape) >= drop.p).astype(x.dtype)
-    mask *= 1.0 / (1.0 - drop.p)
-    out_data = x.data * mask
-
-    def backward(grad):
-        x._accumulate(grad * mask)
-
-    return Tensor._make(out_data, (x,), backward)
-
-
 def chained_linear_forward(linear, x):
     """``Linear.forward`` as a matmul node and an add node."""
     flat = x.ndim == 1
@@ -132,8 +119,8 @@ def chained_layer_forward(layer, x):
     """``TransformerEncoderLayer.forward`` as the chain of single-op nodes."""
     if not layer.active:
         return x
-    x = x + _dropout(layer.drop, chained_attention_forward(layer.attn, _layer_norm(
-        x, layer.norm1.gamma, layer.norm1.beta, layer.norm1.eps)))
-    x = x + _dropout(layer.drop, chained_mlp_forward(layer.mlp, _layer_norm(
-        x, layer.norm2.gamma, layer.norm2.beta, layer.norm2.eps)))
+    x = x + chained_attention_forward(layer.attn, _layer_norm(
+        x, layer.norm1.gamma, layer.norm1.beta, layer.norm1.eps))
+    x = x + chained_mlp_forward(layer.mlp, _layer_norm(
+        x, layer.norm2.gamma, layer.norm2.beta, layer.norm2.eps))
     return x

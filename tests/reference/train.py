@@ -5,8 +5,7 @@ allocating Adam step per mini-batch — the loops ``train_header``'s
 frozen branch and ``compute_importance_set`` shipped before they became
 one-member calls into :mod:`repro.train.fleet`.  The round loop must
 reproduce them bit-for-bit under float64: every loss, accuracy,
-importance set and header weight, and every module-local RNG draw of a
-stochastic backbone.
+importance set and header weight.
 """
 
 from typing import Optional
@@ -19,8 +18,8 @@ from repro.data.dataset import ArrayDataset, DataLoader
 from repro.models.header_dag import DAGHeader
 from repro.models.headers import BackboneFeatures, frozen_batch_features
 from repro.nn import functional as F
-from repro.nn.layers import Module, has_active_stochastic_modules
-from repro.nn.optim import clip_grad_norm
+from repro.nn.layers import Module
+from repro.nn.optim import GRAD_CLIP, LR, clip_grad_norm
 from repro.train.serving import precompute_backbone_features
 from repro.train.trainer import TrainConfig, TrainReport
 from tests.reference.optim import ReferenceAdam
@@ -32,20 +31,18 @@ def reference_train_header(
     dataset: ArrayDataset,
     config: Optional[TrainConfig] = None,
     features: Optional[BackboneFeatures] = None,
+    sweep: bool = True,
 ) -> TrainReport:
-    """``train_header(..., freeze_backbone=True)``, one device at a time."""
+    """``train_header(..., freeze_backbone=True)``, one device at a time.
+
+    Without ``features`` one sweep per call serves every epoch, as in
+    ``train_header``; ``sweep=False`` forwards every mini-batch instead.
+    """
     config = config or TrainConfig()
     rng = np.random.default_rng(config.seed)
-    optimizer = ReferenceAdam(header.parameters(), lr=config.lr)
+    optimizer = ReferenceAdam(header.parameters(), lr=LR)
     report = TrainReport()
-    # One sweep per call serves every epoch — unless the backbone draws
-    # module-local RNG per forward, or the epoch is batch-capped.
-    if (
-        features is None
-        and config.max_batches_per_epoch is None
-        and len(dataset) > 0
-        and not has_active_stochastic_modules(backbone)
-    ):
+    if features is None and sweep and len(dataset) > 0:
         features = precompute_backbone_features(backbone, dataset.images)
     loader = DataLoader(
         dataset,
@@ -55,20 +52,14 @@ def reference_train_header(
         yield_indices=features is not None,
     )
 
-    header.train()
     for _epoch in range(config.epochs):
         losses, correct, total = [], 0, 0
-        for batch_idx, (batch, labels) in enumerate(loader):
-            if (
-                config.max_batches_per_epoch is not None
-                and batch_idx >= config.max_batches_per_epoch
-            ):
-                break
+        for batch, labels in loader:
             logits = header(frozen_batch_features(backbone, batch, features))
             loss = F.cross_entropy(logits, labels)
             optimizer.zero_grad()
             loss.backward()
-            clip_grad_norm(optimizer.params, config.grad_clip)
+            clip_grad_norm(optimizer.params, GRAD_CLIP)
             optimizer.step()
             if isinstance(header, DAGHeader):
                 header.reapply_mask()
@@ -77,7 +68,6 @@ def reference_train_header(
             total += labels.shape[0]
         report.epoch_losses.append(float(np.mean(losses)) if losses else float("nan"))
         report.epoch_accuracies.append(correct / max(1, total))
-    header.eval()
     return report
 
 
@@ -93,7 +83,7 @@ def reference_importance_set(
     config = config or ImportanceConfig()
     rng = np.random.default_rng(config.seed)
     params = header.parameters()
-    optimizer = ReferenceAdam(params, lr=config.lr) if train else None
+    optimizer = ReferenceAdam(params, lr=LR) if train else None
 
     accumulated = np.zeros(header.parameter_count())
     batches_seen = 0

@@ -107,3 +107,39 @@ class TestCommands:
         assert payload["contributions"] > 0
         assert payload["stragglers"] > 0
         assert 0.0 < payload["participation"] <= 1.0
+
+
+class TestOneErrorPath:
+    """Every command builds and checks its inputs before any work, and
+    a bad value is ``repro-cli <cmd>: error: …`` with exit 2 — never a
+    traceback, and never a ``ZeroDivisionError`` out of an unchecked
+    input."""
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["run", "--clusters", "0"], "num_clusters must be an int >= 1, got 0"),
+            (["scale", "--drop", "1.5"], "drop must be in [0, 1], got 1.5"),
+            (
+                ["scale", "--deadline-quantile", "1.5"],
+                "deadline_quantile must be in [0, 1], got 1.5",
+            ),
+            (["scale", "--devices", "0"], "0 devices cannot populate 8 clusters"),
+            (["energy", "--width", "7"], "width factor must be in (0, 1], got 7.0"),
+            (["search-space", "--blocks", "-1"], "num_blocks must be >= 1, got -1"),
+            (["table1", "--fleet", "0"], "num_devices must be >= 1, got 0"),
+            (["table1", "--devices", "0"], "devices_per_cluster must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_value_is_a_named_error(self, capsys, monkeypatch, argv, named):
+        from repro.distributed import ACMESystem, scale
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started for a rejected value")
+
+        monkeypatch.setattr(ACMESystem, "__init__", no_work)
+        monkeypatch.setattr(scale, "run_scale_campaign", no_work)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"repro-cli {argv[0]}: error: {named}\n"

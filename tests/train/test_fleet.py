@@ -28,10 +28,10 @@ from repro.models.header_dag import DAGHeader
 from repro.models.headers import MLPHeader
 from repro.models.vit import VisionTransformer, ViTConfig
 from repro.nn import functional as F
-from repro.nn.layers import Dropout, Linear, Sequential
+from repro.nn.layers import Linear
 from repro.nn.optim import Adam, FleetOptimizer
 from repro.nn.tensor import Tensor, concatenate, using_dtype
-from repro.train.fleet import fleet_importance_rounds, fleet_supported, train_headers_fleet
+from repro.train.fleet import fleet_importance_rounds, train_headers_fleet
 from repro.train.trainer import TrainConfig, train_header
 from tests.reference.train import reference_importance_set, reference_train_header
 
@@ -153,13 +153,23 @@ class TestTrainFleetParity:
         _assert_training_parity(sides, lambda: _dag_headers(3), datasets, configs)
 
     def test_heterogeneous_epochs_and_batch_caps(self, sides):
+        """Training members differ in epochs and batch size; importance
+        members, whose epochs are capped, also in the cap."""
         datasets = _datasets([5, 5, 5], seed0=20)
         configs = [
             TrainConfig(epochs=1, batch_size=8, seed=1),
-            TrainConfig(epochs=3, batch_size=4, seed=2, max_batches_per_epoch=2),
+            TrainConfig(epochs=3, batch_size=4, seed=2),
             TrainConfig(epochs=2, batch_size=16, seed=3),
         ]
         _assert_training_parity(sides, lambda: _mlp_headers(3), datasets, configs)
+        configs = [
+            ImportanceConfig(epochs=1, batch_size=8, seed=1),
+            ImportanceConfig(epochs=3, batch_size=4, seed=2, max_batches_per_epoch=2),
+            ImportanceConfig(epochs=2, batch_size=16, seed=3),
+        ]
+        _assert_importance_parity(
+            sides, lambda: _dag_headers(3, seed0=120), datasets, configs
+        )
 
     def test_empty_dataset_member(self, sides):
         """An empty member records nan losses / zero accuracy for every
@@ -172,20 +182,6 @@ class TestTrainFleetParity:
         )
         assert all(np.isnan(reports_fleet[1].epoch_losses))
         assert reports_fleet[1].epoch_accuracies == [0.0, 0.0]
-
-    def test_stochastic_header_falls_back_to_serial(self, backbone, sides):
-        """Not ``fleet_supported``: the group runs as consecutive fleets
-        of one through the same loop."""
-        datasets = _datasets([4, 4], seed0=40)
-
-        def build():
-            headers = _mlp_headers(2, seed0=110)
-            headers[1].dropout = Dropout(p=0.5, seed=3)
-            return headers
-
-        assert not fleet_supported(backbone, build())
-        configs = [TrainConfig(epochs=1, batch_size=8, seed=i) for i in range(2)]
-        _assert_training_parity(sides, build, datasets, configs)
 
     def test_length_mismatch_raises(self, backbone):
         with pytest.raises(ValueError, match="headers"):

@@ -7,6 +7,8 @@ assert exactly that for raw features, header evaluation, similarity
 feature extraction, NAS child scoring, and the edge finalize phase.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -89,27 +91,6 @@ class TestBatchedEvaluate:
         for header, dataset, result in zip(headers, datasets, batched):
             expected = evaluate_header(backbone, header, dataset, batch_size=8)
             assert result == expected  # dict equality: bit-for-bit floats
-
-    def test_stochastic_model_falls_back(self, datasets):
-        dropout_backbone = VisionTransformer(
-            ViTConfig(num_classes=6, depth=2, embed_dim=32, num_heads=4, dropout=0.2),
-            seed=0,
-        )
-        dropout_backbone.train()
-        headers = [
-            build_fixed_header(
-                "linear", VIT.embed_dim, VIT.num_patches, VIT.num_classes,
-                rng=np.random.default_rng(i),
-            )
-            for i in range(3)
-        ]
-        batched = batched_evaluate_headers(
-            dropout_backbone, headers, datasets, batch_size=8
-        )
-        # The fallback evaluates pair by pair, so each pair consumes the
-        # dropout stream exactly like the unbatched loop does.
-        assert all(0.0 <= r["accuracy"] <= 1.0 for r in batched)
-        assert [r["samples"] for r in batched] == [len(d) for d in datasets]
 
     def test_mismatched_lengths_rejected(self, backbone, datasets):
         header = build_fixed_header(
@@ -194,9 +175,8 @@ class TestPrecomputedFeatures:
 
     def test_train_header_cached_path_matches_per_batch(self, monkeypatch):
         """``train_header`` sweeps the backbone once per call and gathers
-        rows; the textbook loop under a cap that never binds (3 batches
-        per epoch) truncates nothing and forwards every batch — the
-        traces must agree bit for bit."""
+        rows; the textbook loop told not to sweep forwards every batch —
+        the traces must agree bit for bit."""
         from repro.train import serving
         from repro.train.trainer import TrainConfig, train_header
         from tests.reference.train import reference_train_header
@@ -210,28 +190,23 @@ class TestPrecomputedFeatures:
         )
         backbone, (dataset, _other) = self._float64_fixture()
 
-        def run(train, max_batches):
+        def run(train, **kwargs):
             with using_dtype("float64"):
                 header = self._header(0)
-                config = TrainConfig(
-                    epochs=2, batch_size=8, seed=0, max_batches_per_epoch=max_batches
-                )
-                report = train(backbone, header, dataset, config)
+                config = TrainConfig(epochs=2, batch_size=8, seed=0)
+                report = train(backbone, header, dataset, config, **kwargs)
             return self._trace([report], [header])
 
-        cached = run(train_header, None)
+        cached = run(train_header)
         assert len(precomputes) == 1
-        for cap in (3, 10):
-            self._assert_traces_equal(cached, run(reference_train_header, cap))
-            # A cap that never binds is no reason to forward per batch.
-            self._assert_traces_equal(cached, run(train_header, cap))
-        assert len(precomputes) == 3
+        self._assert_traces_equal(cached, run(reference_train_header, sweep=False))
 
     def test_owned_cache_matches_per_batch_under_a_binding_cap(self, monkeypatch):
         """``features=`` — a cache the caller owns across calls — turns
         every mini-batch into a row gather: header training and the
-        importance round are bit-identical to the textbook loop's capped
-        per-batch forwards, and neither sweeps the backbone itself."""
+        importance round (under a binding cap) are bit-identical to the
+        textbook loop's per-batch forwards, and neither sweeps the
+        backbone itself."""
         from repro.core.header_importance import (
             ImportanceConfig,
             compute_importance_set,
@@ -266,9 +241,7 @@ class TestPrecomputedFeatures:
         def train(features, train_one=train_header):
             with using_dtype("float64"):
                 header = self._header(0)
-                config = TrainConfig(
-                    epochs=2, batch_size=8, seed=0, max_batches_per_epoch=2
-                )
+                config = TrainConfig(epochs=2, batch_size=8, seed=0)
                 report = train_one(
                     backbone, header, dataset, config, features=features
                 )
@@ -283,9 +256,9 @@ class TestPrecomputedFeatures:
                 q = score(backbone, header, dataset, config=config, features=features)
             return q, header.state_dict()
 
-        textbook = train(None, reference_train_header)
-        self._assert_traces_equal(textbook, train(None))
+        textbook = train(None, functools.partial(reference_train_header, sweep=False))
         self._assert_traces_equal(textbook, train(cache))
+        self._assert_traces_equal(textbook, train(cache, reference_train_header))
         q_textbook, state_textbook = importance(None, reference_importance_set)
         for q, state in (importance(None), importance(cache)):
             np.testing.assert_array_equal(q_textbook, q)
@@ -317,58 +290,81 @@ class TestPrecomputedFeatures:
                 )
 
     def test_fleet_nonbinding_cap_is_a_noop(self):
-        """One capped (never binding) and one uncapped fleet member train
-        exactly like two uncapped members, and like the textbook
-        per-member loop on the per-batch path."""
-        from repro.train.fleet import train_headers_fleet
-        from repro.train.trainer import TrainConfig
-        from tests.reference.train import reference_train_header
+        """An importance member whose cap never binds (3 batches per
+        epoch, cap 3) scores and trains exactly like one capped far above
+        its schedule, and like the textbook per-member loop on the
+        per-batch path."""
+        from repro.core.header_importance import ImportanceConfig
+        from repro.models.blocks import BlockSpec, HeaderSpec
+        from repro.models.header_dag import DAGHeader
+        from repro.train.fleet import fleet_importance_rounds
+        from tests.reference.train import reference_importance_set
 
         backbone, datasets = self._float64_fixture()
+        spec = HeaderSpec(blocks=(BlockSpec(0, 1, 1, 3),))
+
+        def headers():
+            return [
+                DAGHeader(
+                    VIT.embed_dim, VIT.num_patches, VIT.num_classes, spec,
+                    rng=np.random.default_rng(seed),
+                )
+                for seed in (1, 2)
+            ]
 
         def configs(cap):
             return [
-                TrainConfig(epochs=2, batch_size=8, seed=3, max_batches_per_epoch=cap),
-                TrainConfig(epochs=2, batch_size=8, seed=4),
+                ImportanceConfig(epochs=2, batch_size=8, seed=3, max_batches_per_epoch=cap),
+                ImportanceConfig(epochs=2, batch_size=8, seed=4, max_batches_per_epoch=99),
             ]
 
-        def run_fleet(cap):
+        def run(score):
             with using_dtype("float64"):
-                headers = [self._header(1), self._header(2)]
-                reports = train_headers_fleet(backbone, headers, datasets, configs(cap))
-            return self._trace(reports, headers)
+                members = headers()
+                sets = score(members)
+            return sets, [m.state_dict() for m in members]
 
-        def run_serial(cap):
-            with using_dtype("float64"):
-                headers = [self._header(1), self._header(2)]
-                reports = [
-                    reference_train_header(backbone, h, d, c)
-                    for h, d, c in zip(headers, datasets, configs(cap))
+        far_sets, far_states = run(
+            lambda hs: fleet_importance_rounds(backbone, hs, datasets, configs(99))
+        )
+        for sets, states in (
+            run(lambda hs: fleet_importance_rounds(backbone, hs, datasets, configs(3))),
+            run(
+                lambda hs: [
+                    reference_importance_set(backbone, h, d, c)
+                    for h, d, c in zip(hs, datasets, configs(3))
                 ]
-            return self._trace(reports, headers)
-
-        uncapped = run_fleet(None)
-        self._assert_traces_equal(uncapped, run_fleet(3))
-        self._assert_traces_equal(uncapped, run_serial(3))
+            ),
+        ):
+            for want, got in zip(far_sets, sets):
+                np.testing.assert_array_equal(want, got)
+            for want, got in zip(far_states, states):
+                assert set(want) == set(got)
+                for name, value in want.items():
+                    np.testing.assert_array_equal(value, got[name])
 
     def test_capped_epochs_skip_precompute(self, backbone, datasets, monkeypatch):
-        """max_batches_per_epoch caps the loop; precomputing the whole
-        dataset would cost more than it saves, so the per-batch path
-        must be used."""
+        """An importance round's ``max_batches_per_epoch`` caps the loop;
+        precomputing the whole dataset would cost more than it saves, so
+        the per-batch path must be used."""
+        from repro.core.header_importance import ImportanceConfig, compute_importance_set
+        from repro.models.blocks import BlockSpec, HeaderSpec
+        from repro.models.header_dag import DAGHeader
         from repro.train import serving
-        from repro.train.trainer import TrainConfig, train_header
 
         def refuse(*args, **kwargs):
             raise AssertionError("a batch-capped epoch must not precompute")
 
         monkeypatch.setattr(serving, "precompute_backbone_features", refuse)
-        header = build_fixed_header(
-            "linear", VIT.embed_dim, VIT.num_patches, VIT.num_classes,
+        header = DAGHeader(
+            VIT.embed_dim, VIT.num_patches, VIT.num_classes,
+            HeaderSpec(blocks=(BlockSpec(0, 1, 1, 3),)),
             rng=np.random.default_rng(0),
         )
-        config = TrainConfig(epochs=1, batch_size=8, max_batches_per_epoch=1, seed=0)
-        report = train_header(backbone, header, datasets[0], config)
-        assert len(report.epoch_losses) == 1 and np.isfinite(report.epoch_losses[0])
+        config = ImportanceConfig(epochs=1, batch_size=8, max_batches_per_epoch=1, seed=0)
+        importance = compute_importance_set(backbone, header, datasets[0], config)
+        assert importance.shape == (header.parameter_count(),)
+        assert np.isfinite(importance).all()
 
 
 class TestNASBatchedScoring:
