@@ -21,44 +21,6 @@ from repro.distributed.scale import (
 )
 
 
-#: ``ScaleReport.digest()["protocol"]`` of the benchmark's ``scale_rounds``
-#: campaign, by seed.
-BENCHMARK_PINS = {
-    0: {
-        "cluster_sizes": [84, 37, 23, 16],
-        "contributions": 276,
-        "kind_counts": {
-            "importance_set": 303, "model_distribution": 177, "personalized_set": 315,
-        },
-        "total_bytes": 6416331,
-        "fault_counts": {"drop": 83},
-        "failed_deliveries": 0,
-        "stragglers": 32,
-        "carried": 0,
-        "eval_requests_served": 0,
-        "hydrations": 276,
-        "evictions": 244,
-        "live_headers": 32,
-    },
-    1: {
-        "cluster_sizes": [84, 37, 23, 16],
-        "contributions": 272,
-        "kind_counts": {
-            "importance_set": 301, "model_distribution": 185, "personalized_set": 300,
-        },
-        "total_bytes": 6694554,
-        "fault_counts": {"drop": 82},
-        "failed_deliveries": 0,
-        "stragglers": 32,
-        "carried": 0,
-        "eval_requests_served": 0,
-        "hydrations": 272,
-        "evictions": 240,
-        "live_headers": 32,
-    },
-}
-
-
 class TestHeavyTailedSizes:
     def test_exact_total_and_floor(self):
         sizes = heavy_tailed_sizes(1000, 8, exponent=1.2)
@@ -133,32 +95,6 @@ class TestCampaignProperties:
 
     def test_replay_determinism(self):
         assert _stable(_campaign_dict()) == _stable(_campaign_dict())
-
-    @pytest.mark.parametrize("seed", sorted(BENCHMARK_PINS))
-    def test_protocol_digest_of_the_benchmark_campaign(self, seed):
-        """``benchmarks/e2e``'s ``scale_rounds`` campaign, its whole
-        ``protocol`` digest half pinned: one hydration per contribution
-        — the edge's walk touches each participant once, in device
-        order, a chunk at a time — and integers no BLAS build can move,
-        so the pin holds on any host.  Every model distribution (retries
-        included) carries a ``vit_config``, which ``total_bytes`` counts
-        by its repr."""
-        report = run_scale_campaign(
-            ScaleConfig(
-                num_devices=160,
-                num_clusters=4,
-                rounds=2,
-                lru_capacity=8,
-                eval_requests=0,
-                drop=0.1,
-                churn=0.05,
-                retries=5,
-                deadline_quantile=0.9,
-                ledger="summary",
-                seed=seed,
-            )
-        )
-        assert report.digest()["protocol"] == BENCHMARK_PINS[seed]
 
     def test_numeric_half_sees_the_sets_and_not_the_clock(self):
         """The numeric half moves with the aggregated sets (another seed
