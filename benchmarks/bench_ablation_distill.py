@@ -4,8 +4,8 @@ DESIGN.md calls out distillation as the mechanism that makes every
 ``δ(θ0, w, d)`` sub-network usable without per-configuration retraining.
 This ablation compares the sub-network loss across the (w, d) grid for:
 
-* **raw** — importance-ordered masking of the pretrained reference
-  (``´θB`` without distillation);
+* **raw** — the pretrained reference permuted by importance, each
+  sub-network its prefix (``´θB`` without distillation);
 * **distilled** — the same after Eq. (9) training.
 
 Expected: distillation lowers loss across the grid, with the largest gains
@@ -27,9 +27,9 @@ GRID = [(0.25, 2), (0.5, 2), (0.5, 4), (0.75, 4), (1.0, 6)]
 
 def run_ablation(reference_model, backbone_result, test_data):
     raw = clone_model(reference_model)
-    raw.set_importance_orders(
-        head_orders=backbone_result.importance.head_orders(),
-        neuron_orders=backbone_result.importance.neuron_orders(),
+    raw.reorder(
+        backbone_result.importance.head_orders(),
+        backbone_result.importance.neuron_orders(),
     )
     distilled = backbone_result.backbone
 

@@ -81,7 +81,8 @@ def distill(
     """Train ``student`` to mimic ``teacher`` under sampled (w, d) configs.
 
     The teacher runs at full width and depth throughout; the student's
-    masks are re-sampled per batch so every sub-network learns to stand on
+    (w, d) is re-sampled per batch — a forward through the kept prefix of
+    heads, neurons and blocks — so every sub-network learns to stand on
     its own.  The student is restored to full configuration on return.
     """
     config = config or DistillConfig()

@@ -4,9 +4,9 @@ From the reference backbone θB_0 the cloud produces the dynamic backbone
 θB in two steps:
 
 1. **Width segmentation** — score heads and neurons with first-order Taylor
-   importance on the probe set ``D_C`` (Eqs. 6-8) and install the resulting
-   keep-orders, yielding ``´θB`` whose width is adjustable at any
-   ``w ∈ (0, 1]``.
+   importance on the probe set ``D_C`` (Eqs. 6-8) and permute every block
+   into that order, yielding ``´θB`` whose top-w heads and neurons at any
+   ``w ∈ (0, 1]`` are a prefix.
 2. **Depth dynamics via distillation** — train a student copy under sampled
    (w, d) configurations with the Eq. (9) objective, yielding ``θB`` that is
    dynamic in both width W_B and depth D_B.
@@ -14,11 +14,9 @@ From the reference backbone θB_0 the cloud produces the dynamic backbone
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-import numpy as np
 
 from repro.core.distill import DistillConfig, DistillReport, distill
 from repro.core.importance import BackboneImportance, estimate_backbone_importance
@@ -46,13 +44,9 @@ class BackboneGenerationResult:
 
 
 def clone_model(model: VisionTransformer) -> VisionTransformer:
-    """Deep copy of a ViT (weights, masks and importance orders)."""
+    """Deep copy of a full-size ViT (weights and (w, d) scale)."""
     clone = VisionTransformer(model.config, seed=0)
     clone.load_state_dict(model.state_dict())
-    clone.set_importance_orders(
-        head_orders=[o.copy() for o in model._head_orders],
-        neuron_orders=[o.copy() for o in model._neuron_orders],
-    )
     clone.scale(model.width, model.depth)
     return clone
 
@@ -74,15 +68,13 @@ def generate_backbone(
         The small cloud dataset D_C used for importance estimation and
         distillation.
     """
-    # Step 1: importance scoring → ´θB (width-adjustable teacher).
+    # Step 1: importance scoring → ´θB (width-adjustable teacher, permuted
+    # so the kept heads and neurons at every width are a prefix).
     importance = estimate_backbone_importance(
         reference, probe, max_batches=importance_batches, seed=seed
     )
     teacher = clone_model(reference)
-    teacher.set_importance_orders(
-        head_orders=importance.head_orders(),
-        neuron_orders=importance.neuron_orders(),
-    )
+    teacher.reorder(importance.head_orders(), importance.neuron_orders())
 
     # Step 2: distill into a width+depth dynamic student θB.
     student = clone_model(teacher)

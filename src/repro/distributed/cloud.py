@@ -14,8 +14,10 @@ is immutable once :meth:`CloudServer.prepare_candidates` has run (the
 loss grid is computed once, up front or lazily under a lock, and the
 backbone is restored to full configuration before any request is
 served), and the per-edge response path writes only the edge's own
-``assignments`` slot (under a lock).  Selection ties break
-deterministically (:func:`repro.core.pareto.select_model`), so the
+``assignments`` slot and, once per assigned (w, d), the cached prefix
+state the reply ships — the first ``d`` blocks cut to their kept
+heads and neurons, built from the frozen full state (both under a
+lock).  Selection ties break deterministically (:func:`repro.core.pareto.select_model`), so the
 replies are independent of the order concurrent requests arrive in.
 
 The loss grid is filled width-major (:meth:`CloudServer._fill_losses`):
@@ -28,7 +30,7 @@ bit-identical to evaluating the cells one at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -56,9 +58,9 @@ EVAL_SAMPLES = 128
 @dataclass
 class CloudConfig:
     """Knobs of the cloud-side Phase 1 (the widths offered are
-    :data:`~repro.core.distill.WIDTH_CHOICES`)."""
+    :data:`~repro.core.distill.WIDTH_CHOICES`, the depths ``1..d`` of
+    the reference)."""
 
-    depth_choices: Optional[Sequence[int]] = None  # default 1..reference depth
     performance_window: float = 0.05  # reprolint: knob -- γ_p, the PFG's performance window
     pretrain_epochs: int = 3
     #: Filled from ``seed`` in ``__post_init__`` when not given — a
@@ -91,8 +93,6 @@ class CloudServer:
         self.config = config or CloudConfig()
         self.name = name
         self.backbone: Optional[VisionTransformer] = None
-        self.head_orders: Optional[List[np.ndarray]] = None
-        self.neuron_orders: Optional[List[np.ndarray]] = None
         self._loss_cache: Dict[Tuple[float, int], float] = {}
         #: True once the whole (w, d) loss grid is cached and the
         #: backbone is back at full scale — from then on every request
@@ -101,9 +101,13 @@ class CloudServer:
         self._losses_ready = False
         self._lock = register_lock("cloud.state")
         #: Full-scale backbone weights captured when the loss grid is
-        #: frozen — the immutable payload every ``BACKBONE_ASSIGNMENT``
-        #: reply ships, so the request path never reads live parameters.
+        #: frozen — the immutable source of every ``BACKBONE_ASSIGNMENT``
+        #: reply, so the request path never reads live parameters.
         self._backbone_state: Optional[Dict[str, np.ndarray]] = None
+        #: Assigned (w, d) → that sub-network's state (the first ``d``
+        #: blocks, each cut to its kept heads and neurons), built once
+        #: from ``_backbone_state`` under the lock and shipped as is.
+        self._prefix_states: Dict[Tuple[float, int], Dict[str, np.ndarray]] = {}
         self.assignments: Dict[str, Candidate] = {}
         network.register(name, self.handle)
 
@@ -127,24 +131,14 @@ class CloudServer:
             seed=self.config.seed,
         )
         self.backbone = result.backbone
-        self.head_orders = result.importance.head_orders()
-        self.neuron_orders = result.importance.neuron_orders()
         self._loss_cache.clear()
         self._losses_ready = False
         self._backbone_state = None
+        self._prefix_states.clear()
 
     # ------------------------------------------------------------------
     # Candidate evaluation
     # ------------------------------------------------------------------
-    def _depth_choices(self) -> List[int]:
-        assert self.backbone is not None
-        cfg = self.config
-        return (
-            list(cfg.depth_choices)
-            if cfg.depth_choices is not None
-            else list(range(1, self.backbone.config.depth + 1))
-        )
-
     def prepare_candidates(self) -> None:
         """Precompute the public-set loss of every (w, d) sub-backbone.
 
@@ -192,7 +186,7 @@ class CloudServer:
         )
         if len(sample) == 0:
             raise ValueError("no samples evaluated")
-        depths = self._depth_choices()
+        depths = list(range(1, self.backbone.config.depth + 1))
         with no_grad():
             for width in WIDTH_CHOICES:
                 self.backbone.scale(width, max(depths))
@@ -243,7 +237,7 @@ class CloudServer:
         profile = self._representative_profile(stats)
         candidates = []
         for width in WIDTH_CHOICES:
-            for depth in self._depth_choices():
+            for depth in range(1, self.backbone.config.depth + 1):
                 loss = self._loss_cache[(width, depth)]
                 joules = energy(profile, width, depth, epochs=cfg.energy_epochs).energy_joules
                 size = self.backbone.config.zeta(width, depth)
@@ -267,22 +261,32 @@ class CloudServer:
             return Message(self.name, message.sender, MessageKind.ACK)
         raise ValueError(f"{self.name} cannot handle {message.kind}")
 
+    def _prefix_state(self, width: float, depth: int) -> Dict[str, np.ndarray]:
+        """The (w, d) sub-network's state, built from the frozen full
+        state once per cell; the caller holds ``self._lock``."""
+        state = self._prefix_states.get((width, depth))
+        if state is None:
+            assert self.backbone is not None and self._backbone_state is not None
+            sub = VisionTransformer(self.backbone.config, seed=0)
+            sub.load_state_dict(self._backbone_state)
+            state = sub.narrow(width, depth).state_dict()
+            self._prefix_states[width, depth] = state
+        return state
+
     def _assign_backbone(self, message: Message) -> None:
-        assert self.backbone is not None and self.head_orders is not None
+        assert self.backbone is not None
         stats = message.payload["stats"]
         chosen = self.customize_for_cluster(stats)
         with self._lock:
             self.assignments[message.sender] = chosen
-        assert self._backbone_state is not None  # frozen by prepare_candidates
+            state = self._prefix_state(chosen.width, chosen.depth)
         reply = Message(
             self.name,
             message.sender,
             MessageKind.BACKBONE_ASSIGNMENT,
             {
                 "vit_config": self.backbone.config,
-                "backbone_state": self._backbone_state,
-                "head_orders": self.head_orders,
-                "neuron_orders": self.neuron_orders,
+                "backbone_state": state,
                 "width": chosen.width,
                 "depth": chosen.depth,
                 "objectives": list(chosen.objectives),

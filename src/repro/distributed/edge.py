@@ -27,6 +27,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
+from repro.checks import check_count
 from repro.core.aggregation import StreamingAggregator
 from repro.core.nas import HeaderSearch, NASConfig
 from repro.core.similarity import (
@@ -37,7 +38,7 @@ from repro.core.similarity import (
 from repro.data.dataset import ArrayDataset
 from repro.distributed.device import DeviceNode
 from repro.distributed.executor import ExecutionPlan, resolve_workers
-from repro.distributed.faults import DeliveryError, ProtocolError, check_count
+from repro.distributed.faults import DeliveryError, ProtocolError
 from repro.distributed.messages import Message, MessageKind, payload_nbytes
 from repro.distributed.network import Network
 from repro.distributed.state_store import backbone_from_payload
@@ -248,8 +249,6 @@ class EdgeServer:
             {
                 "vit_config": self.backbone.config,
                 "backbone_state": self.backbone.state_dict(),
-                "head_orders": [o.copy() for o in self.backbone._head_orders],
-                "neuron_orders": [o.copy() for o in self.backbone._neuron_orders],
                 "width": self.assigned_width,
                 "depth": self.assigned_depth,
                 "header_spec": self.header_spec,

@@ -50,12 +50,12 @@ training into (:meth:`repro.distributed.edge.EdgeServer._local_groups`).
 from __future__ import annotations
 
 import contextvars
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, List, Optional, Sequence, TypeVar, Union
 
+from repro.checks import check_count
 from repro.distributed.procpool import ExecutorError  # noqa: F401  (re-export)
 
 T = TypeVar("T")
@@ -90,18 +90,11 @@ def resolve_workers(max_workers: WorkerSpec, num_tasks: Optional[int] = None) ->
         if max_workers != "auto":
             raise ValueError(f"unknown worker spec {max_workers!r}; use 'auto' or an int")
         workers = os.cpu_count() or 1
-    elif isinstance(max_workers, bool) or not isinstance(max_workers, numbers.Integral):
-        raise ValueError(
-            f"invalid worker spec {max_workers!r}; use None, 'auto' or an int"
-        )
     else:
+        check_count("worker count", max_workers, -1)
         workers = int(max_workers)
         if workers == -1:
             workers = os.cpu_count() or 1
-        elif workers < 0:
-            raise ValueError(
-                f"invalid worker count {workers}; use -1 or 'auto' for the CPU count"
-            )
         elif workers == 0:
             workers = 1
     if num_tasks is not None:

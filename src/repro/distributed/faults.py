@@ -46,6 +46,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.analysis.registry import register_lock
+from repro.checks import check_count, check_unit_interval
 
 
 class ProtocolError(RuntimeError):
@@ -90,29 +91,6 @@ _CHURN_STREAM = 0xC4021
 def _h(text: str) -> int:
     """Stable 32-bit hash of a node name (process-independent)."""
     return zlib.crc32(text.encode("utf-8"))
-
-
-def check_unit_interval(name: str, value: object) -> None:
-    """Refuse a ``value`` that is not a real number in [0, 1] (NaN and
-    bool included), naming the field ``name``."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not 0.0 <= value <= 1.0
-    ):
-        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-
-
-def check_count(name: str, value: object, least: int) -> None:
-    """Refuse a ``value`` that is not an int ``>= least``, naming the
-    field ``name``: a float or a bool is refused rather than truncated,
-    as worker specs are (``executor.resolve_workers``)."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Integral)
-        or value < least
-    ):
-        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)

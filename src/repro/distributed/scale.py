@@ -44,10 +44,11 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.checks import check_count, check_unit_interval
 from repro.data.synthetic import make_cifar100_like
 from repro.distributed.device import DeviceNode
 from repro.distributed.edge import EdgeConfig, EdgeServer
-from repro.distributed.faults import FaultConfig, FaultPolicy, check_count, check_unit_interval
+from repro.distributed.faults import FaultConfig, FaultPolicy
 from repro.distributed.messages import Message, MessageKind
 from repro.distributed.network import Network
 from repro.distributed.state_store import DeviceStateLRU
@@ -226,12 +227,6 @@ class ScaleCluster(EdgeServer):
             SAMPLES_PER_CLASS, seed=config.seed + 1, name=f"edge{index}"
         )
         backbone = VisionTransformer(vit, seed=0)
-        head_orders = [np.arange(vit.num_heads) for _ in range(vit.depth)]
-        neuron_orders = [np.arange(vit.mlp_hidden) for _ in range(vit.depth)]
-        backbone.set_importance_orders(
-            head_orders=head_orders, neuron_orders=neuron_orders
-        )
-        backbone.scale(1.0, vit.depth)
         spec = HeaderSpec(blocks=(BlockSpec(0, 1, 1, 3),))
         template_header = DAGHeader(
             vit.embed_dim,
@@ -243,8 +238,6 @@ class ScaleCluster(EdgeServer):
         self.payload = {
             "vit_config": vit,
             "backbone_state": backbone.state_dict(),
-            "head_orders": head_orders,
-            "neuron_orders": neuron_orders,
             "width": 1.0,
             "depth": vit.depth,
             "header_spec": spec,

@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
 
-from repro.distributed.faults import check_count
+from repro.checks import check_count
 from repro.models.vit import VisionTransformer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -68,18 +68,17 @@ _PRISTINE = "pristine."
 def backbone_from_payload(payload: Dict) -> VisionTransformer:
     """Build the backbone a distribution/assignment payload describes.
 
-    The one materializer behind the edge's assignment and the store's
-    shared instance: same construction seed, state dict, importance
-    orders and (width, depth) scaling, so forwards through either are
+    The payload carries only the (w, d) sub-network: the first ``d``
+    blocks, each cut to its kept heads and neurons.  This is the one
+    materializer behind the edge's assignment and the store's shared
+    instance — a ViT of that shape (:meth:`VisionTransformer.narrow`)
+    loaded with the state — so forwards through either are
     bit-identical.
     """
     backbone = VisionTransformer(payload["vit_config"], seed=0)
+    backbone.narrow(float(payload["width"]), int(payload["depth"]))
     backbone.load_state_dict(payload["backbone_state"])
-    backbone.set_importance_orders(
-        head_orders=payload["head_orders"],
-        neuron_orders=payload["neuron_orders"],
-    )
-    return backbone.scale(float(payload["width"]), int(payload["depth"]))
+    return backbone
 
 
 def snapshot_header(header: "DAGHeader") -> Dict[str, np.ndarray]:

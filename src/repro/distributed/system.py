@@ -24,6 +24,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.checks import check_count
 from repro.core.distill import DistillConfig
 from repro.core.nas import NASConfig
 from repro.data.dataset import ArrayDataset, merge
@@ -33,7 +34,7 @@ from repro.distributed.cloud import CloudConfig, CloudServer
 from repro.distributed.device import DeviceNode
 from repro.distributed.edge import EdgeConfig, EdgeServer
 from repro.distributed.executor import ExecutionPlan
-from repro.distributed.faults import FaultConfig, FaultPolicy, check_count
+from repro.distributed.faults import FaultConfig, FaultPolicy
 from repro.distributed.metrics import centralized_upload_bytes
 from repro.distributed.network import Network, NetworkShard, TrafficStats
 from repro.distributed.state_store import DeviceStateLRU
@@ -121,7 +122,6 @@ class ACMEConfig:
             self.vit = ViTConfig(num_classes=self.num_classes, depth=4, embed_dim=32)
         if self.cloud is None:
             self.cloud = CloudConfig(
-                depth_choices=list(range(1, self.vit.depth + 1)),
                 pretrain_epochs=4,
                 distill=DistillConfig(epochs=2, seed=self.seed),
                 seed=self.seed,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.checks import check_count, check_width
 from repro.hw.profiles import DeviceProfile
 
 # G^β_n = _GPU_BATCH_COEFF · G_n · β, the per-patch GPU energy estimate for
@@ -76,7 +77,5 @@ def energy(
 
 
 def _check(width: float, depth: int) -> None:
-    if not 0.0 < width <= 1.0:
-        raise ValueError(f"width factor must be in (0, 1], got {width}")
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+    check_width(width, "width factor")
+    check_count("depth", depth, 1)

@@ -3,24 +3,30 @@
 The paper parameterizes every candidate backbone relative to a reference
 model via the transformation ``θB_n = δ(θB_0, w, d)`` where ``w ∈ (0, 1]``
 scales width (attention heads + MLP neurons, DynaBERT-style) and ``d``
-counts active Transformer layers (§II-C).  :class:`VisionTransformer`
-implements δ as cheap boolean masking, and ``zeta`` implements the
-paper's parameter-count model ζ(θ) = d·w·(H + 2·ξ_h·ξ_f) (Eq. 3).
+counts active Transformer layers (§II-C).  The backbone is permuted once
+by importance (:meth:`VisionTransformer.reorder`), so δ keeps a *prefix*:
+the first ``w`` of each block's heads and neurons and the first ``d``
+blocks.  :meth:`VisionTransformer.scale` applies δ in place — every
+forward then computes only the kept prefix — and
+:meth:`VisionTransformer.narrow` cuts the model down to it, which is the
+sub-network the wire ships.  ``zeta`` implements the paper's
+parameter-count model ζ(θ) = d·w·(H + 2·ξ_h·ξ_f) (Eq. 3).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.checks import check_depth, check_width
 from repro.nn import functional as F
 from repro.nn import init
 from repro.nn.layers import LayerNorm, Linear, Module, Parameter
 from repro.nn.tensor import Tensor, concatenate
-from repro.nn.transformer import TransformerEncoder, check_depth
+from repro.nn.transformer import TransformerEncoder
 
 #: Colour channels of every input image (RGB).
 CHANNELS = 3
@@ -65,8 +71,7 @@ class ViTConfig:
 
     def zeta(self, width: float, depth: int) -> float:
         """ζ(θ) = d·w·(H + 2·ξ_h·ξ_f) — the paper's size model (Eq. 3)."""
-        if not 0.0 < width <= 1.0:
-            raise ValueError(f"width must be in (0, 1], got {width}")
+        check_width(width)
         check_depth(depth, self.depth)
         return depth * width * (self.head_params + 2 * self.embed_dim * self.mlp_hidden)
 
@@ -94,11 +99,12 @@ class PatchEmbedding(Module):
 class VisionTransformer(Module):
     """The reference model θ0 = (θB_0, θH_0): scalable backbone + header.
 
-    The backbone is a pre-norm Transformer encoder with maskable heads and
-    MLP neurons; the reference header θH_0 is the classic LayerNorm + Linear
-    on the CLS token.  The header can be *replaced* by any module exposing
-    ``forward(features) -> logits``; ACME swaps in NAS-generated DAG headers
-    (see :mod:`repro.models.header_dag`).
+    The backbone is a pre-norm Transformer encoder whose width is a prefix
+    of each block's heads and MLP neurons; the reference header θH_0 is
+    the classic LayerNorm + Linear on the CLS token.  The header can be
+    *replaced* by any module exposing ``forward(features) -> logits``;
+    ACME swaps in NAS-generated DAG headers (see
+    :mod:`repro.models.header_dag`).
     """
 
     def __init__(self, config: ViTConfig, seed: int = 0) -> None:
@@ -119,49 +125,33 @@ class VisionTransformer(Module):
         )
         self.norm = LayerNorm(config.embed_dim)
         self.head = Linear(config.embed_dim, config.num_classes, rng=rng)
-        # Importance-derived keep orders (most→least important); default is
-        # positional order until Phase 1 computes real importances.
-        self._head_orders: List[np.ndarray] = [
-            np.arange(config.num_heads) for _ in range(config.depth)
-        ]
-        self._neuron_orders: List[np.ndarray] = [
-            np.arange(config.mlp_hidden) for _ in range(config.depth)
-        ]
         self.width: float = 1.0
 
     # ------------------------------------------------------------------
     # δ(θ0, w, d): width & depth control
     # ------------------------------------------------------------------
-    def set_importance_orders(
-        self,
-        head_orders: Optional[List[np.ndarray]] = None,
-        neuron_orders: Optional[List[np.ndarray]] = None,
+    def reorder(
+        self, head_orders: Sequence[np.ndarray], neuron_orders: Sequence[np.ndarray]
     ) -> None:
-        """Install per-layer rankings (most important first) for pruning."""
-        if head_orders is not None:
-            if len(head_orders) != self.config.depth:
-                raise ValueError("need one head order per layer")
-            self._head_orders = [np.asarray(o, dtype=np.int64) for o in head_orders]
-        if neuron_orders is not None:
-            if len(neuron_orders) != self.config.depth:
-                raise ValueError("need one neuron order per layer")
-            self._neuron_orders = [np.asarray(o, dtype=np.int64) for o in neuron_orders]
+        """Permute each block's heads and neurons into its importance
+        order (most important first), so the top-w at every width is a
+        prefix.  The function is unchanged up to rounding."""
+        layers = self.encoder.layers
+        if len(head_orders) != len(layers) or len(neuron_orders) != len(layers):
+            raise ValueError("need one head order and one neuron order per layer")
+        for layer, heads, neurons in zip(layers, head_orders, neuron_orders):
+            layer.attn.reorder(np.asarray(heads, dtype=np.int64))
+            layer.mlp.reorder(np.asarray(neurons, dtype=np.int64))
 
     def set_width(self, width: float) -> None:
-        """Apply the width factor ``w``: keep the top-w fraction of heads
-        and MLP neurons per layer, by importance order."""
-        if not 0.0 < width <= 1.0:
-            raise ValueError(f"width must be in (0, 1], got {width}")
+        """Apply the width factor ``w``: keep the first ``round(w·H)``
+        heads and ``round(w·F)`` MLP neurons of every block."""
+        check_width(width)
         cfg = self.config
-        keep_heads = max(1, int(round(width * cfg.num_heads)))
-        keep_neurons = max(1, int(round(width * cfg.mlp_hidden)))
-        for i, layer in enumerate(self.encoder.layers):
-            head_mask = np.zeros(cfg.num_heads, dtype=bool)
-            head_mask[self._head_orders[i][:keep_heads]] = True
-            layer.attn.set_head_mask(head_mask)
-            neuron_mask = np.zeros(cfg.mlp_hidden, dtype=bool)
-            neuron_mask[self._neuron_orders[i][:keep_neurons]] = True
-            layer.mlp.set_neuron_mask(neuron_mask)
+        heads = max(1, int(round(width * cfg.num_heads)))
+        neurons = max(1, int(round(width * cfg.mlp_hidden)))
+        for layer in self.encoder.layers:
+            layer.set_width(heads, neurons)
         self.width = width
 
     def set_depth(self, depth: int) -> None:
@@ -170,9 +160,21 @@ class VisionTransformer(Module):
 
     def scale(self, width: float, depth: int) -> "VisionTransformer":
         """In-place δ(θ0, w, d); returns self for chaining."""
-        check_depth(depth, self.config.depth)  # before any mask changes
+        check_depth(depth, self.encoder.depth)  # before any width changes
         self.set_width(width)
         self.set_depth(depth)
+        return self
+
+    def narrow(self, width: float, depth: int) -> "VisionTransformer":
+        """Cut the model down to its δ(θ0, w, d) sub-network in place:
+        the first ``d`` blocks, each holding only its kept heads and
+        neurons.  Its ``state_dict()`` is what a backbone message ships;
+        it scales down, never up.  Returns self."""
+        self.scale(width, depth)
+        self.encoder.truncate(depth)
+        for layer in self.encoder.layers:
+            layer.attn.narrow(layer.heads)
+            layer.mlp.narrow(layer.neurons)
         return self
 
     @property

@@ -48,9 +48,12 @@ def layer_norm_forward(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(out, x_hat, inv_std)`` of layer normalization over the last axis."""
     mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    centred = x - mu
+    # ``x.var``'s own arithmetic (sum of squared deviations over n),
+    # without its second pass for the mean.
+    var = (centred * centred).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = (x - mu) * inv_std
+    x_hat = centred * inv_std
     return x_hat * gamma + beta, x_hat, inv_std
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.nn import functional as F
 from repro.nn import init
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, _unbroadcast
 
 
 class Parameter(Tensor):
@@ -152,6 +152,59 @@ class Module:
         return self.forward(*args, **kwargs)
 
 
+class Part:
+    """The slice of a parameter a sliced forward reads, standing in for
+    the parameter in the fused numpy bodies
+    (:func:`repro.nn.functional.linear_backward`).
+
+    ``data`` is ``view(param.data)``, reshaped to ``shape`` when given
+    (which copies a strided view); a gradient of ``data``'s shape
+    accumulates into the same view of the parameter's full gradient,
+    which is C-contiguous, so ``view`` never copies it.
+    """
+
+    __slots__ = ("param", "view", "data")
+
+    def __init__(
+        self,
+        param: Parameter,
+        view: Callable[[np.ndarray], np.ndarray],
+        shape: Optional[Tuple[int, ...]] = None,
+    ) -> None:
+        self.param = param
+        self.view = view
+        data = view(param.data)
+        self.data = data if shape is None else data.reshape(shape)
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.param.requires_grad
+
+    def _accumulate(self, grad: np.ndarray) -> None:
+        """Like :meth:`Tensor._accumulate`: a first contribution is copied
+        into a zeroed full gradient, so what the forward did not read
+        gets exactly zero, as a gradient scattered into zeros would."""
+        param = self.param
+        grad = _unbroadcast(np.asarray(grad), self.data.shape)
+        if param.grad is None:
+            buf = param._grad_buffer
+            if buf is None or buf.shape != param.data.shape or buf.dtype != grad.dtype:
+                buf = param._grad_buffer = np.empty(param.data.shape, grad.dtype)
+            buf.fill(0)
+            param.grad = buf
+            target = self.view(buf)
+            target[...] = grad.reshape(target.shape)
+        else:
+            target = self.view(param.grad)
+            target += grad.reshape(target.shape)
+
+
+def permute(param: Parameter, index) -> None:
+    """Reorder ``param`` in place by the fancy ``index`` (array identity
+    kept, so every holder of the array sees the new order)."""
+    param.data[...] = param.data[index]
+
+
 class Linear(Module):
     """Affine transformation ``y = x W + b`` over the last input axis."""
 
@@ -244,9 +297,11 @@ class Activation(Module):
 class MLP(Module):
     """Two-layer perceptron used inside Transformer blocks.
 
-    The hidden layer supports *neuron masking*: ACME's width pruning zeroes
-    out low-importance hidden neurons (see :mod:`repro.core.importance`), and
-    the mask makes that reversible without rebuilding the module.
+    ACME's width pruning keeps the most important hidden neurons (see
+    :mod:`repro.core.importance`).  The backbone is permuted once so the
+    neurons run most important first (:meth:`reorder`); the kept set at
+    any width is then a prefix, read in place (:meth:`kept`) or cut out
+    (:meth:`narrow`).
     """
 
     def __init__(
@@ -264,23 +319,38 @@ class MLP(Module):
         self.fc1 = Linear(in_features, hidden_features, rng=rng)
         self.act = Activation(activation)
         self.fc2 = Linear(hidden_features, out_features, rng=rng)
-        # Boolean keep-mask over hidden neurons; plain numpy (not trained).
-        self.neuron_mask = np.ones(hidden_features, dtype=bool)
         # Hidden activations of the last taped encoder-block forward
         # (Taylor importance, Eq. 8); written by
         # :class:`repro.nn.transformer.TransformerEncoderLayer`.
         self.last_hidden: Optional[Tensor] = None
 
-    def set_neuron_mask(self, mask: np.ndarray) -> None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (self.hidden_features,):
-            raise ValueError(
-                f"neuron mask shape {mask.shape} != ({self.hidden_features},)"
-            )
-        self.neuron_mask = mask.copy()
+    def kept(self, neurons: int) -> Tuple:
+        """``(fc1 weight, fc1 bias, fc2 weight)`` as a forward through the
+        first ``neurons`` hidden neurons reads them: the parameters
+        themselves at full width, else :class:`Part` s (``fc1``'s first
+        columns, ``fc2``'s first rows)."""
+        fc1, fc2 = self.fc1, self.fc2
+        if neurons == self.hidden_features:
+            return fc1.weight, fc1.bias, fc2.weight
+        return (
+            Part(fc1.weight, lambda a: a[:, :neurons]),
+            Part(fc1.bias, lambda a: a[:neurons]),
+            Part(fc2.weight, lambda a: a[:neurons]),
+        )
+
+    def reorder(self, order: np.ndarray) -> None:
+        """Permute the hidden neurons into ``order`` (most important
+        first): the same function, with the kept set a prefix."""
+        permute(self.fc1.weight, (slice(None), order))
+        permute(self.fc1.bias, order)
+        permute(self.fc2.weight, order)
+
+    def narrow(self, neurons: int) -> None:
+        """Cut the parameters down to the first ``neurons`` hidden neurons."""
+        for param, part in zip((self.fc1.weight, self.fc1.bias, self.fc2.weight), self.kept(neurons)):
+            if part is not param:
+                param.data = np.array(part.data)
+        self.hidden_features = neurons
 
     def forward(self, x: Tensor) -> Tensor:
-        hidden = self.act(self.fc1(x))
-        if not self.neuron_mask.all():
-            hidden = hidden * Tensor(self.neuron_mask.astype(float))
-        return self.fc2(hidden)
+        return self.fc2(self.act(self.fc1(x)))

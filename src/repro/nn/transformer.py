@@ -1,54 +1,47 @@
-"""Transformer encoder blocks with maskable width and skippable depth.
+"""Transformer encoder blocks whose width is a prefix and depth skippable.
 
 The backbone of ACME's reference model θ0 is a stack of these blocks.  Two
 structural degrees of freedom matter to the paper:
 
-* **width** — attention heads and MLP hidden neurons can be masked off
-  (``head_mask`` / ``neuron_mask``), realizing the width factor ``w``;
+* **width** — two integers per block, the kept attention heads and MLP
+  hidden neurons (:meth:`TransformerEncoderLayer.set_width`), realizing
+  the width factor ``w``.  The backbone is permuted once by importance,
+  so the kept ones are always the first ones: a forward reads views of
+  their rows and columns and computes nothing for the rest;
 * **depth** — whole blocks can be deactivated (``active``), realizing the
   layer count ``d``.
 
-Both are cheap boolean toggles, so the δ(θ0, w, d) transformation of §II-C
-never rebuilds parameter tensors.
+Both are plain integers and toggles, so the δ(θ0, w, d) transformation
+of §II-C never rebuilds parameter tensors; cutting the blocks down to
+their kept prefix (``VisionTransformer.narrow``) is what the wire ships.
 
 A block's forward is **one tape node**.  It runs LN → attention →
-residual → LN → MLP (GELU, neuron mask) → residual as plain
+residual → LN → MLP (GELU) → residual as plain
 numpy calls — the bodies of :mod:`repro.nn.functional`, in the order,
 on the operand views and in the dtypes a chain of single-op nodes would
 use — and keeps only the arrays its backward reads.  The hand-written
-backward replays that chain's backward op for op and feeds the block
-input its two contributions as two ``_accumulate`` calls, residual
-first, so the block's gradients (and a third contribution such as
-Eq. 9's hidden-state loss) sum exactly as the chain's did.  Under
-``no_grad``, or when nothing requires grad, the same forward runs and
-saves nothing.  The chained block lives on as the bit-exact oracle in
-``tests/reference/encoder.py``.
+backward replays that chain's backward op for op, accumulating each
+sliced weight's gradient into the prefix of its full gradient, and
+feeds the block input its two contributions as two ``_accumulate``
+calls, residual first, so the block's gradients (and a third
+contribution such as Eq. 9's hidden-state loss) sum exactly as the
+chain's did.  Under ``no_grad``, or when nothing requires grad, the same
+forward runs and saves nothing.  The chained block lives on as the
+bit-exact oracle in ``tests/reference/encoder.py``.
 """
 
 from __future__ import annotations
 
-import numbers
 from typing import List, Optional
 
 import numpy as np
 
+from repro.checks import check_depth
 from repro.nn import functional as F
 from repro.nn import init
 from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.layers import LayerNorm, MLP, Module
-from repro.nn.tensor import Tensor, _as_array, records
-
-
-def check_depth(depth, limit: int) -> None:
-    """Refuse a ``depth`` that is not an int in ``[1, limit]``.
-
-    ``int`` and ``np.integer`` (a wire-decoded depth) pass; a float or a
-    bool is refused rather than compared — ``2.7`` would keep 3 layers.
-    """
-    if isinstance(depth, bool) or not isinstance(depth, numbers.Integral):
-        raise ValueError(f"depth must be an int, got {depth!r}")
-    if not 1 <= depth <= limit:
-        raise ValueError(f"depth must be in [1, {limit}], got {depth}")
+from repro.nn.tensor import Tensor, _as_array, is_grad_enabled, records
 
 
 class TransformerEncoderLayer(Module):
@@ -69,13 +62,22 @@ class TransformerEncoderLayer(Module):
         self.norm2 = LayerNorm(embed_dim)
         self.mlp = MLP(embed_dim, hidden, embed_dim, activation="gelu", rng=rng)
         rng.integers(2**31)  # the old dropout seed: later layers' init depends on it
+        # Width: the kept heads and hidden neurons, a prefix of each.
+        self.heads, self.neurons = num_heads, hidden
         # Depth toggle: inactive layers pass input through untouched.
         self.active: bool = True
+
+    def set_width(self, heads: int, neurons: int) -> None:
+        """Keep the first ``heads`` heads and ``neurons`` hidden neurons."""
+        check_depth(heads, self.attn.num_heads, "heads")
+        check_depth(neurons, self.mlp.hidden_features, "neurons")
+        self.heads, self.neurons = heads, neurons
 
     def forward(self, x: Tensor) -> Tensor:
         if not self.active:
             return x
-        params = tuple(self.parameters())
+        # Untaped (``no_grad``) needs no parameter list: skip the walk.
+        params = tuple(self.parameters()) if is_grad_enabled() else ()
         if not records(x, *params):
             return Tensor(self._block(x.data, taped=False)[0])
         out, pullback = self._block(x.data, taped=True)
@@ -97,27 +99,24 @@ class TransformerEncoderLayer(Module):
         ``None`` unless ``taped``.
         """
         norm1, norm2, mlp = self.norm1, self.norm2, self.mlp
-        fc1, fc2 = mlp.fc1, mlp.fc2
+        fc1_w, fc1_b, fc2_w = mlp.kept(self.neurons)
+        fc2_b = mlp.fc2.bias
 
         a, x_hat1, inv_std1 = F.layer_norm_forward(
             x, norm1.gamma.data, norm1.beta.data, norm1.eps
         )
         a = _as_array(a)
-        h, attend_back = self.attn.attend(a, taped)
+        h, attend_back = self.attn.attend(a, taped, self.heads)
         x1 = _as_array(x + h)
 
         a2, x_hat2, inv_std2 = F.layer_norm_forward(
             x1, norm2.gamma.data, norm2.beta.data, norm2.eps
         )
         a2 = _as_array(a2)
-        pre = _as_array(F.linear_forward(a2, fc1.weight.data, fc1.bias.data))
+        pre = _as_array(F.linear_forward(a2, fc1_w.data, fc1_b.data))
         hidden, tanh = F.gelu_forward(pre)
         hidden = _as_array(hidden)
-        neurons = None
-        if not mlp.neuron_mask.all():
-            neurons = _as_array(mlp.neuron_mask.astype(float))
-        fed = hidden if neurons is None else _as_array(hidden * neurons)
-        m = _as_array(F.linear_forward(fed, fc2.weight.data, fc2.bias.data))
+        m = _as_array(F.linear_forward(hidden, fc2_w.data, fc2_b.data))
         out = x1 + m
         if not taped:
             return out, None
@@ -125,12 +124,10 @@ class TransformerEncoderLayer(Module):
         recorded = mlp.last_hidden = Tensor(hidden)
 
         def pullback(grad: np.ndarray):
-            g = F.linear_backward(grad, fed, fc2.weight, fc2.bias)
-            if neurons is not None:
-                g = g * neurons
+            g = F.linear_backward(grad, hidden, fc2_w, fc2_b)
             recorded._accumulate(g)
             g = F.gelu_backward(g, pre, tanh)
-            g = F.linear_backward(g, a2, fc1.weight, fc1.bias)
+            g = F.linear_backward(g, a2, fc1_w, fc1_b)
             g_x1 = grad + F.layer_norm_backward(g, norm2.gamma, norm2.beta, x_hat2, inv_std2)
             g = attend_back(g_x1)
             return g_x1, F.layer_norm_backward(g, norm1.gamma, norm1.beta, x_hat1, inv_std1)
@@ -164,6 +161,15 @@ class TransformerEncoder(Module):
             )
             self.register_module(f"block{i}", layer)
             self.layers.append(layer)
+
+    def truncate(self, depth: int) -> None:
+        """Drop every block from ``depth`` on."""
+        check_depth(depth, self.depth)
+        for i in range(depth, self.depth):
+            del self._modules[f"block{i}"]
+            delattr(self, f"block{i}")
+        del self.layers[depth:]
+        self.depth = depth
 
     def active_depth(self) -> int:
         return sum(1 for layer in self.layers if layer.active)

@@ -24,12 +24,12 @@ forwards it replaces (asserted in ``tests/train/test_serving.py``).
 
 from __future__ import annotations
 
-import numbers
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.registry import register_lock
+from repro.checks import check_count
 from repro.data.dataset import ArrayDataset, DataLoader
 from repro.models.headers import BackboneFeatures, gather_features  # noqa: F401  (re-export)
 from repro.nn.layers import Module
@@ -238,15 +238,8 @@ class ServingFront:
     def __init__(
         self, backbone: Module, micro_batch: int = 16, batch_size: int = 64
     ) -> None:
-        # A float or a bool is refused rather than truncated, as worker
-        # specs are (``executor.resolve_workers``).
-        for field, value in (("micro_batch", micro_batch), ("batch_size", batch_size)):
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Integral)
-                or value < 1
-            ):
-                raise ValueError(f"{field} must be an int >= 1, got {value!r}")
+        check_count("micro_batch", micro_batch, 1)
+        check_count("batch_size", batch_size, 1)
         self.backbone = backbone
         self.micro_batch = int(micro_batch)
         self.batch_size = int(batch_size)

@@ -67,15 +67,13 @@ class TestBackboneImportance:
         imp = estimate_backbone_importance(model, data, max_batches=4)
 
         guided = clone_model(model)
-        guided.set_importance_orders(
-            head_orders=imp.head_orders(), neuron_orders=imp.neuron_orders()
-        )
+        guided.reorder(imp.head_orders(), imp.neuron_orders())
         guided.set_width(0.5)
 
         anti = clone_model(model)
-        anti.set_importance_orders(
-            head_orders=[o[::-1].copy() for o in imp.head_orders()],
-            neuron_orders=[o[::-1].copy() for o in imp.neuron_orders()],
+        anti.reorder(
+            [o[::-1].copy() for o in imp.head_orders()],
+            [o[::-1].copy() for o in imp.neuron_orders()],
         )
         anti.set_width(0.5)
 
@@ -147,10 +145,7 @@ class TestDistillation:
         distilled = result.backbone
         distilled.scale(0.5, 2)
         raw = clone_model(model)
-        raw.set_importance_orders(
-            head_orders=result.importance.head_orders(),
-            neuron_orders=result.importance.neuron_orders(),
-        )
+        raw.reorder(result.importance.head_orders(), result.importance.neuron_orders())
         raw.scale(0.5, 2)
         loss_distilled = evaluate_model(distilled, data)["loss"]
         loss_raw = evaluate_model(raw, data)["loss"]

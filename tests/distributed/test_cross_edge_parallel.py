@@ -567,7 +567,7 @@ class TestCloudConcurrencySafety:
         candidates = cloud.evaluate_candidates(stats_payload)
         assert cloud.backbone.width == width_before
         assert cloud.backbone.depth == depth_before
-        assert len(candidates) == len(WIDTH_CHOICES) * len(cloud._depth_choices())
+        assert len(candidates) == len(WIDTH_CHOICES) * cloud.backbone.config.depth
 
     def test_concurrent_requests_match_serial_replies(self):
         """Same stats → same deterministic reply regardless of arrival

@@ -58,18 +58,17 @@ def layer_forwards(monkeypatch):
 
 @pytest.fixture()
 def cloud(monkeypatch):
-    """A distilled backbone over 84 public rows: two eval batches (64 +
-    16 of an ``EVAL_SAMPLES`` of 80) and a non-contiguous depth grid."""
+    """A distilled depth-2 backbone over 84 public rows: two eval batches
+    (64 + 16 of an ``EVAL_SAMPLES`` of 80) and the depth grid ``1..2``."""
     monkeypatch.setattr(cloud_module, "EVAL_SAMPLES", 80)
     data = make_cifar100_like(num_classes=6, image_size=8).generate(
         samples_per_class=14, seed=1
     )
-    vit = ViTConfig(image_size=8, patch_size=4, embed_dim=16, depth=4,
+    vit = ViTConfig(image_size=8, patch_size=4, embed_dim=16, depth=2,
                     num_heads=4, num_classes=6)
     server = CloudServer(
         VisionTransformer(vit, seed=0), data, Network(),
-        CloudConfig(pretrain_epochs=1, distill=DistillConfig(epochs=1),
-                    depth_choices=(2, 4), seed=3),
+        CloudConfig(pretrain_epochs=1, distill=DistillConfig(epochs=1), seed=3),
     )
     server.pretrain_reference()
     server.generate_dynamic_backbone()
@@ -77,25 +76,25 @@ def cloud(monkeypatch):
 
 
 class TestLossGrid:
-    def test_grid_is_the_width_constant_by_the_depth_choices(self, cloud, monkeypatch):
+    def test_grid_is_the_width_constant_by_every_depth(self, cloud, monkeypatch):
         monkeypatch.setattr(cloud_module, "WIDTH_CHOICES", (0.5, 1.0))
         cloud.prepare_candidates()
-        assert sorted(cloud._loss_cache) == [(w, d) for w in (0.5, 1.0) for d in (2, 4)]
+        assert sorted(cloud._loss_cache) == [(w, d) for w in (0.5, 1.0) for d in (1, 2)]
 
     def test_grid_equals_the_per_cell_oracle(self, cloud):
         cfg = cloud.config
         cloud.prepare_candidates()
         assert sorted(cloud._loss_cache) == [
-            (w, d) for w in WIDTH_CHOICES for d in (2, 4)
+            (w, d) for w in WIDTH_CHOICES for d in (1, 2)
         ]
         # The sweep leaves the backbone at full scale, and the frozen
-        # reply payload is that full-scale state.
-        assert (cloud.backbone.width, cloud.backbone.depth) == (1.0, 4)
+        # state the replies are cut from is that full-scale state.
+        assert (cloud.backbone.width, cloud.backbone.depth) == (1.0, 2)
         live = cloud.backbone.state_dict()
         assert all((cloud._backbone_state[k] == v).all() for k, v in live.items())
 
         oracle = loss_grid(
-            cloud.backbone, cloud.public_dataset, WIDTH_CHOICES, (2, 4),
+            cloud.backbone, cloud.public_dataset, WIDTH_CHOICES, (1, 2),
             cloud_module.EVAL_SAMPLES, cfg.seed,
         )
         assert cloud._loss_cache == oracle  # exact: same floats, same keys
@@ -103,14 +102,14 @@ class TestLossGrid:
     def test_grid_runs_each_width_once_at_its_deepest_depth(
         self, cloud, layer_forwards
     ):
-        cfg = cloud.config
+        depth = cloud.backbone.config.depth
         eval_batches = math.ceil(cloud_module.EVAL_SAMPLES / 64)
         assert eval_batches == 2
         layer_forwards.take()
         cloud.prepare_candidates()
         calls, rows = layer_forwards.take()
-        assert calls == len(WIDTH_CHOICES) * max(cfg.depth_choices) * eval_batches
-        assert rows == len(WIDTH_CHOICES) * max(cfg.depth_choices) * cloud_module.EVAL_SAMPLES
+        assert calls == len(WIDTH_CHOICES) * depth * eval_batches
+        assert rows == len(WIDTH_CHOICES) * depth * cloud_module.EVAL_SAMPLES
         # Ready: a second call forwards nothing.
         cloud.prepare_candidates()
         assert layer_forwards.take() == (0, 0)

@@ -31,8 +31,7 @@ def env():
     reference = VisionTransformer(config, seed=0)
     cloud = CloudServer(
         reference, data, network,
-        CloudConfig(pretrain_epochs=1, distill=DistillConfig(epochs=1),
-                    depth_choices=[1, 2, 3]),
+        CloudConfig(pretrain_epochs=1, distill=DistillConfig(epochs=1)),
     )
     return network, cloud, data, config
 
@@ -112,9 +111,7 @@ class TestDeviceNode:
             "edge0", device.name, MessageKind.MODEL_DISTRIBUTION,
             {
                 "vit_config": config,
-                "backbone_state": backbone.state_dict(),
-                "head_orders": [np.arange(4)] * config.depth,
-                "neuron_orders": [np.arange(32)] * config.depth,
+                "backbone_state": backbone.narrow(0.5, 2).state_dict(),
                 "width": 0.5,
                 "depth": 2,
                 "header_spec": spec,

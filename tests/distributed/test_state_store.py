@@ -56,8 +56,6 @@ def _distribution_payload(seed: int = 0) -> dict:
     return {
         "vit_config": config,
         "backbone_state": backbone.state_dict(),
-        "head_orders": [np.arange(config.num_heads)] * config.depth,
-        "neuron_orders": [np.arange(config.mlp_hidden)] * config.depth,
         "width": 1.0,
         "depth": config.depth,
         "header_spec": spec,

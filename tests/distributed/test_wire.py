@@ -212,7 +212,6 @@ class TestEveryMessageKind:
         config, model = small_model
         spec, hstate = header_state
         state = _state_arrays(model)
-        orders = {"head_orders": [[0, 1]] * 2, "neuron_orders": [[1, 0, 2]] * 2}
         rng = np.random.default_rng(1)
         dataset = ArrayDataset(
             rng.normal(size=(3, 3, 8, 8)).astype(np.float32),
@@ -227,7 +226,6 @@ class TestEveryMessageKind:
             MessageKind.BACKBONE_ASSIGNMENT: {
                 "vit_config": config,
                 "backbone_state": state,
-                **orders,
                 "width": 0.75,
                 "depth": 2,
                 "objectives": ["storage", "power"],
@@ -235,7 +233,6 @@ class TestEveryMessageKind:
             MessageKind.MODEL_DISTRIBUTION: {
                 "vit_config": config,
                 "backbone_state": state,
-                **orders,
                 "width": 0.5,
                 "depth": 1,
                 "header_spec": spec,

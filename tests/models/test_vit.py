@@ -134,7 +134,7 @@ class TestScaling:
         with pytest.raises(ValueError, match="depth must be an int"):
             model.scale(0.5, 2.7)
         assert model.width == 1.0 and model.depth == 3
-        assert all(layer.attn.head_mask.all() for layer in model.encoder.layers)
+        assert all(layer.heads == 4 for layer in model.encoder.layers)
 
     def test_scale_takes_a_wire_decoded_depth(self):
         model = VisionTransformer(small_config(), seed=0)
@@ -148,23 +148,36 @@ class TestScaling:
         with pytest.raises(ValueError):
             model.set_width(1.5)
 
-    def test_importance_orders_control_pruning(self):
+    def test_reorder_puts_the_most_important_head_first(self):
+        """Rank head 3 most important in every layer → at w=0.25 the one
+        kept head is the old head 3, now in front."""
         cfg = small_config()
         model = VisionTransformer(cfg, seed=0)
-        # Rank head 3 most important in every layer → at w=0.25 only head 3
-        # survives.
-        orders = [np.array([3, 2, 1, 0])] * cfg.depth
-        model.set_importance_orders(head_orders=orders)
+        hd = cfg.embed_dim // cfg.num_heads
+        old = [layer.attn.qkv.weight.data.copy() for layer in model.encoder.layers]
+        neurons = [np.arange(cfg.mlp_hidden)] * cfg.depth
+        model.reorder([np.array([3, 2, 1, 0])] * cfg.depth, neurons)
         model.set_width(0.25)
-        for layer in model.encoder.layers:
+        for layer, before in zip(model.encoder.layers, old):
+            assert layer.heads == 1
+            after = layer.attn.qkv.weight.data.reshape(-1, 3, cfg.num_heads, hd)
             np.testing.assert_array_equal(
-                layer.attn.head_mask, [False, False, False, True]
+                after[:, :, 0], before.reshape(-1, 3, cfg.num_heads, hd)[:, :, 3]
             )
 
-    def test_importance_order_validation(self):
+    def test_reorder_validation(self):
         model = VisionTransformer(small_config(), seed=0)
         with pytest.raises(ValueError):
-            model.set_importance_orders(head_orders=[np.arange(4)])  # wrong count
+            model.reorder([np.arange(4)], [np.arange(64)])  # wrong count
+
+    def test_narrowed_model_refuses_to_widen(self):
+        model = VisionTransformer(small_config(), seed=0).narrow(0.5, 2)
+        assert len(model.encoder.layers) == 2 and model.depth == 2
+        model.scale(0.25, 1)
+        with pytest.raises(ValueError, match="heads must be in"):
+            model.set_width(0.75)
+        with pytest.raises(ValueError, match="depth must be in"):
+            model.scale(0.5, 3)
 
     def test_restore_full_configuration(self):
         cfg = small_config()

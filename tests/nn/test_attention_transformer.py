@@ -27,27 +27,37 @@ class TestMHSA:
         x = RNG.normal(size=(1, 3, 8))
         check_gradient(lambda t: (attn(t) ** 2).sum(), x, atol=1e-4)
 
-    def test_head_mask_changes_output(self):
+    def test_fewer_heads_change_output(self):
         attn = MultiHeadSelfAttention(8, 4, rng=RNG)
-        x = Tensor(RNG.normal(size=(1, 4, 8)))
-        full = attn(x).data.copy()
-        attn.set_head_mask(np.array([True, True, False, False]))
-        masked = attn(x).data
-        assert not np.allclose(full, masked)
-        assert attn.head_mask.sum() == 2
+        x = RNG.normal(size=(1, 4, 8))
+        full = attn.attend(x, taped=False)[0]
+        assert not np.allclose(full, attn.attend(x, taped=False, heads=2)[0])
 
-    def test_all_heads_masked_yields_projection_of_zeros(self):
-        attn = MultiHeadSelfAttention(8, 2, rng=RNG)
-        attn.set_head_mask(np.zeros(2, dtype=bool))
-        x = Tensor(RNG.normal(size=(1, 3, 8)))
-        out = attn(x).data
-        expected = np.broadcast_to(attn.proj.bias.data, out.shape)
-        np.testing.assert_allclose(out, expected, atol=1e-12)
+    def test_kept_heads_read_only_their_rows_and_columns(self):
+        """At two heads of four, nothing of heads 2 and 3 is read."""
+        attn = MultiHeadSelfAttention(8, 4, rng=RNG)
+        x = RNG.normal(size=(2, 3, 8))
+        kept = attn.attend(x, taped=False, heads=2)[0]
+        attn.qkv.weight.data.reshape(8, 3, 8)[..., 4:] = np.nan
+        attn.qkv.bias.data.reshape(3, 8)[:, 4:] = np.nan
+        attn.proj.weight.data[4:] = np.nan
+        assert np.array_equal(attn.attend(x, taped=False, heads=2)[0], kept)
 
-    def test_mask_shape_validation(self):
-        attn = MultiHeadSelfAttention(8, 2)
-        with pytest.raises(ValueError):
-            attn.set_head_mask(np.ones(3, dtype=bool))
+    def test_reorder_keeps_the_function(self):
+        with using_dtype("float64"):
+            attn = MultiHeadSelfAttention(8, 4, rng=RNG)
+            x = RNG.normal(size=(2, 3, 8))
+            before = attn.attend(x, taped=False)[0]
+            attn.reorder(np.array([2, 0, 3, 1]))
+            np.testing.assert_allclose(attn.attend(x, taped=False)[0], before, atol=1e-12)
+
+    def test_narrow_is_the_kept_prefix(self):
+        attn = MultiHeadSelfAttention(8, 4, rng=RNG)
+        x = RNG.normal(size=(2, 3, 8))
+        kept = attn.attend(x, taped=False, heads=3)[0]
+        attn.narrow(3)
+        assert attn.qkv.weight.shape == (8, 18) and attn.proj.weight.shape == (6, 8)
+        assert np.array_equal(attn.attend(x, taped=False)[0], kept)
 
     def test_last_head_output_recorded(self):
         attn = MultiHeadSelfAttention(8, 2, rng=RNG)
@@ -95,6 +105,25 @@ class TestEncoderLayer:
         layer = TransformerEncoderLayer(8, 2, rng=RNG)
         x = RNG.normal(size=(1, 2, 8))
         check_gradient(lambda t: (layer(t) ** 2).sum(), x, atol=1e-4, rtol=1e-3)
+
+    def test_sliced_gradient_is_zero_outside_the_prefix(self):
+        layer = TransformerEncoderLayer(8, 2, rng=RNG)
+        layer.set_width(1, 5)
+        (layer(Tensor(RNG.normal(size=(2, 3, 8)))) ** 2).sum().backward()
+        qkv, proj = layer.attn.qkv, layer.attn.proj
+        fc1, fc2 = layer.mlp.fc1, layer.mlp.fc2
+        for grad in (qkv.weight.grad.reshape(8, 3, 8)[..., 4:], qkv.bias.grad.reshape(3, 8)[:, 4:],
+                     proj.weight.grad[4:], fc1.weight.grad[:, 5:], fc1.bias.grad[5:],
+                     fc2.weight.grad[5:]):
+            assert not grad.any()
+        assert fc2.weight.grad[:5].any() and proj.bias.grad.any()
+
+    @pytest.mark.parametrize("heads, neurons", [(0, 4), (3, 4), (1, 33), (1.0, 4), (1, True)])
+    def test_width_out_of_range_is_refused(self, heads, neurons):
+        layer = TransformerEncoderLayer(8, 2, rng=RNG)
+        with pytest.raises(ValueError, match="heads|neurons"):
+            layer.set_width(heads, neurons)
+        assert (layer.heads, layer.neurons) == (2, 32)
 
 
 class TestEncoder:

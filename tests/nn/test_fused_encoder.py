@@ -5,7 +5,7 @@ are each one tape node with a hand-written backward; the oracle is the
 chain of single-op nodes they replaced (``tests/reference/encoder.py``).
 Every comparison is exact: ``np.array_equal``, equal dtypes and equal
 bytes (so a signed zero counts), over
-both engine dtypes and masked and unmasked width.
+both engine dtypes and full and sliced width.
 """
 
 import numpy as np
@@ -30,11 +30,8 @@ def _same(a, b) -> bool:
     return a.dtype == b.dtype and np.array_equal(a, b) and a.tobytes() == b.tobytes()
 
 
-def _masked(layer: TransformerEncoderLayer) -> None:
-    layer.attn.set_head_mask(np.array([True, False, True, False]))
-    mask = np.ones(layer.mlp.hidden_features, dtype=bool)
-    mask[::3] = False
-    layer.mlp.set_neuron_mask(mask)
+def _sliced(layer: TransformerEncoderLayer) -> None:
+    layer.set_width(2, layer.mlp.hidden_features * 2 // 3)
 
 
 def _probe(x_data, upstream, forward, extra=None):
@@ -81,14 +78,14 @@ def _hidden_loss(target):
 
 class TestFusedBlockEqualsChain:
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("sliced", [False, True])
     @pytest.mark.parametrize("hidden_loss", [False, True])
-    def test_forward_and_every_gradient(self, dtype, masked, hidden_loss):
+    def test_forward_and_every_gradient(self, dtype, sliced, hidden_loss):
         rng = np.random.default_rng(7)
         with using_dtype(dtype):
             layer = TransformerEncoderLayer(EMBED, HEADS, rng=np.random.default_rng(3))
-            if masked:
-                _masked(layer)
+            if sliced:
+                _sliced(layer)
             x = rng.normal(size=(BATCH, TOKENS, EMBED))
             upstream = rng.normal(size=(BATCH, TOKENS, EMBED))
             extra = _hidden_loss(rng.normal(size=x.shape)) if hidden_loss else None
@@ -114,6 +111,7 @@ class TestFusedBlockEqualsChain:
         with using_dtype(dtype):
             encoder = TransformerEncoder(3, EMBED, HEADS, rng=np.random.default_rng(9))
             encoder.layers[1].active = False
+            encoder.layers[2].set_width(1, 5)
             x = rng.normal(size=(BATCH, TOKENS, EMBED))
             targets = [rng.normal(size=x.shape) for _ in range(2)]
             upstream = rng.normal(size=x.shape)
@@ -135,13 +133,13 @@ class TestFusedBlockEqualsChain:
         assert all(_same(a, b) for a, b in zip(chained, fused))
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_tape_free_path_equals_the_chain(self, dtype, masked):
+    @pytest.mark.parametrize("sliced", [False, True])
+    def test_tape_free_path_equals_the_chain(self, dtype, sliced):
         rng = np.random.default_rng(11)
         with using_dtype(dtype):
             layer = TransformerEncoderLayer(EMBED, HEADS, rng=np.random.default_rng(4))
-            if masked:
-                _masked(layer)
+            if sliced:
+                _sliced(layer)
             x = Tensor(rng.normal(size=(BATCH, TOKENS, EMBED)))
             with no_grad():
                 chained = chained_layer_forward(layer, x)
@@ -177,13 +175,13 @@ class TestFusedBlockEqualsChain:
 
 class TestFusedAttentionEqualsChain:
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_forward_and_every_gradient(self, dtype, masked):
+    @pytest.mark.parametrize("narrowed", [False, True])
+    def test_forward_and_every_gradient(self, dtype, narrowed):
         rng = np.random.default_rng(21)
         with using_dtype(dtype):
             attn = MultiHeadSelfAttention(EMBED, HEADS, rng=np.random.default_rng(6))
-            if masked:
-                attn.set_head_mask(np.array([False, True, True, False]))
+            if narrowed:
+                attn.narrow(3)
             x = rng.normal(size=(BATCH, TOKENS, EMBED))
             upstream = rng.normal(size=x.shape)
             runs = []

@@ -13,7 +13,7 @@ from repro.nn.layers import (
     Parameter,
     Sequential,
 )
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, using_dtype
 from tests.helpers import parameter_gradient_check
 
 RNG = np.random.default_rng(11)
@@ -117,35 +117,20 @@ class TestMLP:
         mlp = MLP(8, 16, 4, rng=RNG)
         assert mlp(Tensor(RNG.normal(size=(3, 8)))).shape == (3, 4)
 
-    def test_neuron_mask_zeroes_hidden_units(self):
+    def test_reorder_keeps_the_function(self):
+        with using_dtype("float64"):
+            mlp = MLP(4, 6, 4, rng=RNG)
+            x = Tensor(RNG.normal(size=(2, 4)))
+            before = mlp(x).data
+            mlp.reorder(np.array([5, 3, 1, 0, 2, 4]))
+            np.testing.assert_allclose(mlp(x).data, before, atol=1e-12)
+
+    def test_narrow_keeps_the_first_neurons(self):
         mlp = MLP(4, 6, 4, rng=RNG)
         x = Tensor(RNG.normal(size=(2, 4)))
-        full = mlp(x).data.copy()
-        mask = np.zeros(6, dtype=bool)
-        mlp.set_neuron_mask(mask)
-        masked = mlp(x).data
-        # With every hidden neuron masked, output reduces to fc2's bias.
-        np.testing.assert_allclose(masked, np.broadcast_to(mlp.fc2.bias.data, masked.shape))
-        assert not np.allclose(full, masked)
-
-    def test_mask_validation(self):
-        mlp = MLP(4, 6, 4)
-        with pytest.raises(ValueError):
-            mlp.set_neuron_mask(np.ones(5, dtype=bool))
-
-    def test_active_neurons(self):
-        mlp = MLP(4, 6, 4)
-        assert mlp.neuron_mask.sum() == 6
-        mask = np.array([True, False, True, False, True, False])
-        mlp.set_neuron_mask(mask)
-        assert mlp.neuron_mask.sum() == 3
-
-    def test_masked_neurons_receive_no_gradient(self):
-        mlp = MLP(3, 4, 2, rng=RNG)
-        mask = np.array([True, True, False, False])
-        mlp.set_neuron_mask(mask)
-        out = mlp(Tensor(RNG.normal(size=(5, 3))))
-        out.sum().backward()
-        # fc2 weight rows for masked neurons get zero gradient.
-        np.testing.assert_allclose(mlp.fc2.weight.grad[2:], 0.0)
-        assert np.abs(mlp.fc2.weight.grad[:2]).sum() > 0
+        w1, b1, w2 = mlp.fc1.weight.data[:, :3], mlp.fc1.bias.data[:3], mlp.fc2.weight.data[:3]
+        expected = F.gelu(Tensor(x.data @ w1 + b1)).data @ w2 + mlp.fc2.bias.data
+        mlp.narrow(3)
+        assert mlp.fc1.weight.shape == (4, 3) and mlp.fc2.weight.shape == (3, 4)
+        assert mlp.fc1.weight.data.flags.c_contiguous
+        np.testing.assert_allclose(mlp(x).data, expected, rtol=1e-5)

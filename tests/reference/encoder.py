@@ -3,8 +3,9 @@
 The Transformer block as ``src/`` ran it before the block became one
 fused node (:mod:`repro.nn.transformer`): about 24 single-op nodes per
 layer — layer norm, matmul + add per linear, reshape / transpose / index
-views, ``q @ kᵀ``, a scalar multiply, softmax, ``attn @ v``, the mask
-multiplies, GELU and two residual adds — each keeping its
+views (the kept heads' and neurons' slices of the weights among them),
+``q @ kᵀ``, a scalar multiply, softmax, ``attn @ v``, GELU and two
+residual adds — each keeping its
 output and its closure, each backward taking a private copy of its
 gradient.  The formulas are frozen here (not imported from
 ``repro.nn.functional``), so the fused block's forward, every gradient
@@ -85,34 +86,39 @@ def chained_linear_forward(linear, x):
     return out.reshape(-1) if flat else out
 
 
-def chained_attention_forward(attn, x):
-    """``MultiHeadSelfAttention.forward`` as a dozen tape nodes."""
+def chained_attention_forward(attn, x, heads=None):
+    """``MultiHeadSelfAttention.forward`` as a dozen tape nodes, through
+    the first ``heads`` heads (default: all)."""
     n, t, d = x.shape
-    h, hd = attn.num_heads, attn.head_dim
+    h = attn.num_heads if heads is None else heads
+    hd = attn.head_dim
+    qkv_w, qkv_b, proj_w = attn.qkv.weight, attn.qkv.bias, attn.proj.weight
+    if h != attn.num_heads:
+        kd = h * hd
+        qkv_w = qkv_w.reshape(d, 3, -1)[:, :, :kd].reshape(d, 3 * kd)
+        qkv_b = qkv_b.reshape(3, -1)[:, :kd].reshape(3 * kd)
+        proj_w = proj_w[:kd]
 
-    qkv = chained_linear_forward(attn.qkv, x)
+    qkv = x @ qkv_w + qkv_b
     qkv = qkv.reshape(n, t, 3, h, hd)
     qkv = qkv.transpose((2, 0, 3, 1, 4))
     q, k, v = qkv[0], qkv[1], qkv[2]
 
     scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(hd))
-    heads = _softmax(scores, axis=-1) @ v
+    out_heads = _softmax(scores, axis=-1) @ v
+    attn.last_head_output = out_heads
 
-    attn.last_head_output = heads
-    if not attn.head_mask.all():
-        mask = Tensor(attn.head_mask.astype(float).reshape(1, h, 1, 1))
-        heads = heads * mask
-
-    merged = heads.transpose((0, 2, 1, 3)).reshape(n, t, d)
-    return chained_linear_forward(attn.proj, merged)
+    merged = out_heads.transpose((0, 2, 1, 3)).reshape(n, t, h * hd)
+    return merged @ proj_w + attn.proj.bias
 
 
-def chained_mlp_forward(mlp, x):
-    hidden = _gelu(chained_linear_forward(mlp.fc1, x))
+def chained_mlp_forward(mlp, x, neurons):
+    fc1_w, fc1_b, fc2_w = mlp.fc1.weight, mlp.fc1.bias, mlp.fc2.weight
+    if neurons != mlp.hidden_features:
+        fc1_w, fc1_b, fc2_w = fc1_w[:, :neurons], fc1_b[:neurons], fc2_w[:neurons]
+    hidden = _gelu(x @ fc1_w + fc1_b)
     mlp.last_hidden = hidden
-    if not mlp.neuron_mask.all():
-        hidden = hidden * Tensor(mlp.neuron_mask.astype(float))
-    return chained_linear_forward(mlp.fc2, hidden)
+    return hidden @ fc2_w + mlp.fc2.bias
 
 
 def chained_layer_forward(layer, x):
@@ -120,7 +126,7 @@ def chained_layer_forward(layer, x):
     if not layer.active:
         return x
     x = x + chained_attention_forward(layer.attn, _layer_norm(
-        x, layer.norm1.gamma, layer.norm1.beta, layer.norm1.eps))
+        x, layer.norm1.gamma, layer.norm1.beta, layer.norm1.eps), layer.heads)
     x = x + chained_mlp_forward(layer.mlp, _layer_norm(
-        x, layer.norm2.gamma, layer.norm2.beta, layer.norm2.eps))
+        x, layer.norm2.gamma, layer.norm2.beta, layer.norm2.eps), layer.neurons)
     return x

@@ -66,8 +66,8 @@ class TestCommands:
     @pytest.mark.parametrize(
         "flag, value, named",
         [
-            ("--workers", "-2", "ExecutionPlan.device_workers: invalid worker count -2"),
-            ("--edge-workers", "-2", "ExecutionPlan.edge_workers: invalid worker count -2"),
+            ("--workers", "-2", "ExecutionPlan.device_workers: worker count must be an int >= -1, got -2"),
+            ("--edge-workers", "-2", "ExecutionPlan.edge_workers: worker count must be an int >= -1, got -2"),
             ("--backend", "fibers", "ExecutionPlan.backend: unknown executor backend 'fibers'"),
             ("--faults", "retries=-1", "retries must be an int >= 0, got -1"),
         ],
