@@ -1,39 +1,26 @@
-"""Shared helpers for the benchmark harness.
+"""The perf/v1 half of the benchmark harness: the ratio benches'
+timing, records and trajectory file.
 
-Every bench regenerates one table or figure of the paper.  Results are
-printed (visible with ``pytest -s``) and appended to
-``bench_results/<name>.txt`` so the EXPERIMENTS.md comparison can be
-re-derived at any time.
+Each ratio bench (``bench_chaos``, ``bench_fleet_train``,
+``bench_process_pool``, ``bench_scale``, ``bench_transport``) times a
+fast path against a real alternative and reports through
+:func:`emit_perf`, which prints a table and writes
+``bench_results/<name>.{txt,json}``.  The paper's figures live in
+``figures.py``.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
-RESULTS_DIR = Path(__file__).resolve().parent.parent / "bench_results"
+from figures import RESULTS_DIR, table
 
 #: Version tag of the machine-readable perf payload written by
 #: :func:`emit_perf`; bump when the schema changes shape.
 PERF_SCHEMA = "perf/v1"
-
-
-def emit(name: str, lines: Sequence[str]) -> None:
-    """Print a result block and persist it under bench_results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    text = "\n".join(lines)
-    print(f"\n=== {name} ===")
-    print(text)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-
-
-def emit_json(name: str, payload) -> None:
-    """Persist machine-readable results alongside the text block."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.json").write_text(json.dumps(payload, indent=2, default=float))
 
 
 def timed(
@@ -116,7 +103,8 @@ def emit_perf(
         payload.update(extra)
     # The bench_results/ copy is a diagnostic record and is written even
     # for a failing run.
-    emit_json(name, payload)
+    RESULTS_DIR.mkdir(exist_ok=True)
+    (RESULTS_DIR / f"{name}.json").write_text(json.dumps(payload, indent=2, default=float))
     rows = [
         (
             r["label"],
@@ -127,7 +115,11 @@ def emit_perf(
         )
         for r in records
     ]
-    emit(name, table(["bench", "fast best (s)", "baseline best (s)", "speedup", "floor"], rows))
+    text = "\n".join(
+        table(["bench", "fast best (s)", "baseline best (s)", "speedup", "floor"], rows)
+    )
+    print(f"\n=== {name} ===\n{text}")
+    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     for r in records:
         floor = r.get("floor")
         if floor is not None and r["speedup"] < floor:
@@ -173,44 +165,3 @@ def emit_perf(
         }
         path.write_text(json.dumps(trajectory, indent=2, default=float))
     return payload
-
-
-def table(headers: Sequence[str], rows: Sequence[Sequence]) -> List[str]:
-    """Plain-text table formatting."""
-    headers = [str(h) for h in headers]
-    str_rows = [[_fmt(v) for v in row] for row in rows]
-    widths = [
-        max(len(headers[i]), *(len(r[i]) for r in str_rows)) if str_rows else len(headers[i])
-        for i in range(len(headers))
-    ]
-    out = [
-        "  ".join(h.ljust(w) for h, w in zip(headers, widths)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in str_rows:
-        out.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return out
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        if value == 0:
-            return "0"
-        if abs(value) >= 1000 or abs(value) < 0.001:
-            return f"{value:.3g}"
-        return f"{value:.4g}"
-    return str(value)
-
-
-def heatmap(matrix, labels=None) -> List[str]:
-    """Render a small matrix as an aligned text heatmap."""
-    import numpy as np
-
-    matrix = np.asarray(matrix)
-    n = matrix.shape[0]
-    labels = labels or [str(i) for i in range(n)]
-    lines = ["      " + "  ".join(f"{l:>6}" for l in labels)]
-    for i in range(n):
-        row = "  ".join(f"{matrix[i, j]:6.3f}" for j in range(n))
-        lines.append(f"{labels[i]:>5} {row}")
-    return lines

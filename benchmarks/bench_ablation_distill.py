@@ -1,8 +1,9 @@
 """Ablation — the Eq. (9) distillation objective.
 
-DESIGN.md calls out distillation as the mechanism that makes every
-``δ(θ0, w, d)`` sub-network usable without per-configuration retraining.
-This ablation compares the sub-network loss across the (w, d) grid for:
+Distillation is the mechanism that makes every ``δ(θ0, w, d)``
+sub-network usable without per-configuration retraining
+(``repro/core/distill.py``).  This ablation compares the sub-network
+loss across the (w, d) grid for:
 
 * **raw** — the pretrained reference permuted by importance, each
   sub-network its prefix (``´θB`` without distillation);
@@ -16,9 +17,8 @@ full model the reference was trained as).
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from _common import emit, emit_json, table
+from figures import dynamic_backbone, emit, reference_model, table, test_data
 from repro.core.segmentation import clone_model
 from repro.train import evaluate_model
 
@@ -48,20 +48,14 @@ def run_ablation(reference_model, backbone_result, test_data):
     return rows
 
 
-def test_ablation_distill(benchmark, reference_model, dynamic_backbone, test_data):
-    rows = benchmark.pedantic(
-        run_ablation,
-        args=(reference_model, dynamic_backbone, test_data),
-        rounds=1,
-        iterations=1,
-    )
+def figure():
+    rows = run_ablation(reference_model(), dynamic_backbone(), test_data())
     lines = table(
         ["w", "d", "raw loss", "distilled loss", "gain"],
         [[r["width"], r["depth"], r["raw_loss"], r["distilled_loss"], r["gain"]]
          for r in rows],
     )
     emit("ablation_distill", lines)
-    emit_json("ablation_distill", rows)
 
     # Distillation must help on the majority of sub-configurations and on
     # average; it may cost a little at full configuration (the student
@@ -71,3 +65,4 @@ def test_ablation_distill(benchmark, reference_model, dynamic_backbone, test_dat
     assert sum(g > 0 for g in gains) >= len(gains) - 1
     # The smallest configurations gain the most.
     assert rows[0]["gain"] >= rows[-1]["gain"]
+    return rows

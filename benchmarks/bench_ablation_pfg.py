@@ -1,7 +1,7 @@
 """Ablation — the Pareto Front Grid's performance window γ_p.
 
-DESIGN.md calls out the grid method (vs. exact Pareto enumeration) as the
-device-matching mechanism.  This ablation sweeps γ_p and reports:
+The grid method (vs. exact Pareto enumeration) is the device-matching
+mechanism (``repro/core/pareto.py``).  This ablation sweeps γ_p and reports:
 
 * PFG size (how many candidates survive — the per-query work);
 * selection quality: the grid-selected candidate's weighted trade-off
@@ -15,15 +15,18 @@ becomes very coarse.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from _common import emit, emit_json, table
-from repro.core.pareto import Candidate, build_pfg, pareto_front, select_model
-from repro.core.segmentation import clone_model
-from repro.distributed.metrics import NormalizedTradeoff
-from repro.hw.energy import energy
+from figures import (
+    candidates,
+    dynamic_backbone,
+    emit,
+    evaluate_grid,
+    table,
+    test_data,
+    weighted_tradeoff,
+)
+from repro.core.pareto import build_pfg, pareto_front, select_model
 from repro.hw.profiles import DeviceProfile
-from repro.train import evaluate_model
 
 WINDOWS = (0.05, 0.1, 0.2, 0.4, 0.8)
 STORAGE = 40_000
@@ -34,36 +37,15 @@ def run_ablation(backbone_result, test_data):
     config = backbone.config
     profile = DeviceProfile.synthesize(0, 5, STORAGE, np.random.default_rng(0))
 
-    candidates = []
-    for width in (0.25, 0.5, 0.75, 1.0):
-        for depth in range(1, config.depth + 1):
-            probe = clone_model(backbone)
-            probe.scale(width, depth)
-            loss = evaluate_model(probe, test_data, max_batches=3)["loss"]
-            joules = energy(profile, width, depth, epochs=5).energy_joules
-            candidates.append(
-                Candidate(width, depth, (loss, joules, config.zeta(width, depth)))
-            )
-
-    tradeoff = NormalizedTradeoff(
-        loss_scale=max(c.loss for c in candidates),
-        energy_scale=max(c.energy for c in candidates),
-        size_scale=max(c.size for c in candidates),
-        loss_weight=2.0,
-        energy_weight=0.5,
-        size_weight=0.5,
-    )
-    feasible_front = [
-        candidates[i]
-        for i in pareto_front(candidates)
-        if candidates[i].size < STORAGE
-    ]
+    pool = candidates(evaluate_grid(backbone, test_data, max_batches=3), profile, config)
+    tradeoff = weighted_tradeoff(c.objectives for c in pool)
+    feasible_front = [pool[i] for i in pareto_front(pool) if pool[i].size < STORAGE]
     oracle = min(feasible_front, key=lambda c: tradeoff.score(*c.objectives))
     oracle_score = tradeoff.score(*oracle.objectives)
 
     rows = []
     for window in WINDOWS:
-        pfg = build_pfg(candidates, window)
+        pfg = build_pfg(pool, window)
         chosen = select_model(pfg, STORAGE)
         rows.append(
             {
@@ -78,10 +60,8 @@ def run_ablation(backbone_result, test_data):
     return rows, oracle_score
 
 
-def test_ablation_pfg(benchmark, dynamic_backbone, test_data):
-    rows, oracle_score = benchmark.pedantic(
-        run_ablation, args=(dynamic_backbone, test_data), rounds=1, iterations=1
-    )
+def figure():
+    rows, oracle_score = run_ablation(dynamic_backbone(), test_data())
     lines = table(
         ["γ_p", "PFG size", "K", "selected", "score↓", "gap to oracle"],
         [[r["window"], r["pfg_size"], r["intervals"], r["selected"],
@@ -89,7 +69,6 @@ def test_ablation_pfg(benchmark, dynamic_backbone, test_data):
     )
     lines.append(f"oracle (exact front, weighted score): {oracle_score:.4f}")
     emit("ablation_pfg", lines)
-    emit_json("ablation_pfg", {"rows": rows, "oracle": oracle_score})
 
     # Moderate windows shrink the PFG below the fine-window size.  (At
     # very coarse windows cell-ties can re-inflate membership, so strict
@@ -101,3 +80,4 @@ def test_ablation_pfg(benchmark, dynamic_backbone, test_data):
     # Every selection is feasible and within a bounded factor of oracle.
     for r in rows:
         assert r["oracle_gap"] <= 0.8
+    return {"rows": rows, "oracle": oracle_score}

@@ -1,10 +1,11 @@
 """Ablation — the similarity-softmax temperature (Eq. 20 instantiation).
 
-DESIGN.md documents one deliberate deviation: Eq. (20)'s plain exponential
-normalization is applied at a sub-unit temperature because this
-reproduction's feature spreads are smaller than ViT-B's.  This ablation
-quantifies that choice: the block contrast of the similarity weights on
-the planted two-group layout of Fig. 10, across temperatures.
+One deliberate deviation from the paper: Eq. (20)'s plain exponential
+normalization is applied at a sub-unit temperature, because this
+reproduction's feature spreads are smaller than ViT-B's
+(``regularize_similarity`` in ``repro/core/similarity.py``).  This
+ablation quantifies that choice: the block contrast of the similarity
+weights on the planted two-group layout of Fig. 10, across temperatures.
 
 Expected: at temperature 1.0 (Eq. 20 verbatim) the weights are nearly
 uniform; contrast rises as temperature drops; very low temperatures
@@ -13,61 +14,35 @@ saturate.  The default (0.05) sits in the high-contrast regime.
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
-from _common import emit, emit_json, table
+from figures import block_contrast, emit, planted_features, table
 from repro.core.similarity import (
     distance_matrix,
-    extract_features,
     regularize_similarity,
     similarity_from_distances,
 )
-from repro.data import partition_two_groups
 
 TEMPERATURES = (1.0, 0.5, 0.2, 0.1, 0.05, 0.02)
 
 
-def _contrast(matrix: np.ndarray) -> float:
-    groups = [(0, 1, 2), (3, 4)]
-    same, cross = [], []
-    for a in range(5):
-        for b in range(5):
-            if a == b:
-                continue
-            in_same = any(a in g and b in g for g in groups)
-            (same if in_same else cross).append(matrix[a, b])
-    return float(np.mean(same) - np.mean(cross))
-
-
-def run_ablation(reference_model, cifar_like):
-    data = cifar_like.generate(samples_per_class=30, seed=7, name="ablation-sim")
-    devices = partition_two_groups(data, (3, 2), np.random.default_rng(0))
-    features = [
-        extract_features(reference_model, d, max_samples=24, seed=i)
-        for i, d in enumerate(devices)
-    ]
+def run_ablation(features):
     similarity = similarity_from_distances(
         distance_matrix(features, metric="wasserstein", seed=0)
     )
     rows = []
     for temperature in TEMPERATURES:
         weights = regularize_similarity(similarity, temperature=temperature)
-        rows.append({"temperature": temperature, "contrast": _contrast(weights)})
+        rows.append({"temperature": temperature, "contrast": block_contrast(weights)})
     return rows
 
 
-def test_ablation_similarity_temperature(benchmark, reference_model, cifar_like):
-    rows = benchmark.pedantic(
-        run_ablation, args=(reference_model, cifar_like), rounds=1, iterations=1
-    )
+def figure():
+    rows = run_ablation(planted_features())
     lines = table(
         ["temperature", "block contrast"],
         [[r["temperature"], r["contrast"]] for r in rows],
     )
     lines.append("default used by the aggregation path: 0.05")
     emit("ablation_similarity", lines)
-    emit_json("ablation_similarity", rows)
 
     contrasts = {r["temperature"]: r["contrast"] for r in rows}
     # Contrast grows monotonically as temperature drops through the range.
@@ -75,3 +50,4 @@ def test_ablation_similarity_temperature(benchmark, reference_model, cifar_like)
     assert all(b >= a - 1e-6 for a, b in zip(ordered, ordered[1:]))
     # Eq. (20) verbatim is near-uniform here; the default is far sharper.
     assert contrasts[0.05] > 3 * max(contrasts[1.0], 1e-6)
+    return rows

@@ -17,7 +17,7 @@ so this bench guards two budgets in ``BENCH_perf.json``:
   speedup is fault-free-time / chaos-time; the 0.5x floor bounds the
   retry + re-poll overhead of absorbing a 10% loss rate at roughly 2x
   wall-clock.  The record also logs completed rounds/s, the retry count
-  and the injected-fault census for the EXPERIMENTS.md narrative.
+  and the injected-fault census (the fault model is ROBUSTNESS.md's).
 
 The campaign leg asserts the chaos run *completes every aggregation
 round* (the degraded-mode contract) before any timing is recorded.

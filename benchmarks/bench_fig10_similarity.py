@@ -8,39 +8,15 @@ Wasserstein "more accurately captures the complex data relationships").
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
-from _common import emit, emit_json, heatmap
+from figures import block_contrast, emit, heatmap, planted_features
 from repro.core.similarity import (
     distance_matrix,
-    extract_features,
     regularize_similarity,
     similarity_from_distances,
 )
-from repro.data import partition_two_groups
 
 
-def block_contrast(matrix: np.ndarray) -> float:
-    """Mean within-group minus mean cross-group similarity."""
-    groups = [(0, 1, 2), (3, 4)]
-    same, cross = [], []
-    for a in range(5):
-        for b in range(5):
-            if a == b:
-                continue
-            in_same = any(a in g and b in g for g in groups)
-            (same if in_same else cross).append(matrix[a, b])
-    return float(np.mean(same) - np.mean(cross))
-
-
-def run_fig10(reference_model, cifar_like):
-    data = cifar_like.generate(samples_per_class=30, seed=7, name="fig10")
-    devices = partition_two_groups(data, (3, 2), np.random.default_rng(0))
-    features = [
-        extract_features(reference_model, d, max_samples=24, seed=i)
-        for i, d in enumerate(devices)
-    ]
+def run_fig10(features):
     out = {}
     for metric in ("wasserstein", "js"):
         distances = distance_matrix(features, metric=metric, seed=0)
@@ -55,10 +31,8 @@ def run_fig10(reference_model, cifar_like):
     return out
 
 
-def test_fig10_similarity(benchmark, reference_model, cifar_like):
-    out = benchmark.pedantic(
-        run_fig10, args=(reference_model, cifar_like), rounds=1, iterations=1
-    )
+def figure():
+    out = run_fig10(planted_features())
     lines = []
     for metric in ("wasserstein", "js"):
         lines.append(f"{metric} similarity weights (devices 0-2 | 3-4):")
@@ -69,13 +43,10 @@ def test_fig10_similarity(benchmark, reference_model, cifar_like):
         "paper: Wasserstein separates the two planted groups more crisply than JS"
     )
     emit("fig10_similarity", lines)
-    emit_json(
-        "fig10_similarity",
-        {m: {"contrast": out[m]["contrast"],
-             "weights": out[m]["weights"].tolist()} for m in out},
-    )
 
     # Shape assertions: Wasserstein recovers the planted blocks...
     assert out["wasserstein"]["contrast"] > 0
     # ...at least as crisply as JS.
     assert out["wasserstein"]["contrast"] >= out["js"]["contrast"] - 1e-3
+    return {m: {"contrast": out[m]["contrast"],
+                "weights": out[m]["weights"].tolist()} for m in out}

@@ -14,16 +14,15 @@ Shape targets: every method yields a positive improvement; the
 distribution-aware weighting (Ours) matches or beats uniform Averaging,
 with the gap widening on the non-IID regimes.  (In this scaled-down
 substrate the Alone baseline is stronger than in the paper — devices'
-importance estimates are less noisy than at ViT-B scale; recorded as a
-deviation in EXPERIMENTS.md.)
+importance estimates are less noisy than at ViT-B scale; EXPERIMENTS.md
+records it as a deviation.)
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from _common import emit, emit_json, table
+from figures import dynamic_backbone, emit, generator, table
 from repro.core.aggregation import (
     AGGREGATION_METHODS,
     personalized_architecture_aggregation,
@@ -97,10 +96,8 @@ def run_fig11(backbone_result, cifar_like):
     return results
 
 
-def test_fig11_aggregation(benchmark, dynamic_backbone, cifar_like):
-    results = benchmark.pedantic(
-        run_fig11, args=(dynamic_backbone, cifar_like), rounds=1, iterations=1
-    )
+def figure():
+    results = run_fig11(dynamic_backbone(), generator())
     lines = table(
         ["regime", *AGGREGATION_METHODS],
         [[regime, *[results[regime][m] for m in AGGREGATION_METHODS]]
@@ -117,7 +114,6 @@ def test_fig11_aggregation(benchmark, dynamic_backbone, cifar_like):
     )
     lines.append("paper: ours best across all regimes; Avg loses its edge as confusion grows")
     emit("fig11_aggregation", lines)
-    emit_json("fig11_aggregation", results)
 
     # Shape assertions.
     # Every method improves on the un-refined header, on every regime.
@@ -129,3 +125,4 @@ def test_fig11_aggregation(benchmark, dynamic_backbone, cifar_like):
     assert mean["ours"] >= mean["average"] - 0.005
     # And the most confused regime must not favor uniform averaging.
     assert results["c3"]["ours"] >= results["c3"]["average"] - 0.01
+    return results

@@ -9,9 +9,8 @@ supply the feature-extraction capacity the backbone lacks.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from _common import emit, emit_json, table
+from figures import dynamic_backbone, emit, table, test_data, train_data
 from repro.core.segmentation import clone_model
 from repro.models.blocks import BlockSpec, HeaderSpec, num_operations
 from repro.models.header_dag import DAGHeader
@@ -48,33 +47,7 @@ def _cell_accuracy(backbone, num_blocks, repeats, train_data, test_data):
     return float(np.mean(accs))
 
 
-def run_fig12(backbone_result, train_data, test_data):
-    # Fig. 12's phenomenon needs the large backbone to *saturate* the task
-    # (so header complexity can only lose information), which the hardened
-    # bench dataset prevents; use an easier workload generated from the
-    # same family, and retrain the pipeline on it.
-    from repro.core.distill import DistillConfig
-    from repro.core.segmentation import generate_backbone
-    from repro.data.synthetic import SyntheticImageGenerator, SyntheticSpec
-    from repro.models import VisionTransformer
-    from repro.train import train_model
-
-    spec = SyntheticSpec(num_classes=8, image_size=16, channels=3,
-                         class_separation=1.0, noise_scale=0.7)
-    generator = SyntheticImageGenerator(spec, seed=0)
-    easy_train = generator.generate(samples_per_class=40, seed=1, name="fig12-train")
-    easy_test = generator.generate(samples_per_class=16, seed=2, name="fig12-test")
-
-    from repro.models import ViTConfig
-
-    vit = ViTConfig(image_size=16, patch_size=4, embed_dim=32, depth=6,
-                    num_heads=4, mlp_ratio=2.0, num_classes=8)
-    reference = VisionTransformer(vit, seed=0)
-    train_model(reference, easy_train, TrainConfig(epochs=5, seed=0))
-    generated = generate_backbone(
-        reference, easy_train, distill_config=DistillConfig(epochs=2, seed=0)
-    )
-
+def run_fig12(generated, easy_train, easy_test):
     results = {}
     for label, (width, depth) in {"large (w=1, d=6)": (1.0, 6),
                                   "small (w=0.25, d=2)": (0.25, 2)}.items():
@@ -89,14 +62,10 @@ def run_fig12(backbone_result, train_data, test_data):
     return results
 
 
-def _complexity(cell):
-    return cell[0] * cell[1]
-
-
-def test_fig12_complexity(benchmark, dynamic_backbone, train_data, test_data):
-    results = benchmark.pedantic(
-        run_fig12, args=(dynamic_backbone, train_data, test_data), rounds=1, iterations=1
-    )
+def figure():
+    # Fig. 12's phenomenon needs the large backbone to *saturate* the task,
+    # so it runs the whole pipeline on the easier ``fig12`` dataset.
+    results = run_fig12(dynamic_backbone("fig12"), train_data("fig12"), test_data("fig12"))
     lines = []
     for label, cells in results.items():
         lines.append(label)
@@ -106,11 +75,6 @@ def test_fig12_complexity(benchmark, dynamic_backbone, train_data, test_data):
         )
         lines.append("")
     emit("fig12_complexity", lines)
-    emit_json(
-        "fig12_complexity",
-        {label: {f"B{b}U{u}": acc for (b, u), acc in cells.items()}
-         for label, cells in results.items()},
-    )
 
     large = results["large (w=1, d=6)"]
     small = results["small (w=0.25, d=2)"]
@@ -132,3 +96,5 @@ def test_fig12_complexity(benchmark, dynamic_backbone, train_data, test_data):
     small_gain = small_complex - small_simple
     large_gain = np.mean([large[(3, 1)], large[(3, 2)], large[(2, 2)]]) - large_simple
     assert small_gain >= large_gain - 0.02
+    return {label: {f"B{b}U{u}": acc for (b, u), acc in cells.items()}
+            for label, cells in results.items()}

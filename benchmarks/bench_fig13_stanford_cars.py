@@ -8,82 +8,34 @@ Repeats the Fig. 7 comparisons on the fine-grained dataset:
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
-from _common import emit, emit_json, table
-from repro.core.distill import DistillConfig
-from repro.core.nas import HeaderSearch, NASConfig
-from repro.core.segmentation import clone_model, generate_backbone
-from repro.models import ViTConfig, VisionTransformer, build_baseline, build_fixed_header
-from repro.train import (
-    TrainConfig,
-    evaluate_header,
-    evaluate_model,
-    train_header,
-    train_model,
+from figures import (
+    dynamic_backbone,
+    emit,
+    fixed_header_accuracy,
+    nas_header,
+    prune_into_slot,
+    table,
+    test_data,
+    train_data,
 )
+from repro.core.segmentation import clone_model
+from repro.models import build_baseline
+from repro.train import TrainConfig, evaluate_header, evaluate_model, train_model
 
 CLASSES = 16
 BASELINES = ("efficient_vit", "mobile_vit", "decct")
 STORAGE_LIMIT = 30_000
 
 
-def _nas_header_accuracy(backbone, train_data, test_data, seed=0):
-    search = HeaderSearch(
-        backbone,
-        train_data.num_classes,
-        NASConfig(
-            num_blocks=2, search_epochs=2, children_per_epoch=3,
-            shared_steps_per_child=3, controller_updates_per_epoch=3,
-            derive_samples=4, train_backbone=False, seed=seed,
-        ),
-    )
-    spec = search.search(train_data).spec
-    header = search.materialize_header(spec, seed=seed)
-    train_header(backbone, header, train_data, TrainConfig(epochs=3, seed=seed))
-    # Phase 2-1 does not freeze the backbone (§III-C); a short unfrozen
-    # fine-tune matches the paper's training protocol.
-    train_header(backbone, header, train_data, TrainConfig(epochs=2, seed=seed),
-                 freeze_backbone=False)
-    return evaluate_header(backbone, header, test_data)["accuracy"], header
-
-
-def run_fig13(cars_like):
-    train_data = cars_like.generate(samples_per_class=40, seed=1, name="cars-train")
-    test_data = cars_like.generate(samples_per_class=16, seed=2, name="cars-test")
-
-    vit = ViTConfig(image_size=16, patch_size=4, embed_dim=32, depth=6,
-                    num_heads=4, mlp_ratio=2.0, num_classes=CLASSES)
-    reference = VisionTransformer(vit, seed=0)
-    train_model(reference, train_data, TrainConfig(epochs=6, seed=0))
-    result = generate_backbone(
-        reference, train_data, distill_config=DistillConfig(epochs=2, seed=0)
-    )
-
+def run_fig13(result, train_data, test_data):
     # (a) ACME model under the storage slot vs baselines.
     deployed = clone_model(result.backbone)
     deployed.scale(0.75, 3)  # ζ = 18720, leaving header room in the slot
-    acme_acc, header = _nas_header_accuracy(deployed, train_data, test_data)
-
+    header = nas_header(deployed, train_data, unfrozen_epochs=2)
     # Prune the header into the remaining slot budget (Eqs. 16-18), as in
     # the Fig. 7(a) bench.
-    header_budget = STORAGE_LIMIT - deployed.zeta()
-    if header.parameter_count() > header_budget:
-        from repro.core.header_importance import (
-            ImportanceConfig,
-            compute_importance_set,
-            prune_by_importance,
-        )
-
-        importance = compute_importance_set(
-            deployed, header, train_data,
-            ImportanceConfig(max_batches_per_epoch=4, seed=0), train=False,
-        )
-        keep = max(0.05, min(1.0, header_budget / header.parameter_count()))
-        prune_by_importance(header, importance, keep)
-        train_header(deployed, header, train_data, TrainConfig(epochs=2, seed=0))
-        acme_acc = evaluate_header(deployed, header, test_data)["accuracy"]
+    prune_into_slot(deployed, header, train_data, STORAGE_LIMIT - deployed.zeta())
+    acme_acc = evaluate_header(deployed, header, test_data)["accuracy"]
 
     rows_a = [{
         "name": "ACME (ours)",
@@ -104,22 +56,19 @@ def run_fig13(cars_like):
     for depth in (3, 6):
         backbone = clone_model(result.backbone)
         backbone.scale(1.0, depth)
-        fixed_accs = {}
-        for kind in ("linear", "cnn"):
-            h = build_fixed_header(kind, vit.embed_dim, vit.num_patches, CLASSES,
-                                   rng=np.random.default_rng(0))
-            train_header(backbone, h, train_data, TrainConfig(epochs=3, seed=0))
-            fixed_accs[kind] = evaluate_header(backbone, h, test_data)["accuracy"]
-        nas_acc, _header = _nas_header_accuracy(backbone, train_data, test_data)
+        fixed_accs = {
+            kind: fixed_header_accuracy(backbone, kind, train_data, test_data)
+            for kind in ("linear", "cnn")
+        }
+        nas = nas_header(backbone, train_data, unfrozen_epochs=2)
+        nas_acc = evaluate_header(backbone, nas, test_data)["accuracy"]
         rows_b.append({"depth": depth, **fixed_accs, "nas": nas_acc})
 
     return rows_a, rows_b
 
 
-def test_fig13_stanford_cars(benchmark, cars_like):
-    rows_a, rows_b = benchmark.pedantic(
-        run_fig13, args=(cars_like,), rounds=1, iterations=1
-    )
+def figure():
+    rows_a, rows_b = run_fig13(dynamic_backbone("cars"), train_data("cars"), test_data("cars"))
     lines = ["(a) ACME vs baselines (Stanford-Cars stand-in)"]
     lines += table(
         ["model", "accuracy", "params"],
@@ -137,7 +86,6 @@ def test_fig13_stanford_cars(benchmark, cars_like):
     )
     lines.append("paper: +3.94% avg under storage constraint; header effect +14.43% avg")
     emit("fig13_stanford_cars", lines)
-    emit_json("fig13_stanford_cars", {"baselines": rows_a, "headers": rows_b})
 
     acme = rows_a[0]
     feasible = [r for r in rows_a[1:] if r["params"] < STORAGE_LIMIT * 1.2]
@@ -146,3 +94,4 @@ def test_fig13_stanford_cars(benchmark, cars_like):
     # NAS headers hold up on the fine-grained data too.
     for r in rows_b:
         assert r["nas"] >= max(r["linear"], r["cnn"]) - 0.05
+    return {"baselines": rows_a, "headers": rows_b}

@@ -11,9 +11,8 @@ Paper claims reproduced in shape:
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from _common import emit, emit_json, table
+from figures import dynamic_backbone, emit, table, test_data
 from repro.core.segmentation import clone_model
 from repro.hw.energy import energy
 from repro.hw.profiles import DeviceProfile
@@ -26,7 +25,7 @@ def _accuracy_at(backbone_result, width, depth, dataset):
     return evaluate_model(model, dataset)["accuracy"]
 
 
-def run_fig1(backbone_result, train_data, test_data):
+def run_fig1(backbone_result, test_data):
     profile = DeviceProfile.synthesize(0, 5, 10**6, np.random.default_rng(0))
     config = backbone_result.backbone.config
 
@@ -55,10 +54,8 @@ def run_fig1(backbone_result, train_data, test_data):
     return sweep, same_size
 
 
-def test_fig1_motivation(benchmark, dynamic_backbone, train_data, test_data):
-    sweep, same_size = benchmark.pedantic(
-        run_fig1, args=(dynamic_backbone, train_data, test_data), rounds=1, iterations=1
-    )
+def figure():
+    sweep, same_size = run_fig1(dynamic_backbone(), test_data())
 
     lines = ["(a) model size vs accuracy & energy"]
     lines += table(
@@ -73,7 +70,6 @@ def test_fig1_motivation(benchmark, dynamic_backbone, train_data, test_data):
     spread = max(s["accuracy"] for s in same_size) - min(s["accuracy"] for s in same_size)
     lines.append(f"accuracy spread at equal size: {spread * 100:.2f}% (paper: up to 4.9%)")
     emit("fig1_motivation", lines)
-    emit_json("fig1_motivation", {"sweep": sweep, "same_size": same_size, "spread": spread})
 
     # Shape assertions.
     # Energy strictly increases with effective size.
@@ -86,3 +82,4 @@ def test_fig1_motivation(benchmark, dynamic_backbone, train_data, test_data):
     assert last_gain <= first_gain + 0.05
     # Similar-size architectures genuinely differ.
     assert spread >= 0.0
+    return {"sweep": sweep, "same_size": same_size, "spread": spread}

@@ -10,83 +10,44 @@ reaches the best accuracy at a comparable (or smaller) parameter count.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from _common import emit, emit_json, table
-from repro.core.nas import HeaderSearch, NASConfig
-from repro.core.pareto import Candidate, build_pfg, select_model
+from figures import (
+    candidates,
+    dynamic_backbone,
+    emit,
+    evaluate_grid,
+    nas_header,
+    prune_into_slot,
+    table,
+    test_data,
+    train_data,
+)
+from repro.core.pareto import build_pfg, select_model
 from repro.core.segmentation import clone_model
-from repro.hw.energy import energy
 from repro.hw.profiles import DeviceProfile
 from repro.models import BASELINE_BUILDERS, build_baseline
-from repro.train import TrainConfig, evaluate_header, evaluate_model, train_header, train_model
+from repro.train import TrainConfig, evaluate_header, evaluate_model, train_model
 
 STORAGE_LIMIT = 30_000  # the scaled "25M" deployment slot
 
 
-def build_acme_model(backbone_result, train_data, test_data, seed=0):
+def build_acme_model(backbone_result, train_data, test_data):
     """Run ACME's per-cluster pipeline: PFG selection + NAS header."""
     backbone = backbone_result.backbone
-    config = backbone.config
-    profile = DeviceProfile.synthesize(0, 5, STORAGE_LIMIT, np.random.default_rng(seed))
+    profile = DeviceProfile.synthesize(0, 5, STORAGE_LIMIT, np.random.default_rng(0))
 
     # Cloud-side candidate evaluation (loss on public data, Eq. 10).
-    candidates = []
-    for width in (0.25, 0.5, 0.75, 1.0):
-        for depth in range(1, config.depth + 1):
-            probe = clone_model(backbone)
-            probe.scale(width, depth)
-            loss = evaluate_model(probe, train_data, max_batches=2)["loss"]
-            joules = energy(profile, width, depth, epochs=5).energy_joules
-            candidates.append(Candidate(width, depth, (loss, joules, config.zeta(width, depth))))
+    pool = candidates(evaluate_grid(backbone, train_data, max_batches=2), profile, backbone.config)
     # The deployment slot holds backbone + header; ACME sizes the backbone
     # against ~2/3 of it and prunes the header into the remainder
     # (Phase 2-2's importance pruning).
     backbone_budget = STORAGE_LIMIT * 0.65
-    chosen = select_model(build_pfg(candidates, 0.05), backbone_budget)
+    chosen = select_model(build_pfg(pool, 0.05), backbone_budget)
 
     deployed = clone_model(backbone)
     deployed.scale(chosen.width, chosen.depth)
-
-    search = HeaderSearch(
-        deployed,
-        train_data.num_classes,
-        NASConfig(
-            num_blocks=2,
-            search_epochs=2,
-            children_per_epoch=3,
-            shared_steps_per_child=3,
-            controller_updates_per_epoch=3,
-            derive_samples=4,
-            train_backbone=False,
-            seed=seed,
-        ),
-    )
-    result = search.search(train_data)
-    header = search.materialize_header(result.spec, seed=seed)
-    train_header(deployed, header, train_data, TrainConfig(epochs=3, seed=seed))
-    # Phase 2-1 does not freeze the backbone (§III-C); finish with a short
-    # unfrozen fine-tune as in the paper's training protocol.
-    train_header(deployed, header, train_data, TrainConfig(epochs=2, seed=seed),
-                 freeze_backbone=False)
-
-    # Prune the header into the remaining storage budget by importance
-    # (Eqs. 16-18), then fine-tune the surviving parameters.
-    header_budget = STORAGE_LIMIT - chosen.size
-    if header.parameter_count() > header_budget:
-        from repro.core.header_importance import (
-            ImportanceConfig,
-            compute_importance_set,
-            prune_by_importance,
-        )
-
-        importance = compute_importance_set(
-            deployed, header, train_data,
-            ImportanceConfig(max_batches_per_epoch=4, seed=seed), train=False,
-        )
-        keep_fraction = max(0.05, min(1.0, header_budget / header.parameter_count()))
-        prune_by_importance(header, importance, keep_fraction)
-        train_header(deployed, header, train_data, TrainConfig(epochs=2, seed=seed))
+    header = nas_header(deployed, train_data, unfrozen_epochs=2)
+    prune_into_slot(deployed, header, train_data, STORAGE_LIMIT - chosen.size)
 
     metrics = evaluate_header(deployed, header, test_data)
     size = chosen.size + header.active_parameter_count()
@@ -107,10 +68,8 @@ def run_fig7a(backbone_result, train_data, test_data):
     return rows
 
 
-def test_fig7a_baselines(benchmark, dynamic_backbone, train_data, test_data):
-    rows = benchmark.pedantic(
-        run_fig7a, args=(dynamic_backbone, train_data, test_data), rounds=1, iterations=1
-    )
+def figure():
+    rows = run_fig7a(dynamic_backbone(), train_data(), test_data())
     lines = table(
         ["model", "accuracy", "params"],
         [[r["name"], r["accuracy"], r["params"]] for r in rows],
@@ -123,9 +82,9 @@ def test_fig7a_baselines(benchmark, dynamic_backbone, train_data, test_data):
         f"{gain * 100:+.2f}% accuracy (paper: ≈ +10% over baselines)"
     )
     emit("fig7a_baselines", lines)
-    emit_json("fig7a_baselines", rows)
 
     # Shape: ACME is at least competitive with every baseline while staying
     # inside the storage slot.
     assert acme["params"] < STORAGE_LIMIT * 1.2
     assert acme["accuracy"] >= best_baseline["accuracy"] - 0.02
+    return rows

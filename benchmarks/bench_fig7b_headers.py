@@ -9,48 +9,20 @@ backbones (paper: +9.02% small, ≈+3% large).
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
-from _common import emit, emit_json, table
-from repro.core.nas import HeaderSearch, NASConfig
+from figures import (
+    dynamic_backbone,
+    emit,
+    fixed_header_accuracy,
+    nas_header,
+    table,
+    test_data,
+    train_data,
+)
 from repro.core.segmentation import clone_model
-from repro.models import build_fixed_header
-from repro.train import TrainConfig, evaluate_header, train_header
+from repro.train import evaluate_header
 
 FIXED_KINDS = ("linear", "mlp", "pool", "cnn")
 DEPTHS = (2, 4, 6)
-
-
-def evaluate_fixed(backbone, kind, train_data, test_data, seed=0):
-    cfg = backbone.config
-    header = build_fixed_header(
-        kind, cfg.embed_dim, cfg.num_patches, cfg.num_classes,
-        rng=np.random.default_rng(seed),
-    )
-    train_header(backbone, header, train_data, TrainConfig(epochs=3, seed=seed))
-    return evaluate_header(backbone, header, test_data)["accuracy"]
-
-
-def evaluate_nas(backbone, train_data, test_data, seed=0):
-    search = HeaderSearch(
-        backbone,
-        train_data.num_classes,
-        NASConfig(
-            num_blocks=2,
-            search_epochs=2,
-            children_per_epoch=3,
-            shared_steps_per_child=3,
-            controller_updates_per_epoch=3,
-            derive_samples=4,
-            train_backbone=False,
-            seed=seed,
-        ),
-    )
-    result = search.search(train_data)
-    header = search.materialize_header(result.spec, seed=seed)
-    train_header(backbone, header, train_data, TrainConfig(epochs=3, seed=seed))
-    return evaluate_header(backbone, header, test_data)["accuracy"]
 
 
 def run_fig7b(backbone_result, train_data, test_data):
@@ -60,16 +32,15 @@ def run_fig7b(backbone_result, train_data, test_data):
         backbone.scale(1.0, depth)
         row = {"depth": depth}
         for kind in FIXED_KINDS:
-            row[kind] = evaluate_fixed(backbone, kind, train_data, test_data)
-        row["nas"] = evaluate_nas(backbone, train_data, test_data)
+            row[kind] = fixed_header_accuracy(backbone, kind, train_data, test_data)
+        header = nas_header(backbone, train_data)
+        row["nas"] = evaluate_header(backbone, header, test_data)["accuracy"]
         rows.append(row)
     return rows
 
 
-def test_fig7b_headers(benchmark, dynamic_backbone, train_data, test_data):
-    rows = benchmark.pedantic(
-        run_fig7b, args=(dynamic_backbone, train_data, test_data), rounds=1, iterations=1
-    )
+def figure():
+    rows = run_fig7b(dynamic_backbone(), train_data(), test_data())
     lines = table(
         ["backbone depth", *FIXED_KINDS, "NAS (ours)"],
         [[r["depth"], *[r[k] for k in FIXED_KINDS], r["nas"]] for r in rows],
@@ -81,9 +52,9 @@ def test_fig7b_headers(benchmark, dynamic_backbone, train_data, test_data):
     )
     lines.append("paper: +9.02% avg on small backbones, ≈+3% on large")
     emit("fig7b_headers", lines)
-    emit_json("fig7b_headers", rows)
 
     # Shape: NAS header is at least as good as the best fixed design on
     # every backbone (small tolerance for the scaled-down setting).
     for r in rows:
         assert r["nas"] >= max(r[k] for k in FIXED_KINDS) - 0.04
+    return rows

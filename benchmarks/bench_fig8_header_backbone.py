@@ -8,21 +8,19 @@ flips) on complex backbones.
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
-from _common import emit, emit_json, table
-from repro.core.nas import HeaderSearch, NASConfig
+from figures import (
+    dynamic_backbone,
+    emit,
+    fixed_header_accuracy,
+    nas_header,
+    table,
+    test_data,
+    train_data,
+)
 from repro.core.segmentation import clone_model
-from repro.models import build_fixed_header
-from repro.train import TrainConfig, evaluate_header, train_header
+from repro.train import evaluate_header
 
 GRID = [(0.5, 2), (0.75, 3), (1.0, 4), (1.0, 6)]
-
-
-def _train_eval(backbone, header, train_data, test_data, seed=0):
-    train_header(backbone, header, train_data, TrainConfig(epochs=3, seed=seed))
-    return evaluate_header(backbone, header, test_data)["accuracy"]
 
 
 def run_fig8(backbone_result, train_data, test_data):
@@ -30,31 +28,10 @@ def run_fig8(backbone_result, train_data, test_data):
     for width, depth in GRID:
         backbone = clone_model(backbone_result.backbone)
         backbone.scale(width, depth)
-        cfg = backbone.config
-
-        linear = build_fixed_header(
-            "linear", cfg.embed_dim, cfg.num_patches, cfg.num_classes,
-            rng=np.random.default_rng(0),
-        )
-        cnn = build_fixed_header(
-            "cnn", cfg.embed_dim, cfg.num_patches, cfg.num_classes,
-            rng=np.random.default_rng(0),
-        )
-        acc_linear = _train_eval(backbone, linear, train_data, test_data)
-        acc_cnn = _train_eval(backbone, cnn, train_data, test_data)
-
-        search = HeaderSearch(
-            backbone,
-            train_data.num_classes,
-            NASConfig(
-                num_blocks=2, search_epochs=2, children_per_epoch=3,
-                shared_steps_per_child=3, controller_updates_per_epoch=3,
-                derive_samples=4, train_backbone=False, seed=0,
-            ),
-        )
-        spec = search.search(train_data).spec
-        nas_header = search.materialize_header(spec, seed=0)
-        acc_nas = _train_eval(backbone, nas_header, train_data, test_data)
+        acc_linear = fixed_header_accuracy(backbone, "linear", train_data, test_data)
+        acc_cnn = fixed_header_accuracy(backbone, "cnn", train_data, test_data)
+        nas = nas_header(backbone, train_data)
+        acc_nas = evaluate_header(backbone, nas, test_data)["accuracy"]
 
         rows.append(
             {"width": width, "depth": depth, "linear": acc_linear,
@@ -63,10 +40,8 @@ def run_fig8(backbone_result, train_data, test_data):
     return rows
 
 
-def test_fig8_header_backbone(benchmark, dynamic_backbone, train_data, test_data):
-    rows = benchmark.pedantic(
-        run_fig8, args=(dynamic_backbone, train_data, test_data), rounds=1, iterations=1
-    )
+def figure():
+    rows = run_fig8(dynamic_backbone(), train_data(), test_data())
     lines = table(
         ["w", "d", "Linear", "CNN", "NAS (ours)"],
         [[r["width"], r["depth"], r["linear"], r["cnn"], r["nas"]] for r in rows],
@@ -78,7 +53,6 @@ def test_fig8_header_backbone(benchmark, dynamic_backbone, train_data, test_data
         "(paper: CNN helps simple backbones most)"
     )
     emit("fig8_header_backbone", lines)
-    emit_json("fig8_header_backbone", rows)
 
     # Shape: NAS ties-or-beats both fixed designs at every grid point.
     for r in rows:
@@ -87,3 +61,4 @@ def test_fig8_header_backbone(benchmark, dynamic_backbone, train_data, test_data
     assert (simple["cnn"] - simple["linear"]) >= (
         complex_["cnn"] - complex_["linear"]
     ) - 0.05
+    return rows

@@ -16,25 +16,24 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import pytest
 
-from _common import emit, emit_json, table
-from repro.core.matching import make_policies
-from repro.core.pareto import Candidate, build_pfg
-from repro.core.segmentation import clone_model
-from repro.distributed.metrics import (
-    NormalizedTradeoff,
-    energy_efficiency_ratio,
-    size_efficiency_ratio,
+from figures import (
+    candidates,
+    dynamic_backbone,
+    emit,
+    evaluate_grid,
+    table,
+    test_data,
+    weighted_tradeoff,
 )
-from repro.hw.energy import energy
+from repro.core.matching import make_policies
+from repro.distributed.metrics import energy_efficiency_ratio, size_efficiency_ratio
 from repro.hw.profiles import make_fleet
-from repro.train import evaluate_model
 
 NUM_CLUSTERS = 6
 
 
-def run_fig9(backbone_result, train_data, test_data):
+def run_fig9(backbone_result, test_data):
     backbone = backbone_result.backbone
     config = backbone.config
     fleet = make_fleet(
@@ -45,13 +44,7 @@ def run_fig9(backbone_result, train_data, test_data):
     )
 
     # Evaluate the shared candidate grid once (accuracy + loss per (w, d)).
-    grid = {}
-    for width in (0.25, 0.5, 0.75, 1.0):
-        for depth in range(1, config.depth + 1):
-            probe = clone_model(backbone)
-            probe.scale(width, depth)
-            metrics = evaluate_model(probe, test_data, max_batches=3)
-            grid[(width, depth)] = metrics
+    grid = evaluate_grid(backbone, test_data, max_batches=3)
 
     policies = make_policies(performance_window=0.25, seed=0)
     results = {name: [] for name in policies}
@@ -59,18 +52,10 @@ def run_fig9(backbone_result, train_data, test_data):
     for cluster in fleet:
         representative = max(cluster, key=lambda d: d.base_power)
         storage = min(d.storage_limit for d in cluster)
-        candidates = [
-            Candidate(
-                w, d,
-                (grid[(w, d)]["loss"],
-                 energy(representative, w, d, epochs=5).energy_joules,
-                 config.zeta(w, d)),
-            )
-            for (w, d) in grid
-        ]
+        pool = candidates(grid, representative, config)
         for name, policy in policies.items():
             start = time.perf_counter()
-            match = policy.select(candidates, storage)
+            match = policy.select(pool, storage)
             elapsed = time.perf_counter() - start
             chosen = match.candidate
             results[name].append(
@@ -86,20 +71,12 @@ def run_fig9(backbone_result, train_data, test_data):
     return results
 
 
-def test_fig9_matching(benchmark, dynamic_backbone, train_data, test_data):
-    results = benchmark.pedantic(
-        run_fig9, args=(dynamic_backbone, train_data, test_data), rounds=1, iterations=1
-    )
+def figure():
+    results = run_fig9(dynamic_backbone(), test_data())
 
     # Normalize the trade-off by the worst values observed across methods.
-    all_rows = [r for rows in results.values() for r in rows]
-    tradeoff = NormalizedTradeoff(
-        loss_scale=max(r["loss"] for r in all_rows),
-        energy_scale=max(r["energy"] for r in all_rows),
-        size_scale=max(r["size"] for r in all_rows),
-        loss_weight=2.0,  # service quality dominates (see NormalizedTradeoff)
-        energy_weight=0.5,
-        size_weight=0.5,
+    tradeoff = weighted_tradeoff(
+        (r["loss"], r["energy"], r["size"]) for rows in results.values() for r in rows
     )
 
     summary = {}
@@ -143,7 +120,6 @@ def test_fig9_matching(benchmark, dynamic_backbone, train_data, test_data):
         f"trade-off improvement vs next-best: {improvement * 100:+.1f}% (paper: ≥ 28.9%)"
     )
     emit("fig9_matching", lines)
-    emit_json("fig9_matching", summary)
 
     # Shape assertions.
     assert ours["visits"] < greedy_acc["visits"], "ours must visit fewer candidates"
@@ -151,3 +127,4 @@ def test_fig9_matching(benchmark, dynamic_backbone, train_data, test_data):
     assert ours["tradeoff"] >= others_best_tradeoff * 0.99, "ours wins the trade-off"
     assert ours["tradeoff"] > summary["random"]["tradeoff"]
     assert ours["accuracy"] >= summary["random"]["accuracy"]
+    return summary

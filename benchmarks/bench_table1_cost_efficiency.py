@@ -16,10 +16,7 @@ linearly in N.
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
-from _common import emit, emit_json, table
+from figures import emit, table
 from repro.core.header_importance import ImportanceConfig
 from repro.core.search_space import table1_search_space_row
 from repro.distributed import ACMEConfig, ACMESystem
@@ -28,7 +25,7 @@ from repro.models import ViTConfig
 FLEET_SIZES = (10, 20, 30, 40)
 CLASSES = 8
 # Per-device shard targets ~700 images so the byte ratio reflects the
-# paper's data-rich devices (see DESIGN.md substitution table).
+# paper's data-rich devices (EXPERIMENTS.md, Table I).
 IMAGES_PER_DEVICE = 700
 
 
@@ -63,10 +60,8 @@ def run_row(num_devices: int) -> dict:
     }
 
 
-def test_table1_cost_efficiency(benchmark):
-    rows = benchmark.pedantic(
-        lambda: [run_row(n) for n in FLEET_SIZES], rounds=1, iterations=1
-    )
+def figure():
+    rows = [run_row(n) for n in FLEET_SIZES]
 
     lines = table(
         ["N", "CS space (10^3)", "Ours space (10^3)", "CS upload (MB)", "Ours upload (MB)",
@@ -79,7 +74,6 @@ def test_table1_cost_efficiency(benchmark):
     )
     lines.append("paper: search-space ratio ≈ 1%, upload ratio ≈ 6%")
     emit("table1_cost_efficiency", lines)
-    emit_json("table1_cost_efficiency", rows)
 
     # Shape assertions.
     for r in rows:
@@ -94,3 +88,4 @@ def test_table1_cost_efficiency(benchmark):
     # only approximately linear: check the per-device cost stays in a band.
     per_device = [r["ours_upload_mb"] / r["N"] for r in rows]
     assert max(per_device) / min(per_device) < 6.0
+    return rows

@@ -278,7 +278,8 @@ def regularize_similarity(similarity: np.ndarray, temperature: float = 1.0) -> n
     feature spreads are O(1) so the plain exponential discriminates well;
     this reproduction's scaled-down features have smaller spreads, so the
     aggregation path uses a sub-unit temperature to recover the same
-    contrast (documented in DESIGN.md).
+    contrast (``benchmarks/bench_ablation_similarity.py`` measures it;
+    EXPERIMENTS.md).
     """
     w = np.asarray(similarity, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:

@@ -12,7 +12,6 @@ from repro.data.synthetic import (
     SyntheticImageGenerator,
     SyntheticSpec,
     make_cifar100_like,
-    make_stanford_cars_like,
 )
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "SyntheticImageGenerator",
     "SyntheticSpec",
     "make_cifar100_like",
-    "make_stanford_cars_like",
     "merge",
     "partition_confusion",
     "partition_dirichlet",

@@ -11,16 +11,17 @@ Two knobs control difficulty:
   members share most of their prototype, mimicking fine-grained recognition
   (Stanford Cars: many visually similar classes).
 
-These two generators preserve the *relative* phenomena the paper's figures
-rely on: accuracy grows then saturates with model capacity, fine-grained
-data is harder than coarse data, and devices holding different class subsets
-have measurably different feature distributions.
+Coarse and fine-grained specs preserve the *relative* phenomena the
+paper's figures rely on: accuracy grows then saturates with model
+capacity, fine-grained data is harder than coarse data, and devices
+holding different class subsets have measurably different feature
+distributions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -163,27 +164,5 @@ def make_cifar100_like(
         class_separation=1.0,
         noise_scale=0.7,
         fine_grained_groups=None,
-    )
-    return SyntheticImageGenerator(spec, seed=seed)
-
-
-def make_stanford_cars_like(
-    num_classes: int = 24,
-    image_size: int = 16,
-    seed: int = 0,
-) -> SyntheticImageGenerator:
-    """Stanford-Cars stand-in: fine-grained classes in few coarse groups.
-
-    Classes share group-level structure (cars all look like cars) and differ
-    in small details, making the task harder at equal class count — matching
-    the paper's observation that header quality matters more here (Fig. 13).
-    """
-    spec = SyntheticSpec(
-        num_classes=num_classes,
-        image_size=image_size,
-        channels=3,
-        class_separation=0.9,
-        noise_scale=0.75,
-        fine_grained_groups=max(2, num_classes // 4),
     )
     return SyntheticImageGenerator(spec, seed=seed)

@@ -41,7 +41,7 @@ from repro.nn import functional as F
 from repro.nn import init
 from repro.nn.attention import MultiHeadSelfAttention
 from repro.nn.layers import LayerNorm, MLP, Module
-from repro.nn.tensor import Tensor, _as_array, is_grad_enabled, records
+from repro.nn.tensor import Tensor, _as_array, records
 
 
 class TransformerEncoderLayer(Module):
@@ -76,8 +76,15 @@ class TransformerEncoderLayer(Module):
     def forward(self, x: Tensor) -> Tensor:
         if not self.active:
             return x
-        # Untaped (``no_grad``) needs no parameter list: skip the walk.
-        params = tuple(self.parameters()) if is_grad_enabled() else ()
+        # The tape's parents in ``parameters()`` order, listed from the
+        # current attributes rather than by the recursive module walk.
+        attn, mlp = self.attn, self.mlp
+        params = (
+            self.norm1.gamma, self.norm1.beta,
+            attn.qkv.weight, attn.qkv.bias, attn.proj.weight, attn.proj.bias,
+            self.norm2.gamma, self.norm2.beta,
+            mlp.fc1.weight, mlp.fc1.bias, mlp.fc2.weight, mlp.fc2.bias,
+        )
         if not records(x, *params):
             return Tensor(self._block(x.data, taped=False)[0])
         out, pullback = self._block(x.data, taped=True)

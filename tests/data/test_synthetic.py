@@ -12,7 +12,6 @@ from repro.data import (
     SyntheticImageGenerator,
     SyntheticSpec,
     make_cifar100_like,
-    make_stanford_cars_like,
 )
 
 
@@ -89,6 +88,18 @@ class TestGenerator:
         assert acc > 0.9
 
 
+def cars_like(num_classes: int, seed: int) -> SyntheticImageGenerator:
+    """A Stanford-Cars-like generator: fine-grained classes in few coarse
+    groups, sharing group-level structure and differing in small details."""
+    spec = SyntheticSpec(
+        num_classes=num_classes,
+        class_separation=0.9,
+        noise_scale=0.75,
+        fine_grained_groups=max(2, num_classes // 4),
+    )
+    return SyntheticImageGenerator(spec, seed=seed)
+
+
 class TestFineGrained:
     def test_stanford_cars_is_harder(self):
         """Fine-grained prototypes are more mutually similar than coarse ones."""
@@ -101,14 +112,14 @@ class TestFineGrained:
             return (sims.sum() - n) / (n * (n - 1))
 
         coarse = make_cifar100_like(num_classes=12, seed=0)
-        fine = make_stanford_cars_like(num_classes=12, seed=0)
+        fine = cars_like(num_classes=12, seed=0)
         assert mean_pairwise_cosine(fine.prototypes) > mean_pairwise_cosine(
             coarse.prototypes
         ) + 0.1
 
     def test_group_structure(self):
         """Within-group prototype similarity exceeds across-group similarity."""
-        gen = make_stanford_cars_like(num_classes=8, seed=1)
+        gen = cars_like(num_classes=8, seed=1)
         groups = gen.spec.fine_grained_groups
         flat = gen.prototypes.reshape(8, -1)
         flat = flat / np.linalg.norm(flat, axis=1, keepdims=True)

@@ -165,12 +165,20 @@ class TestFusedBlockEqualsChain:
         assert layer(x) is x
 
     def test_one_tape_node_per_block(self):
+        """The block's tape parents are its input, then exactly
+        ``parameters()`` in order, also after ``narrow``."""
         layer = TransformerEncoderLayer(EMBED, HEADS, rng=np.random.default_rng(4))
         x = Tensor(np.ones((1, TOKENS, EMBED)), requires_grad=True)
-        out = layer(x)
-        assert out._parents[0] is x
-        assert all(p.requires_grad for p in out._parents)
-        assert len(out._parents) == 1 + len(layer.parameters())
+
+        def parents_are_input_then_parameters() -> bool:
+            parents = layer(x)._parents
+            return [id(p) for p in parents] == [id(p) for p in (x, *layer.parameters())]
+
+        assert parents_are_input_then_parameters()
+        _sliced(layer)
+        layer.attn.narrow(layer.heads)
+        layer.mlp.narrow(layer.neurons)
+        assert parents_are_input_then_parameters()
 
 
 class TestFusedAttentionEqualsChain:
