@@ -85,6 +85,6 @@ def figure():
 
     # Shape: ACME is at least competitive with every baseline while staying
     # inside the storage slot.
-    assert acme["params"] < STORAGE_LIMIT * 1.2
+    assert acme["params"] <= STORAGE_LIMIT
     assert acme["accuracy"] >= best_baseline["accuracy"] - 0.02
     return rows

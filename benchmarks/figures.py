@@ -236,14 +236,19 @@ def nas_header(backbone, train: ArrayDataset, unfrozen_epochs: int = 0) -> Heade
 def prune_into_slot(backbone, header: Header, train: ArrayDataset, budget: float) -> None:
     """Prune ``header`` by importance into ``budget`` parameters
     (Eqs. 16-18, Phase 2-2), then retrain the survivors 2 epochs; a header
-    that already fits is left as it is."""
+    that already fits is left as it is.  Pruning keeps the classifier
+    whole, so the keep fraction is of the other parameters and of what
+    the budget leaves them."""
     if header.parameter_count() <= budget:
         return
     importance = compute_importance_set(
         backbone, header, train,
         ImportanceConfig(max_batches_per_epoch=4, seed=0), train=False,
     )
-    keep_fraction = max(0.05, min(1.0, budget / header.parameter_count()))
+    protected = header.classifier.num_parameters()
+    keep_fraction = max(
+        0.05, min(1.0, (budget - protected) / (header.parameter_count() - protected))
+    )
     prune_by_importance(header, importance, keep_fraction)
     train_header(backbone, header, train, TrainConfig(epochs=2, seed=0))
 

@@ -3,9 +3,8 @@
 Given the evaluated candidate grid, four policies pick a model per device
 cluster:
 
-* **PFG (ours)** — Algorithm 1: construct the Pareto Front Grid once, then
-  answer each cluster's query with Eq. (13).  Construction is amortized, so
-  per-query selection latency is near the Random policy's.
+* **PFG (ours)** — Algorithm 1: build the Pareto Front Grid of the query's
+  candidates, then answer the cluster's query with Eq. (13).
 * **Greedy-Accuracy** — scan all feasible candidates for minimum loss.
 * **Greedy-Size** — scan all feasible candidates for maximum size.
 * **Random** — any feasible candidate.
@@ -19,11 +18,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.core.pareto import Candidate, ParetoFrontGrid, build_pfg, select_model
+from repro.core.pareto import Candidate, build_pfg, select_model
 
 
 @dataclass
@@ -46,27 +45,21 @@ class MatchingPolicy:
 
 
 class PFGMatcher(MatchingPolicy):
-    """Ours: amortized Pareto-Front-Grid lookup (Alg. 1 + Eq. 13)."""
+    """Ours: Pareto-Front-Grid lookup (Alg. 1 + Eq. 13)."""
 
     name = "ours"
 
     def __init__(self, performance_window: float = 0.05) -> None:
         self.performance_window = performance_window
-        self._pfg: Optional[ParetoFrontGrid] = None
-
-    def prepare(self, candidates: Sequence[Candidate]) -> None:
-        """Construct the PFG once (amortized across all queries)."""
-        self._pfg = build_pfg(candidates, self.performance_window)
 
     def select(self, candidates: Sequence[Candidate], storage_limit: float) -> MatchResult:
+        """Answer from the grid built from this query's ``candidates``."""
         start = time.perf_counter()
-        if self._pfg is None:
-            self.prepare(candidates)
-        assert self._pfg is not None
-        chosen = select_model(self._pfg, storage_limit)
+        pfg = build_pfg(candidates, self.performance_window)
+        chosen = select_model(pfg, storage_limit)
         elapsed = time.perf_counter() - start
         # Only PFG members are visited at query time.
-        return MatchResult(self.name, chosen, visits=len(self._pfg.members), wall_seconds=elapsed)
+        return MatchResult(self.name, chosen, visits=len(pfg.members), wall_seconds=elapsed)
 
 
 class GreedyAccuracyMatcher(MatchingPolicy):

@@ -329,9 +329,12 @@ class HeaderSearch:
 
         for _epoch in range(cfg.search_epochs):
             # Step 1: optimize shared parameters ω_s with sampled children.
+            # Only _update_controller differentiates a rollout's log-prob,
+            # so every other rollout runs tape-free.
             for _ in range(cfg.children_per_epoch):
-                sample = self.controller.sample(self.rng)
-                child = self.build_child(sample.spec)
+                with no_grad():
+                    spec = self.controller.sample(self.rng).spec
+                child = self.build_child(spec)
                 loader = DataLoader(
                     train_set,
                     batch_size=BATCH_SIZE,
@@ -348,10 +351,11 @@ class HeaderSearch:
         # across workers, keep the best on validation.  The greedy spec is
         # scored with the batch; the tie-breaking order (first best wins,
         # greedy only on strict improvement) matches the serial loop.
-        derive_specs = [
-            self.controller.sample(self.rng).spec for _ in range(cfg.derive_samples)
-        ]
-        greedy = self.controller.sample(self.rng, greedy=True)
+        with no_grad():
+            derive_specs = [
+                self.controller.sample(self.rng).spec for _ in range(cfg.derive_samples)
+            ]
+            greedy = self.controller.sample(self.rng, greedy=True)
         rewards = self._score_specs(
             derive_specs + [greedy.spec], val_set, features=val_features
         )

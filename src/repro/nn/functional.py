@@ -1,6 +1,6 @@
 """Fused differentiable operations built on :mod:`repro.nn.tensor`.
 
-These cover the numerically-sensitive compound ops (log-softmax and the
+These cover the numerically-sensitive compound ops (the cross-entropy
 losses, layer normalization) with hand-derived backward passes where
 fusing is materially faster or more stable than composing primitives.
 
@@ -24,7 +24,6 @@ from repro.nn.tensor import (
     _as_array,
     _pow,
     _unbroadcast,
-    get_default_dtype,
 )
 
 
@@ -179,19 +178,6 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
             x._accumulate(gx)
 
     return Tensor._make(out_data, parents, backward)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically-stable log-softmax along ``axis``."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - logsumexp
-
-    def backward(grad: np.ndarray) -> None:
-        soft = np.exp(out_data)
-        x._accumulate(grad - soft * grad.sum(axis=axis, keepdims=True))
-
-    return Tensor._make(out_data, (x,), backward)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, reduction: str = "mean") -> Tensor:
@@ -367,16 +353,3 @@ def accuracy(logits: Tensor, targets: np.ndarray) -> float:
     """Fraction of rows whose argmax matches ``targets`` (no gradient)."""
     predictions = logits.data.argmax(axis=-1)
     return float((predictions == np.asarray(targets)).mean())
-
-
-def one_hot(indices: np.ndarray, num_classes: int) -> np.ndarray:
-    """Plain numpy one-hot encoding helper for controller inputs."""
-    indices = np.asarray(indices, dtype=np.int64)
-    out = np.zeros(indices.shape + (num_classes,), dtype=get_default_dtype())
-    np.put_along_axis(
-        out.reshape(-1, num_classes),
-        indices.reshape(-1, 1),
-        1.0,
-        axis=1,
-    )
-    return out

@@ -11,7 +11,7 @@ from repro.core.matching import (
     make_policies,
     trade_off_score,
 )
-from repro.core.pareto import Candidate
+from repro.core.pareto import Candidate, build_pfg, select_model
 from repro.core.search_space import (
     SearchSpaceAccounting,
     header_search_space_size,
@@ -52,13 +52,27 @@ class TestPolicies:
         assert GreedySizeMatcher().select(cands, 300).visits == len(cands)
 
     def test_pfg_visits_fewer_after_preparation(self):
-        """Fig. 9's latency claim: amortized PFG queries touch only PFG
-        members, far fewer than the full candidate grid."""
+        """Fig. 9's latency claim: a PFG query touches only PFG members,
+        far fewer than the full candidate grid."""
         cands = grid()
-        matcher = PFGMatcher(performance_window=0.1)
-        matcher.prepare(cands)
-        result = matcher.select(cands, 300)
+        result = PFGMatcher(performance_window=0.1).select(cands, 300)
         assert result.visits < len(cands)
+
+    def test_pfg_answers_each_query_from_its_own_candidates(self):
+        """A list priced differently gets its own grid's choice, not the
+        first query's."""
+        cheap = grid()
+        # Same sizes, but the energy ranking reversed: the large models
+        # are now the frugal ones.
+        priced = [Candidate(c.width, c.depth, (c.loss, 30.0 - c.energy, c.size))
+                  for c in cheap]
+        want_cheap = select_model(build_pfg(cheap, 0.1), 300)
+        want_priced = select_model(build_pfg(priced, 0.1), 300)
+        assert want_cheap != want_priced
+
+        matcher = PFGMatcher(performance_window=0.1)
+        assert matcher.select(cheap, 300).candidate == want_cheap
+        assert matcher.select(priced, 300).candidate == want_priced
 
     def test_random_single_visit(self):
         assert RandomMatcher(seed=1).select(grid(), 300).visits == 1

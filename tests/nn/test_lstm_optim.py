@@ -1,4 +1,5 @@
-"""Tests for the LSTM controller cell, Adam and gradient clipping."""
+"""Tests for the LSTM controller cell (through the oracle's step), Adam and
+gradient clipping."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from repro.nn.lstm import LSTMCell
 from repro.nn.optim import Adam, FleetOptimizer, clip_grad_norm
 from repro.nn.tensor import Tensor
 from tests.helpers import check_gradient
+from tests.reference.controller import lstm_cell_forward
 
 RNG = np.random.default_rng(17)
 
@@ -18,36 +20,39 @@ def _unroll(cell, x):
     the last hidden and cell state."""
     state = None
     for t in range(x.shape[1]):
-        state = cell(Tensor(x[:, t]), state)
+        state = lstm_cell_forward(cell, Tensor(x[:, t]), state)
     return state
 
 
 class TestLSTMCell:
+    """The chained LSTM step of the controller oracle on an ``LSTMCell``'s
+    weights: the reference the fused rollout is held to."""
+
     def test_state_shapes(self):
         cell = LSTMCell(4, 6, rng=RNG)
-        h, c = cell(Tensor(RNG.normal(size=(3, 4))))
+        h, c = lstm_cell_forward(cell, Tensor(RNG.normal(size=(3, 4))))
         assert h.shape == (3, 6) and c.shape == (3, 6)
 
     def test_state_threading(self):
         cell = LSTMCell(4, 6, rng=RNG)
         x = Tensor(RNG.normal(size=(2, 4)))
-        h1, c1 = cell(x)
-        h2, c2 = cell(x, (h1, c1))
+        h1, c1 = lstm_cell_forward(cell, x)
+        h2, c2 = lstm_cell_forward(cell, x, (h1, c1))
         assert not np.allclose(h1.data, h2.data)
 
     def test_gradient_through_time(self):
         cell = LSTMCell(3, 4, rng=RNG)
 
         def run(t):
-            h, c = cell(t)
-            h, c = cell(t, (h, c))
+            h, c = lstm_cell_forward(cell, t)
+            h, c = lstm_cell_forward(cell, t, (h, c))
             return (h**2).sum()
 
         check_gradient(run, RNG.normal(size=(1, 3)), atol=1e-4)
 
     def test_bounded_hidden_state(self):
         cell = LSTMCell(2, 3, rng=RNG)
-        h, _c = cell(Tensor(RNG.normal(size=(5, 2)) * 100))
+        h, _c = lstm_cell_forward(cell, Tensor(RNG.normal(size=(5, 2)) * 100))
         assert (np.abs(h.data) <= 1.0).all()
 
     def test_unrolled_sequence_shapes(self):

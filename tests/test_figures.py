@@ -35,6 +35,25 @@ def figures(monkeypatch, tmp_path):
     return figures
 
 
+def _assert_same_shape(got, want, where):
+    """Same keys and list lengths; integers and strings exactly.
+
+    Floats (accuracies, losses, energies, wall clock) move with the BLAS
+    build, so only their type is checked here.
+    """
+    assert type(got) is type(want), where
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            _assert_same_shape(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for k, (g, w) in enumerate(zip(got, want)):
+            _assert_same_shape(g, w, f"{where}[{k}]")
+    elif not isinstance(want, float):
+        assert got == want, where
+
+
 def test_fast_figures_run_through_the_runner(figures, tmp_path):
     assert figures.main(list(reversed(FAST))) == 0
     results = json.loads((tmp_path / "figures.json").read_text())
@@ -42,6 +61,11 @@ def test_fast_figures_run_through_the_runner(figures, tmp_path):
     assert list(results) == [name for name in figures.FIGURES if name in FAST]
     for entry in results.values():
         assert entry["payload"] and entry["seconds"] >= 0
+    # The committed results have the shape and the counts these figures
+    # print now.
+    committed = json.loads((BENCHMARKS.parent / "bench_results" / "figures.json").read_text())
+    for name, entry in results.items():
+        _assert_same_shape(entry["payload"], committed[name]["payload"], name)
 
 
 def test_a_later_run_keeps_the_other_figures_entries(figures, tmp_path):
