@@ -1,12 +1,12 @@
 """The perf/v1 half of the benchmark harness: the ratio benches'
 timing, records and trajectory file.
 
-Each ratio bench (``bench_chaos``, ``bench_fleet_train``,
-``bench_process_pool``, ``bench_scale``, ``bench_transport``) times a
-fast path against a real alternative and reports through
-:func:`emit_perf`, which prints a table and writes
-``bench_results/<name>.{txt,json}``.  The paper's figures live in
-``figures.py``.
+Each ratio bench (``bench_fleet_train``, ``bench_process_pool``) times
+a fast path against a real alternative and reports through
+:func:`emit_perf`, which prints a table, writes
+``bench_results/<name>.{txt,json}`` and merges its records into
+``BENCH_perf.json``.  Absolute end-to-end numbers are
+``benchmarks/e2e``'s; the paper's figures live in ``figures.py``.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from figures import RESULTS_DIR, table
 #: Version tag of the machine-readable perf payload written by
 #: :func:`emit_perf`; bump when the schema changes shape.
 PERF_SCHEMA = "perf/v1"
+#: Where each record's ``bench`` must live as ``<bench>.py``.
+BENCH_DIR = Path(__file__).resolve().parent
 
 
 def timed(
@@ -60,7 +62,7 @@ def perf_record(
 ) -> Dict[str, object]:
     """One fast-vs-baseline comparison in the :data:`PERF_SCHEMA` layout."""
     speedup = float(baseline["best_s"]) / max(float(fast["best_s"]), 1e-12)
-    record = {
+    return {
         "label": label,
         "fast": fast,
         "baseline": baseline,
@@ -68,27 +70,26 @@ def perf_record(
         "floor": floor,
         **extra,
     }
-    return record
 
 
 def emit_perf(
     name: str,
     records: Sequence[Dict[str, object]],
     path: Optional[Path] = None,
-    extra: Optional[Dict[str, object]] = None,
-    merge: bool = True,
 ) -> Dict[str, object]:
     """Persist perf records under ``bench_results/`` (and ``path`` if given).
 
     Also prints a human-readable table and **asserts every record's
     ``floor``** so speedup regressions fail loudly in CI-style runs.
 
-    With ``merge`` (the default) the trajectory file at ``path`` is
-    updated record-by-record: records whose labels this bench rewrites
-    are replaced, records from other benches are preserved — so
-    ``BENCH_perf.json`` can accumulate the whole perf trajectory
-    (fleet trainer, fault fabric, fleet scale, …) regardless of which
-    bench ran last.  Each record carries a ``bench`` provenance field.
+    The trajectory file at ``path`` is updated bench by bench: this
+    bench's previous records are replaced, other benches' records are
+    kept — so ``BENCH_perf.json`` holds the whole perf trajectory
+    regardless of which bench ran last.  Each record carries a ``bench``
+    provenance field.  Before the file is written, a kept record whose
+    label this run also writes, or whose ``benchmarks/<bench>.py`` no
+    longer exists (it could only be replayed, never re-measured), raises
+    ``ValueError``.
     """
     records = [dict(r) for r in records]
     for record in records:
@@ -99,8 +100,6 @@ def emit_perf(
         "unix_time": time.time(),
         "results": list(records),
     }
-    if extra:
-        payload.update(extra)
     # The bench_results/ copy is a diagnostic record and is written even
     # for a failing run.
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -132,31 +131,32 @@ def emit_perf(
     # overwrite the baseline it is measured against.
     if path is not None:
         path = Path(path)
-        combined = list(records)
-        if merge and path.exists():
-            try:
-                existing = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError):
-                existing = None
-            if isinstance(existing, dict) and isinstance(existing.get("results"), list):
-                # Each bench owns its namespace: a run replaces ALL of its
-                # own previous records (so renamed/retired labels cannot
-                # linger as stale floors) and never touches records owned
-                # by other benches.  Legacy records without a provenance
-                # field are claimed by label.  Cross-bench label
-                # collisions are left in place — the trajectory replay
-                # test asserts label uniqueness, so they fail loudly
-                # instead of silently deleting another bench's baseline.
-                new_labels = {r.get("label") for r in records}
-                kept = [
-                    r
-                    for r in existing["results"]
-                    if isinstance(r, dict)
-                    and r.get("bench") != name
-                    and not ("bench" not in r and r.get("label") in new_labels)
-                ]
-                combined = kept + combined
-        benches = sorted({str(r.get("bench", name)) for r in combined})
+        kept = []
+        if path.exists():
+            # Each bench owns its namespace: a run replaces ALL of its
+            # own previous records (so renamed/retired labels cannot
+            # linger as stale floors) and never touches records owned
+            # by other benches.
+            kept = [
+                r for r in json.loads(path.read_text())["results"] if r.get("bench") != name
+            ]
+            new_labels = {r["label"] for r in records}
+            collisions = [
+                (r.get("label"), r.get("bench")) for r in kept if r.get("label") in new_labels
+            ]
+            if collisions:
+                raise ValueError(
+                    f"{name}: labels already owned by other benches in {path}: {collisions}"
+                )
+            orphans = [
+                (r.get("label"), r.get("bench"))
+                for r in kept
+                if not (BENCH_DIR / f"{r.get('bench')}.py").is_file()
+            ]
+            if orphans:
+                raise ValueError(f"{name}: records in {path} whose bench is gone: {orphans}")
+        combined = kept + records
+        benches = sorted({str(r.get("bench")) for r in combined})
         trajectory = {
             "bench": "+".join(benches),
             "schema": PERF_SCHEMA,

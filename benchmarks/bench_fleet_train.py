@@ -33,11 +33,9 @@ importance sets of the fleet of N must equal the N fleets of one (and
 the textbook loop) exactly — grouping is a pure execution-plan change.
 
 Results are persisted machine-readably to ``bench_results/`` and merged
-into ``BENCH_perf.json`` at the repo root (floors replayed in tier-1 by
-``tests/test_perf_floors.py``).
+into ``BENCH_perf.json`` at the repo root once every floor holds.
 
 Run:  PYTHONPATH=src python benchmarks/bench_fleet_train.py
-  or: PYTHONPATH=src python -m pytest benchmarks/bench_fleet_train.py -s
 ``--smoke`` runs tiny shapes with no floor assertions and without
 touching ``BENCH_perf.json`` (wired into tier-1 so this script cannot
 rot between perf PRs).
@@ -240,10 +238,6 @@ def run_bench(smoke: bool = False):
         records,
         path=None if smoke else REPO_ROOT / "BENCH_perf.json",
     )
-
-
-def test_fleet_train_bench():
-    run_bench()
 
 
 if __name__ == "__main__":

@@ -16,15 +16,16 @@ Two comparisons, recorded into the ``BENCH_perf.json`` trajectory
   frames included.
 
 * ``fused_step_cache_blocked`` — the cache-blocked fused Adam sweep
-  (PR 9: ``repro.nn.optim._FUSED_BLOCK_ELEMS``-element chunks keep one
-  block of all six step arrays cache-resident across the ~14 ufunc
-  passes) vs the unblocked sweep on multi-megabyte flat buffers.
-  Floor: 1.0× — blocking must never lose; measured 1.1–1.2× on
-  0.5M–4M-element buffers.  Parity is bit-for-bit by construction
-  (elementwise passes) and asserted in ``tests/nn/test_optim_blocked.py``.
+  (``repro.nn.optim._adam_inplace_update``) vs ``_adam_block`` over each
+  whole buffer, at float32 on the flat-buffer sizes real runs reach.
+  Floor: 1.0× — blocking must not lose where it engages; measured
+  1.17–1.31× over both sizes (1.19–1.24× at 314 280, 1.29–1.32× at
+  445 760).  Below ~186k elements it does not pay (6–13 % slower at
+  68k–87k; see ``_FUSED_BLOCK_ELEMS``).  Parity is bit-for-bit by
+  construction (elementwise passes) and asserted in
+  ``tests/nn/test_optim_blocked.py``.
 
 Run:  PYTHONPATH=src python benchmarks/bench_process_pool.py
-  or: PYTHONPATH=src python -m pytest benchmarks/bench_process_pool.py -s
 ``--smoke`` runs tiny shapes with no floor assertions and without
 touching ``BENCH_perf.json`` (wired into tier-1 so this script cannot
 rot between perf PRs).
@@ -50,8 +51,8 @@ from repro.distributed.procpool import fork_available
 from repro.models.blocks import HeaderSpec
 from repro.models.header_dag import DAGHeader
 from repro.models.vit import VisionTransformer, ViTConfig
-from repro.nn.optim import Adam, set_fused_block_elems
-from repro.nn.tensor import Tensor, using_dtype
+from repro.nn.optim import _adam_block, _adam_inplace_update
+from repro.nn.tensor import using_dtype
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -158,34 +159,42 @@ def bench_process_pool_importance(smoke: bool):
 
 
 def bench_blocked_fused_step(smoke: bool):
-    """Cache-blocked vs unblocked fused Adam on multi-megabyte flats."""
-    size = 100_000 if smoke else 2_000_000
-    repeats = 3 if smoke else 10
+    """Cache-blocked vs unblocked fused Adam sweep on float32 flats of the
+    sizes real runs reach: the figures' fleet importance rounds (314 280
+    elements) and the fleet-trainer probe (445 760).  One timed call runs
+    ``calls`` updates of one buffer of each size."""
+    sizes = (100_000,) if smoke else (314_280, 445_760)
+    repeats, calls = (3, 2) if smoke else (10, 20)
+    rng = np.random.default_rng(0)
+    # data, grad, m, v and the two scratch arrays of each buffer.
+    buffers = [
+        [rng.normal(size=size).astype(np.float32) for _ in range(2)]
+        + [np.zeros(size, np.float32) for _ in range(4)]
+        for size in sizes
+    ]
+    # lr, beta1, beta2, eps, weight_decay, bias1, bias2 at step 10.
+    hyper = (1e-3, 0.9, 0.999, 1e-8, 0.0, 1 - 0.9**10, 1 - 0.999**10)
 
-    def run_mode(block_elems: int):
-        previous = set_fused_block_elems(block_elems)
-        try:
-            with using_dtype("float64"):
-                rng = np.random.default_rng(0)
-                params = [Tensor(rng.normal(size=size), requires_grad=True)]
-                params[0].grad = rng.normal(size=size)
-                optimizer = Adam(params, lr=1e-3)
-                return timed(optimizer.step, repeats=repeats, warmup=3)
-        finally:
-            set_fused_block_elems(previous)
+    def sweep(update):
+        def run():
+            for _ in range(calls):
+                for arrays in buffers:
+                    update(*arrays, *hyper)
 
-    from repro.nn import optim as _optim
+        return run
 
-    blocked = run_mode(_optim._FUSED_BLOCK_ELEMS)
-    unblocked = run_mode(0)
+    blocked = timed(sweep(_adam_inplace_update), repeats=repeats, warmup=3)
+    unblocked = timed(sweep(_adam_block), repeats=repeats, warmup=3)
     return perf_record(
         "fused_step_cache_blocked",
         fast=blocked,
         baseline=unblocked,
         floor=None if smoke else BLOCKED_STEP_FLOOR,
-        buffer_elems=size,
-        dtype="float64",
-        metric="one fused Adam step, cache-blocked vs unblocked sweep",
+        buffer_elems=list(sizes),
+        calls=calls,
+        dtype="float32",
+        metric="fused Adam update per buffer: _adam_inplace_update "
+        "(cache-blocked) vs _adam_block over the whole buffer",
         parity="bit-for-bit by construction (elementwise passes); "
         "asserted in tests/nn/test_optim_blocked.py",
     )
@@ -207,10 +216,6 @@ def run_bench(smoke: bool = False):
         records,
         path=None if smoke else REPO_ROOT / "BENCH_perf.json",
     )
-
-
-def test_process_pool_bench():
-    run_bench(smoke="--smoke" in sys.argv)
 
 
 if __name__ == "__main__":

@@ -49,7 +49,6 @@ from typing import Dict, List, Optional, Tuple
 __all__ = [
     "LockOrderError",
     "arm",
-    "armed",
     "disarm",
     "reset_after_fork",
     "watching",
@@ -223,11 +222,6 @@ def wrap_if_armed(lock, name: str):
     if _ARMED:
         return _WatchedLock(lock, name)
     return lock
-
-
-def armed() -> bool:
-    """Whether the detector is currently armed."""
-    return _ARMED
 
 
 def arm() -> None:

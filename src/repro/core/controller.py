@@ -28,7 +28,6 @@ class SampledArchitecture:
 
     spec: HeaderSpec
     log_prob: Tensor  # scalar: Σ log π(decision)
-    entropy: float  # Σ per-step entropies (for logging / regularization)
 
 
 class ArchitectureController(Module):
@@ -107,7 +106,6 @@ class ArchitectureController(Module):
         h = np.zeros((1, hs), dtype)
         c = np.zeros((1, hs), dtype)
         total = None
-        entropy = 0.0
         decisions: List[int] = []
 
         for vocab in self.step_vocab_sizes():
@@ -136,7 +134,6 @@ class ArchitectureController(Module):
             decisions.append(choice)
             step_lp = log_probs[0, choice]
             total = step_lp if total is None else total + step_lp
-            entropy += float(-(probs * np.log(probs + 1e-12)).sum())
             if taped:
                 steps.append((previous, x, h, c, i, f, g, o, tc, h_next, log_probs, choice))
             previous = np.zeros((1, width), dtype)
@@ -149,7 +146,6 @@ class ArchitectureController(Module):
         return SampledArchitecture(
             spec=HeaderSpec.from_sequence(decisions, repeats=self.repeats),
             log_prob=Tensor._make(np.asarray(total, dtype), params, backward),
-            entropy=entropy,
         )
 
 

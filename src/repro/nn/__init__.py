@@ -39,7 +39,7 @@ from repro.nn.layers import (
 )
 from repro.nn.lstm import LSTMCell
 from repro.nn.optim import Adam, FleetOptimizer, clip_grad_norm
-from repro.nn.serialization import json_nbytes, state_dict_nbytes
+from repro.nn.serialization import json_nbytes
 from repro.nn.tensor import (
     Tensor,
     concatenate,
@@ -91,7 +91,6 @@ __all__ = [
     "set_grad_enabled",
     "set_seed",
     "stack",
-    "state_dict_nbytes",
     "using_dtype",
     "where",
     "zeros",

@@ -64,27 +64,17 @@ _REGISTRY_LOCK = register_lock(
 #: whole working set from DRAM.  Chunking the sweep keeps one block of
 #: all six arrays cache-resident across the passes while still
 #: amortizing per-ufunc dispatch over tens of thousands of elements.
-#: 65536 elements × 6 arrays ≈ 3 MiB at float64 / 1.5 MiB at float32 —
-#: measured best (1.1–1.2x over unblocked) across 0.5M–4M-element
-#: buffers in ``benchmarks/bench_process_pool.py``.  Because every pass
-#: is elementwise, a blocked sweep is **bit-for-bit** identical to the
-#: unblocked one (asserted in ``tests/nn/test_optim_blocked.py``).
+#: 65536 elements × 6 arrays ≈ 1.5 MiB at float32.  Only buffers above
+#: one block are chunked; the campaigns never reach that, the figures'
+#: and the fleet trainer's largest buffers (314 280 and 445 760
+#: elements) do, and there blocking wins 1.19–1.32x at float32
+#: (``benchmarks/bench_process_pool.py``).  Just above the threshold it
+#: loses 6–13 % (68k–87k elements) and is near even at 186k.  Because
+#: every pass is elementwise, a blocked sweep is **bit-for-bit**
+#: identical to the unblocked one (asserted in
+#: ``tests/nn/test_optim_blocked.py``, which varies this constant).
 #: ``0`` disables blocking.
 _FUSED_BLOCK_ELEMS = 65536
-
-
-def set_fused_block_elems(elems: int) -> int:
-    """Set the fused-sweep cache-block size; returns the previous value.
-
-    Benchmark/test hook: ``0`` disables blocking (the pre-blocking
-    behavior), any positive value chunks flat sweeps at that many
-    elements.  Parity is unconditional — this knob only moves cache
-    behavior, never results.
-    """
-    global _FUSED_BLOCK_ELEMS
-    previous = _FUSED_BLOCK_ELEMS
-    _FUSED_BLOCK_ELEMS = int(elems)
-    return previous
 
 
 def _block_slices(size: int):

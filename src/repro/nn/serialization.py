@@ -2,8 +2,7 @@
 
 The distributed simulator charges every transmitted payload by its
 size (:func:`repro.distributed.messages.payload_nbytes`): arrays by
-their in-memory bytes, as :func:`state_dict_nbytes` counts a state
-dict, and control fields by :func:`json_nbytes`.
+their in-memory bytes and control fields by :func:`json_nbytes`.
 """
 
 from __future__ import annotations
@@ -13,11 +12,6 @@ import json
 from typing import Dict
 
 import numpy as np
-
-
-def state_dict_nbytes(state: Dict[str, np.ndarray]) -> int:
-    """Exact in-memory byte size of a state dict's arrays."""
-    return int(sum(np.asarray(v).nbytes for v in state.values()))
 
 
 def json_nbytes(obj) -> int:
@@ -42,9 +36,3 @@ def state_to_bytes(state: Dict[str, np.ndarray], compress: bool = True) -> bytes
     else:
         np.savez(buffer, **state)
     return buffer.getvalue()
-
-
-def state_from_bytes(blob: bytes) -> Dict[str, np.ndarray]:
-    """Deserialize a :func:`state_to_bytes` blob back to an array dict."""
-    with np.load(io.BytesIO(blob)) as archive:
-        return {name: archive[name] for name in archive.files}

@@ -32,7 +32,6 @@ class TestController:
         sample = ctrl.sample(np.random.default_rng(1))
         assert sample.log_prob.size == 1
         assert float(sample.log_prob.data) < 0.0
-        assert sample.entropy > 0.0
 
     def test_greedy_is_deterministic(self):
         ctrl = ArchitectureController(num_blocks=2, seed=0)

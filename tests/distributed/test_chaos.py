@@ -13,6 +13,8 @@ Three contracts from the robustness layer (see ROBUSTNESS.md):
    a hang or traceback.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,8 @@ from repro.distributed import (
     FaultPolicy,
     ProtocolError,
 )
+from repro.distributed.messages import Message, MessageKind
+from repro.distributed.network import Network
 
 
 def _config(**overrides) -> ACMEConfig:
@@ -150,6 +154,56 @@ class TestFaultPolicyUnits:
             FaultConfig.parse("drp=0.1")
         with pytest.raises(ValueError, match="not key=value"):
             FaultConfig.parse("drop")
+
+
+class TestDisarmedFabricCost:
+    """With no policy installed, ``Network.send`` and ``send_reliable``
+    draw no fault and verify no checksum; an armed zero-rate policy does
+    each once per send.  Disarming with ``None`` restores the free path.
+    The fault-free path pays nothing for fault injection."""
+
+    SENDS = 40
+
+    @pytest.mark.parametrize("method", ["send", "send_reliable"])
+    @pytest.mark.parametrize(
+        "policies, armed",
+        [((), False), ((FaultConfig(seed=0),), True), ((FaultConfig(seed=0), None), False)],
+        ids=["no-policy", "zero-rate", "uninstalled"],
+    )
+    def test_fault_calls_per_send(self, monkeypatch, policies, armed, method):
+        network = Network()
+        delivered = []
+        network.register("sink", delivered.append)
+        for config in policies:
+            network.install_fault_policy(None if config is None else FaultPolicy(config))
+        # Built before counting starts: construction stamps the checksum.
+        messages = [
+            Message(
+                sender="src",
+                receiver="sink",
+                kind=MessageKind.ACK,
+                payload={"block": np.zeros(4)},
+            )
+            for _ in range(self.SENDS)
+        ]
+        calls = Counter()
+        decide, checksum = FaultPolicy.decide, Message.compute_checksum
+
+        def counted_decide(self, *args):
+            calls["decide"] += 1
+            return decide(self, *args)
+
+        def counted_checksum(self):
+            calls["checksum"] += 1
+            return checksum(self)
+
+        monkeypatch.setattr(FaultPolicy, "decide", counted_decide)
+        monkeypatch.setattr(Message, "compute_checksum", counted_checksum)
+        for message in messages:
+            getattr(network, method)(message)
+        assert delivered == messages
+        expected = self.SENDS if armed else 0
+        assert (calls["decide"], calls["checksum"]) == (expected, expected)
 
 
 class TestFaultFreeInvisibility:

@@ -1,9 +1,9 @@
 """Scale harness invariants: fleet shapes, lazy parity, determinism.
 
-``repro.distributed.scale`` is the million-device synthetic campaign
-driver behind ``benchmarks/bench_scale.py``.  These tests pin the parts
-the bench itself cannot assert cheaply: the heavy-tailed cluster split
-is exact and total, the lazy-LRU fleet observes the *same protocol* as
+``repro.distributed.scale`` runs the million-device synthetic campaigns
+behind ``repro-cli scale`` and the ``scale_rounds`` benchmark workload.
+These tests pin its invariants: the heavy-tailed cluster
+split is exact and total, the lazy-LRU fleet observes the *same protocol* as
 an unbounded-store fleet (traffic, contributions, serving — everything but
 the memory bill), and a campaign replays byte-identically from its seed.
 """

@@ -12,6 +12,7 @@ at the adversarial points: between importance rounds, after pruning,
 across a save→load checkpoint, and across ``astype``.
 """
 
+import io
 import sys
 import threading
 
@@ -34,7 +35,7 @@ from repro.hw.profiles import DeviceProfile
 from repro.models import ViTConfig, VisionTransformer
 from repro.models.blocks import BlockSpec, HeaderSpec
 from repro.models.header_dag import DAGHeader
-from repro.nn.serialization import state_from_bytes, state_to_bytes
+from repro.nn.serialization import state_to_bytes
 from repro.train.serving import ServingFront
 from tests.helpers import evaluate, finetune, importance_round
 
@@ -160,7 +161,8 @@ class TestEvictionParity:
         # would checkpoint), reload it, and hand it back to the device.
         blob_path = tmp_path / "device1.cold"
         blob_path.write_bytes(state_to_bytes(lazy._cold_state))
-        lazy._cold_state = state_from_bytes(blob_path.read_bytes())
+        with np.load(blob_path) as archive:
+            lazy._cold_state = {name: archive[name] for name in archive.files}
         lazy._ensure_live()
         for name, value in eager.header.state_dict().items():
             np.testing.assert_array_equal(value, lazy.header.state_dict()[name])
@@ -168,7 +170,7 @@ class TestEvictionParity:
         assert ev_eager == ev_lazy
 
     def test_eviction_and_rehydration_serialize_nothing(self, monkeypatch):
-        """No byte format on the residency path: the npz serializers may
+        """No byte format on the residency path: the npz serializer may
         raise and a thrashing store still matches the always-live twins."""
 
         def forbidden(*args, **kwargs):
@@ -176,9 +178,8 @@ class TestEvictionParity:
 
         for module in list(sys.modules.values()):
             if getattr(module, "__name__", "").startswith("repro"):
-                for name in ("state_to_bytes", "state_from_bytes"):
-                    if hasattr(module, name):
-                        monkeypatch.setattr(module, name, forbidden)
+                if hasattr(module, "state_to_bytes"):
+                    monkeypatch.setattr(module, "state_to_bytes", forbidden)
         network = Network()
         data = make_cifar100_like(num_classes=4, image_size=8).generate(
             samples_per_class=8, seed=1
@@ -258,7 +259,8 @@ class TestSnapshotRoundTrip:
 
         size = sum(int(np.prod(p.data.shape)) for p in header.parameters())
         prune_by_importance(header, rng.random(size), keep_fraction=0.5)
-        state = state_from_bytes(state_to_bytes(snapshot_header(header)))
+        with np.load(io.BytesIO(state_to_bytes(snapshot_header(header)))) as archive:
+            state = {name: archive[name] for name in archive.files}
         fresh = DAGHeader(16, 4, 4, spec, rng=np.random.default_rng(99))
         restore_header(fresh, state)
         for name, value in header.state_dict().items():

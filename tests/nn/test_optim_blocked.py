@@ -1,54 +1,39 @@
-"""Cache-blocked fused optimizer sweeps: parity and the block-size hook.
+"""Cache-blocked fused optimizer sweeps: parity at any block size.
 
 The fused Adam/fleet flat-buffer update passes run in chunks of
 ``repro.nn.optim._FUSED_BLOCK_ELEMS`` elements so one block of all the
 step's arrays stays cache-resident across the ~14 ufunc passes.  Every
-pass is elementwise, so blocking is a pure cache-behavior knob: these
-tests pin that a blocked sweep is **bit-for-bit** identical to the
-unblocked one at any block size, under both engine dtypes, and that the
-``set_fused_block_elems`` hook restores cleanly.
+pass is elementwise, so blocking is a pure cache-behavior choice: these
+tests vary the constant and pin that a blocked sweep is **bit-for-bit**
+identical to the unblocked one at any block size, under both engine
+dtypes.
 """
 
 import numpy as np
 import pytest
 
-from repro.nn.optim import (
-    Adam,
-    _block_slices,
-    set_fused_block_elems,
-    clip_grad_norm,
-)
+from repro.nn import optim
+from repro.nn.optim import Adam, _block_slices, clip_grad_norm
 from repro.nn.tensor import Tensor, using_dtype
 
 
-@pytest.fixture
-def restore_block_size():
-    previous = set_fused_block_elems(0)
-    set_fused_block_elems(previous)
-    yield
-    set_fused_block_elems(previous)
-
-
-def _run_steps(opt_cls, kwargs, dtype, block_elems, steps=5):
+def _run_steps(monkeypatch, opt_cls, kwargs, dtype, block_elems, steps=5):
     """Fused training trajectory at a given block size; returns final data."""
-    previous = set_fused_block_elems(block_elems)
-    try:
-        with using_dtype(dtype):
-            rng = np.random.default_rng(17)
-            # Two large flats (several blocks at size 1000) + odd sizes
-            # that leave a ragged tail block + small unblocked tensors.
-            shapes = [(5000,), (3001,), (64, 33), (7,)]
-            params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
-            optimizer = opt_cls(params, **kwargs)
-            grad_rng = np.random.default_rng(23)
-            for _ in range(steps):
-                for p in params:
-                    p.grad = grad_rng.normal(size=p.data.shape).astype(p.data.dtype)
-                clip_grad_norm(params, 5.0)
-                optimizer.step()
-            return [p.data.copy() for p in params]
-    finally:
-        set_fused_block_elems(previous)
+    monkeypatch.setattr(optim, "_FUSED_BLOCK_ELEMS", block_elems)
+    with using_dtype(dtype):
+        rng = np.random.default_rng(17)
+        # Two large flats (several blocks at size 1000) + odd sizes
+        # that leave a ragged tail block + small unblocked tensors.
+        shapes = [(5000,), (3001,), (64, 33), (7,)]
+        params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+        optimizer = opt_cls(params, **kwargs)
+        grad_rng = np.random.default_rng(23)
+        for _ in range(steps):
+            for p in params:
+                p.grad = grad_rng.normal(size=p.data.shape).astype(p.data.dtype)
+            clip_grad_norm(params, 5.0)
+            optimizer.step()
+        return [p.data.copy() for p in params]
 
 
 class TestBlockedParity:
@@ -61,34 +46,35 @@ class TestBlockedParity:
             (Adam, dict(lr=1e-3, betas=(0.8, 0.99), eps=1e-6)),
         ],
     )
-    def test_bit_for_bit_vs_unblocked(self, opt_cls, kwargs, dtype, restore_block_size):
-        unblocked = _run_steps(opt_cls, kwargs, dtype, block_elems=0)
+    def test_bit_for_bit_vs_unblocked(self, opt_cls, kwargs, dtype, monkeypatch):
+        unblocked = _run_steps(monkeypatch, opt_cls, kwargs, dtype, block_elems=0)
         for block in (512, 1000, 4096):
-            blocked = _run_steps(opt_cls, kwargs, dtype, block_elems=block)
+            blocked = _run_steps(monkeypatch, opt_cls, kwargs, dtype, block_elems=block)
             for a, b in zip(unblocked, blocked):
                 np.testing.assert_array_equal(a, b)
 
-    def test_block_smaller_than_every_tensor(self, restore_block_size):
+    def test_block_smaller_than_every_tensor(self, monkeypatch):
         # Degenerate block size: every 1-D flat splits into many tiny
         # chunks; results must still be identical.
-        unblocked = _run_steps(Adam, dict(lr=1e-2), "float64", block_elems=0, steps=2)
-        blocked = _run_steps(Adam, dict(lr=1e-2), "float64", block_elems=3, steps=2)
+        args = (monkeypatch, Adam, dict(lr=1e-2), "float64")
+        unblocked = _run_steps(*args, block_elems=0, steps=2)
+        blocked = _run_steps(*args, block_elems=3, steps=2)
         for a, b in zip(unblocked, blocked):
             np.testing.assert_array_equal(a, b)
 
 
 class TestBlockSlices:
-    def test_disabled_yields_identity(self, restore_block_size):
-        set_fused_block_elems(0)
+    def test_disabled_yields_identity(self, monkeypatch):
+        monkeypatch.setattr(optim, "_FUSED_BLOCK_ELEMS", 0)
         assert list(_block_slices(10**6)) == [slice(None)]
 
-    def test_small_buffer_yields_identity(self, restore_block_size):
-        set_fused_block_elems(100)
+    def test_small_buffer_yields_identity(self, monkeypatch):
+        monkeypatch.setattr(optim, "_FUSED_BLOCK_ELEMS", 100)
         assert list(_block_slices(100)) == [slice(None)]
         assert list(_block_slices(7)) == [slice(None)]
 
-    def test_chunks_cover_exactly_once(self, restore_block_size):
-        set_fused_block_elems(100)
+    def test_chunks_cover_exactly_once(self, monkeypatch):
+        monkeypatch.setattr(optim, "_FUSED_BLOCK_ELEMS", 100)
         slices = list(_block_slices(250))
         assert slices == [slice(0, 100), slice(100, 200), slice(200, 250)]
         marks = np.zeros(250, dtype=int)
@@ -96,6 +82,12 @@ class TestBlockSlices:
             marks[sl] += 1
         assert (marks == 1).all()
 
-    def test_hook_returns_previous_value(self):
-        first = set_fused_block_elems(123)
-        assert set_fused_block_elems(first) == 123
+    def test_default_block_splits_only_buffers_above_it(self):
+        # The campaigns' largest flat buffer (50 875) sweeps whole; the
+        # figures' largest (314 280) sweeps in blocks of the constant.
+        block = optim._FUSED_BLOCK_ELEMS
+        assert list(_block_slices(50_875)) == [slice(None)]
+        slices = list(_block_slices(314_280))
+        assert len(slices) == -(-314_280 // block)
+        assert all(sl.stop - sl.start <= block for sl in slices)
+        assert (slices[0].start, slices[-1].stop) == (0, 314_280)

@@ -1,21 +1,22 @@
 """Tests for byte-size accounting and the in-memory state blob."""
 
+import io
+
 import numpy as np
 import pytest
 
-from repro.nn import Linear, TransformerEncoderLayer, json_nbytes, state_dict_nbytes
-from repro.nn.serialization import state_from_bytes, state_to_bytes
-from repro.nn.tensor import Tensor, using_dtype
+from repro.nn import Linear, TransformerEncoderLayer, json_nbytes
+from repro.nn.serialization import state_to_bytes
+from repro.nn.tensor import Tensor
+
+
+def _load(blob: bytes) -> dict:
+    """Decode a :func:`state_to_bytes` blob back to an array dict."""
+    with np.load(io.BytesIO(blob)) as archive:
+        return {name: archive[name] for name in archive.files}
 
 
 class TestByteAccounting:
-    def test_state_dict_nbytes(self):
-        layer = Linear(10, 10)  # 100 weights + 10 biases
-        itemsize = layer.weight.data.dtype.itemsize  # 4 under the float32 default
-        assert state_dict_nbytes(layer.state_dict()) == 110 * itemsize
-        with using_dtype("float64"):
-            assert state_dict_nbytes(Linear(10, 10).state_dict()) == 110 * 8
-
     def test_json_nbytes(self):
         size = json_nbytes({"width": 0.5, "depth": 3})
         assert 10 < size < 100
@@ -27,7 +28,7 @@ class TestStateBytes:
         """Nested module names survive as keys; dtype, shape and payload
         come back unchanged."""
         state = TransformerEncoderLayer(8, 2, rng=np.random.default_rng(3)).state_dict()
-        loaded = state_from_bytes(state_to_bytes(state, compress=compress))
+        loaded = _load(state_to_bytes(state, compress=compress))
         assert sorted(loaded) == sorted(state)
         for name, array in state.items():
             assert loaded[name].dtype == array.dtype, name
@@ -42,7 +43,7 @@ class TestStateBytes:
             "counts": np.arange(6, dtype=np.int64).reshape(2, 3),
             "mask": np.array([True, False, True]),
         }
-        loaded = state_from_bytes(state_to_bytes(state, compress=compress))
+        loaded = _load(state_to_bytes(state, compress=compress))
         for name, array in state.items():
             assert loaded[name].dtype == array.dtype, name
             assert loaded[name].shape == array.shape, name
@@ -54,11 +55,12 @@ class TestStateBytesRestore:
         source = Linear(6, 4, rng=np.random.default_rng(1))
         target = Linear(6, 4, rng=np.random.default_rng(2))
         x = Tensor(np.random.default_rng(0).normal(size=(3, 6)))
-        target.load_state_dict(state_from_bytes(state_to_bytes(source.state_dict())))
+        target.load_state_dict(_load(state_to_bytes(source.state_dict())))
         np.testing.assert_array_equal(target(x).data, source(x).data)
 
     def test_plain_blob_holds_every_array_byte(self):
         """The uncompressed container stores each array's payload whole, so
         it is never smaller than the state's charged size."""
         state = Linear(32, 16, rng=np.random.default_rng(4)).state_dict()
-        assert len(state_to_bytes(state, compress=False)) >= state_dict_nbytes(state)
+        payload = sum(array.nbytes for array in state.values())
+        assert len(state_to_bytes(state, compress=False)) >= payload

@@ -186,9 +186,9 @@ class TestExecutor:
 
     def test_tasks_actually_run_concurrently(self):
         """All 4 tasks must be in flight at once — guards against a
-        regression that silently serializes the pool (the perf floors
-        replayed from BENCH_perf.json cannot catch that on a single-core
-        CI host, so this barrier can only be crossed by real fan-out)."""
+        regression that silently serializes the pool (a timing cannot
+        catch that on a single-core CI host, so this barrier can only be
+        crossed by real fan-out)."""
         barrier = threading.Barrier(4)
 
         def task(i):

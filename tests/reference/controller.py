@@ -8,7 +8,7 @@ gate slices and their nonlinearities, three products, an add and a
 index and a running add — about 14 nodes a decision, each keeping its
 output and its closure.  The log-softmax, the one-hot encoding and the
 LSTM step are frozen here (``src/`` no longer has them), so the fused
-rollout's decisions, log-probability, entropy and every gradient have an
+rollout's decisions, log-probability and every gradient have an
 independent right-hand side to equal bit for bit.
 """
 
@@ -89,7 +89,6 @@ def chained_sample(
     state: Optional[Tuple[Tensor, Tensor]] = None
     previous = np.zeros((1, controller.max_vocab))  # start token: all-zero
     log_prob: Optional[Tensor] = None
-    entropy = 0.0
     decisions: List[int] = []
 
     for vocab in controller.step_vocab_sizes():
@@ -107,9 +106,8 @@ def chained_sample(
         decisions.append(choice)
         step_lp = log_probs[0, choice]
         log_prob = step_lp if log_prob is None else log_prob + step_lp
-        entropy += float(-(probs * np.log(probs + 1e-12)).sum())
         previous = one_hot(np.array([choice]), controller.max_vocab)
 
     assert log_prob is not None
     spec = HeaderSpec.from_sequence(decisions, repeats=controller.repeats)
-    return SampledArchitecture(spec=spec, log_prob=log_prob, entropy=entropy)
+    return SampledArchitecture(spec=spec, log_prob=log_prob)
