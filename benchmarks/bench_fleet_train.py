@@ -79,7 +79,7 @@ def _backbone(smoke: bool):
 
 def _timed_alternating(sides, repeats: int):
     """``{name: (measurement, last result)}`` of ``sides``' callables,
-    each warmed once (im2col caches, allocator pools), then timed one
+    each warmed once (allocator pools, BLAS buffers), then timed one
     repetition of each in turn, ``repeats`` times."""
     for fn in sides.values():
         fn()

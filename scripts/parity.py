@@ -11,7 +11,11 @@ compares the full digests case by case:
   as one ``ACMESystem.run()`` each, at the default dtype and at float64,
   seeds 0 and 1 — ``ACMERunResult.digest()``;
 * a small scale campaign with drops, churn, a deadline and a thrashing
-  LRU, seeds 0 and 1 — ``ScaleReport.digest()``.
+  LRU, seeds 0 and 1 — ``ScaleReport.digest()``;
+* one epoch of the Fig. 7a Twins-SVT baseline, whose stride-4 patchify
+  conv, positional conv and ``AvgPool2d(2)`` reach the strided convs
+  and non-overlapping pools the campaigns' headers never run — the CRC
+  of its weights and its eval loss and accuracy.
 
 Same host, two commits: no pin and no host fingerprint is involved, so
 nothing can skip the comparison.  For each case the script prints
@@ -42,9 +46,12 @@ RUNNER = r'''
 import json
 
 from repro.core.header_importance import ImportanceConfig
+from repro.data.synthetic import make_cifar100_like
 from repro.distributed import ACMEConfig, ACMESystem
 from repro.distributed.scale import ScaleConfig, run_scale_campaign
-from repro.models import ViTConfig
+from repro.distributed.system import state_crc
+from repro.models import ViTConfig, build_baseline
+from repro.train import TrainConfig, evaluate_model, train_model
 
 
 def campaign_cloud():
@@ -88,7 +95,24 @@ def scale_digest(report):
     }
 
 
-digests = {}
+def baseline_digest():
+    data = make_cifar100_like(num_classes=8, seed=0)
+    train = data.generate(samples_per_class=16, seed=1)
+    test = data.generate(samples_per_class=8, seed=2)
+    model = build_baseline("twins_svt", num_classes=8)
+    train_model(model, train, TrainConfig(epochs=1, seed=0))
+    metrics = evaluate_model(model, test)
+    return {
+        "protocol": {"samples": metrics["samples"]},
+        "numeric": {
+            "weights_crc": state_crc(model.state_dict()),
+            "losses": metrics["loss"],
+            "accuracies": metrics["accuracy"],
+        },
+    }
+
+
+digests = {"twins_svt baseline": baseline_digest()}
 for seed in (0, 1):
     for name, build in (("campaign_cloud", campaign_cloud), ("campaign_edge", campaign_edge)):
         for dtype in ("default", "float64"):

@@ -127,10 +127,7 @@ class ArchitectureController(Module):
             log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
             probs = np.exp(log_probs[0, :vocab])
             probs = probs / probs.sum()
-            if greedy:
-                choice = int(np.argmax(probs))
-            else:
-                choice = int(rng.choice(vocab, p=probs))
+            choice = int(np.argmax(probs)) if greedy else _draw(rng, probs)
             decisions.append(choice)
             step_lp = log_probs[0, choice]
             total = step_lp if total is None else total + step_lp
@@ -147,6 +144,17 @@ class ArchitectureController(Module):
             spec=HeaderSpec.from_sequence(decisions, repeats=self.repeats),
             log_prob=Tensor._make(np.asarray(total, dtype), params, backward),
         )
+
+
+def _draw(rng: np.random.Generator, probs: np.ndarray) -> int:
+    """One decision from ``probs``: the inverse-CDF draw
+    ``rng.choice(len(probs), p=probs)`` makes (a float64 CDF scaled to
+    end at 1, one ``rng.random()``, a right-sided search) — the same
+    index and the same stream position, without ``choice``'s
+    re-validation of ``p``."""
+    cdf = np.cumsum(probs, dtype=np.float64)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:

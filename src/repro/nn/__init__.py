@@ -10,9 +10,7 @@ Engine state (grad mode via :func:`no_grad` / :func:`set_grad_enabled`,
 compute dtype via :func:`set_default_dtype` / :func:`using_dtype`) is
 **context-local**, never process-global: toggling it in one thread
 cannot drop another thread's autograd tape or change its precision.
-Shared module-level caches are audited for concurrent use (the im2col
-index LRU is internally locked with frozen read-only entries; the
-:func:`default_generator` fallback-init streams are per-thread), so
+The :func:`default_generator` fallback-init streams are per-thread, so
 layers can be constructed and run from the thread-parallel device
 loops in :mod:`repro.distributed.executor`.
 """
@@ -24,8 +22,6 @@ from repro.nn.conv import (
     Conv2d,
     GlobalAvgPool2d,
     MaxPool2d,
-    clear_im2col_cache,
-    im2col_cache_info,
 )
 from repro.nn.init import default_generator, set_seed
 from repro.nn.layers import (
@@ -75,14 +71,12 @@ __all__ = [
     "Tensor",
     "TransformerEncoder",
     "TransformerEncoderLayer",
-    "clear_im2col_cache",
     "clip_grad_norm",
     "concatenate",
     "default_generator",
     "enable_grad",
     "functional",
     "get_default_dtype",
-    "im2col_cache_info",
     "is_grad_enabled",
     "json_nbytes",
     "no_grad",

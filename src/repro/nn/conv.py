@@ -1,28 +1,32 @@
-"""Convolution and pooling layers via im2col.
+"""Convolution and pooling layers over sliding windows.
 
 These power the CNN-style header blocks of the NAS search space (z×z
 convolutions, average/max pooling, downsampling — see Fig. 5 of the paper).
 Inputs follow the ``(N, C, H, W)`` layout.
 
-The im2col/col2im gather-index arrays depend only on
-``(channels, height, width, kernel, stride, padding)`` — not on the batch
-or the values — so they are memoized in a process-wide LRU cache shared
-by :class:`Conv2d`, :class:`MaxPool2d` and :class:`AvgPool2d`.  Repeated
-forwards over same-shaped activations (every training/eval loop) skip the
-index construction entirely.
+Each op is one tape node: the forward reads a zero-copy
+``(N, C, out_h, out_w, kh, kw)`` window view of the zero-padded input,
+and the hand-written backward scatters the window gradients back with
+``kh·kw`` strided slice adds (:func:`_scatter_windows`).  The arithmetic
+replays the textbook chain of single-op nodes (pad, gather, transpose,
+matmul, bias add; the oracle ``tests/reference/conv.py``) bit for bit:
+conv columns in ``(out_h·out_w, N)`` order, pool reductions and scatter
+adds in window order, and outputs in the chain's memory layout (a later
+reduction over a map sums in layout order).  :meth:`Tensor._make` leaves
+the result untaped when grad mode is off or no input requires grad, so
+one path serves training and inference.
 """
 
 from __future__ import annotations
 
-import functools
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.nn import init
 from repro.nn.layers import Module, Parameter
-from repro.nn.tensor import Tensor, is_grad_enabled
+from repro.nn.tensor import Tensor, _unbroadcast, get_default_dtype
 
 
 def _pair(value) -> Tuple[int, int]:
@@ -33,70 +37,11 @@ def _pair(value) -> Tuple[int, int]:
     return int(value), int(value)
 
 
-def _build_indices(
-    c: int, h: int, w: int, kh: int, kw: int, sh: int, sw: int, ph: int, pw: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    out_h = (h + 2 * ph - kh) // sh + 1
-    out_w = (w + 2 * pw - kw) // sw + 1
-    if out_h <= 0 or out_w <= 0:
-        raise ValueError(
-            f"kernel {(kh, kw)} with stride {(sh, sw)}, padding {(ph, pw)} "
-            f"does not fit input (C={c}, H={h}, W={w})"
-        )
-
-    i0 = np.repeat(np.arange(kh), kw)
-    i0 = np.tile(i0, c)
-    i1 = sh * np.repeat(np.arange(out_h), out_w)
-    j0 = np.tile(np.arange(kw), kh * c)
-    j1 = sw * np.tile(np.arange(out_w), out_h)
-    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
-    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    k = np.repeat(np.arange(c), kh * kw).reshape(-1, 1)
-    # Cached arrays are shared across forwards; freeze them so an
-    # accidental in-place edit cannot corrupt every future convolution.
-    for arr in (k, i, j):
-        arr.setflags(write=False)
-    return k, i, j, out_h, out_w
-
-
-# Bounded by entry count, not bytes: an entry is O(C*kh*kw*out_h*out_w)
-# int64, so the cap is kept small enough that even large-shape workloads
-# stay in the tens of MB.  Call clear_im2col_cache() to release.
-_cached_indices = functools.lru_cache(maxsize=128)(_build_indices)
-
-# Thread-safety audit: the cache is shared by every thread running
-# conv/pool forwards (parallel device loops hit it concurrently).
-# CPython's C ``lru_cache`` is internally locked — lookups, insertion,
-# ``cache_clear`` and ``cache_info`` are each atomic without any
-# external lock (worst case two racing misses both build the same
-# arrays) — and the entries are marked read-only above so sharing them
-# across threads is safe.
-
-
-def clear_im2col_cache() -> None:
-    _cached_indices.cache_clear()
-
-
-# reprolint: unreached -- safety handle: the cache tests read hit counts through it to prove the
-# index cache is shared across threads and cleared on request
-def im2col_cache_info():
-    """``functools.lru_cache`` statistics of the shared index cache."""
-    return _cached_indices.cache_info()
-
-
-def _im2col_indices(
-    x_shape: Tuple[int, int, int, int],
-    kernel: Tuple[int, int],
-    stride: Tuple[int, int],
-    padding: Tuple[int, int],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Index arrays mapping padded input pixels to column-matrix entries."""
-    _n, c, h, w = x_shape
-    return _cached_indices(c, h, w, *kernel, *stride, *padding)
-
-
-def _zero_pad(data: np.ndarray, ph: int, pw: int) -> np.ndarray:
+def _zero_pad(data: np.ndarray, padding: Tuple[int, int]) -> np.ndarray:
     """Spatial zero padding via slice assignment (much cheaper than np.pad)."""
+    ph, pw = padding
+    if not (ph or pw):
+        return data
     n, c, h, w = data.shape
     out = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=data.dtype)
     out[:, :, ph : ph + h, pw : pw + w] = data
@@ -117,23 +62,37 @@ def _windows(
     ]
 
 
-def im2col(x: Tensor, kernel, stride=1, padding=0) -> Tuple[Tensor, int, int]:
-    """Unfold ``x`` into a ``(C*kh*kw, N*out_h*out_w)`` column tensor."""
-    kernel = _pair(kernel)
-    stride = _pair(stride)
-    padding = _pair(padding)
+def _offsets(kernel: Tuple[int, int]) -> List[Tuple[int, int]]:
+    """Kernel offsets in row-major order: the order of the chain's column
+    rows, so of its window reductions and of its gradient scatter."""
+    return [(i, j) for i in range(kernel[0]) for j in range(kernel[1])]
+
+
+def _scatter_windows(
+    grad: np.ndarray,
+    x: Tensor,
+    stride: Tuple[int, int],
+    padding: Tuple[int, int],
+) -> None:
+    """Accumulate ``(N, C, out_h, out_w, kh, kw)`` window gradients into
+    ``x``: one strided slice add per kernel offset, in ``(i, j)``
+    row-major order onto a zeroed ``x.dtype`` buffer — the order in which
+    the gather's ``np.add.at`` reached each pixel.  A wider ``grad`` adds
+    in its own precision and rounds per add, as ``np.add.at`` does."""
+    _n, _c, out_h, out_w, kh, kw = grad.shape
+    sh, sw = stride
     ph, pw = padding
-    if ph or pw:
-        x = x.pad(((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    k, i, j, out_h, out_w = _im2col_indices(x.shape, kernel, stride, (0, 0))
-    cols = x[:, k, i, j]  # (N, C*kh*kw, out_h*out_w)
-    n = x.shape[0]
-    cols = cols.transpose((1, 2, 0)).reshape(k.shape[0], -1)
-    return cols, out_h, out_w
+    n, c, h, w = x.shape
+    full = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+    for i, j in _offsets((kh, kw)):
+        rows = slice(i, i + sh * (out_h - 1) + 1, sh)
+        cols = slice(j, j + sw * (out_w - 1) + 1, sw)
+        full[:, :, rows, cols] += grad[:, :, :, :, i, j]
+    x._accumulate(full[:, :, ph : ph + h, pw : pw + w])
 
 
 class Conv2d(Module):
-    """2-D convolution implemented with im2col + matmul."""
+    """2-D convolution: one GEMM over the window columns."""
 
     def __init__(
         self,
@@ -162,46 +121,40 @@ class Conv2d(Module):
         self.bias = Parameter(init.zeros(out_channels)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        if not is_grad_enabled():
-            return self._forward_inference(x)
-        n = x.shape[0]
-        cols, out_h, out_w = im2col(x, self.kernel_size, self.stride, self.padding)
-        w_flat = self.weight.reshape(self.out_channels, -1)
-        out = w_flat @ cols  # (out_channels, N*out_h*out_w)
-        out = out.reshape(self.out_channels, out_h * out_w, n)
-        out = out.transpose((2, 0, 1)).reshape(n, self.out_channels, out_h, out_w)
-        if self.bias is not None:
-            out = out + self.bias.reshape(1, self.out_channels, 1, 1)
-        return out
+        view = _windows(_zero_pad(x.data, self.padding), self.kernel_size, self.stride)
+        n, c, out_h, out_w, kh, kw = view.shape
+        o = self.out_channels
+        # A C-ordered (C·kh·kw, out_h·out_w·N) copy: rows match the weight
+        # layout and columns run sample-fastest, so both GEMMs see the
+        # chain's operands (a reshape alone may return a strided view).
+        cols = np.ascontiguousarray(view.transpose(1, 4, 5, 2, 3, 0))
+        cols = cols.reshape(c * kh * kw, -1)
+        w_flat = self.weight.data.reshape(o, -1)
+        out = (w_flat @ cols).reshape(o, out_h * out_w, n)
+        out = out.transpose(2, 0, 1).reshape(n, o, out_h, out_w)
+        bias = self.bias
+        if bias is not None:
+            out = out + bias.data.reshape(1, o, 1, 1)
+        weight = self.weight
 
-    def _forward_inference(self, x: Tensor) -> Tensor:
-        """Tape-free forward: strided sliding windows + a single GEMM.
+        def backward(grad: np.ndarray) -> None:
+            if bias is not None and bias.requires_grad:
+                bias._accumulate(_unbroadcast(grad, (1, o, 1, 1)).reshape(o))
+            g = grad.reshape(n, o, out_h * out_w).transpose(1, 2, 0).reshape(o, -1)
+            if weight.requires_grad:
+                weight._accumulate((g @ cols.T).reshape(weight.shape))
+            if x.requires_grad:
+                dcols = (w_flat.T @ g).reshape(c, kh, kw, out_h, out_w, n)
+                _scatter_windows(
+                    dcols.transpose(5, 0, 3, 4, 1, 2), x, self.stride, self.padding
+                )
 
-        Computes the same sums of products as the taped im2col path but
-        materializes the column matrix with one strided copy (no fancy
-        indexing, no index arrays) and runs as a plain-numpy pipeline
-        with no intermediate tensors or backward closures.
-        """
-        data = x.data
-        n = data.shape[0]
-        kh, kw = self.kernel_size
-        ph, pw = self.padding
-        if ph or pw:
-            data = _zero_pad(data, ph, pw)
-        view = _windows(data, self.kernel_size, self.stride)
-        out_h, out_w = view.shape[2], view.shape[3]
-        # (C, kh, kw, N, out_h, out_w) → rows match the weight layout.
-        cols = view.transpose(1, 4, 5, 0, 2, 3).reshape(self.in_channels * kh * kw, -1)
-        w_flat = self.weight.data.reshape(self.out_channels, -1)
-        out = w_flat @ cols  # (out_channels, N*out_h*out_w)
-        out = out.reshape(self.out_channels, n, out_h, out_w).transpose(1, 0, 2, 3)
-        if self.bias is not None:
-            out = out + self.bias.data.reshape(1, self.out_channels, 1, 1)
-        return Tensor(out)
+        parents = (x, weight) if bias is None else (x, weight, bias)
+        return Tensor._make(out, parents, backward)
 
 
 class _Pool2d(Module):
-    """Shared machinery for max and average pooling."""
+    """Shared configuration of max and average pooling."""
 
     def __init__(self, kernel_size, stride=None, padding=0) -> None:
         super().__init__()
@@ -209,46 +162,56 @@ class _Pool2d(Module):
         self.stride = _pair(stride) if stride is not None else self.kernel_size
         self.padding = _pair(padding)
 
-    def _unfold(self, x: Tensor) -> Tuple[Tensor, int, int, int, int]:
-        n, c, _h, _w = x.shape
-        kh, kw = self.kernel_size
-        # Pool each channel independently: reshape to (N*C, 1, H, W).
-        x_flat = x.reshape(n * c, 1, x.shape[2], x.shape[3])
-        cols, out_h, out_w = im2col(x_flat, self.kernel_size, self.stride, self.padding)
-        # cols: (kh*kw, N*C*out_h*out_w)
-        return cols, n, c, out_h, out_w
+    def _windows(self, x: Tensor) -> np.ndarray:
+        return _windows(_zero_pad(x.data, self.padding), self.kernel_size, self.stride)
 
-    def _windows_inference(self, x: Tensor) -> np.ndarray:
-        """Tape-free ``(N, C, out_h, out_w, kh, kw)`` window view.
-
-        Pooling reduces straight over the window axes — no column matrix
-        is ever materialized.
-        """
-        data = x.data
-        ph, pw = self.padding
-        if ph or pw:
-            data = _zero_pad(data, ph, pw)
-        return _windows(data, self.kernel_size, self.stride)
+    def _node(self, pooled: np.ndarray, x: Tensor, backward) -> Tensor:
+        """The pooled map as one node, laid out position-major — the
+        ``(out_h, out_w, N, C)`` memory order the chain's reshapes leave
+        it in, which a later reduction over the map (the header's spatial
+        mean) sums in."""
+        pooled = np.ascontiguousarray(pooled.transpose(2, 3, 0, 1)).transpose(2, 3, 0, 1)
+        return Tensor._make(pooled, (x,), backward)
 
 
 class MaxPool2d(_Pool2d):
     def forward(self, x: Tensor) -> Tensor:
-        if not is_grad_enabled():
-            return Tensor(self._windows_inference(x).max(axis=(-2, -1)))
-        cols, n, c, out_h, out_w = self._unfold(x)
-        pooled = cols.max(axis=0)
-        pooled = pooled.reshape(out_h * out_w, n * c)
-        return pooled.transpose((1, 0)).reshape(n, c, out_h, out_w)
+        view = self._windows(x)
+        # ``np.maximum`` down the window in order, as the chain's
+        # ``Tensor.max`` reduces (which of a ±0.0 tie survives is order's).
+        first, *rest = _offsets(self.kernel_size)
+        pooled = view[..., first[0], first[1]].copy()
+        for i, j in rest:
+            np.maximum(pooled, view[..., i, j], out=pooled)
+
+        def backward(grad: np.ndarray) -> None:
+            mask = view == pooled[..., None, None]
+            # Split the gradient equally among ties (float64 quotients,
+            # as the chain's ``Tensor.max`` computes them).
+            counts = mask.sum(axis=(-2, -1), keepdims=True)
+            _scatter_windows(
+                grad[..., None, None] * mask / counts, x, self.stride, self.padding
+            )
+
+        return self._node(pooled, x, backward)
 
 
 class AvgPool2d(_Pool2d):
     def forward(self, x: Tensor) -> Tensor:
-        if not is_grad_enabled():
-            return Tensor(self._windows_inference(x).mean(axis=(-2, -1)))
-        cols, n, c, out_h, out_w = self._unfold(x)
-        pooled = cols.mean(axis=0)
-        pooled = pooled.reshape(out_h * out_w, n * c)
-        return pooled.transpose((1, 0)).reshape(n, c, out_h, out_w)
+        view = self._windows(x)
+        kh, kw = self.kernel_size
+        # ``Tensor.mean``'s form: a sum from +0.0 in window order, times
+        # the engine-dtype reciprocal of the count.
+        total = np.zeros(view.shape[:4], view.dtype)
+        for i, j in _offsets(self.kernel_size):
+            total += view[..., i, j]
+        scale = np.asarray(1.0 / (kh * kw), dtype=get_default_dtype())
+
+        def backward(grad: np.ndarray) -> None:
+            g = np.broadcast_to((grad * scale)[..., None, None], view.shape)
+            _scatter_windows(g, x, self.stride, self.padding)
+
+        return self._node(total * scale, x, backward)
 
 
 class GlobalAvgPool2d(Module):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -23,13 +23,14 @@ def batch_metrics(logits: Tensor, labels: np.ndarray) -> tuple:
     return loss_sum, correct
 
 
-def evaluate_model(
-    model: Module,
+def _evaluate(
+    forward: Callable[[np.ndarray], Tensor],
     dataset: ArrayDataset,
-    batch_size: int = 64,
-    max_batches: Optional[int] = None,
+    batch_size: int,
+    max_batches: Optional[int],
 ) -> dict:
-    """Accuracy and mean loss of an end-to-end model."""
+    """The tape-free evaluation loop: ``forward(images) -> logits`` over
+    the first ``max_batches`` unshuffled batches."""
     loader = DataLoader(
         # reprolint: fixed-rng -- shuffle=False never draws from this stream;
         # the pinned rng keeps eval loaders deterministic even if the set_seed
@@ -41,14 +42,23 @@ def evaluate_model(
         for batch_idx, (images, labels) in enumerate(loader):
             if max_batches is not None and batch_idx >= max_batches:
                 break
-            logits = model(Tensor(images))
-            batch_loss, batch_correct = batch_metrics(logits, labels)
+            batch_loss, batch_correct = batch_metrics(forward(images), labels)
             loss_sum += batch_loss
             correct += batch_correct
             total += labels.shape[0]
     if total == 0:
         raise ValueError("no samples evaluated")
     return {"accuracy": correct / total, "loss": loss_sum / total, "samples": total}
+
+
+def evaluate_model(
+    model: Module,
+    dataset: ArrayDataset,
+    batch_size: int = 64,
+    max_batches: Optional[int] = None,
+) -> dict:
+    """Accuracy and mean loss of an end-to-end model."""
+    return _evaluate(lambda images: model(Tensor(images)), dataset, batch_size, max_batches)
 
 
 def evaluate_header(
@@ -59,24 +69,8 @@ def evaluate_header(
     max_batches: Optional[int] = None,
 ) -> dict:
     """Accuracy and mean loss of a (backbone, header) pair."""
-    loader = DataLoader(
-        # reprolint: fixed-rng -- shuffle=False never draws from this stream;
-        # the pinned rng keeps eval loaders deterministic even if the set_seed
-        # fallback default ever changes
-        dataset, batch_size=batch_size, shuffle=False, rng=np.random.default_rng(0)
-    )
-    correct, total, loss_sum = 0, 0, 0.0
-    with no_grad():
-        for batch_idx, (images, labels) in enumerate(loader):
-            if max_batches is not None and batch_idx >= max_batches:
-                break
-            cls, tokens, penult = backbone.forward_features_multi(Tensor(images))
-            features = BackboneFeatures(cls, tokens, penult)
-            logits = header(features)
-            batch_loss, batch_correct = batch_metrics(logits, labels)
-            loss_sum += batch_loss
-            correct += batch_correct
-            total += labels.shape[0]
-    if total == 0:
-        raise ValueError("no samples evaluated")
-    return {"accuracy": correct / total, "loss": loss_sum / total, "samples": total}
+
+    def forward(images: np.ndarray) -> Tensor:
+        return header(BackboneFeatures(*backbone.forward_features_multi(Tensor(images))))
+
+    return _evaluate(forward, dataset, batch_size, max_batches)

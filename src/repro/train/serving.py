@@ -17,7 +17,7 @@ across devices and hands BLAS larger matmuls, so it composes with — and
 on small models beats — the thread fan-out.
 
 Numerical contract: the engine's kernels are row-independent (matmuls,
-layer norm, softmax, im2col convolutions all operate per sample), so a
+layer norm, softmax, window convolutions all operate per sample), so a
 batched forward is **bit-for-bit identical** per sample to the separate
 forwards it replaces (asserted in ``tests/train/test_serving.py``).
 """

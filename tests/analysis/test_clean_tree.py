@@ -43,7 +43,7 @@ def test_src_lints_clean_via_cli():
 def test_stripping_a_fixed_rng_suppression_flips_the_exit():
     source = _read("repro/train/evaluate.py")
     stripped, n = re.subn(r"[ \t]*# reprolint: fixed-rng[^\n]*\n", "", source)
-    assert n >= 2, "expected fixed-rng suppressions in evaluate.py"
+    assert n >= 1, "expected a fixed-rng suppression in evaluate.py"
     findings = lint_source(stripped, rel="repro/train/evaluate.py")
     assert any(f.rule == "DET002" for f in findings)
 

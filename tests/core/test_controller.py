@@ -1,14 +1,18 @@
 """Tests for the LSTM architecture controller."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.core import controller
 from repro.core.controller import (
     ArchitectureController,
     MovingAverageBaseline,
 )
 from repro.models.blocks import HeaderSpec, num_operations
 from repro.nn.optim import Adam
+from repro.nn.tensor import using_dtype
 
 
 class TestController:
@@ -49,9 +53,45 @@ class TestController:
         assert _reinforce(ctrl, advantage=-1.0) < 0.0
 
 
+def _choice_draw(rng, probs):
+    """The draw as ``Generator.choice`` makes it — what ``_draw`` inlines."""
+    return int(rng.choice(len(probs), p=probs))
+
+
+class TestDraw:
+    """``_draw`` is ``rng.choice(vocab, p=probs)`` without the re-validation:
+    the same index and the same stream position for every seed."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_draw_equals_choice(self, dtype):
+        for seed in range(200):
+            probs_rng = np.random.default_rng(1000 + seed)
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(50):
+                probs = probs_rng.random(int(probs_rng.integers(2, 8))).astype(dtype)
+                probs = probs / probs.sum()
+                assert controller._draw(a, probs) == _choice_draw(b, probs)
+            assert a.random() == b.random()
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_sampled_specs_equal_choice(self, dtype):
+        with using_dtype(dtype):
+            ctrl = ArchitectureController(num_blocks=4, seed=3)
+            for seed in range(20):
+                a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                fused = [ctrl.sample(a) for _ in range(5)]
+                with mock.patch.object(controller, "_draw", _choice_draw):
+                    chosen = [ctrl.sample(b) for _ in range(5)]
+                for x, y in zip(fused, chosen):
+                    assert x.spec == y.spec
+                    assert x.log_prob.data.tobytes() == y.log_prob.data.tobytes()
+                assert a.random() == b.random()
+
+
 class _Replay:
     """A stand-in generator whose ``choice`` replays fixed decisions, so
-    ``sample`` returns the log-probability of one given spec."""
+    ``sample`` (drawing through ``choice``, see :func:`_reinforce`)
+    returns the log-probability of one given spec."""
 
     def __init__(self, spec: HeaderSpec) -> None:
         self._decisions = iter(spec.to_sequence())
@@ -68,12 +108,13 @@ def _reinforce(ctrl, advantage: float, steps: int = 10) -> float:
     greedy argmax to another spec."""
     first = ctrl.sample(np.random.default_rng(0), greedy=True)
     opt = Adam(ctrl.parameters(), lr=5e-2)
-    for _ in range(steps):
-        loss = ctrl.sample(_Replay(first.spec)).log_prob * (-advantage)
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
-    after = ctrl.sample(_Replay(first.spec)).log_prob
+    with mock.patch.object(controller, "_draw", _choice_draw):
+        for _ in range(steps):
+            loss = ctrl.sample(_Replay(first.spec)).log_prob * (-advantage)
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+        after = ctrl.sample(_Replay(first.spec)).log_prob
     return float(after.data) - float(first.log_prob.data)
 
 

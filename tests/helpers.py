@@ -2,7 +2,7 @@
 
 Seeding discipline: the engine keeps a small amount of process-wide
 state (the per-thread fallback-init streams of ``repro.nn.init``, the
-im2col index cache, the similarity projection cache) plus context-local
+similarity projection cache) plus context-local
 grad/dtype switches.  :func:`reset_engine_state` restores all of it to
 the import-time defaults — including the **float32** default dtype the
 engine ships with since PR 9; float64-sensitive tests opt back in with
@@ -40,7 +40,6 @@ def reset_engine_state() -> None:
     nn.set_seed(0)
     nn.set_default_dtype("float32")
     nn.set_grad_enabled(True)
-    nn.clear_im2col_cache()
     similarity.clear_projection_cache()
 
 

@@ -8,7 +8,6 @@ from repro.nn.conv import (
     Conv2d,
     GlobalAvgPool2d,
     MaxPool2d,
-    im2col,
 )
 from repro.nn.tensor import Tensor, using_dtype
 from tests.helpers import check_gradient
@@ -107,16 +106,3 @@ class TestPooling:
         assert out.shape == (3, 5)
         np.testing.assert_allclose(out.data, x.data.mean(axis=(2, 3)))
 
-
-class TestIm2col:
-    def test_column_count(self):
-        x = Tensor(RNG.normal(size=(2, 3, 6, 6)))
-        cols, out_h, out_w = im2col(x, kernel=3, stride=1, padding=0)
-        assert (out_h, out_w) == (4, 4)
-        assert cols.shape == (3 * 3 * 3, 4 * 4 * 2)
-
-    def test_identity_kernel(self):
-        x = Tensor(RNG.normal(size=(1, 1, 3, 3)))
-        cols, out_h, out_w = im2col(x, kernel=1)
-        assert (out_h, out_w) == (3, 3)
-        np.testing.assert_allclose(cols.data.reshape(-1), x.data.reshape(-1))

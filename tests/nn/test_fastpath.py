@@ -1,11 +1,10 @@
-"""Tests for the inference fast paths: grad mode, dtype config, im2col cache."""
+"""Tests for the inference fast paths: grad mode, dtype config, tape-free forwards."""
 
 import numpy as np
 import pytest
 
 from repro.models import ViTConfig, VisionTransformer
-from repro.nn import conv as nn_conv
-from repro.nn.conv import AvgPool2d, Conv2d, MaxPool2d, im2col
+from repro.nn.conv import AvgPool2d, Conv2d, MaxPool2d
 from repro.nn.layers import Linear, MLP, Sequential, Activation
 from repro.nn.tensor import (
     Tensor,
@@ -170,90 +169,33 @@ class TestDefaultDtype:
         assert l32[-1] < l32[0]
 
 
-class TestIm2colCache:
-    def test_cached_equals_uncached(self):
-        """A cache hit hands back exactly what ``_build_indices`` builds,
-        and a warm forward equals the cold one."""
-        shape, kernel, stride, padding = (2, 3, 9, 9), (3, 3), (2, 2), (1, 1)
-        nn_conv.clear_im2col_cache()
-        nn_conv._im2col_indices(shape, kernel, stride, padding)  # miss
-        cached = nn_conv._im2col_indices(shape, kernel, stride, padding)
-        assert nn_conv.im2col_cache_info().hits == 1
-        built = nn_conv._build_indices(*shape[1:], *kernel, *stride, *padding)
-        for from_cache, fresh in zip(cached, built):
-            np.testing.assert_array_equal(from_cache, fresh)
-        x = Tensor(RNG.normal(size=shape))
-        conv = Conv2d(3, 5, kernel_size=3, stride=2, padding=1, rng=np.random.default_rng(0))
-        nn_conv.clear_im2col_cache()
-        cold = conv(x).data
-        warm = conv(x).data
-        np.testing.assert_array_equal(cold, warm)
-
-    def test_cache_hits_accumulate(self):
-        nn_conv.clear_im2col_cache()
-        x = Tensor(RNG.normal(size=(1, 2, 8, 8)))
-        conv = Conv2d(2, 2, kernel_size=3, rng=np.random.default_rng(0))
-        conv(x)
-        before = nn_conv.im2col_cache_info().hits
-        conv(x)
-        assert nn_conv.im2col_cache_info().hits > before
-
-    def test_cache_shared_by_pools(self):
-        nn_conv.clear_im2col_cache()
-        x = Tensor(RNG.normal(size=(2, 3, 8, 8)))
-        MaxPool2d(2)(x)
-        hits_before = nn_conv.im2col_cache_info().hits
-        # Same (shape, kernel, stride, padding) key → pure cache hit.
-        AvgPool2d(2)(x)
-        assert nn_conv.im2col_cache_info().hits > hits_before
-
-    def test_cached_indices_are_read_only(self):
-        nn_conv.clear_im2col_cache()
-        k, i, j, _, _ = nn_conv._im2col_indices((1, 2, 6, 6), (2, 2), (1, 1), (0, 0))
-        with pytest.raises(ValueError):
-            i[0, 0] = 99
-
-    def test_im2col_values_unchanged_by_cache_state(self):
-        x = Tensor(RNG.normal(size=(2, 2, 6, 6)))
-        nn_conv.clear_im2col_cache()
-        cold, _, _ = im2col(x, kernel=3, stride=1, padding=1)
-        warm, _, _ = im2col(x, kernel=3, stride=1, padding=1)
-        np.testing.assert_array_equal(cold.data, warm.data)
-        # ...and both are the gather through freshly built indices.
-        k, i, j, _, _ = nn_conv._build_indices(2, 8, 8, 3, 3, 1, 1, 0, 0)
-        padded = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        gathered = padded[:, k, i, j].transpose(1, 2, 0).reshape(k.shape[0], -1)
-        np.testing.assert_array_equal(warm.data, gathered)
-
-
 class TestInferenceKernels:
-    """The tape-free conv/pool kernels must match the taped forwards.
+    """A conv or pool forward is one path: under ``no_grad`` it is the
+    taped forward left untaped, so the two agree bit for bit at both
+    dtypes."""
 
-    The 1e-12 parity tolerances are float64 statements (the fast and
-    taped kernels reduce in different orders), so the parity cases pin
-    the pre-flip dtype explicitly.
-    """
-
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("kernel,stride,padding", [(3, 1, 1), (1, 1, 0), (3, 2, 1), (2, 2, 0)])
-    def test_conv_inference_matches_taped(self, kernel, stride, padding):
-        with using_dtype("float64"):
+    def test_conv_inference_matches_taped(self, dtype, kernel, stride, padding):
+        with using_dtype(dtype):
             x = Tensor(RNG.normal(size=(3, 4, 9, 9)))
             conv = Conv2d(4, 6, kernel, stride=stride, padding=padding, rng=np.random.default_rng(0))
             taped = conv(x).data
             with no_grad():
                 fast = conv(x).data
-        np.testing.assert_allclose(taped, fast, atol=1e-12)
+        np.testing.assert_array_equal(taped, fast)
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("pool_cls", [MaxPool2d, AvgPool2d])
     @pytest.mark.parametrize("kernel,stride,padding", [(2, None, 0), (3, 1, 1), (3, 2, 1)])
-    def test_pool_inference_matches_taped(self, pool_cls, kernel, stride, padding):
-        with using_dtype("float64"):
-            x = Tensor(RNG.normal(size=(2, 3, 8, 8)))
+    def test_pool_inference_matches_taped(self, dtype, pool_cls, kernel, stride, padding):
+        with using_dtype(dtype):
+            x = Tensor(RNG.normal(size=(2, 3, 8, 8)), requires_grad=True)
             pool = pool_cls(kernel, stride=stride, padding=padding)
             taped = pool(x).data
             with no_grad():
                 fast = pool(x).data
-        np.testing.assert_allclose(taped, fast, atol=1e-12)
+        np.testing.assert_array_equal(taped, fast)
 
     def test_conv_kernel_too_large_raises_in_no_grad(self):
         conv = Conv2d(1, 1, kernel_size=5)
