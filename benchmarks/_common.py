@@ -1,8 +1,8 @@
 """The perf/v1 half of the benchmark harness: the ratio benches'
 timing, records and trajectory file.
 
-Each ratio bench (``bench_fleet_train``, ``bench_process_pool``) times
-a fast path against a real alternative and reports through
+Each ratio bench (today only ``bench_fleet_train``) times a fast
+path against a real alternative and reports through
 :func:`emit_perf`, which prints a table, writes
 ``bench_results/<name>.{txt,json}`` and merges its records into
 ``BENCH_perf.json``.  Absolute end-to-end numbers are

@@ -1,4 +1,5 @@
-"""Perf trajectory bench: one fleet of N vs one device at a time.
+"""Perf trajectory bench: one fleet of N vs one device at a time, and
+the fleet optimizer's cache-blocked sweep.
 
 Frozen-header training has one loop (:mod:`repro.train.fleet`); a
 single device is its one-member case.  The "serial" side is therefore N
@@ -23,11 +24,22 @@ into one graph per round adds on top of it:
   row earned its floor.  Floor: 1.1×, against that loop: the batched
   round is every default run's path and must not fall back to it.
 
+* **``fused_step_cache_blocked``** — the cache-blocked fused Adam sweep
+  every fleet step runs (``repro.nn.optim._adam_inplace_update``) vs
+  ``_adam_block`` over each whole buffer, at float32 on the flat-buffer
+  sizes real runs reach: the figures' fleet importance rounds (314 280
+  elements) and the fleet-trainer probe (445 760).  Floor: 1.0× —
+  blocking must not lose where it engages; measured 1.19–1.32× at those
+  sizes.  Buffers of up to four blocks sweep whole, since below ~186k
+  elements blocking does not pay (6–13 % slower at 68k–87k; see
+  ``_FUSED_WHOLE_BLOCKS``).  Parity is bit-for-bit by construction
+  (elementwise passes) and asserted in ``tests/nn/test_optim_blocked.py``.
+
 The sides of a comparison are timed in alternation — one repetition of
 each in turn — so a busy neighbour on a shared host slows a repetition
 of every side instead of one side's whole block.
 
-Both comparisons assert **bit-for-bit float64 parity** while they time:
+Both fleet comparisons assert **bit-for-bit float64 parity** while they time:
 per-member epoch losses and accuracies, final header weights, and
 importance sets of the fleet of N must equal the N fleets of one (and
 the textbook loop) exactly — grouping is a pure execution-plan change.
@@ -54,7 +66,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 sys.path.insert(0, str(REPO_ROOT))  # tests.reference: the textbook loops
 
-from _common import emit_perf, perf_record
+from _common import emit_perf, perf_record, timed
 
 from repro.core.header_importance import ImportanceConfig, compute_importance_set
 from repro.data.synthetic import make_cifar100_like
@@ -62,6 +74,7 @@ from repro.models.blocks import HeaderSpec
 from repro.models.header_dag import DAGHeader
 from repro.models.headers import LinearHeader
 from repro.models.vit import VisionTransformer, ViTConfig
+from repro.nn.optim import _adam_block, _adam_inplace_update
 from repro.nn.tensor import using_dtype
 from repro.train.fleet import fleet_importance_rounds, train_headers_fleet
 from repro.train.trainer import TrainConfig, train_header
@@ -70,6 +83,8 @@ from tests.reference.train import reference_importance_set
 # Floors asserted by emit_perf — regressions below these fail the bench.
 TRAIN_FLEET_FLOOR = 1.5
 IMPORTANCE_FLEET_FLOOR = 1.1
+#: Floor on the cache-blocked fused sweep: blocking must never lose.
+BLOCKED_STEP_FLOOR = 1.0
 
 
 def _backbone(smoke: bool):
@@ -225,12 +240,54 @@ def bench_fleet_importance(smoke: bool):
     )
 
 
+def bench_blocked_fused_step(smoke: bool):
+    """Cache-blocked vs unblocked fused Adam sweep on float32 flats of the
+    sizes real runs reach.  One timed call runs ``calls`` updates of one
+    buffer of each size."""
+    sizes = (300_000,) if smoke else (314_280, 445_760)
+    repeats, calls = (3, 2) if smoke else (10, 20)
+    rng = np.random.default_rng(0)
+    # data, grad, m, v and the two scratch arrays of each buffer.
+    buffers = [
+        [rng.normal(size=size).astype(np.float32) for _ in range(2)]
+        + [np.zeros(size, np.float32) for _ in range(4)]
+        for size in sizes
+    ]
+    # lr, beta1, beta2, eps, weight_decay, bias1, bias2 at step 10.
+    hyper = (1e-3, 0.9, 0.999, 1e-8, 0.0, 1 - 0.9**10, 1 - 0.999**10)
+
+    def sweep(update):
+        def run():
+            for _ in range(calls):
+                for arrays in buffers:
+                    update(*arrays, *hyper)
+
+        return run
+
+    blocked = timed(sweep(_adam_inplace_update), repeats=repeats, warmup=3)
+    unblocked = timed(sweep(_adam_block), repeats=repeats, warmup=3)
+    return perf_record(
+        "fused_step_cache_blocked",
+        fast=blocked,
+        baseline=unblocked,
+        floor=None if smoke else BLOCKED_STEP_FLOOR,
+        buffer_elems=list(sizes),
+        calls=calls,
+        dtype="float32",
+        metric="fused Adam update per buffer: _adam_inplace_update "
+        "(cache-blocked) vs _adam_block over the whole buffer",
+        parity="bit-for-bit by construction (elementwise passes); "
+        "asserted in tests/nn/test_optim_blocked.py",
+    )
+
+
 def run_bench(smoke: bool = False):
     # The docstring's parity claims — and the committed floor history —
     # are statements about the float64 kernels; pin the engine dtype so
     # the float32 engine default cannot silently change the workload.
     with using_dtype("float64"):
         records = [bench_fleet_train(smoke), bench_fleet_importance(smoke)]
+    records.append(bench_blocked_fused_step(smoke))
     # Smoke runs exercise the full pipeline but never touch the committed
     # trajectory file or the full run's bench_results records.
     return emit_perf(

@@ -1,7 +1,7 @@
 """Correctness tooling: static invariant linting + runtime lock-order watch.
 
 The engine's determinism and concurrency contracts — bit-for-bit
-replay, thread/process parity, fork safety — are machine-checked here
+replay, serial/thread parity, fork safety — are machine-checked here
 instead of documented and hoped for:
 
 * :mod:`repro.analysis.lint` (``python -m repro.analysis.lint``,

@@ -18,12 +18,13 @@ code.
 When the linted tree contains the live package, every module-scope
 ``register_lock(..., module=__name__, attr=...)`` call is additionally
 cross-checked against the *runtime* lock registry by importing the
-module (CONC003): the registry that ``procpool`` replays after fork is
-derived by importing it, never re-hardcoded here, so a registration
-that does not actually execute (typo'd attr, import-guarded call) is
-caught statically.  The same whole-package pass feeds DEAD001 and
-KNOB001: the identifier uses and the field settings of ``src/`` and of
-the consumer directories beside it are counted once; a ``def`` whose
+module (CONC003): the registry that the supervisor's forked workers
+replay is derived by importing it, never re-hardcoded here, so a
+registration that does not actually execute (typo'd attr,
+import-guarded call) is caught statically.  The same whole-package
+pass feeds DEAD001 and KNOB001: the identifier uses and the field
+settings of ``src/`` and of the consumer directories beside it are
+counted once; a ``def`` whose
 name none of them uses is surface nothing reaches, and a config field
 nothing outside ``tests/`` sets is a constant.
 """

@@ -34,9 +34,10 @@ Two deliberate scope cuts, documented here because they bound what a
 clean armed run proves: edges are keyed by lock *name*, so two
 same-named instance locks (e.g. two fabrics' ledger locks) never form
 a self-edge ``name -> name`` — cross-instance ABBA inversions within
-one lock family are not modeled; and forked pool workers always run
-unwatched (:func:`reset_after_fork`), since their inherited held-stack
-snapshots describe parent threads that do not exist in the child.
+one lock family are not modeled; and the supervisor's forked workers
+always run unwatched (:func:`reset_after_fork`), since their inherited
+held-stack snapshots describe parent threads that do not exist in the
+child.
 """
 
 from __future__ import annotations

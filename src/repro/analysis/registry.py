@@ -1,15 +1,12 @@
 """Single source of truth for the engine's lock inventory.
 
-Before this module existed, fork safety rested on a hand-maintained
-list: every module-level engine lock had to be mirrored into
-``procpool._reinit_locks_after_fork`` by whoever added it, and nothing
-checked that the list was complete.  Now every engine lock is created
-through :func:`register_lock`, which
+Every engine lock is created through :func:`register_lock`, which
 
 * records module-level locks (``module=__name__, attr="_MY_LOCK"``) in
-  a registry that :func:`reinit_locks_after_fork` replays — the process
-  backend re-inits exactly the registered set, so a lock added anywhere
-  in the tree is fork-safe without touching ``procpool.py``;
+  a registry that :func:`reinit_locks_after_fork` replays — the TCP
+  supervisor's forked cloud and edge workers
+  (:mod:`repro.distributed.supervisor`) call it first thing, so a lock
+  added anywhere in the tree is fork-safe without a hand-kept list;
 * hands every lock (module-level *and* per-instance) to
   :mod:`repro.analysis.lockwatch` so the armed lock-order detector sees
   it — disarmed, the returned object is a plain ``threading.Lock`` with
@@ -88,11 +85,11 @@ def register_lock(
     *attr* must be the exact global the module binds the return value
     to — reprolint cross-checks the pair against the live registry.
 
-    Instance locks (no ``module``/``attr``) skip fork re-init — worker
-    tasks never reach them (see ``procpool._reinit_locks_after_fork``)
-    — but are still wrapped by lockwatch while it is armed, under the
-    given *name* (instances of one site share the name; lockwatch
-    tracks object identity separately).
+    Instance locks (no ``module``/``attr``) skip fork re-init — a
+    forked worker builds its own fabric and nodes, so it never reaches
+    an instance the parent made — but are still wrapped by lockwatch
+    while it is armed, under the given *name* (instances of one site
+    share the name; lockwatch tracks object identity separately).
 
     Returns the lock: a plain ``factory()`` product when lockwatch is
     disarmed, a watched proxy when armed.

@@ -8,7 +8,7 @@ rest on (see ``ANALYSIS.md`` for the prose catalogue):
   ``random`` in protocol paths (``repro/distributed``, ``repro/core``),
   no iteration over hash-salted sets feeding message/ledger
   construction.
-* **CONC** — thread/process parity: module-level mutables must be
+* **CONC** — thread and fork safety: module-level mutables must be
   ``ContextVar``, a registered lock, ``Final``, or carry a ``guarded``
   suppression naming their lock; module-level ``threading.Lock()`` must
   go through :func:`repro.analysis.registry.register_lock` so fork
@@ -521,7 +521,7 @@ class UnregisteredLockRule(Rule):
                     ctx,
                     line,
                     f"module-level lock `{name}` bypasses the lock registry: "
-                    "a thread holding it at fork time deadlocks every pool "
+                    "a thread holding it at fork time deadlocks every forked "
                     "worker, and lockwatch cannot see it",
                     f'create it via `{name} = register_lock("<name>", '
                     f'module=__name__, attr="{name}")` '

@@ -32,9 +32,7 @@ def _cmd_run(args: argparse.Namespace) -> Callable[[], None]:
         num_classes=args.classes,
         samples_per_class=args.samples,
         execution=ExecutionPlan(
-            edge_workers=args.edge_workers,
-            device_workers=args.workers,
-            backend=args.backend,
+            edge_workers=args.edge_workers, device_workers=args.workers
         ),
         fault_config=fault_config,
         seed=args.seed,
@@ -146,11 +144,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="ExecutionPlan.device_workers: width of the fan-outs inside "
-        "an edge — local header training, per-device eval, NAS child "
-        "scoring (an edge's headers train in that many stacked groups, "
-        "one per worker; 1 = serial, -1 = all CPU cores); any value "
-        "reproduces the serial results exactly",
+        help="ExecutionPlan.device_workers: worker threads for the "
+        "fan-outs inside an edge — local header training, per-device "
+        "eval, NAS child scoring (an edge's headers train in that many "
+        "stacked groups, one per worker; 1 = serial, -1 = all CPU "
+        "cores); any value reproduces the serial results exactly",
     )
     run.add_argument(
         "--edge-workers",
@@ -161,17 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
         "-1 = all CPU cores); composes with --workers under a shared "
         "host budget, and any value reproduces the serial results — "
         "traffic ledger included — exactly",
-    )
-    run.add_argument(
-        "--backend",
-        default="thread",
-        help="ExecutionPlan.backend: executor backend of the --workers "
-        "tier, 'thread' or 'process'.  'thread' overlaps the "
-        "GIL-releasing numpy kernels; 'process' forks a "
-        "worker pool that returns the device headers it trained, so "
-        "the tape-bound phases (importance rounds, NAS child scoring) "
-        "scale past the GIL.  Either backend reproduces the serial "
-        "results bit for bit",
     )
     run.add_argument(
         "--faults",

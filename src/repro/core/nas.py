@@ -261,9 +261,8 @@ class HeaderSearch:
         Children are built serially first (lazy shared-pool operations
         must be created in the deterministic sample order), then scored
         on the plan's inner tier with rewards returned in spec order — so
-        any width and either backend reproduces the serial loop exactly
-        (scoring reads shared state and writes none that outlives the
-        task, so forked workers send nothing home but the reward).
+        any width reproduces the serial loop exactly (scoring reads
+        shared state and writes none that outlives the task).
 
         Every child visits the same first ``max_batches`` validation
         batches, so they are served from one sweep: the caller's

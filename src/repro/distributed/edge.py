@@ -418,7 +418,6 @@ class EdgeServer:
                 group, include_feature_sample=include_features, round_index=t
             ),
         )
-        self._harvest_feature_samples(participants, messages)
         for message in messages:
             message.receiver = self.name
             try:
@@ -553,59 +552,26 @@ class EdgeServer:
 
         A chunk is as many devices as the smallest store capacity among
         them (all of ``devices`` when no store has a capacity).  Each
-        chunk is hydrated here, in the parent and in device order — the
-        only store touches ahead of the fan-out, so no worker ever moves
-        an LRU — and stays live while :meth:`_local_groups` partitions
-        it and ``plan.map_devices`` runs ``update`` on the groups, each
-        of which returns one result per member.  A group's update mutates
-        exactly its own devices' header parameters, so those are what a
-        forked worker ships home (``shared_params``); every other
-        mutation (prune masks, the network ledger) happens in the
-        parent.  A forked worker's frozen-feature cache dies with it, so
-        the chunk's caches are swept here first and the workers inherit
-        the pages.
+        chunk is hydrated here, in device order — the only store
+        touches ahead of the fan-out, so no worker ever moves an LRU —
+        and stays live while :meth:`_local_groups` partitions it and
+        ``plan.map_devices`` runs ``update`` on the groups, each of
+        which returns one result per member.  A group's update mutates
+        exactly its own devices' header parameters; every other mutation
+        (prune masks, the network ledger) happens in the caller.
         """
         capacities = [d.state_store.capacity for d in devices if d.state_store.bounded]
         size = min(capacities, default=max(len(devices), 1))
-        forked = not self.plan.workers_share_heap
         results: list = []
         for start in range(0, len(devices), size):
             chunk = devices[start : start + size]
             for device in chunk:
                 device._ensure_live()
-                if forked:
-                    device.frozen_features()
-            groups = self._local_groups(chunk)
-            shared = None
-            if forked:
-                shared = [
-                    [p for d in group for p in d.header.parameters()]
-                    for group in groups
-                ]
             for group_results in self.plan.map_devices(
-                update, groups, shared_params=shared
+                update, self._local_groups(chunk)
             ):
                 results.extend(group_results)
         return results
-
-    def _harvest_feature_samples(
-        self, devices: Sequence[DeviceNode], messages: Sequence[Message]
-    ) -> None:
-        """Re-seat the per-device feature-sample cache after a forked round.
-
-        A forked worker's assignment to ``device._feature_sample`` is
-        private to the worker; the sample itself still travels back in
-        the upload payload.  Caching it here keeps the process backend's
-        round-over-round behavior identical to threads (the sample is a
-        deterministic pure function of the frozen backbone and seed, so
-        this is a wall-clock concern, never a value one).
-        """
-        if self.plan.workers_share_heap:
-            return
-        for device, message in zip(devices, messages):
-            sample = message.payload.get("feature_sample")
-            if sample is not None and device._feature_sample is None:
-                device._feature_sample = sample
 
     # ------------------------------------------------------------------
     def finalize(self) -> List[dict]:

@@ -27,6 +27,13 @@ surviving clusters' results stand.  All child processes are reaped on
 every exit path (they are also daemonic, so even a dying supervisor
 cannot leak them).
 
+Fork-safe workers.  Children are forked where the platform can, and a
+parent thread may hold an engine lock at that moment (a
+:class:`~repro.distributed.messages.Message` being numbered, a
+projection being cached); its owner does not exist in the child, so the
+first thing each worker does is rebind every registered module-level
+lock (:func:`repro.analysis.registry.reinit_locks_after_fork`).
+
 Test hooks: ``kill_edge``/``kill_point`` make the chosen edge process
 SIGKILL *itself* at a deterministic protocol point, which is how the
 kill-an-edge integration test produces a real mid-campaign crash.
@@ -42,6 +49,7 @@ import time
 import traceback
 from typing import Dict, List, Optional, Tuple
 
+from repro.analysis import registry
 from repro.distributed.faults import DeliveryError
 from repro.distributed.metrics import centralized_upload_bytes
 from repro.distributed.network import Ledger
@@ -70,6 +78,7 @@ KILL_POINTS = ("backbone", "search", "distribute", "mid_rounds", "aggregate")
 # ---------------------------------------------------------------------------
 def _cloud_worker(config: ACMEConfig, tcfg: TransportConfig, conn) -> None:
     """Cloud tier: pretrain/candidates, then serve edges until told to stop."""
+    registry.reinit_locks_after_fork()
     transport = None
     try:
         with dtype_scope(config):
@@ -112,6 +121,7 @@ def _edge_worker(
     kill_point: Optional[str],
 ) -> None:
     """Edge tier: build the cluster locally, dial the hub, run the phases."""
+    registry.reinit_locks_after_fork()
     try:
         with dtype_scope(config):
             data = build_fleet_data(config)

@@ -88,9 +88,8 @@ class ACMEConfig:
     #: the subprocess template it runs, a string the static pass cannot
     #: read: that is the float64 half of the digest contract CI checks.
     compute_dtype: Optional[str] = "float32"  # reprolint: knob -- parity.py's float64 digest half
-    #: Where the work runs — cross-edge width, per-device / NAS-child
-    #: width, the inner tier's backend: the one declaration of
-    #: execution placement
+    #: Where the work runs — cross-edge width and per-device / NAS-child
+    #: width: the one declaration of execution placement
     #: (:class:`~repro.distributed.executor.ExecutionPlan`).  Every plan
     #: reproduces the serial run bit-for-bit in either dtype, traffic
     #: ledger included (tests/distributed/test_cross_edge_parallel.py).
@@ -606,8 +605,7 @@ class ACMESystem:
         return clusters
 
     # reprolint: unreached -- fabric teardown: unregisters every node so a driver can rebuild a
-    # system on the same fabric; the cross-edge and process-backend parity suites release their
-    # fabrics with it
+    # system on the same fabric; the cross-edge parity suite releases its fabrics with it
     def dispose(self) -> None:
         """Unregister every node from the fabric.
 

@@ -64,27 +64,27 @@ _REGISTRY_LOCK = register_lock(
 #: whole working set from DRAM.  Chunking the sweep keeps one block of
 #: all six arrays cache-resident across the passes while still
 #: amortizing per-ufunc dispatch over tens of thousands of elements.
-#: 65536 elements × 6 arrays ≈ 1.5 MiB at float32.  Only buffers above
-#: one block are chunked; the campaigns never reach that, the figures'
-#: and the fleet trainer's largest buffers (314 280 and 445 760
-#: elements) do, and there blocking wins 1.19–1.32x at float32
-#: (``benchmarks/bench_process_pool.py``).  Just above the threshold it
-#: loses 6–13 % (68k–87k elements) and is near even at 186k.  Because
-#: every pass is elementwise, a blocked sweep is **bit-for-bit**
-#: identical to the unblocked one (asserted in
-#: ``tests/nn/test_optim_blocked.py``, which varies this constant).
-#: ``0`` disables blocking.
+#: 65536 elements × 6 arrays ≈ 1.5 MiB at float32.  Because every pass
+#: is elementwise, a blocked sweep is **bit-for-bit** identical to the
+#: unblocked one (asserted in ``tests/nn/test_optim_blocked.py``, which
+#: varies this constant).  ``0`` disables blocking.
 _FUSED_BLOCK_ELEMS = 65536
+#: Buffers of up to this many blocks sweep whole.  At float32 blocking
+#: loses 6–13 % at 68 520–87 096 elements and is near even at 186 120;
+#: it wins 1.19–1.32x from 314 280 up — the figures' and the fleet
+#: trainer's largest buffers (``benchmarks/bench_fleet_train.py``).
+#: The campaigns never reach four blocks.
+_FUSED_WHOLE_BLOCKS = 4
 
 
 def _block_slices(size: int):
     """Slices chunking a flat buffer at the configured block size.
 
-    Yields the identity slice when blocking is off or the buffer already
-    fits a single block, so callers need no special cases.
+    Yields the identity slice when blocking is off or the buffer fits
+    :data:`_FUSED_WHOLE_BLOCKS` blocks, so callers need no special cases.
     """
     block = _FUSED_BLOCK_ELEMS
-    if block <= 0 or size <= block:
+    if block <= 0 or size <= _FUSED_WHOLE_BLOCKS * block:
         yield slice(None)
         return
     for lo in range(0, size, block):

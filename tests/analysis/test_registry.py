@@ -1,8 +1,8 @@
 """The lock registry: registration contract and fork re-init derivation.
 
-The registry is the single source of truth the process backend replays
-after fork (``procpool._reinit_locks_after_fork`` delegates here) and
-the set lockwatch arms over.  These tests pin that the engine's four
+The registry is the single source of truth the TCP supervisor's forked
+workers replay (``supervisor._cloud_worker`` / ``_edge_worker`` call
+:func:`reinit_locks_after_fork` first) and the set lockwatch arms over.  These tests pin that the engine's four
 module-level locks are all registered, that re-init actually produces
 fresh lock objects bound to the registered globals, and that the
 registration API rejects ambiguous input.
@@ -84,16 +84,34 @@ def test_reinit_replaces_registered_module_locks():
         old.release()
 
 
-def test_procpool_delegates_to_registry(monkeypatch):
-    """The process backend's fork hook replays the registry, not a hand list."""
-    from repro.distributed import procpool
+@pytest.mark.parametrize("worker", ["_cloud_worker", "_edge_worker"])
+def test_supervisor_workers_replay_the_registry(monkeypatch, worker):
+    """Each forked supervisor worker re-inits the registered locks before
+    it does any work (the registry's one caller)."""
+    from repro.distributed import supervisor
 
-    called = []
+    calls = []
+
+    def first_work(config):
+        calls.append("work")
+        raise RuntimeError("stop here")
+
+    class Pipe:
+        def send(self, report):
+            calls.append(report[0])
+
+        def close(self):
+            pass
+
     monkeypatch.setattr(
-        registry, "reinit_locks_after_fork", lambda: called.append(True)
+        registry, "reinit_locks_after_fork", lambda: calls.append("reinit")
     )
-    procpool._reinit_locks_after_fork()
-    assert called == [True]
+    monkeypatch.setattr(supervisor, "dtype_scope", first_work)
+    if worker == "_cloud_worker":
+        supervisor._cloud_worker(None, None, Pipe())
+    else:
+        supervisor._edge_worker(None, None, 0, Pipe(), None)
+    assert calls == ["reinit", "work", "error"]
 
 
 def test_hotpath_is_identity():

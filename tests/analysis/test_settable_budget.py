@@ -19,9 +19,9 @@ from repro.analysis.rules import _init_fields, _is_dataclass
 PACKAGE = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 
 #: ``__init__`` fields of the package's dataclasses.
-DATACLASS_FIELDS_BUDGET = 240
-#: ``add_argument`` calls: the CLI's 32 and the linter's 5.
-CLI_ARGUMENTS_BUDGET = 37
+DATACLASS_FIELDS_BUDGET = 239
+#: ``add_argument`` calls: the CLI's 31 and the linter's 5.
+CLI_ARGUMENTS_BUDGET = 36
 
 
 def settable_counts(trees):

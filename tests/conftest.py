@@ -33,13 +33,13 @@ import pytest
 from tests.helpers import reset_engine_state
 
 #: Modules whose tests overlap engine locks across threads (cross-edge
-#: parallel phases, the TCP transport, the process-pool backend).
+#: parallel phases, the executor, the TCP transport and its supervisor).
 _LOCKWATCH_MODULES = (
     "test_cross_edge_parallel",
+    "test_executor",
     "test_transport",
     "test_transport_chaos",
     "test_transport_kill",
-    "test_process_backend",
     "test_parallel_system",
 )
 

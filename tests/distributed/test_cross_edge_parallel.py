@@ -11,7 +11,7 @@ full traffic ledger.  These tests assert exactly that, plus the fabric
 semantics (shard routing, merge determinism, register/unregister), the
 :class:`ExecutionPlan` itself (validation, the worker-budget split that
 keeps nested fan-outs within the host budget) and the plan checked as a
-**product**: every cell of widths × backend equals the serial run, and
+**product**: every cell of edge × device widths equals the serial run, and
 every cell of residency × executor gives one result — at float64, and
 on a subset of cells at the default float32.
 """
@@ -32,7 +32,6 @@ from repro.distributed import ACMEConfig, ACMESystem, ExecutionPlan
 from repro.distributed.faults import FaultConfig, FaultPolicy
 from repro.distributed.messages import Message, MessageKind
 from repro.distributed.network import Network
-from repro.distributed.procpool import fork_available
 from repro.models.vit import ViTConfig
 from tests.helpers import assert_same_run, collector_off, reset_engine_state
 
@@ -129,19 +128,11 @@ def serial_float32_run():
 
 
 #: ``ExecutionPlan`` cells, each held to the serial run (whose clusters
-#: train batched: the inner tier is serial).  The first four are the
-#: pairs the per-file parity tests cover one at a time; the last
-#: (process × edges) nothing else covers.  Under a fanned-out edge tier
-#: ``ExecutionPlan.split`` downgrades the process tier to threads (a
-#: ``fork()`` from a threaded edge tier deadlocks whenever the budget
-#: lets edges=2 × devices=2 through), so that cell holds the downgrade
-#: to the contract.
+#: train batched: the inner tier is serial).
 PLAN_CELLS = {
     "devices4": dict(device_workers=4),
     "edges3": dict(edge_workers=3),
     "edges2-devices2": dict(edge_workers=2, device_workers=2),
-    "process-devices2": dict(backend="process", device_workers=2),
-    "process-edges2": dict(backend="process", edge_workers=2, device_workers=2),
 }
 
 
@@ -152,49 +143,27 @@ class TestPlanProduct:
         losses, ``(width, depth)``, kind sequence, ledger bytes and fault
         counters of every plan equal the serial run's."""
         plan = ExecutionPlan(**PLAN_CELLS[cell])
-        if not plan.workers_share_heap and not fork_available():
-            pytest.skip("process backend requires the fork start method")
         # A roomy host budget, so the nested cells really nest instead
         # of being capped to edges × 1 on a 2-core CI box.
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         system = ACMESystem(_fleet_config(execution=plan))
         assert_same_run(serial_and_parallel_runs[0], system.run())
 
-    @pytest.mark.parametrize("cell", ["devices4", "process-devices2"])
+    @pytest.mark.parametrize("cell", ["devices4"])
     def test_float32_cell_reproduces_serial(self, cell, serial_float32_run, monkeypatch):
-        """The same contract at the default dtype, on a thread cell and a
-        process cell: float32 arrays cross the fork and the executor's
-        context hand-off like float64 ones."""
+        """The same contract at the default dtype on a thread cell:
+        float32 arrays cross the executor's context hand-off like
+        float64 ones."""
         plan = ExecutionPlan(**PLAN_CELLS[cell])
-        if not plan.workers_share_heap and not fork_available():
-            pytest.skip("process backend requires the fork start method")
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         system = ACMESystem(_fleet_config(execution=plan, compute_dtype="float32"))
         assert_same_run(serial_float32_run, system.run())
-
-    def test_batched_groups_on_process_workers_reproduce_serial(self):
-        """Width and batching compose: 3 devices on 2 forked workers
-        train as the stacked groups ``[[0, 1], [2]]``, each worker
-        ships its members' header arrays home, and the run equals the
-        serial one (one group of 3) — accuracies, ledger, kinds."""
-        if not fork_available():
-            pytest.skip("process backend requires the fork start method")
-        cluster = dict(num_clusters=1, devices_per_cluster=3)
-        serial = ACMESystem(_fleet_config(**cluster)).run()
-        plan = ExecutionPlan(device_workers=2, backend="process")
-        assert_same_run(
-            serial, ACMESystem(_fleet_config(execution=plan, **cluster)).run()
-        )
 
 
 #: Residency × executor on a 1 × 3-device system (capacity 2 puts a
 #: chunk boundary of the edge's walk inside the cluster).
 CAPACITY_CELLS = {"unbounded": None, "capacity1": 1, "capacity2": 2, "capacityN": 3}
-EXECUTOR_CELLS = {
-    "serial": {},
-    "threads2": dict(device_workers=2),
-    "process2": dict(device_workers=2, backend="process"),
-}
+EXECUTOR_CELLS = {"serial": {}, "threads2": dict(device_workers=2)}
 
 
 def _residency_run(capacity, executor, dtype="float64"):
@@ -224,9 +193,7 @@ class TestResidencyProduct:
     def test_cell_gives_the_one_result(self, capacity, executor):
         """How many devices stay live and where their updates run are
         invisible: one digest — protocol and numeric halves — over all
-        twelve cells."""
-        if executor == "process2" and not fork_available():
-            pytest.skip("process backend requires the fork start method")
+        eight cells."""
         got = _residency_run(CAPACITY_CELLS[capacity], executor)
         assert got == _residency_reference()
 
@@ -235,8 +202,6 @@ class TestResidencyProduct:
     def test_float32_cell_gives_the_one_result(self, capacity, executor):
         """The default dtype on the capacities that evict: a float32
         snapshot restores the float32 header it was taken from."""
-        if executor == "process2" and not fork_available():
-            pytest.skip("process backend requires the fork start method")
         cap = CAPACITY_CELLS[capacity]
         got = _residency_run(cap, executor, "float32")
         assert got == _residency_reference("float32")
@@ -480,7 +445,6 @@ class TestExecutionPlan:
             # how an edge groups its devices' training.
             ("device_workers", 2.7),
             ("edge_workers", True),
-            ("backend", "fibers"),
         ],
     )
     def test_bad_spec_named_at_construction(self, field, value):
@@ -490,16 +454,16 @@ class TestExecutionPlan:
     def test_frozen_and_pickles(self):
         """Immutable (no layer can re-declare a field after the fact) and
         picklable (the supervisor ships configs to edge processes)."""
-        plan = ExecutionPlan(edge_workers=2, device_workers="auto", backend="process")
+        plan = ExecutionPlan(edge_workers=2, device_workers="auto")
         with pytest.raises(dataclasses.FrozenInstanceError):
-            plan.backend = "thread"
+            plan.device_workers = 1
         config = _fleet_config(execution=plan)
         assert pickle.loads(pickle.dumps(config)).execution == plan
 
     def test_one_plan_reaches_every_layer(self):
-        """No tier can disagree with the system about width or backend:
-        the edge holds the config's plan, split once."""
-        plan = ExecutionPlan(device_workers=2, backend="process")
+        """No tier can disagree with the system about width: the edge
+        holds the config's plan, split once."""
+        plan = ExecutionPlan(device_workers=2)
         system = ACMESystem(_fleet_config(num_clusters=1, finalize=False, execution=plan))
         assert system.edges[0].plan == plan.split(1)
         assert not hasattr(system.config.edge, "backend")

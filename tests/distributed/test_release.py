@@ -20,7 +20,6 @@ import pytest
 from repro.distributed import ACMEConfig, ACMESystem, ExecutionPlan, FaultConfig
 from repro.distributed.messages import Message, MessageKind
 from repro.distributed.network import Network
-from repro.distributed.procpool import fork_available
 from repro.distributed.scale import ScaleCluster, ScaleConfig, run_scale_campaign
 from repro.distributed.state_store import DeviceStateLRU
 from repro.models.vit import ViTConfig
@@ -78,11 +77,6 @@ def _run_and_drop(config: ACMEConfig):
     return result, refs
 
 
-_needs_fork = pytest.mark.skipif(
-    not fork_available(), reason="process backend requires the fork start method"
-)
-
-
 class TestDeploymentIsATree:
     @pytest.mark.parametrize(
         "overrides",
@@ -91,11 +85,6 @@ class TestDeploymentIsATree:
             pytest.param(
                 {"execution": ExecutionPlan(edge_workers=2, device_workers=2)},
                 id="thread",
-            ),
-            pytest.param(
-                {"execution": ExecutionPlan(device_workers=2, backend="process")},
-                id="process",
-                marks=_needs_fork,
             ),
             pytest.param(
                 {

@@ -1,13 +1,19 @@
 """Kill-an-edge integration: SIGKILL mid-campaign, degraded completion.
 
-Satellite 4: one edge process is SIGKILLed partway through a TCP
-campaign.  The acceptance bar — the run *completes* (never hangs),
-reports participation < 1.0, carries a DeliveryError-derived ``"crash"``
-entry in the fault counters, the surviving edge's results are intact,
-and no child processes are left behind.
+One edge process is SIGKILLed partway through a TCP campaign.  The
+acceptance bar — the run *completes* (never hangs), reports
+participation < 1.0, carries a DeliveryError-derived ``"crash"`` entry
+in the fault counters, the surviving edge's results are intact, and no
+child processes are left behind.
+
+The converse: an engine lock a parent thread holds when the workers
+fork must not wedge them — each worker re-inits the registered locks
+first, so the run completes in full.
 """
 
+import importlib
 import multiprocessing
+import threading
 
 import pytest
 
@@ -87,3 +93,43 @@ class TestKillAnEdge:
             "mid_rounds",
             "aggregate",
         }
+
+
+class TestLockHeldAtFork:
+    @pytest.mark.parametrize(
+        "module, attr",
+        [
+            ("repro.distributed.messages", "_SEQUENCE_LOCK"),
+            ("repro.nn.init", "_STATE_LOCK"),
+            ("repro.nn.optim", "_REGISTRY_LOCK"),
+            ("repro.core.similarity", "_PROJECTION_CACHE_LOCK"),
+        ],
+    )
+    def test_workers_do_not_inherit_a_held_engine_lock(self, module, attr):
+        """A parent thread holds a registered engine lock for the whole
+        run, as a concurrent sender, initializer, optimizer or
+        similarity call can at fork time.  Inherited as held, it would
+        wedge every edge until ``edge_timeout`` and degrade both
+        clusters; re-inited, the run is whole."""
+        lock = getattr(importlib.import_module(module), attr)
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with lock:
+                held.set()
+                release.wait()
+
+        holder = threading.Thread(target=hold, daemon=True)
+        holder.start()
+        try:
+            assert held.wait(timeout=10.0)
+            result = run_multiprocess(
+                _config(devices_per_cluster=2), edge_timeout=20.0
+            )
+        finally:
+            release.set()
+            holder.join(timeout=10.0)
+        assert not holder.is_alive()
+        assert result.participation == 1.0
+        assert "crash" not in result.fault_counts
+        assert multiprocessing.active_children() == []

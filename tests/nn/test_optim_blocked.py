@@ -2,7 +2,8 @@
 
 The fused Adam/fleet flat-buffer update passes run in chunks of
 ``repro.nn.optim._FUSED_BLOCK_ELEMS`` elements so one block of all the
-step's arrays stays cache-resident across the ~14 ufunc passes.  Every
+step's arrays stays cache-resident across the ~14 ufunc passes; buffers
+of up to ``_FUSED_WHOLE_BLOCKS`` blocks sweep whole.  Every
 pass is elementwise, so blocking is a pure cache-behavior choice: these
 tests vary the constant and pin that a blocked sweep is **bit-for-bit**
 identical to the unblocked one at any block size, under both engine
@@ -18,8 +19,13 @@ from repro.nn.tensor import Tensor, using_dtype
 
 
 def _run_steps(monkeypatch, opt_cls, kwargs, dtype, block_elems, steps=5):
-    """Fused training trajectory at a given block size; returns final data."""
+    """Fused training trajectory at a given block size; returns final data.
+
+    Every buffer above one block is chunked, so each block size below
+    exercises the blocked sweep rather than the whole-buffer one.
+    """
     monkeypatch.setattr(optim, "_FUSED_BLOCK_ELEMS", block_elems)
+    monkeypatch.setattr(optim, "_FUSED_WHOLE_BLOCKS", 1)
     with using_dtype(dtype):
         rng = np.random.default_rng(17)
         # Two large flats (several blocks at size 1000) + odd sizes
@@ -70,11 +76,15 @@ class TestBlockSlices:
 
     def test_small_buffer_yields_identity(self, monkeypatch):
         monkeypatch.setattr(optim, "_FUSED_BLOCK_ELEMS", 100)
+        whole = optim._FUSED_WHOLE_BLOCKS * 100
+        assert list(_block_slices(whole)) == [slice(None)]
         assert list(_block_slices(100)) == [slice(None)]
         assert list(_block_slices(7)) == [slice(None)]
+        assert len(list(_block_slices(whole + 1))) == optim._FUSED_WHOLE_BLOCKS + 1
 
     def test_chunks_cover_exactly_once(self, monkeypatch):
         monkeypatch.setattr(optim, "_FUSED_BLOCK_ELEMS", 100)
+        monkeypatch.setattr(optim, "_FUSED_WHOLE_BLOCKS", 1)
         slices = list(_block_slices(250))
         assert slices == [slice(0, 100), slice(100, 200), slice(200, 250)]
         marks = np.zeros(250, dtype=int)
@@ -82,12 +92,14 @@ class TestBlockSlices:
             marks[sl] += 1
         assert (marks == 1).all()
 
-    def test_default_block_splits_only_buffers_above_it(self):
-        # The campaigns' largest flat buffer (50 875) sweeps whole; the
-        # figures' largest (314 280) sweeps in blocks of the constant.
+    def test_default_block_splits_only_buffers_above_four_blocks(self):
+        # The campaigns' largest flat buffer (50 875) and the sizes where
+        # blocking loses or breaks even (87 096, 186 120) sweep whole;
+        # the figures' largest (314 280) sweeps in five blocks.
         block = optim._FUSED_BLOCK_ELEMS
-        assert list(_block_slices(50_875)) == [slice(None)]
+        for size in (50_875, 87_096, 186_120, 4 * block):
+            assert list(_block_slices(size)) == [slice(None)]
         slices = list(_block_slices(314_280))
-        assert len(slices) == -(-314_280 // block)
-        assert all(sl.stop - sl.start <= block for sl in slices)
+        assert len(slices) == 5
+        assert all(sl.stop - sl.start == block for sl in slices[:-1])
         assert (slices[0].start, slices[-1].stop) == (0, 314_280)

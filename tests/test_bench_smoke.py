@@ -1,13 +1,11 @@
-"""Tier-1 smoke runs of the ratio benches under ``benchmarks/``.
+"""Tier-1 smoke run of the ratio bench under ``benchmarks/``.
 
-The perf benches only run when a perf PR invokes them; this test drives
-each end to end in its ``--smoke`` mode (tiny shapes, no floor
-assertions, ``BENCH_perf.json`` untouched) so the scripts cannot rot
-between perf PRs.  ``bench_fleet_train`` runs its imports, the
-fleet/serial A/B switching, the bit-for-bit parity asserts and the
-record plumbing; ``bench_process_pool`` runs the fork-pool fan-out, the
-header parameters' trip home, the serial/process bit-for-bit parity
-asserts and the cache-blocked fused-step A/B.
+The perf bench only runs when a perf change invokes it; this test
+drives it end to end in its ``--smoke`` mode (tiny shapes, no floor
+assertions, ``BENCH_perf.json`` untouched) so the script cannot rot
+between perf changes.  ``bench_fleet_train`` runs its imports, the
+fleet/serial A/B switching, the bit-for-bit parity asserts, the
+cache-blocked fused-step A/B and the record plumbing.
 """
 
 import json
@@ -25,11 +23,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
     "bench, printed, labels",
     [
         ("bench_fleet_train", "fleet_train_headers",
-         {"fleet_train_headers", "fleet_importance_rounds"}),
-        # The importance leg always runs its serial/process parity check;
-        # it is a record on a >= 4-core host and a one-line note elsewhere.
-        ("bench_process_pool", "process_pool_importance_rounds",
-         {"fused_step_cache_blocked"}),
+         {"fleet_train_headers", "fleet_importance_rounds", "fused_step_cache_blocked"}),
     ],
 )
 def test_smoke_mode_runs_clean(bench, printed, labels):

@@ -68,7 +68,6 @@ class TestCommands:
         [
             ("--workers", "-2", "ExecutionPlan.device_workers: worker count must be an int >= -1, got -2"),
             ("--edge-workers", "-2", "ExecutionPlan.edge_workers: worker count must be an int >= -1, got -2"),
-            ("--backend", "fibers", "ExecutionPlan.backend: unknown executor backend 'fibers'"),
             ("--faults", "retries=-1", "retries must be an int >= 0, got -1"),
         ],
     )

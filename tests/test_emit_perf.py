@@ -45,9 +45,9 @@ def test_merge_keeps_other_benches_and_replaces_its_own(common, tmp_path):
     path = _trajectory(
         tmp_path,
         _record(common, "kept", bench="bench_fleet_train"),
-        _record(common, "stale", bench="bench_process_pool"),
+        _record(common, "stale", bench="bench_sweep"),
     )
-    common.emit_perf("bench_process_pool", [_record(common, "fresh")], path=path)
+    common.emit_perf("bench_sweep", [_record(common, "fresh")], path=path)
     labels = [r["label"] for r in json.loads(path.read_text())["results"]]
     assert labels == ["kept", "fresh"]
 
@@ -64,18 +64,18 @@ def test_refuses_before_writing(common, tmp_path, kept_bench, kept_label, match)
     path = _trajectory(tmp_path, _record(common, kept_label, bench=kept_bench))
     before = path.read_bytes()
     with pytest.raises(ValueError, match=match):
-        common.emit_perf("bench_process_pool", [_record(common, "fresh")], path=path)
+        common.emit_perf("bench_sweep", [_record(common, "fresh")], path=path)
     assert path.read_bytes() == before
 
 
 def test_first_write_creates_the_trajectory(common, tmp_path):
     path = tmp_path / "BENCH_perf.json"
-    common.emit_perf("bench_process_pool", [_record(common, "fresh")], path=path)
+    common.emit_perf("bench_sweep", [_record(common, "fresh")], path=path)
     data = json.loads(path.read_text())
     assert data["schema"] == common.PERF_SCHEMA
-    assert data["bench"] == "bench_process_pool"
+    assert data["bench"] == "bench_sweep"
     assert [(r["label"], r["bench"]) for r in data["results"]] == [
-        ("fresh", "bench_process_pool")
+        ("fresh", "bench_sweep")
     ]
 
 
@@ -86,10 +86,10 @@ def test_floor_regression_raises_before_the_trajectory(common, tmp_path):
         "regressed", fast={"best_s": 2.0}, baseline={"best_s": 1.0}, floor=1.5
     )
     with pytest.raises(AssertionError, match="regressed speedup 0.50x fell below"):
-        common.emit_perf("bench_process_pool", [slow], path=path)
+        common.emit_perf("bench_sweep", [slow], path=path)
     assert path.read_bytes() == before
     # The diagnostic copy is still written, so the failing numbers are kept.
-    diagnostic = json.loads((tmp_path / "results" / "bench_process_pool.json").read_text())
+    diagnostic = json.loads((tmp_path / "results" / "bench_sweep.json").read_text())
     assert [r["label"] for r in diagnostic["results"]] == ["regressed"]
 
 
@@ -98,5 +98,5 @@ def test_malformed_trajectory_raises_instead_of_being_overwritten(common, tmp_pa
     path.write_text('{"schema": "perf/v1", "results": [')
     before = path.read_bytes()
     with pytest.raises(json.JSONDecodeError):
-        common.emit_perf("bench_process_pool", [_record(common, "fresh")], path=path)
+        common.emit_perf("bench_sweep", [_record(common, "fresh")], path=path)
     assert path.read_bytes() == before
